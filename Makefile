@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-full bench-query traffic examples clean lint bench-smoke fault-matrix ci coverage
+.PHONY: install test bench bench-full bench-query traffic examples clean lint bench-smoke fault-matrix e2e-selftest ci coverage
 
 # Editable install with the consolidated dev dependency list — the same
 # `[project.optional-dependencies] dev` extra every CI job installs from.
@@ -89,10 +89,16 @@ coverage:
 fault-matrix:
 	PYTHONPATH=src $(PYTHON) scripts/run_fault_matrix.py --audit-dir benchmarks/out
 
-# Mirror the full CI workflow locally: tier-1 tests, lint, fault matrix,
-# bench smoke + gate.
+# The end-to-end benchmark's self-test: every workload traced and untraced at
+# smoke scale — the guard that the tracer's patch points survive a refactor.
+e2e-selftest:
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/e2e/tests/selftest.py -q
+
+# Mirror the full CI workflow locally: tier-1 tests, e2e self-test, lint,
+# fault matrix, bench smoke + gate.
 ci:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
+	$(MAKE) e2e-selftest
 	$(MAKE) lint
 	$(MAKE) fault-matrix
 	$(MAKE) bench-smoke

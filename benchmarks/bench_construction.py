@@ -2,8 +2,9 @@
 
 Times the full Section-3 construction (landmark embedding, MST clustering,
 border selection) twice over the *same* workload: once through the batched
-numpy kernels (the default) and once through the original per-host /
-per-pair reference path (``vectorized=False``). Each mode gets a fresh,
+numpy kernels (the one production path) and once through the original
+per-host / per-pair loops, kept as the test oracle
+``tests.oracles.construction.construct_reference``. Each mode gets a fresh,
 identically-seeded :class:`PhysicalNetwork` so Dijkstra caches and RNG
 streams start from the same state — the comparison is code path only.
 
@@ -32,12 +33,12 @@ from pathlib import Path
 from repro.cluster.mstcluster import cluster_nodes
 from repro.coords.embedding import build_coordinate_space
 from repro.experiments import ascii_table
-from repro.graph.mst import euclidean_mst, euclidean_mst_reference
 from repro.netsim import PhysicalNetwork, transit_stub
 from repro.overlay.hfc import build_hfc
 from repro.overlay.network import OverlayNetwork
 from repro.services.catalog import scaled_catalog
 from repro.services.placement import install_services
+from tests.oracles.construction import construct_reference
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULT_PATH = REPO_ROOT / "BENCH_construction.json"
@@ -56,23 +57,20 @@ def _workload_size():
 
 
 def _construct(topo, proxies, noise, vectorized):
-    """One full construction pass; returns (clusters, borders, phase timings)."""
+    """One full construction pass; returns (clustering, borders, phase timings)."""
     # Fresh network per pass: empty delay cache, virgin noise stream.
     physical = PhysicalNetwork(topo, noise=noise, seed=SEED)
+    if not vectorized:
+        ref = construct_reference(physical, proxies, seed=SEED)
+        return ref.clustering, ref.borders, ref.timings
     timings = {}
 
     start = time.perf_counter()
-    space, report = build_coordinate_space(
-        physical, proxies, seed=SEED, vectorized=vectorized
-    )
+    space, report = build_coordinate_space(physical, proxies, seed=SEED)
     timings["embedding"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    clustering = cluster_nodes(
-        space,
-        proxies,
-        mst=euclidean_mst if vectorized else euclidean_mst_reference,
-    )
+    clustering = cluster_nodes(space, proxies)
     timings["clustering"] = time.perf_counter() - start
 
     catalog = scaled_catalog(len(proxies))
@@ -83,13 +81,11 @@ def _construct(topo, proxies, noise, vectorized):
         physical=physical, proxies=proxies, placement=placement, space=space
     )
     start = time.perf_counter()
-    hfc = build_hfc(
-        overlay, clustering, engine="vectorized" if vectorized else "reference"
-    )
+    hfc = build_hfc(overlay, clustering)
     timings["borders"] = time.perf_counter() - start
 
     timings["total"] = sum(timings.values())
-    return clustering, hfc, timings
+    return clustering, hfc.borders, timings
 
 
 def _merge_result(scale, entry):
@@ -119,22 +115,22 @@ def test_construction_speedup(benchmark, emit):
             vectorized = mode == "vectorized"
             best = None
             for _ in range(repeats):
-                clustering, hfc, timings = _construct(
+                clustering, borders, timings = _construct(
                     topo, proxies, 0.10, vectorized
                 )
                 if best is None or timings["total"] < best["total"]:
                     best = timings
-            results[mode] = (clustering, hfc)
+            results[mode] = (clustering, borders)
             phase_best[mode] = best
         return results, phase_best
 
     results, phase_best = benchmark.pedantic(run, rounds=1, iterations=1)
 
-    ref_cl, ref_hfc = results["reference"]
-    vec_cl, vec_hfc = results["vectorized"]
+    ref_cl, ref_borders = results["reference"]
+    vec_cl, vec_borders = results["vectorized"]
     # Like-for-like: both modes build the exact same HFC topology.
     assert vec_cl.clusters == ref_cl.clusters
-    assert vec_hfc.borders == ref_hfc.borders
+    assert vec_borders == ref_borders
 
     speedup = {
         phase: phase_best["reference"][phase] / phase_best["vectorized"][phase]

@@ -160,16 +160,11 @@ def cluster_nodes(
     space: CoordinateSpace,
     nodes: Optional[Sequence[NodeId]] = None,
     config: Optional[ClusteringConfig] = None,
-    *,
-    mst=euclidean_mst,
 ) -> Clustering:
     """Cluster *nodes* of *space* by Zahn's inconsistent-edge method.
 
     Returns a :class:`Clustering`. With a single node (or all points
-    coincident) the result is one cluster. *mst* selects the MST kernel:
-    the vectorized :func:`~repro.graph.mst.euclidean_mst` by default, or
-    :func:`~repro.graph.mst.euclidean_mst_reference` when the benchmark /
-    equivalence suites pin the pre-vectorization code path.
+    coincident) the result is one cluster.
     """
     config = config or ClusteringConfig()
     node_list: List[NodeId] = list(nodes) if nodes is not None else space.nodes()
@@ -179,7 +174,7 @@ def cluster_nodes(
         return Clustering(clusters=[node_list], labels={node_list[0]: 0})
 
     points = space.array(node_list)
-    mst_edges = mst(points)
+    mst_edges = euclidean_mst(points)
 
     adjacency: Dict[int, Dict[int, float]] = {i: {} for i in range(len(node_list))}
     for i, j, w in mst_edges:

@@ -9,7 +9,6 @@ from repro.coords.embedding import (
     embedding_accuracy,
     locate_host,
     locate_hosts,
-    locate_hosts_parallel,
 )
 from repro.coords.neldermead import (
     BatchMinimizeResult,
@@ -33,7 +32,6 @@ __all__ = [
     "embedding_accuracy",
     "locate_host",
     "locate_hosts",
-    "locate_hosts_parallel",
     "minimize_with_restarts",
     "minimize_with_restarts_batch",
     "nelder_mead",

@@ -208,57 +208,6 @@ def locate_hosts(
     return result.x
 
 
-def _locate_hosts_chunk(args) -> np.ndarray:
-    """Process-pool entry point for :func:`locate_hosts` (must pickle)."""
-    landmark_coords, measured_chunk, max_iterations = args
-    return locate_hosts(
-        landmark_coords, measured_chunk, max_iterations=max_iterations
-    )
-
-
-def locate_hosts_parallel(
-    landmark_coords: np.ndarray,
-    measured_matrix: np.ndarray,
-    *,
-    workers: int,
-    max_iterations: int = 800,
-) -> np.ndarray:
-    """:func:`locate_hosts` fanned out over a process pool.
-
-    Hosts embed independently given the landmarks, so the measurement matrix
-    is split into ``workers`` contiguous chunks solved in parallel and
-    re-concatenated in order — the result is identical to the single-process
-    call. Falls back to in-process solving when the pool cannot be spawned
-    (e.g. sandboxed interpreters) or when the batch is too small to amortize
-    process start-up.
-    """
-    measured = np.asarray(measured_matrix, dtype=float)
-    hosts = measured.shape[0]
-    if workers < 1:
-        raise EmbeddingError(f"workers must be >= 1, got {workers}")
-    workers = min(workers, max(1, hosts // 64))
-    if workers <= 1:
-        return locate_hosts(
-            landmark_coords, measured, max_iterations=max_iterations
-        )
-    chunks = np.array_split(np.arange(hosts), workers)
-    jobs = [
-        (np.asarray(landmark_coords, dtype=float), measured[c], max_iterations)
-        for c in chunks
-        if c.size
-    ]
-    try:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
-            parts = list(pool.map(_locate_hosts_chunk, jobs))
-    except (OSError, PermissionError, ImportError):
-        return locate_hosts(
-            landmark_coords, measured, max_iterations=max_iterations
-        )
-    return np.concatenate(parts, axis=0)
-
-
 @dataclass
 class EmbeddingReport:
     """Diagnostics of a completed embedding.
@@ -314,8 +263,6 @@ def build_coordinate_space(
     dimension: int = 2,
     probes: int = 3,
     seed: RngLike = None,
-    vectorized: bool = True,
-    workers: Optional[int] = None,
     telemetry=None,
 ) -> Tuple[CoordinateSpace, EmbeddingReport]:
     """End-to-end distance-map construction for *hosts* (paper Section 3.1).
@@ -328,17 +275,6 @@ def build_coordinate_space(
         dimension: coordinate-space dimension k (paper uses 2).
         probes: measurements per pair; the minimum is kept.
         seed: RNG seed for landmark choice and refinement starts.
-        vectorized: solve every ordinary host's coordinates with the batched
-            Nelder-Mead over one measurement matrix (the fast default).
-            ``False`` runs the original per-host loop — kept as the reference
-            path for the equivalence suite. Both modes consume the RNG in
-            the identical order; host-to-landmark *true* delays are computed
-            from the landmark side in vectorized mode (m Dijkstra sweeps
-            instead of n), which can shift measurements by float summation
-            order (ulps) but yields the same clusters and borders.
-        workers: optional process-pool fan-out for the per-host solves
-            (hosts embed independently given the landmarks). ``None`` or 1
-            solves in-process.
         telemetry: optional :class:`~repro.telemetry.Telemetry` scope for
             construction-phase spans; defaults to the process scope.
 
@@ -372,33 +308,15 @@ def build_coordinate_space(
     landmark_index = {router: i for i, router in enumerate(landmarks)}
     ordinary = [host for host in hosts if host not in landmark_index]
 
-    located: Dict[int, np.ndarray] = {}
-    if vectorized:
-        with telemetry.tracer.span(
-            "construct.embedding.measure_hosts", hosts=len(ordinary)
-        ):
-            to_landmarks = physical.measure_many(ordinary, landmarks, probes=probes)
-            measurement_count += probes * m * len(ordinary)
-        with telemetry.tracer.span(
-            "construct.embedding.locate", hosts=len(ordinary), workers=workers or 1
-        ):
-            if workers is not None and workers > 1:
-                host_coords = locate_hosts_parallel(
-                    landmark_coords, to_landmarks, workers=workers
-                )
-            else:
-                host_coords = locate_hosts(landmark_coords, to_landmarks)
-        located = dict(zip(ordinary, host_coords))
-    else:
-        with telemetry.tracer.span(
-            "construct.embedding.locate", hosts=len(ordinary), workers=0
-        ):
-            for host in ordinary:
-                to_host = [
-                    physical.measure(host, lm, probes=probes) for lm in landmarks
-                ]
-                measurement_count += probes * m
-                located[host] = locate_host(landmark_coords, to_host)
+    # Host-to-landmark true delays come from the landmark side: m Dijkstra
+    # sweeps instead of n, one batched Nelder-Mead over the whole matrix.
+    with telemetry.tracer.span(
+        "construct.embedding.measure_hosts", hosts=len(ordinary)
+    ):
+        to_landmarks = physical.measure_many(ordinary, landmarks, probes=probes)
+        measurement_count += probes * m * len(ordinary)
+    with telemetry.tracer.span("construct.embedding.locate", hosts=len(ordinary)):
+        located = dict(zip(ordinary, locate_hosts(landmark_coords, to_landmarks)))
 
     # Assemble in *hosts* order so the space's node order (and anything
     # iterating it) is independent of which hosts double as landmarks.

@@ -75,28 +75,6 @@ class CoordinateSpace:
         space._row = {node: i for i, node in enumerate(nodes)}
         return space
 
-    @classmethod
-    def from_trusted(
-        cls, coordinates: Dict[NodeId, Tuple[float, ...]]
-    ) -> "CoordinateSpace":
-        """Construct from already-normalised coordinates without conversion.
-
-        *coordinates* values MUST be equal-length tuples of floats — e.g.
-        values previously returned by :meth:`coordinate`. The incremental
-        membership layer materialises a space per churn event; skipping the
-        per-node tuple-conversion loop keeps that O(changed), not O(n).
-        """
-        if not coordinates:
-            raise EmbeddingError("coordinate space must contain at least one node")
-        space = cls.__new__(cls)
-        space._dim = len(next(iter(coordinates.values())))
-        if space._dim == 0:
-            raise EmbeddingError("coordinate dimension must be >= 1")
-        space._coords = dict(coordinates)
-        space._stacked = None
-        space._row = {}
-        return space
-
     @property
     def dimension(self) -> int:
         """Dimensionality k of the space."""

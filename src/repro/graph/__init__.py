@@ -4,9 +4,7 @@ from repro.graph.components import component_of, connected_components, is_connec
 from repro.graph.graph import Graph
 from repro.graph.mst import (
     UnionFind,
-    dense_prim_mst,
     euclidean_mst,
-    euclidean_mst_reference,
     kruskal_mst,
     prim_mst,
 )
@@ -27,9 +25,7 @@ __all__ = [
     "connected_components",
     "dijkstra",
     "eccentricity",
-    "dense_prim_mst",
     "euclidean_mst",
-    "euclidean_mst_reference",
     "is_connected",
     "kruskal_mst",
     "prim_mst",

@@ -129,9 +129,9 @@ def euclidean_mst(points: np.ndarray) -> List[Tuple[int, int, float]]:
     (``sum((p - q)^2)``), NOT via the ``|p|^2 + |q|^2 - 2 p.q`` norm
     expansion: the expanded form loses the entire value to cancellation for
     near-coincident points (a duplicate point would get a phantom ~1e-7
-    edge weight), while the difference form is exact wherever
-    :func:`euclidean_mst_reference` is. Emitted weights are therefore
-    bit-identical to the reference's.
+    edge weight), while the difference form is exact wherever a
+    per-round full-distance Prim is, so emitted weights are bit-identical
+    to that oracle's (``tests/oracles/construction.py``).
 
     Returns MST edges as ``(i, j, distance)`` index triples.
     """
@@ -158,76 +158,6 @@ def euclidean_mst(points: np.ndarray) -> List[Tuple[int, int, float]]:
         if not np.isfinite(masked[nxt]):
             raise GraphError("euclidean_mst: disconnected input (NaN coordinates?)")
         edges.append((int(best_from[nxt]), nxt, float(np.sqrt(best_d2[nxt]))))
-        in_tree[nxt] = True
-        current = nxt
-    return edges
-
-
-def euclidean_mst_reference(points: np.ndarray) -> List[Tuple[int, int, float]]:
-    """The pre-vectorization :func:`euclidean_mst`: per-round full-distance
-    Prim (``sqrt`` over all n candidates every round).
-
-    Kept as the reference implementation the property/equivalence tests and
-    the construction benchmark compare against.
-    """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2:
-        raise GraphError(f"points must be 2-D (n, k), got shape {pts.shape}")
-    n = pts.shape[0]
-    if n == 0:
-        return []
-    in_tree = np.zeros(n, dtype=bool)
-    best_dist = np.full(n, np.inf)
-    best_from = np.zeros(n, dtype=int)
-    edges: List[Tuple[int, int, float]] = []
-    current = 0
-    in_tree[0] = True
-    for _ in range(n - 1):
-        delta = pts - pts[current]
-        dist = np.sqrt(np.einsum("ij,ij->i", delta, delta))
-        closer = (~in_tree) & (dist < best_dist)
-        best_dist[closer] = dist[closer]
-        best_from[closer] = current
-        masked = np.where(in_tree, np.inf, best_dist)
-        nxt = int(np.argmin(masked))
-        if not np.isfinite(masked[nxt]):
-            raise GraphError("euclidean_mst: disconnected input (NaN coordinates?)")
-        edges.append((int(best_from[nxt]), nxt, float(best_dist[nxt])))
-        in_tree[nxt] = True
-        current = nxt
-    return edges
-
-
-def dense_prim_mst(weights: np.ndarray) -> List[Tuple[int, int, float]]:
-    """MST of a complete graph given its dense weight matrix.
-
-    The same numpy argmin Prim as :func:`euclidean_mst` but over arbitrary
-    precomputed weights (``(n, n)``, symmetric, ``inf`` for missing edges).
-    Raises :class:`GraphError` when the matrix describes a disconnected
-    graph. Returns MST edges as ``(i, j, weight)`` index triples.
-    """
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise GraphError(f"weights must be square (n, n), got shape {w.shape}")
-    n = w.shape[0]
-    if n == 0:
-        return []
-    in_tree = np.zeros(n, dtype=bool)
-    best_w = np.full(n, np.inf)
-    best_from = np.zeros(n, dtype=int)
-    edges: List[Tuple[int, int, float]] = []
-    current = 0
-    in_tree[0] = True
-    for _ in range(n - 1):
-        row = w[current]
-        closer = (~in_tree) & (row < best_w)
-        best_w[closer] = row[closer]
-        best_from[closer] = current
-        masked = np.where(in_tree, np.inf, best_w)
-        nxt = int(np.argmin(masked))
-        if not np.isfinite(masked[nxt]):
-            raise GraphError("dense_prim_mst: disconnected weight matrix")
-        edges.append((int(best_from[nxt]), nxt, float(best_w[nxt])))
         in_tree[nxt] = True
         current = nxt
     return edges

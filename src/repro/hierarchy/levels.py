@@ -1,13 +1,13 @@
 """Level-generic recursive HFC hierarchies (proxies -> clusters -> ... -> top).
 
-The paper builds a bi-level HFC and the three-level prototype
-(:mod:`repro.hierarchy.multilevel`) hardcoded one extra level. This module
-makes the recursion explicit: **level 0 is the proxies, level 1 the
-paper's clusters, and level k+1 re-clusters the level-k centroids with
-the same machinery** — Zahn MST or greedy k-center on the centroid cloud,
-border pairs by the closest-proxy-pair rule applied across the two
-groups' full proxy populations. A depth-``L`` :class:`HierarchyLevels`
-therefore is:
+The paper builds a bi-level HFC; the hardcoded three-level prototype that
+preceded this module now lives in ``tests/oracles/three_level.py`` as the
+independent routing reference. This module makes the recursion explicit:
+**level 0 is the proxies, level 1 the paper's clusters, and level k+1
+re-clusters the level-k centroids with the same machinery** — Zahn MST or
+greedy k-center on the centroid cloud, border pairs by the
+closest-proxy-pair rule applied across the two groups' full proxy
+populations. A depth-``L`` :class:`HierarchyLevels` therefore is:
 
 * the base :class:`~repro.overlay.hfc.HFCTopology` (levels 0 and 1), and
 * ``L - 2`` :class:`~repro.state.columnar.HierarchyLevel` CSR entries,
@@ -483,13 +483,9 @@ class RecursiveRouter(HierarchicalRouter):
         if cached is None:
             sub = self.hierarchy.sub_hierarchy(group_id)
             if sub.levels:
-                cached = RecursiveRouter(
-                    sub, method=self.method, use_numpy=self.use_numpy
-                )
+                cached = RecursiveRouter(sub, method=self.method)
             else:
-                cached = HierarchicalRouter(
-                    sub.hfc, method=self.method, use_numpy=self.use_numpy
-                )
+                cached = HierarchicalRouter(sub.hfc, method=self.method)
             self._sub_routers[group_id] = cached
         return cached
 

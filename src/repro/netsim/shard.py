@@ -71,6 +71,10 @@ DRIVER = -1
 #: message, sent_at)
 OutboxEntry = Tuple[float, int, int, Message, float]
 
+#: longest the parent waits for one message of a live worker; a whole
+#: 100k-proxy run (setup + every window) takes about a fifth of this
+WORKER_STALL_SECONDS = 600.0
+
 
 # -- partitioning ---------------------------------------------------------------
 
@@ -813,8 +817,31 @@ def run_sharded(
     windows = 0
     exchanged = 0
     in_transit = 0
-    def _recv(conn: Any) -> Tuple[str, Any]:
-        tag, payload = conn.recv()
+
+    def _recv(shard: int) -> Tuple[str, Any]:
+        # A bare recv() would hang on a wedged worker, and a hard-killed one
+        # only shows as EOF once every sibling that inherited its pipe end
+        # has exited too — so poll, and look at the process in between.
+        conn, proc = conns[shard], procs[shard]
+        deadline = perf_counter() + WORKER_STALL_SECONDS
+        while not conn.poll(0.2):
+            if not proc.is_alive() and not conn.poll(0):
+                raise StateError(
+                    f"shard {shard} worker died (exit code {proc.exitcode}) "
+                    f"without reporting"
+                )
+            if perf_counter() > deadline:
+                raise StateError(
+                    f"shard {shard} worker sent nothing for "
+                    f"{WORKER_STALL_SECONDS:g} s"
+                )
+        try:
+            tag, payload = conn.recv()
+        except EOFError:
+            raise StateError(
+                f"shard {shard} worker closed its pipe (exit code "
+                f"{proc.exitcode}) without reporting"
+            ) from None
         if tag == "error":
             raise StateError(f"shard worker failed: {payload}")
         return tag, payload
@@ -824,8 +851,8 @@ def run_sharded(
         while barrier < until:
             window_end = min(barrier + plan.lookahead, until)
             entries: List[OutboxEntry] = []
-            for conn in conns:
-                _, out = _recv(conn)
+            for shard in range(plan.shards):
+                _, out = _recv(shard)
                 entries.extend(out)
             entries.sort(key=lambda e: (e[0], e[1], e[2]))
             inboxes: List[List[OutboxEntry]] = [[] for _ in range(plan.shards)]
@@ -844,14 +871,19 @@ def run_sharded(
             barrier = window_end
         totals: Dict[str, int] = {}
         results: List[Any] = []
-        for conn in conns:
-            tag, payload = _recv(conn)
+        for shard in range(plan.shards):
+            tag, payload = _recv(shard)
             if tag != "done":  # pragma: no cover - protocol guard
                 raise StateError(f"unexpected worker message {tag!r}")
             result, stats, registry = payload
             results.append(result)
             _merge_stats(totals, stats)
             telemetry.registry.merge(registry)
+    except BaseException:
+        # the survivors are blocked on an inbox that will never come
+        for proc in procs:
+            proc.terminate()
+        raise
     finally:
         for conn in conns:
             conn.close()

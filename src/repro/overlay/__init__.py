@@ -1,11 +1,6 @@
 """Overlay layer: proxy network, mesh baseline, HFC topology."""
 
-from repro.overlay.hfc import (
-    HFCTopology,
-    build_hfc,
-    select_borders_closest,
-    select_borders_closest_reference,
-)
+from repro.overlay.hfc import HFCTopology, build_hfc, select_borders_closest
 from repro.overlay.mesh import build_gabriel_mesh, build_mesh, mesh_statistics
 from repro.overlay.network import OverlayNetwork, ProxyId
 
@@ -18,5 +13,4 @@ __all__ = [
     "build_mesh",
     "mesh_statistics",
     "select_borders_closest",
-    "select_borders_closest_reference",
 ]

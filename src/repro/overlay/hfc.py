@@ -386,26 +386,6 @@ def drop_cluster_from_borders(
     return compacted
 
 
-def select_borders_closest_reference(
-    space: CoordinateSpace, clustering: Clustering
-) -> Dict[Tuple[int, int], ProxyId]:
-    """The pre-vectorization border scan: one :meth:`closest_pair` per pair.
-
-    Kept as the reference path for the equivalence tests and the
-    construction benchmark.
-    """
-    borders: Dict[Tuple[int, int], ProxyId] = {}
-    k = clustering.cluster_count
-    for i in range(k):
-        for j in range(i + 1, k):
-            a, b, _ = space.closest_pair(
-                clustering.members(i), clustering.members(j)
-            )
-            borders[(i, j)] = a
-            borders[(j, i)] = b
-    return borders
-
-
 def build_hfc(
     overlay: OverlayNetwork,
     clustering: Clustering,
@@ -413,7 +393,6 @@ def build_hfc(
     *,
     border_rule: str = "closest",
     seed=None,
-    engine: str = "vectorized",
 ) -> HFCTopology:
     """Construct the HFC topology from a clustering (paper Section 3.3).
 
@@ -421,10 +400,7 @@ def build_hfc(
     becomes the border pair (``border_rule="closest"``, the paper's rule).
     ``border_rule="random"`` picks a uniform random cross-pair instead — the
     ablation quantifying how much the selection rule buys. *space* defaults
-    to the overlay's attached coordinate space. *engine* selects the
-    closest-pair kernel: ``"vectorized"`` (blocked matrix minima, the
-    default) or ``"reference"`` (the original per-pair scan); both return
-    identical borders.
+    to the overlay's attached coordinate space.
     """
     from repro.util.rng import ensure_rng
 
@@ -435,19 +411,12 @@ def build_hfc(
         raise TopologyError(
             f"border_rule must be 'closest' or 'random', got {border_rule!r}"
         )
-    if engine not in ("vectorized", "reference"):
-        raise TopologyError(
-            f"engine must be 'vectorized' or 'reference', got {engine!r}"
-        )
     for proxy in overlay.proxies:
         if proxy not in clustering.labels:
             raise TopologyError(f"proxy {proxy!r} missing from clustering")
 
     if border_rule == "closest":
-        if engine == "vectorized":
-            borders = select_borders_closest(space, clustering)
-        else:
-            borders = select_borders_closest_reference(space, clustering)
+        borders = select_borders_closest(space, clustering)
     else:
         rng = ensure_rng(seed)
         borders = {}

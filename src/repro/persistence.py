@@ -1,4 +1,4 @@
-"""Persistence: save and load built overlays, in JSON or binary form.
+"""Persistence: save and load built overlays as binary snapshots.
 
 Building a framework runs the full stochastic pipeline (topology draw,
 landmark embedding, clustering). For reproducible experiment artifacts —
@@ -6,21 +6,18 @@ landmark embedding, clustering). For reproducible experiment artifacts —
 built :class:`~repro.core.framework.HFCFramework` and restores it
 byte-for-byte equivalent: same topology, same coordinates, same
 clustering, same borders, so every router built on top routes
-identically. Two formats coexist:
+identically.
 
-* **JSON** (:func:`save_framework` / :func:`load_framework`) — the
-  portable, diffable fallback: one human-readable document, float values
-  round-tripped exactly by the JSON codec's shortest-repr rule.
-* **Binary snapshot** (:func:`save_snapshot` / :func:`load_snapshot`) —
-  one ``.npz`` archive holding the columnar overlay state
-  (:class:`~repro.state.columnar.ColumnarOverlayState`) as raw float64 /
-  int64 arrays plus one JSON metadata string. Arrays move between disk
-  and the kernels without any per-node Python conversion, which is what
-  makes warm starts an order of magnitude faster than a cold build.
-  Snapshots carry the :class:`~repro.core.versioning.OverlayVersion` they
-  were captured at, and optionally the state plane (SCT tables + delta
-  streams, see ``StateDistributionProtocol.snapshot_state_plane``) so
-  crash/restart scenarios can reload knowledge instead of re-learning it.
+A snapshot (:func:`save_snapshot` / :func:`load_snapshot`) is one ``.npz``
+archive holding the columnar overlay state
+(:class:`~repro.state.columnar.ColumnarOverlayState`) as raw float64 /
+int64 arrays plus one JSON metadata string. Arrays move between disk and
+the kernels without any per-node Python conversion, which is what makes
+warm starts an order of magnitude faster than a cold build. Snapshots
+carry the :class:`~repro.core.versioning.OverlayVersion` they were
+captured at, and optionally the state plane (SCT tables + delta streams,
+see ``StateDistributionProtocol.snapshot_state_plane``) so crash/restart
+scenarios can reload knowledge instead of re-learning it.
 
 Delay-oracle caches are rebuilt lazily after loading; measurement-noise RNG
 state is *not* preserved (a loaded framework issues fresh measurements).
@@ -30,186 +27,26 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import zipfile
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from repro.cluster.mstcluster import Clustering, ClusteringConfig
+from repro.cluster.mstcluster import ClusteringConfig
 from repro.coords.embedding import EmbeddingReport
-from repro.coords.space import CoordinateSpace
 from repro.core.config import FrameworkConfig
 from repro.core.framework import HFCFramework
 from repro.core.versioning import OverlayVersion
 from repro.graph.graph import Graph
 from repro.netsim.physical import PhysicalNetwork
 from repro.netsim.topology import PhysicalTopology, TransitStubConfig
-from repro.overlay.hfc import HFCTopology
-from repro.overlay.network import OverlayNetwork
 from repro.services.catalog import ServiceCatalog
 from repro.state.columnar import ColumnarOverlayState, HierarchyLevel
 from repro.util.errors import ReproError
 
-#: artifact schema version; bump on incompatible changes
-FORMAT_VERSION = 1
-
 #: binary snapshot schema version; bump on incompatible changes
 SNAPSHOT_FORMAT_VERSION = 1
-
-
-def framework_to_dict(framework: HFCFramework) -> Dict[str, Any]:
-    """Serialise *framework* into a JSON-ready dict."""
-    topo = framework.physical.topology
-    return {
-        "format_version": FORMAT_VERSION,
-        "config": {
-            "base": {
-                k: v
-                for k, v in dataclasses.asdict(framework.config).items()
-                if k not in ("clustering", "transit_stub")
-            },
-            "clustering": dataclasses.asdict(framework.config.clustering),
-            "transit_stub": dataclasses.asdict(framework.config.transit_stub),
-        },
-        "physical": {
-            "noise": framework.physical.noise,
-            "nodes": [
-                {
-                    "id": node,
-                    "pos": list(topo.positions[node]),
-                    "kind": topo.node_kind[node],
-                    "stub_domain": topo.stub_domain.get(node, -1),
-                }
-                for node in topo.graph.nodes()
-            ],
-            "edges": [[u, v, w] for u, v, w in topo.graph.edges()],
-        },
-        "overlay": {
-            "proxies": list(framework.overlay.proxies),
-            "placement": {
-                str(p): sorted(services)
-                for p, services in framework.overlay.placement.items()
-            },
-        },
-        "catalog": {
-            "names": list(framework.catalog.names),
-            "descriptions": dict(framework.catalog.descriptions),
-        },
-        "space": {
-            str(p): list(framework.space.coordinate(p))
-            for p in framework.space.nodes()
-        },
-        "embedding": {
-            "landmark_ids": list(framework.embedding_report.landmark_ids),
-            "landmark_coordinates": np.asarray(
-                framework.embedding_report.landmark_coordinates
-            ).tolist(),
-            "dimension": framework.embedding_report.dimension,
-            "measurement_count": framework.embedding_report.measurement_count,
-            "landmark_fit_error": framework.embedding_report.landmark_fit_error,
-        },
-        "clustering": {
-            "clusters": [list(c) for c in framework.clustering.clusters],
-        },
-        "borders": [
-            [i, j, proxy] for (i, j), proxy in sorted(framework.hfc.borders.items())
-        ],
-    }
-
-
-def framework_from_dict(payload: Dict[str, Any]) -> HFCFramework:
-    """Reconstruct a framework from :func:`framework_to_dict` output."""
-    version = payload.get("format_version")
-    if version != FORMAT_VERSION:
-        raise ReproError(
-            f"unsupported artifact format {version!r} (expected {FORMAT_VERSION})"
-        )
-
-    config = FrameworkConfig(
-        **payload["config"]["base"],
-        clustering=ClusteringConfig(**payload["config"]["clustering"]),
-        transit_stub=TransitStubConfig(**payload["config"]["transit_stub"]),
-    )
-
-    graph = Graph()
-    positions = {}
-    node_kind = {}
-    stub_domain = {}
-    for node in payload["physical"]["nodes"]:
-        node_id = node["id"]
-        graph.add_node(node_id)
-        positions[node_id] = tuple(node["pos"])
-        node_kind[node_id] = node["kind"]
-        if node["stub_domain"] >= 0:
-            stub_domain[node_id] = node["stub_domain"]
-    for u, v, w in payload["physical"]["edges"]:
-        graph.add_edge(u, v, w)
-    topology = PhysicalTopology(
-        graph=graph,
-        positions=positions,
-        node_kind=node_kind,
-        stub_domain=stub_domain,
-    )
-    physical = PhysicalNetwork(topology, noise=payload["physical"]["noise"])
-
-    proxies = list(payload["overlay"]["proxies"])
-    placement = {
-        int(p): frozenset(services)
-        for p, services in payload["overlay"]["placement"].items()
-    }
-    space = CoordinateSpace(
-        {int(p): tuple(coord) for p, coord in payload["space"].items()}
-    )
-    overlay = OverlayNetwork(
-        physical=physical, proxies=proxies, placement=placement, space=space
-    )
-
-    catalog = ServiceCatalog(
-        names=payload["catalog"]["names"],
-        descriptions=payload["catalog"]["descriptions"],
-    )
-    embedding = EmbeddingReport(
-        landmark_ids=list(payload["embedding"]["landmark_ids"]),
-        landmark_coordinates=np.array(
-            payload["embedding"]["landmark_coordinates"], dtype=float
-        ),
-        dimension=payload["embedding"]["dimension"],
-        measurement_count=payload["embedding"]["measurement_count"],
-        landmark_fit_error=payload["embedding"]["landmark_fit_error"],
-    )
-    clusters = [list(c) for c in payload["clustering"]["clusters"]]
-    labels = {p: cid for cid, members in enumerate(clusters) for p in members}
-    clustering = Clustering(clusters=clusters, labels=labels)
-
-    borders = {(i, j): proxy for i, j, proxy in payload["borders"]}
-    hfc = HFCTopology(
-        overlay=overlay, clustering=clustering, space=space, borders=borders
-    )
-    return HFCFramework(
-        config=config,
-        physical=physical,
-        overlay=overlay,
-        catalog=catalog,
-        space=space,
-        embedding_report=embedding,
-        clustering=clustering,
-        hfc=hfc,
-    )
-
-
-def save_framework(framework: HFCFramework, path: str) -> None:
-    """Write *framework* to *path* as JSON."""
-    with open(path, "w") as handle:
-        json.dump(framework_to_dict(framework), handle)
-
-
-def load_framework(path: str) -> HFCFramework:
-    """Load a framework previously written by :func:`save_framework`."""
-    with open(path) as handle:
-        return framework_from_dict(json.load(handle))
-
-
-# -- binary snapshots ------------------------------------------------------------
 
 
 @dataclass
@@ -349,49 +186,62 @@ def load_snapshot(path: str) -> OverlaySnapshot:
     and the topology gets the columnar state attached, so post-restore
     query-table construction consumes the loaded arrays directly.
     """
-    with np.load(path, allow_pickle=False) as data:
-        meta = json.loads(str(data["meta"]))
-        version = meta.get("format_version")
-        if version != SNAPSHOT_FORMAT_VERSION:
-            raise ReproError(
-                f"unsupported snapshot format {version!r} "
-                f"(expected {SNAPSHOT_FORMAT_VERSION})"
-            )
-        arrays = {
-            name: data[name]
-            for name in (
-                "phys_nodes",
-                "phys_pos",
-                "phys_kind",
-                "phys_stub",
-                "edge_uv",
-                "edge_w",
-                "landmark_ids",
-                "landmark_coords",
-                "proxies",
-                "coords",
-                "labels",
-                "cluster_ptr",
-                "cluster_members",
-                "border_matrix",
-                "placement_ptr",
-                "placement_codes",
-            )
-        }
-        levels = []
-        for k in range(int(meta.get("hierarchy_levels", 0))):
-            levels.append(
-                HierarchyLevel(
-                    parent=data[f"level{k}_parent"],
-                    ptr=data[f"level{k}_ptr"],
-                    members=data[f"level{k}_members"],
-                    border_matrix=data[f"level{k}_borders"],
-                    centroids=data[f"level{k}_centroids"],
-                )
-            )
+    try:
+        with np.load(path, allow_pickle=False) as data:
 
+            def array(name: str) -> np.ndarray:
+                if name not in data.files:
+                    raise ReproError(f"snapshot {path!r} has no array {name!r}")
+                return data[name]
+
+            meta = json.loads(str(array("meta")))
+            version = meta.get("format_version")
+            if version != SNAPSHOT_FORMAT_VERSION:
+                raise ReproError(
+                    f"unsupported snapshot format {version!r} "
+                    f"(expected {SNAPSHOT_FORMAT_VERSION})"
+                )
+            arrays = {
+                name: array(name)
+                for name in (
+                    "phys_nodes",
+                    "phys_pos",
+                    "phys_kind",
+                    "phys_stub",
+                    "edge_uv",
+                    "edge_w",
+                    "landmark_ids",
+                    "landmark_coords",
+                    "proxies",
+                    "coords",
+                    "labels",
+                    "cluster_ptr",
+                    "cluster_members",
+                    "border_matrix",
+                    "placement_ptr",
+                    "placement_codes",
+                )
+            }
+            levels = [
+                HierarchyLevel(
+                    parent=array(f"level{k}_parent"),
+                    ptr=array(f"level{k}_ptr"),
+                    members=array(f"level{k}_members"),
+                    border_matrix=array(f"level{k}_borders"),
+                    centroids=array(f"level{k}_centroids"),
+                )
+                for k in range(int(meta.get("hierarchy_levels", 0)))
+            ]
+    except (zipfile.BadZipFile, EOFError, ValueError) as err:
+        raise ReproError(
+            f"snapshot {path!r} is truncated or not an .npz archive: {err}"
+        ) from err
+
+    # snapshots written before the construction/pool selectors were retired
+    # carry their keys in the config block; only current fields are restored
+    known = {f.name for f in dataclasses.fields(FrameworkConfig)}
     config = FrameworkConfig(
-        **meta["config"]["base"],
+        **{k: v for k, v in meta["config"]["base"].items() if k in known},
         clustering=ClusteringConfig(**meta["config"]["clustering"]),
         transit_stub=TransitStubConfig(**meta["config"]["transit_stub"]),
     )

@@ -35,12 +35,7 @@ from repro.routing.providers import (
     MatrixProvider,
     TrueDelayProvider,
 )
-from repro.routing.servicedag import (
-    DagSolution,
-    brute_force,
-    solve_reference,
-    solve_vectorised,
-)
+from repro.routing.servicedag import DagSolution, solve_vectorised
 
 __all__ = [
     "BatchRouteResult",
@@ -62,7 +57,6 @@ __all__ = [
     "SetupReport",
     "SignalingSimulator",
     "TrueDelayProvider",
-    "brute_force",
     "coordinate_router",
     "hfc_full_state_router",
     "materialise_assignment",
@@ -71,7 +65,6 @@ __all__ = [
     "path_from_assignment",
     "query_tables",
     "service_graph_signature",
-    "solve_reference",
     "solve_vectorised",
     "validate_path",
 ]

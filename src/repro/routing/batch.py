@@ -19,10 +19,9 @@ of requests shares:
 * :class:`ConquerContext` — per-batch memo of provider lists and cluster
   member sets, so the conquer step stops paying an O(n) placement scan per
   child request.
-* :class:`ChildSpec` / :func:`solve_child_spec` — a picklable description
-  of one intra-cluster child solve plus the function that solves it. The
-  serial batch path and the process-pool path run the *same* function, so
-  fanning the conquer step out cannot change results.
+* :class:`ChildSpec` / :func:`solve_child_spec` — a self-contained
+  description of one intra-cluster child solve plus the function that
+  solves it.
 * :class:`BatchRouteResult` — aligned per-request outcomes of a batch.
 
 Only intra-cluster border pairs enter the ``d_border`` table: the
@@ -44,8 +43,7 @@ from repro.coords.space import CoordinateSpace
 from repro.overlay.network import ProxyId
 from repro.routing.flat import materialise_assignment
 from repro.routing.path import Hop, ServicePath, merge_consecutive_hops
-from repro.routing.providers import CoordinateProvider
-from repro.routing.servicedag import solve_reference, solve_vectorised
+from repro.routing.servicedag import solve_vectorised
 from repro.services.graph import ServiceGraph, SlotId
 from repro.services.request import ServiceRequest
 from repro.util.errors import NoFeasiblePathError
@@ -129,9 +127,10 @@ def query_tables(hfc: Any) -> QueryTables:
 
     Works against anything with the HFC cluster-level surface
     (``cluster_count`` / ``border`` / ``external_estimate`` / ``space``),
-    including the multilevel super-view and the paper-example stub. The
-    result is cached as an attribute on *hfc*; topology mutations always
-    materialise a new topology object, so no explicit invalidation exists.
+    including the recursive hierarchy's level view and the paper-example
+    stub. The result is cached as an attribute on *hfc*; topology mutations
+    always materialise a new topology object, so no explicit invalidation
+    exists.
     """
     cached = getattr(hfc, "_query_tables_cache", None)
     if cached is not None:
@@ -192,7 +191,7 @@ def query_tables(hfc: Any) -> QueryTables:
 
 @dataclass(frozen=True)
 class ChildSpec:
-    """A picklable intra-cluster child solve: request plus its candidates.
+    """One intra-cluster child solve: request plus its candidates.
 
     ``candidates`` holds, per slot, the provider proxies of that slot's
     service inside the child's cluster — in exactly the order
@@ -274,9 +273,7 @@ def child_infeasible_error(spec: ChildSpec) -> NoFeasiblePathError:
     )
 
 
-def solve_child_spec(
-    spec: ChildSpec, provider: Any, use_numpy: bool
-) -> ServicePath:
+def solve_child_spec(spec: ChildSpec, provider: Any) -> ServicePath:
     """Solve one child spec exactly as :meth:`HierarchicalRouter.solve_child`.
 
     Empty children degenerate to the direct link between the endpoints;
@@ -299,22 +296,13 @@ def solve_child_spec(
     )
     candidates = {slot: list(cands) for slot, cands in spec.candidates}
     try:
-        if use_numpy:
-            solution = solve_vectorised(
-                sub_sg,
-                candidates,
-                spec.source_proxy,
-                spec.destination_proxy,
-                provider.block,
-            )
-        else:
-            solution = solve_reference(
-                sub_sg,
-                candidates,
-                spec.source_proxy,
-                spec.destination_proxy,
-                provider.pair,
-            )
+        solution = solve_vectorised(
+            sub_sg,
+            candidates,
+            spec.source_proxy,
+            spec.destination_proxy,
+            provider.block,
+        )
     except NoFeasiblePathError:
         raise child_infeasible_error(spec) from None
     return materialise_assignment(sub_request, solution.assignment)
@@ -446,80 +434,26 @@ def solve_chain_specs_vectorised(
 
 
 def solve_specs_serial(
-    specs: Sequence[ChildSpec], provider: Any, use_numpy: bool
+    specs: Sequence[ChildSpec], provider: Any
 ) -> List[ChildOutcome]:
     """Solve every spec in order, capturing per-child infeasibilities."""
     outcomes: List[ChildOutcome] = []
     for spec in specs:
         try:
-            outcomes.append(("ok", solve_child_spec(spec, provider, use_numpy)))
+            outcomes.append(("ok", solve_child_spec(spec, provider)))
         except NoFeasiblePathError as err:
             outcomes.append(("err", err.args))
     return outcomes
 
 
-def _solve_spec_chunk(
-    payload: Tuple[Dict[ProxyId, Tuple[float, ...]], bool, List[ChildSpec]],
-) -> List[ChildOutcome]:
-    """Pool worker: rebuild a coordinate space and solve one chunk."""
-    coords, use_numpy, specs = payload
-    space = CoordinateSpace.from_trusted(coords)
-    if use_numpy:
-        return solve_chain_specs_vectorised(specs, space)
-    return solve_specs_serial(specs, CoordinateProvider(space), use_numpy)
-
-
-def _chunk_coords(
-    specs: Sequence[ChildSpec], space: CoordinateSpace
-) -> Dict[ProxyId, Tuple[float, ...]]:
-    """Coordinates of every proxy a chunk of specs can touch."""
-    needed: set = set()
-    for spec in specs:
-        needed.add(spec.source_proxy)
-        needed.add(spec.destination_proxy)
-        for _, cands in spec.candidates:
-            needed.update(cands)
-    return {p: space.coordinate(p) for p in needed}
-
-
 def solve_specs(
     specs: Sequence[ChildSpec],
     provider: Any,
-    use_numpy: bool,
     *,
-    workers: int = 1,
     space: Optional[CoordinateSpace] = None,
 ) -> List[ChildOutcome]:
-    """Solve child specs, optionally fanned out over a process pool.
-
-    Mirrors the embedding layer's ``locate_hosts_parallel``: contiguous
-    chunks, worker count clamped so tiny batches never pay process
-    start-up, and an in-process fallback when a pool cannot be spawned.
-    Workers rebuild the coordinate space from the shipped coordinates and
-    run :func:`solve_child_spec` — the same function the serial path runs
-    on the same floats, so the fan-out is result-invariant. Pooling
-    requires *space* (i.e. a coordinate-backed provider); other providers
-    always solve in-process.
-    """
-    specs = list(specs)
-    if workers > 1:
-        workers = min(workers, max(1, len(specs) // 32))
-    if workers <= 1 or space is None:
-        if use_numpy and space is not None:
-            return solve_chain_specs_vectorised(specs, space)
-        return solve_specs_serial(specs, provider, use_numpy)
-    bounds = np.array_split(np.arange(len(specs)), workers)
-    chunks = [
-        [specs[i] for i in chunk] for chunk in bounds if chunk.size
-    ]
-    jobs = [
-        (_chunk_coords(chunk, space), use_numpy, chunk) for chunk in chunks
-    ]
-    try:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
-            parts = list(pool.map(_solve_spec_chunk, jobs))
-    except (OSError, PermissionError, ImportError):
-        return solve_specs_serial(specs, provider, use_numpy)
-    return [outcome for part in parts for outcome in part]
+    """Solve child specs: the bucketed chain kernel over *space* when the
+    provider is coordinate-backed, per child through *provider* otherwise."""
+    if space is not None:
+        return solve_chain_specs_vectorised(specs, space)
+    return solve_specs_serial(specs, provider)

@@ -57,9 +57,6 @@ SOJOURN_BUCKETS: Tuple[float, ...] = (
     5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0, 2000.0, 5000.0,
 )
 
-#: delivery simulation modes
-DELIVERY_MODES = ("hop", "analytic")
-
 
 def traffic_proxy(address: Any) -> Any:
     """Map a traffic relay address ``("traffic", proxy)`` to its proxy id.
@@ -92,10 +89,6 @@ class TrafficConfig:
     max_in_flight: int = 512
     #: per-service processing time at the serving proxy's FIFO server
     service_time: float = 1.0
-    #: "hop" streams per-hop messages through the simulator (composes with
-    #: fault injection); "analytic" schedules one completion per request
-    #: (fast path for very large loads, no per-hop messages)
-    delivery: str = "hop"
     session: SessionConfig = field(default_factory=SessionConfig)
 
     def __post_init__(self) -> None:
@@ -111,10 +104,6 @@ class TrafficConfig:
             raise TrafficError("max_in_flight must be >= 1")
         if self.service_time < 0:
             raise TrafficError("service_time must be >= 0")
-        if self.delivery not in DELIVERY_MODES:
-            raise TrafficError(
-                f"delivery must be one of {DELIVERY_MODES}, got {self.delivery!r}"
-            )
 
 
 @dataclass
@@ -361,9 +350,6 @@ class TrafficEngine:
     # -- data plane -----------------------------------------------------------------
 
     def _dispatch(self, rid: int, path: ServicePath) -> None:
-        if self.config.delivery == "analytic":
-            self._dispatch_analytic(rid, path)
-            return
         self._flows[rid] = path
         first = path.hops[0].proxy
         self._ensure_relay(first)
@@ -401,28 +387,6 @@ class TrafficEngine:
         self._ensure_relay(nxt)
         delay += self.framework.overlay.true_delay(hop.proxy, nxt)
         relay.send(("traffic", nxt), "traffic_data", (rid, index + 1), delay=delay)
-
-    def _dispatch_analytic(self, rid: int, path: ServicePath) -> None:
-        """Closed-form delivery: one completion event per request.
-
-        Latency is the unloaded path time — link delays plus one
-        ``service_time`` per service hop, with no cross-request queueing
-        (claiming servers at walk time would charge spurious waits, since
-        walks visit proxies out of arrival order). The fast path for
-        offered-load accounting at very large scale; saturation still
-        manifests through the admission cap. Use ``delivery="hop"`` for
-        latency-under-load studies and fault composition.
-        """
-        now = self.sim.now
-        t = now
-        for index, hop in enumerate(path.hops):
-            if hop.service is not None:
-                t += self.config.service_time
-            if index < len(path.hops) - 1:
-                nxt = path.hops[index + 1].proxy
-                t += self.framework.overlay.true_delay(hop.proxy, nxt)
-        self._flows[rid] = path
-        self.sim.schedule(t - now, lambda: self._complete(rid))
 
     def _complete(self, rid: int) -> None:
         path = self._flows.pop(rid, None)

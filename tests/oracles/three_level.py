@@ -1,40 +1,28 @@
-"""Three-level HFC hierarchies — scaling past the paper's bi-level design.
+"""The hardcoded three-level prototype (proxies -> clusters -> super-clusters)
+that preceded ``repro.hierarchy.levels``: the independent routing and
+state-accounting reference for the recursive hierarchy at depth 3.
 
-The paper builds a bi-level HFC topology and notes that flat organisations
-stop scaling; the same argument applies recursively once the *cluster
-count* grows. This module adds one more level:
-
-* level-1 clusters (the paper's) are themselves clustered — by their
-  coordinate centroids, with the same Zahn machinery — into
-  **super-clusters**;
-* within a super-cluster, clusters stay fully connected through their
-  existing border pairs; super-clusters connect through **super-border
-  pairs** (closest proxy pair across the two super-clusters — the paper's
-  rule, applied one level up);
-* per-proxy state shrinks again: coordinates of own-cluster members +
-  borders *within the own super-cluster* + super-borders system-wide;
-  service capability of own-cluster members + cluster aggregates within
-  the own super-cluster + super-cluster aggregates.
-
-Routing is the paper's divide-and-conquer applied twice:
-:class:`ThreeLevelRouter` runs the super-cluster-level service DAG (the
-exact Section-5 relaxation, one level up), dissects into per-super-cluster
-children, and resolves each child with a *bi-level* hierarchical router
-restricted to that super-cluster.
+:class:`ThreeLevelRouter` runs the Section-5 relaxation over the
+super-clusters and resolves each child with a bi-level router restricted to
+one super-cluster. Construction is ``build_levels(hfc, 3)`` converted to the
+prototype's dict surface — grouping and super-borders have one implementation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
-from repro.cluster.mstcluster import Clustering, ClusteringConfig
+from repro.cluster.mstcluster import Clustering
+from repro.hierarchy.levels import build_levels
 from repro.overlay.hfc import HFCTopology
 from repro.overlay.network import ProxyId
 from repro.routing.hierarchical import HierarchicalRouter
 from repro.routing.path import Hop, ServicePath, merge_consecutive_hops
 from repro.services.catalog import ServiceName
+from repro.services.graph import ServiceGraph
 from repro.services.placement import aggregate_capability
+from repro.services.request import ServiceRequest
 from repro.util.errors import TopologyError
 
 ClusterId = int
@@ -147,39 +135,9 @@ class MultiLevelHFC:
         return result
 
 
-def build_multilevel(
-    hfc: HFCTopology,
-    config: Optional[ClusteringConfig] = None,
-    *,
-    method: str = "kcenter",
-    super_count: Optional[int] = None,
-    seed=0,
-) -> MultiLevelHFC:
-    """Group *hfc*'s clusters into super-clusters and select super-borders.
-
-    Cluster centroids are grouped either by greedy k-center
-    (``method="kcenter"``, the default — balanced super-clusters; k
-    defaults to ~sqrt(cluster count), the size that balances the two state
-    terms) or by the same Zahn MST method used at level 1
-    (``method="mst"`` — proximity-faithful but often lopsided, since the
-    centroid cloud rarely has strong gaps).
-
-    Construction is a thin shim over the level-generic
-    :func:`repro.hierarchy.levels.build_levels` at ``depth=3`` — there is
-    a single implementation of centroid means, re-clustering, and
-    super-border selection; this wrapper only converts the CSR level
-    arrays back into the dict surface of :class:`MultiLevelHFC`.
-    """
-    from repro.hierarchy.levels import build_levels
-
-    hierarchy = build_levels(
-        hfc,
-        3,
-        method=method,
-        group_counts=[super_count],
-        seed=seed,
-        config=config,
-    )
+def build_multilevel(hfc: HFCTopology) -> MultiLevelHFC:
+    """``build_levels(hfc, 3)`` as a :class:`MultiLevelHFC`."""
+    hierarchy = build_levels(hfc, 3)
     level = hierarchy.levels[0]
     super_of_cluster: Dict[ClusterId, SuperId] = {
         cid: int(level.parent[cid]) for cid in range(hfc.cluster_count)
@@ -281,15 +239,11 @@ class ThreeLevelRouter(HierarchicalRouter):
             cached = HierarchicalRouter(
                 self.multilevel.sub_hfc(super_id),
                 method=self.method,
-                use_numpy=self.use_numpy,
             )
             self._sub_routers[super_id] = cached
         return cached
 
     def solve_child(self, request, child):
-        from repro.services.graph import ServiceGraph
-        from repro.services.request import ServiceRequest
-
         multilevel = self.multilevel
         if not child.slots:
             # relay across the super-cluster along its level-1 structure

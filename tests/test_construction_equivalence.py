@@ -1,10 +1,10 @@
-"""Equivalence suite: vectorized construction == the reference code path.
+"""Equivalence suite: the construction kernels == their reference oracles.
 
-The PR that vectorized the Section-3 construction pipeline (batched
-Nelder-Mead embedding, squared-distance argmin Prim, blocked border-pair
-minima) claims the fast kernels are *drop-in*: same MST edge sets, same
-cluster partitions, same border pairs as the original per-host/per-pair
-loops. These tests pin that claim:
+The Section-3 construction pipeline (batched Nelder-Mead embedding,
+squared-distance argmin Prim, blocked border-pair minima) claims the same
+MST edge sets, same cluster partitions and same border pairs as the
+original per-host/per-pair loops, which live on as test oracles in
+``tests/oracles/construction.py``. These tests pin that claim:
 
 * solver-level, bit-exact: the batched Nelder-Mead replays the scalar
   algorithm's decisions, so on identical inputs the results are identical
@@ -14,8 +14,8 @@ loops. These tests pin that claim:
   topologies (hypothesis-driven, integer coordinates so distance ties are
   exact in both squared and rooted form);
 * pipeline-level: end-to-end construction over real transit-stub networks
-  produces identical clusters and identical border pairs in both modes
-  (fixed seeds; the vectorized mode measures true delays from the landmark
+  produces identical clusters and identical border pairs on both paths
+  (fixed seeds; the production path measures true delays from the landmark
   side, which shifts floats by summation order, so coordinates agree to
   tolerance rather than bitwise while the topology stays identical).
 """
@@ -26,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.mstcluster import ClusteringConfig, cluster_nodes
-from repro.coords.embedding import locate_host, locate_hosts, locate_hosts_parallel
+from repro.coords.embedding import build_coordinate_space, locate_host, locate_hosts
 from repro.coords.neldermead import (
     minimize_with_restarts,
     minimize_with_restarts_batch,
@@ -34,10 +34,13 @@ from repro.coords.neldermead import (
     nelder_mead_batch,
 )
 from repro.coords.space import CoordinateSpace
-from repro.graph.mst import dense_prim_mst, euclidean_mst, euclidean_mst_reference
+from repro.graph.mst import euclidean_mst
 from repro.netsim import PhysicalNetwork, transit_stub
-from repro.overlay.hfc import (
-    select_borders_closest,
+from repro.overlay.hfc import select_borders_closest
+from tests.oracles.construction import (
+    cluster_nodes_reference,
+    construct_reference,
+    euclidean_mst_reference,
     select_borders_closest_reference,
 )
 
@@ -155,14 +158,6 @@ class TestLocateHostsBatch:
             ref = locate_host(landmarks, measured[i])
             assert np.array_equal(ref, batch[i])
 
-    def test_parallel_matches_serial(self):
-        rng = np.random.default_rng(3)
-        landmarks = rng.uniform(0.0, 100.0, (8, 2))
-        measured = rng.uniform(1.0, 150.0, (200, 8))
-        serial = locate_hosts(landmarks, measured)
-        fanned = locate_hosts_parallel(landmarks, measured, workers=2)
-        assert np.array_equal(serial, fanned)
-
     def test_empty_batch(self):
         out = locate_hosts(np.zeros((4, 2)), np.zeros((0, 4)))
         assert out.shape == (0, 2)
@@ -201,28 +196,6 @@ class TestMstEquivalence:
             sorted(w for _, _, w in fast), sorted(w for _, _, w in ref)
         )
 
-    @settings(max_examples=25, deadline=None)
-    @given(points=lattice_points)
-    def test_dense_prim_agrees_on_explicit_matrix(self, points):
-        pts = np.asarray(points, dtype=float)
-        diff = pts[:, None, :] - pts[None, :, :]
-        dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-        np.fill_diagonal(dist, np.inf)
-        dense = dense_prim_mst(dist)
-        ref = euclidean_mst_reference(pts)
-        # Tie-broken trees may differ edge-wise but never weight-wise.
-        assert np.isclose(
-            sum(w for _, _, w in dense), sum(w for _, _, w in ref)
-        )
-
-    def test_dense_prim_disconnected_raises(self):
-        from repro.util.errors import GraphError
-
-        w = np.full((3, 3), np.inf)
-        w[0, 1] = w[1, 0] = 1.0
-        with pytest.raises(GraphError):
-            dense_prim_mst(w)
-
 
 class TestClusterPartitionEquivalence:
     @settings(max_examples=30, deadline=None)
@@ -232,8 +205,8 @@ class TestClusterPartitionEquivalence:
             {i: tuple(map(float, p)) for i, p in enumerate(points)}
         )
         config = ClusteringConfig(factor=2.0, min_cluster_size=1)
-        fast = cluster_nodes(space, config=config, mst=euclidean_mst)
-        ref = cluster_nodes(space, config=config, mst=euclidean_mst_reference)
+        fast = cluster_nodes(space, config=config)
+        ref = cluster_nodes_reference(space, config=config)
         assert fast.clusters == ref.clusters
         assert fast.labels == ref.labels
 
@@ -297,71 +270,59 @@ class TestMeasureManyEquivalence:
 
 @pytest.mark.parametrize("seed", [1, 7, 42])
 class TestPipelineEquivalence:
-    """End-to-end: identical clusters and border pairs in both modes."""
+    """End-to-end: identical clusters and border pairs on both paths."""
 
-    def _build(self, seed, vectorized):
-        from repro.coords.embedding import build_coordinate_space
-
+    def test_identical_clusters_and_borders(self, seed):
         topo = transit_stub(150, seed=seed)
         net = PhysicalNetwork(topo, noise=0.10, seed=seed)
         proxies = net.pick_overlay_nodes(80, seed=seed)
-        space, report = build_coordinate_space(
-            net, proxies, seed=seed, vectorized=vectorized
+        space_v, report_v = build_coordinate_space(net, proxies, seed=seed)
+        cl_v = cluster_nodes(space_v, proxies)
+        # fresh network: empty delay cache, virgin noise stream
+        ref = construct_reference(
+            PhysicalNetwork(topo, noise=0.10, seed=seed), proxies, seed=seed
         )
-        mst = euclidean_mst if vectorized else euclidean_mst_reference
-        clustering = cluster_nodes(space, proxies, mst=mst)
-        return space, report, clustering, proxies
 
-    def test_identical_clusters_and_borders(self, seed):
-        space_v, report_v, cl_v, proxies = self._build(seed, True)
-        space_r, report_r, cl_r, _ = self._build(seed, False)
-
-        assert cl_v.clusters == cl_r.clusters
-        assert cl_v.labels == cl_r.labels
-        assert report_v.landmark_ids == report_r.landmark_ids
-        assert report_v.measurement_count == report_r.measurement_count
+        assert cl_v.clusters == ref.clustering.clusters
+        assert cl_v.labels == ref.clustering.labels
+        assert report_v.landmark_ids == ref.report.landmark_ids
+        assert report_v.measurement_count == ref.report.measurement_count
         assert np.array_equal(
-            report_v.landmark_coordinates, report_r.landmark_coordinates
+            report_v.landmark_coordinates, ref.report.landmark_coordinates
         )
         # Coordinates agree to measurement-direction tolerance...
         assert np.allclose(
-            space_v.array(proxies), space_r.array(proxies), atol=1e-3
+            space_v.array(proxies), ref.space.array(proxies), atol=1e-3
         )
         # ...and the selected borders are identical.
-        borders_v = select_borders_closest(space_v, cl_v)
-        borders_r = select_borders_closest_reference(space_r, cl_r)
-        assert borders_v == borders_r
-
-    def test_worker_fanout_identical(self, seed):
-        from repro.coords.embedding import build_coordinate_space
-
-        topo = transit_stub(150, seed=seed)
-        net_a = PhysicalNetwork(topo, noise=0.10, seed=seed)
-        proxies = net_a.pick_overlay_nodes(80, seed=seed)
-        space_a, _ = build_coordinate_space(net_a, proxies, seed=seed)
-        net_b = PhysicalNetwork(topo, noise=0.10, seed=seed)
-        net_b.pick_overlay_nodes(80, seed=seed)
-        space_b, _ = build_coordinate_space(net_b, proxies, seed=seed, workers=2)
-        assert np.array_equal(space_a.array(proxies), space_b.array(proxies))
+        assert select_borders_closest(space_v, cl_v) == ref.borders
 
 
 class TestFrameworkModes:
     def test_framework_vectorized_flag_same_topology(self):
+        """The facade builds the topology the reference loops build."""
         from repro.core import HFCFramework
-        from repro.core.config import FrameworkConfig
+        from repro.util.rng import ensure_rng, spawn
 
-        fast = HFCFramework.build(
-            proxy_count=60,
-            seed=11,
-            config=FrameworkConfig(vectorized_construction=True),
+        fast = HFCFramework.build(proxy_count=60, seed=11)
+        # replay the build's seed streams over a fresh noise oracle
+        rng = ensure_rng(11)
+        spawn(rng, "topology")
+        physical = PhysicalNetwork(
+            fast.physical.topology,
+            noise=fast.config.measurement_noise,
+            seed=spawn(rng, "noise"),
         )
-        slow = HFCFramework.build(
-            proxy_count=60,
-            seed=11,
-            config=FrameworkConfig(vectorized_construction=False),
+        proxies = physical.pick_overlay_nodes(60, seed=spawn(rng, "proxies"))
+        assert proxies == fast.overlay.proxies
+        slow = construct_reference(
+            physical,
+            proxies,
+            seed=spawn(rng, "embedding"),
+            clustering_config=fast.config.clustering,
         )
         assert fast.clustering.clusters == slow.clustering.clusters
-        assert fast.hfc.borders == slow.hfc.borders
+        assert fast.hfc.borders == slow.borders
 
     def test_construction_spans_recorded(self):
         from repro.core import HFCFramework

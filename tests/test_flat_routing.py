@@ -84,12 +84,21 @@ class TestCoordinateAndOracleRouters:
             coordinate_router(tiny_framework.overlay).route(request)
 
     def test_reference_and_numpy_solvers_agree(self, tiny_framework):
-        fast = coordinate_router(tiny_framework.overlay, use_numpy=True)
-        slow = coordinate_router(tiny_framework.overlay, use_numpy=False)
+        from repro.routing.path import path_from_assignment
+        from tests.oracles.servicedag import solve_reference
+
+        router = coordinate_router(tiny_framework.overlay)
         overlay = tiny_framework.overlay
         for request in sample_requests(tiny_framework, 10, seed=4):
-            a = fast.route(request).true_delay(overlay)
-            b = slow.route(request).true_delay(overlay)
+            slow = solve_reference(
+                request.service_graph,
+                router.candidates_for(request),
+                request.source_proxy,
+                request.destination_proxy,
+                router.provider.pair,
+            )
+            a = router.route(request).true_delay(overlay)
+            b = path_from_assignment(request, slow.assignment).true_delay(overlay)
             assert a == pytest.approx(b)
 
     def test_candidate_filter_restricts(self, tiny_framework):

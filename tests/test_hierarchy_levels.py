@@ -24,13 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import HFCFramework
-from repro.hierarchy import (
-    HierarchyLevels,
-    RecursiveRouter,
-    ThreeLevelRouter,
-    build_levels,
-    build_multilevel,
-)
+from repro.hierarchy import HierarchyLevels, RecursiveRouter, build_levels
 from repro.membership import DynamicOverlay
 from repro.overlay.hfc import build_hfc
 from repro.persistence import load_snapshot, save_snapshot
@@ -44,6 +38,7 @@ from repro.state.delta import (
 from repro.state.overhead import coordinates_node_states, service_node_states
 from repro.util.errors import NoFeasiblePathError, TopologyError
 from repro.util.rng import ensure_rng
+from tests.oracles.three_level import ThreeLevelRouter, build_multilevel
 
 
 def _join_pool(framework, count, seed):
@@ -153,18 +148,6 @@ class TestDepthTwo:
 
 
 class TestDepthThreeIdentity:
-    def test_construction_matches_prototype(self, framework, hierarchy3):
-        ml = build_multilevel(framework.hfc)
-        assert hierarchy3.top_count == ml.super_count
-        for sid in range(ml.super_count):
-            assert hierarchy3.top_members(sid) == ml.members(sid)
-            for sj in range(ml.super_count):
-                if sid != sj:
-                    assert hierarchy3.top_border(sid, sj) == ml.super_border(
-                        sid, sj
-                    )
-        assert hierarchy3.all_top_borders() == ml.all_super_borders()
-
     def test_routing_path_identical_to_three_level_router(
         self, framework, hierarchy3
     ):

@@ -1,9 +1,10 @@
-"""Tests for the three-level hierarchy extension."""
+"""Structural, accounting and routing checks of the depth-3 recursive
+hierarchy (the level the three-level prototype used to hardcode)."""
 
 import numpy as np
 import pytest
 
-from repro.hierarchy import ThreeLevelRouter, build_multilevel
+from repro.hierarchy import RecursiveRouter, build_levels
 from repro.routing import HierarchicalRouter, validate_path
 from repro.state import coordinates_node_states
 from repro.util.errors import TopologyError
@@ -11,55 +12,61 @@ from repro.util.errors import TopologyError
 
 @pytest.fixture(scope="module")
 def multilevel(framework):
-    return build_multilevel(framework.hfc)
+    return build_levels(framework.hfc, 3)
 
 
 class TestConstruction:
     def test_every_cluster_assigned(self, framework, multilevel):
-        assert set(multilevel.super_of_cluster) == set(
-            range(framework.clustering.cluster_count)
-        )
+        clusters = range(framework.clustering.cluster_count)
+        level = multilevel.levels[0]
+        assert len(level.parent) == len(clusters)
         covered = sorted(
-            cid for members in multilevel.cluster_members.values() for cid in members
+            cid
+            for sid in range(multilevel.top_count)
+            for cid in multilevel.base_clusters_of(sid)
         )
-        assert covered == sorted(range(framework.clustering.cluster_count))
+        assert covered == list(clusters)
+        for sid in range(multilevel.top_count):
+            for cid in level.members_of(sid):
+                assert int(level.parent[cid]) == sid
 
     def test_super_of_proxy_consistent(self, framework, multilevel):
         for proxy in framework.overlay.proxies:
-            sid = multilevel.super_of(proxy)
-            assert proxy in multilevel.members(sid)
+            sid = multilevel.group_of(proxy)
+            assert proxy in multilevel.top_members(sid)
 
     def test_super_borders_inside_their_super(self, multilevel):
-        for (i, j), proxy in multilevel.super_borders.items():
-            assert multilevel.super_of(proxy) == i
+        for i in range(multilevel.top_count):
+            for j in range(multilevel.top_count):
+                if i != j:
+                    assert multilevel.group_of(multilevel.top_border(i, j)) == i
 
     def test_super_border_self_rejected(self, multilevel):
         with pytest.raises(TopologyError):
-            multilevel.super_border(0, 0)
+            multilevel.top_border(0, 0)
 
     def test_mst_method_also_valid(self, framework):
-        ml = build_multilevel(framework.hfc, method="mst")
-        assert ml.super_count >= 1
+        ml = build_levels(framework.hfc, 3, method="mst")
+        assert ml.top_count >= 1
 
     def test_bad_method_rejected(self, framework):
         with pytest.raises(TopologyError):
-            build_multilevel(framework.hfc, method="psychic")
+            build_levels(framework.hfc, 3, method="psychic")
 
     def test_explicit_super_count(self, framework):
-        ml = build_multilevel(framework.hfc, super_count=2)
-        assert ml.super_count <= 2
+        ml = build_levels(framework.hfc, 3, group_counts=[2])
+        assert ml.top_count <= 2
 
-    def test_sub_hfc_structure(self, framework, multilevel):
-        for sid in multilevel.cluster_members:
-            sub = multilevel.sub_hfc(sid)
-            assert sub.cluster_count == len(multilevel.cluster_members[sid])
+    def test_sub_hfc_structure(self, multilevel):
+        for sid in range(multilevel.top_count):
+            sub = multilevel.sub_hierarchy(sid).hfc
+            assert sub.cluster_count == len(multilevel.base_clusters_of(sid))
             assert sorted(
                 p for c in sub.clustering.clusters for p in c
-            ) == multilevel.members(sid)
+            ) == multilevel.top_members(sid)
 
     def test_sub_hfc_cached(self, multilevel):
-        sid = next(iter(multilevel.cluster_members))
-        assert multilevel.sub_hfc(sid) is multilevel.sub_hfc(sid)
+        assert multilevel.sub_hierarchy(0) is multilevel.sub_hierarchy(0)
 
 
 class TestStateAccounting:
@@ -78,34 +85,35 @@ class TestStateAccounting:
 
     def test_service_state_formula(self, framework, multilevel):
         states = multilevel.service_node_states()
+        level = multilevel.levels[0]
         for proxy, value in states.items():
             cid = framework.hfc.cluster_of(proxy)
-            sid = multilevel.super_of_cluster[cid]
+            sid = int(level.parent[cid])
             expected = (
                 len(framework.hfc.members(cid))
-                + len(multilevel.cluster_members[sid])
-                + multilevel.super_count
+                + len(level.members_of(sid))
+                + multilevel.top_count
             )
             assert value == expected
 
 
 class TestThreeLevelRouting:
     def test_paths_validate(self, framework, multilevel):
-        router = ThreeLevelRouter(multilevel)
+        router = RecursiveRouter(multilevel)
         for seed in range(15):
             request = framework.random_request(seed=seed)
             path = router.route(request)
             validate_path(path, request, framework.overlay)
 
-    def test_capabilities_are_super_aggregates(self, framework, multilevel):
-        router = ThreeLevelRouter(multilevel)
-        for sid in multilevel.cluster_members:
-            assert router.cluster_capabilities[sid] == multilevel.super_capability(sid)
+    def test_capabilities_are_super_aggregates(self, multilevel):
+        router = RecursiveRouter(multilevel)
+        for sid in range(multilevel.top_count):
+            assert router.cluster_capabilities[sid] == multilevel.top_capability(sid)
 
     def test_cross_super_hops_use_super_borders(self, framework, multilevel):
         """A direct hop between super-clusters must be a super-border link."""
-        router = ThreeLevelRouter(multilevel)
-        if multilevel.super_count < 2:
+        router = RecursiveRouter(multilevel)
+        if multilevel.top_count < 2:
             pytest.skip("single super-cluster")
         checked = 0
         for seed in range(20):
@@ -113,10 +121,10 @@ class TestThreeLevelRouting:
             path = router.route(request)
             proxies = path.proxies()
             for u, v in zip(proxies, proxies[1:]):
-                su, sv = multilevel.super_of(u), multilevel.super_of(v)
+                su, sv = multilevel.group_of(u), multilevel.group_of(v)
                 if su != sv:
-                    assert u == multilevel.super_border(su, sv)
-                    assert v == multilevel.super_border(sv, su)
+                    assert u == multilevel.top_border(su, sv)
+                    assert v == multilevel.top_border(sv, su)
                     checked += 1
         assert checked > 0
 
@@ -124,7 +132,7 @@ class TestThreeLevelRouting:
         """The third level trades path quality for state; the loss must stay
         bounded (coarser info, same connectivity)."""
         two = HierarchicalRouter(framework.hfc)
-        three = ThreeLevelRouter(multilevel)
+        three = RecursiveRouter(multilevel)
         overlay = framework.overlay
         t2 = t3 = 0.0
         for seed in range(20):
@@ -134,8 +142,8 @@ class TestThreeLevelRouting:
         assert t3 <= t2 * 2.0
 
     def test_single_super_degenerates_to_two_level(self, framework):
-        ml = build_multilevel(framework.hfc, super_count=1)
-        router = ThreeLevelRouter(ml)
+        ml = build_levels(framework.hfc, 3, group_counts=[1])
+        router = RecursiveRouter(ml)
         request = framework.random_request(seed=3)
         path = router.route(request)
         validate_path(path, request, framework.overlay)
@@ -143,22 +151,19 @@ class TestThreeLevelRouting:
 
 class TestComposition:
     def test_multicast_over_three_levels(self, framework, multilevel):
-        """ThreeLevelRouter is a HierarchicalRouter, so the multicast tree
+        """RecursiveRouter is a HierarchicalRouter, so the multicast tree
         builder composes with it unchanged."""
         import random
 
         from repro.multicast import MulticastRequest, build_service_tree
-        from repro.services import linear_graph
+        from repro.services import ServiceRequest, linear_graph
 
-        router = ThreeLevelRouter(multilevel)
+        router = RecursiveRouter(multilevel)
         rng = random.Random(5)
         picked = rng.sample(framework.overlay.proxies, 5)
         names = [rng.choice(list(framework.catalog.names)) for _ in range(3)]
         request = MulticastRequest(picked[0], linear_graph(names), tuple(picked[1:]))
         tree = build_service_tree(router, request)
-        from repro.routing import validate_path
-        from repro.services import ServiceRequest
-
         for destination in request.destinations:
             unicast = ServiceRequest(
                 request.source_proxy, request.service_graph, destination
@@ -166,10 +171,10 @@ class TestComposition:
             validate_path(tree.path_to(destination), unicast, framework.overlay)
 
     def test_caching_over_three_levels(self, framework, multilevel):
-        """The CSP cache layer stacks on the three-level router too."""
+        """The CSP cache layer stacks on the recursive router too."""
         from repro.routing.cache import CachedHierarchicalRouter
 
-        class CachedThreeLevel(CachedHierarchicalRouter, ThreeLevelRouter):
+        class CachedThreeLevel(CachedHierarchicalRouter, RecursiveRouter):
             pass
 
         router = CachedThreeLevel(multilevel)

@@ -116,7 +116,6 @@ def paper_router(router):
     # bypass __init__ (which wants a real HFC + placement); wire fields directly
     router.hfc = _PaperHFC()
     router.method = "backtrack"
-    router.use_numpy = True
     router.cluster_capabilities = CAPABILITIES
     return router
 

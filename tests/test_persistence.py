@@ -1,4 +1,4 @@
-"""Tests for framework persistence (JSON and binary snapshot round trips)."""
+"""Tests for framework persistence (binary snapshot round trips)."""
 
 import json
 
@@ -8,16 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.membership import DynamicOverlay
-from repro.persistence import (
-    FORMAT_VERSION,
-    SNAPSHOT_FORMAT_VERSION,
-    framework_from_dict,
-    framework_to_dict,
-    load_framework,
-    load_snapshot,
-    save_framework,
-    save_snapshot,
-)
+from repro.persistence import SNAPSHOT_FORMAT_VERSION, load_snapshot, save_snapshot
 from repro.routing import HierarchicalRouter, validate_path
 from repro.routing.batch import query_tables
 from repro.state.protocol import StateDistributionProtocol
@@ -26,10 +17,27 @@ from repro.util.rng import ensure_rng
 
 
 @pytest.fixture(scope="module")
-def restored(tiny_framework, tmp_path_factory):
-    path = tmp_path_factory.mktemp("artifacts") / "framework.json"
-    save_framework(tiny_framework, str(path))
-    return load_framework(str(path))
+def binary_snapshot(tiny_framework, tmp_path_factory):
+    path = tmp_path_factory.mktemp("artifacts") / "overlay.npz"
+    save_snapshot(tiny_framework, str(path))
+    return load_snapshot(str(path))
+
+
+@pytest.fixture(scope="module")
+def restored(binary_snapshot):
+    return binary_snapshot.framework
+
+
+def _rewrite_snapshot(path, edit_meta=None, drop=()):
+    """Re-save the snapshot at *path* with edited meta / without some arrays."""
+    with np.load(str(path), allow_pickle=False) as data:
+        arrays = {name: data[name] for name in data.files if name not in drop}
+    if edit_meta is not None:
+        meta = json.loads(str(arrays["meta"]))
+        edit_meta(meta)
+        arrays["meta"] = np.array(json.dumps(meta))
+    with open(path, "wb") as handle:
+        np.savez(handle, **arrays)
 
 
 class TestRoundTrip:
@@ -80,25 +88,54 @@ class TestRoundTrip:
 
 
 class TestFormatGuard:
-    def test_wrong_version_rejected(self, tiny_framework):
-        payload = framework_to_dict(tiny_framework)
-        payload["format_version"] = 999
-        with pytest.raises(ReproError):
-            framework_from_dict(payload)
+    @pytest.fixture
+    def snapshot_path(self, tiny_framework, tmp_path):
+        path = tmp_path / "overlay.npz"
+        save_snapshot(tiny_framework, str(path))
+        return path
 
-    def test_version_constant_written(self, tiny_framework):
-        payload = framework_to_dict(tiny_framework)
-        assert payload["format_version"] == FORMAT_VERSION
+    def test_wrong_version_rejected(self, snapshot_path):
+        """A snapshot that names no format version is not guessed at."""
+        _rewrite_snapshot(snapshot_path, lambda meta: meta.pop("format_version"))
+        with pytest.raises(ReproError, match="unsupported snapshot format"):
+            load_snapshot(str(snapshot_path))
 
+    def test_version_constant_written(self, snapshot_path):
+        with np.load(str(snapshot_path), allow_pickle=False) as data:
+            meta = json.loads(str(data["meta"]))
+        assert meta["format_version"] == SNAPSHOT_FORMAT_VERSION
 
-# -- binary snapshots --------------------------------------------------------------
+    def test_legacy_config_keys_ignored(self, tiny_framework, snapshot_path):
+        """Snapshots written before the construction/pool selectors were
+        retired carry their keys in the config block; they load and route."""
 
+        def add_legacy(meta):
+            meta["config"]["base"].update(
+                vectorized_construction=True,
+                embedding_workers=None,
+                query_workers=2,
+            )
 
-@pytest.fixture(scope="module")
-def binary_snapshot(tiny_framework, tmp_path_factory):
-    path = tmp_path_factory.mktemp("artifacts") / "overlay.npz"
-    save_snapshot(tiny_framework, str(path))
-    return load_snapshot(str(path))
+        _rewrite_snapshot(snapshot_path, add_legacy)
+        loaded = load_snapshot(str(snapshot_path)).framework
+        assert loaded.config == tiny_framework.config
+        original = HierarchicalRouter(tiny_framework.hfc)
+        restored = HierarchicalRouter(loaded.hfc)
+        for seed in range(8):
+            request = tiny_framework.random_request(seed=seed)
+            assert restored.route(request).hops == original.route(request).hops
+
+    def test_truncated_archive_raises_typed_error(self, snapshot_path):
+        blob = snapshot_path.read_bytes()
+        for keep in (len(blob) // 2, 3, 0):
+            snapshot_path.write_bytes(blob[:keep])
+            with pytest.raises(ReproError, match=snapshot_path.name):
+                load_snapshot(str(snapshot_path))
+
+    def test_missing_array_raises_typed_error(self, snapshot_path):
+        _rewrite_snapshot(snapshot_path, drop=("border_matrix",))
+        with pytest.raises(ReproError, match="border_matrix"):
+            load_snapshot(str(snapshot_path))
 
 
 class TestBinarySnapshot:
@@ -133,14 +170,7 @@ class TestBinarySnapshot:
     def test_wrong_version_rejected(self, tiny_framework, tmp_path):
         path = tmp_path / "overlay.npz"
         save_snapshot(tiny_framework, str(path))
-        with np.load(str(path), allow_pickle=False) as data:
-            arrays = {name: data[name] for name in data.files}
-        meta = json.loads(str(arrays["meta"]))
-        assert meta["format_version"] == SNAPSHOT_FORMAT_VERSION
-        meta["format_version"] = 999
-        arrays["meta"] = np.array(json.dumps(meta))
-        with open(path, "wb") as handle:
-            np.savez(handle, **arrays)
+        _rewrite_snapshot(path, lambda meta: meta.update(format_version=999))
         with pytest.raises(ReproError):
             load_snapshot(str(path))
 

@@ -14,6 +14,7 @@ that must hold for *any* input:
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -163,17 +164,23 @@ def test_protocol_converges_on_arbitrary_structures(case):
 @settings(max_examples=20, deadline=None)
 @given(synthetic_overlay())
 def test_three_level_routing_total(case):
-    """Property: the three-level router is total on arbitrary structures."""
-    from repro.hierarchy import ThreeLevelRouter, build_multilevel
+    """Property: depth-3 recursive routing is total on arbitrary structures
+    and path-identical to the three-level prototype."""
+    from repro.hierarchy import RecursiveRouter, build_levels
+    from tests.oracles.three_level import ThreeLevelRouter, build_multilevel
 
     hfc, request = case
-    multilevel = build_multilevel(hfc)
-    router = ThreeLevelRouter(multilevel)
+    router = RecursiveRouter(build_levels(hfc, 3))
+    prototype = ThreeLevelRouter(build_multilevel(hfc))
     try:
         path = router.route(request)
-    except NoFeasiblePathError:
+    except NoFeasiblePathError as exc:
+        with pytest.raises(NoFeasiblePathError) as caught:
+            prototype.route(request)
+        assert str(caught.value) == str(exc)
         return
     validate_path(path, request, hfc.overlay)
+    assert path == prototype.route(request)
 
 
 @settings(max_examples=20, deadline=None)

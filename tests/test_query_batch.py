@@ -2,9 +2,9 @@
 
 ``route_many`` must be observationally indistinguishable from a per-request
 ``route()`` loop — same paths bit-for-bit, same error types and messages
-for infeasible requests, same cache statistics — for every CSP method and
-engine, with and without the process-pool conquer fan-out. The property
-tests drive fully synthetic overlays (arbitrary coordinates, placements,
+for infeasible requests, same cache statistics — for every CSP method,
+against the scalar cluster-level relaxation kept as the test oracle. The
+property tests drive fully synthetic overlays (arbitrary coordinates, placements,
 clusterings) through both code paths; the framework tests cover the
 production wiring (cached router, flat routers, telemetry counters,
 ``resolve_requests``).
@@ -31,6 +31,7 @@ from repro.services import ServiceRequest, linear_graph
 from repro.services.graph import branching_graph
 from repro.telemetry import Telemetry
 from repro.util.errors import NoFeasiblePathError
+from tests.oracles.csp import ReferenceCspRouter
 
 #: one shared physical substrate; synthetic overlays draw proxies from it
 _PHYSICAL = PhysicalNetwork(waxman(40, seed=1234), noise=0.0, seed=99)
@@ -123,10 +124,10 @@ def _assert_same_outcomes(result, expected_paths, expected_errors):
 @settings(max_examples=30, deadline=None)
 @given(batch_case())
 def test_route_many_matches_scalar_loop(case):
-    """Property: route_many == a scalar reference-engine loop, per method."""
+    """Property: route_many == a scalar reference-relaxation loop, per method."""
     hfc, requests = case
     for method in METHODS:
-        scalar = HierarchicalRouter(hfc, method=method, csp_engine="reference")
+        scalar = ReferenceCspRouter(hfc, method=method)
         batch = HierarchicalRouter(hfc, method=method)
         expected_paths, expected_errors = _scalar_outcomes(scalar, requests)
         result = batch.route_many_detailed(requests)
@@ -140,10 +141,11 @@ def test_route_many_matches_scalar_loop(case):
 @settings(max_examples=30, deadline=None)
 @given(batch_case())
 def test_vectorized_csp_matches_reference(case):
-    """Property: both CSP engines return identical cluster-level paths."""
+    """Property: the vectorized relaxation returns the reference's
+    cluster-level paths."""
     hfc, requests = case
     vectorized = HierarchicalRouter(hfc)
-    reference = HierarchicalRouter(hfc, csp_engine="reference")
+    reference = ReferenceCspRouter(hfc)
     for request in requests:
         try:
             expected = reference.cluster_level_path(request)
@@ -153,18 +155,6 @@ def test_vectorized_csp_matches_reference(case):
             assert str(caught.value) == str(exc)
             continue
         assert vectorized.cluster_level_path(request) == expected
-
-
-@settings(max_examples=15, deadline=None)
-@given(batch_case())
-def test_route_many_with_conquer_pool(case):
-    """Property: the process-pool conquer fan-out is result-invariant."""
-    hfc, requests = case
-    serial = HierarchicalRouter(hfc)
-    pooled = HierarchicalRouter(hfc, query_workers=2)
-    expected = serial.route_many_detailed(requests)
-    result = pooled.route_many_detailed(requests, workers=2)
-    _assert_same_outcomes(result, expected.paths, expected.errors)
 
 
 # -- framework wiring ----------------------------------------------------------

@@ -1,8 +1,9 @@
-"""Tests for the service-DAG solvers: reference, vectorised, brute force.
+"""Tests for the service-DAG solver against its oracles.
 
 The key property pinning the whole routing layer: on random inputs the
-vectorised solver, the pure-Python reference, and exhaustive brute force all
-return the same optimal cost.
+vectorised solver, the pure-Python reference specification and exhaustive
+brute force (both in ``tests/oracles/servicedag.py``) all return the same
+optimal cost.
 """
 
 import math
@@ -12,9 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.routing import brute_force, solve_reference, solve_vectorised
+from repro.routing import solve_vectorised
 from repro.services import ServiceGraph, linear_graph, branching_graph
 from repro.util.errors import NoFeasiblePathError, RoutingError
+from tests.oracles.servicedag import brute_force, solve_reference
 
 
 def metric_from_points(points):
@@ -56,7 +58,8 @@ class TestLinearSolving:
         pair, block = metric_from_points(SIMPLE_POINTS)
         candidates = {0: ["a1", "a2"]}
         ref = solve_reference(sg, candidates, "src", "dst", pair)
-        assert ref.assignment == [(0, "a1")]
+        vec = solve_vectorised(sg, candidates, "src", "dst", block)
+        assert ref.assignment == vec.assignment == [(0, "a1")]
 
     def test_same_proxy_repeated(self):
         """Two consecutive slots may map to the same instance at zero cost."""
@@ -64,7 +67,8 @@ class TestLinearSolving:
         pair, block = metric_from_points(SIMPLE_POINTS)
         candidates = {0: ["a1"], 1: ["a1", "b2"]}
         ref = solve_reference(sg, candidates, "src", "dst", pair)
-        assert ref.assignment == [(0, "a1"), (1, "a1")]
+        vec = solve_vectorised(sg, candidates, "src", "dst", block)
+        assert ref.assignment == vec.assignment == [(0, "a1"), (1, "a1")]
 
     def test_empty_candidates_infeasible(self):
         sg = linear_graph(["A", "B"])
@@ -76,21 +80,28 @@ class TestLinearSolving:
 
     def test_missing_slot_key_infeasible(self):
         sg = linear_graph(["A", "B"])
-        pair, _ = metric_from_points(SIMPLE_POINTS)
+        pair, block = metric_from_points(SIMPLE_POINTS)
         with pytest.raises(NoFeasiblePathError):
             solve_reference(sg, {0: ["a1"]}, "src", "dst", pair)
+        with pytest.raises(NoFeasiblePathError):
+            solve_vectorised(sg, {0: ["a1"]}, "src", "dst", block)
 
     def test_unknown_slot_key_rejected(self):
         sg = linear_graph(["A"])
-        pair, _ = metric_from_points(SIMPLE_POINTS)
+        pair, block = metric_from_points(SIMPLE_POINTS)
         with pytest.raises(RoutingError):
             solve_reference(sg, {0: ["a1"], 7: ["a2"]}, "src", "dst", pair)
+        with pytest.raises(RoutingError):
+            solve_vectorised(sg, {0: ["a1"], 7: ["a2"]}, "src", "dst", block)
 
     def test_infinite_weights_infeasible(self):
         sg = linear_graph(["A"])
         inf_pair = lambda u, v: float("inf")  # noqa: E731
+        inf_block = lambda us, vs: np.full((len(us), len(vs)), np.inf)  # noqa: E731
         with pytest.raises(NoFeasiblePathError):
             solve_reference(sg, {0: ["a1"]}, "src", "dst", inf_pair)
+        with pytest.raises(NoFeasiblePathError):
+            solve_vectorised(sg, {0: ["a1"]}, "src", "dst", inf_block)
 
 
 class TestNonLinearSolving:
@@ -120,7 +131,9 @@ class TestNonLinearSolving:
         )
         candidates = {0: [], 1: ["b"], 2: ["c"]}
         ref = solve_reference(sg, candidates, "src", "dst", pair)
+        vec = solve_vectorised(sg, candidates, "src", "dst", block)
         assert [sg.service_of(s) for s, _ in ref.assignment] == ["B", "C"]
+        assert vec.assignment == ref.assignment
 
     def test_skip_edge_used_when_shorter(self):
         sg = ServiceGraph(
@@ -134,9 +147,12 @@ class TestNonLinearSolving:
             "b": (5.0, 40.0),  # B is a huge detour
             "c": (8.0, 0.0),
         }
-        pair, _ = metric_from_points(points)
-        ref = solve_reference(sg, {0: ["a"], 1: ["b"], 2: ["c"]}, "src", "dst", pair)
+        pair, block = metric_from_points(points)
+        candidates = {0: ["a"], 1: ["b"], 2: ["c"]}
+        ref = solve_reference(sg, candidates, "src", "dst", pair)
+        vec = solve_vectorised(sg, candidates, "src", "dst", block)
         assert [sg.service_of(s) for s, _ in ref.assignment] == ["A", "C"]
+        assert vec.assignment == ref.assignment
 
 
 @st.composite
@@ -194,13 +210,17 @@ def test_three_solvers_agree(problem):
 def test_assignment_cost_matches_reported_cost(problem):
     """Property: re-pricing the returned assignment reproduces the cost."""
     sg, candidates, points = problem
-    pair, _ = metric_from_points(points)
+    pair, block = metric_from_points(points)
     try:
-        solution = solve_reference(sg, candidates, "src", "dst", pair)
+        solutions = [
+            solve_reference(sg, candidates, "src", "dst", pair),
+            solve_vectorised(sg, candidates, "src", "dst", block),
+        ]
     except NoFeasiblePathError:
         return
-    hops = ["src"] + [inst for _, inst in solution.assignment] + ["dst"]
-    total = sum(pair(a, b) for a, b in zip(hops, hops[1:]))
-    assert total == pytest.approx(solution.cost)
-    # and the slot sequence is a feasible configuration
-    assert sg.is_configuration([slot for slot, _ in solution.assignment])
+    for solution in solutions:
+        hops = ["src"] + [inst for _, inst in solution.assignment] + ["dst"]
+        total = sum(pair(a, b) for a, b in zip(hops, hops[1:]))
+        assert total == pytest.approx(solution.cost)
+        # and the slot sequence is a feasible configuration
+        assert sg.is_configuration([slot for slot, _ in solution.assignment])

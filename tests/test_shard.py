@@ -14,6 +14,8 @@ The contract under test, per DESIGN §14:
 """
 
 import math
+import os
+import time
 
 import numpy as np
 import pytest
@@ -22,11 +24,14 @@ from repro.core import FrameworkConfig, HFCFramework
 from repro.faults import crash_restart_plan, partition_heal_plan, run_fault_scenario
 from repro.membership import DynamicOverlay
 from repro.netsim import Message, ShardedSimulator, ShardPlan, Simulator
+from repro.netsim import shard as shard_module
 from repro.netsim.shard import (
     DRIVER,
+    ShardProgram,
     coordinate_lookahead,
     lookahead_from_matrix,
     partition_contiguous,
+    run_sharded,
 )
 from repro.state.protocol import StateDistributionProtocol
 from repro.telemetry import Telemetry
@@ -332,6 +337,41 @@ class TestWorkerMode:
             run_shard_load(
                 overlay_state, shards=2, workers=3, period=300.0, duration=600.0
             )
+
+
+class _DyingProgram(ShardProgram):
+    """Shard 1's worker is hard-killed during setup."""
+
+    def setup(self, sim, view, plan):
+        if sim.shard_id == 1:
+            os._exit(1)
+
+
+class _WedgedProgram(ShardProgram):
+    """Shard 1's worker stays alive but never reports."""
+
+    def setup(self, sim, view, plan):
+        if sim.shard_id == 1:
+            time.sleep(120.0)
+
+
+class TestWorkerFailure:
+    """A dead or wedged worker is a prompt, typed error naming the shard."""
+
+    def test_killed_worker_raises_promptly(self, overlay_state):
+        plan = ShardPlan.from_state(overlay_state, 2)
+        started = time.perf_counter()
+        with pytest.raises(StateError, match="shard 1 worker died"):
+            run_sharded(plan, _DyingProgram(), 600.0, workers=2)
+        assert time.perf_counter() - started < 20.0
+
+    def test_wedged_worker_times_out(self, overlay_state, monkeypatch):
+        monkeypatch.setattr(shard_module, "WORKER_STALL_SECONDS", 1.0)
+        plan = ShardPlan.from_state(overlay_state, 2)
+        started = time.perf_counter()
+        with pytest.raises(StateError, match="shard 1 worker sent nothing"):
+            run_sharded(plan, _WedgedProgram(), 600.0, workers=2)
+        assert time.perf_counter() - started < 20.0
 
 
 class TestFrameworkFactory:

@@ -201,8 +201,6 @@ class TestConfigs:
             TrafficConfig(batch_interval=0.0)
         with pytest.raises(TrafficError):
             TrafficConfig(max_in_flight=0)
-        with pytest.raises(TrafficError):
-            TrafficConfig(delivery="magic")
 
 
 # -- measurement --------------------------------------------------------------------
@@ -279,22 +277,6 @@ class TestEngine:
         assert registry.total("traffic.arrivals") == report.session_arrivals
         assert registry.total("traffic.requests") == len(engine.collector.records)
         assert registry.total("traffic.completed") > 0
-
-    def test_analytic_mode_close_to_hop_mode(self, tiny_framework):
-        hop = TrafficEngine(tiny_framework, QUICK, seed=4).run()
-        analytic = TrafficEngine(
-            tiny_framework,
-            TrafficConfig(
-                arrival=QUICK.arrival,
-                duration=QUICK.duration,
-                warmup=QUICK.warmup,
-                session=QUICK.session,
-                delivery="analytic",
-            ),
-            seed=4,
-        ).run()
-        assert analytic.requests_offered == hop.requests_offered
-        assert analytic.latency_p50 == pytest.approx(hop.latency_p50, rel=0.15)
 
     def test_double_start_raises(self, tiny_framework):
         engine = TrafficEngine(tiny_framework, QUICK, seed=5)
