@@ -46,8 +46,8 @@ lint:
 		mypy src/repro; \
 	else echo "mypy not installed; skipping (CI runs it)"; fi
 
-# The CI bench-smoke job: regenerate the small-scale construction, churn and
-# query benches and gate their speedup ratios against the committed baselines.
+# The small-scale benches and their gates against the committed baselines.
+# This target is the one copy of the list: the CI bench-smoke job runs it.
 bench-smoke:
 	cp BENCH_construction.json /tmp/bench_baseline.json
 	cp BENCH_churn.json /tmp/churn_baseline.json

@@ -11,8 +11,10 @@ Two extension benches around the dynamic-membership machinery:
   from scratch) and once with ``incremental=True`` (only the touched
   cluster is patched). Both replicas must end bit-identical — the speedup
   is a pure like-for-like number. The same test also runs the Section-4
-  state protocol in ``full`` and ``delta`` modes over the same topology
-  and seed, comparing total bytes at a fixed steady-state horizon.
+  state protocol with every announcement a full snapshot
+  (``refresh_every=1``, the re-flood baseline) and at the default delta
+  cadence over the same topology and seed, comparing total bytes at a
+  fixed steady-state horizon.
 
 Results land in ``BENCH_churn.json`` at the repo root, keyed by scale
 (``small`` for the CI smoke entry, ``full`` for the paper-scale n=1000
@@ -99,11 +101,11 @@ def _replay(framework, script, incremental):
     return dyn, time.perf_counter() - start
 
 
-def _protocol_bytes(framework, mode, horizon=12000.0):
+def _protocol_bytes(framework, horizon=12000.0, **cadence):
     """Total protocol bytes at a fixed steady-state horizon."""
-    protocol = StateDistributionProtocol(framework.hfc, seed=SEED, mode=mode)
+    protocol = StateDistributionProtocol(framework.hfc, seed=SEED, **cadence)
     report = protocol.run(max_time=horizon, stop_on_convergence=False)
-    assert report.converged_at is not None, f"{mode} mode did not converge"
+    assert report.converged_at is not None, f"{cadence or 'default'} did not converge"
     return report
 
 
@@ -134,8 +136,8 @@ def test_incremental_churn_speedup(benchmark, emit):
     def run():
         full_dyn, full_seconds = _replay(framework, script, incremental=False)
         inc_dyn, inc_seconds = _replay(framework, script, incremental=True)
-        full_report = _protocol_bytes(state_framework, "full")
-        delta_report = _protocol_bytes(state_framework, "delta")
+        full_report = _protocol_bytes(state_framework, refresh_every=1)
+        delta_report = _protocol_bytes(state_framework)
         return full_dyn, full_seconds, inc_dyn, inc_seconds, full_report, delta_report
 
     full_dyn, full_seconds, inc_dyn, inc_seconds, full_report, delta_report = (

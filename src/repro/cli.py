@@ -245,7 +245,7 @@ def cmd_traffic(args: argparse.Namespace) -> int:
         session=SessionConfig(),
     )
     sim = framework.simulator(shards=args.shards)
-    if getattr(sim, "shards", 1) > 1:
+    if sim.shards > 1:
         print(f"sharded simulator: {sim.shards} shards, "
               f"lookahead {sim.plan.lookahead:.1f} ms")
     engine = TrafficEngine(framework, config, sim=sim, seed=args.seed + 1)

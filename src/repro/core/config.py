@@ -34,12 +34,6 @@ class FrameworkConfig:
         transit_stub: physical-topology generator tunables.
         mesh_weight: distance map the mesh baseline uses ("coords" per the
             paper's Section 6.1, "true" for the information ablation).
-        sim_shards: default shard count for event simulators built via
-            :meth:`HFCFramework.simulator`. ``None``/1 keeps the monolithic
-            single-heap engine; higher values partition proxies by cluster
-            into per-shard heaps with conservative-window exchange —
-            results are shard-count-invariant, so this is purely a
-            throughput knob.
     """
 
     physical_nodes: Optional[int] = None
@@ -53,7 +47,6 @@ class FrameworkConfig:
     clustering: ClusteringConfig = field(default_factory=ClusteringConfig)
     transit_stub: TransitStubConfig = field(default_factory=TransitStubConfig)
     mesh_weight: str = "coords"
-    sim_shards: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.landmark_count < self.dimension + 1:
@@ -69,8 +62,6 @@ class FrameworkConfig:
             raise ReproError("invalid services-per-proxy bounds")
         if self.mesh_weight not in ("coords", "true"):
             raise ReproError("mesh_weight must be 'coords' or 'true'")
-        if self.sim_shards is not None and self.sim_shards < 1:
-            raise ReproError("sim_shards must be >= 1 or None")
 
     def physical_size_for(self, proxy_count: int) -> int:
         """Physical topology size for *proxy_count* proxies.

@@ -197,21 +197,20 @@ class HFCFramework:
     ):
         """An event simulator for this overlay, sharded when asked.
 
-        *shards* defaults to ``config.sim_shards``; 1 (or ``None``) returns
-        the monolithic :class:`~repro.netsim.eventsim.Simulator`. Higher
-        counts partition proxies by hierarchy cluster (clamped to the
+        *shards* of 1 (or ``None``) returns a single-heap
+        :class:`~repro.netsim.eventsim.Simulator`. Higher counts hand it a
+        plan that partitions proxies by hierarchy cluster (clamped to the
         cluster count) with the exact physical cross-shard delay as the
         conservative lookahead — results are shard-count-invariant.
         """
         from repro.netsim.eventsim import Simulator
-        from repro.netsim.shard import ShardedSimulator, ShardPlan
+        from repro.netsim.shard import ShardPlan
 
-        count = shards if shards is not None else (self.config.sim_shards or 1)
-        count = min(count, self.columnar.cluster_count)
+        count = min(shards or 1, self.columnar.cluster_count)
         if count <= 1:
             return Simulator(telemetry=telemetry)
         plan = ShardPlan.from_framework(self, count, lookahead=lookahead)
-        return ShardedSimulator(plan, telemetry=telemetry)
+        return Simulator(telemetry=telemetry, plan=plan)
 
     # -- recursive hierarchy -------------------------------------------------------
 
@@ -377,17 +376,16 @@ class HFCFramework:
         max_time: float = 20000.0,
         seed: RngLike = None,
         *,
-        mode: str = "delta",
         refresh_every: int = 4,
     ) -> ProtocolReport:
         """Simulate the Section-4 protocol to convergence; returns its report.
 
-        ``mode="delta"`` (default) uses sequence-numbered delta
-        announcements with a full refresh every ``refresh_every`` periods;
-        ``mode="full"`` reproduces the legacy always-full behaviour.
+        The wire carries sequence-numbered delta announcements with a full
+        refresh every ``refresh_every`` periods (1: every announcement is
+        a full snapshot, the re-flood-everything baseline).
         """
         protocol = StateDistributionProtocol(
-            self.hfc, seed=seed, mode=mode, refresh_every=refresh_every
+            self.hfc, seed=seed, refresh_every=refresh_every
         )
         return protocol.run(max_time=max_time)
 

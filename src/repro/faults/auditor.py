@@ -12,7 +12,7 @@ as explicit, individually-reported invariants (:class:`AuditCheck`):
   reconvergence check, re-asserted at the end of the settle window);
 * ``delta_reanchor`` — the assemblers' gap counters stop growing once
   converged: streams re-anchored on a full snapshot instead of leaking
-  permanent gaps (delta mode only);
+  permanent gaps;
 * ``border_forward_repair`` — border proxies keep forwarding remote
   aggregates after the faults (the ``aggregate_forward`` flow resumes);
 * ``router_fresh`` — a cached router bound to the protocol's capability
@@ -219,18 +219,13 @@ class ConvergenceAuditor:
             "sim.messages.delivered", "kind"
         ).get("aggregate_forward", 0)
 
-        if protocol.mode == "delta":
-            checks.append(
-                AuditCheck(
-                    "delta_reanchor",
-                    gaps_after == gaps_before,
-                    f"gaps {gaps_before} -> {gaps_after} over one settle period",
-                )
+        checks.append(
+            AuditCheck(
+                "delta_reanchor",
+                gaps_after == gaps_before,
+                f"gaps {gaps_before} -> {gaps_after} over one settle period",
             )
-        else:
-            checks.append(
-                AuditCheck("delta_reanchor", True, "full mode: no delta streams")
-            )
+        )
 
         if protocol.hfc.cluster_count > 1:
             checks.append(
@@ -323,7 +318,6 @@ def run_fault_scenario(
     plan: FaultPlan,
     *,
     k_periods: int = 3,
-    mode: str = "delta",
     refresh_every: int = 4,
     aggregate_period: float = 1000.0,
     protocol_seed: RngLike = None,
@@ -348,7 +342,6 @@ def run_fault_scenario(
     protocol = StateDistributionProtocol(
         framework.hfc,
         seed=protocol_seed if protocol_seed is not None else plan.seed,
-        mode=mode,
         refresh_every=refresh_every,
         aggregate_period=aggregate_period,
         sim=sim,

@@ -1,25 +1,33 @@
-"""A small discrete-event simulation engine.
+"""The discrete-event simulation engine.
 
-The hierarchical state-distribution protocol (paper Section 4) runs on this
-engine: proxies are :class:`Process` subclasses, messages are delivered after
-the physical delay between sender and receiver, and periodic behaviour is
-expressed with :meth:`Simulator.schedule_every`.
+The hierarchical state-distribution protocol (paper Section 4), the
+traffic engine and the fault injector all run on this engine: proxies are
+:class:`Process` subclasses, messages are delivered after the physical
+delay between sender and receiver, and periodic behaviour is expressed
+with :meth:`Simulator.schedule_every`.
 
-The engine is deliberately minimal — an event heap with deterministic
-tie-breaking — because the paper's protocol needs nothing more, and a minimal
-engine is easy to reason about when asserting convergence times in tests.
+There is one engine class. A :class:`Simulator` owns a **driver lane**
+and, given a :class:`~repro.netsim.shard.ShardPlan` of two or more
+shards, one **shard lane** per shard. A lane is a record — an event heap
+plus an outbox of cross-shard sends — not an engine: the clock, the
+process registry, the interceptor, the telemetry handles and the
+conservation tallies live once, on the simulator.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Hashable, Iterator, List, Optional, Tuple
+from heapq import heappop, heappush
+from typing import TYPE_CHECKING, Any, Callable, Dict, Hashable, Iterator, List, Optional, Tuple
 
 from repro.telemetry import Counter, Histogram, Telemetry, get_telemetry
 from repro.util.errors import StateError
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (shard imports eventsim)
+    from repro.netsim.shard import ShardPlan
 
 #: delivery-latency histogram buckets (simulated ms)
 DELIVERY_LATENCY_BUCKETS: Tuple[float, ...] = (
@@ -27,6 +35,9 @@ DELIVERY_LATENCY_BUCKETS: Tuple[float, ...] = (
 )
 
 Address = Hashable
+
+#: shard id of the driver lane (hosts every address outside the partition)
+DRIVER = -1
 
 #: A delivery interceptor: called once per :meth:`Simulator.send` with the
 #: message and its nominal delay; returns the list of delays at which
@@ -57,8 +68,61 @@ class Message:
     size: int = 1
 
 
+#: one buffered cross-shard delivery: (arrival, origin shard, origin seq,
+#: message, sent_at)
+OutboxEntry = Tuple[float, int, int, Message, float]
+
+#: a worker process's barrier step: hand over this shard's outbox, get back
+#: its share of every shard's, already in merge order
+_OutboxSwap = Callable[[List[OutboxEntry]], List[OutboxEntry]]
+
+
+class _Lane:
+    """One event heap of a :class:`Simulator`: the driver's or one shard's.
+
+    A record, not an engine. It has no clock of its own either: between
+    barriers only the executing lane reads the simulator's clock, and at a
+    barrier every lane stands at the same instant.
+    """
+
+    __slots__ = ("shard", "heap", "outbox")
+
+    def __init__(self, shard: int) -> None:
+        self.shard = shard
+        self.heap: List[Tuple[float, int, Callable[[], None]]] = []
+        #: cross-shard sends of the running window, merged at its barrier
+        self.outbox: List[OutboxEntry] = []
+
+
+def _ledger(sent: int, duplicated: int, delivered: int, dropped: int, pending: int) -> Dict[str, int]:
+    """The conservation tallies as a dict, with the invariant as ``balanced``."""
+    return {
+        "sent": sent,
+        "duplicated": duplicated,
+        "delivered": delivered,
+        "dropped": dropped,
+        "pending": pending,
+        "balanced": int(sent + duplicated == delivered + dropped + pending),
+    }
+
+
 class Simulator:
-    """Event heap with simulated clock and message-delivery bookkeeping.
+    """Event heaps under one simulated clock, with message-delivery bookkeeping.
+
+    ``Simulator()`` is the single-heap engine: every address belongs to
+    the driver lane, and :meth:`run_until` is one pop loop with
+    deterministic ``(time, seq)`` tie-breaking. ``Simulator(plan=plan)``
+    with a plan of two or more shards adds one lane per shard (a 1-shard
+    plan adds none, so it *is* the single-heap engine) and the same
+    method cuts the run into conservative (Chandy–Misra style) windows no
+    longer than the plan's **lookahead** — the minimum delay between
+    proxies on different shards — so that a message sent inside a window
+    never arrives inside it; outboxes merge at the window barriers. The
+    driver lane then hosts what the plan does not partition (global
+    timers, traffic arrivals) and executes only at barriers, which keeps
+    its zero-delay dispatches into the shards exact. Registration,
+    scheduling and sends are the same calls on both shapes, so protocols,
+    traffic engines and fault injectors run unmodified on either.
 
     Every simulator owns a private :class:`~repro.telemetry.Telemetry`
     scope (pass one to share): per-kind delivered-message/byte counters
@@ -69,9 +133,35 @@ class Simulator:
     ``sim.telemetry.publish()``.
     """
 
-    def __init__(self, telemetry: Optional[Telemetry] = None) -> None:
+    def __init__(
+        self,
+        telemetry: Optional[Telemetry] = None,
+        *,
+        plan: Optional["ShardPlan"] = None,
+    ) -> None:
+        #: the executing event's timestamp; between runs, the last barrier
         self.now: float = 0.0
-        self._heap: List[Tuple[float, int, Callable[[], None]]] = []
+        #: the shard plan this engine runs (``None``: no partition)
+        self.plan = plan
+        self._driver = _Lane(DRIVER)
+        #: shard lanes by shard id; none = every address is the driver's
+        self._lanes: List[_Lane] = (
+            [_Lane(shard) for shard in range(plan.shards)]
+            if plan is not None and plan.shards > 1
+            else []
+        )
+        #: number of shards the run is split into (1: a single heap)
+        self.shards = len(self._lanes) or 1
+        #: longest window, and shortest legal cross-shard delay
+        self._lookahead = plan.lookahead if plan is not None else math.inf
+        #: the lane new work lands on: the executing one, else the driver
+        self._active = self._driver
+        #: set by :meth:`_confine` in a worker process, which owns one shard
+        self._shard: Optional[int] = None
+        self._swap: Optional[_OutboxSwap] = None
+        #: conservative windows run, and outbox entries merged at their barriers
+        self.windows = 0
+        self.exchanged = 0
         self._counter = itertools.count()
         self._processes: Dict[Address, "Process"] = {}
         self.telemetry = telemetry if telemetry is not None else Telemetry()
@@ -122,7 +212,7 @@ class Simulator:
 
     @property
     def events_processed(self) -> int:
-        """Total events popped off the heap by the run loops."""
+        """Total events popped off the heaps by the run loop."""
         return self._n_events
 
     def conservation(self) -> Dict[str, int]:
@@ -130,20 +220,17 @@ class Simulator:
 
         The invariant is ``sent + duplicated == delivered + dropped + pending``
         where every term counts message *copies* (a duplicated send yields two
-        copies, an interceptor drop resolves the nominal copy as dropped).
+        copies, an interceptor drop resolves the nominal copy as dropped). A
+        copy is pending from the send until its delivery event runs, whether
+        it waits in a heap or in an outbox.
         """
-        tallies = {
-            "sent": self._n_sent,
-            "duplicated": self._n_duplicated,
-            "delivered": self._n_delivered,
-            "dropped": self._n_dropped,
-            "pending": self._n_undelivered,
-        }
-        tallies["balanced"] = int(
-            tallies["sent"] + tallies["duplicated"]
-            == tallies["delivered"] + tallies["dropped"] + tallies["pending"]
+        return _ledger(
+            self._n_sent,
+            self._n_duplicated,
+            self._n_delivered,
+            self._n_dropped,
+            self._n_undelivered,
         )
-        return tallies
 
     def _record_delivery(self, message: Message, latency: float) -> None:
         handles = self._delivery_handles.get(message.kind)
@@ -203,15 +290,58 @@ class Simulator:
                 with default.simulation(self):
                     yield
 
+    # -- lanes -----------------------------------------------------------------
+
+    def _lane_of(self, address: Address) -> _Lane:
+        """The lane owning *address*: its plan shard's, else the driver's."""
+        plan = self.plan
+        if plan is None or not self._lanes:
+            return self._driver
+        shard = plan.shard_of(address)
+        return self._driver if shard == DRIVER else self._lanes[shard]
+
+    @contextmanager
+    def _on(self, lane: _Lane) -> Iterator[None]:
+        """Land new work on *lane* (it is executing, or being set up)."""
+        previous, self._active = self._active, lane
+        try:
+            yield
+        finally:
+            self._active = previous
+
+    def _on_shard(self, shard: int) -> Any:
+        """:meth:`_on` the lane of *shard* (the driver when there are no lanes)."""
+        return self._on(self._lanes[shard] if self._lanes else self._driver)
+
+    def _confine(self, shard: int, swap: _OutboxSwap) -> None:
+        """Make this the engine of one worker process, which owns *shard*.
+
+        The other shards' lanes stay empty here — their processes live in
+        sibling workers — and the barrier step trades outboxes through
+        *swap* instead of merging them locally. There is no driver lane
+        across processes, so unpartitioned addresses are errors.
+        """
+        self._shard = shard
+        self._swap = swap
+
     # -- process registry ----------------------------------------------------
 
     def register(self, process: "Process") -> None:
         """Attach *process*; its :meth:`Process.start` runs at time now."""
-        if process.address in self._processes:
-            raise StateError(f"duplicate process address {process.address!r}")
-        self._processes[process.address] = process
+        address = process.address
+        if address in self._processes:
+            raise StateError(f"duplicate process address {address!r}")
+        lane = self._lane_of(address)
+        if self._swap is not None and lane.shard != self._shard:
+            owner = "no shard" if lane is self._driver else f"shard {lane.shard}"
+            raise StateError(
+                f"shard {self._shard} worker cannot register {address!r}: the "
+                f"plan assigns it to {owner}"
+            )
+        self._processes[address] = process
         process.simulator = self
-        self.schedule(0.0, process.start)
+        with self._on(lane):
+            self.schedule(0.0, process.start)
 
     def deregister(self, address: Address) -> "Process":
         """Detach and return the process at *address*.
@@ -247,10 +377,14 @@ class Simulator:
     # -- scheduling ------------------------------------------------------------
 
     def schedule(self, delay: float, action: Callable[[], None]) -> None:
-        """Run *action* after *delay* simulated time units."""
+        """Run *action* after *delay* simulated time units.
+
+        The event joins the executing lane's heap; outside a run, the
+        driver's.
+        """
         if delay < 0:
             raise StateError(f"cannot schedule in the past (delay={delay})")
-        heapq.heappush(self._heap, (self.now + delay, next(self._counter), action))
+        heappush(self._active.heap, (self.now + delay, next(self._counter), action))
 
     def schedule_every(
         self,
@@ -289,6 +423,12 @@ class Simulator:
         duplicate, or a perturbed-delay delivery (jitter/reordering). The
         protocol layers above never see the difference — exactly the point
         of hooking faults in here.
+
+        A copy for a recipient on the executing lane is an ordinary local
+        event. The driver, which only runs at barriers, pushes into the
+        recipient's heap directly; a shard lane buffers the copy in its
+        outbox until the window's barrier, so its delay must not be below
+        the plan's lookahead.
         """
         sent_at = self.now
         delays = [delay]
@@ -302,12 +442,34 @@ class Simulator:
             # it so `sent + duplicated == delivered + dropped + pending`.
             self._record_drop(message, "intercepted")
             return
+        origin = self._active
+        dest = self._lane_of(message.recipient)
+        self._n_undelivered += len(delays)
         for actual in delays:
-            self._schedule_delivery(message, sent_at, actual)
+            if dest is origin:
+                self.schedule(actual, self._delivery_action(message, sent_at))
+            elif origin is self._driver:
+                deliver = self._delivery_action(message, sent_at)
+                heappush(dest.heap, (sent_at + actual, next(self._counter), deliver))
+            elif dest is self._driver and self._swap is not None:
+                raise StateError(
+                    f"shard {self._shard} worker: send {message.sender!r} -> "
+                    f"{message.recipient!r} leaves the partition, and worker mode "
+                    "has no driver lane"
+                )
+            elif actual < self._lookahead:
+                raise StateError(
+                    f"cross-shard send {message.sender!r} -> {message.recipient!r} "
+                    f"with delay {actual} below the lookahead {self._lookahead}; "
+                    "the shard plan's lookahead must lower-bound every cross-shard delay"
+                )
+            else:
+                origin.outbox.append(
+                    (sent_at + actual, origin.shard, next(self._counter), message, sent_at)
+                )
 
     def _delivery_action(self, message: Message, sent_at: float) -> Callable[[], None]:
-        """The deliver closure for one copy of *message* (counts it pending)."""
-        self._n_undelivered += 1
+        """The deliver closure for one (already pending) copy of *message*."""
 
         def deliver() -> None:
             self._n_undelivered -= 1
@@ -320,43 +482,92 @@ class Simulator:
 
         return deliver
 
-    def _schedule_delivery(self, message: Message, sent_at: float, delay: float) -> None:
-        """Schedule one delivery copy of *message* after *delay*.
-
-        Subclasses (the sharded engine) override this to route copies whose
-        recipient lives on a different shard; the base implementation keeps
-        everything on the local heap.
-        """
-        self.schedule(delay, self._delivery_action(message, sent_at))
-
     # -- execution ---------------------------------------------------------------
 
-    def run_until(self, end_time: float) -> None:
-        """Process events with timestamp <= *end_time*; clock ends there."""
-        with self._running():
-            while self._heap and self._heap[0][0] <= end_time:
-                time, _, action = heapq.heappop(self._heap)
+    def _run_lane(self, lane: _Lane, upto: float) -> None:
+        """Pop and run *lane*'s events stamped <= *upto*: the engine's pop loop."""
+        heap = lane.heap
+        with self._on(lane):
+            while heap and heap[0][0] <= upto:
+                time, _, action = heappop(heap)
                 self.now = time
                 self._n_events += 1
                 action()
+
+    def _exchange(self) -> None:
+        """The barrier step: move every outbox entry to its destination heap.
+
+        Entries merge in ``(arrival, origin shard, origin seq)`` order — their
+        plain tuple order, the triple being unique — so ties break the same
+        way whatever order the lanes ran in. A worker
+        process ships its batch to the parent, which does that merge over
+        every shard's batch and returns this shard's share; the ledger is
+        then only balanced across all workers, and the parent checks it.
+        """
+        entries = [entry for lane in self._lanes for entry in lane.outbox]
+        for lane in self._lanes:
+            lane.outbox.clear()
+        if self._swap is None:
+            entries.sort()
+        else:
+            self._n_undelivered -= len(entries)
+            entries = self._swap(entries)
+            self._n_undelivered += len(entries)
+        for arrival, _origin, _seq, message, sent_at in entries:
+            heappush(
+                self._lane_of(message.recipient).heap,
+                (arrival, next(self._counter), self._delivery_action(message, sent_at)),
+            )
+        self.exchanged += len(entries)
+        if self._swap is None and not self.conservation()["balanced"]:
+            raise StateError(f"message conservation violated: {self.conservation()}")
+
+    def run_until(self, end_time: float) -> None:
+        """Process events with timestamp <= *end_time*; the clock ends there."""
+        driver, lanes = self._driver, self._lanes
+        with self._running():
+            while lanes and self.now < end_time:
+                # Driver events run only at barriers, where every lane stands
+                # at the driver's instant: single-heap semantics for global
+                # timers and zero-delay dispatches into the shards.
+                self._run_lane(driver, self.now)
+                window_end = min(
+                    self.now + self._lookahead,
+                    end_time,
+                    driver.heap[0][0] if driver.heap else math.inf,
+                )
+                # the window is half-open: events at window_end wait for the
+                # batches the barrier is about to merge
+                last = math.nextafter(window_end, -math.inf)
+                for lane in lanes:
+                    self._run_lane(lane, last)
+                self.now = window_end
+                self._exchange()
+                self.windows += 1
+            # the final instant — with no shard lanes, the whole run
+            self._run_lane(driver, end_time)
+            for lane in lanes:
+                self._run_lane(lane, end_time)
+            self._exchange()
             self.now = max(self.now, end_time)
 
     def run_all(self, max_events: int = 1_000_000) -> None:
-        """Drain the event heap completely (bounded by *max_events*)."""
-        with self._running():
-            for _ in range(max_events):
-                if not self._heap:
-                    return
-                time, _, action = heapq.heappop(self._heap)
-                self.now = time
-                self._n_events += 1
-                action()
-        raise StateError(f"run_all exceeded {max_events} events; runaway schedule?")
+        """Drain every heap completely (bounded by *max_events*)."""
+        start = self._n_events
+        lanes = (self._driver, *self._lanes)
+        while self.pending_events:
+            queued = [event[0] for lane in lanes for event in lane.heap]
+            queued += [entry[0] for lane in lanes for entry in lane.outbox]
+            self.run_until(max(queued))
+            if self._n_events - start > max_events:
+                raise StateError(
+                    f"run_all exceeded {max_events} events; runaway schedule?"
+                )
 
     @property
     def pending_events(self) -> int:
-        """Number of events still queued."""
-        return len(self._heap)
+        """Number of events still queued (in heaps and outboxes)."""
+        return sum(len(lane.heap) + len(lane.outbox) for lane in (self._driver, *self._lanes))
 
 
 class Process:

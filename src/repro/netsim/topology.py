@@ -22,6 +22,7 @@ connected.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -96,7 +97,7 @@ def _waxman_wire(
     nodes: List[int],
     positions: Dict[int, Point],
     config: TransitStubConfig,
-    rng,
+    rng: random.Random,
 ) -> None:
     """Connect *nodes* with Waxman edges plus a forced random spanning tree."""
     if len(nodes) <= 1:

@@ -3,7 +3,7 @@
 The Section-4 protocol is soft state: senders periodically re-announce
 capability sets whether or not they changed, which makes every period cost
 O(|services|) per link at steady state. This module supplies the delta
-encoding the incremental protocol mode uses instead:
+encoding the protocol puts on the wire instead:
 
 * :class:`Announcement` — one announcement on one stream. Either a *full*
   snapshot (the complete capability set) or a *delta* (services added and
@@ -85,7 +85,8 @@ class DeltaEmitter:
     """Sender-side delta encoding with a K-announcement full refresh."""
 
     #: every K-th announcement per stream is a full snapshot (K=1 means
-    #: always-full, i.e. the legacy behaviour with a header byte). The
+    #: always-full, i.e. the paper's re-flood-everything behaviour with a
+    #: header unit — the baseline the byte savings are measured against). The
     #: default trades ~70% of the steady-state byte savings for a refresh
     #: frequent enough that 30%+ message loss still converges quickly.
     refresh_every: int = 4

@@ -54,7 +54,7 @@ def service_node_states(hfc: HFCTopology) -> Dict[ProxyId, int]:
 
 
 def message_overhead(report) -> Dict[str, object]:
-    """Wire-cost accounting of one protocol run (delta vs full visible here).
+    """Wire-cost accounting of one protocol run.
 
     Complements the Fig-9 *stored* node-state accounting with the *moved*
     state: delivered sizes per message kind, dropped bytes (messages put
@@ -65,7 +65,6 @@ def message_overhead(report) -> Dict[str, object]:
         report.total_size / report.total_messages if report.total_messages else 0.0
     )
     return {
-        "mode": report.mode,
         "bytes_by_kind": dict(report.bytes_by_kind),
         "total_messages": report.total_messages,
         "total_size": report.total_size,

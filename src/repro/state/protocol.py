@@ -21,22 +21,22 @@ costs one intra-cluster flood per neighbour border per aggregate period at
 steady state, but it makes the soft-state flow self-healing — a lost
 forward is repaired one period later — which the loss-rate tests rely on.
 
-Two wire encodings are supported. ``mode="delta"`` (the default) sends
-sequence-numbered :class:`~repro.state.delta.Announcement` payloads — the
-symmetric difference since the stream's previous announcement, with a full
-snapshot every ``refresh_every`` announcements as the soft-state safety
-net; stale or gapped announcements are ignored by the receiver-side
-assembler. ``mode="full"`` is the legacy re-flood-everything encoding,
-kept as the cost baseline (``benchmarks/bench_churn.py`` measures the
-byte savings). Convergence semantics, ground-truth checks, and the
-per-proxy table contents are identical in both modes —
+The wire carries sequence-numbered
+:class:`~repro.state.delta.Announcement` payloads — the symmetric
+difference since the stream's previous announcement, with a full snapshot
+every ``refresh_every`` announcements as the soft-state safety net; stale
+or gapped announcements are ignored by the receiver-side assembler.
+``refresh_every=1`` makes every announcement a full snapshot: the paper's
+re-flood-everything behaviour, which ``benchmarks/bench_churn.py`` uses as
+the cost baseline. Convergence semantics, ground-truth checks and the
+per-proxy table contents do not depend on the cadence —
 ``tests/test_delta_state.py`` asserts it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Union
+from typing import Callable, Dict, FrozenSet, List, Optional
 
 from repro.netsim.eventsim import Message, Process, Simulator
 from repro.overlay.hfc import HFCTopology
@@ -48,9 +48,6 @@ from repro.util.errors import StateError
 from repro.util.rng import RngLike, ensure_rng
 
 ClusterId = int
-
-#: what travels in a payload's capability slot, depending on the mode
-WireBody = Union[FrozenSet[ServiceName], Announcement]
 
 
 @dataclass
@@ -65,12 +62,11 @@ class ProtocolReport:
             ground truth (None if the run ended first).
         messages_by_kind: delivered message counts per kind.
         total_messages: all delivered messages.
-        total_size: sum of message sizes (service-name count proxy; in
-            delta mode, header + carried names per announcement).
+        total_size: sum of message sizes (header + carried service names
+            per announcement).
         messages_dropped: messages lost to the configured loss rate.
         delivery_latency: per-kind ``{p50, p95, p99, mean}`` summaries of
             message delivery latency (simulated ms).
-        mode: the wire encoding the run used ("delta" or "full").
         dropped_bytes: sizes of the dropped messages (so overhead reports
             can account for bytes put on the wire but never delivered).
         bytes_by_kind: delivered sizes per message kind.
@@ -82,7 +78,6 @@ class ProtocolReport:
     total_size: int
     messages_dropped: int = 0
     delivery_latency: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    mode: str = "full"
     dropped_bytes: int = 0
     bytes_by_kind: Dict[str, int] = field(default_factory=dict)
 
@@ -98,7 +93,6 @@ class ProtocolReport:
                 kind: dict(summary)
                 for kind, summary in self.delivery_latency.items()
             },
-            "mode": self.mode,
             "dropped_bytes": self.dropped_bytes,
             "bytes_by_kind": dict(self.bytes_by_kind),
         }
@@ -129,14 +123,8 @@ class _ProxyAgent(Process):
             if protocol.border_peers.get(proxy)
             else None
         )
-        if protocol.delta:
-            self.emitter: Optional[DeltaEmitter] = DeltaEmitter(
-                refresh_every=protocol.refresh_every
-            )
-            self.assembler: Optional[DeltaAssembler] = DeltaAssembler()
-        else:
-            self.emitter = None
-            self.assembler = None
+        self.emitter = DeltaEmitter(refresh_every=protocol.refresh_every)
+        self.assembler = DeltaAssembler()
 
     def send(self, recipient, kind, payload, delay, size=1) -> None:
         # model in-transit loss: a dropped message never reaches the heap,
@@ -149,22 +137,16 @@ class _ProxyAgent(Process):
 
     def _encode(
         self, stream: StreamId, services: FrozenSet[ServiceName]
-    ) -> "tuple[WireBody, int]":
+    ) -> "tuple[Announcement, int]":
         """The body + abstract size to put on the wire for *services*."""
-        if self.emitter is None:
-            return services, len(services)
         announcement = self.emitter.announce(stream, services)
         self.protocol.count_announcement(announcement)
         return announcement, announcement.wire_size
 
     def _decode(
-        self, stream: StreamId, body: WireBody
+        self, stream: StreamId, body: Announcement
     ) -> Optional[FrozenSet[ServiceName]]:
         """The capability set carried by *body*, or None if it was ignored."""
-        if self.assembler is None:
-            assert isinstance(body, frozenset)
-            return body
-        assert isinstance(body, Announcement)
         stale_before = self.assembler.stale
         value = self.assembler.apply(stream, body)
         if value is None:
@@ -238,7 +220,7 @@ class _ProxyAgent(Process):
             services = self._decode(stream, body)
             if services is not None:
                 self.state.sct_c.update(cluster, services, now=sim.now)
-            elif message.kind == "aggregate_state" and self.assembler is not None:
+            elif message.kind == "aggregate_state":
                 # The announcement was ignored (stale or gapped), but a
                 # border must keep re-flooding its latest knowledge so each
                 # hop's full-refresh cadence heals independently — gaps must
@@ -300,7 +282,6 @@ class StateDistributionProtocol:
         loss_rate: float = 0.0,
         seed: RngLike = None,
         telemetry=None,
-        mode: str = "delta",
         refresh_every: int = 4,
         sim: Optional[Simulator] = None,
     ) -> None:
@@ -308,8 +289,6 @@ class StateDistributionProtocol:
             raise StateError("protocol periods must be positive")
         if not 0.0 <= loss_rate < 1.0:
             raise StateError("loss_rate must be in [0, 1)")
-        if mode not in ("delta", "full"):
-            raise StateError(f"mode must be 'delta' or 'full', got {mode!r}")
         if refresh_every < 1:
             raise StateError(f"refresh_every must be >= 1, got {refresh_every}")
         self.hfc = hfc
@@ -318,14 +297,10 @@ class StateDistributionProtocol:
         #: probability that any single protocol message is silently dropped;
         #: the periodic soft-state design must converge regardless
         self.loss_rate = loss_rate
-        #: wire encoding: "delta" (sequence-numbered diffs + K-period full
-        #: refresh) or "full" (the legacy re-flood-everything baseline)
-        self.mode = mode
-        self.delta = mode == "delta"
-        #: every K-th announcement per stream is a full snapshot
+        #: every K-th announcement per stream is a full snapshot (1: all)
         self.refresh_every = refresh_every
         self._rng = ensure_rng(seed)
-        # An injected simulator (e.g. a ShardedSimulator) brings its own
+        # An injected simulator (e.g. one with shard lanes) brings its own
         # telemetry scope; the protocol only creates one when it owns the sim.
         self.sim = sim if sim is not None else Simulator(telemetry=telemetry)
         registry = self.sim.telemetry.registry
@@ -390,7 +365,7 @@ class StateDistributionProtocol:
         return False
 
     def count_announcement(self, announcement: Announcement) -> None:
-        """Tally a delta-mode announcement by kind (full vs delta)."""
+        """Tally an announcement by kind (full vs delta)."""
         if announcement.is_full:
             self._announced_full.inc()
         else:
@@ -403,13 +378,12 @@ class StateDistributionProtocol:
         ).inc()
 
     def delta_stats(self) -> Dict[str, int]:
-        """Aggregate assembler statistics across all proxies (delta mode)."""
+        """Aggregate assembler statistics across all proxies."""
         stats = {"applied": 0, "stale": 0, "gaps": 0}
         for agent in self._agents:
-            if agent.assembler is not None:
-                stats["applied"] += agent.assembler.applied
-                stats["stale"] += agent.assembler.stale
-                stats["gaps"] += agent.assembler.gaps
+            stats["applied"] += agent.assembler.applied
+            stats["stale"] += agent.assembler.stale
+            stats["gaps"] += agent.assembler.gaps
         return stats
 
     # -- dynamics ----------------------------------------------------------------
@@ -420,8 +394,8 @@ class StateDistributionProtocol:
         Updates the ground truth (the overlay placement) and the proxy's own
         SCT_P entry; the change then propagates through the normal periodic
         local-state and aggregate-state flows — re-convergence time is the
-        interesting measurement. In delta mode the next announcements carry
-        exactly the add/remove difference.
+        interesting measurement. The next announcements carry exactly the
+        add/remove difference.
         """
         if proxy not in self.states:
             raise StateError(f"unknown proxy {proxy!r}")
@@ -438,8 +412,8 @@ class StateDistributionProtocol:
 
         The restarted proxy forgets everything it learned: its SCT_P and
         SCT_C shrink back to self-knowledge (exactly the initial state),
-        and in delta mode its emitter restarts under the next incarnation
-        while its assembler comes back empty. Everything re-fills through
+        its emitter restarts under the next incarnation and its assembler
+        comes back empty. Everything re-fills through
         the normal periodic flows — the fault-injection suite measures how
         long that takes.
 
@@ -460,11 +434,10 @@ class StateDistributionProtocol:
         state.sct_c.update(state.cluster_id, placement[proxy], now=now)
         self.states[proxy] = state
         agent.state = state
-        if agent.emitter is not None:
-            # the incarnation bump is the restart's only surviving memory;
-            # without it peers would reject the fresh streams as stale
-            agent.emitter = agent.emitter.restart()
-            agent.assembler = DeltaAssembler()
+        # the incarnation bump is the restart's only surviving memory;
+        # without it peers would reject the fresh streams as stale
+        agent.emitter = agent.emitter.restart()
+        agent.assembler = DeltaAssembler()
         self.sim.telemetry.registry.counter("protocol.restarts").inc()
 
     def remove_proxy(self, proxy: ProxyId) -> None:
@@ -513,8 +486,7 @@ class StateDistributionProtocol:
         """A JSON-ready capture of everything *proxy* knows right now.
 
         Covers the proxy's SCT tables (with exact revisions and
-        timestamps) and, in delta mode, its emitter history and assembler
-        streams. Feed the result to :meth:`restore_state` for a warm
+        timestamps), its emitter history and its assembler streams. Feed the result to :meth:`restore_state` for a warm
         restart, or to ``repro.persistence.save_snapshot`` via
         :meth:`snapshot_state_plane` to persist it.
         """
@@ -527,13 +499,11 @@ class StateDistributionProtocol:
         agent = self._agent_of.get(proxy)
         if agent is None:
             raise StateError(f"unknown proxy {proxy!r}")
-        snapshot: Dict[str, object] = {
+        return {
             "state": proxy_state_to_dict(self.states[proxy]),
+            "emitter": emitter_to_dict(agent.emitter),
+            "assembler": assembler_to_dict(agent.assembler),
         }
-        if agent.emitter is not None and agent.assembler is not None:
-            snapshot["emitter"] = emitter_to_dict(agent.emitter)
-            snapshot["assembler"] = assembler_to_dict(agent.assembler)
-        return snapshot
 
     def snapshot_state_plane(self) -> Dict[str, object]:
         """Per-proxy :meth:`snapshot_proxy` captures for every proxy.
@@ -587,19 +557,19 @@ class StateDistributionProtocol:
         )
         self.states[proxy] = state
         agent.state = state
-        if agent.emitter is not None:
-            saved = snapshot.get("emitter") or {}
-            saved_incarnation = int(saved.get("incarnation", 0))  # type: ignore[union-attr]
-            agent.emitter = DeltaEmitter(
-                refresh_every=agent.emitter.refresh_every,
-                incarnation=max(saved_incarnation, agent.emitter.incarnation) + 1,
-            )
-            assembler_payload = snapshot.get("assembler")
-            agent.assembler = (
-                assembler_from_dict(assembler_payload)  # type: ignore[arg-type]
-                if assembler_payload is not None
-                else DeltaAssembler()
-            )
+        # captures written by the former full mode carry neither key
+        saved = snapshot.get("emitter") or {}
+        saved_incarnation = int(saved.get("incarnation", 0))  # type: ignore[union-attr]
+        agent.emitter = DeltaEmitter(
+            refresh_every=agent.emitter.refresh_every,
+            incarnation=max(saved_incarnation, agent.emitter.incarnation) + 1,
+        )
+        assembler_payload = snapshot.get("assembler")
+        agent.assembler = (
+            assembler_from_dict(assembler_payload)  # type: ignore[arg-type]
+            if assembler_payload is not None
+            else DeltaAssembler()
+        )
         registry = self.sim.telemetry.registry
         registry.counter("protocol.restarts").inc()
         registry.counter("protocol.restarts.warm").inc()
@@ -684,7 +654,6 @@ class StateDistributionProtocol:
             total_size=self.sim.bytes_delivered,
             messages_dropped=self.messages_dropped,
             delivery_latency=latency_summaries,
-            mode=self.mode,
             dropped_bytes=self.dropped_bytes,
             bytes_by_kind=registry.values_by_label("sim.bytes.delivered", "kind"),
         )

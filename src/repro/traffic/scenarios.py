@@ -63,7 +63,6 @@ def run_traffic_under_faults(
     config: Optional[TrafficConfig] = None,
     traffic_seed: RngLike = 0,
     k_periods: int = 3,
-    mode: str = "delta",
     refresh_every: int = 4,
     aggregate_period: float = 1000.0,
     protocol_seed: RngLike = None,
@@ -85,7 +84,6 @@ def run_traffic_under_faults(
     protocol = StateDistributionProtocol(
         framework.hfc,
         seed=protocol_seed if protocol_seed is not None else plan.seed,
-        mode=mode,
         refresh_every=refresh_every,
         aggregate_period=aggregate_period,
         sim=sim,

@@ -187,19 +187,18 @@ class UniformTraffic(ShardProgram):
             phase = (_mix(self.seed, proxy) % 10_000) / 10_000.0 * self.period
             sim.schedule(phase, self._issuer(sim, relay, row))
 
-    def collect(self, sim: Simulator) -> Dict[str, int]:
-        shard = str(getattr(sim, "shard_id", 0))
+    def collect(self, sim: Simulator, shard: int) -> Dict[str, int]:
         registry = sim.telemetry.registry
+        label = str(shard)
         return {
-            "shard": int(shard),
-            "events": sim.events_processed,
-            "requests": registry.counter("shardload.requests", shard=shard).value,
-            "completed": registry.counter("shardload.completed", shard=shard).value,
+            "shard": shard,
+            "requests": registry.counter("shardload.requests", shard=label).value,
+            "completed": registry.counter("shardload.completed", shard=label).value,
             "hops_intra": registry.counter(
-                "shardload.hops", shard=shard, reach="intra"
+                "shardload.hops", shard=label, reach="intra"
             ).value,
             "hops_cross": registry.counter(
-                "shardload.hops", shard=shard, reach="cross"
+                "shardload.hops", shard=label, reach="cross"
             ).value,
         }
 

@@ -1,8 +1,8 @@
 """Tests for the delta state plane and versioned capability consumption.
 
 Covers the three layers the incremental state machinery spans: the wire
-encoding (:mod:`repro.state.delta`), the protocol running in ``delta``
-mode vs the legacy ``full`` mode, and the version-driven cache
+encoding (:mod:`repro.state.delta`), the protocol at its default delta
+cadence vs the always-full ``refresh_every=1`` baseline, and the version-driven cache
 invalidation contract between capability feeds and
 :class:`~repro.routing.cache.CachedHierarchicalRouter`.
 """
@@ -107,10 +107,12 @@ class TestDeltaAssembler:
 class TestDeltaProtocol:
     @pytest.fixture(scope="class")
     def reports(self, tiny_framework):
+        # "full": every announcement a full snapshot (refresh_every=1, the
+        # re-flood-everything baseline); "delta": the default cadence
         out = {}
-        for mode in ("full", "delta"):
+        for mode, cadence in (("full", {"refresh_every": 1}), ("delta", {})):
             protocol = StateDistributionProtocol(
-                tiny_framework.hfc, seed=21, mode=mode
+                tiny_framework.hfc, seed=21, **cadence
             )
             report = protocol.run(max_time=12000.0, stop_on_convergence=False)
             out[mode] = (protocol, report)
@@ -134,11 +136,10 @@ class TestDeltaProtocol:
         delta_bytes = reports["delta"][1].total_size
         assert delta_bytes * 2 <= full_bytes
 
-    def test_reports_carry_mode_and_byte_breakdown(self, reports):
-        for mode, (_, report) in reports.items():
-            assert report.mode == mode
+    def test_reports_carry_byte_breakdown(self, reports):
+        for _, report in reports.values():
             assert sum(report.bytes_by_kind.values()) == report.total_size
-            assert report.to_dict()["mode"] == mode
+            assert report.to_dict()["bytes_by_kind"] == report.bytes_by_kind
 
     def test_message_overhead_accounting(self, reports):
         from repro.state import message_overhead
@@ -146,7 +147,6 @@ class TestDeltaProtocol:
         accounts = {}
         for mode, (_, report) in reports.items():
             acct = message_overhead(report)
-            assert acct["mode"] == mode
             assert acct["total_size"] == report.total_size
             assert acct["dropped_bytes"] == 0
             accounts[mode] = acct
@@ -165,7 +165,7 @@ class TestDeltaProtocol:
 
     def test_reconverges_after_midrun_change(self, tiny_framework):
         protocol = StateDistributionProtocol(
-            tiny_framework.hfc, seed=22, mode="delta"
+            tiny_framework.hfc, seed=22
         )
         first = protocol.run(max_time=20000.0)
         assert first.converged_at is not None
@@ -178,7 +178,7 @@ class TestDeltaProtocol:
 
     def test_lossy_delta_run_accounts_dropped_bytes(self, tiny_framework):
         protocol = StateDistributionProtocol(
-            tiny_framework.hfc, seed=23, mode="delta", loss_rate=0.2
+            tiny_framework.hfc, seed=23, loss_rate=0.2
         )
         report = protocol.run(max_time=40000.0)
         assert report.converged_at is not None
@@ -189,7 +189,7 @@ class TestDeltaProtocol:
 class TestCapabilityFeeds:
     def test_protocol_feed_versions_monotonically(self, tiny_framework):
         protocol = StateDistributionProtocol(
-            tiny_framework.hfc, seed=24, mode="delta"
+            tiny_framework.hfc, seed=24
         )
         feed = protocol.capability_feed()
         v0 = feed.version

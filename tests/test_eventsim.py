@@ -1,9 +1,33 @@
-"""Tests for the discrete-event engine."""
+"""Tests for the discrete-event engine.
+
+The engine is one class with two shapes: driver-only (no plan: a single
+heap) and laned (a plan of two or more shards: one heap per shard,
+conservative windows). Every behavioural class below builds its engine
+through ``self.make_sim()``; the ``...TwoShards`` subclasses at the bottom
+re-run the same cases on a 2-shard engine whose test addresses span both
+lanes, so one suite holds for both shapes.
+"""
 
 import pytest
 
-from repro.netsim import Message, Process, Simulator
+from repro.netsim import Message, Process, ShardPlan, Simulator
 from repro.util.errors import StateError
+
+#: the test addresses, split over two shards ("ghost" and "x" stay
+#: unpartitioned: the driver's); 0.5 lower-bounds every cross-lane delay used
+TWO_SHARDS = ShardPlan(
+    shards=2,
+    bounds=(0, 1, 2),
+    lookahead=0.5,
+    proxy_shard={
+        "alice": 0, "bob": 1, "a": 0, "b": 1, "s": 1,
+        "p0": 0, "p1": 1, "p2": 0, "p3": 1, "p4": 0,
+    },
+)
+
+
+def two_shard_sim():
+    return Simulator(plan=TWO_SHARDS)
 
 
 class Recorder(Process):
@@ -18,11 +42,13 @@ class Recorder(Process):
 
 
 class TestScheduling:
+    make_sim = staticmethod(Simulator)
+
     def test_clock_starts_at_zero(self):
-        assert Simulator().now == 0.0
+        assert self.make_sim().now == 0.0
 
     def test_events_fire_in_time_order(self):
-        sim = Simulator()
+        sim = self.make_sim()
         fired = []
         sim.schedule(5.0, lambda: fired.append("late"))
         sim.schedule(1.0, lambda: fired.append("early"))
@@ -30,7 +56,7 @@ class TestScheduling:
         assert fired == ["early", "late"]
 
     def test_ties_fire_in_schedule_order(self):
-        sim = Simulator()
+        sim = self.make_sim()
         fired = []
         sim.schedule(1.0, lambda: fired.append("first"))
         sim.schedule(1.0, lambda: fired.append("second"))
@@ -39,10 +65,10 @@ class TestScheduling:
 
     def test_negative_delay_rejected(self):
         with pytest.raises(StateError):
-            Simulator().schedule(-1.0, lambda: None)
+            self.make_sim().schedule(-1.0, lambda: None)
 
     def test_run_until_stops_at_boundary(self):
-        sim = Simulator()
+        sim = self.make_sim()
         fired = []
         sim.schedule(1.0, lambda: fired.append(1))
         sim.schedule(10.0, lambda: fired.append(10))
@@ -52,14 +78,14 @@ class TestScheduling:
         assert sim.pending_events == 1
 
     def test_run_until_includes_boundary_events(self):
-        sim = Simulator()
+        sim = self.make_sim()
         fired = []
         sim.schedule(5.0, lambda: fired.append(5))
         sim.run_until(5.0)
         assert fired == [5]
 
     def test_events_can_schedule_events(self):
-        sim = Simulator()
+        sim = self.make_sim()
         fired = []
 
         def chain():
@@ -72,7 +98,7 @@ class TestScheduling:
         assert fired == [1.0, 2.0, 3.0]
 
     def test_run_all_guards_runaway(self):
-        sim = Simulator()
+        sim = self.make_sim()
 
         def forever():
             sim.schedule(1.0, forever)
@@ -83,22 +109,24 @@ class TestScheduling:
 
 
 class TestPeriodic:
+    make_sim = staticmethod(Simulator)
+
     def test_schedule_every_fires_repeatedly(self):
-        sim = Simulator()
+        sim = self.make_sim()
         ticks = []
         sim.schedule_every(2.0, lambda: ticks.append(sim.now))
         sim.run_until(7.0)
         assert ticks == [2.0, 4.0, 6.0]
 
     def test_first_delay_override(self):
-        sim = Simulator()
+        sim = self.make_sim()
         ticks = []
         sim.schedule_every(5.0, lambda: ticks.append(sim.now), first_delay=1.0)
         sim.run_until(7.0)
         assert ticks == [1.0, 6.0]
 
     def test_until_stops_firings(self):
-        sim = Simulator()
+        sim = self.make_sim()
         ticks = []
         sim.schedule_every(1.0, lambda: ticks.append(sim.now), until=3.5)
         sim.run_until(10.0)
@@ -106,12 +134,14 @@ class TestPeriodic:
 
     def test_invalid_period_rejected(self):
         with pytest.raises(StateError):
-            Simulator().schedule_every(0.0, lambda: None)
+            self.make_sim().schedule_every(0.0, lambda: None)
 
 
 class TestMessaging:
+    make_sim = staticmethod(Simulator)
+
     def test_message_delivery(self):
-        sim = Simulator()
+        sim = self.make_sim()
         alice, bob = Recorder("alice"), Recorder("bob")
         sim.register(alice)
         sim.register(bob)
@@ -125,7 +155,7 @@ class TestMessaging:
         assert message.payload == {"x": 1}
 
     def test_delivery_counters(self):
-        sim = Simulator()
+        sim = self.make_sim()
         sim.register(Recorder("a"))
         sim.register(Recorder("b"))
         sim.send(Message("a", "b", "k", None, size=7), delay=1.0)
@@ -134,7 +164,7 @@ class TestMessaging:
         assert sim.bytes_delivered == 7
 
     def test_process_send_helper(self):
-        sim = Simulator()
+        sim = self.make_sim()
         alice, bob = Recorder("alice"), Recorder("bob")
         sim.register(alice)
         sim.register(bob)
@@ -144,8 +174,36 @@ class TestMessaging:
         assert bob.received[0][1].payload == 42
         assert bob.received[0][1].sender == "alice"
 
+    def ping_pong(self):
+        """alice and bob answer each other three times, 2.0 apart; on the
+        2-shard engine every reply is sent from inside the sender's window
+        to a process on the other lane."""
+
+        class Echo(Recorder):
+            def receive(self, message):
+                super().receive(message)
+                if message.payload < 3:
+                    self.send(message.sender, "ping", message.payload + 1, delay=2.0)
+
+        sim = self.make_sim()
+        alice, bob = Echo("alice"), Echo("bob")
+        sim.register(alice)
+        sim.register(bob)
+        sim.send(Message("alice", "bob", "ping", 0), delay=1.0)
+        sim.run_all()
+        return sim, alice, bob
+
+    def test_replies_between_processes(self):
+        sim, alice, bob = self.ping_pong()
+        assert [(t, m.payload) for t, m in bob.received] == [(1.0, 0), (5.0, 2)]
+        assert [(t, m.payload) for t, m in alice.received] == [(3.0, 1), (7.0, 3)]
+        assert sim.now == 7.0
+        ledger = sim.conservation()
+        assert (ledger["sent"], ledger["delivered"], ledger["pending"]) == (4, 4, 0)
+        assert ledger["balanced"]
+
     def test_duplicate_address_rejected(self):
-        sim = Simulator()
+        sim = self.make_sim()
         sim.register(Recorder("a"))
         with pytest.raises(StateError):
             sim.register(Recorder("a"))
@@ -153,7 +211,7 @@ class TestMessaging:
     def test_unknown_recipient_is_counted_drop(self):
         # in-flight messages to departed proxies must not crash the run:
         # delivery to an unregistered address is a cause-tagged drop
-        sim = Simulator()
+        sim = self.make_sim()
         sim.register(Recorder("a"))
         sim.send(Message("a", "ghost", "k", None), delay=1.0)
         sim.run_all()
@@ -165,7 +223,7 @@ class TestMessaging:
         assert dropped.value == 1
 
     def test_intercepted_drop_is_counted(self):
-        sim = Simulator()
+        sim = self.make_sim()
         sim.register(Recorder("a"))
         sim.register(Recorder("b"))
         sim.interceptor = lambda message, delay: []
@@ -191,7 +249,7 @@ class TestMessaging:
             def start(self):
                 self.started_at = self.simulator.now
 
-        sim = Simulator()
+        sim = self.make_sim()
         starter = Starter()
         sim.register(starter)
         sim.run_all()
@@ -199,8 +257,10 @@ class TestMessaging:
 
 
 class TestLifecycle:
+    make_sim = staticmethod(Simulator)
+
     def test_deregister_removes_process(self):
-        sim = Simulator()
+        sim = self.make_sim()
         a = Recorder("a")
         sim.register(a)
         assert sim.is_registered("a")
@@ -213,10 +273,10 @@ class TestLifecycle:
 
     def test_deregister_unknown_raises(self):
         with pytest.raises(StateError):
-            Simulator().deregister("ghost")
+            self.make_sim().deregister("ghost")
 
     def test_in_flight_to_departed_is_dropped_not_raised(self):
-        sim = Simulator()
+        sim = self.make_sim()
         sim.register(Recorder("a"))
         bob = Recorder("b")
         sim.register(bob)
@@ -229,7 +289,7 @@ class TestLifecycle:
         assert sim.conservation()["balanced"]
 
     def test_owned_periodic_stops_after_deregister(self):
-        sim = Simulator()
+        sim = self.make_sim()
         a = Recorder("a")
         sim.register(a)
         ticks = []
@@ -240,7 +300,7 @@ class TestLifecycle:
         assert ticks == [1.0, 2.0, 3.0]
 
     def test_unowned_periodic_survives_deregister(self):
-        sim = Simulator()
+        sim = self.make_sim()
         sim.register(Recorder("a"))
         ticks = []
         sim.schedule_every(1.0, lambda: ticks.append(sim.now))
@@ -251,8 +311,10 @@ class TestLifecycle:
 
 
 class TestConservation:
+    make_sim = staticmethod(Simulator)
+
     def test_duplicated_copies_balance(self):
-        sim = Simulator()
+        sim = self.make_sim()
         sim.register(Recorder("a"))
         sim.register(Recorder("b"))
         sim.interceptor = lambda message, delay: [delay, delay + 1.0]
@@ -265,7 +327,7 @@ class TestConservation:
         assert ledger["balanced"]
 
     def test_pending_counts_in_flight(self):
-        sim = Simulator()
+        sim = self.make_sim()
         sim.register(Recorder("a"))
         sim.register(Recorder("b"))
         sim.send(Message("a", "b", "k", None), delay=5.0)
@@ -293,7 +355,7 @@ class TestConservation:
         @settings(max_examples=40, deadline=None)
         @given(ops)
         def check(sequence):
-            sim = Simulator()
+            sim = self.make_sim()
             names = [f"p{i}" for i in range(5)]
             for name in names:
                 sim.register(Recorder(name))
@@ -321,3 +383,39 @@ class TestConservation:
             assert final["balanced"], final
 
         check()
+
+
+# -- the same suite on the laned shape ------------------------------------------
+
+
+class TestSchedulingTwoShards(TestScheduling):
+    make_sim = staticmethod(two_shard_sim)
+
+
+class TestPeriodicTwoShards(TestPeriodic):
+    make_sim = staticmethod(two_shard_sim)
+
+
+class TestMessagingTwoShards(TestMessaging):
+    make_sim = staticmethod(two_shard_sim)
+
+    def test_fixture_spans_both_lanes(self):
+        sim = self.make_sim()
+        assert sim.shards == 2
+        assert TWO_SHARDS.shard_of("alice") != TWO_SHARDS.shard_of("bob")
+        assert TWO_SHARDS.shard_of("p0") != TWO_SHARDS.shard_of("p1")
+
+    def test_replies_went_through_the_outboxes(self):
+        sim, _alice, _bob = self.ping_pong()
+        # the first message came from outside a run (the driver pushes
+        # straight into the heap); the three replies crossed at barriers
+        assert sim.exchanged == 3
+        assert sim.windows > 0
+
+
+class TestLifecycleTwoShards(TestLifecycle):
+    make_sim = staticmethod(two_shard_sim)
+
+
+class TestConservationTwoShards(TestConservation):
+    make_sim = staticmethod(two_shard_sim)

@@ -181,7 +181,7 @@ class TestStatePlaneRoundTrip:
     @pytest.fixture(scope="class")
     def protocol(self, tiny_framework):
         protocol = StateDistributionProtocol(
-            tiny_framework.hfc, seed=11, mode="delta"
+            tiny_framework.hfc, seed=11
         )
         protocol.run(max_time=6000.0, stop_on_convergence=False)
         return protocol
@@ -212,7 +212,7 @@ class TestStatePlaneRoundTrip:
 
     def test_warm_restore_keeps_learned_tables(self, tiny_framework, plane):
         fresh = StateDistributionProtocol(
-            tiny_framework.hfc, seed=12, mode="delta"
+            tiny_framework.hfc, seed=12
         )
         proxy = tiny_framework.overlay.proxies[0]
         capture = plane[str(proxy)]
@@ -264,10 +264,10 @@ class TestTwinOverlay:
 
         # Same topology + same seed => identical delta streams on the wire.
         report_a = StateDistributionProtocol(
-            dyn.hfc, seed=21, mode="delta"
+            dyn.hfc, seed=21
         ).run(max_time=4000.0, stop_on_convergence=False)
         report_b = StateDistributionProtocol(
-            twin.hfc, seed=21, mode="delta"
+            twin.hfc, seed=21
         ).run(max_time=4000.0, stop_on_convergence=False)
         assert report_a.total_messages == report_b.total_messages
         assert report_a.total_size == report_b.total_size

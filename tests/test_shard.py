@@ -1,9 +1,9 @@
-"""Tests for the sharded event simulation (repro.netsim.shard).
+"""Tests for the event engine's shard lanes (repro.netsim.shard plans).
 
 The contract under test, per DESIGN §14:
 
-* ``shards=1`` is bit-identical to the monolithic engine (same telemetry
-  registry, same traces);
+* a 1-shard plan adds no lanes, so it is bit-identical to the plan-less
+  engine (same telemetry registry, same traces);
 * results are invariant to the shard count for deterministic scenarios
   (routing results, telemetry totals, fault audit outcomes);
 * the conservation ledger ``sent + duplicated == delivered + dropped +
@@ -20,10 +20,10 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import FrameworkConfig, HFCFramework
+from repro.core import HFCFramework
 from repro.faults import crash_restart_plan, partition_heal_plan, run_fault_scenario
 from repro.membership import DynamicOverlay
-from repro.netsim import Message, ShardedSimulator, ShardPlan, Simulator
+from repro.netsim import Message, Process, ShardedSimulator, ShardPlan, Simulator
 from repro.netsim import shard as shard_module
 from repro.netsim.shard import (
     DRIVER,
@@ -152,30 +152,19 @@ class TestPlan:
 class TestLookaheadGuard:
     def test_cross_shard_send_below_lookahead_raises(self, overlay_state):
         plan = ShardPlan.from_state(overlay_state, 2, lookahead=50.0)
-        sim = ShardedSimulator(plan, telemetry=Telemetry())
+        sim = Simulator(plan=plan)
         a = int(plan.views[0].proxy_ids()[0])
         b = int(plan.views[1].proxy_ids()[0])
 
-        class Sink:
-            def __init__(self, address):
-                self.address = address
-                self.simulator = None
-
+        class Violator(Process):
+            # start() runs on the owning shard's lane, and what it schedules
+            # stays there: the send happens inside shard 0's window, where
+            # the guard lives
             def start(self):
-                pass
+                self.simulator.schedule(10.0, lambda: self.send(b, "k", None, delay=1.0))
 
-            def receive(self, message):
-                pass
-
-        sim.register(Sink(a))
-        sim.register(Sink(b))
-
-        def violate():
-            sim.send(Message(a, b, "k", None), delay=1.0)
-
-        # the send happens inside shard 0's window, where the guard lives
-        lane = sim._lanes[plan.shard_of(a)]
-        lane.schedule(10.0, violate)
+        sim.register(Violator(a))
+        sim.register(Process(b))
         with pytest.raises(StateError, match="lookahead"):
             sim.run_until(200.0)
 
@@ -230,17 +219,19 @@ def _scenario_digest(result):
 
 
 class TestBitIdentity:
-    """shards=1 must be indistinguishable from the monolithic engine."""
+    """A 1-shard plan must take the driver-only path: no lanes, no windows,
+    indistinguishable from the plan-less engine."""
 
     def test_protocol_registry_identical(self, framework):
         mono = Simulator(telemetry=Telemetry())
         StateDistributionProtocol(framework.hfc, seed=11, sim=mono).run(8000.0)
 
         plan = ShardPlan.from_framework(framework, 1)
-        sharded = ShardedSimulator(plan, telemetry=Telemetry())
+        sharded = Simulator(plan=plan)
         StateDistributionProtocol(framework.hfc, seed=11, sim=sharded).run(8000.0)
 
         assert sharded.now == mono.now
+        assert sharded.shards == 1 and sharded.windows == 0
         assert _registry_snapshot(sharded) == _registry_snapshot(mono)
 
     def test_fault_scenario_identical(self, framework):
@@ -250,9 +241,7 @@ class TestBitIdentity:
         with _pristine_placement(framework):
             base = run_fault_scenario(framework, plan, sim=mono)
 
-        sharded = ShardedSimulator(
-            ShardPlan.from_framework(framework, 1), telemetry=Telemetry()
-        )
+        sharded = Simulator(plan=ShardPlan.from_framework(framework, 1))
         with _pristine_placement(framework):
             other = run_fault_scenario(framework, plan, sim=sharded)
 
@@ -271,7 +260,7 @@ class TestShardInvariance:
         StateDistributionProtocol(framework.hfc, seed=11, sim=mono).run(8000.0)
 
         plan = ShardPlan.from_framework(framework, shards)
-        sharded = ShardedSimulator(plan, telemetry=Telemetry())
+        sharded = Simulator(plan=plan)
         StateDistributionProtocol(framework.hfc, seed=11, sim=sharded).run(8000.0)
 
         assert sharded.conservation()["balanced"]
@@ -288,9 +277,7 @@ class TestShardInvariance:
         with _pristine_placement(framework):
             base = run_fault_scenario(framework, plan, sim=mono)
 
-        sharded = ShardedSimulator(
-            ShardPlan.from_framework(framework, shards), telemetry=Telemetry()
-        )
+        sharded = Simulator(plan=ShardPlan.from_framework(framework, shards))
         with _pristine_placement(framework):
             other = run_fault_scenario(framework, plan, sim=sharded)
 
@@ -320,6 +307,24 @@ class TestShardInvariance:
         assert result.events == baseline.events
 
 
+class _StrayProgram(ShardProgram):
+    """Shard 0 steps outside what a shard-confined program may touch."""
+
+    def __init__(self, fault):
+        self.fault = fault
+
+    def setup(self, sim, view, plan):
+        if view.shard != 0:
+            return
+        own = int(view.proxy_ids()[0])
+        if self.fault == "send":
+            sim.register(Process(own))
+            stray = Message(own, "nobody", "k", None)
+            sim.schedule(1.0, lambda: sim.send(stray, delay=500.0))
+        else:
+            sim.register(Process(int(plan.views[1].proxy_ids()[0])))
+
+
 class TestWorkerMode:
     def test_worker_processes_match_in_process(self, overlay_state):
         kwargs = dict(period=300.0, duration=900.0, seed=3)
@@ -331,6 +336,29 @@ class TestWorkerMode:
         assert remote.hops_intra == local.hops_intra
         assert remote.hops_cross == local.hops_cross
         assert remote.events == local.events
+        assert remote.windows == local.windows
+        assert remote.exchanged == local.exchanged
+
+    def test_send_to_unpartitioned_recipient_fails_at_the_send(self, overlay_state):
+        plan = ShardPlan.from_state(overlay_state, 2)
+        sender = int(plan.views[0].proxy_ids()[0])
+        with pytest.raises(StateError, match="no driver lane") as failure:
+            run_sharded(plan, _StrayProgram("send"), 600.0, workers=2)
+        text = str(failure.value)
+        # raised by the worker's own send, naming shard, sender and recipient
+        assert f"shard 0 worker: send {sender!r} -> 'nobody'" in text
+        assert "in send" in text
+        # ... while in process the driver lane takes the message
+        run_sharded(plan, _StrayProgram("send"), 600.0)
+
+    def test_registering_another_shards_address_fails_at_the_register(self, overlay_state):
+        plan = ShardPlan.from_state(overlay_state, 2)
+        foreign = int(plan.views[1].proxy_ids()[0])
+        with pytest.raises(StateError, match="cannot register") as failure:
+            run_sharded(plan, _StrayProgram("register"), 600.0, workers=2)
+        text = str(failure.value)
+        assert f"shard 0 worker cannot register {foreign!r}" in text
+        assert "assigns it to shard 1" in text
 
     def test_worker_count_must_match_shards(self, overlay_state):
         with pytest.raises(StateError, match="workers"):
@@ -343,7 +371,7 @@ class _DyingProgram(ShardProgram):
     """Shard 1's worker is hard-killed during setup."""
 
     def setup(self, sim, view, plan):
-        if sim.shard_id == 1:
+        if view.shard == 1:
             os._exit(1)
 
 
@@ -351,7 +379,7 @@ class _WedgedProgram(ShardProgram):
     """Shard 1's worker stays alive but never reports."""
 
     def setup(self, sim, view, plan):
-        if sim.shard_id == 1:
+        if view.shard == 1:
             time.sleep(120.0)
 
 
@@ -381,14 +409,16 @@ class TestFrameworkFactory:
 
     def test_sharded_when_asked(self, framework):
         sim = framework.simulator(shards=2)
-        assert isinstance(sim, ShardedSimulator)
+        assert type(sim) is Simulator
         assert sim.shards == 2
+        assert sim.plan.shards == 2
 
-    def test_config_default_applies(self):
-        fw = HFCFramework.build(
-            proxy_count=30, seed=5, config=FrameworkConfig(sim_shards=2)
-        )
-        assert isinstance(fw.simulator(), ShardedSimulator)
+    def test_former_constructor_still_builds_the_engine(self, framework):
+        # the frozen e2e harness patches ShardedSimulator.run_until by name
+        plan = ShardPlan.from_framework(framework, 2)
+        sim = ShardedSimulator(plan, telemetry=Telemetry())
+        assert isinstance(sim, Simulator) and sim.plan is plan
+        assert [n for n, v in vars(ShardedSimulator).items() if callable(v)] == ["__init__"]
 
     def test_shards_clamped_to_clusters(self, framework):
         sim = framework.simulator(shards=10_000)
