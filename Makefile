@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-full bench-query traffic examples clean lint bench-smoke fault-matrix e2e-selftest ci coverage
+.PHONY: install test bench bench-full bench-query traffic examples clean lint bench-smoke fault-matrix e2e-selftest profile ci coverage
 
 # Editable install with the consolidated dev dependency list — the same
 # `[project.optional-dependencies] dev` extra every CI job installs from.
@@ -93,6 +93,14 @@ fault-matrix:
 # smoke scale — the guard that the tracer's patch points survive a refactor.
 e2e-selftest:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/e2e/tests/selftest.py -q
+
+# Where a workload's time goes: cProfile over one untraced 5 s run of the
+# end-to-end benchmark, top 30 functions by own time. `make profile W=route_2k`.
+W ?= engine_16k
+profile:
+	mkdir -p benchmarks/out
+	$(PYTHON) -m cProfile -o benchmarks/out/$(W).pstats benchmarks/e2e/run.py --workload $(W) --seconds 5 --trace 0
+	$(PYTHON) -c "import pstats; pstats.Stats('benchmarks/out/$(W).pstats').sort_stats('tottime').print_stats(30)"
 
 # Mirror the full CI workflow locally: tier-1 tests, e2e self-test, lint,
 # fault matrix, bench smoke + gate.

@@ -83,11 +83,18 @@ def embed_landmarks(
     rng = ensure_rng(seed)
     initial = classical_mds(measured, dim)
 
+    # The objective is evaluated thousands of times on an m-landmark problem
+    # whose pair list never changes: index the m(m-1)/2 pairs once, and
+    # compute only those (same terms, same order as `_relative_error`).
+    first, second = np.triu_indices(m, 1)
+    meas = measured[first, second]
+    safe = np.where(meas > 0, meas, 1.0)
+
     def objective(flat: np.ndarray) -> float:
         pts = flat.reshape(m, dim)
-        diff = pts[:, None, :] - pts[None, :, :]
-        est = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-        return _relative_error(est, measured)
+        diff = pts[first] - pts[second]
+        est = np.sqrt(np.einsum("pk,pk->p", diff, diff))
+        return float(np.sum(((est - meas) / safe) ** 2))
 
     scale = float(np.max(measured)) or 1.0
     jitter = initial + rng.gauss(0.0, 1.0) * 0.0  # deterministic base start

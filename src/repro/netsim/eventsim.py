@@ -12,6 +12,12 @@ shards, one **shard lane** per shard. A lane is a record — an event heap
 plus an outbox of cross-shard sends — not an engine: the clock, the
 process registry, the interceptor, the telemetry handles and the
 conservation tallies live once, on the simulator.
+
+An event is data: every heap entry is ``(time, seq, action, message,
+sent_at)``. A timer carries its *action* and no message; a message
+delivery carries the message and the instant it was sent, and no action
+— the one pop loop (:meth:`Simulator._run_lane`) delivers it in line, so
+a send allocates a tuple and nothing else.
 """
 
 from __future__ import annotations
@@ -19,11 +25,13 @@ from __future__ import annotations
 import itertools
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import TYPE_CHECKING, Any, Callable, Dict, Hashable, Iterator, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, Hashable, Iterator, List, NamedTuple, Optional,
+    Sequence, Tuple,
+)
 
-from repro.telemetry import Counter, Histogram, Telemetry, get_telemetry
+from repro.telemetry import Counter, Histogram, MetricsRegistry, Telemetry, get_telemetry
 from repro.util.errors import StateError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (shard imports eventsim)
@@ -48,9 +56,8 @@ DRIVER = -1
 DeliveryInterceptor = Callable[["Message", float], Optional[List[float]]]
 
 
-@dataclass(frozen=True)
-class Message:
-    """A protocol message in flight.
+class Message(NamedTuple):
+    """A protocol message in flight (immutable; one is built per send).
 
     Attributes:
         sender: address of the sending process.
@@ -68,6 +75,11 @@ class Message:
     size: int = 1
 
 
+#: one heap entry: (time, seq, action, message, sent_at); ``(time, seq)`` is
+#: unique, so entries never compare past it. Exactly one of *action* (a
+#: timer) and *message* (a delivery; typed loosely for the pop loop) is set.
+_Event = Tuple[float, int, Optional[Callable[[], None]], Any, float]
+
 #: one buffered cross-shard delivery: (arrival, origin shard, origin seq,
 #: message, sent_at)
 OutboxEntry = Tuple[float, int, int, Message, float]
@@ -75,6 +87,26 @@ OutboxEntry = Tuple[float, int, int, Message, float]
 #: a worker process's barrier step: hand over this shard's outbox, get back
 #: its share of every shard's, already in merge order
 _OutboxSwap = Callable[[List[OutboxEntry]], List[OutboxEntry]]
+
+
+class _KindMetrics:
+    """The registry's message metrics of one kind, fetched once per simulator.
+
+    ``send`` and the pop loop bump the counters' ``value`` directly: the
+    registry is exact at every instant, at the price of one dict lookup
+    (kind -> this record) per send and per delivery.
+    """
+
+    __slots__ = ("sent", "duplicated", "delivered", "size_units", "latency")
+
+    def __init__(self, registry: MetricsRegistry, kind: str) -> None:
+        self.sent: Counter = registry.counter("sim.messages.sent", kind=kind)
+        self.duplicated: Counter = registry.counter("sim.messages.duplicated", kind=kind)
+        self.delivered: Counter = registry.counter("sim.messages.delivered", kind=kind)
+        self.size_units: Counter = registry.counter("sim.bytes.delivered", kind=kind)
+        self.latency: Histogram = registry.histogram(
+            "sim.delivery.latency", DELIVERY_LATENCY_BUCKETS, kind=kind
+        )
 
 
 class _Lane:
@@ -89,7 +121,7 @@ class _Lane:
 
     def __init__(self, shard: int) -> None:
         self.shard = shard
-        self.heap: List[Tuple[float, int, Callable[[], None]]] = []
+        self.heap: List[_Event] = []
         #: cross-shard sends of the running window, merged at its barrier
         self.outbox: List[OutboxEntry] = []
 
@@ -150,6 +182,9 @@ class Simulator:
             if plan is not None and plan.shards > 1
             else []
         )
+        #: the lane of every address seen so far; the plan is frozen, so an
+        #: entry never goes stale
+        self._lane_by_address: Dict[Address, _Lane] = {}
         #: number of shards the run is split into (1: a single heap)
         self.shards = len(self._lanes) or 1
         #: longest window, and shortest legal cross-shard delay
@@ -165,10 +200,8 @@ class Simulator:
         self._counter = itertools.count()
         self._processes: Dict[Address, "Process"] = {}
         self.telemetry = telemetry if telemetry is not None else Telemetry()
-        #: per-kind (message counter, byte counter, latency histogram)
-        self._delivery_handles: Dict[str, Tuple[Counter, Counter, Histogram]] = {}
-        #: per-kind (sent counter, duplicated counter)
-        self._send_handles: Dict[str, Tuple[Counter, Counter]] = {}
+        #: per-kind message metrics, created at the kind's first message
+        self._metrics: Dict[str, _KindMetrics] = {}
         #: per-(kind, cause) drop counter
         self._drop_handles: Dict[Tuple[str, str], Counter] = {}
         #: optional hook on the delivery path (see :data:`DeliveryInterceptor`)
@@ -232,41 +265,10 @@ class Simulator:
             self._n_undelivered,
         )
 
-    def _record_delivery(self, message: Message, latency: float) -> None:
-        handles = self._delivery_handles.get(message.kind)
-        if handles is None:
-            registry = self.telemetry.registry
-            handles = (
-                registry.counter("sim.messages.delivered", kind=message.kind),
-                registry.counter("sim.bytes.delivered", kind=message.kind),
-                registry.histogram(
-                    "sim.delivery.latency",
-                    DELIVERY_LATENCY_BUCKETS,
-                    kind=message.kind,
-                ),
-            )
-            self._delivery_handles[message.kind] = handles
-        messages, size_units, latency_hist = handles
-        messages.inc()
-        size_units.inc(message.size)
-        latency_hist.observe(latency)
-        self._n_delivered += 1
-
-    def _record_sent(self, message: Message, copies: int) -> None:
-        handles = self._send_handles.get(message.kind)
-        if handles is None:
-            registry = self.telemetry.registry
-            handles = (
-                registry.counter("sim.messages.sent", kind=message.kind),
-                registry.counter("sim.messages.duplicated", kind=message.kind),
-            )
-            self._send_handles[message.kind] = handles
-        sent, duplicated = handles
-        sent.inc()
-        self._n_sent += 1
-        if copies > 1:
-            duplicated.inc(copies - 1)
-            self._n_duplicated += copies - 1
+    def _kind_metrics(self, kind: str) -> _KindMetrics:
+        """The metrics of a *kind* seen for the first time."""
+        metrics = self._metrics[kind] = _KindMetrics(self.telemetry.registry, kind)
+        return metrics
 
     def _record_drop(self, message: Message, cause: str) -> None:
         key = (message.kind, cause)
@@ -293,12 +295,17 @@ class Simulator:
     # -- lanes -----------------------------------------------------------------
 
     def _lane_of(self, address: Address) -> _Lane:
-        """The lane owning *address*: its plan shard's, else the driver's."""
-        plan = self.plan
-        if plan is None or not self._lanes:
-            return self._driver
-        shard = plan.shard_of(address)
-        return self._driver if shard == DRIVER else self._lanes[shard]
+        """The lane owning *address*: its plan shard's, else the driver's.
+
+        The plan is asked once per address; the answer is kept.
+        """
+        lane = self._lane_by_address.get(address)
+        if lane is None:
+            plan = self.plan
+            shard = plan.shard_of(address) if plan is not None and self._lanes else DRIVER
+            lane = self._driver if shard == DRIVER else self._lanes[shard]
+            self._lane_by_address[address] = lane
+        return lane
 
     @contextmanager
     def _on(self, lane: _Lane) -> Iterator[None]:
@@ -384,7 +391,9 @@ class Simulator:
         """
         if delay < 0:
             raise StateError(f"cannot schedule in the past (delay={delay})")
-        heappush(self._active.heap, (self.now + delay, next(self._counter), action))
+        heappush(
+            self._active.heap, (self.now + delay, next(self._counter), action, None, 0.0)
+        )
 
     def schedule_every(
         self,
@@ -431,26 +440,35 @@ class Simulator:
         the plan's lookahead.
         """
         sent_at = self.now
-        delays = [delay]
+        metrics = self._metrics.get(message.kind) or self._kind_metrics(message.kind)
+        metrics.sent.value += 1
+        self._n_sent += 1
+        delays: Sequence[float] = (delay,)
         if self.interceptor is not None:
             decided = self.interceptor(message, delay)
             if decided is not None:
                 delays = decided
-        self._record_sent(message, len(delays))
-        if not delays:
-            # The nominal copy was swallowed by the interceptor: account for
-            # it so `sent + duplicated == delivered + dropped + pending`.
-            self._record_drop(message, "intercepted")
-            return
+                if not delays:
+                    # The nominal copy was swallowed by the interceptor: account
+                    # for it so `sent + duplicated == delivered + dropped + pending`.
+                    self._record_drop(message, "intercepted")
+                    return
+                metrics.duplicated.value += len(delays) - 1
+                self._n_duplicated += len(delays) - 1
         origin = self._active
-        dest = self._lane_of(message.recipient)
+        # without shard lanes every address, and all execution, is the driver's
+        dest = origin
+        if self._lanes:
+            recipient = message.recipient
+            dest = self._lane_by_address.get(recipient) or self._lane_of(recipient)
         self._n_undelivered += len(delays)
         for actual in delays:
-            if dest is origin:
-                self.schedule(actual, self._delivery_action(message, sent_at))
-            elif origin is self._driver:
-                deliver = self._delivery_action(message, sent_at)
-                heappush(dest.heap, (sent_at + actual, next(self._counter), deliver))
+            if actual < 0:
+                raise StateError(f"cannot deliver in the past (delay={actual})")
+            if dest is origin or origin is self._driver:
+                heappush(
+                    dest.heap, (sent_at + actual, next(self._counter), None, message, sent_at)
+                )
             elif dest is self._driver and self._swap is not None:
                 raise StateError(
                     f"shard {self._shard} worker: send {message.sender!r} -> "
@@ -468,31 +486,38 @@ class Simulator:
                     (sent_at + actual, origin.shard, next(self._counter), message, sent_at)
                 )
 
-    def _delivery_action(self, message: Message, sent_at: float) -> Callable[[], None]:
-        """The deliver closure for one (already pending) copy of *message*."""
-
-        def deliver() -> None:
-            self._n_undelivered -= 1
-            recipient = self._processes.get(message.recipient)
-            if recipient is None:
-                self._record_drop(message, "unregistered")
-                return
-            self._record_delivery(message, self.now - sent_at)
-            recipient.receive(message)
-
-        return deliver
-
     # -- execution ---------------------------------------------------------------
 
     def _run_lane(self, lane: _Lane, upto: float) -> None:
-        """Pop and run *lane*'s events stamped <= *upto*: the engine's pop loop."""
+        """Pop and run *lane*'s events stamped <= *upto*: the engine's pop loop.
+
+        A timer's action is called; a delivery (no action) is resolved here:
+        the copy stops being pending, and is either dropped because nobody
+        is registered at the recipient any more, or counted and received.
+        """
         heap = lane.heap
+        processes = self._processes
+        metrics_of = self._metrics
         with self._on(lane):
             while heap and heap[0][0] <= upto:
-                time, _, action = heappop(heap)
+                time, _, action, message, sent_at = heappop(heap)
                 self.now = time
                 self._n_events += 1
-                action()
+                if action is not None:
+                    action()
+                    continue
+                self._n_undelivered -= 1
+                recipient = processes.get(message.recipient)
+                if recipient is None:
+                    self._record_drop(message, "unregistered")
+                    continue
+                # a worker process first meets a kind sent from another shard here
+                metrics = metrics_of.get(message.kind) or self._kind_metrics(message.kind)
+                metrics.delivered.value += 1
+                metrics.size_units.inc(message.size)  # inc() checks the sender's size
+                metrics.latency.observe(time - sent_at)
+                self._n_delivered += 1
+                recipient.receive(message)
 
     def _exchange(self) -> None:
         """The barrier step: move every outbox entry to its destination heap.
@@ -516,7 +541,7 @@ class Simulator:
         for arrival, _origin, _seq, message, sent_at in entries:
             heappush(
                 self._lane_of(message.recipient).heap,
-                (arrival, next(self._counter), self._delivery_action(message, sent_at)),
+                (arrival, next(self._counter), None, message, sent_at),
             )
         self.exchanged += len(entries)
         if self._swap is None and not self.conservation()["balanced"]:

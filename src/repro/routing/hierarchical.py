@@ -47,9 +47,9 @@ from repro.routing.batch import (
     ConquerContext,
     query_tables,
     service_graph_signature,
+    solve_child_spec,
     solve_specs,
 )
-from repro.routing.flat import FlatRouter
 from repro.routing.path import Hop, ServicePath, merge_consecutive_hops
 from repro.routing.providers import CoordinateProvider
 from repro.services.catalog import ServiceName
@@ -1035,37 +1035,25 @@ class HierarchicalRouter:
         An empty child (no services) degenerates to the direct intra-cluster
         link between its endpoints.
         """
-        if not child.slots:
-            hops = merge_consecutive_hops(
-                [Hop(proxy=child.source_proxy), Hop(proxy=child.destination_proxy)]
-            )
-            return ServicePath(hops=tuple(hops))
-        sg = request.service_graph
-        # Preserve original slot ids so the composed path validates against
-        # the original service graph.
-        sub_sg = ServiceGraph(
-            services={slot: sg.service_of(slot) for slot in child.slots},
-            edges=frozenset(zip(child.slots, child.slots[1:])),
-        )
-        members = set(self.hfc.members(child.cluster))
-        router = FlatRouter(
-            self.hfc.overlay,
-            self._provider,
-            candidate_filter=members.__contains__,
-            name=f"intra-cluster-{child.cluster}",
-        )
-        sub_request = ServiceRequest(
+        # Candidates per slot are the cluster's own providers, in the
+        # overlay's proxy order (the order a whole-overlay provider scan
+        # filtered by membership yields, and the batch path's order).
+        # Placement is read live: a crash or a rebind may have rewritten it.
+        overlay = self.hfc.overlay
+        placement = overlay.placement
+        members = sorted(self.hfc.members(child.cluster), key=overlay.index_of)
+        spec = ChildSpec(
+            cluster=child.cluster,
+            slots=tuple(child.slots),
+            services=tuple(child.services),
             source_proxy=child.source_proxy,
-            service_graph=sub_sg,
             destination_proxy=child.destination_proxy,
+            candidates=tuple(
+                (slot, tuple(p for p in members if service in placement[p]))
+                for slot, service in zip(child.slots, child.services)
+            ),
         )
-        try:
-            return router.route(sub_request)
-        except NoFeasiblePathError:
-            raise NoFeasiblePathError(
-                f"cluster {child.cluster} cannot serve child request "
-                f"{child.services} (stale aggregate state?)"
-            ) from None
+        return solve_child_spec(spec, self._provider)
 
     def compose(
         self, request: ServiceRequest, child_paths: Sequence[ServicePath]

@@ -155,14 +155,15 @@ class UniformTraffic(ShardProgram):
         self.period = period
         self.duration = duration
         self.seed = seed
-        # shared numpy columns (copy-on-write under fork, pickled once
-        # per worker under spawn)
-        self.coords = state.coords
-        self.proxies = state.proxies
-        self.labels = state.labels
-        self.cluster_ptr = state.cluster_ptr
-        self.cluster_members = state.cluster_members
-        self.border_matrix = state.border_matrix
+        # Plain-Python mirrors of the columns read per request and per hop:
+        # indexing a numpy array boxes a fresh scalar (or row view) every
+        # time, which costs more than the hop's own arithmetic.
+        self.coords = [tuple(point) for point in state.coords.tolist()]
+        self.proxies = state.proxies.tolist()
+        self.labels = state.labels.tolist()
+        self.cluster_ptr = state.cluster_ptr.tolist()
+        self.cluster_members = state.cluster_members.tolist()
+        self.border_matrix = state.border_matrix.tolist()
 
     # -- ShardProgram ------------------------------------------------------------
 
@@ -178,10 +179,9 @@ class UniformTraffic(ShardProgram):
             "hops_intra": registry.counter("shardload.hops", shard=label, reach="intra"),
             "hops_cross": registry.counter("shardload.hops", shard=label, reach="cross"),
         }
-        self._plan = plan
-        for row in view.member_rows:
-            row = int(row)
-            proxy = int(self.proxies[row])
+        self._proxy_shard = plan.proxy_shard
+        for row in view.member_rows.tolist():
+            proxy = self.proxies[row]
             relay = _Relay(proxy, self, shard, counters)
             sim.register(relay)
             phase = (_mix(self.seed, proxy) % 10_000) / 10_000.0 * self.period
@@ -217,17 +217,17 @@ class UniformTraffic(ShardProgram):
 
     def _issue(self, sim: Simulator, relay: _Relay, row: int, k: int) -> None:
         relay.counters["requests"].inc()
-        src_cluster = int(self.labels[row])
-        cluster_count = int(self.cluster_ptr.shape[0]) - 1
+        src_cluster = self.labels[row]
+        cluster_count = len(self.cluster_ptr) - 1
         h = _mix(self.seed, row, k)
         dst_cluster = h % cluster_count
-        lo, hi = int(self.cluster_ptr[dst_cluster]), int(self.cluster_ptr[dst_cluster + 1])
-        dst_row = int(self.cluster_members[lo + _mix(h, k, 1) % (hi - lo)])
+        lo, hi = self.cluster_ptr[dst_cluster], self.cluster_ptr[dst_cluster + 1]
+        dst_row = self.cluster_members[lo + _mix(h, k, 1) % (hi - lo)]
         if dst_cluster == src_cluster:
             path = (row, dst_row) if dst_row != row else (row,)
         else:
-            out_border = int(self.border_matrix[src_cluster, dst_cluster])
-            in_border = int(self.border_matrix[dst_cluster, src_cluster])
+            out_border = self.border_matrix[src_cluster][dst_cluster]
+            in_border = self.border_matrix[dst_cluster][src_cluster]
             path = (row, out_border, in_border, dst_row)
         rid = (row, k)
         if len(path) == 1:
@@ -243,15 +243,11 @@ class UniformTraffic(ShardProgram):
         self._forward(relay, rid, path, idx)
 
     def _forward(self, relay: _Relay, rid: Any, path: Any, idx: int) -> None:
-        here, nxt = path[idx], path[idx + 1]
-        delay = float(math.dist(self.coords[here], self.coords[nxt]))
-        dest_proxy = int(self.proxies[nxt])
-        reach = (
-            "intra"
-            if self._plan.shard_of(dest_proxy) == self._plan.shard_of(relay.address)
-            else "cross"
-        )
-        relay.counters[f"hops_{reach}"].inc()
+        nxt = path[idx + 1]
+        dest_proxy = self.proxies[nxt]
+        local = self._proxy_shard[dest_proxy] == relay.shard
+        relay.counters["hops_intra" if local else "hops_cross"].inc()
+        delay = math.dist(self.coords[path[idx]], self.coords[nxt])
         relay.send(dest_proxy, "hop", (rid, path, idx + 1), delay=delay)
 
 

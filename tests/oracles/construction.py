@@ -1,5 +1,6 @@
-"""The pre-vectorization Section-3 construction: per-host scalar embedding,
-per-round full-distance Prim, one ``closest_pair`` scan per cluster pair."""
+"""The pre-vectorization Section-3 construction: full-matrix landmark
+objective, per-host scalar embedding, per-round full-distance Prim, one
+``closest_pair`` scan per cluster pair."""
 
 import time
 from dataclasses import dataclass
@@ -11,14 +12,43 @@ from repro.cluster import mstcluster
 from repro.cluster.mstcluster import Clustering
 from repro.coords.embedding import (
     EmbeddingReport,
+    _gauss_array,
     _relative_error,
     choose_landmarks,
+    classical_mds,
     embed_landmarks,
     locate_host,
 )
+from repro.coords.neldermead import minimize_with_restarts
 from repro.coords.space import CoordinateSpace
 from repro.util.errors import GraphError
 from repro.util.rng import ensure_rng
+
+
+def embed_landmarks_reference(measured, dim, *, max_iterations=3000, seed=None) -> np.ndarray:
+    """``embed_landmarks`` with the objective over the full m x m distance
+    matrix, its upper triangle re-indexed on every evaluation."""
+    measured = np.asarray(measured, dtype=float)
+    m = measured.shape[0]
+    rng = ensure_rng(seed)
+    initial = classical_mds(measured, dim)
+
+    def objective(flat):
+        pts = flat.reshape(m, dim)
+        diff = pts[:, None, :] - pts[None, :, :]
+        return _relative_error(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)), measured)
+
+    scale = float(np.max(measured)) or 1.0
+    jitter = initial + rng.gauss(0.0, 1.0) * 0.0
+    starts = [initial.ravel(), (jitter + scale * 0.05 * _gauss_array(rng, (m, dim))).ravel()]
+    result = minimize_with_restarts(
+        objective,
+        starts,
+        initial_step=scale * 0.05,
+        max_iterations=max_iterations,
+        xtol=scale * 1e-6,
+    )
+    return result.x.reshape(m, dim)
 
 
 def euclidean_mst_reference(points: np.ndarray) -> List[Tuple[int, int, float]]:

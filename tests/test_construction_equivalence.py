@@ -26,7 +26,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.mstcluster import ClusteringConfig, cluster_nodes
-from repro.coords.embedding import build_coordinate_space, locate_host, locate_hosts
+from repro.coords.embedding import (
+    build_coordinate_space,
+    embed_landmarks,
+    locate_host,
+    locate_hosts,
+)
 from repro.coords.neldermead import (
     minimize_with_restarts,
     minimize_with_restarts_batch,
@@ -40,6 +45,7 @@ from repro.overlay.hfc import select_borders_closest
 from tests.oracles.construction import (
     cluster_nodes_reference,
     construct_reference,
+    embed_landmarks_reference,
     euclidean_mst_reference,
     select_borders_closest_reference,
 )
@@ -62,6 +68,27 @@ def gnp_objectives(landmarks, measured):
         return np.sum(((est - measured[idx]) / safe[idx]) ** 2, axis=1)
 
     return scalar, batched
+
+
+class TestLandmarkObjective:
+    """The landmark solve evaluates only the m(m-1)/2 pairs, indexed once;
+    the oracle re-indexes the full matrix per evaluation. Same terms in the
+    same order, so the embeddings are equal to the last bit."""
+
+    @pytest.mark.parametrize("m", [10, 15])
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bit_identical_to_full_matrix_objective(self, m, dim, seed):
+        rng = np.random.default_rng(1000 * m + 10 * dim + seed)
+        # noisy distances of hidden points: not exactly embeddable, like
+        # measured delays, so the solve runs long
+        hidden = rng.uniform(0.0, 100.0, (m, dim + 1))
+        measured = np.linalg.norm(hidden[:, None, :] - hidden[None, :, :], axis=2)
+        noise = rng.uniform(0.9, 1.1, (m, m))
+        measured *= np.triu(noise, 1) + np.triu(noise, 1).T
+        fast = embed_landmarks(measured, dim, max_iterations=400, seed=seed)
+        slow = embed_landmarks_reference(measured, dim, max_iterations=400, seed=seed)
+        assert np.array_equal(fast, slow)
 
 
 class TestBatchedNelderMead:

@@ -8,6 +8,9 @@ re-run the same cases on a 2-shard engine whose test addresses span both
 lanes, so one suite holds for both shapes.
 """
 
+import multiprocessing
+import pickle
+
 import pytest
 
 from repro.netsim import Message, Process, ShardPlan, Simulator
@@ -39,6 +42,50 @@ class Recorder(Process):
 
     def receive(self, message):
         self.received.append((self.simulator.now, message))
+
+
+class TestMessage:
+    """A message is built once per send, so its representation is tuned;
+    what callers and the worker pipes rely on must not move with it."""
+
+    def test_positional_and_keyword_construction(self):
+        positional = Message("a", "b", "k", {"x": 1}, 3)
+        keyword = Message(sender="a", recipient="b", kind="k", payload={"x": 1}, size=3)
+        assert positional == keyword
+        assert (keyword.sender, keyword.recipient, keyword.kind) == ("a", "b", "k")
+        assert (keyword.payload, keyword.size) == ({"x": 1}, 3)
+        assert Message("a", "b", "k", None).size == 1
+
+    def test_immutable(self):
+        message = Message("a", "b", "k", None)
+        for field in ("sender", "recipient", "kind", "payload", "size"):
+            with pytest.raises(AttributeError):
+                setattr(message, field, "other")
+        with pytest.raises(AttributeError):
+            message.extra = 1
+
+    def test_hashes_and_compares_by_value(self):
+        one, same = Message("a", "b", "k", (1, 2)), Message("a", "b", "k", (1, 2))
+        assert one == same and hash(one) == hash(same)
+        assert hash(one) == hash(("a", "b", "k", (1, 2), 1))
+        assert one != Message("a", "b", "k", (1, 3))
+        assert len({one, same, Message("b", "a", "k", (1, 2))}) == 2
+        with pytest.raises(TypeError):
+            hash(Message("a", "b", "k", {"unhashable": "payload"}))
+
+    def test_survives_the_worker_pipe(self):
+        # an outbox entry as a shard worker ships it at a barrier
+        entry = (12.5, 0, 7, Message(3, ("traffic", 4), "hop", ((3, 0), (3, 4), 1), 2), 2.5)
+        assert pickle.loads(pickle.dumps(entry)) == entry
+        parent, child = multiprocessing.Pipe()
+        try:
+            child.send([entry])
+            (received,) = parent.recv()
+        finally:
+            parent.close()
+            child.close()
+        assert received == entry
+        assert type(received[3]) is Message and received[3].kind == "hop"
 
 
 class TestScheduling:
@@ -234,6 +281,30 @@ class TestMessaging:
             "sim.messages.dropped", kind="k", cause="intercepted"
         )
         assert dropped.value == 1
+
+    def test_negative_delivery_delay_rejected(self):
+        # An interceptor must not be able to queue a copy in the past. From
+        # outside a run the copy goes from the driver straight into the
+        # recipient's heap (on the laned shape: another lane's — the case
+        # that used to slip through); from inside one it is a same-lane
+        # event or, a -> b on the laned shape, an outbox entry.
+        class Forwarder(Recorder):
+            def receive(self, message):
+                self.send("b", "k", None, delay=1.0)
+
+        sim = self.make_sim()
+        b = Recorder("b")
+        sim.register(Forwarder("a"))
+        sim.register(b)
+        sim.run_until(10.0)
+        sim.interceptor = lambda message, delay: None if message.kind == "go" else [-5.0]
+        for recipient in ("b", "a", "ghost"):
+            with pytest.raises(StateError, match="past"):
+                sim.send(Message("a", recipient, "k", None), delay=1.0)
+        sim.send(Message("x", "a", "go", None), delay=1.0)
+        with pytest.raises(StateError, match="past"):
+            sim.run_until(20.0)
+        assert not b.received
 
     def test_unregistered_process_cannot_send(self):
         ghost = Recorder("ghost")

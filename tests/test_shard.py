@@ -13,6 +13,8 @@ The contract under test, per DESIGN §14:
   pre-fix crash).
 """
 
+import hashlib
+import json
 import math
 import os
 import time
@@ -216,6 +218,167 @@ def _scenario_digest(result):
         "trace": sorted(result.trace, key=lambda e: sorted(e.items(), key=str)),
         "checks": [check.to_dict() for check in result.checks],
     }
+
+
+def _faulted_chatter(sim, state):
+    """Ping/pong between proxies of both halves of *state* under an
+    interceptor that drops and duplicates by payload, with one recipient
+    deregistered mid-run. Delays are coordinate distances (>= the
+    coordinate lookahead), so the same run is legal on any shard count."""
+    proxies = [int(p) for p in state.proxies]
+    half = len(proxies) // 2
+    speakers = proxies[:6] + proxies[half : half + 6]
+
+    def distance(a, b):
+        return math.dist(state.coords[a], state.coords[b])
+
+    class Chatter(Process):
+        def start(self):
+            for i, peer in enumerate(speakers):
+                if peer != self.address:
+                    payload = 100 * speakers.index(self.address) + i
+                    self.simulator.schedule(
+                        7.0 * i + 1.0, lambda peer=peer, payload=payload: self.ping(peer, payload)
+                    )
+
+        def ping(self, peer, payload):
+            if self.simulator is not None:  # the deregistered one falls silent
+                self.send(peer, "ping", payload, delay=distance(self.address, peer), size=2)
+
+        def receive(self, message):
+            if message.kind == "ping":
+                self.send(
+                    message.sender, "pong", message.payload,
+                    delay=distance(self.address, message.sender), size=3,
+                )
+
+    def interceptor(message, delay):
+        if message.payload % 5 == 0:
+            return []
+        if message.payload % 5 == 1:
+            return [delay, delay + 11.0]
+        return None
+
+    sim.interceptor = interceptor
+    for proxy in speakers:
+        sim.register(Chatter(proxy))
+    sim.schedule(60.25, lambda: sim.deregister(speakers[-1]))
+    sim.run_until(5000.0)
+    return sim
+
+
+def _per_kind(sim, name, field="value"):
+    return {
+        dict(metric.labels)["kind"]: getattr(metric, field)
+        for metric in sim.telemetry.registry.collect(name)
+    }
+
+
+class TestAccountingPinned:
+    """The pop loop and ``send`` bump the registry's counters in line; the
+    registry must still say, per kind, exactly what the plain-int ledger
+    says — on one heap and on two lanes alike."""
+
+    def test_registry_equals_ledger_equals_planless(self, overlay_state):
+        plain = _faulted_chatter(Simulator(), overlay_state)
+        laned = _faulted_chatter(
+            Simulator(plan=ShardPlan.from_state(overlay_state, 2)), overlay_state
+        )
+        assert laned.exchanged > 0 and laned.windows > 0
+        tallies = []
+        for sim in (plain, laned):
+            registry = sim.telemetry.registry
+            ledger = sim.conservation()
+            assert ledger["balanced"] and ledger["pending"] == 0
+            sent = _per_kind(sim, "sim.messages.sent")
+            duplicated = _per_kind(sim, "sim.messages.duplicated")
+            delivered = _per_kind(sim, "sim.messages.delivered")
+            size_units = _per_kind(sim, "sim.bytes.delivered")
+            observed = _per_kind(sim, "sim.delivery.latency", "count")
+            dropped = {}
+            for metric in registry.collect("sim.messages.dropped"):
+                labels = dict(metric.labels)
+                dropped[labels["kind"], labels["cause"]] = metric.value
+            assert sum(sent.values()) == ledger["sent"]
+            assert sum(duplicated.values()) == ledger["duplicated"]
+            assert sum(delivered.values()) == ledger["delivered"] == sim.messages_delivered
+            assert sum(dropped.values()) == ledger["dropped"]
+            assert observed == delivered
+            assert size_units == {"ping": 2 * delivered["ping"], "pong": 3 * delivered["pong"]}
+            # every fault class actually happened
+            assert min(duplicated.values()) > 0
+            assert {cause for _kind, cause in dropped} == {"intercepted", "unregistered"}
+            tallies.append((ledger, sent, duplicated, delivered, size_units, dropped))
+        assert tallies[0] == tallies[1]
+
+
+#: delivery order of the crash/restart scenario, captured at the commit
+#: before heap entries became data (PR 13, closures in the heap)
+DELIVERY_ORDER_FIXTURE = os.path.join(
+    os.path.dirname(__file__), "fixtures", "delivery_order.json"
+)
+
+
+def record_delivery_order(framework, sim):
+    """``(time, seq, recipient, kind)`` of every protocol delivery, in order.
+
+    *seq* is the delivery's ordinal. Recorded at the agents' ``receive``,
+    so it does not depend on how the engine represents a queued delivery.
+    Regenerate the fixture (only when the *scenario* changes) with
+    ``python -c "import tests.test_shard as t; t.write_delivery_order_fixture()"``.
+    """
+    from repro.state import protocol as protocol_module
+
+    trace = []
+    agent = protocol_module._ProxyAgent
+    original = agent.receive
+
+    def receive(self, message):
+        trace.append((sim.now, len(trace), message.recipient, message.kind))
+        original(self, message)
+
+    agent.receive = receive
+    try:
+        with _pristine_placement(framework):
+            run_fault_scenario(framework, crash_restart_plan(framework.hfc, seed=31), sim=sim)
+    finally:
+        agent.receive = original
+    return trace
+
+
+def _delivery_order_summary(framework):
+    summary = {}
+    for name, sim in (
+        ("plain", Simulator(telemetry=Telemetry())),
+        ("two_shards", Simulator(plan=ShardPlan.from_framework(framework, 2))),
+    ):
+        trace = json.loads(json.dumps(record_delivery_order(framework, sim)))
+        summary[name] = {
+            "deliveries": len(trace),
+            "sha256": hashlib.sha256(json.dumps(trace).encode()).hexdigest(),
+            "head": trace[:40],
+        }
+    return summary
+
+
+def write_delivery_order_fixture():
+    framework = HFCFramework.build(proxy_count=40, seed=5)
+    os.makedirs(os.path.dirname(DELIVERY_ORDER_FIXTURE), exist_ok=True)
+    with open(DELIVERY_ORDER_FIXTURE, "w", encoding="utf-8") as handle:
+        json.dump(_delivery_order_summary(framework), handle, indent=1)
+        handle.write("\n")
+
+
+class TestDeliveryOrder:
+    def test_matches_the_order_recorded_before_events_became_data(self, framework):
+        with open(DELIVERY_ORDER_FIXTURE, encoding="utf-8") as handle:
+            expected = json.load(handle)
+        actual = _delivery_order_summary(framework)
+        for name in ("plain", "two_shards"):
+            assert actual[name]["head"] == expected[name]["head"], name
+            assert actual[name]["deliveries"] == expected[name]["deliveries"], name
+            assert actual[name]["sha256"] == expected[name]["sha256"], name
+        assert expected["plain"]["deliveries"] > 1000
 
 
 class TestBitIdentity:
