@@ -31,9 +31,9 @@ level (through :class:`_LevelView`, the duck-typed cluster surface),
 dissects into per-top-group children, and resolves each child inside the
 depth-``L-1`` sub-hierarchy restricted to that group — bottoming out at
 the bi-level :class:`~repro.routing.hierarchical.HierarchicalRouter`.
-``route_many`` batching is preserved at every level: the conquer step
-groups children per sub-hierarchy and feeds each sub-router one batched
-call instead of falling back to scalar child solves.
+Batching is preserved at every level: the conquer hook groups the children
+of one pipeline call per sub-hierarchy and feeds each sub-router one batched
+call.
 """
 
 from __future__ import annotations
@@ -47,13 +47,15 @@ from repro.cluster.mstcluster import Clustering, ClusteringConfig, cluster_nodes
 from repro.coords.space import CoordinateSpace
 from repro.overlay.hfc import HFCTopology
 from repro.overlay.network import ProxyId
+from repro.routing.batch import ChildOutcome
 from repro.routing.hierarchical import ChildRequest, HierarchicalRouter
 from repro.routing.path import Hop, ServicePath, merge_consecutive_hops
 from repro.services.catalog import ServiceName
+from repro.services.graph import ServiceGraph
 from repro.services.placement import aggregate_capability
 from repro.services.request import ServiceRequest
 from repro.state.columnar import HierarchyLevel
-from repro.util.errors import NoFeasiblePathError, TopologyError
+from repro.util.errors import RoutingError, TopologyError
 
 GroupId = int
 
@@ -463,20 +465,25 @@ class RecursiveRouter(HierarchicalRouter):
     path-identically to the prototype's ``ThreeLevelRouter``.
     """
 
-    def __init__(self, hierarchy: HierarchyLevels, **kwargs) -> None:
+    def __init__(self, hierarchy: HierarchyLevels, **kwargs: Any) -> None:
         if hierarchy.depth < 3:
             raise TopologyError(
                 "RecursiveRouter needs depth >= 3; use HierarchicalRouter "
                 "directly on the bi-level topology"
             )
         self.hierarchy = hierarchy
-        capabilities = {
-            gid: hierarchy.top_capability(gid)
-            for gid in range(hierarchy.top_count)
-        }
-        kwargs.setdefault("cluster_capabilities", capabilities)
-        super().__init__(hierarchy.top_view(), **kwargs)  # type: ignore[arg-type]
         self._sub_routers: Dict[GroupId, HierarchicalRouter] = {}
+        # the top view's members are the groups' proxies, so the default
+        # ground-truth SCT_C is the per-group aggregate
+        super().__init__(hierarchy.top_view(), **kwargs)  # type: ignore[arg-type]
+
+    def rebind(self, hfc: HFCTopology) -> None:
+        """Not supported: the levels above *hfc* were grouped from the old
+        topology's clusters and cannot be carried over."""
+        raise RoutingError(
+            "a RecursiveRouter cannot be rebound to a topology: the hierarchy "
+            "must be rebuilt (build_levels) and a new router constructed on it"
+        )
 
     def _sub_router(self, group_id: GroupId) -> HierarchicalRouter:
         cached = self._sub_routers.get(group_id)
@@ -496,9 +503,9 @@ class RecursiveRouter(HierarchicalRouter):
         merged = merge_consecutive_hops([Hop(proxy=p) for p in hops])
         return ServicePath(hops=tuple(merged))
 
-    def _sub_request(self, request: ServiceRequest, child: ChildRequest):
-        from repro.services.graph import ServiceGraph
-
+    def _sub_request(
+        self, request: ServiceRequest, child: ChildRequest
+    ) -> ServiceRequest:
         sg = request.service_graph
         sub_sg = ServiceGraph(
             services={slot: sg.service_of(slot) for slot in child.slots},
@@ -510,62 +517,30 @@ class RecursiveRouter(HierarchicalRouter):
             destination_proxy=child.destination_proxy,
         )
 
-    def solve_child(
-        self, request: ServiceRequest, child: ChildRequest
-    ) -> ServicePath:
-        if not child.slots:
-            return self._relay_path(child)
-        return self._sub_router(child.cluster).route(
-            self._sub_request(request, child)
-        )
+    def _conquer(
+        self, jobs: Sequence[Tuple[ServiceRequest, ChildRequest]]
+    ) -> List[ChildOutcome]:
+        """Descend one level: one batched call per touched sub-hierarchy.
 
-    def _conquer_custom(self, requests, children_of, outcomes_of) -> None:
-        """Batched conquer: one ``route_many`` per touched sub-hierarchy.
-
-        Children are grouped by top-level group across the whole batch and
-        solved through each group's sub-router in one call, recursively —
-        batching is preserved at every level of the hierarchy. Outcomes
-        are then reassembled per request with the scalar semantics (stop
-        recording at the first infeasible child), so results are
-        bit-identical to the base per-child loop.
+        Relay-only children cross their group along its internal border
+        structure; the others are grouped by top-level group across the
+        whole call and resolved by that group's sub-router in one
+        ``route_many_detailed`` — batching is preserved at every level.
         """
-        solved: Dict[Tuple[int, int], Tuple[str, object]] = {}
-        buckets: Dict[GroupId, List[Tuple[int, int, ServiceRequest]]] = {}
-        for idx, request in enumerate(requests):
-            children = children_of[idx]
-            if children is None:
-                continue
-            for pos, child in enumerate(children):
-                if not child.slots:
-                    try:
-                        solved[(idx, pos)] = ("ok", self._relay_path(child))
-                    except NoFeasiblePathError as err:
-                        solved[(idx, pos)] = ("err", err)
-                else:
-                    buckets.setdefault(child.cluster, []).append(
-                        (idx, pos, self._sub_request(request, child))
-                    )
-        for group_id, entries in buckets.items():
+        outcomes: List[Any] = [None] * len(jobs)
+        buckets: Dict[GroupId, List[int]] = {}
+        for at, (_, child) in enumerate(jobs):
+            if child.slots:
+                buckets.setdefault(child.cluster, []).append(at)
+            else:
+                outcomes[at] = self._relay_path(child)
+        for group_id, ats in buckets.items():
             result = self._sub_router(group_id).route_many_detailed(
-                [sub_request for _, _, sub_request in entries]
+                [self._sub_request(*jobs[at]) for at in ats]
             )
-            for (idx, pos, _), path, error in zip(
-                entries, result.paths, result.errors
-            ):
-                solved[(idx, pos)] = (
-                    ("ok", path) if error is None else ("err", error)
-                )
-        for idx in range(len(requests)):
-            children = children_of[idx]
-            if children is None:
-                continue
-            outcomes = []
-            for pos in range(len(children)):
-                kind, value = solved[(idx, pos)]
-                outcomes.append((kind, value))
-                if kind == "err":
-                    break
-            outcomes_of[idx] = outcomes
+            for at, path, error in zip(ats, result.paths, result.errors):
+                outcomes[at] = path if error is None else error
+        return outcomes
 
 
 # -- construction ------------------------------------------------------------------

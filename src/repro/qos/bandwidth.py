@@ -23,17 +23,19 @@ This extension implements the bandwidth half of that future work:
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.netsim.physical import PhysicalNetwork
 from repro.overlay.hfc import HFCTopology
 from repro.overlay.network import OverlayNetwork, ProxyId
+from repro.routing.batch import ChildOutcome
 from repro.routing.flat import FlatRouter
-from repro.routing.hierarchical import HierarchicalRouter
+from repro.routing.hierarchical import ChildRequest, HierarchicalRouter
 from repro.routing.providers import CoordinateProvider, DistanceProvider
-from repro.util.errors import RoutingError
+from repro.services.request import ServiceRequest
+from repro.util.errors import NoFeasiblePathError, RoutingError
 from repro.util.rng import RngLike, ensure_rng
 
 
@@ -153,7 +155,11 @@ def qos_flat_router(
 
 
 class _BandwidthFilteredHFC:
-    """HFC view whose infeasible external links report infinite length."""
+    """The cluster-level surface whose infeasible external links report
+    infinite length. Spelled out, with no ``__getattr__`` fall-through to the
+    topology, so :func:`~repro.routing.batch.query_tables` builds this
+    view's own tables instead of finding the topology's cached ones.
+    """
 
     def __init__(
         self, hfc: HFCTopology, model: BandwidthModel, min_bandwidth: float
@@ -161,16 +167,16 @@ class _BandwidthFilteredHFC:
         self._hfc = hfc
         self._model = model
         self._min_bandwidth = min_bandwidth
+        self.cluster_count = hfc.cluster_count
+        self.cluster_of = hfc.cluster_of
+        self.border = hfc.border
+        self.space = hfc.space
 
     def external_estimate(self, i: int, j: int) -> float:
-        u = self._hfc.border(i, j)
-        v = self._hfc.border(j, i)
+        u, v = self.border(i, j), self.border(j, i)
         if self._model.overlay_bandwidth(u, v) < self._min_bandwidth:
             return float("inf")
         return self._hfc.external_estimate(i, j)
-
-    def __getattr__(self, name: str):
-        return getattr(self._hfc, name)
 
 
 class QoSHierarchicalRouter(HierarchicalRouter):
@@ -188,35 +194,46 @@ class QoSHierarchicalRouter(HierarchicalRouter):
         hfc: HFCTopology,
         model: BandwidthModel,
         min_bandwidth: float,
-        **kwargs,
+        **kwargs: Any,
     ) -> None:
-        super().__init__(_BandwidthFilteredHFC(hfc, model, min_bandwidth), **kwargs)  # type: ignore[arg-type]
         self.model = model
         self.min_bandwidth = min_bandwidth
+        super().__init__(hfc, **kwargs)
+
+    def _bind(self, hfc: HFCTopology) -> None:
+        super()._bind(hfc)
+        self.cluster_view = _BandwidthFilteredHFC(
+            hfc, self.model, self.min_bandwidth
+        )
         self._provider = BandwidthAwareProvider(
-            CoordinateProvider(hfc.space), model, min_bandwidth
+            self._provider, self.model, self.min_bandwidth
         )
 
-    def solve_child(self, request, child):
-        """Intra-cluster solving plus a bandwidth check on relay-only hops.
+    def _conquer(
+        self, jobs: Sequence[Tuple[ServiceRequest, ChildRequest]]
+    ) -> List[ChildOutcome]:
+        """Intra-cluster solving plus a bandwidth check on every child hop.
 
         Children with services route through the bandwidth-masked provider
         already; a child with *no* services is a direct border-to-border
-        relay that the provider never sees, so its single hop is verified
-        here. Infeasible means the whole CSP choice was infeasible.
+        relay that the provider never sees, so each hop of every child
+        path is verified here. Infeasible means the whole CSP choice was
+        infeasible.
         """
-        from repro.util.errors import NoFeasiblePathError
-
-        path = super().solve_child(request, child)
-        proxies = path.proxies()
-        for u, v in zip(proxies, proxies[1:]):
-            if self.model.overlay_bandwidth(u, v) < self.min_bandwidth:
-                raise NoFeasiblePathError(
-                    f"intra-cluster link ({u!r}, {v!r}) cannot carry "
-                    f"{self.min_bandwidth} (bottleneck "
-                    f"{self.model.overlay_bandwidth(u, v):.1f})"
-                )
-        return path
+        outcomes = super()._conquer(jobs)
+        for at, path in enumerate(outcomes):
+            if isinstance(path, NoFeasiblePathError):
+                continue
+            proxies = path.proxies()
+            for u, v in zip(proxies, proxies[1:]):
+                bottleneck = self.model.overlay_bandwidth(u, v)
+                if bottleneck < self.min_bandwidth:
+                    outcomes[at] = NoFeasiblePathError(
+                        f"intra-cluster link ({u!r}, {v!r}) cannot carry "
+                        f"{self.min_bandwidth} (bottleneck {bottleneck:.1f})"
+                    )
+                    break
+        return outcomes
 
 
 def cluster_pair_bandwidth(

@@ -23,15 +23,23 @@ from typing import Dict
 import numpy as np
 
 from repro.overlay.hfc import HFCTopology
+from repro.overlay.network import ProxyId
 from repro.routing.hierarchical import HierarchicalRouter
 
 
 class _CentroidView:
-    """HFC view whose external estimates are centroid distances and whose
-    internal border-to-border segments are invisible."""
+    """The cluster-level surface of single-logical-node aggregates: external
+    estimates are centroid distances, internal border-to-border segments are
+    invisible. Spelled out, with no ``__getattr__`` fall-through to the
+    topology, so :func:`~repro.routing.batch.query_tables` builds this
+    view's own tables instead of finding the topology's cached ones.
+    """
 
     def __init__(self, hfc: HFCTopology) -> None:
-        self._hfc = hfc
+        self.cluster_count = hfc.cluster_count
+        self.cluster_of = hfc.cluster_of
+        self.border = hfc.border
+        self.space = _ZeroInternalSpace()
         self._centroids: Dict[int, np.ndarray] = {
             cid: hfc.space.array(hfc.members(cid)).mean(axis=0)
             for cid in range(hfc.cluster_count)
@@ -40,53 +48,24 @@ class _CentroidView:
     def external_estimate(self, i: int, j: int) -> float:
         return float(np.linalg.norm(self._centroids[i] - self._centroids[j]))
 
-    @property
-    def space(self):
-        return _ZeroInternalSpace()
-
-    def __getattr__(self, name: str):
-        return getattr(self._hfc, name)
-
 
 class _ZeroInternalSpace:
     """A space in which every internal segment has zero length — the
     information a single-logical-node aggregate actually carries."""
 
-    def distance(self, u, v) -> float:
+    def distance(self, u: ProxyId, v: ProxyId) -> float:
         return 0.0
 
 
 class CentroidAggregationRouter(HierarchicalRouter):
     """Hierarchical routing over single-logical-node (centroid) aggregates.
 
-    Only the cluster-level map/shortest-path steps see the coarse view;
-    dissection and intra-cluster resolution run on the true HFC topology,
-    so returned paths are valid — just chosen with poorer information.
+    Only the cluster-level map/shortest-path steps see the coarse view
+    (:attr:`cluster_view`); dissection and intra-cluster resolution run on
+    the true HFC topology, so returned paths are valid — just chosen with
+    poorer information.
     """
 
-    def __init__(self, hfc: HFCTopology, **kwargs) -> None:
-        kwargs.setdefault("method", "backtrack")
-        super().__init__(_CentroidView(hfc), **kwargs)  # type: ignore[arg-type]
-        # Intra-cluster resolution must use real geometry, not the zero
-        # space the CSP stage saw.
-        from repro.routing.providers import CoordinateProvider
-
-        self._provider = CoordinateProvider(hfc.space)
-        self._real_hfc = hfc
-
-    def dissect(self, request, csp):
-        """Dissection needs real borders; swap the view for the real HFC."""
-        original = self.hfc
-        self.hfc = self._real_hfc
-        try:
-            return super().dissect(request, csp)
-        finally:
-            self.hfc = original
-
-    def solve_child(self, request, child):
-        original = self.hfc
-        self.hfc = self._real_hfc
-        try:
-            return super().solve_child(request, child)
-        finally:
-            self.hfc = original
+    def _bind(self, hfc: HFCTopology) -> None:
+        super()._bind(hfc)
+        self.cluster_view = _CentroidView(hfc)

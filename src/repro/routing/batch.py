@@ -1,10 +1,9 @@
-"""Shared precomputation for batched service-path queries.
+"""What the requests of one routing call share.
 
 Routing resolves every request against the same slowly changing structures
-— the border tables of the HFC topology, the provider lists of the overlay,
-the member sets of each cluster — yet the scalar per-request path
-re-derives them on every call. This module hosts the structures a *batch*
-of requests shares:
+— the border tables of the HFC topology, the member lists of the clusters a
+resolution crosses. This module hosts the structures one pipeline call
+(:meth:`HierarchicalRouter._resolve`, for one request or a thousand) shares:
 
 * :func:`query_tables` — dense numpy tables over the cluster-level border
   structure (external link lengths, border identities, intra-cluster
@@ -16,9 +15,8 @@ of requests shares:
   the overlay-graph cache already follow): dynamic membership materialises
   a fresh topology after every churn event, so the cache can never go
   stale.
-* :class:`ConquerContext` — per-batch memo of provider lists and cluster
-  member sets, so the conquer step stops paying an O(n) placement scan per
-  child request.
+* :func:`child_specs` — the conquer candidates of a call's children, from
+  one pass over each touched cluster's members and the live placement.
 * :class:`ChildSpec` / :func:`solve_child_spec` — a self-contained
   description of one intra-cluster child solve plus the function that
   solves it.
@@ -35,7 +33,17 @@ raising on any other distance query.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Dict,
+    Hashable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -72,8 +80,8 @@ class BatchRouteResult:
     """Aligned per-request outcomes of one ``route_many`` call.
 
     For every request index exactly one of ``paths[i]`` / ``errors[i]`` is
-    set; infeasible requests carry the same error type and message the
-    scalar ``route`` call raises for them.
+    set; infeasible requests carry the same error type and message
+    ``route`` raises for them.
     """
 
     paths: List[Optional[ServicePath]]
@@ -196,8 +204,7 @@ class ChildSpec:
     ``candidates`` holds, per slot, the provider proxies of that slot's
     service inside the child's cluster — in exactly the order
     :meth:`FlatRouter.candidates_for` would produce (overlay placement
-    order filtered by membership), so spec-based solving is bit-identical
-    to :meth:`HierarchicalRouter.solve_child`.
+    order filtered by membership).
     """
 
     cluster: ClusterId
@@ -208,65 +215,48 @@ class ChildSpec:
     candidates: Tuple[Tuple[SlotId, Tuple[ProxyId, ...]], ...]
 
 
-class ConquerContext:
-    """Per-batch memo of provider lists, member sets, and child candidates.
+def child_specs(hfc: Any, children: Sequence[Any]) -> List[ChildSpec]:
+    """The :class:`ChildSpec` of every dissected child of one pipeline call.
 
-    ``overlay.providers_of`` scans the whole placement; the scalar conquer
-    step pays that scan once per child slot. A batch inverts the placement
-    once (service → providers, in proxy order — exactly the order each
-    individual ``providers_of`` scan yields) and pays one membership
-    filtering per distinct (cluster, service) pair.
+    A resolution touches only the few clusters its CSP crosses, so nothing
+    here scans the overlay: each touched cluster's members are walked once,
+    in overlay proxy order (the order a whole-overlay provider scan filtered
+    by membership yields), keeping per member the services the call's
+    children ask of that cluster. Placement is read live and nothing
+    outlives the call — a crash or a rebind may rewrite it between calls.
     """
-
-    def __init__(self, hfc: Any) -> None:
-        self._hfc = hfc
-        self._provider_index: Optional[Dict[str, List[ProxyId]]] = None
-        self._members: Dict[ClusterId, frozenset] = {}
-        self._candidates: Dict[Tuple[ClusterId, str], Tuple[ProxyId, ...]] = {}
-
-    def providers_of(self, service: str) -> List[ProxyId]:
-        """Providers of *service*, in the overlay's proxy order."""
-        index = self._provider_index
-        if index is None:
-            index = {}
-            overlay = self._hfc.overlay
-            for proxy in overlay.proxies:
-                for name in overlay.placement[proxy]:
-                    index.setdefault(name, []).append(proxy)
-            self._provider_index = index
-        return index.get(service, [])
-
-    def candidates(self, cluster: ClusterId, service: str) -> Tuple[ProxyId, ...]:
-        """Providers of *service* inside *cluster*, in placement order."""
-        key = (cluster, service)
-        hit = self._candidates.get(key)
-        if hit is None:
-            providers = self.providers_of(service)
-            members = self._members.get(cluster)
-            if members is None:
-                members = frozenset(self._hfc.members(cluster))
-                self._members[cluster] = members
-            hit = tuple(p for p in providers if p in members)
-            self._candidates[key] = hit
-        return hit
-
-    def spec_for(self, child: Any) -> ChildSpec:
-        """The :class:`ChildSpec` of one dissected child request."""
-        return ChildSpec(
+    wanted: Dict[ClusterId, Set[str]] = {}
+    for child in children:
+        if child.services:
+            wanted.setdefault(child.cluster, set()).update(child.services)
+    overlay = hfc.overlay
+    placement = overlay.placement
+    providers: Dict[Tuple[ClusterId, str], Tuple[ProxyId, ...]] = {}
+    for cluster, services in wanted.items():
+        found: Dict[str, List[ProxyId]] = {service: [] for service in services}
+        for proxy in sorted(hfc.members(cluster), key=overlay.index_of):
+            for service in services & placement[proxy]:
+                found[service].append(proxy)
+        for service, proxies in found.items():
+            providers[cluster, service] = tuple(proxies)
+    return [
+        ChildSpec(
             cluster=child.cluster,
             slots=tuple(child.slots),
             services=tuple(child.services),
             source_proxy=child.source_proxy,
             destination_proxy=child.destination_proxy,
             candidates=tuple(
-                (slot, self.candidates(child.cluster, service))
+                (slot, providers[child.cluster, service])
                 for slot, service in zip(child.slots, child.services)
             ),
         )
+        for child in children
+    ]
 
 
 def child_infeasible_error(spec: ChildSpec) -> NoFeasiblePathError:
-    """The error the scalar conquer step raises for an unservable child."""
+    """The error of a child its cluster cannot serve."""
     return NoFeasiblePathError(
         f"cluster {spec.cluster} cannot serve child request "
         f"{spec.services} (stale aggregate state?)"
@@ -274,17 +264,14 @@ def child_infeasible_error(spec: ChildSpec) -> NoFeasiblePathError:
 
 
 def solve_child_spec(spec: ChildSpec, provider: Any) -> ServicePath:
-    """Solve one child spec exactly as :meth:`HierarchicalRouter.solve_child`.
+    """Solve one child spec through the flat solver and *provider*.
 
     Empty children degenerate to the direct link between the endpoints;
-    otherwise the (pre-filtered) candidates go through the same flat
-    solver and materialisation the per-request path uses.
+    otherwise the (pre-filtered) candidates go through the flat router's
+    solver and materialisation.
     """
     if not spec.slots:
-        hops = merge_consecutive_hops(
-            [Hop(proxy=spec.source_proxy), Hop(proxy=spec.destination_proxy)]
-        )
-        return ServicePath(hops=tuple(hops))
+        return _materialise_chain(spec, [])
     sub_sg = ServiceGraph(
         services=dict(zip(spec.slots, spec.services)),
         edges=frozenset(zip(spec.slots, spec.slots[1:])),
@@ -308,8 +295,8 @@ def solve_child_spec(spec: ChildSpec, provider: Any) -> ServicePath:
     return materialise_assignment(sub_request, solution.assignment)
 
 
-#: one child outcome: ("ok", path) or ("err", error args)
-ChildOutcome = Tuple[str, Any]
+#: one child outcome: its path, or why its cluster cannot serve it
+ChildOutcome = Union[ServicePath, NoFeasiblePathError]
 
 
 def _materialise_chain(
@@ -357,7 +344,7 @@ def _solve_chain_bucket(
         per_spec_arrays.append(arrays)
     if width == 0:
         for i in idxs:
-            outcomes[i] = ("err", child_infeasible_error(specs[i]).args)
+            outcomes[i] = child_infeasible_error(specs[i])
         return
     k = space.dimension
     coords = np.zeros((count, length, width, k))
@@ -392,7 +379,7 @@ def _solve_chain_bucket(
     for b, i in enumerate(idxs):
         spec = specs[i]
         if not np.isfinite(final[b]):
-            outcomes[i] = ("err", child_infeasible_error(spec).args)
+            outcomes[i] = child_infeasible_error(spec)
             continue
         j = int(winner[b])
         assignment: List[Tuple[SlotId, ProxyId]] = []
@@ -401,49 +388,7 @@ def _solve_chain_bucket(
             j = int(parents[t - 1][b, j])
         assignment.append((spec.slots[0], spec.candidates[0][1][j]))
         assignment.reverse()
-        outcomes[i] = ("ok", _materialise_chain(spec, assignment))
-
-
-def solve_chain_specs_vectorised(
-    specs: Sequence[ChildSpec], space: CoordinateSpace
-) -> List[ChildOutcome]:
-    """Solve every (chain) child spec with per-length padded kernels.
-
-    Drop-in replacement for :func:`solve_specs_serial` over a coordinate
-    space with the vectorised child solver: every child a hierarchical
-    dissection produces is a chain (each is a run of consecutive slots of
-    the chosen configuration path), so the whole conquer step collapses
-    into ``max_chain_length`` numpy relaxations per length bucket instead
-    of one solver invocation per child. Results are bit-identical to
-    per-child :func:`solve_child_spec`.
-    """
-    outcomes: List[Optional[ChildOutcome]] = [None] * len(specs)
-    buckets: Dict[int, List[int]] = {}
-    for i, spec in enumerate(specs):
-        if not spec.slots:
-            hops = merge_consecutive_hops(
-                [Hop(proxy=spec.source_proxy), Hop(proxy=spec.destination_proxy)]
-            )
-            outcomes[i] = ("ok", ServicePath(hops=tuple(hops)))
-        else:
-            buckets.setdefault(len(spec.slots), []).append(i)
-    arr_cache: Dict[Tuple[ProxyId, ...], np.ndarray] = {}
-    for length, idxs in buckets.items():
-        _solve_chain_bucket(specs, idxs, length, space, arr_cache, outcomes)
-    return outcomes  # type: ignore[return-value]
-
-
-def solve_specs_serial(
-    specs: Sequence[ChildSpec], provider: Any
-) -> List[ChildOutcome]:
-    """Solve every spec in order, capturing per-child infeasibilities."""
-    outcomes: List[ChildOutcome] = []
-    for spec in specs:
-        try:
-            outcomes.append(("ok", solve_child_spec(spec, provider)))
-        except NoFeasiblePathError as err:
-            outcomes.append(("err", err.args))
-    return outcomes
+        outcomes[i] = _materialise_chain(spec, assignment)
 
 
 def solve_specs(
@@ -452,8 +397,31 @@ def solve_specs(
     *,
     space: Optional[CoordinateSpace] = None,
 ) -> List[ChildOutcome]:
-    """Solve child specs: the bucketed chain kernel over *space* when the
-    provider is coordinate-backed, per child through *provider* otherwise."""
-    if space is not None:
-        return solve_chain_specs_vectorised(specs, space)
-    return solve_specs_serial(specs, provider)
+    """Solve the child specs of one call: a path or the infeasibility of each.
+
+    Over a coordinate *space* every spec goes through the per-length padded
+    kernels: each child a hierarchical dissection produces is a chain (a run
+    of consecutive slots of the chosen configuration path), so the whole
+    conquer step collapses into ``max_chain_length`` numpy relaxations per
+    length bucket instead of one solver invocation per child — bit-identical
+    to per-child :func:`solve_child_spec`, which is what any other
+    *provider* (one that masks or measures links) is served by.
+    """
+    outcomes: List[Optional[ChildOutcome]] = [None] * len(specs)
+    if space is None:
+        for i, spec in enumerate(specs):
+            try:
+                outcomes[i] = solve_child_spec(spec, provider)
+            except NoFeasiblePathError as err:
+                outcomes[i] = err
+        return outcomes  # type: ignore[return-value]
+    buckets: Dict[int, List[int]] = {}
+    for i, spec in enumerate(specs):
+        if spec.slots:
+            buckets.setdefault(len(spec.slots), []).append(i)
+        else:
+            outcomes[i] = _materialise_chain(spec, [])
+    arr_cache: Dict[Tuple[ProxyId, ...], np.ndarray] = {}
+    for length, idxs in buckets.items():
+        _solve_chain_bucket(specs, idxs, length, space, arr_cache, outcomes)
+    return outcomes  # type: ignore[return-value]

@@ -23,11 +23,11 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Hashable
+from typing import Any, FrozenSet, Hashable, Mapping, Optional
 
 from repro.routing.batch import service_graph_signature
 from repro.routing.hierarchical import ClusterServicePath, HierarchicalRouter
-from repro.services.request import ServiceRequest
+from repro.services.catalog import ServiceName
 from repro.util.errors import RoutingError
 
 __all__ = [
@@ -55,7 +55,7 @@ class CacheStats:
 class CachedHierarchicalRouter(HierarchicalRouter):
     """A hierarchical router with an LRU cache over cluster-level paths."""
 
-    def __init__(self, *args, cache_size: int = 1024, **kwargs) -> None:
+    def __init__(self, *args: Any, cache_size: int = 1024, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
         if cache_size < 1:
             raise RoutingError("cache_size must be >= 1")
@@ -72,18 +72,13 @@ class CachedHierarchicalRouter(HierarchicalRouter):
             "routing.cache.entries_dropped", cache="csp"
         )
 
-    def _key(self, request: ServiceRequest) -> Hashable:
-        return (
-            service_graph_signature(request.service_graph),
-            self.hfc.cluster_of(request.source_proxy),
-            request.destination_proxy,
-        )
-
-    def _csp_cache_get(self, key: Hashable):
+    def _csp_cache_get(self, key: Hashable) -> Optional[ClusterServicePath]:
         """LRU lookup; counts a hit or a miss either way.
 
-        The batch engine consults this before its padded CSP pass, so
-        cross-batch reuse works exactly like per-request reuse.
+        The CSP stage syncs with the capability feed *before* it consults
+        this (a version bump runs ``_capabilities_changed`` -> ``invalidate``,
+        so a stale CSP is never served) and asks once per CSP identity per
+        call, whatever the size of the call.
         """
         cached = self._cache.get(key)
         if cached is not None:
@@ -99,19 +94,6 @@ class CachedHierarchicalRouter(HierarchicalRouter):
         self._cache[key] = csp
         if len(self._cache) > self._cache_size:
             self._cache.popitem(last=False)
-
-    def cluster_level_path(self, request: ServiceRequest) -> ClusterServicePath:
-        # sync with the feed *before* consulting the cache: a version bump
-        # runs _capabilities_changed -> invalidate, so stale CSPs can never
-        # be served once the feed moved
-        self.refresh_capabilities()
-        key = self._key(request)
-        cached = self._csp_cache_get(key)
-        if cached is not None:
-            return cached
-        csp = super().cluster_level_path(request)
-        self._csp_cache_put(key, csp)
-        return csp
 
     def invalidate(self) -> int:
         """Drop every cached CSP (call when SCT_C content changes).
@@ -135,7 +117,9 @@ class CachedHierarchicalRouter(HierarchicalRouter):
         # the feed version moved: every cached CSP may rest on stale SCT_C
         self.invalidate()
 
-    def update_capabilities(self, cluster_capabilities) -> None:
+    def update_capabilities(
+        self, cluster_capabilities: Mapping[int, FrozenSet[ServiceName]]
+    ) -> None:
         """Replace SCT_C and invalidate the cache in one step."""
         self.cluster_capabilities = dict(cluster_capabilities)
         self.invalidate()

@@ -14,7 +14,7 @@ proxy's services and a distance between every proxy pair (through a
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.overlay.network import OverlayNetwork, ProxyId
 from repro.routing.path import Hop, ServicePath, merge_consecutive_hops
@@ -198,7 +198,7 @@ def materialise_assignment(
     return ServicePath(hops=tuple(merge_consecutive_hops(hops)))
 
 
-def coordinate_router(overlay: OverlayNetwork, **kwargs) -> FlatRouter:
+def coordinate_router(overlay: OverlayNetwork, **kwargs: Any) -> FlatRouter:
     """Flat full-state router over coordinate estimates (paper's flat case)."""
     if overlay.space is None:
         raise RoutingError("overlay has no coordinate space attached")
@@ -207,7 +207,7 @@ def coordinate_router(overlay: OverlayNetwork, **kwargs) -> FlatRouter:
     )
 
 
-def oracle_router(overlay: OverlayNetwork, **kwargs) -> FlatRouter:
+def oracle_router(overlay: OverlayNetwork, **kwargs: Any) -> FlatRouter:
     """Flat router over ground-truth delays — the unbeatable reference."""
     return FlatRouter(
         overlay, TrueDelayProvider(overlay), name="flat-oracle", **kwargs

@@ -17,6 +17,15 @@ The destination proxy resolves a request top-down:
    algorithm restricted to its members and full local state; the child
    paths are composed into the final concrete service path.
 
+The router runs these steps as **one pipeline over a list of requests**
+(:meth:`HierarchicalRouter._resolve`): a single request is the list of one,
+and ``route`` / ``route_detailed`` / ``route_many`` / ``route_many_detailed``
+are views of its result. Each stage shares per call what does not depend on
+the individual request (the capability sync, the border tables, the CSP
+memo, the touched clusters' member lists) and the public stage methods
+(``cluster_level_path`` / ``dissect`` / ``solve_child`` / ``compose``) are
+the size-one case of their stage.
+
 Three variants of step 2 are provided (`method=`):
 
 * ``"backtrack"`` (default, the paper's): labels carry the border through
@@ -33,7 +42,17 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Dict,
+    FrozenSet,
+    Hashable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -43,15 +62,14 @@ from repro.routing.batch import (
     BATCH_SIZE_BUCKETS,
     BatchRouteResult,
     ChildOutcome,
-    ChildSpec,
-    ConquerContext,
+    QueryTables,
+    child_specs,
     query_tables,
     service_graph_signature,
-    solve_child_spec,
     solve_specs,
 )
 from repro.routing.path import Hop, ServicePath, merge_consecutive_hops
-from repro.routing.providers import CoordinateProvider
+from repro.routing.providers import CoordinateProvider, DistanceProvider
 from repro.services.catalog import ServiceName
 from repro.services.graph import ServiceGraph, SlotId
 from repro.services.placement import aggregate_capability
@@ -65,13 +83,6 @@ ClusterId = int
 _Entry = Optional[ProxyId]
 
 METHODS = ("backtrack", "exact", "external")
-
-#: one prepared batch-CSP row: (job index, request, chain, candidate lists,
-#: source cluster, destination cluster)
-_CspChainRow = Tuple[
-    int, ServiceRequest, List[SlotId], List[List[ClusterId]], ClusterId, ClusterId
-]
-
 
 @dataclass(frozen=True)
 class ClusterServicePath:
@@ -107,6 +118,18 @@ class ChildRequest:
     destination_proxy: ProxyId
 
 
+#: what the CSP stage holds per request: the path or its infeasibility
+_CspOutcome = Union[ClusterServicePath, NoFeasiblePathError]
+#: one linear request waiting for the chain kernel: (request, per-slot
+#: candidate clusters, source cluster)
+_ChainJob = Tuple[ServiceRequest, Dict[SlotId, List[ClusterId]], ClusterId]
+#: a chain job laid out for the kernel: (request, chain, per-position
+#: candidate lists, source cluster, destination cluster)
+_ChainRow = Tuple[
+    ServiceRequest, List[SlotId], List[List[ClusterId]], ClusterId, ClusterId
+]
+
+
 @dataclass
 class HierarchicalResult:
     """Everything produced while resolving one request hierarchically."""
@@ -124,9 +147,16 @@ class HierarchicalRouter:
     _UNSYNCED = object()
 
     # class-level defaults so partially wired routers (tests construct
-    # them field-by-field around __init__) behave as feed-less
-    capability_feed = None
+    # them field-by-field around __init__) behave as feed-less routers
+    # whose cluster level is the topology itself
+    capability_feed: Any = None
     _feed_version: object = _UNSYNCED
+    #: the cluster-level surface the CSP stage relaxes over (``cluster_count``
+    #: / ``cluster_of`` / ``border`` / ``external_estimate`` / ``space``);
+    #: None means the topology itself. Subclasses that route on coarser or
+    #: pruned cluster-level information bind their view here — dissection
+    #: and conquer always run on :attr:`hfc`.
+    cluster_view: Any = None
 
     def __init__(
         self,
@@ -135,7 +165,7 @@ class HierarchicalRouter:
         method: str = "backtrack",
         cluster_capabilities: Optional[Dict[ClusterId, FrozenSet[ServiceName]]] = None,
         telemetry: Optional[Telemetry] = None,
-        capability_feed=None,
+        capability_feed: Any = None,
     ) -> None:
         """
         Args:
@@ -157,18 +187,38 @@ class HierarchicalRouter:
         """
         if method not in METHODS:
             raise RoutingError(f"method must be one of {METHODS}, got {method!r}")
-        self.hfc = hfc
         self.method = method
         self.telemetry = telemetry if telemetry is not None else get_telemetry()
         self.capability_feed = capability_feed
-        self._feed_version: object = self._UNSYNCED
+        self._bind(hfc)
         if cluster_capabilities is None and capability_feed is None:
-            cluster_capabilities = {
-                cid: aggregate_capability(hfc.overlay.placement, hfc.members(cid))
-                for cid in range(hfc.cluster_count)
-            }
+            cluster_capabilities = self._placement_capabilities()
         self.cluster_capabilities = cluster_capabilities or {}
-        self._provider = CoordinateProvider(hfc.space)
+
+    def _bind(self, hfc: HFCTopology) -> None:
+        """Attach everything derived from the topology object.
+
+        Runs from the constructor and from :meth:`rebind`, so a subclass
+        that wraps the topology (a cluster-level view, a masking distance
+        provider) extends this one method and is wrapped again on every
+        rebind.
+        """
+        self.hfc = hfc
+        self._provider: DistanceProvider = CoordinateProvider(hfc.space)
+
+    def _placement_capabilities(self) -> Dict[ClusterId, FrozenSet[ServiceName]]:
+        """Ground-truth SCT_C: each cluster's aggregate of the live placement."""
+        hfc = self.hfc
+        return {
+            cid: aggregate_capability(hfc.overlay.placement, hfc.members(cid))
+            for cid in range(hfc.cluster_count)
+        }
+
+    @property
+    def _view(self) -> Any:
+        """The cluster-level surface: :attr:`cluster_view`, else the topology."""
+        view = self.cluster_view
+        return self.hfc if view is None else view
 
     # -- versioned capability view ---------------------------------------------
 
@@ -210,13 +260,9 @@ class HierarchicalRouter:
         caches (CSP keys embed cluster ids, which a rebuild renumbers) are
         all invalid now.
         """
-        self.hfc = hfc
-        self._provider = CoordinateProvider(hfc.space)
+        self._bind(hfc)
         if self.capability_feed is None:
-            self.cluster_capabilities = {
-                cid: aggregate_capability(hfc.overlay.placement, hfc.members(cid))
-                for cid in range(hfc.cluster_count)
-            }
+            self.cluster_capabilities = self._placement_capabilities()
             self._capabilities_changed()
         else:
             self._feed_version = self._UNSYNCED
@@ -231,7 +277,7 @@ class HierarchicalRouter:
     def _csp_cache_put(self, key: Hashable, csp: "ClusterServicePath") -> None:
         """Store a computed CSP under its identity key."""
 
-    # -- public API -----------------------------------------------------------
+    # -- public API: four views of the one pipeline -------------------------------
 
     def route(self, request: ServiceRequest) -> ServicePath:
         """Resolve *request* and return the final composed service path."""
@@ -239,41 +285,16 @@ class HierarchicalRouter:
 
     def route_detailed(self, request: ServiceRequest) -> HierarchicalResult:
         """Resolve *request*, keeping the CSP and the child decomposition."""
-        tracer = self.telemetry.tracer
-        registry = self.telemetry.registry
-        with tracer.span("route", router="hierarchical", method=self.method):
-            try:
-                with tracer.span("route.csp"):
-                    csp = self.cluster_level_path(request)
-                with tracer.span("route.dissect"):
-                    children = self.dissect(request, csp)
-                with tracer.span("route.conquer", children=len(children)):
-                    child_paths = [
-                        self.solve_child(request, child) for child in children
-                    ]
-                with tracer.span("route.compose"):
-                    path = self.compose(request, child_paths)
-            except NoFeasiblePathError:
-                registry.counter(
-                    "routing.requests", router="hierarchical", outcome="infeasible"
-                ).inc()
-                raise
-        registry.counter(
-            "routing.requests", router="hierarchical", outcome="ok"
-        ).inc()
-        return HierarchicalResult(
-            path=path, csp=csp, child_requests=children, child_paths=child_paths
-        )
-
-    # -- batched resolution -----------------------------------------------------
+        (result,) = self._resolve([request])
+        if isinstance(result, NoFeasiblePathError):
+            raise result
+        return result
 
     def route_many(self, requests: Sequence[ServiceRequest]) -> List[ServicePath]:
-        """Resolve a batch of requests through the shared-precompute engine.
+        """Resolve a batch; one path per request, in order.
 
-        Returns one path per request, in order; raises the first
-        :class:`NoFeasiblePathError` (in request order) with the same type
-        and message the per-request :meth:`route` call produces. Paths are
-        bit-identical to routing each request individually.
+        Raises the first :class:`NoFeasiblePathError` in request order, with
+        the type and message :meth:`route` raises for that request.
         """
         result = self.route_many_detailed(requests)
         result.raise_first()
@@ -282,282 +303,249 @@ class HierarchicalRouter:
     def route_many_detailed(
         self, requests: Sequence[ServiceRequest]
     ) -> BatchRouteResult:
-        """Resolve a batch, capturing per-request outcomes.
+        """Resolve a batch, capturing per-request outcomes."""
+        paths: List[Optional[ServicePath]] = []
+        errors: List[Optional[NoFeasiblePathError]] = []
+        for result in self._resolve(list(requests)):
+            if isinstance(result, NoFeasiblePathError):
+                paths.append(None)
+                errors.append(result)
+            else:
+                paths.append(result.path)
+                errors.append(None)
+        return BatchRouteResult(paths=paths, errors=errors)
 
-        The batch shares everything that does not depend on the individual
-        request: one capability sync, the cluster-level border tables, a
-        per-(service-graph shape, source-cluster, destination) CSP memo on
-        top of whatever version-driven cache a subclass maintains, and a
-        per-(cluster, service) candidate index for the conquer step.
+    # -- the pipeline -------------------------------------------------------------
 
-        Subclasses that override :meth:`solve_child` (e.g. the recursive
-        router) conquer through their own hook.
+    def _resolve(
+        self, requests: List[ServiceRequest]
+    ) -> List[Union[HierarchicalResult, NoFeasiblePathError]]:
+        """Section 5 for a list of requests: one span tree, four stages.
+
+        A single request is the list of one. Each stage runs once per call
+        over every request still alive; an infeasible request carries its
+        error through the remaining stages instead of aborting the call, so
+        every slot ends as a :class:`HierarchicalResult` or the
+        :class:`NoFeasiblePathError` of its first failing stage.
         """
-        requests = list(requests)
         tracer = self.telemetry.tracer
-        registry = self.telemetry.registry
         started = time.perf_counter()
         count = len(requests)
-        csps: List[Optional[ClusterServicePath]] = [None] * count
-        errors: List[Optional[NoFeasiblePathError]] = [None] * count
-        children_of: List[Optional[List[ChildRequest]]] = [None] * count
-        paths: List[Optional[ServicePath]] = [None] * count
-        # label-setting methods relax linear requests in padded chain kernels
-        chain_engine = self.method != "exact"
-        with tracer.span("route.batch", router="hierarchical", requests=count):
-            with tracer.span("route.batch.precompute"):
-                precompute_started = time.perf_counter()
-                self.refresh_capabilities()
-                if chain_engine:
-                    query_tables(self.hfc)
-                context = ConquerContext(self.hfc)
-                precompute_seconds = time.perf_counter() - precompute_started
-
-            # map + cluster-level shortest paths, memoized per CSP identity
-            csp_memo: Dict[Hashable, Tuple[str, object]] = {}
-            service_clusters: Dict[ServiceName, List[ClusterId]] = {}
-            pending: Dict[Hashable, Tuple[ServiceRequest, List[int]]] = {}
-            with tracer.span("route.batch.csp"):
-                for idx, request in enumerate(requests):
-                    key = (
-                        service_graph_signature(request.service_graph),
-                        self.hfc.cluster_of(request.source_proxy),
-                        request.destination_proxy,
-                    )
-                    hit = csp_memo.get(key)
-                    if hit is not None:
-                        kind, value = hit
-                        if kind == "ok":
-                            csps[idx] = value  # type: ignore[assignment]
-                        else:
-                            # replay the memoized infeasibility verbatim
-                            error = value  # type: ignore[assignment]
-                            errors[idx] = type(error)(*error.args)
+        results: List[Any] = []
+        with tracer.span(
+            "route", router="hierarchical", method=self.method, requests=count
+        ):
+            with tracer.span("route.csp"):
+                csps: List[Any] = self._csp_stage(requests)
+            with tracer.span("route.dissect"):
+                children_of = [
+                    None
+                    if isinstance(csp, NoFeasiblePathError)
+                    else self.dissect(request, csp)
+                    for request, csp in zip(requests, csps)
+                ]
+            jobs = [
+                (request, child)
+                for request, children in zip(requests, children_of)
+                if children is not None
+                for child in children
+            ]
+            with tracer.span("route.conquer", children=len(jobs)):
+                solved = iter(self._conquer(jobs))
+            with tracer.span("route.compose"):
+                for request, csp, children in zip(requests, csps, children_of):
+                    if children is None:
+                        results.append(csp)
                         continue
-                    job = pending.get(key)
-                    if job is not None:
-                        job[1].append(idx)
-                        continue
-                    if not (chain_engine and request.service_graph.is_linear):
-                        # exact method or a non-chain SG:
-                        # resolve per request (subclass caches included)
-                        try:
-                            csp = self.cluster_level_path(request)
-                        except NoFeasiblePathError as err:
-                            csp_memo[key] = ("err", err)
-                            errors[idx] = err
-                        else:
-                            csp_memo[key] = ("ok", csp)
-                            csps[idx] = csp
-                        continue
-                    cached = self._csp_cache_get(key)
-                    if cached is not None:
-                        csp_memo[key] = ("ok", cached)
-                        csps[idx] = cached
-                        continue
-                    pending[key] = (request, [idx])
-                if pending:
-                    jobs = list(pending.items())
-                    solved = self._solve_csp_chains(
-                        [(key, job[0]) for key, job in jobs], service_clusters
-                    )
-                    for (key, (_, indices)), (kind, value) in zip(jobs, solved):
-                        csp_memo[key] = (kind, value)
-                        if kind == "ok":
-                            self._csp_cache_put(key, value)
-                            for idx in indices:
-                                csps[idx] = value
-                        else:
-                            for pos, idx in enumerate(indices):
-                                errors[idx] = (
-                                    value if pos == 0 else type(value)(*value.args)
-                                )
-
-            with tracer.span("route.batch.dissect"):
-                for idx, request in enumerate(requests):
-                    csp = csps[idx]
-                    if csp is not None:
-                        children_of[idx] = self.dissect(request, csp)
-
-            # conquer: flatten every child across the batch, solve, regroup
-            outcomes_of: Dict[int, List[ChildOutcome]] = {}
-            custom_conquer = (
-                type(self).solve_child is not HierarchicalRouter.solve_child
-                or type(self)._conquer_custom
-                is not HierarchicalRouter._conquer_custom
-            )
-            with tracer.span("route.batch.conquer"):
-                if custom_conquer:
-                    self._conquer_custom(requests, children_of, outcomes_of)
-                else:
-                    specs: List[ChildSpec] = []
-                    owners: List[int] = []
-                    for idx, request in enumerate(requests):
-                        children = children_of[idx]
-                        if children is None:
-                            continue
-                        outcomes_of[idx] = []
-                        for child in children:
-                            specs.append(context.spec_for(child))
-                            owners.append(idx)
-                    solved = solve_specs(
-                        specs,
-                        self._provider,
-                        space=self.hfc.space
-                        if isinstance(self._provider, CoordinateProvider)
-                        else None,
-                    )
-                    for owner, outcome in zip(owners, solved):
-                        outcomes_of[owner].append(outcome)
-
-            with tracer.span("route.batch.compose"):
-                for idx, request in enumerate(requests):
-                    outcomes = outcomes_of.get(idx)
-                    if outcomes is None:
-                        continue
+                    outcomes: List[Any] = [next(solved) for _ in children]
                     failure = next(
-                        (value for kind, value in outcomes if kind == "err"), None
+                        (o for o in outcomes if isinstance(o, NoFeasiblePathError)),
+                        None,
                     )
                     if failure is not None:
-                        # spec outcomes carry error args; the custom-conquer
-                        # path keeps the original instance
-                        errors[idx] = (
-                            failure
-                            if isinstance(failure, NoFeasiblePathError)
-                            else NoFeasiblePathError(*failure)
-                        )
+                        results.append(failure)
                         continue
-                    paths[idx] = self.compose(
-                        request, [path for _, path in outcomes]
+                    results.append(
+                        HierarchicalResult(
+                            path=self.compose(request, outcomes),
+                            csp=csp,
+                            child_requests=children,
+                            child_paths=outcomes,
+                        )
                     )
 
-        ok = sum(1 for path in paths if path is not None)
+        registry = self.telemetry.registry
+        infeasible = sum(isinstance(r, NoFeasiblePathError) for r in results)
         registry.counter("routing.batch.batches", router="hierarchical").inc()
         registry.counter("routing.batch.requests", router="hierarchical").inc(count)
         registry.histogram(
             "routing.batch.size", buckets=BATCH_SIZE_BUCKETS, router="hierarchical"
         ).observe(count)
-        registry.gauge(
-            "routing.batch.precompute_seconds", router="hierarchical"
-        ).set(precompute_seconds)
         if count:
             registry.histogram(
                 "routing.batch.request_seconds",
                 buckets=WALL_SPAN_BUCKETS,
                 router="hierarchical",
             ).observe((time.perf_counter() - started) / count)
-        if ok:
-            registry.counter(
-                "routing.requests", router="hierarchical", outcome="ok"
-            ).inc(ok)
-        if count - ok:
-            registry.counter(
-                "routing.requests", router="hierarchical", outcome="infeasible"
-            ).inc(count - ok)
-        return BatchRouteResult(paths=paths, errors=errors)
+        for outcome, hits in (("ok", count - infeasible), ("infeasible", infeasible)):
+            if hits:
+                registry.counter(
+                    "routing.requests", router="hierarchical", outcome=outcome
+                ).inc(hits)
+        return results
 
-    def _conquer_custom(
+    # -- steps 1+2: map, cluster-level shortest paths ------------------------------
+
+    def cluster_candidates(
         self,
-        requests: Sequence[ServiceRequest],
-        children_of: Sequence[Optional[List[ChildRequest]]],
-        outcomes_of: Dict[int, List[ChildOutcome]],
-    ) -> None:
-        """Conquer hook for routers with a custom :meth:`solve_child`.
+        sg: ServiceGraph,
+        offering: Optional[Dict[ServiceName, List[ClusterId]]] = None,
+    ) -> Dict[SlotId, List[ClusterId]]:
+        """Clusters able to fill each slot, per SCT_C (the *map* step).
 
-        The base implementation replays the scalar semantics per request:
-        children are solved in order through :meth:`solve_child`, stopping
-        at the first infeasible child. Subclasses may override this to
-        batch child solves (the recursive router groups children per
-        sub-hierarchy and feeds each group's router one ``route_many``
-        call) as long as the recorded outcomes stay identical.
+        *offering* memoizes the per-service cluster lists across the
+        requests of one pipeline call.
         """
-        for idx, request in enumerate(requests):
-            children = children_of[idx]
-            if children is None:
-                continue
-            outcomes: List[ChildOutcome] = []
-            for child in children:
-                try:
-                    outcomes.append(("ok", self.solve_child(request, child)))
-                except NoFeasiblePathError as err:
-                    outcomes.append(("err", err))
-                    break
-            outcomes_of[idx] = outcomes
-
-    # -- batched cluster-level relaxation ---------------------------------------
-
-    def _solve_csp_chains(
-        self,
-        jobs: Sequence[Tuple[Hashable, ServiceRequest]],
-        service_clusters: Dict[ServiceName, List[ClusterId]],
-    ) -> List[Tuple[str, object]]:
-        """Cluster-level paths for a batch of linear requests, bucketed by
-        chain length and relaxed in padded numpy passes.
-
-        *jobs* carries ``(key, request)`` pairs where ``key[1]`` is the
-        source cluster. Returns one ``("ok", ClusterServicePath)`` or
-        ``("err", NoFeasiblePathError)`` per job, with exactly the CSPs and
-        errors :meth:`cluster_level_path` produces per request.
-        """
-        hfc = self.hfc
-        with_internal = self.method == "backtrack"
-        tables = query_tables(hfc)
-        caps = self.cluster_capabilities
-        cluster_range = range(hfc.cluster_count)
-        results: List[Optional[Tuple[str, object]]] = [None] * len(jobs)
-        prepared: List[_CspChainRow] = []
-        buckets: Dict[int, List[int]] = {}
-        for j, (key, request) in enumerate(jobs):
-            sg = request.service_graph
-            cand_by_slot: Dict[SlotId, List[ClusterId]] = {}
-            for slot in sg.slots():
-                service = sg.service_of(slot)
-                cands = service_clusters.get(service)
-                if cands is None:
-                    cands = [
-                        cid
-                        for cid in cluster_range
-                        if service in caps.get(cid, frozenset())
-                    ]
-                    service_clusters[service] = cands
-                cand_by_slot[slot] = cands
-            if any(not cand_by_slot[s] for s in sg.slots()):
-                missing = [
-                    sg.service_of(s) for s in sg.slots() if not cand_by_slot[s]
+        if offering is None:
+            offering = {}
+        capabilities = self.cluster_capabilities
+        result: Dict[SlotId, List[ClusterId]] = {}
+        for slot in sg.slots():
+            service = sg.service_of(slot)
+            clusters = offering.get(service)
+            if clusters is None:
+                clusters = offering[service] = [
+                    cid
+                    for cid in range(self._view.cluster_count)
+                    if service in capabilities.get(cid, frozenset())
                 ]
-                results[j] = (
-                    "err",
-                    NoFeasiblePathError(
-                        f"services unavailable in every cluster: {missing}"
-                    ),
-                )
+            result[slot] = clusters
+        return result
+
+    def cluster_level_path(self, request: ServiceRequest) -> ClusterServicePath:
+        """Compute the CSP of one request with the configured method."""
+        (csp,) = self._csp_stage([request])
+        if isinstance(csp, NoFeasiblePathError):
+            raise csp
+        return csp
+
+    def _csp_stage(self, requests: Sequence[ServiceRequest]) -> List[_CspOutcome]:
+        """The CSP (or its infeasibility) of every request of one call.
+
+        Shared per call: one capability sync, the per-service cluster lists
+        and a memo keyed by CSP identity — (service-graph shape, source
+        cluster, destination proxy) — in front of the version-driven cache a
+        subclass keeps behind :meth:`_csp_cache_get` / :meth:`_csp_cache_put`.
+        Which solver runs is read off the request itself: chains under the
+        label-setting methods wait for one padded kernel pass per chain
+        length; only the inputs that pass cannot take (branching graphs,
+        ``exact``) are solved one by one.
+        """
+        self.refresh_capabilities()
+        view = self._view
+        memo: Dict[Hashable, _CspOutcome] = {}
+        chains: Dict[Hashable, _ChainJob] = {}
+        offering: Dict[ServiceName, List[ClusterId]] = {}
+        keys: List[Hashable] = []
+        for request in requests:
+            sg = request.service_graph
+            cs = view.cluster_of(request.source_proxy)
+            key = (service_graph_signature(sg), cs, request.destination_proxy)
+            keys.append(key)
+            if key in memo or key in chains:
                 continue
-            chain = sg.topological_order()
-            prepared.append(
+            cached = self._csp_cache_get(key)
+            if cached is not None:
+                memo[key] = cached
+                continue
+            candidates = self.cluster_candidates(sg, offering)
+            linear = sg.is_linear
+            if linear and not all(candidates.values()):
+                # a branching SG may route around an empty slot; a chain cannot
+                missing = [sg.service_of(s) for s in sg.slots() if not candidates[s]]
+                memo[key] = NoFeasiblePathError(
+                    f"services unavailable in every cluster: {missing}"
+                )
+            elif linear and self.method != "exact":
+                chains[key] = (request, candidates, cs)
+            else:
+                try:
+                    csp = self._solve_general(request, candidates, cs)
+                except NoFeasiblePathError as err:
+                    memo[key] = err
+                else:
+                    memo[key] = csp
+                    self._csp_cache_put(key, csp)
+        for key, outcome in zip(chains, self._solve_chains(list(chains.values()))):
+            memo[key] = outcome
+            if not isinstance(outcome, NoFeasiblePathError):
+                self._csp_cache_put(key, outcome)
+        # every slot gets its own error instance: raising one object from
+        # two places would chain their tracebacks
+        outcomes = (memo[key] for key in keys)
+        return [
+            type(o)(*o.args) if isinstance(o, NoFeasiblePathError) else o
+            for o in outcomes
+        ]
+
+    def _solve_general(
+        self,
+        request: ServiceRequest,
+        candidates: Dict[SlotId, List[ClusterId]],
+        cs: ClusterId,
+    ) -> ClusterServicePath:
+        """One request through the per-request solvers (any graph, any method)."""
+        cd = self._view.cluster_of(request.destination_proxy)
+        sg = request.service_graph
+        if self.method == "exact":
+            cost, assignment = self._solve_exact(request, sg, candidates, cs, cd)
+        else:
+            cost, assignment = self._solve_label(
+                request, sg, candidates, cs, cd,
+                with_internal=self.method == "backtrack",
+            )
+        return ClusterServicePath(
+            assignment=tuple(assignment),
+            source_cluster=cs,
+            destination_cluster=cd,
+            estimated_cost=cost,
+        )
+
+    # -- the padded chain kernel ---------------------------------------------------
+
+    def _solve_chains(self, jobs: Sequence[_ChainJob]) -> List[_CspOutcome]:
+        """Cluster-level paths of linear requests (every slot has candidates),
+        bucketed by chain length and relaxed in padded numpy passes."""
+        if not jobs:
+            return []
+        view = self._view
+        tables = query_tables(view)
+        rows: List[_ChainRow] = []
+        buckets: Dict[int, List[int]] = {}
+        for j, (request, candidates, cs) in enumerate(jobs):
+            chain = request.service_graph.topological_order()
+            rows.append(
                 (
-                    j,
                     request,
                     chain,
-                    [cand_by_slot[s] for s in chain],
-                    key[1],  # type: ignore[index]
-                    hfc.cluster_of(request.destination_proxy),
+                    [candidates[s] for s in chain],
+                    cs,
+                    view.cluster_of(request.destination_proxy),
                 )
             )
-            buckets.setdefault(len(chain), []).append(len(prepared) - 1)
-        for length, rows in buckets.items():
-            self._solve_csp_chain_bucket(
-                prepared, rows, length, tables, with_internal, results
-            )
+            buckets.setdefault(len(chain), []).append(j)
+        results: List[Optional[_CspOutcome]] = [None] * len(jobs)
+        for length, members in buckets.items():
+            self._solve_chain_bucket(rows, members, length, tables, results)
         return results  # type: ignore[return-value]
 
-    def _solve_csp_chain_bucket(
+    def _solve_chain_bucket(
         self,
-        prepared: Sequence[_CspChainRow],
-        rows: List[int],
+        rows: Sequence[_ChainRow],
+        members: List[int],
         length: int,
-        tables,
-        with_internal: bool,
-        results: List[Optional[Tuple[str, object]]],
+        tables: QueryTables,
+        results: List[Optional[_CspOutcome]],
     ) -> None:
         """One padded relaxation pass per chain position for a length bucket.
 
@@ -568,18 +556,19 @@ class HierarchicalRouter:
         one batching fact: padding lanes sit after the real candidates and
         carry ``inf`` labels, so they never steal an argmin tie.
         """
+        with_internal = self.method == "backtrack"
         ext = tables.ext
         border_row = tables.border_row
         border_list = tables.border_list
         d_border = tables.d_border
         nb = len(border_list)
-        count = len(rows)
-        width = max(len(cl) for row in rows for cl in prepared[row][3])
+        count = len(members)
+        width = max(len(cl) for j in members for cl in rows[j][2])
         cand = np.zeros((count, length, width), dtype=np.int64)
         vmask = np.zeros((count, length, width), dtype=bool)
         cs_arr = np.empty(count, dtype=np.int64)
-        for b, row in enumerate(rows):
-            _, _, _, cand_lists, cs, _ = prepared[row]
+        for b, j in enumerate(members):
+            _, _, cand_lists, cs, _ = rows[j]
             cs_arr[b] = cs
             for t, cl in enumerate(cand_lists):
                 m = len(cl)
@@ -625,8 +614,8 @@ class HierarchicalRouter:
             parents.append(win)
 
         # scalar sink scan (exact per-destination distances) + backtrack
-        for b, row in enumerate(rows):
-            job_index, request, chain, cand_lists, cs, cd = prepared[row]
+        for b, row in enumerate(members):
+            request, chain, cand_lists, cs, cd = rows[row]
             pd = request.destination_proxy
             last = cand_lists[length - 1]
             best_j = -1
@@ -642,11 +631,8 @@ class HierarchicalRouter:
                     best_total = total
                     best_j = j
             if best_j < 0 or best_total == float("inf"):
-                results[job_index] = (
-                    "err",
-                    NoFeasiblePathError(
-                        "no cluster-level configuration satisfies the request"
-                    ),
+                results[row] = NoFeasiblePathError(
+                    "no cluster-level configuration satisfies the request"
                 )
                 continue
             assignment: List[Tuple[SlotId, ClusterId]] = []
@@ -656,60 +642,12 @@ class HierarchicalRouter:
                 j = int(parents[t - 1][b, j])
             assignment.append((chain[0], cand_lists[0][j]))
             assignment.reverse()
-            results[job_index] = (
-                "ok",
-                ClusterServicePath(
-                    assignment=tuple(assignment),
-                    source_cluster=cs,
-                    destination_cluster=cd,
-                    estimated_cost=float(best_total),
-                ),
+            results[row] = ClusterServicePath(
+                assignment=tuple(assignment),
+                source_cluster=cs,
+                destination_cluster=cd,
+                estimated_cost=float(best_total),
             )
-
-    # -- step 1+2: cluster-level service DAG -----------------------------------
-
-    def cluster_candidates(self, sg: ServiceGraph) -> Dict[SlotId, List[ClusterId]]:
-        """Clusters able to fill each slot, per SCT_C (the *map* step)."""
-        result: Dict[SlotId, List[ClusterId]] = {}
-        for slot in sg.slots():
-            service = sg.service_of(slot)
-            result[slot] = [
-                cid
-                for cid in range(self.hfc.cluster_count)
-                if service in self.cluster_capabilities.get(cid, frozenset())
-            ]
-        return result
-
-    def cluster_level_path(self, request: ServiceRequest) -> ClusterServicePath:
-        """Compute the CSP with the configured method."""
-        self.refresh_capabilities()
-        hfc = self.hfc
-        cs = hfc.cluster_of(request.source_proxy)
-        cd = hfc.cluster_of(request.destination_proxy)
-        sg = request.service_graph
-        candidates = self.cluster_candidates(sg)
-        if any(not c for c in candidates.values()) and not sg.is_linear:
-            # Non-linear SGs may route around empty slots; linear ones cannot.
-            pass
-        if sg.is_linear and any(not candidates[s] for s in sg.slots()):
-            missing = [
-                sg.service_of(s) for s in sg.slots() if not candidates[s]
-            ]
-            raise NoFeasiblePathError(
-                f"services unavailable in every cluster: {missing}"
-            )
-        if self.method == "exact":
-            cost, assignment = self._solve_exact(request, sg, candidates, cs, cd)
-        else:
-            cost, assignment = self._solve_label(
-                request, sg, candidates, cs, cd, with_internal=self.method == "backtrack"
-            )
-        return ClusterServicePath(
-            assignment=tuple(assignment),
-            source_cluster=cs,
-            destination_cluster=cd,
-            estimated_cost=cost,
-        )
 
     # internal-distance helpers ------------------------------------------------
 
@@ -718,22 +656,22 @@ class HierarchicalRouter:
         border; zero when unknown (source cluster) or when they coincide."""
         if entry is None or entry == exit_border:
             return 0.0
-        return self.hfc.space.distance(entry, exit_border)
+        return self._view.space.distance(entry, exit_border)
 
     def _tail(
         self, cluster: ClusterId, entry: _Entry, cd: ClusterId, pd: ProxyId,
         with_internal: bool,
     ) -> float:
         """Bound on the remaining distance from the last service cluster to pd."""
-        hfc = self.hfc
+        view = self._view
         if cluster == cd:
             if not with_internal or entry is None:
                 return 0.0
-            return hfc.space.distance(entry, pd)
-        cost = hfc.external_estimate(cluster, cd)
+            return view.space.distance(entry, pd)
+        cost = view.external_estimate(cluster, cd)
         if with_internal:
-            cost += self._internal(entry, hfc.border(cluster, cd))
-            cost += hfc.space.distance(hfc.border(cd, cluster), pd)
+            cost += self._internal(entry, view.border(cluster, cd))
+            cost += view.space.distance(view.border(cd, cluster), pd)
         return cost
 
     def _start(
@@ -745,10 +683,8 @@ class HierarchicalRouter:
         # pd cannot estimate the segment from ps to the exit border of cs
         # (it has no coordinates for ps), so only the external link counts.
         del with_internal  # the source-side internal segment is unknown either way
-        return (
-            self.hfc.external_estimate(cs, cluster),
-            self.hfc.border(cluster, cs),
-        )
+        view = self._view
+        return view.external_estimate(cs, cluster), view.border(cluster, cs)
 
     # label-setting with optional back-tracking, vectorized over precomputed
     # border tables -----------------------------------------------------------
@@ -779,8 +715,7 @@ class HierarchicalRouter:
         of its dict): an all-``inf`` column stays unlabeled, and a finite
         winner can never be preceded by an ``inf`` entry in argmin order.
         """
-        hfc = self.hfc
-        tables = query_tables(hfc)
+        tables = query_tables(self._view)
         ext = tables.ext
         border_row = tables.border_row
         border_list = tables.border_list
@@ -919,7 +854,7 @@ class HierarchicalRouter:
         cs: ClusterId,
         cd: ClusterId,
     ) -> Tuple[float, List[Tuple[SlotId, ClusterId]]]:
-        hfc = self.hfc
+        view = self._view
         State = Tuple[SlotId, ClusterId, _Entry]
         dist: Dict[State, float] = {}
         parent: Dict[State, Optional[State]] = {}
@@ -953,10 +888,10 @@ class HierarchicalRouter:
                             else:
                                 cost = (
                                     dist[pstate]
-                                    + self._internal(ent_i, hfc.border(ci, cj))
-                                    + hfc.external_estimate(ci, cj)
+                                    + self._internal(ent_i, view.border(ci, cj))
+                                    + view.external_estimate(ci, cj)
                                 )
-                                state = (slot, cj, hfc.border(cj, ci))
+                                state = (slot, cj, view.border(cj, ci))
                             _relax(state, cost, pstate)
 
         best_state: Optional[State] = None
@@ -1027,6 +962,27 @@ class HierarchicalRouter:
 
     # -- step 4: conquer -----------------------------------------------------------
 
+    def _conquer(
+        self, jobs: Sequence[Tuple[ServiceRequest, ChildRequest]]
+    ) -> List[ChildOutcome]:
+        """Solve every ``(request, child)`` of one pipeline call; one path or
+        :class:`NoFeasiblePathError` per job, in order.
+
+        The one conquer hook. Here every child is an optimal flat solve
+        inside its cluster over the members' live placement (one
+        :func:`child_specs` and one :func:`solve_specs` over all the
+        children of the call); a subclass with another way to cross a cluster (the
+        recursive router descends a level) overrides it, one with an extra
+        admission rule post-checks the outcomes.
+        """
+        return solve_specs(
+            child_specs(self.hfc, [child for _, child in jobs]),
+            self._provider,
+            space=self.hfc.space
+            if isinstance(self._provider, CoordinateProvider)
+            else None,
+        )
+
     def solve_child(
         self, request: ServiceRequest, child: ChildRequest
     ) -> ServicePath:
@@ -1035,25 +991,10 @@ class HierarchicalRouter:
         An empty child (no services) degenerates to the direct intra-cluster
         link between its endpoints.
         """
-        # Candidates per slot are the cluster's own providers, in the
-        # overlay's proxy order (the order a whole-overlay provider scan
-        # filtered by membership yields, and the batch path's order).
-        # Placement is read live: a crash or a rebind may have rewritten it.
-        overlay = self.hfc.overlay
-        placement = overlay.placement
-        members = sorted(self.hfc.members(child.cluster), key=overlay.index_of)
-        spec = ChildSpec(
-            cluster=child.cluster,
-            slots=tuple(child.slots),
-            services=tuple(child.services),
-            source_proxy=child.source_proxy,
-            destination_proxy=child.destination_proxy,
-            candidates=tuple(
-                (slot, tuple(p for p in members if service in placement[p]))
-                for slot, service in zip(child.slots, child.services)
-            ),
-        )
-        return solve_child_spec(spec, self._provider)
+        (outcome,) = self._conquer([(request, child)])
+        if isinstance(outcome, NoFeasiblePathError):
+            raise outcome
+        return outcome
 
     def compose(
         self, request: ServiceRequest, child_paths: Sequence[ServicePath]

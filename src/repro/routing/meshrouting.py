@@ -15,7 +15,7 @@ HFC overlay graph.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Any, Dict, List
 
 import numpy as np
 
@@ -36,7 +36,7 @@ class MeshRouter(FlatRouter):
     relay expansion along mesh routes.
     """
 
-    def __init__(self, overlay: OverlayNetwork, mesh: Graph, **kwargs) -> None:
+    def __init__(self, overlay: OverlayNetwork, mesh: Graph, **kwargs: Any) -> None:
         for proxy in overlay.proxies:
             if proxy not in mesh:
                 raise RoutingError(f"proxy {proxy!r} missing from mesh")
@@ -73,7 +73,7 @@ class MeshRouter(FlatRouter):
         return self.provider.pair(u, v)
 
 
-def hfc_full_state_router(hfc: HFCTopology, **kwargs) -> FlatRouter:
+def hfc_full_state_router(hfc: HFCTopology, **kwargs: Any) -> FlatRouter:
     """The "HFC without aggregation" router (Fig. 10's third bar).
 
     Every proxy holds full state — all coordinates and all service

@@ -1,19 +1,118 @@
-"""The scalar cluster-level relaxation ``HierarchicalRouter._solve_label``
-vectorizes: one Python-level update per (predecessor, candidate) pair."""
+"""The scalar Section-5 pipeline: the independent reference the production
+router's one batched pipeline is compared against.
 
-from typing import Dict, List, Optional, Tuple
+``HierarchicalRouter`` resolves a list of requests stage by stage through
+padded numpy kernels; :class:`ReferenceCspRouter` resolves one request at a
+time, top to bottom — map, a Python-level relaxation with one update per
+(predecessor, candidate) pair for linear *and* branching graphs, dissect,
+one ``solve_child_spec`` per child, compose — and never enters the chain
+kernels (``_solve_chains``, ``solve_specs``) nor the per-slot numpy
+``_solve_label``. Only ``_solve_exact`` (scalar, and the sole implementation
+of that ablation) and the cost helpers are shared with production.
+"""
 
-from repro.routing.hierarchical import ClusterId, HierarchicalRouter, _Entry
+from typing import Dict, List, Optional, Sequence, Tuple, Union
+
+from repro.routing.batch import ChildOutcome, ChildSpec, solve_child_spec
+from repro.routing.hierarchical import (
+    ChildRequest,
+    ClusterId,
+    ClusterServicePath,
+    HierarchicalResult,
+    HierarchicalRouter,
+    _Entry,
+)
 from repro.services.graph import ServiceGraph, SlotId
 from repro.services.request import ServiceRequest
 from repro.util.errors import NoFeasiblePathError
 
 
 class ReferenceCspRouter(HierarchicalRouter):
-    """Per-request routing through the scalar loop (``route_many`` keeps the
-    production chain kernel, so compare against per-request ``route``)."""
+    """Per-request routing through scalar loops at every stage."""
 
-    def _solve_label(
+    def _resolve(
+        self, requests: List[ServiceRequest]
+    ) -> List[Union[HierarchicalResult, NoFeasiblePathError]]:
+        results: List[Union[HierarchicalResult, NoFeasiblePathError]] = []
+        for request in requests:
+            try:
+                csp = self.cluster_level_path(request)
+                children = self.dissect(request, csp)
+                child_paths = [self.solve_child(request, c) for c in children]
+                path = self.compose(request, child_paths)
+            except NoFeasiblePathError as err:
+                results.append(err)
+                continue
+            results.append(
+                HierarchicalResult(
+                    path=path,
+                    csp=csp,
+                    child_requests=children,
+                    child_paths=child_paths,
+                )
+            )
+        return results
+
+    def cluster_level_path(self, request: ServiceRequest) -> ClusterServicePath:
+        self.refresh_capabilities()
+        view = self._view
+        cs = view.cluster_of(request.source_proxy)
+        cd = view.cluster_of(request.destination_proxy)
+        sg = request.service_graph
+        candidates = {
+            slot: [
+                cid
+                for cid in range(view.cluster_count)
+                if sg.service_of(slot) in self.cluster_capabilities.get(cid, frozenset())
+            ]
+            for slot in sg.slots()
+        }
+        if sg.is_linear and any(not candidates[s] for s in sg.slots()):
+            missing = [sg.service_of(s) for s in sg.slots() if not candidates[s]]
+            raise NoFeasiblePathError(
+                f"services unavailable in every cluster: {missing}"
+            )
+        if self.method == "exact":
+            cost, assignment = self._solve_exact(request, sg, candidates, cs, cd)
+        else:
+            cost, assignment = self._relax_scalar(
+                request, sg, candidates, cs, cd,
+                with_internal=self.method == "backtrack",
+            )
+        return ClusterServicePath(
+            assignment=tuple(assignment),
+            source_cluster=cs,
+            destination_cluster=cd,
+            estimated_cost=cost,
+        )
+
+    def _conquer(
+        self, jobs: Sequence[Tuple[ServiceRequest, ChildRequest]]
+    ) -> List[ChildOutcome]:
+        # candidates the way the flat router lists them: a whole-overlay
+        # provider scan per slot, filtered by cluster membership
+        overlay = self.hfc.overlay
+        outcomes: List[ChildOutcome] = []
+        for _, child in jobs:
+            members = set(self.hfc.members(child.cluster))
+            spec = ChildSpec(
+                cluster=child.cluster,
+                slots=tuple(child.slots),
+                services=tuple(child.services),
+                source_proxy=child.source_proxy,
+                destination_proxy=child.destination_proxy,
+                candidates=tuple(
+                    (slot, tuple(p for p in overlay.providers_of(service) if p in members))
+                    for slot, service in zip(child.slots, child.services)
+                ),
+            )
+            try:
+                outcomes.append(solve_child_spec(spec, self._provider))
+            except NoFeasiblePathError as err:
+                outcomes.append(err)
+        return outcomes
+
+    def _relax_scalar(
         self,
         request: ServiceRequest,
         sg: ServiceGraph,
@@ -23,7 +122,7 @@ class ReferenceCspRouter(HierarchicalRouter):
         *,
         with_internal: bool,
     ) -> Tuple[float, List[Tuple[SlotId, ClusterId]]]:
-        hfc = self.hfc
+        hfc = self._view
         dist: Dict[Tuple[SlotId, ClusterId], float] = {}
         entry: Dict[Tuple[SlotId, ClusterId], _Entry] = {}
         parent: Dict[Tuple[SlotId, ClusterId], Optional[Tuple[SlotId, ClusterId]]] = {}

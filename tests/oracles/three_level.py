@@ -23,7 +23,7 @@ from repro.services.catalog import ServiceName
 from repro.services.graph import ServiceGraph
 from repro.services.placement import aggregate_capability
 from repro.services.request import ServiceRequest
-from repro.util.errors import TopologyError
+from repro.util.errors import NoFeasiblePathError, TopologyError
 
 ClusterId = int
 SuperId = int
@@ -243,7 +243,17 @@ class ThreeLevelRouter(HierarchicalRouter):
             self._sub_routers[super_id] = cached
         return cached
 
-    def solve_child(self, request, child):
+    def _conquer(self, jobs):
+        """One scalar sub-route per child, in order."""
+        outcomes = []
+        for request, child in jobs:
+            try:
+                outcomes.append(self._solve_one(request, child))
+            except NoFeasiblePathError as err:
+                outcomes.append(err)
+        return outcomes
+
+    def _solve_one(self, request, child):
         multilevel = self.multilevel
         if not child.slots:
             # relay across the super-cluster along its level-1 structure

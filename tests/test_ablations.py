@@ -153,6 +153,42 @@ class TestCentroidRouterPaths:
             path = router.route(request)
             validate_path(path, request, framework.overlay)
 
+    def test_view_is_relaxed_over_its_own_tables(self, framework):
+        """The centroid view must never be served the wrapped topology's
+        cached query tables (it was, through ``__getattr__``, on every
+        columnar-attached topology — the ablation measured the default)."""
+        from repro.routing import HierarchicalRouter, query_tables
+        from repro.routing.aggregation import CentroidAggregationRouter
+
+        HierarchicalRouter(framework.hfc).route(framework.random_request(seed=1))
+        assert query_tables(framework.hfc) is not None  # cached on the topology
+        view = CentroidAggregationRouter(framework.hfc).cluster_view
+        tables = query_tables(view)
+        assert tables is not query_tables(framework.hfc)
+        k = view.cluster_count
+        for i in range(k):
+            for j in range(k):
+                if i != j:
+                    assert tables.ext[i, j] == view.external_estimate(i, j)
+        assert not tables.d_border.any()  # internal extents are invisible
+
+    def test_rebind_keeps_the_centroid_view(self, framework):
+        """rebind() used to leave a bare topology behind: the ablation
+        silently became the default router."""
+        from repro.routing import HierarchicalRouter
+        from repro.routing.aggregation import CentroidAggregationRouter
+
+        requests = [framework.random_request(seed=s) for s in range(30)]
+        fresh = CentroidAggregationRouter(framework.hfc)
+        rebound = CentroidAggregationRouter(framework.hfc)
+        rebound.rebind(framework.hfc)
+        expected = [fresh.cluster_level_path(r) for r in requests]
+        default = HierarchicalRouter(framework.hfc)
+        assert [default.cluster_level_path(r) for r in requests] != expected
+        assert [rebound.cluster_level_path(r) for r in requests] == expected
+        assert type(rebound.cluster_view) is type(fresh.cluster_view)
+        assert rebound.hfc is framework.hfc
+
 
 class TestLandmarkAblation:
     @pytest.fixture(scope="class")

@@ -36,7 +36,7 @@ from repro.state.delta import (
     assemble_aggregates,
 )
 from repro.state.overhead import coordinates_node_states, service_node_states
-from repro.util.errors import NoFeasiblePathError, TopologyError
+from repro.util.errors import NoFeasiblePathError, RoutingError, TopologyError
 from repro.util.rng import ensure_rng
 from tests.oracles.three_level import ThreeLevelRouter, build_multilevel
 
@@ -230,6 +230,20 @@ class TestRecursion:
         h = build_levels(framework.hfc, 3)
         with pytest.raises(TopologyError):
             h.top_border(0, 0)
+
+    def test_rebind_refuses_instead_of_unwrapping(self, framework):
+        """rebind(base_hfc) used to leave base-cluster capabilities over a
+        top-group hierarchy (``_sub_router`` then indexed by the wrong
+        ids); the hierarchy must be rebuilt instead."""
+        hierarchy = build_levels(framework.hfc, 3)
+        router = RecursiveRouter(hierarchy)
+        request = framework.random_request(seed=4)
+        expected = router.route(request)
+        with pytest.raises(RoutingError, match="hierarchy must be rebuilt"):
+            router.rebind(framework.hfc)
+        # the refused rebind left the router as it was
+        assert set(router.cluster_capabilities) == set(range(hierarchy.top_count))
+        assert router.route(request) == expected
 
 
 # -- columnar integration --------------------------------------------------------

@@ -4,9 +4,9 @@ import pytest
 
 from repro.membership import DynamicOverlay, run_churn_session
 from repro.routing import HierarchicalRouter, validate_path
-from repro.routing.batch import ConquerContext, solve_child_spec
 from repro.services import ServiceRequest, linear_graph
 from repro.util.errors import MembershipError
+from tests.oracles.csp import ReferenceCspRouter
 
 
 @pytest.fixture
@@ -201,10 +201,11 @@ class TestChurnSession:
             validate_path(path, request, dyn.overlay)
 
     def test_single_conquer_equals_batch_conquer_after_churn(self, framework):
-        """solve_child lists a cluster's providers from its members; the
-        batch path filters a whole-overlay scan. After churn the member
-        lists are no longer in overlay order — same candidates, same order,
-        same child path all the same."""
+        """The conquer stage lists a cluster's providers from its members,
+        put in overlay proxy order; the reference filters a whole-overlay
+        provider scan by membership. After churn the member lists are no
+        longer in overlay order — same candidates, same order, same child
+        path all the same, for one child and for all of them in one call."""
         import random
 
         dyn = run_churn_session(framework, events=40, seed=5,
@@ -215,18 +216,19 @@ class TestChurnSession:
             for c in range(hfc.cluster_count)
         ), "churn left every member list in overlay order: the test is vacuous"
         router = HierarchicalRouter(hfc)
-        context = ConquerContext(hfc)
+        reference = ReferenceCspRouter(hfc)
         services = sorted(set().union(*hfc.overlay.placement.values()))
         rng = random.Random(7)
-        solved = 0
+        jobs = []
         for _ in range(20):
             src, dst = rng.sample(dyn.proxies, 2)
             request = ServiceRequest(src, linear_graph(rng.sample(services, 3)), dst)
             for child in router.dissect(request, router.cluster_level_path(request)):
-                batch = solve_child_spec(context.spec_for(child), router._provider)
-                assert router.solve_child(request, child) == batch
-                solved += bool(child.slots)
-        assert solved >= 20
+                jobs.append((request, child))
+        assert sum(bool(child.slots) for _, child in jobs) >= 20
+        expected = [reference.solve_child(*job) for job in jobs]
+        assert [router.solve_child(*job) for job in jobs] == expected
+        assert router._conquer(jobs) == expected
 
     def test_framework_untouched(self, framework):
         before_proxies = list(framework.overlay.proxies)

@@ -140,6 +140,61 @@ class TestQoSRouting:
             assert model.path_bandwidth(path.proxies()) >= 15.0
         assert satisfied > 0
 
+    def _floor(self, framework, model):
+        """The 30th percentile of the border-link bandwidths: prunes some
+        cluster transitions, keeps most."""
+        values = sorted(cluster_pair_bandwidth(framework.hfc, model).values())
+        return values[len(values) * 3 // 10]
+
+    def test_view_is_relaxed_over_its_own_tables(self, framework, model):
+        """The pruning view must never be served the wrapped topology's
+        cached query tables (it was, through ``__getattr__``, on every
+        columnar-attached topology: pruned links stayed finite in the
+        relaxation and the request died later, in conquer)."""
+        from repro.routing import HierarchicalRouter, query_tables
+
+        HierarchicalRouter(framework.hfc).route(framework.random_request(seed=1))
+        assert query_tables(framework.hfc) is not None  # cached on the topology
+        router = QoSHierarchicalRouter(
+            framework.hfc, model, self._floor(framework, model)
+        )
+        view = router.cluster_view
+        tables = query_tables(view)
+        k = view.cluster_count
+        pruned = 0
+        for i in range(k):
+            for j in range(k):
+                if i != j:
+                    assert tables.ext[i, j] == view.external_estimate(i, j)
+                    pruned += np.isinf(tables.ext[i, j])
+        assert 0 < pruned < k * (k - 1)
+        # no CSP crosses a pruned link any more
+        for seed in range(40):
+            try:
+                csp = router.cluster_level_path(framework.random_request(seed=seed))
+            except NoFeasiblePathError:
+                continue
+            sequence = [csp.source_cluster, *csp.cluster_sequence(), csp.destination_cluster]
+            for a, b in zip(sequence, sequence[1:]):
+                assert a == b or np.isfinite(view.external_estimate(a, b))
+
+    def test_rebind_keeps_view_and_masking_provider(self, framework, model):
+        """rebind() used to drop both the pruning view and the
+        bandwidth-aware provider."""
+        floor = self._floor(framework, model)
+        requests = [framework.random_request(seed=s) for s in range(30)]
+        fresh = QoSHierarchicalRouter(framework.hfc, model, floor)
+        rebound = QoSHierarchicalRouter(framework.hfc, model, floor)
+        rebound.rebind(framework.hfc)
+        got = rebound.route_many_detailed(requests)
+        want = fresh.route_many_detailed(requests)
+        assert 0 < want.infeasible_count < len(requests)
+        assert got.paths == want.paths
+        assert [str(e) for e in got.errors] == [str(e) for e in want.errors]
+        assert type(rebound.cluster_view) is type(fresh.cluster_view)
+        assert isinstance(rebound._provider, BandwidthAwareProvider)
+        assert rebound._provider.min_bandwidth == floor
+
     def test_impossible_floor_raises(self, framework, model):
         router = QoSHierarchicalRouter(framework.hfc, model, min_bandwidth=1e12)
         with pytest.raises(NoFeasiblePathError):

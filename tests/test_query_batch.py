@@ -20,11 +20,17 @@ from hypothesis import strategies as st
 from repro.cluster.mstcluster import Clustering
 from repro.coords.space import CoordinateSpace
 from repro.experiments import resolve_requests
+from repro.hierarchy import RecursiveRouter, build_levels
 from repro.netsim.physical import PhysicalNetwork
 from repro.netsim.topology import waxman
 from repro.overlay.hfc import build_hfc
 from repro.overlay.network import OverlayNetwork
-from repro.routing import BatchRouteResult, HierarchicalRouter
+from repro.qos import BandwidthModel, QoSHierarchicalRouter, cluster_pair_bandwidth
+from repro.routing import (
+    BatchRouteResult,
+    CentroidAggregationRouter,
+    HierarchicalRouter,
+)
 from repro.routing.cache import CachedHierarchicalRouter
 from repro.routing.providers import CoordinateProvider, TrueDelayProvider
 from repro.services import ServiceRequest, linear_graph
@@ -108,14 +114,18 @@ def _scalar_outcomes(router, requests):
     return paths, errors
 
 
+def _assert_same_outcome(path, error, want_path, want_error):
+    assert path == want_path
+    assert (error is None) == (want_error is None)
+    if error is not None:
+        assert type(error) is type(want_error)
+        assert str(error) == str(want_error)
+
+
 def _assert_same_outcomes(result, expected_paths, expected_errors):
-    assert list(result.paths) == list(expected_paths)
-    assert len(result.errors) == len(expected_errors)
-    for got, want in zip(result.errors, expected_errors):
-        assert (got is None) == (want is None)
-        if got is not None:
-            assert type(got) is type(want)
-            assert str(got) == str(want)
+    assert len(result.paths) == len(result.errors) == len(expected_paths)
+    for outcome in zip(result.paths, result.errors, expected_paths, expected_errors):
+        _assert_same_outcome(*outcome)
 
 
 # -- property: batch == scalar on arbitrary structures -------------------------
@@ -155,6 +165,68 @@ def test_vectorized_csp_matches_reference(case):
             assert str(caught.value) == str(exc)
             continue
         assert vectorized.cluster_level_path(request) == expected
+
+
+# -- property: one pipeline behind every entry point, for every router ----------
+
+
+def _qos_router(hfc):
+    model = BandwidthModel(_PHYSICAL, seed=5)
+    links = sorted(cluster_pair_bandwidth(hfc, model).values())
+    # prune the thinnest ~30% of the cluster links (none on a 1-cluster overlay)
+    return QoSHierarchicalRouter(hfc, model, links[len(links) * 3 // 10] if links else 0.0)
+
+
+ROUTER_FACTORIES = {
+    **{method: (lambda hfc, m=method: HierarchicalRouter(hfc, method=m)) for method in METHODS},
+    "cached": lambda hfc: CachedHierarchicalRouter(hfc, cache_size=3),
+    "recursive-3": lambda hfc: RecursiveRouter(build_levels(hfc, 3)),
+    "recursive-4": lambda hfc: RecursiveRouter(build_levels(hfc, 4)),
+    "centroid": CentroidAggregationRouter,
+    "qos": _qos_router,
+}
+
+
+@pytest.mark.parametrize("make", ROUTER_FACTORIES.values(), ids=ROUTER_FACTORIES.keys())
+@settings(max_examples=15, deadline=None)
+@given(batch_case())
+def test_single_request_is_the_batch_of_one(make, case):
+    """Property: ``route(r)``, ``route_many_detailed([r])`` and r's slot in
+    the mixed batch agree on the path or on the error's type and message;
+    ``route_detailed(r)`` carries what the public stage methods return; a
+    cache counts N single routes like the N batches of one."""
+    hfc, requests = case
+    single, ones, mixed, staged = make(hfc), make(hfc), make(hfc), make(hfc)
+    batch = mixed.route_many_detailed(requests)
+    assert len(batch) == len(requests)
+    for idx, request in enumerate(requests):
+        try:
+            want_path, want_error = single.route(request), None
+        except NoFeasiblePathError as exc:
+            want_path, want_error = None, exc
+        one = ones.route_many_detailed([request])
+        assert len(one) == 1
+        _assert_same_outcome(one.paths[0], one.errors[0], want_path, want_error)
+        _assert_same_outcome(batch.paths[idx], batch.errors[idx], want_path, want_error)
+        if want_error is not None:
+            with pytest.raises(type(want_error)) as caught:
+                staged.route_detailed(request)
+            assert str(caught.value) == str(want_error)
+            continue
+        detailed = staged.route_detailed(request)
+        assert detailed.path == want_path
+        assert detailed.csp == staged.cluster_level_path(request)
+        assert detailed.child_requests == staged.dissect(request, detailed.csp)
+        assert detailed.child_paths == [
+            staged.solve_child(request, child) for child in detailed.child_requests
+        ]
+        assert staged.compose(request, detailed.child_paths) == want_path
+    if hasattr(single, "stats"):
+        assert (single.stats.hits, single.stats.misses) == (
+            ones.stats.hits,
+            ones.stats.misses,
+        )
+        assert single.stats.hits + single.stats.misses > 0
 
 
 # -- framework wiring ----------------------------------------------------------
@@ -255,6 +327,26 @@ def test_route_many_telemetry_counters(framework):
     assert registry.counter(
         "routing.requests", router="hierarchical", outcome="infeasible"
     ).value == result.infeasible_count == 1
+
+    # a single route is one more pipeline run: a batch of size 1, its request
+    # counted once under its outcome
+    for request, outcome in ((requests[0], "ok"), (requests[3], "infeasible")):
+        before = registry.counter(
+            "routing.requests", router="hierarchical", outcome=outcome
+        ).value
+        try:
+            router.route(request)
+        except NoFeasiblePathError:
+            assert outcome == "infeasible"
+        assert registry.counter(
+            "routing.requests", router="hierarchical", outcome=outcome
+        ).value == before + 1
+    assert registry.counter("routing.batch.batches", router="hierarchical").value == 3
+    assert registry.counter(
+        "routing.batch.requests", router="hierarchical"
+    ).value == len(requests) + 2
+    sizes = registry.get("routing.batch.size", router="hierarchical")
+    assert (sizes.count, sizes.min, sizes.max) == (3, 1, len(requests))
 
 
 # -- provider block memoization ------------------------------------------------

@@ -327,6 +327,12 @@ class TestIntegration:
                     if attempt > 20:
                         raise
 
+            # one batched call: the same pipeline, the same span family
+            batch = router.route_many_detailed(
+                [tiny_framework.random_request(seed=50 + k % 3) for k in range(6)]
+            )
+            assert batch.ok_count == 6
+
             protocol = StateDistributionProtocol(tiny_framework.hfc, seed=5)
             report = protocol.run(max_time=20000.0)
             protocol.sim.telemetry.publish()
@@ -339,7 +345,17 @@ class TestIntegration:
                     "sim.delivery.latency"} <= names
 
             # counters agree with the router's own stats and the report
-            assert registry.total("routing.requests") == routed
+            # one bump per request on both entry points; every pipeline
+            # run is a batch (a single route is the batch of one)
+            assert registry.total("routing.requests") == routed + 6
+            assert registry.counter(
+                "routing.batch.batches", router="hierarchical"
+            ).value == routed + 1
+            assert registry.counter(
+                "routing.batch.requests", router="hierarchical"
+            ).value == routed + 6
+            sizes = registry.get("routing.batch.size", router="hierarchical")
+            assert sizes.count == routed + 1 and sizes.max == 6
             assert (registry.counter("routing.cache.hits", cache="csp").value
                     == router.stats.hits)
             assert (registry.total("sim.messages.delivered")
@@ -349,14 +365,21 @@ class TestIntegration:
             assert report.delivery_latency["local_state"]["p95"] > 0
 
             # span tree: every route span carries the four stage children
+            # — whatever the size of the call
             roots = telemetry.tracer.find_roots("route")
-            assert len(roots) == routed
+            assert [r.attributes["requests"] for r in roots] == [1] * routed + [6]
             for root in roots:
                 child_names = [c.name for c in root.children]
                 assert child_names == [
                     "route.csp", "route.dissect", "route.conquer",
                     "route.compose",
                 ]
+            assert not any(
+                span.name.startswith("route.batch")
+                for root in telemetry.tracer.roots
+                for span in root.walk()
+            )
+            assert "routing.batch.precompute_seconds" not in names
 
     def test_churn_and_session_events(self, tiny_framework):
         with use_telemetry(Telemetry()) as telemetry:
