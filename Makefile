@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-full bench-query traffic examples clean lint bench-smoke fault-matrix e2e-selftest profile ci coverage
+.PHONY: install test bench bench-full bench-query traffic examples clean lint bench-smoke fault-matrix e2e-selftest profile ab ci coverage
 
 # Editable install with the consolidated dev dependency list — the same
 # `[project.optional-dependencies] dev` extra every CI job installs from.
@@ -95,12 +95,25 @@ e2e-selftest:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/e2e/tests/selftest.py -q
 
 # Where a workload's time goes: cProfile over one untraced 5 s run of the
-# end-to-end benchmark, top 30 functions by own time. `make profile W=route_2k`.
+# end-to-end benchmark. Two tables: the top 30 functions by own time over the
+# whole run (set-up and the harness's calibration kernel included), then the
+# measured rounds' stage split — top 30 by cumulative time among the layers a
+# round runs (routing, services, membership, state, traffic, faults, the
+# event engine), which leaves the fixture build out. `make profile W=route_2k`.
 W ?= engine_16k
+PROFILE_LAYERS = repro/(routing|services|membership|state|traffic|faults|netsim/(eventsim|shard))
 profile:
 	mkdir -p benchmarks/out
 	$(PYTHON) -m cProfile -o benchmarks/out/$(W).pstats benchmarks/e2e/run.py --workload $(W) --seconds 5 --trace 0
-	$(PYTHON) -c "import pstats; pstats.Stats('benchmarks/out/$(W).pstats').sort_stats('tottime').print_stats(30)"
+	$(PYTHON) -c "import pstats; s = pstats.Stats('benchmarks/out/$(W).pstats'); s.sort_stats('tottime').print_stats(30); s.sort_stats('cumtime').print_stats('$(PROFILE_LAYERS)', 30)"
+
+# Alternating A/B of the end-to-end benchmark against a reference commit (or
+# a directory holding a checkout): medians, quartiles, pairs won and the
+# BENCHMARK.json bound per workload and metric.
+# `make ab REF=<commit> [W=<workload>] [PAIRS=10]`; without W, every workload.
+PAIRS ?= 10
+ab:
+	$(PYTHON) scripts/ab_e2e.py $(REF) --pairs $(PAIRS) $(if $(filter command% environment%,$(origin W)),--workload $(W))
 
 # Mirror the full CI workflow locally: tier-1 tests, e2e self-test, lint,
 # fault matrix, bench smoke + gate.

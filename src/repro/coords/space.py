@@ -101,18 +101,33 @@ class CoordinateSpace:
         """Euclidean distance between *u* and *v* in the space."""
         return math.dist(self.coordinate(u), self.coordinate(v))
 
-    def array(self, nodes: Sequence[NodeId]) -> np.ndarray:
-        """Coordinates of *nodes* stacked into an ``(n, k)`` array."""
+    def _index(self) -> Dict[NodeId, int]:
+        """node -> row of :attr:`stacked`; stacks the coordinates on first use."""
         if self._stacked is None:
             self._stacked = np.array(list(self._coords.values()), dtype=float)
             self._row = {node: i for i, node in enumerate(self._coords)}
+        return self._row
+
+    @property
+    def stacked(self) -> np.ndarray:
+        """Every coordinate as one ``(n, k)`` array in :meth:`nodes` order."""
+        self._index()
+        return self._stacked  # type: ignore[return-value]
+
+    def rows(self, nodes: Iterable[NodeId]) -> List[int]:
+        """The row of each of *nodes* in :attr:`stacked`."""
+        row = self._index()
         try:
-            rows = [self._row[n] for n in nodes]
+            return [row[n] for n in nodes]
         except KeyError as exc:
             raise EmbeddingError(f"node {exc.args[0]!r} has no coordinates") from None
+
+    def array(self, nodes: Sequence[NodeId]) -> np.ndarray:
+        """Coordinates of *nodes* stacked into an ``(n, k)`` array."""
+        rows = self.rows(nodes)
         if not rows:
             return np.empty((0, self._dim), dtype=float)
-        return self._stacked[rows]
+        return self.stacked[rows]
 
     def distance_matrix(self, nodes: Sequence[NodeId]) -> np.ndarray:
         """Pairwise Euclidean distance matrix among *nodes*."""

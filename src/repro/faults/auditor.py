@@ -28,9 +28,10 @@ as a JSONL audit trail.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, List, Optional, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple, TypeVar
 
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
@@ -313,6 +314,31 @@ class ConvergenceAuditor:
         )
 
 
+_Run = TypeVar("_Run", bound=Callable[..., Any])
+
+
+def restores_placement(run: _Run) -> _Run:
+    """Give ``run(framework, ...)`` the shared placement back as it found it.
+
+    A restart with ``services_after`` moves ground truth — the overlay's
+    placement, which routing reads live — for the run it belongs to, not
+    for every later run on the same framework.
+    """
+
+    @functools.wraps(run)
+    def wrapper(framework: Any, *args: Any, **kwargs: Any) -> Any:
+        placement = framework.hfc.overlay.placement
+        before = dict(placement)
+        try:
+            return run(framework, *args, **kwargs)
+        finally:
+            placement.clear()
+            placement.update(before)
+
+    return wrapper  # type: ignore[return-value]
+
+
+@restores_placement
 def run_fault_scenario(
     framework: Any,
     plan: FaultPlan,

@@ -21,6 +21,8 @@ resolution crosses. This module hosts the structures one pipeline call
   description of one intra-cluster child solve plus the function that
   solves it.
 * :class:`BatchRouteResult` — aligned per-request outcomes of a batch.
+* :func:`padded` / :func:`staircase` / :func:`backtrack` — the row layout
+  the two padded chain kernels (cluster-level CSP, conquer) share.
 
 Only intra-cluster border pairs enter the ``d_border`` table: the
 back-tracking cost model charges internal segments exclusively between two
@@ -33,6 +35,7 @@ raising on any other distance query.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import (
     Any,
     Dict,
@@ -50,7 +53,7 @@ import numpy as np
 from repro.coords.space import CoordinateSpace
 from repro.overlay.network import ProxyId
 from repro.routing.flat import materialise_assignment
-from repro.routing.path import Hop, ServicePath, merge_consecutive_hops
+from repro.routing.path import Hop, ServicePath
 from repro.routing.servicedag import solve_vectorised
 from repro.services.graph import ServiceGraph, SlotId
 from repro.services.request import ServiceRequest
@@ -66,10 +69,50 @@ BATCH_SIZE_BUCKETS: Tuple[float, ...] = (
 
 def service_graph_signature(sg: ServiceGraph) -> Hashable:
     """A hashable identity of an SG's shape and service names."""
-    return (
-        tuple(sorted((slot, name) for slot, name in sg.services.items())),
-        tuple(sorted(sg.edges)),
-    )
+    return sg.signature
+
+
+# -- the staircase: what the two padded chain kernels share ---------------------
+
+#: rows per padded kernel pass. A pass holds up to ten (rows x width x width)
+#: temporaries (width = candidates per slot, 13 clusters at n=2000: 170 KB
+#: each at 128 rows). One pass over a 1000-request batch held eight times
+#: that and raised the peak RSS of ``route_2k`` by 16%; 192 rows, by 3%.
+_BLOCK_ROWS = 128
+
+
+def padded(rows: Sequence[Sequence[Any]], dtype: Any = np.int64) -> Tuple[np.ndarray, np.ndarray]:
+    """*rows* as one zero-padded matrix (at least one lane wide) and its validity mask."""
+    lens = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    mask = np.arange(max(1, int(lens.max(initial=0))))[None, :] < lens[:, None]
+    matrix = np.zeros(mask.shape, dtype=dtype)
+    matrix[mask] = list(chain.from_iterable(rows))
+    return matrix, mask
+
+
+def staircase(lengths: Sequence[int]) -> List[List[int]]:
+    """Row positions longest chain first, cut into blocks of ``_BLOCK_ROWS``:
+    inside a block chain position *t* relaxes only the prefix of rows that
+    reach it, so one launch per stage serves every chain length with no wasted
+    lanes (a finished row's labels simply stop being touched)."""
+    order = sorted(range(len(lengths)), key=lengths.__getitem__, reverse=True)
+    return [order[at : at + _BLOCK_ROWS] for at in range(0, len(order), _BLOCK_ROWS)]
+
+
+def backtrack(
+    parents: List[np.ndarray], winner: np.ndarray, last: np.ndarray, alive: List[int]
+) -> np.ndarray:
+    """The lane chosen at every position of every row of a staircase block:
+    ``parents[t - 1]`` holds, for the ``alive[t]`` rows reaching position *t*,
+    each lane's best predecessor lane; *winner* is each row's best lane at its
+    own position ``last``."""
+    rows = np.arange(len(winner))
+    lanes = np.zeros((len(winner), len(alive)), dtype=np.int64)
+    lanes[rows, last] = winner
+    for t in range(len(alive) - 2, -1, -1):
+        n = alive[t + 1]
+        lanes[:n, t] = parents[t][rows[:n], lanes[:n, t + 1]]
+    return lanes
 
 
 # -- per-batch outcome ---------------------------------------------------------
@@ -119,7 +162,9 @@ class QueryTables:
     ``border_list`` (-1 on the diagonal); ``d_border[a, b]`` is the
     coordinate distance between two borders *of the same cluster* and 0
     for every cross-cluster pair — the relaxation never consumes those
-    entries (see the module docstring).
+    entries (see the module docstring). Codes are handed out in ``(i, j)``
+    scan order and a border belongs to its own cluster, so cluster *i*'s
+    borders are the codes ``border_ptr[i]:border_ptr[i + 1]``.
     """
 
     cluster_count: int
@@ -128,6 +173,7 @@ class QueryTables:
     border_list: List[ProxyId]
     border_code: Dict[ProxyId, int]
     d_border: np.ndarray
+    border_ptr: np.ndarray
 
 
 def query_tables(hfc: Any) -> QueryTables:
@@ -158,7 +204,7 @@ def query_tables(hfc: Any) -> QueryTables:
     border_row = np.full((k, k), -1, dtype=np.int64)
     border_list: List[ProxyId] = []
     border_code: Dict[ProxyId, int] = {}
-    cluster_codes: List[List[int]] = [[] for _ in range(k)]
+    border_ptr = np.zeros(k + 1, dtype=np.int64)
     for i in range(k):
         for j in range(k):
             if i == j:
@@ -169,13 +215,14 @@ def query_tables(hfc: Any) -> QueryTables:
                 code = len(border_list)
                 border_code[proxy] = code
                 border_list.append(proxy)
-                cluster_codes[i].append(code)
             border_row[i, j] = code
             ext[i, j] = hfc.external_estimate(i, j)
+        border_ptr[i + 1] = len(border_list)
     nb = len(border_list)
     d_border = np.zeros((nb, nb), dtype=float)
     space = hfc.space
-    for codes in cluster_codes:
+    for i in range(k):
+        codes = range(border_ptr[i], border_ptr[i + 1])
         for a in codes:
             for b in codes:
                 if a != b:
@@ -189,6 +236,7 @@ def query_tables(hfc: Any) -> QueryTables:
         border_list=border_list,
         border_code=border_code,
         d_border=d_border,
+        border_ptr=border_ptr,
     )
     hfc._query_tables_cache = tables
     return tables
@@ -222,8 +270,9 @@ def child_specs(hfc: Any, children: Sequence[Any]) -> List[ChildSpec]:
     here scans the overlay: each touched cluster's members are walked once,
     in overlay proxy order (the order a whole-overlay provider scan filtered
     by membership yields), keeping per member the services the call's
-    children ask of that cluster. Placement is read live and nothing
-    outlives the call — a crash or a rebind may rewrite it between calls.
+    children ask of that cluster. Placement is read live and nothing derived
+    from it outlives the call — a crash or a rebind may rewrite it between
+    calls.
     """
     wanted: Dict[ClusterId, Set[str]] = {}
     for child in children:
@@ -231,10 +280,17 @@ def child_specs(hfc: Any, children: Sequence[Any]) -> List[ChildSpec]:
             wanted.setdefault(child.cluster, set()).update(child.services)
     overlay = hfc.overlay
     placement = overlay.placement
+    # membership lives on the topology, like ``_query_tables_cache``: a churn
+    # or a restructure materialises a new topology object
+    ordered = getattr(hfc, "_ordered_members_cache", None)
+    if ordered is None:
+        ordered = hfc._ordered_members_cache = {}
     providers: Dict[Tuple[ClusterId, str], Tuple[ProxyId, ...]] = {}
     for cluster, services in wanted.items():
+        if cluster not in ordered:
+            ordered[cluster] = sorted(hfc.members(cluster), key=overlay.index_of)
         found: Dict[str, List[ProxyId]] = {service: [] for service in services}
-        for proxy in sorted(hfc.members(cluster), key=overlay.index_of):
+        for proxy in ordered[cluster]:
             for service in services & placement[proxy]:
                 found[service].append(proxy)
         for service, proxies in found.items():
@@ -299,96 +355,17 @@ def solve_child_spec(spec: ChildSpec, provider: Any) -> ServicePath:
 ChildOutcome = Union[ServicePath, NoFeasiblePathError]
 
 
-def _materialise_chain(
-    spec: ChildSpec, assignment: Sequence[Tuple[SlotId, ProxyId]]
-) -> ServicePath:
-    """Hops of a solved chain spec — :func:`materialise_assignment` without
-    the expander machinery (hierarchical children never expand hops)."""
-    hops: List[Hop] = [Hop(proxy=spec.source_proxy)]
-    for (slot, proxy), service in zip(assignment, spec.services):
-        hops.append(Hop(proxy=proxy, service=service, slot=slot))
-    hops.append(Hop(proxy=spec.destination_proxy))
-    return ServicePath(hops=tuple(merge_consecutive_hops(hops)))
-
-
-def _solve_chain_bucket(
-    specs: Sequence[ChildSpec],
-    idxs: List[int],
-    length: int,
-    space: CoordinateSpace,
-    arr_cache: Dict[Tuple[ProxyId, ...], np.ndarray],
-    outcomes: List[Optional[ChildOutcome]],
-) -> None:
-    """Solve all chain specs of one length in padded numpy passes.
-
-    One relaxation per chain position covers every spec in the bucket:
-    distance blocks come from the same gathered coordinates and the same
-    ``sqrt(einsum(diff, diff))`` element formula as
-    :meth:`CoordinateProvider.block`, sums keep the solver's association
-    order, and padding lanes sit *after* the real candidates carrying
-    ``inf`` labels — so ``argmin``'s first-occurrence tie-break picks the
-    same instance :func:`solve_vectorised` picks, bit for bit.
-    """
-    count = len(idxs)
-    width = 0
-    per_spec_arrays: List[List[np.ndarray]] = []
-    for i in idxs:
-        arrays = []
-        for _, cands in specs[i].candidates:
-            arr = arr_cache.get(cands)
-            if arr is None:
-                arr = space.array(cands)
-                arr_cache[cands] = arr
-            arrays.append(arr)
-            width = max(width, len(cands))
-        per_spec_arrays.append(arrays)
-    if width == 0:
-        for i in idxs:
-            outcomes[i] = child_infeasible_error(specs[i])
-        return
-    k = space.dimension
-    coords = np.zeros((count, length, width, k))
-    valid = np.zeros((count, length, width), dtype=bool)
-    for b, arrays in enumerate(per_spec_arrays):
-        for t, arr in enumerate(arrays):
-            m = len(arr)
-            if m:
-                coords[b, t, :m] = arr
-                valid[b, t, :m] = True
-    src = space.array([specs[i].source_proxy for i in idxs])
-    dst = space.array([specs[i].destination_proxy for i in idxs])
-
-    diff = coords[:, 0] - src[:, None, :]
-    labels = np.sqrt(np.einsum("bck,bck->bc", diff, diff))
-    labels[~valid[:, 0]] = np.inf
-    parents: List[np.ndarray] = []
-    for t in range(1, length):
-        diff = coords[:, t - 1][:, :, None, :] - coords[:, t][:, None, :, :]
-        w = np.sqrt(np.einsum("bpck,bpck->bpc", diff, diff))
-        via = labels[:, :, None] + w
-        best_pred = np.argmin(via, axis=1)
-        best = np.take_along_axis(via, best_pred[:, None, :], axis=1)[:, 0, :]
-        labels = np.where(valid[:, t], best, np.inf)
-        parents.append(best_pred)
-    diff = coords[:, length - 1] - dst[:, None, :]
-    tail = np.sqrt(np.einsum("bck,bck->bc", diff, diff))
-    totals = labels + tail
-    winner = np.argmin(totals, axis=1)
-    final = totals[np.arange(count), winner]
-
-    for b, i in enumerate(idxs):
-        spec = specs[i]
-        if not np.isfinite(final[b]):
-            outcomes[i] = child_infeasible_error(spec)
-            continue
-        j = int(winner[b])
-        assignment: List[Tuple[SlotId, ProxyId]] = []
-        for t in range(length - 1, 0, -1):
-            assignment.append((spec.slots[t], spec.candidates[t][1][j]))
-            j = int(parents[t - 1][b, j])
-        assignment.append((spec.slots[0], spec.candidates[0][1][j]))
-        assignment.reverse()
-        outcomes[i] = _materialise_chain(spec, assignment)
+def _materialise_chain(spec: ChildSpec, proxies: Sequence[ProxyId]) -> ServicePath:
+    """Hops of a solved chain spec, *proxies* serving its slots in order —
+    :func:`materialise_assignment` without the expander machinery
+    (hierarchical children never expand hops) or the merge pass: a chain's
+    service hops are all kept, only a relay end can duplicate its neighbour."""
+    hops = [Hop(*hop) for hop in zip(proxies, spec.services, spec.slots)]
+    if not hops or hops[0].proxy != spec.source_proxy:
+        hops.insert(0, Hop(proxy=spec.source_proxy))
+    if hops[-1].proxy != spec.destination_proxy:
+        hops.append(Hop(proxy=spec.destination_proxy))
+    return ServicePath(hops=tuple(hops))
 
 
 def solve_specs(
@@ -399,13 +376,20 @@ def solve_specs(
 ) -> List[ChildOutcome]:
     """Solve the child specs of one call: a path or the infeasibility of each.
 
-    Over a coordinate *space* every spec goes through the per-length padded
-    kernels: each child a hierarchical dissection produces is a chain (a run
+    Over a coordinate *space* every spec goes through the padded staircase
+    kernel: each child a hierarchical dissection produces is a chain (a run
     of consecutive slots of the chosen configuration path), so the whole
-    conquer step collapses into ``max_chain_length`` numpy relaxations per
-    length bucket instead of one solver invocation per child — bit-identical
-    to per-child :func:`solve_child_spec`, which is what any other
-    *provider* (one that masks or measures links) is served by.
+    conquer step is one numpy relaxation per chain position and block of
+    rows instead of one solver invocation per child — bit-identical to
+    per-child :func:`solve_child_spec`, which serves any other *provider*
+    (one that masks or measures links). Distance blocks come from the same
+    coordinates (gathered through row indices into the space's stacked
+    matrix, one row list per distinct provider tuple of the call) and the
+    same ``sqrt(einsum(diff, diff))`` element formula as
+    :meth:`CoordinateProvider.block`, sums keep the solver's association
+    order, and padding lanes sit *after* the real candidates carrying ``inf``
+    labels — so ``argmin``'s first-occurrence tie-break picks the same
+    instance :func:`solve_vectorised` picks.
     """
     outcomes: List[Optional[ChildOutcome]] = [None] * len(specs)
     if space is None:
@@ -415,13 +399,51 @@ def solve_specs(
             except NoFeasiblePathError as err:
                 outcomes[i] = err
         return outcomes  # type: ignore[return-value]
-    buckets: Dict[int, List[int]] = {}
+    chains: List[int] = []
+    code: Dict[Tuple[ProxyId, ...], int] = {}
     for i, spec in enumerate(specs):
         if spec.slots:
-            buckets.setdefault(len(spec.slots), []).append(i)
+            chains.append(i)
+            for _, cands in spec.candidates:
+                code.setdefault(cands, len(code))
         else:
             outcomes[i] = _materialise_chain(spec, [])
-    arr_cache: Dict[Tuple[ProxyId, ...], np.ndarray] = {}
-    for length, idxs in buckets.items():
-        _solve_chain_bucket(specs, idxs, length, space, arr_cache, outcomes)
+    provider_rows, provider_mask = padded([space.rows(cands) for cands in code])
+    stacked, lane = space.stacked, np.arange(provider_rows.shape[1])
+    for block in staircase([len(specs[i].slots) for i in chains]):
+        idxs = [chains[m] for m in block]
+        slot_code, live = padded(
+            [[code[cands] for _, cands in specs[i].candidates] for i in idxs]
+        )
+        alive, last = live.sum(axis=0).tolist(), live.sum(axis=1) - 1
+        valid, coords = provider_mask[slot_code], stacked[provider_rows[slot_code]]
+        src = stacked[space.rows(specs[i].source_proxy for i in idxs)]
+        dst = stacked[space.rows(specs[i].destination_proxy for i in idxs)]
+
+        diff = coords[:, 0] - src[:, None, :]
+        labels = np.sqrt(np.einsum("bck,bck->bc", diff, diff))
+        labels[~valid[:, 0]] = np.inf
+        parents: List[np.ndarray] = []
+        rows = np.arange(len(idxs))[:, None]
+        for t in range(1, len(alive)):
+            n = alive[t]
+            diff = coords[:n, t - 1, :, None, :] - coords[:n, t, None, :, :]
+            via = labels[:n, :, None] + np.sqrt(np.einsum("bpck,bpck->bpc", diff, diff))
+            best_pred = np.argmin(via, axis=1)
+            labels[:n] = np.where(valid[:n, t], via[rows[:n], best_pred, lane], np.inf)
+            parents.append(best_pred)
+        diff = coords[rows[:, 0], last] - dst[:, None, :]
+        totals = labels + np.sqrt(np.einsum("bck,bck->bc", diff, diff))
+        winner = np.argmin(totals, axis=1)
+        feasible = np.isfinite(totals[rows[:, 0], winner]).tolist()
+        lanes = backtrack(parents, winner, last, alive).tolist()
+        for i, ok, picked in zip(idxs, feasible, lanes):
+            spec = specs[i]
+            outcomes[i] = (
+                _materialise_chain(
+                    spec, [cands[j] for (_, cands), j in zip(spec.candidates, picked)]
+                )
+                if ok
+                else child_infeasible_error(spec)
+            )
     return outcomes  # type: ignore[return-value]

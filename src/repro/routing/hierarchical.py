@@ -39,7 +39,6 @@ Three variants of step 2 are provided (`method=`):
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from typing import (
@@ -63,10 +62,13 @@ from repro.routing.batch import (
     BatchRouteResult,
     ChildOutcome,
     QueryTables,
+    backtrack,
     child_specs,
+    padded,
     query_tables,
     service_graph_signature,
     solve_specs,
+    staircase,
 )
 from repro.routing.path import Hop, ServicePath, merge_consecutive_hops
 from repro.routing.providers import CoordinateProvider, DistanceProvider
@@ -83,6 +85,7 @@ ClusterId = int
 _Entry = Optional[ProxyId]
 
 METHODS = ("backtrack", "exact", "external")
+_NO_CONFIGURATION = "no cluster-level configuration satisfies the request"
 
 @dataclass(frozen=True)
 class ClusterServicePath:
@@ -120,14 +123,19 @@ class ChildRequest:
 
 #: what the CSP stage holds per request: the path or its infeasibility
 _CspOutcome = Union[ClusterServicePath, NoFeasiblePathError]
-#: one linear request waiting for the chain kernel: (request, per-slot
-#: candidate clusters, source cluster)
-_ChainJob = Tuple[ServiceRequest, Dict[SlotId, List[ClusterId]], ClusterId]
-#: a chain job laid out for the kernel: (request, chain, per-position
-#: candidate lists, source cluster, destination cluster)
-_ChainRow = Tuple[
-    ServiceRequest, List[SlotId], List[List[ClusterId]], ClusterId, ClusterId
-]
+#: one linear request waiting for the chain kernel: (request, source cluster)
+_ChainJob = Tuple[ServiceRequest, ClusterId]
+
+
+def _internal_segments(
+    d_border: np.ndarray, entry: np.ndarray, exit_codes: np.ndarray
+) -> np.ndarray:
+    """``d_border[entry, exit]`` per label — :meth:`HierarchicalRouter._internal`
+    as a table lookup: zero where the entry border is unknown (code -1) or is
+    the exit border itself. A -1 exit (no border toward one's own cluster)
+    reads a finite entry the caller's same-cluster mask discards."""
+    segments = d_border[np.where(entry < 0, 0, entry), np.where(exit_codes < 0, 0, exit_codes)]
+    return np.where((entry < 0) | (entry == exit_codes), 0.0, segments)
 
 
 @dataclass
@@ -408,19 +416,15 @@ class HierarchicalRouter:
         """
         if offering is None:
             offering = {}
-        capabilities = self.cluster_capabilities
-        result: Dict[SlotId, List[ClusterId]] = {}
-        for slot in sg.slots():
-            service = sg.service_of(slot)
-            clusters = offering.get(service)
-            if clusters is None:
-                clusters = offering[service] = [
+        capabilities, nothing = self.cluster_capabilities, frozenset()
+        for service in sg.services.values():
+            if service not in offering:
+                offering[service] = [
                     cid
                     for cid in range(self._view.cluster_count)
-                    if service in capabilities.get(cid, frozenset())
+                    if service in capabilities.get(cid, nothing)
                 ]
-            result[slot] = clusters
-        return result
+        return {slot: offering[service] for slot, service in sg.services.items()}
 
     def cluster_level_path(self, request: ServiceRequest) -> ClusterServicePath:
         """Compute the CSP of one request with the configured method."""
@@ -437,9 +441,9 @@ class HierarchicalRouter:
         cluster, destination proxy) — in front of the version-driven cache a
         subclass keeps behind :meth:`_csp_cache_get` / :meth:`_csp_cache_put`.
         Which solver runs is read off the request itself: chains under the
-        label-setting methods wait for one padded kernel pass per chain
-        length; only the inputs that pass cannot take (branching graphs,
-        ``exact``) are solved one by one.
+        label-setting methods wait for the padded staircase kernel; only the
+        inputs it cannot take (branching graphs, ``exact``) are solved one
+        by one.
         """
         self.refresh_capabilities()
         view = self._view
@@ -467,7 +471,7 @@ class HierarchicalRouter:
                     f"services unavailable in every cluster: {missing}"
                 )
             elif linear and self.method != "exact":
-                chains[key] = (request, candidates, cs)
+                chains[key] = (request, cs)
             else:
                 try:
                     csp = self._solve_general(request, candidates, cs)
@@ -476,7 +480,8 @@ class HierarchicalRouter:
                 else:
                     memo[key] = csp
                     self._csp_cache_put(key, csp)
-        for key, outcome in zip(chains, self._solve_chains(list(chains.values()))):
+        solved = self._solve_chains(list(chains.values()), offering)
+        for key, outcome in zip(chains, solved):
             memo[key] = outcome
             if not isinstance(outcome, NoFeasiblePathError):
                 self._csp_cache_put(key, outcome)
@@ -513,41 +518,13 @@ class HierarchicalRouter:
 
     # -- the padded chain kernel ---------------------------------------------------
 
-    def _solve_chains(self, jobs: Sequence[_ChainJob]) -> List[_CspOutcome]:
-        """Cluster-level paths of linear requests (every slot has candidates),
-        bucketed by chain length and relaxed in padded numpy passes."""
-        if not jobs:
-            return []
-        view = self._view
-        tables = query_tables(view)
-        rows: List[_ChainRow] = []
-        buckets: Dict[int, List[int]] = {}
-        for j, (request, candidates, cs) in enumerate(jobs):
-            chain = request.service_graph.topological_order()
-            rows.append(
-                (
-                    request,
-                    chain,
-                    [candidates[s] for s in chain],
-                    cs,
-                    view.cluster_of(request.destination_proxy),
-                )
-            )
-            buckets.setdefault(len(chain), []).append(j)
-        results: List[Optional[_CspOutcome]] = [None] * len(jobs)
-        for length, members in buckets.items():
-            self._solve_chain_bucket(rows, members, length, tables, results)
-        return results  # type: ignore[return-value]
-
-    def _solve_chain_bucket(
-        self,
-        rows: Sequence[_ChainRow],
-        members: List[int],
-        length: int,
-        tables: QueryTables,
-        results: List[Optional[_CspOutcome]],
-    ) -> None:
-        """One padded relaxation pass per chain position for a length bucket.
+    def _solve_chains(
+        self, jobs: Sequence[_ChainJob], offering: Dict[ServiceName, List[ClusterId]]
+    ) -> List[_CspOutcome]:
+        """Cluster-level paths of linear requests (every slot has candidates):
+        one padded relaxation pass per chain position over each staircase
+        block of rows (longest chain first; position *t* relaxes the rows
+        reaching it).
 
         Equivalence with the scalar reference rests on the same three facts
         as :meth:`_solve_label` — shared scalar-sourced tables,
@@ -556,98 +533,112 @@ class HierarchicalRouter:
         one batching fact: padding lanes sit after the real candidates and
         carry ``inf`` labels, so they never steal an argmin tie.
         """
-        with_internal = self.method == "backtrack"
-        ext = tables.ext
-        border_row = tables.border_row
-        border_list = tables.border_list
-        d_border = tables.d_border
-        nb = len(border_list)
-        count = len(members)
-        width = max(len(cl) for j in members for cl in rows[j][2])
-        cand = np.zeros((count, length, width), dtype=np.int64)
-        vmask = np.zeros((count, length, width), dtype=bool)
-        cs_arr = np.empty(count, dtype=np.int64)
-        for b, j in enumerate(members):
-            _, _, cand_lists, cs, _ = rows[j]
-            cs_arr[b] = cs
-            for t, cl in enumerate(cand_lists):
-                m = len(cl)
-                cand[b, t, :m] = cl
-                vmask[b, t, :m] = True
-
-        # source-slot labels straight from the tables (same floats _start
-        # reads back out of external_estimate/border)
-        k0 = cand[:, 0]
-        at_home = k0 == cs_arr[:, None]
-        labels = np.where(at_home, 0.0, ext[cs_arr[:, None], k0])
-        entry = np.where(at_home, -1, border_row[k0, cs_arr[:, None]])
-        labels = np.where(vmask[:, 0], labels, np.inf)
-        parents: List[np.ndarray] = []
-        for t in range(1, length):
-            kp = cand[:, t - 1]
-            kc = cand[:, t]
-            same = kp[:, :, None] == kc[:, None, :]
-            costs = labels[:, :, None] + ext[kp[:, :, None], kc[:, None, :]]
-            if with_internal and nb:
-                # back-tracking, batched: entry border of each label to the
-                # exit border toward the candidate cluster
-                exit_codes = border_row[kp[:, :, None], kc[:, None, :]]
-                safe_entry = np.where(entry < 0, 0, entry)
-                segments = d_border[
-                    safe_entry[:, :, None],
-                    np.where(exit_codes < 0, 0, exit_codes),
+        if not jobs:
+            return []
+        view = self._view
+        tables = query_tables(view)
+        ext, border_row, d_border = tables.ext, tables.border_row, tables.d_border
+        with_internal = self.method == "backtrack" and len(tables.border_list) > 0
+        # per distinct service of the call: its candidate clusters, padded
+        code = {service: at for at, service in enumerate(offering)}
+        clusters, offered = padded(list(offering.values()))
+        lane = np.arange(clusters.shape[1])
+        chains = [request.service_graph.topological_order() for request, _ in jobs]
+        results: List[Optional[_CspOutcome]] = [None] * len(jobs)
+        for members in staircase([len(chain) for chain in chains]):
+            requests = [jobs[j][0] for j in members]
+            slot_code, live = padded(
+                [
+                    [code[request.service_graph.services[s]] for s in chains[j]]
+                    for j, request in zip(members, requests)
                 ]
-                costs = costs + np.where(
-                    (entry[:, :, None] < 0) | (entry[:, :, None] == exit_codes),
-                    0.0,
-                    segments,
-                )
-            costs = np.where(same, labels[:, :, None], costs)
-            entries = np.where(
-                same, entry[:, :, None], border_row[kc[:, None, :], kp[:, :, None]]
             )
-            win = np.argmin(costs, axis=1)
-            gather = win[:, None, :]
-            labels = np.take_along_axis(costs, gather, axis=1)[:, 0, :]
-            entry = np.take_along_axis(entries, gather, axis=1)[:, 0, :]
-            labels = np.where(vmask[:, t], labels, np.inf)
-            parents.append(win)
+            alive, last = live.sum(axis=0).tolist(), live.sum(axis=1) - 1
+            cand, vmask = clusters[slot_code], offered[slot_code]
+            destinations = [request.destination_proxy for request in requests]
+            cds = [view.cluster_of(pd) for pd in destinations]
+            cs_arr = np.array([jobs[j][1] for j in members], dtype=np.int64)[:, None]
 
-        # scalar sink scan (exact per-destination distances) + backtrack
-        for b, row in enumerate(members):
-            request, chain, cand_lists, cs, cd = rows[row]
-            pd = request.destination_proxy
-            last = cand_lists[length - 1]
-            best_j = -1
-            best_total = float("inf")
-            for j, ci in enumerate(last):
-                cost = labels[b, j]
-                if not math.isfinite(cost):
-                    continue
-                code = int(entry[b, j])
-                ent = None if code < 0 else border_list[code]
-                total = cost + self._tail(ci, ent, cd, pd, with_internal)
-                if total < best_total:
-                    best_total = total
-                    best_j = j
-            if best_j < 0 or best_total == float("inf"):
-                results[row] = NoFeasiblePathError(
-                    "no cluster-level configuration satisfies the request"
+            # source-slot labels straight from the tables (same floats _start
+            # reads back out of external_estimate/border)
+            k0 = cand[:, 0]
+            at_home = k0 == cs_arr
+            labels = np.where(at_home, 0.0, ext[cs_arr, k0])
+            labels[~vmask[:, 0]] = np.inf
+            entry = np.where(at_home, -1, border_row[k0, cs_arr])
+            parents: List[np.ndarray] = []
+            at = np.arange(len(members))[:, None]
+            for t in range(1, len(alive)):
+                n = alive[t]
+                kp, kc = cand[:n, t - 1, :, None], cand[:n, t, None, :]
+                label, ent = labels[:n, :, None], entry[:n, :, None]
+                same = kp == kc
+                costs = label + ext[kp, kc]
+                if with_internal:
+                    # back-tracking, batched: entry border of each label to
+                    # the exit border toward the candidate cluster
+                    costs = costs + _internal_segments(d_border, ent, border_row[kp, kc])
+                costs = np.where(same, label, costs)
+                entries = np.where(same, ent, border_row[kc, kp])
+                win = np.argmin(costs, axis=1)
+                entry[:n] = entries[at[:n], win, lane]
+                labels[:n] = np.where(vmask[:n, t], costs[at[:n], win, lane], np.inf)
+                parents.append(win)
+
+            totals = self._sink(tables, labels, entry, cand[at[:, 0], last], cds, destinations)
+            winner = np.argmin(totals, axis=1)
+            bounds = totals[at[:, 0], winner].tolist()
+            lanes = backtrack(parents, winner, last, alive)
+            chosen = cand[at, np.arange(len(alive)), lanes].tolist()
+            for j, cd, bound, picked in zip(members, cds, bounds, chosen):
+                results[j] = (
+                    NoFeasiblePathError(_NO_CONFIGURATION)
+                    if bound == float("inf")
+                    else ClusterServicePath(tuple(zip(chains[j], picked)), jobs[j][1], cd, bound)
                 )
-                continue
-            assignment: List[Tuple[SlotId, ClusterId]] = []
-            j = best_j
-            for t in range(length - 1, 0, -1):
-                assignment.append((chain[t], cand_lists[t][j]))
-                j = int(parents[t - 1][b, j])
-            assignment.append((chain[0], cand_lists[0][j]))
-            assignment.reverse()
-            results[row] = ClusterServicePath(
-                assignment=tuple(assignment),
-                source_cluster=cs,
-                destination_cluster=cd,
-                estimated_cost=float(best_total),
+        return results  # type: ignore[return-value]
+
+    def _sink(
+        self,
+        tables: QueryTables,
+        labels: np.ndarray,
+        entry: np.ndarray,
+        clusters: np.ndarray,
+        cds: Sequence[ClusterId],
+        destinations: Sequence[ProxyId],
+    ) -> np.ndarray:
+        """``label + tail`` of every last-slot label ``(rows, lanes)``, row *b*
+        ending at ``destinations[b]`` in cluster ``cds[b]`` — :meth:`_tail` as
+        table lookups. Three facts keep every float and tie-break of the scalar
+        scan: the summands are the tables' own ``ext`` / ``d_border`` entries in
+        :meth:`_tail`'s association ``(ext + internal) + dist``; the exact
+        distances to a destination are one short row over *its own cluster's*
+        borders (all a destination proxy can know), filled by the same
+        ``space.distance(border, pd)`` calls; and an unlabeled lane carries
+        ``inf``, so a first-occurrence ``argmin`` is the scan's strict ``<``.
+        """
+        cd = np.array(cds, dtype=np.int64)[:, None]
+        tail = tables.ext[clusters, cd]
+        if self.method == "backtrack" and tables.border_list:
+            border_row, ptr = tables.border_row, tables.border_ptr
+            distance = self._view.space.distance
+            known: Dict[ProxyId, List[float]] = {}
+            for pd, c in zip(destinations, cds):
+                if pd not in known:
+                    known[pd] = [
+                        distance(tables.border_list[code], pd)
+                        for code in range(ptr[c], ptr[c + 1])
+                    ]
+            to_pd, _ = padded([known[pd] for pd in destinations], float)
+            home = clusters == cd
+            internal = _internal_segments(tables.d_border, entry, border_row[clusters, cd])
+            # the border of cd the path reaches pd from; -1: none, no charge
+            via = np.where(home, entry, border_row[cd, clusters])
+            dist = np.where(
+                via < 0, 0.0, to_pd[np.arange(len(cds))[:, None], np.maximum(via - ptr[cd], 0)]
             )
+            tail = np.where(home, dist, (tail + internal) + dist)
+        return labels + tail
 
     # internal-distance helpers ------------------------------------------------
 
@@ -718,10 +709,8 @@ class HierarchicalRouter:
         tables = query_tables(self._view)
         ext = tables.ext
         border_row = tables.border_row
-        border_list = tables.border_list
-        code_of = tables.border_code
         d_border = tables.d_border
-        nb = len(border_list)
+        nb = len(tables.border_list)
 
         # per finalized slot: candidates, label costs (inf = unlabeled),
         # entry-border codes (-1 = None), parent pointers (slot, index)
@@ -744,12 +733,9 @@ class HierarchicalRouter:
                 continue
             cand_arr = np.asarray(cand, dtype=np.int64)
             if slot in source_slots:
-                init_cost = np.empty(n, dtype=float)
-                init_ent = np.empty(n, dtype=np.int64)
-                for j, cj in enumerate(cand):
-                    cost, ent = self._start(cj, cs, with_internal)
-                    init_cost[j] = cost
-                    init_ent[j] = -1 if ent is None else code_of[ent]
+                # the floats _start reads back out of external_estimate/border
+                init_cost = np.where(cand_arr == cs, 0.0, ext[cs, cand_arr])
+                init_ent = np.where(cand_arr == cs, -1, border_row[cand_arr, cs])
             else:
                 init_cost = np.full(n, np.inf)
                 init_ent = np.full(n, -1, dtype=np.int64)
@@ -782,13 +768,8 @@ class HierarchicalRouter:
                 if with_internal and nb:
                     # the back-tracking step, batched: from the border each
                     # label entered through to the exit border toward cj
-                    exit_codes = border_row[ci_arr[:, None], cand_arr[None, :]]
-                    safe_entry = np.where(e_arr < 0, 0, e_arr)
-                    segments = d_border[safe_entry[:, None], exit_codes]
-                    cost_diff = cost_diff + np.where(
-                        (e_arr[:, None] < 0) | (e_arr[:, None] == exit_codes),
-                        0.0,
-                        segments,
+                    cost_diff = cost_diff + _internal_segments(
+                        d_border, e_arr[:, None], border_row[ci_arr[:, None], cand_arr[None, :]]
                     )
                 costs = np.where(same, d_arr[:, None], cost_diff)
                 entries = np.where(
@@ -810,30 +791,25 @@ class HierarchicalRouter:
                 pidx_arr = np.full(n, -1, dtype=np.int64)
             info[slot] = (cand, dist_arr, ent_arr, pslot_arr, pidx_arr)
 
-        # the sink scan stays scalar: it needs exact per-destination
-        # distances the tables deliberately do not hold
-        best_key: Optional[Tuple[SlotId, int]] = None
-        best_total = float("inf")
-        for slot in sg.sink_slots():
-            cand, dist_arr, ent_arr, _, _ = info[slot]
-            for j, ci in enumerate(cand):
-                cost = dist_arr[j]
-                if not math.isfinite(cost):
-                    continue
-                code = int(ent_arr[j])
-                ent = None if code < 0 else border_list[code]
-                total = cost + self._tail(
-                    ci, ent, cd, request.destination_proxy, with_internal
-                )
-                if total < best_total:
-                    best_total = total
-                    best_key = (slot, j)
-        if best_key is None or best_total == float("inf"):
-            raise NoFeasiblePathError(
-                "no cluster-level configuration satisfies the request"
-            )
+        # the one sink, over the sink slots' labels side by side in slot order
+        sinks = sg.sink_slots()
+        totals = self._sink(
+            tables,
+            np.concatenate([info[slot][1] for slot in sinks])[None],
+            np.concatenate([info[slot][2] for slot in sinks])[None],
+            np.array([c for slot in sinks for c in info[slot][0]], dtype=np.int64)[None],
+            [cd],
+            [request.destination_proxy],
+        )[0]
+        if not totals.size or totals.min() == float("inf"):
+            raise NoFeasiblePathError(_NO_CONFIGURATION)
+        j = int(np.argmin(totals))
+        best_total = totals[j]
+        for slot in sinks:
+            if j < len(info[slot][0]):
+                break
+            j -= len(info[slot][0])
         assignment: List[Tuple[SlotId, ClusterId]] = []
-        slot, j = best_key
         while True:
             cand, _, _, pslot_arr, pidx_arr = info[slot]
             assignment.append((slot, cand[j]))
@@ -907,9 +883,7 @@ class HierarchicalRouter:
                     best_total = total
                     best_state = state
         if best_state is None or best_total == float("inf"):
-            raise NoFeasiblePathError(
-                "no cluster-level configuration satisfies the request"
-            )
+            raise NoFeasiblePathError(_NO_CONFIGURATION)
         assignment: List[Tuple[SlotId, ClusterId]] = []
         node: Optional[State] = best_state
         while node is not None:

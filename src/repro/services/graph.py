@@ -14,7 +14,8 @@ mapped path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
+from functools import cached_property
+from typing import Dict, FrozenSet, Hashable, List, Sequence, Set, Tuple
 
 from repro.services.catalog import ServiceName
 from repro.util.errors import ServiceModelError
@@ -47,6 +48,56 @@ class ServiceGraph:
         # Reject cycles up front: everything downstream assumes a DAG.
         self.topological_order()
 
+    # -- facts derived once (the graph is frozen; ``cached_property`` keeps
+    # them in the instance dict, outside ``==`` / ``repr`` / ``replace``) ----
+
+    def _links(self) -> Tuple[Dict[SlotId, List[SlotId]], Dict[SlotId, List[SlotId]]]:
+        """``(successors, predecessors)`` of every slot, each list ascending."""
+        successors: Dict[SlotId, List[SlotId]] = {s: [] for s in self.services}
+        predecessors: Dict[SlotId, List[SlotId]] = {s: [] for s in self.services}
+        for a, b in sorted(self.edges):
+            successors[a].append(b)
+            predecessors[b].append(a)
+        return successors, predecessors
+
+    #: kept from the first ``successors`` / ``predecessors`` query on: a graph
+    #: that is only ever routed as a chain (the common case; a workload holds
+    #: thousands) never asks, and :attr:`_shape` works on a transient copy
+    _adjacency = cached_property(_links)
+
+    @cached_property
+    def _shape(self) -> Tuple[Tuple[SlotId, ...], Tuple[SlotId, ...], Tuple[SlotId, ...]]:
+        """``(topological order, source slots, sink slots)``: Kahn's algorithm
+        with sorted tie-breaking, run once per graph; raises on a cycle."""
+        successors, predecessors = self._links()
+        indegree = {s: len(p) for s, p in predecessors.items()}
+        ready = sorted(s for s, d in indegree.items() if d == 0)
+        order: List[SlotId] = []
+        while ready:
+            node = ready.pop(0)
+            order.append(node)
+            changed = False
+            for succ in successors[node]:
+                indegree[succ] -= 1
+                if indegree[succ] == 0:
+                    ready.append(succ)
+                    changed = True
+            if changed:
+                ready.sort()
+        if len(order) != len(self.services):
+            raise ServiceModelError("service graph contains a cycle")
+        return (
+            tuple(order),
+            tuple(s for s, preds in predecessors.items() if not preds),
+            tuple(s for s, succs in successors.items() if not succs),
+        )
+
+    @cached_property
+    def signature(self) -> Hashable:
+        """A hashable identity of the SG's shape and service names."""
+        slots = tuple(sorted(self.services))
+        return slots, tuple(map(self.services.get, slots)), tuple(sorted(self.edges))
+
     # -- structure --------------------------------------------------------
 
     @property
@@ -71,56 +122,34 @@ class ServiceGraph:
 
     def successors(self, slot: SlotId) -> List[SlotId]:
         """Slots directly depending on *slot*."""
-        return sorted(b for a, b in self.edges if a == slot)
+        return list(self._adjacency[0].get(slot, ()))
 
     def predecessors(self, slot: SlotId) -> List[SlotId]:
         """Slots *slot* directly depends on."""
-        return sorted(a for a, b in self.edges if b == slot)
+        return list(self._adjacency[1].get(slot, ()))
 
     def source_slots(self) -> List[SlotId]:
         """Slots with no predecessors (the SG's *source services*)."""
-        targets = {b for _, b in self.edges}
-        return [s for s in self.services if s not in targets]
+        return list(self._shape[1])
 
     def sink_slots(self) -> List[SlotId]:
         """Slots with no successors (the SG's *sink services*)."""
-        origins = {a for a, _ in self.edges}
-        return [s for s in self.services if s not in origins]
+        return list(self._shape[2])
 
-    @property
+    @cached_property
     def is_linear(self) -> bool:
         """True if the SG is a single chain (one configuration)."""
-        order = self.topological_order()
-        if len(order) <= 1:
-            return not self.edges
-        expected = {(order[i], order[i + 1]) for i in range(len(order) - 1)}
-        return self.edges == frozenset(expected)
+        order = self._shape[0]
+        return len(self.edges) == len(order) - 1 and all(
+            edge in self.edges for edge in zip(order, order[1:])
+        )
 
     def topological_order(self) -> List[SlotId]:
-        """Slots in a deterministic topological order.
+        """Slots in a deterministic topological order (a fresh list).
 
-        Kahn's algorithm with sorted tie-breaking; raises
-        :class:`ServiceModelError` on a cycle.
+        Kahn's algorithm with sorted tie-breaking, run once per graph.
         """
-        indegree = {s: 0 for s in self.services}
-        for _, b in self.edges:
-            indegree[b] += 1
-        ready = sorted(s for s, d in indegree.items() if d == 0)
-        order: List[SlotId] = []
-        while ready:
-            node = ready.pop(0)
-            order.append(node)
-            changed = False
-            for succ in self.successors(node):
-                indegree[succ] -= 1
-                if indegree[succ] == 0:
-                    ready.append(succ)
-                    changed = True
-            if changed:
-                ready.sort()
-        if len(order) != len(self.services):
-            raise ServiceModelError("service graph contains a cycle")
-        return order
+        return list(self._shape[0])
 
     # -- configurations ------------------------------------------------------
 

@@ -497,7 +497,7 @@ class ColumnarOverlayState:
         border_list: List[ProxyId] = []
         border_code: Dict[ProxyId, int] = {}
         code_row: List[int] = []
-        cluster_codes: List[List[int]] = [[] for _ in range(k)]
+        border_ptr = np.zeros(k + 1, dtype=np.int64)
         for i in range(k):
             for j in range(k):
                 if i == j:
@@ -510,14 +510,15 @@ class ColumnarOverlayState:
                     border_code[proxy] = code
                     border_list.append(proxy)
                     code_row.append(r)
-                    cluster_codes[i].append(code)
                 border_row[i, j] = code
                 ext[i, j] = math.dist(
                     coord_tuples[r], coord_tuples[int(border_matrix[j, i])]
                 )
+            border_ptr[i + 1] = len(border_list)
         nb = len(border_list)
         d_border = np.zeros((nb, nb), dtype=float)
-        for codes in cluster_codes:
+        for i in range(k):
+            codes = range(border_ptr[i], border_ptr[i + 1])
             for a in codes:
                 for b in codes:
                     if a != b:
@@ -531,6 +532,7 @@ class ColumnarOverlayState:
             border_list=border_list,
             border_code=border_code,
             d_border=d_border,
+            border_ptr=border_ptr,
         )
 
 

@@ -20,7 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Optional
 
-from repro.faults.auditor import ConvergenceAuditor, FaultScenarioResult
+from repro.faults.auditor import (
+    ConvergenceAuditor,
+    FaultScenarioResult,
+    restores_placement,
+)
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.state.protocol import StateDistributionProtocol
@@ -56,6 +60,7 @@ class TrafficFaultResult:
         }
 
 
+@restores_placement
 def run_traffic_under_faults(
     framework,
     plan: FaultPlan,

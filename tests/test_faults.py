@@ -272,13 +272,36 @@ class TestScenarios:
         framework = HFCFramework.build(proxy_count=48, seed=3)
         plan = crash_restart_plan(framework.hfc)
         victim = plan.crash_specs()[0].proxy
-        before = framework.hfc.overlay.placement[victim]
+        before = dict(framework.hfc.overlay.placement)
         result = run_fault_scenario(framework, plan, k_periods=3)
         assert result.passed
         assert result.counters["protocol.restarts"] == 1
-        # the restart changed ground truth, so reconvergence proves peers
-        # accepted the restarted stream rather than serving frozen state
-        assert framework.hfc.overlay.placement[victim] != before
+        # the restart changed ground truth for the run, so reconvergence
+        # proves peers accepted the restarted stream rather than serving
+        # frozen state — and the run gave the shared placement back
+        assert plan.crash_specs()[0].services_after != before[victim]
+        assert framework.hfc.overlay.placement == before
+
+    def test_a_fault_run_leaves_the_framework_as_it_found_it(self):
+        """Two runs of one plan on one framework are the same run twice."""
+        from repro.traffic import Poisson, TrafficConfig, run_traffic_under_faults
+
+        framework = HFCFramework.build(proxy_count=48, seed=3)
+        before = dict(framework.hfc.overlay.placement)
+        plan = crash_restart_plan(framework.hfc)
+        config = TrafficConfig(arrival=Poisson(rate=0.01), duration=4000.0, warmup=500.0)
+        runs = []
+        for _ in range(2):
+            sim = Simulator()
+            result = run_traffic_under_faults(
+                framework, plan, config=config, traffic_seed=8, sim=sim
+            )
+            runs.append((result.to_dict(), sim.conservation()))
+            assert framework.hfc.overlay.placement == before
+        assert runs[0] == runs[1]
+        audits = [run_fault_scenario(framework, plan) for _ in range(2)]
+        assert audits[0] == audits[1]
+        assert framework.hfc.overlay.placement == before
 
     def test_warm_restart_recovers_without_wipe(self):
         framework = HFCFramework.build(proxy_count=48, seed=3)

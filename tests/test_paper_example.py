@@ -229,3 +229,36 @@ class TestBackTrackingArgument:
         csp = paper_router.cluster_level_path(request)
         assert csp.cluster_sequence() == [0]
         assert csp.estimated_cost == pytest.approx(41.0)
+
+
+class TestStaircaseOnTheStub:
+    """A mixed batch through the padded kernel and its table sink, on the
+    stub that raises on any distance the destination proxy cannot know."""
+
+    BATCH = [
+        ServiceRequest(src, linear_graph(names), dst)
+        for src, names, dst in [
+            ("C0.2", ["S1", "S2", "S3", "S4", "S5"], "C2.1"),
+            ("C3.1", ["S4"], "C2.1"),
+            ("C0.2", ["S6"], "C2.1"),
+            ("C2.1", ["S5", "S2", "S3"], "C1.2"),
+            ("C1.3", ["S3", "S4", "S1", "S4"], "C0.0"),
+            ("C0.3", ["S2", "S5", "S2", "S3", "S4", "S1", "S1"], "C3.0"),
+            ("C3.1", ["S1", "S4"], "C1.0"),
+            ("C0.2", ["S1", "S2", "S3", "S4", "S5"], "C2.1"),  # a duplicate key
+        ]
+    ]
+
+    @pytest.mark.parametrize("method", ["backtrack", "external"])
+    def test_batch_equals_the_scalar_oracle(self, paper_router, method):
+        from tests.oracles.csp import ReferenceCspRouter
+
+        capabilities = {**CAPABILITIES, 3: CAPABILITIES[3] | {"S6"}, 1: CAPABILITIES[1] | {"S6"}}
+        oracle = ReferenceCspRouter.__new__(ReferenceCspRouter)
+        for router in (paper_router, oracle):
+            router.hfc = paper_router.hfc
+            router.method = method
+            router.cluster_capabilities = capabilities
+        want = [oracle.cluster_level_path(request) for request in self.BATCH]
+        assert paper_router._csp_stage(self.BATCH) == want
+        assert [paper_router.cluster_level_path(r) for r in self.BATCH] == want

@@ -11,6 +11,7 @@ production wiring (cached router, flat routers, telemetry counters,
 """
 
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from repro.netsim.topology import waxman
 from repro.overlay.hfc import build_hfc
 from repro.overlay.network import OverlayNetwork
 from repro.qos import BandwidthModel, QoSHierarchicalRouter, cluster_pair_bandwidth
+from repro.routing import batch as batch_module
 from repro.routing import (
     BatchRouteResult,
     CentroidAggregationRouter,
@@ -227,6 +229,129 @@ def test_single_request_is_the_batch_of_one(make, case):
             ones.stats.misses,
         )
         assert single.stats.hits + single.stats.misses > 0
+
+
+# -- property: the staircase kernels against the scalar oracle, at their edges ---
+
+
+class _ReferenceCentroid(CentroidAggregationRouter, ReferenceCspRouter):
+    """The centroid view through the scalar pipeline."""
+
+
+class _ReferenceQoS(QoSHierarchicalRouter, ReferenceCspRouter):
+    """The bandwidth view and admission rule over the scalar pipeline."""
+
+
+class _ReferenceRecursive(RecursiveRouter, ReferenceCspRouter):
+    """Depth 3 through the scalar pipeline at both levels."""
+
+    def _sub_router(self, group_id):
+        if group_id not in self._sub_routers:
+            sub = self.hierarchy.sub_hierarchy(group_id)
+            self._sub_routers[group_id] = ReferenceCspRouter(sub.hfc, method=self.method)
+        return self._sub_routers[group_id]
+
+
+def _qos_pair(hfc, caps, threshold):
+    model = BandwidthModel(_PHYSICAL, seed=5)
+    if threshold is None:
+        links = sorted(cluster_pair_bandwidth(hfc, model).values())
+        threshold = links[len(links) * 3 // 10] if links else 0.0
+    return tuple(
+        cls(hfc, model, threshold, cluster_capabilities=caps)
+        for cls in (QoSHierarchicalRouter, _ReferenceQoS)
+    )
+
+
+#: name -> (hfc, SCT_C) -> (production router, its scalar reference)
+STAIRCASE_PAIRS = {
+    "backtrack": lambda hfc, caps: (
+        HierarchicalRouter(hfc, cluster_capabilities=caps),
+        ReferenceCspRouter(hfc, cluster_capabilities=caps),
+    ),
+    "external": lambda hfc, caps: (
+        HierarchicalRouter(hfc, method="external", cluster_capabilities=caps),
+        ReferenceCspRouter(hfc, method="external", cluster_capabilities=caps),
+    ),
+    "cached": lambda hfc, caps: (
+        CachedHierarchicalRouter(hfc, cache_size=3, cluster_capabilities=caps),
+        ReferenceCspRouter(hfc, cluster_capabilities=caps),
+    ),
+    "recursive-3": lambda hfc, caps: (
+        RecursiveRouter(build_levels(hfc, 3)),
+        _ReferenceRecursive(build_levels(hfc, 3)),
+    ),
+    "centroid": lambda hfc, caps: (
+        CentroidAggregationRouter(hfc, cluster_capabilities=caps),
+        _ReferenceCentroid(hfc, cluster_capabilities=caps),
+    ),
+    "qos": lambda hfc, caps: _qos_pair(hfc, caps, None),
+    # every cluster link pruned: each row that must leave its cluster ends
+    # with all its last-slot lanes at inf
+    "qos-all-pruned": lambda hfc, caps: _qos_pair(hfc, caps, float("inf")),
+}
+
+
+def _staircase_batch(hfc, rng):
+    """Chains of every length 1..10, duplicate keys, a row a stale SCT_C
+    sends to a cluster that cannot serve it and one no cluster offers (both
+    mid-length, so they sit in the middle of the length order)."""
+    proxies = list(hfc.overlay.proxies)
+    catalog = sorted(set().union(*hfc.overlay.placement.values()))
+
+    def request(names):
+        src, dst = rng.sample(proxies, 2)
+        return ServiceRequest(src, linear_graph(names), dst)
+
+    requests = [
+        request([rng.choice(catalog) for _ in range(length)])
+        for length in range(1, 11)
+        for _ in range(rng.randint(2, 5))
+    ]
+    for name in ("ghost", "nowhere"):
+        names = [rng.choice(catalog) for _ in range(5)]
+        names[rng.randrange(5)] = name
+        requests.append(request(names))
+    requests += rng.sample(requests, 6)
+    rng.shuffle(requests)
+    return requests
+
+
+def _assert_same_resolution(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, NoFeasiblePathError):
+        assert str(got) == str(want)
+        return
+    assert got.csp == want.csp  # assignment and estimated_cost, bit for bit
+    assert got.child_requests == want.child_requests
+    assert got.child_paths == want.child_paths
+    assert got.path == want.path
+
+
+@pytest.mark.parametrize("make", STAIRCASE_PAIRS.values(), ids=STAIRCASE_PAIRS.keys())
+@settings(max_examples=8, deadline=None)
+@given(batch_case(), st.integers(0, 2**32 - 1))
+def test_staircase_matches_scalar_oracle(make, case, seed):
+    """Property: a mixed-length batch spanning several kernel blocks resolves
+    slot for slot as the scalar oracle resolves it, in any order."""
+    hfc, _ = case
+    rng = random.Random(seed)
+    requests = _staircase_batch(hfc, rng)
+    # cluster 0 advertises a service none of its members hosts
+    caps = HierarchicalRouter(hfc).cluster_capabilities
+    caps[0] = caps[0] | {"ghost"}
+    router, oracle = make(hfc, caps)
+    want = oracle._resolve(requests)
+    order = list(range(len(requests)))
+    rng.shuffle(order)
+    with mock.patch.object(batch_module, "_BLOCK_ROWS", 16):
+        got = router._resolve(requests)
+        permuted = router._resolve([requests[i] for i in order])
+    assert len(got) == len(permuted) == len(requests)
+    for idx, outcome in enumerate(got):
+        _assert_same_resolution(outcome, want[idx])
+    for at, idx in enumerate(order):
+        _assert_same_resolution(permuted[at], want[idx])
 
 
 # -- framework wiring ----------------------------------------------------------

@@ -240,3 +240,123 @@ def test_configurations_are_valid_paths(n, data):
     assert configs  # at least one source-sink path always exists
     for config in configs:
         assert sg.is_configuration(config)
+
+
+# -- a frozen graph derives its facts once, and they change nothing -------------
+
+
+def _scan_order(services, edges):
+    """Kahn's algorithm with sorted tie-breaking, straight off the edge set."""
+    indegree = {s: sum(1 for _, b in edges if b == s) for s in services}
+    ready = sorted(s for s, d in indegree.items() if d == 0)
+    order = []
+    while ready:
+        node = ready.pop(0)
+        order.append(node)
+        for succ in sorted(b for a, b in edges if a == node):
+            indegree[succ] -= 1
+            if indegree[succ] == 0:
+                ready.append(succ)
+        ready.sort()
+    return order
+
+
+@st.composite
+def random_dag(draw):
+    """A DAG over shuffled slot ids, slots inserted in a second shuffled order."""
+    n = draw(st.integers(1, 9))
+    rank = draw(st.permutations(range(n)))  # edges run from lower to higher rank
+    edges = {
+        (a, b)
+        for a in range(n)
+        for b in range(n)
+        if rank[a] < rank[b] and draw(st.booleans())
+    }
+    services = {slot: f"s{slot % 3}" for slot in draw(st.permutations(range(n)))}
+    return services, edges
+
+
+class TestGraphFacts:
+    @settings(max_examples=60, deadline=None)
+    @given(random_dag())
+    def test_facts_equal_an_edge_scan(self, dag):
+        services, edges = dag
+        sg = ServiceGraph(services=services, edges=edges)
+        order = _scan_order(services, edges)
+        for _ in range(2):  # first use, then the kept copy
+            assert sg.topological_order() == order
+            for slot in services:
+                assert sg.successors(slot) == sorted(b for a, b in edges if a == slot)
+                assert sg.predecessors(slot) == sorted(a for a, b in edges if b == slot)
+            assert sg.source_slots() == [
+                s for s in services if all(b != s for _, b in edges)
+            ]
+            assert sg.sink_slots() == [
+                s for s in services if all(a != s for a, _ in edges)
+            ]
+            assert sg.is_linear == (edges == set(zip(order, order[1:])))
+        assert sg.successors(99) == sg.predecessors(99) == []
+
+    def test_results_are_the_callers_to_mutate(self):
+        sg = linear_graph(["a", "b", "c"])
+        for fact in (sg.topological_order, sg.source_slots, sg.sink_slots):
+            fact().append(99)
+        sg.successors(0).append(99)
+        sg.predecessors(1).append(99)
+        assert sg.topological_order() == [0, 1, 2]
+        assert (sg.source_slots(), sg.sink_slots()) == ([0], [2])
+        assert (sg.successors(0), sg.predecessors(1)) == ([1], [0])
+
+    def test_cycle_still_raises_from_the_constructor(self):
+        with pytest.raises(ServiceModelError, match="cycle"):
+            ServiceGraph(services={0: "a", 1: "b", 2: "c"}, edges={(0, 1), (1, 2), (2, 0)})
+
+    def test_value_semantics_ignore_the_kept_facts(self):
+        import dataclasses
+        import pickle
+
+        sg = branching_graph(chains=[["a"], ["b"]], tail=["c", "d"])
+        twin = ServiceGraph(services=dict(sg.services), edges=set(sg.edges))
+        before = repr(sg)
+        # derive everything on one of the two
+        _ = (sg.topological_order(), sg.is_linear, sg.signature, sg.successors(0))
+        assert sg == twin and repr(sg) == before == repr(twin)
+        clone = pickle.loads(pickle.dumps(sg))
+        assert clone == sg
+        assert clone.topological_order() == sg.topological_order()
+        assert clone.signature == sg.signature
+
+        chain = linear_graph(["a", "b", "c"])
+        assert chain.is_linear and chain.topological_order() == [0, 1, 2]
+        forked = dataclasses.replace(chain, edges=frozenset({(0, 2), (1, 2)}))
+        # the replaced graph derives its own facts
+        assert not forked.is_linear
+        assert forked.topological_order() == [0, 1, 2]
+        assert forked.successors(0) == [2] and forked.predecessors(2) == [0, 1]
+        assert forked.signature != chain.signature
+        assert chain.is_linear and chain.successors(0) == [1]
+
+    def test_kahn_runs_once_per_graph(self, monkeypatch, tiny_framework):
+        from functools import cached_property
+
+        runs = []
+        kahn = ServiceGraph._shape.func
+
+        def counting(self):
+            runs.append(id(self))
+            return kahn(self)
+
+        counted = cached_property(counting)
+        counted.__set_name__(ServiceGraph, "_shape")
+        monkeypatch.setattr(ServiceGraph, "_shape", counted)
+
+        proxies = tiny_framework.overlay.proxies
+        placement = tiny_framework.overlay.placement
+        names = [sorted(placement[p])[0] for p in proxies[:4]]
+        request = ServiceRequest(proxies[0], linear_graph(names), proxies[-1])
+        assert runs == [id(request.service_graph)]
+        router = tiny_framework.hierarchical_router()
+        path = router.route(request)
+        assert router.route_many_detailed([request, request]).paths == [path, path]
+        assert names[0] in repr(request)
+        assert runs.count(id(request.service_graph)) == 1
