@@ -110,10 +110,13 @@ profile:
 # Alternating A/B of the end-to-end benchmark against a reference commit (or
 # a directory holding a checkout): medians, quartiles, pairs won and the
 # BENCHMARK.json bound per workload and metric.
-# `make ab REF=<commit> [W=<workload>] [PAIRS=10]`; without W, every workload.
+# `make ab REF=<commit> [W=<workload>] [PAIRS=10] [SEED=11]`; without W, every
+# workload. RECORD=benchmarks/history.jsonl appends the comparison to the
+# committed trajectory (one JSON line per run).
 PAIRS ?= 10
+SEED ?= 11
 ab:
-	$(PYTHON) scripts/ab_e2e.py $(REF) --pairs $(PAIRS) $(if $(filter command% environment%,$(origin W)),--workload $(W))
+	$(PYTHON) scripts/ab_e2e.py $(REF) --pairs $(PAIRS) --seed $(SEED) $(if $(filter command% environment%,$(origin W)),--workload $(W)) $(if $(RECORD),--record $(RECORD))
 
 # Mirror the full CI workflow locally: tier-1 tests, e2e self-test, lint,
 # fault matrix, bench smoke + gate.

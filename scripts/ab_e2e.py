@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Alternating A/B of the end-to-end benchmark: a reference commit vs this checkout.
 
-    python scripts/ab_e2e.py <ref> [--workload W ...] [--pairs 10] [--seed 11]
-    make ab REF=<ref> [W=<workload>] [PAIRS=10]
+    python scripts/ab_e2e.py <ref> [--workload W ...] [--pairs 10] [--seed 11] [--record FILE]
+    make ab REF=<ref> [W=<workload>] [PAIRS=10] [RECORD=benchmarks/history.jsonl]
 
 *ref* is checked out into a temporary ``git worktree`` (removed afterwards);
 a *ref* that names a directory is measured as the checkout it is. Each pair
@@ -22,6 +22,12 @@ change won (ties count for neither) and a verdict:
 
 Exit status 1 if any metric is ``WORSE``, a run was incorrect, or the two
 sides' ``sim_digest`` differ. Nothing under ``benchmarks/e2e`` is edited.
+
+``--record FILE`` appends the comparison to *FILE* as one JSON line: when,
+both sides' commit ids (``dirty`` when the checkout has uncommitted changes),
+seed, pairs, and per workload whether the digests matched, the failed count
+and per end-to-end metric both sides' ``[q1, median, q3]``, the pairs won and
+the verdict. ``benchmarks/history.jsonl`` is the committed trajectory.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Dict, List, Tuple
 
@@ -81,11 +88,21 @@ def verdict(ref: List[float], new: List[float], better: str, bound: float) -> Tu
     return won, "ok"
 
 
+def commit_of(root: Path) -> Dict[str, Any]:
+    """The commit checked out at *root* and whether the tree differs from it."""
+    def git(*args: str) -> str:
+        done = subprocess.run(["git", *args], cwd=root, capture_output=True, text=True)
+        return done.stdout.strip() if done.returncode == 0 else ""
+
+    return {"commit": git("rev-parse", "HEAD") or None, "dirty": bool(git("status", "--porcelain"))}
+
+
 def compare(
     ref_root: Path, manifest: Dict[str, Any], workloads: List[str], pairs: int, seed: int
-) -> bool:
-    """Run the pairs and print the table; True if nothing broke."""
+) -> Tuple[bool, Dict[str, Any]]:
+    """Run the pairs and print the table; whether nothing broke, and the table as data."""
     fine = True
+    table: Dict[str, Any] = {}
     for workload in workloads:
         runs: Dict[str, List[Dict[str, Any]]] = {"ref": [], "new": []}
         for pair in range(pairs):
@@ -107,6 +124,8 @@ def compare(
             f"   {'metric':<12} {'ref median [q1, q3]':>34} {'change median [q1, q3]':>34} "
             f"{'ratio':>6} {'won':>5}  verdict"
         )
+        rows: Dict[str, Any] = {}
+        table[workload] = {"digests_equal": len(digests) == 1, "failed": failed, "metrics": rows}
         for metric in manifest["end_to_end"]:
             name = metric["name"]
             ref = [run["metrics"][name]["value"] for run in runs["ref"]]
@@ -120,7 +139,10 @@ def compare(
                 f"{word} (bound {metric['bound']:.2f})"
             )
             fine = fine and word != "WORSE"
-    return fine
+            rows[name] = {
+                "ref": [r1, r2, r3], "change": [n1, n2, n3], "won": won, "verdict": word,
+            }
+    return fine, table
 
 
 def main(argv: List[str] | None = None) -> int:
@@ -132,10 +154,27 @@ def main(argv: List[str] | None = None) -> int:
                         help="repeatable; default: every workload")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=11)
+    parser.add_argument("--record", metavar="FILE", help="append the comparison as one JSON line")
     args = parser.parse_args(argv)
     workloads = args.workload or names
+
+    def measured(ref_root: Path) -> bool:
+        fine, table = compare(ref_root, manifest, workloads, args.pairs, args.seed)
+        if args.record:
+            row = {
+                "recorded_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+                "ref": commit_of(ref_root),
+                "change": commit_of(ROOT),
+                "seed": args.seed,
+                "pairs": args.pairs,
+                "workloads": table,
+            }
+            with open(args.record, "a", encoding="utf-8") as history:
+                history.write(json.dumps(row, sort_keys=True) + "\n")
+        return fine
+
     if Path(args.ref).is_dir():
-        return 0 if compare(Path(args.ref).resolve(), manifest, workloads, args.pairs, args.seed) else 1
+        return 0 if measured(Path(args.ref).resolve()) else 1
     with tempfile.TemporaryDirectory(prefix="ab_e2e.") as scratch:
         tree = Path(scratch) / "ref"
         subprocess.run(
@@ -143,7 +182,7 @@ def main(argv: List[str] | None = None) -> int:
             cwd=ROOT, check=True, capture_output=True,
         )
         try:
-            fine = compare(tree, manifest, workloads, args.pairs, args.seed)
+            fine = measured(tree)
         finally:
             subprocess.run(
                 ["git", "worktree", "remove", "--force", str(tree)], cwd=ROOT, check=True

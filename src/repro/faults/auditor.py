@@ -264,9 +264,9 @@ class ConvergenceAuditor:
         counters["faults.restarts"] = registry.total("faults.restarts")
         counters["protocol.restarts"] = registry.total("protocol.restarts")
         counters["protocol.restarts.warm"] = registry.total("protocol.restarts.warm")
-        counters.update(
-            {f"delta.{k}": v for k, v in protocol.delta_stats().items()}
-        )
+        # the assembler tallies only: runs are compared across commits by these keys
+        stats = protocol.delta_stats()
+        counters.update({f"delta.{k}": stats[k] for k in ("applied", "stale", "gaps")})
 
         return FaultScenarioResult(
             plan=self.plan,

@@ -24,6 +24,7 @@ trace. Every decision also bumps a ``faults.*`` telemetry counter.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.faults.plan import (
@@ -65,10 +66,17 @@ class FaultInjector:
         self.trace: List[Dict[str, Any]] = []
         self._losses = [s for s in plan.specs if isinstance(s, LinkLoss)]
         self._partitions = [s for s in plan.specs if isinstance(s, Partition)]
-        self._crashes = [s for s in plan.specs if isinstance(s, CrashRestart)]
         self._jitters = [s for s in plan.specs if isinstance(s, DelayJitter)]
         self._duplicates = [s for s in plan.specs if isinstance(s, Duplicate)]
         self._reorders = [s for s in plan.specs if isinstance(s, Reorder)]
+        # what every message reads: a proxy's crash windows, and whether any
+        # windowed spec is open once ``i`` of the window edges have passed
+        self._crashes_of: Dict[ProxyId, List[CrashRestart]] = {}
+        for crash in plan.crash_specs():
+            self._crashes_of.setdefault(crash.proxy, []).append(crash)
+        windowed = [s for s in plan.specs if not isinstance(s, CrashRestart)]
+        self._edges = sorted({t for s in windowed for t in (s.start, s.end)})
+        self._open = [False] + [any(s.start <= t < s.end for s in windowed) for t in self._edges]
         self._on_restart: Optional[RestartHook] = None
         self._on_crash: Optional[CrashHook] = None
         self._resolve: Optional[AddressResolver] = None
@@ -113,7 +121,7 @@ class FaultInjector:
         }
         self._duplicated = registry.counter("faults.duplicated")
         self._restarts = registry.counter("faults.restarts")
-        for spec in self._crashes:
+        for spec in self.plan.crash_specs():
             sim.schedule(spec.crash_at - sim.now, lambda s=spec: self._crash(s))
             if spec.restart_at is not None:
                 sim.schedule(
@@ -147,7 +155,7 @@ class FaultInjector:
 
     def down(self, proxy: ProxyId, t: float) -> bool:
         """Whether *proxy* is crashed (and not yet restarted) at time *t*."""
-        return any(s.proxy == proxy and s.down_at(t) for s in self._crashes)
+        return any(s.down_at(t) for s in self._crashes_of.get(proxy, ()))
 
     # -- the delivery hook --------------------------------------------------------
 
@@ -164,6 +172,11 @@ class FaultInjector:
         if self._resolve is not None:
             sender = self._resolve(sender)
             recipient = self._resolve(recipient)
+
+        # neither endpoint ever crashes, no window is open: no draw, no trace
+        crashes = sender in self._crashes_of or recipient in self._crashes_of
+        if not (crashes or self._open[bisect_right(self._edges, now)]):
+            return None
 
         if self.down(sender, now):
             return self._drop("crash_sender", message, now)

@@ -203,10 +203,13 @@ class DeltaAssembler:
             # wait for that incarnation's full snapshot to re-anchor
             self.gaps += 1
             return None
-        value = (base - announcement.removed) | announcement.added
         self._heads[stream] = (last_inc, announcement.seq)
-        self._sets[stream] = value
         self.applied += 1
+        if not (announcement.added or announcement.removed):
+            # the base object itself: "unchanged" downstream is an identity check
+            return base
+        value = (base - announcement.removed) | announcement.added
+        self._sets[stream] = value
         return value
 
 

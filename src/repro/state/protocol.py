@@ -20,6 +20,8 @@ responsible for forwarding it to other proxies of its own cluster"). This
 costs one intra-cluster flood per neighbour border per aggregate period at
 steady state, but it makes the soft-state flow self-healing — a lost
 forward is repaired one period later — which the loss-rate tests rely on.
+State is dropped only for silence: a member unheard for ``EXPIRY_PERIODS``
+local periods leaves its peers' SCT_P on their own local timer.
 
 The wire carries sequence-numbered
 :class:`~repro.state.delta.Announcement` payloads — the symmetric
@@ -49,6 +51,11 @@ from repro.util.rng import RngLike, ensure_rng
 
 ClusterId = int
 
+#: a member unheard for this many local periods (three full refreshes at the
+#: default cadence) has left: its SCT_P entry is dropped. Twelve announcements
+#: lost in a row is a 5e-7 event at the 30% loss the soft state rides out.
+EXPIRY_PERIODS = 12
+
 
 @dataclass
 class ProtocolReport:
@@ -70,6 +77,9 @@ class ProtocolReport:
         dropped_bytes: sizes of the dropped messages (so overhead reports
             can account for bytes put on the wire but never delivered).
         bytes_by_kind: delivered sizes per message kind.
+        refresh: :meth:`StateDistributionProtocol.delta_stats` at the end;
+            ``changed / applied`` is the useful share of the refresh flow.
+        fault_drops: messages a fault injector on the simulator dropped, per cause.
     """
 
     converged_at: Optional[float]
@@ -80,6 +90,8 @@ class ProtocolReport:
     delivery_latency: Dict[str, Dict[str, float]] = field(default_factory=dict)
     dropped_bytes: int = 0
     bytes_by_kind: Dict[str, int] = field(default_factory=dict)
+    refresh: Dict[str, int] = field(default_factory=dict)
+    fault_drops: Dict[str, int] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready dump (the CLI's ``protocol --json``)."""
@@ -95,6 +107,8 @@ class ProtocolReport:
             },
             "dropped_bytes": self.dropped_bytes,
             "bytes_by_kind": dict(self.bytes_by_kind),
+            "refresh": dict(self.refresh),
+            "fault_drops": dict(self.fault_drops),
         }
 
 
@@ -176,7 +190,10 @@ class _ProxyAgent(Process):
             )
 
     def _broadcast_local(self) -> None:
-        services = self.state.local_capability()
+        state, now = self.state, self.simulator.now  # type: ignore[union-attr]
+        if state.sct_p.expire(now - EXPIRY_PERIODS * self.protocol.local_period, self.proxy):
+            state.sct_c.update(state.cluster_id, state.aggregate_own_cluster(), now=now)
+        services = state.local_capability()
         body, size = self._encode(("local",), services)
         for member in self.protocol.cluster_members[self.state.cluster_id]:
             if member == self.proxy:
@@ -206,9 +223,14 @@ class _ProxyAgent(Process):
         assert sim is not None
         if message.kind == "local_state":
             sender, body = message.payload
-            services = self._decode(("local", sender), body)
+            stream = ("local", sender)
+            services = self._decode(stream, body)
             if services is None:
-                return
+                # ignored (stale or gapped) but heard: the sender is alive, so
+                # what is held of it stays fresh until a full re-anchors it
+                services = self.assembler.current(stream)
+                if services is None:
+                    return
             self.state.sct_p.update(sender, services, now=sim.now)
             self.state.sct_c.update(
                 self.state.cluster_id, self.state.aggregate_own_cluster(), now=sim.now
@@ -378,12 +400,14 @@ class StateDistributionProtocol:
         ).inc()
 
     def delta_stats(self) -> Dict[str, int]:
-        """Aggregate assembler statistics across all proxies."""
-        stats = {"applied": 0, "stale": 0, "gaps": 0}
+        """Aggregate assembler statistics across all proxies; ``changed`` is
+        the SCT writes that changed content (the tables' revisions)."""
+        stats = {"applied": 0, "stale": 0, "gaps": 0, "changed": 0}
         for agent in self._agents:
             stats["applied"] += agent.assembler.applied
             stats["stale"] += agent.assembler.stale
             stats["gaps"] += agent.assembler.gaps
+            stats["changed"] += agent.state.sct_p.revision + agent.state.sct_c.revision
         return stats
 
     # -- dynamics ----------------------------------------------------------------
@@ -446,9 +470,9 @@ class StateDistributionProtocol:
         The agent is deregistered (in-flight messages to it become counted
         drops, its periodic broadcasts stop re-arming), and the membership
         structures forget it so ground truth and peer fan-outs shrink.
-        Soft-state entries other proxies already hold about it age out
-        through the normal refresh flows — removal is a lifecycle operation,
-        not a retraction broadcast.
+        Soft-state entries other proxies hold about it age out: a member
+        drops the SCT_P entry ``EXPIRY_PERIODS`` local periods after it last
+        heard the proxy — removal is a lifecycle operation, not a retraction.
         """
         agent = self._agent_of.pop(proxy, None)
         if agent is None:
@@ -656,6 +680,8 @@ class StateDistributionProtocol:
             delivery_latency=latency_summaries,
             dropped_bytes=self.dropped_bytes,
             bytes_by_kind=registry.values_by_label("sim.bytes.delivered", "kind"),
+            refresh=self.delta_stats(),
+            fault_drops=registry.values_by_label("faults.dropped", "cause"),
         )
 
     def capabilities_for_routing(self) -> Dict[ClusterId, FrozenSet[ServiceName]]:

@@ -14,7 +14,7 @@ staleness and convergence of the distribution protocol.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Hashable
+from typing import Dict, FrozenSet, Hashable, Tuple
 
 from repro.services.catalog import ServiceName
 from repro.util.errors import StateError
@@ -35,27 +35,48 @@ class ServiceCapabilityTable:
 
     ``revision`` increments on every content change — a cheap monotonic
     version consumers (the routing capability feeds) compare instead of
-    diffing table snapshots.
+    diffing table snapshots — so it also counts them. A write that repeats
+    the stored content only moves the entry's timestamp.
     """
 
     _entries: Dict[Hashable, _Entry] = field(default_factory=dict)
     revision: int = 0
+    #: ``(revision, union of every entry)`` as of the last :meth:`union` call
+    _union: Tuple[int, FrozenSet[ServiceName]] = field(
+        default=(-1, frozenset()), init=False, repr=False, compare=False
+    )
 
     def update(
         self, key: Hashable, services: FrozenSet[ServiceName], now: float = 0.0
     ) -> bool:
         """Record *services* for *key*; returns True if the content changed."""
-        previous = self._entries.get(key)
-        changed = previous is None or previous.services != services
+        held = self._entries.get(key)
+        if held is not None and (held.services is services or held.services == services):
+            held.updated_at = now
+            return False
         self._entries[key] = _Entry(services=frozenset(services), updated_at=now)
-        if changed:
-            self.revision += 1
-        return changed
+        self.revision += 1
+        return True
 
     def remove(self, key: Hashable) -> None:
         """Drop *key*'s entry (no-op if absent)."""
         if self._entries.pop(key, None) is not None:
             self.revision += 1
+
+    def expire(self, before: float, keep: Hashable) -> bool:
+        """Drop every entry but *keep*'s last written before *before*; True if any was."""
+        silent = [k for k, e in self._entries.items() if e.updated_at < before and k != keep]
+        for key in silent:
+            self.remove(key)
+        return bool(silent)
+
+    def union(self) -> FrozenSet[ServiceName]:
+        """Every service some entry lists; recomputed only once ``revision`` has moved."""
+        revision, union = self._union
+        if revision != self.revision:
+            union = frozenset().union(*(e.services for e in self._entries.values()))
+            self._union = (self.revision, union)
+        return union
 
     def services_of(self, key: Hashable) -> FrozenSet[ServiceName]:
         """The recorded capability set for *key*."""
@@ -76,10 +97,6 @@ class ServiceCapabilityTable:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def keys(self):
-        """All keys currently present."""
-        return self._entries.keys()
 
     def as_dict(self) -> Dict[Hashable, FrozenSet[ServiceName]]:
         """Snapshot of the table content (keys -> capability sets)."""
@@ -106,7 +123,4 @@ class ProxyState:
     def aggregate_own_cluster(self) -> FrozenSet[ServiceName]:
         """Union of all known member capabilities — the border proxies'
         aggregation step (Section 4, footnote 5)."""
-        union: set = set()
-        for key in self.sct_p.keys():
-            union |= self.sct_p.services_of(key)
-        return frozenset(union)
+        return self.sct_p.union()

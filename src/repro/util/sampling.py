@@ -14,6 +14,7 @@ so seeds produce bit-identical request streams across the refactor.
 from __future__ import annotations
 
 import random
+from itertools import accumulate
 from typing import Generic, List, Optional, Sequence, TypeVar
 
 from repro.util.errors import ReproError
@@ -66,6 +67,8 @@ class PopularitySampler(Generic[T]):
         self._weights: Optional[List[float]] = (
             None if popularity == "uniform" else zipf_weights(len(items), exponent)
         )
+        # what ``rng.choices(weights=...)`` would re-accumulate on every draw
+        self._cum_weights = list(accumulate(self._weights or ()))
 
     @property
     def items(self) -> List[T]:
@@ -80,4 +83,4 @@ class PopularitySampler(Generic[T]):
         """One item, drawn with the configured popularity from *rng*."""
         if self._weights is None:
             return rng.choice(self._items)
-        return rng.choices(self._items, weights=self._weights, k=1)[0]
+        return rng.choices(self._items, cum_weights=self._cum_weights, k=1)[0]

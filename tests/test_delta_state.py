@@ -97,6 +97,21 @@ class TestDeltaAssembler:
         got = assembler.apply(("s",), Announcement(seq=5, full=frozenset({"z"})))
         assert got == frozenset({"z"})
 
+    def test_empty_delta_returns_the_base_object_itself(self):
+        emitter, assembler = DeltaEmitter(refresh_every=10), DeltaAssembler()
+        held = frozenset({"a", "b"})
+        base = assembler.apply(("s",), emitter.announce(("s",), held))
+        for _ in range(3):  # nothing new: the very object, not an equal copy
+            assert assembler.apply(("s",), emitter.announce(("s",), held)) is base
+        assert assembler.current(("s",)) is base
+        assert (assembler.applied, assembler.stale, assembler.gaps) == (4, 0, 0)
+        # the head moved with every empty delta: a replay is stale, a skip is a gap
+        assert assembler.apply(("s",), Announcement(seq=4)) is None
+        assert assembler.apply(("s",), Announcement(seq=6)) is None
+        assert (assembler.applied, assembler.stale, assembler.gaps) == (4, 1, 1)
+        changed = assembler.apply(("s",), emitter.announce(("s",), held | {"c"}))
+        assert changed == {"a", "b", "c"} and assembler.current(("s",)) is changed
+
     def test_delta_without_base_is_a_gap(self):
         assembler = DeltaAssembler()
         assert assembler.apply(("s",), Announcement(seq=1, added=frozenset({"a"}))) is None
@@ -157,11 +172,18 @@ class TestDeltaProtocol:
         )
 
     def test_delta_stats_counted(self, reports):
-        protocol, _ = reports["delta"]
+        protocol, report = reports["delta"]
         stats = protocol.delta_stats()
         assert stats["applied"] > 0
         # lossless run: nothing is ever stale or gapped
         assert stats["stale"] == 0 and stats["gaps"] == 0
+        # a steady refresh flow mostly repeats itself, and the report says so
+        assert stats["changed"] == sum(
+            state.sct_p.revision + state.sct_c.revision for state in protocol.states.values()
+        )
+        assert 0 < stats["changed"] < 0.2 * stats["applied"]
+        assert report.to_dict()["refresh"] == stats
+        assert report.to_dict()["fault_drops"] == {}
 
     def test_reconverges_after_midrun_change(self, tiny_framework):
         protocol = StateDistributionProtocol(

@@ -224,6 +224,120 @@ class TestInjector:
             FaultInjector(plan).install(sim)  # slot already taken
 
 
+class TestIndexedInjectorMatchesScan:
+    """The indexed injector decides every message as the scan-everything
+    reference (``tests/oracles/faults.py``) does: same delays, same trace,
+    same counters, same RNG state — message by message."""
+
+    PROXIES = ("a", "b", "c", "d")
+
+    @classmethod
+    def _plans(cls):
+        from hypothesis import strategies as st
+
+        # a coarse grid, so windows overlap, nest and abut often
+        tick = st.integers(min_value=0, max_value=12).map(lambda i: 5.0 * i)
+        window = st.tuples(tick, tick).filter(lambda w: w[0] < w[1])
+        proxy = st.sampled_from(cls.PROXIES)
+        chance = st.sampled_from([0.0, 0.3, 0.7, 1.0])
+        wild = st.one_of(st.none(), proxy)
+        halves = st.sets(proxy, min_size=1, max_size=3).map(
+            lambda low: (frozenset(low), frozenset(set(cls.PROXIES) - low))
+        )
+        spec = st.one_of(
+            st.builds(
+                lambda w, rate, s, r: LinkLoss(w[0], w[1], rate, s, r), window, chance, wild, wild
+            ),
+            st.builds(lambda w, groups: Partition(w[0], w[1], groups), window, halves),
+            st.builds(
+                lambda p, w, restarts: CrashRestart(p, w[0], w[1] if restarts else None),
+                proxy, window, st.booleans(),
+            ),
+            st.builds(lambda w, p: DelayJitter(w[0], w[1], 4.0, p), window, chance),
+            st.builds(
+                lambda w, p, off: Duplicate(w[0], w[1], p, off),
+                window, chance, st.sampled_from([0.0, 3.0]),
+            ),
+            st.builds(lambda w, p: Reorder(w[0], w[1], p, 6.0), window, chance),
+        )
+        return st.builds(
+            FaultPlan, st.integers(min_value=0, max_value=99), st.lists(spec, max_size=7)
+        )
+
+    def test_same_decisions_trace_counters_and_rng(self):
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        from repro.netsim.eventsim import Message
+        from repro.traffic.engine import traffic_proxy
+        from tests.oracles.faults import ReferenceFaultInjector
+
+        proxy = st.sampled_from(self.PROXIES)
+        address = st.one_of(proxy, proxy.map(lambda p: ("traffic", p)))
+        stream = st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 0.0, 1.0, 2.5, 5.0]),  # time since the last message
+                address,
+                address,
+                st.sampled_from([0.5, 3.0, 12.0]),
+            ),
+            min_size=1,
+            max_size=60,
+        )
+
+        def counters(sim):
+            registry = sim.telemetry.registry
+            return (
+                registry.values_by_label("faults.dropped", "cause"),
+                registry.values_by_label("faults.delayed", "cause"),
+                registry.total("faults.duplicated"),
+                registry.total("faults.restarts"),
+            )
+
+        @settings(max_examples=150, deadline=None)
+        @given(self._plans(), stream, st.booleans())
+        def check(plan, messages, resolve):
+            sides = []
+            for klass in (FaultInjector, ReferenceFaultInjector):
+                sim = Simulator()
+                injector = klass(plan).install(
+                    sim, resolve=traffic_proxy if resolve else None
+                )
+                sides.append((sim, injector))
+            now = 0.0
+            for gap, sender, recipient, delay in messages:
+                now += gap
+                message = Message(sender, recipient, "data", None)
+                answers = []
+                for sim, injector in sides:
+                    sim.run_until(now)
+                    answers.append(injector.intercept(message, delay))
+                (sim, indexed), (ref_sim, reference) = sides
+                assert answers[0] == answers[1], (plan, now, message)
+                assert indexed.trace == reference.trace
+                assert counters(sim) == counters(ref_sim)
+                assert indexed._rng.getstate() == reference._rng.getstate()
+                for p in self.PROXIES:
+                    assert indexed.down(p, now) == reference.down(p, now)
+
+        check()
+
+    def test_untouchable_message_costs_no_draw_and_no_trace(self):
+        plan = FaultPlan(
+            seed=4,
+            specs=(
+                LinkLoss(start=10.0, end=20.0, loss_rate=0.5),
+                CrashRestart(proxy="c", crash_at=5.0, restart_at=15.0),
+            ),
+        )
+        sim, a, _b, injector = _pair(plan)
+        before = injector._rng.getstate()
+        sim.run_until(25.0)  # the loss window has closed; "c" is not an endpoint
+        a.send("b", "data", "clear", delay=1.0)
+        assert injector._rng.getstate() == before
+        assert [e["fault"] for e in injector.trace] == ["crash", "restart"]
+
+
 @pytest.fixture(scope="module")
 def fault_framework():
     """A dedicated framework: fault scenarios mutate overlay placement."""
@@ -267,6 +381,22 @@ class TestScenarios:
         assert result.counters["faults.duplicated"] > 0
         # duplicated announcements are exactly what the stale counter absorbs
         assert result.counters["delta.stale"] > 0
+
+    def test_protocol_report_names_the_fault_drop_causes(self, fault_framework):
+        protocol = StateDistributionProtocol(fault_framework.hfc, seed=17)
+        FaultInjector(loss_burst_plan(fault_framework.hfc)).install(protocol.sim)
+        report = protocol.run(max_time=8000.0, stop_on_convergence=False)
+        dropped = report.to_dict()["fault_drops"]
+        assert dropped["loss"] > 0 and dropped["partition"] == 0
+        assert report.refresh["gaps"] > 0  # the burst broke delta chains
+
+    def test_audit_counters_keep_their_keys(self, fault_framework):
+        """Runs are compared across commits by these counters: statistics the
+        protocol gains later (``changed``) do not leak into them."""
+        result = run_fault_scenario(fault_framework, loss_burst_plan(fault_framework.hfc))
+        assert {k for k in result.counters if k.startswith("delta.")} == {
+            "delta.applied", "delta.stale", "delta.gaps",
+        }
 
     def test_crash_restart_wipes_and_recovers(self):
         framework = HFCFramework.build(proxy_count=48, seed=3)

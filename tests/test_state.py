@@ -28,6 +28,41 @@ class TestServiceCapabilityTable:
         assert table.update("p1", frozenset({"a"}), now=2.0) is False
         assert table.updated_at("p1") == 2.0  # timestamp still refreshes
 
+    def test_unchanged_update_moves_only_the_timestamp(self):
+        table = ServiceCapabilityTable()
+        stored = frozenset({"a", "b"})
+        table.update("p1", stored, now=1.0)
+        revision = table.revision
+        assert table.update("p1", frozenset({"b", "a"}), now=2.0) is False
+        assert table.update("p1", {"a", "b"}, now=3.0) is False  # equal, not frozen
+        assert table.services_of("p1") is stored
+        assert table.revision == revision
+        assert table.updated_at("p1") == 3.0
+
+    def test_union_follows_every_content_change(self):
+        table = ServiceCapabilityTable()
+        assert table.union() == frozenset()
+        table.update("p1", frozenset({"a"}))
+        table.update("p2", frozenset({"a", "b"}))
+        assert table.union() == frozenset({"a", "b"})
+        assert table.union() is table.union()  # one object per revision
+        table.remove("p2")
+        assert table.union() == frozenset({"a"})
+        table.update("p1", frozenset({"c"}))
+        assert table.union() == frozenset({"c"})
+
+    def test_expire_drops_the_silent_but_never_the_kept_key(self):
+        table = ServiceCapabilityTable()
+        table.update("me", frozenset({"a"}), now=0.0)
+        table.update("old", frozenset({"b"}), now=1.0)
+        table.update("fresh", frozenset({"c"}), now=5.0)
+        assert table.expire(5.0, keep="me") is True
+        assert set(table.as_dict()) == {"me", "fresh"}
+        assert table.union() == frozenset({"a", "c"})
+        revision = table.revision
+        assert table.expire(5.0, keep="me") is False
+        assert table.revision == revision
+
     def test_changed_update_returns_true(self):
         table = ServiceCapabilityTable()
         table.update("p1", frozenset({"a"}))
@@ -69,6 +104,131 @@ class TestProxyState:
         state = ProxyState(proxy="p1", cluster_id=0)
         state.sct_p.update("p1", frozenset({"a"}))
         assert state.local_capability() == frozenset({"a"})
+
+
+class TestUnionUnderLifecycle:
+    """The union a proxy aggregates is its current table's, whatever happened
+    to the table: written, expired, wiped, restored or round-tripped."""
+
+    def test_union_is_the_brute_force_union_after_every_step(self, tiny_framework):
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        from repro.state.serialize import proxy_state_from_dict, proxy_state_to_dict
+
+        hfc = tiny_framework.hfc
+        proxy = hfc.overlay.proxies[0]
+        keys = st.sampled_from(["m1", "m2", "m3"])
+        services = st.frozensets(st.sampled_from(["a", "b", "c", "d"]), max_size=3)
+        step = st.one_of(
+            st.tuples(st.just("update"), keys, services),
+            st.tuples(st.just("remove"), keys),
+            st.tuples(st.just("expire"), st.integers(min_value=0, max_value=40)),
+            st.tuples(st.sampled_from(["wipe", "restore", "round_trip"])),
+        )
+
+        @settings(max_examples=60, deadline=None)
+        @given(st.lists(step, min_size=1, max_size=30))
+        def check(steps):
+            protocol = StateDistributionProtocol(hfc, seed=1)
+            agent = protocol._agent_of[proxy]
+            saved = protocol.snapshot_proxy(proxy)
+            for clock, (op, *args) in enumerate(steps, start=1):
+                table = agent.state.sct_p
+                if op == "update":
+                    table.update(args[0], args[1], now=float(clock))
+                elif op == "remove":
+                    table.remove(args[0])
+                elif op == "expire":
+                    table.expire(float(clock - args[0]), keep=proxy)
+                    assert proxy in table  # a proxy's own entry never expires
+                elif op == "wipe":
+                    saved = protocol.snapshot_proxy(proxy)
+                    protocol.wipe_state(proxy)
+                elif op == "restore":
+                    protocol.restore_state(proxy, saved)
+                else:
+                    agent.state = protocol.states[proxy] = proxy_state_from_dict(
+                        proxy_state_to_dict(agent.state)
+                    )
+                state = agent.state
+                assert state is protocol.states[proxy]
+                brute = frozenset().union(*state.sct_p.as_dict().values())
+                assert state.aggregate_own_cluster() == brute, (op, args)
+
+        check()
+
+
+class TestDepartedProxy:
+    """``remove_proxy`` retracts nothing: the peers' entries have to age out."""
+
+    @pytest.fixture(scope="class")
+    def departed(self):
+        from repro.core import HFCFramework
+
+        framework = HFCFramework.build(proxy_count=60, seed=11)
+        protocol = StateDistributionProtocol(framework.hfc, seed=11)
+        assert protocol.run().converged_at is not None
+        hfc, placement = framework.hfc, framework.overlay.placement
+
+        def orphans(proxy):
+            others = [m for m in hfc.members(hfc.cluster_of(proxy)) if m != proxy]
+            return placement[proxy] - frozenset().union(*(placement[m] for m in others))
+
+        # somebody whose leaving takes services out of its cluster's aggregate;
+        # not a border: nothing re-elects one here (``DynamicOverlay`` does), so
+        # a border's departure also cuts its cluster pair's aggregate flow
+        victim = next(
+            p
+            for p in framework.overlay.proxies[1:]
+            if orphans(p) and not protocol.border_peers[p]
+        )
+        return protocol, victim, hfc.cluster_of(victim), orphans(victim)
+
+    def test_peers_forget_it_and_the_aggregates_follow(self, departed):
+        from repro.state.protocol import EXPIRY_PERIODS
+
+        protocol, victim, cluster, orphaned = departed
+        left_at = protocol.sim.now
+        protocol.remove_proxy(victim)
+        assert not protocol.converged()
+        # the holder's next local timer after the silence, one aggregate
+        # period, and the border-to-border and border-to-member hops
+        budget = (EXPIRY_PERIODS + 1) * protocol.local_period + protocol.aggregate_period + 500.0
+        protocol.sim.run_until(left_at + budget)
+        assert protocol.converged()
+        for state in protocol.states.values():
+            assert victim not in state.sct_p
+            assert not orphaned & state.sct_c.services_of(cluster)
+        assert not orphaned & protocol.capabilities_for_routing()[cluster]
+
+    def test_an_ignored_announcement_still_proves_its_sender_alive(self, tiny_framework):
+        from repro.netsim.eventsim import Message
+        from repro.state.delta import Announcement
+
+        protocol = StateDistributionProtocol(tiny_framework.hfc, seed=3)
+        assert protocol.run().converged_at is not None
+        hfc = tiny_framework.hfc
+        receiver = next(p for p in hfc.overlay.proxies if len(hfc.members(hfc.cluster_of(p))) > 1)
+        sender = next(m for m in hfc.members(hfc.cluster_of(receiver)) if m != receiver)
+        agent = protocol._agent_of[receiver]
+        table = agent.state.sct_p
+        held, revision = table.services_of(sender), table.revision
+        incarnation, seq = agent.assembler._heads[("local", sender)]
+        gapped = Announcement(seq=seq + 2, added=frozenset({"never-seen"}), incarnation=incarnation)
+        protocol.sim.run_until(protocol.sim.now + 10.0)  # between two local periods
+        assert table.updated_at(sender) < protocol.sim.now
+        agent.receive(Message(sender, receiver, "local_state", (sender, gapped)))
+        assert agent.assembler.gaps == 1
+        assert table.updated_at(sender) == protocol.sim.now
+        assert table.services_of(sender) is held and table.revision == revision
+
+    def test_nothing_live_expires(self, departed):
+        protocol = departed[0]
+        protocol.sim.run_until(protocol.sim.now + 3 * 6000.0)
+        assert protocol.converged()
+        for proxy, state in protocol.states.items():
+            assert proxy in state.sct_p
 
 
 class TestProtocol:

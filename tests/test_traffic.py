@@ -68,6 +68,23 @@ class TestPopularitySampler:
         second = [sampler.draw(random.Random(5)) for _ in range(20)]
         assert first == second
 
+    @pytest.mark.parametrize("popularity", ["uniform", "zipf"])
+    def test_draw_sequence_is_the_per_draw_accumulation_one(self, popularity):
+        """Accumulating the weights once changed no draw: same item, and one
+        ``random()`` consumed, for the same stream."""
+        items = [f"s{i}" for i in range(57)]
+        sampler = PopularitySampler(items, popularity=popularity, exponent=1.3)
+        weights = zipf_weights(len(items), 1.3)
+        rng, reference = random.Random(17), random.Random(17)
+        for _ in range(10_000):
+            expected = (
+                reference.choice(items)
+                if popularity == "uniform"
+                else reference.choices(items, weights=weights, k=1)[0]
+            )
+            assert sampler.draw(rng) == expected
+        assert rng.getstate() == reference.getstate()
+
     def test_zipf_skews_toward_head(self):
         sampler = PopularitySampler(list(range(10)), popularity="zipf", exponent=1.5)
         rng = random.Random(11)
