@@ -99,9 +99,15 @@ e2e-selftest:
 # whole run (set-up and the harness's calibration kernel included), then the
 # measured rounds' stage split — top 30 by cumulative time among the layers a
 # round runs (routing, services, membership, state, traffic, faults, the
-# event engine), which leaves the fixture build out. `make profile W=route_2k`.
+# event engine), which leaves the fixture build out — except for
+# `construct_2k`, whose rounds *are* the build: there the second table is the
+# construction layers. `make profile W=route_2k`.
 W ?= engine_16k
+ifeq ($(W),construct_2k)
+PROFILE_LAYERS = repro/(coords|cluster|overlay|graph|netsim/(topology|physical))
+else
 PROFILE_LAYERS = repro/(routing|services|membership|state|traffic|faults|netsim/(eventsim|shard))
+endif
 profile:
 	mkdir -p benchmarks/out
 	$(PYTHON) -m cProfile -o benchmarks/out/$(W).pstats benchmarks/e2e/run.py --workload $(W) --seconds 5 --trace 0

@@ -260,6 +260,7 @@ def _merge_small_clusters(
     Merging repeats until every cluster meets the minimum or one remains.
     """
     clusters = [list(c) for c in clusters]
+    centroids = [points[c].mean(axis=0) for c in clusters]
     while len(clusters) > 1:
         sizes = [len(c) for c in clusters]
         small = [i for i, s in enumerate(sizes) if s < min_size]
@@ -267,7 +268,6 @@ def _merge_small_clusters(
             break
         # Merge the smallest offender first for determinism.
         victim = min(small, key=lambda i: (sizes[i], clusters[i][0]))
-        centroids = [points[c].mean(axis=0) for c in clusters]
         best = None
         best_d = float("inf")
         for i, centroid in enumerate(centroids):
@@ -278,5 +278,6 @@ def _merge_small_clusters(
                 best, best_d = i, d
         assert best is not None
         clusters[best] = sorted(clusters[best] + clusters[victim])
-        del clusters[victim]
+        centroids[best] = points[clusters[best]].mean(axis=0)
+        del clusters[victim], centroids[victim]
     return clusters

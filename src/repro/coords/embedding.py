@@ -85,16 +85,29 @@ def embed_landmarks(
 
     # The objective is evaluated thousands of times on an m-landmark problem
     # whose pair list never changes: index the m(m-1)/2 pairs once, and
-    # compute only those (same terms, same order as `_relative_error`).
+    # compute only those (same terms, same order as `_relative_error`), in
+    # place in two buffers. Row p of `pair_diff` holds +1 at the pair's first
+    # landmark, -1 at its second and zeros, so the product is the pair's
+    # coordinate difference exactly (for finite coordinates) in one call.
     first, second = np.triu_indices(m, 1)
     meas = measured[first, second]
     safe = np.where(meas > 0, meas, 1.0)
+    pairs = np.arange(first.size)
+    pair_diff = np.zeros((first.size, m))
+    pair_diff[pairs, first] = 1.0
+    pair_diff[pairs, second] = -1.0
+    diff = np.empty((first.size, dim))
+    est = np.empty(first.size)
 
     def objective(flat: np.ndarray) -> float:
-        pts = flat.reshape(m, dim)
-        diff = pts[first] - pts[second]
-        est = np.sqrt(np.einsum("pk,pk->p", diff, diff))
-        return float(np.sum(((est - meas) / safe) ** 2))
+        np.dot(pair_diff, flat.reshape(m, dim), out=diff)
+        # einsum's own summation order over k, as in `_relative_error`'s input
+        np.einsum("pk,pk->p", diff, diff, out=est)
+        np.sqrt(est, out=est)
+        np.subtract(est, meas, out=est)
+        np.divide(est, safe, out=est)
+        np.multiply(est, est, out=est)
+        return float(np.add.reduce(est))
 
     scale = float(np.max(measured)) or 1.0
     jitter = initial + rng.gauss(0.0, 1.0) * 0.0  # deterministic base start
@@ -134,9 +147,10 @@ def locate_host(
             f"{measured.shape[0]} measurements"
         )
 
+    safe = np.where(measured > 0, measured, 1.0)
+
     def objective(point: np.ndarray) -> float:
         est = np.sqrt(np.sum((landmarks - point) ** 2, axis=1))
-        safe = np.where(measured > 0, measured, 1.0)
         return float(np.sum(((est - measured) / safe) ** 2))
 
     # Start from the measurement-weighted centroid: closer landmarks pull
@@ -191,11 +205,24 @@ def locate_hosts(
     if hosts == 0:
         return np.zeros((0, landmarks.shape[1]), dtype=float)
     safe = np.where(measured > 0, measured, 1.0)
+    by_axis = np.ascontiguousarray(landmarks.T)[:, None, :]
 
     def objective(points: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        diff = landmarks[None, :, :] - points[:, None, :]
-        est = np.sqrt(np.sum(diff**2, axis=2))
-        return np.sum(((est - measured[idx]) / safe[idx]) ** 2, axis=1)
+        # Squared distances accumulated axis by axis into one (M, m) block —
+        # the terms and order of `np.sum(diff**2, axis=2)` over an (M, m, k)
+        # cube (numpy sums a short trailing axis sequentially) without the
+        # cube — then the relative error in place.
+        est = by_axis[0] - points[:, :1]
+        est *= est
+        for a in range(1, by_axis.shape[0]):
+            term = by_axis[a] - points[:, a : a + 1]
+            term *= term
+            est += term
+        np.sqrt(est, out=est)
+        est -= measured.take(idx, axis=0)
+        est /= safe.take(idx, axis=0)
+        est *= est
+        return np.sum(est, axis=1)
 
     weights = 1.0 / np.maximum(measured, 1e-9)
     centroid = (landmarks[None, :, :] * weights[:, :, None]).sum(
@@ -292,7 +319,10 @@ def build_coordinate_space(
     telemetry = telemetry if telemetry is not None else get_telemetry()
     rng = ensure_rng(seed)
     if landmarks is None:
-        landmarks = choose_landmarks(physical, landmark_count, rng)
+        with telemetry.tracer.span(
+            "construct.embedding.choose_landmarks", landmarks=landmark_count
+        ):
+            landmarks = choose_landmarks(physical, landmark_count, rng)
     landmarks = list(landmarks)
     m = len(landmarks)
     measurement_count = 0

@@ -19,6 +19,26 @@ from repro.util.errors import EmbeddingError
 NodeId = Hashable
 
 
+def cross_distances(block_a: np.ndarray, block_b: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of two coordinate blocks.
+
+    ``(|a|, k)`` and ``(|b|, k)`` in, ``(|a|, |b|)`` out. The squared
+    differences are accumulated axis by axis into the one output block —
+    no ``(|a|, |b|, k)`` difference cube. Every border-selection kernel
+    (:meth:`CoordinateSpace.closest_pair`, ``overlay.hfc.closest_cross_pair``,
+    the membership layer's nearest-member scan) reduces this same block, so
+    full scans and incremental patches rank candidate pairs identically.
+    """
+    cols_a, cols_b = block_a.T, block_b.T
+    dist = cols_a[0][:, None] - cols_b[0][None, :]
+    dist *= dist
+    for axis in range(1, cols_a.shape[0]):
+        term = cols_a[axis][:, None] - cols_b[axis][None, :]
+        term *= term
+        dist += term
+    return np.sqrt(dist, out=dist)
+
+
 class CoordinateSpace:
     """Immutable mapping of node ids to k-dimensional coordinates."""
 
@@ -170,10 +190,7 @@ class CoordinateSpace:
         """
         if not group_a or not group_b:
             raise EmbeddingError("closest_pair requires two non-empty groups")
-        pts_a = self.array(group_a)
-        pts_b = self.array(group_b)
-        diff = pts_a[:, None, :] - pts_b[None, :, :]
-        dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        dist = cross_distances(self.array(group_a), self.array(group_b))
         flat = int(np.argmin(dist))
         i, j = divmod(flat, dist.shape[1])
         return group_a[i], group_b[j], float(dist[i, j])

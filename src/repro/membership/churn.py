@@ -46,7 +46,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 from repro.cluster.mstcluster import Clustering, ClusteringConfig, cluster_nodes
 from repro.cluster.quality import separation_ratio
 from repro.coords.embedding import locate_host
-from repro.coords.space import CoordinateSpace
+from repro.coords.space import CoordinateSpace, cross_distances
 from repro.core.framework import HFCFramework
 from repro.core.versioning import ChangeNotifier, OverlayVersion
 from repro.overlay.hfc import (
@@ -641,12 +641,11 @@ class DynamicOverlay:
 
     def _nearest_member(self, point: Sequence[float]) -> ProxyId:
         """The current member geometrically closest to *point*."""
-        target = np.asarray(point, dtype=float)
+        target = np.asarray(point, dtype=float)[None, :]
         best: Optional[ProxyId] = None
         best_d = float("inf")
         for members, block in zip(self._clusters, self._blocks):
-            diff = block - target[None, :]
-            d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+            d = cross_distances(target, block)[0]
             i = int(np.argmin(d))
             if float(d[i]) < best_d:
                 best, best_d = members[i], float(d[i])

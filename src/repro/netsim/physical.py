@@ -111,8 +111,8 @@ class PhysicalNetwork:
     def _noisy(self, true: float, probes: int) -> float:
         """Min-of-*probes* noisy observation of the delay *true*.
 
-        Shared by :meth:`measure` and :meth:`measure_many` so both draw the
-        exact same noise stream for the same pair sequence.
+        :meth:`measure_many` applies the same rule to a whole matrix and
+        draws the exact same noise stream for the same pair sequence.
         """
         if self.noise == 0.0 or true == 0.0:
             return true
@@ -141,22 +141,27 @@ class PhysicalNetwork:
             raise ValueError(f"probes must be >= 1, got {probes}")
         sources = list(sources)
         targets = list(targets)
-        true = np.zeros((len(sources), len(targets)), dtype=float)
+        delays = np.empty((len(sources), len(targets)), dtype=float)
         for j, t in enumerate(targets):
             dist = self.delays_from(t)
-            for i, s in enumerate(sources):
-                if s == t:
-                    continue
-                if s not in dist:
-                    raise TopologyError(f"router {t!r} unreachable from {s!r}")
-                true[i, j] = dist[s]
+            try:
+                delays[:, j] = [0.0 if s == t else dist[s] for s in sources]
+            except KeyError as exc:
+                raise TopologyError(
+                    f"router {t!r} unreachable from {exc.args[0]!r}"
+                ) from None
         if self.noise == 0.0:
-            return true
-        out = np.empty_like(true)
-        for i in range(len(sources)):
-            for j in range(len(targets)):
-                out[i, j] = self._noisy(true[i, j], probes)
-        return out
+            return delays
+        # :meth:`_noisy` over the whole matrix, in place: the stream is drawn
+        # once, in source-major order, for the pairs that draw at all (a zero
+        # delay is returned as it is); ``uniform(0.0, noise)`` is
+        # ``0.0 + noise * random()``.
+        live = delays != 0.0
+        draw = self._rng.random
+        draws = np.array([draw() for _ in range(int(live.sum()) * probes)])
+        observed = delays[live][:, None] * (1.0 + self.noise * draws.reshape(-1, probes))
+        delays[live] = observed.min(axis=1)
+        return delays
 
     # -- misc ---------------------------------------------------------------
 

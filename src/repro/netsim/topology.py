@@ -110,7 +110,9 @@ def _waxman_wire(
         v = order[rng.randrange(i)]
         graph.add_edge(u, v, _link_delay(config, positions[u], positions[v]))
     diameter = max(
-        math.dist(positions[u], positions[v]) for u in nodes for v in nodes if u != v
+        math.dist(positions[u], positions[v])
+        for i, u in enumerate(nodes)
+        for v in nodes[i + 1 :]
     )
     diameter = max(diameter, 1e-9)
     for i, u in enumerate(nodes):

@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.cluster.mstcluster import Clustering
-from repro.coords.space import CoordinateSpace
+from repro.coords.space import CoordinateSpace, cross_distances
 from repro.graph.graph import Graph
 from repro.graph.shortest_paths import dijkstra, reconstruct_path
 from repro.overlay.network import OverlayNetwork, ProxyId
@@ -314,10 +314,8 @@ def closest_cross_pair(
     scans and incremental per-pair patches select the same borders — the
     equivalence suite asserts this.
     """
-    diff = block_i[:, None, :] - block_j[None, :, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    flat = int(np.argmin(dist))
-    return divmod(flat, dist.shape[1])
+    flat = int(np.argmin(cross_distances(block_i, block_j)))
+    return divmod(flat, block_j.shape[0])
 
 
 def select_borders_closest(

@@ -20,6 +20,10 @@ original per-host/per-pair loops, which live on as test oracles in
   tolerance rather than bitwise while the topology stays identical).
 """
 
+import hashlib
+import json
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -68,6 +72,34 @@ def gnp_objectives(landmarks, measured):
         return np.sum(((est - measured[idx]) / safe[idx]) ** 2, axis=1)
 
     return scalar, batched
+
+
+def generic_objective(family, rng, batch, n):
+    """A batched objective over *batch* random problems in *n* variables
+    whose rows are evaluated independently (elementwise ufuncs and a sum
+    over a contiguous trailing axis), so a batch of one is its scalar form."""
+    centre = rng.uniform(-3.0, 3.0, (batch, n))
+    if family == "residual":
+        terms = int(rng.integers(1, 12))
+        weight = rng.uniform(-2.0, 2.0, (batch, terms, n))
+        target = rng.uniform(-4.0, 4.0, (batch, terms))
+
+        def batched(points, idx):
+            residual = -target[idx]
+            for a in range(n):
+                residual = residual + weight[idx, :, a] * points[:, a : a + 1]
+            return np.sum(residual * residual, axis=1)
+
+        return batched
+
+    def batched(points, idx):
+        d = points - centre[idx]
+        values = np.sum(np.abs(d) + (d * d) * (d * d), axis=1)
+        if family == "nan_region":
+            values[d[:, 0] > 1.0] = np.nan
+        return values
+
+    return batched
 
 
 class TestLandmarkObjective:
@@ -148,6 +180,52 @@ class TestBatchedNelderMead:
             assert np.array_equal(ref.x, result.x[i])
             assert ref.fun == result.fun[i]
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        batch=st.integers(1, 40),
+        n=st.integers(1, 6),
+        family=st.sampled_from(["residual", "l1_quartic", "nan_region"]),
+        cap=st.sampled_from([0, 1, 7, 60, 400]),
+    )
+    def test_generic_objectives_replay_the_scalar_loop(
+        self, seed, batch, n, family, cap
+    ):
+        """The kernel itself, away from the GNP objective: every problem's
+        ``x``, ``fun``, ``iterations`` and ``converged`` are the scalar
+        loop's, through NaN regions, zero start coordinates, tolerances
+        that pass in either order and caps that cut descents anywhere."""
+        rng = np.random.default_rng(seed)
+        batched = generic_objective(family, rng, batch, n)
+
+        def scalar(i):
+            # the batch of one: same arithmetic by construction
+            return lambda point: float(batched(point[None, :], np.array([i]))[0])
+
+        x0s = rng.uniform(-5.0, 5.0, (batch, n))
+        x0s[rng.uniform(size=(batch, n)) < 0.3] = 0.0
+        steps = rng.uniform(0.1, 3.0, batch)
+        xtols = rng.choice([1e-6, 1e-2, 10.0], batch)
+        ftols = rng.choice([1e-9, 1e-3, 1e3], batch)
+
+        result = nelder_mead_batch(
+            batched, x0s, initial_step=steps, xtol=xtols, ftol=ftols,
+            max_iterations=cap,
+        )
+        for i in range(batch):
+            ref = nelder_mead(
+                scalar(i),
+                x0s[i],
+                initial_step=float(steps[i]),
+                xtol=float(xtols[i]),
+                ftol=float(ftols[i]),
+                max_iterations=cap,
+            )
+            assert np.array_equal(ref.x, result.x[i], equal_nan=True)
+            assert np.array_equal(ref.fun, result.fun[i], equal_nan=True)
+            assert ref.iterations == result.iterations[i]
+            assert ref.converged == bool(result.converged[i])
+
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
             nelder_mead_batch(lambda p, i: np.zeros(len(p)), np.zeros((3,)))
@@ -184,6 +262,40 @@ class TestLocateHostsBatch:
         for i in range(hosts):
             ref = locate_host(landmarks, measured[i])
             assert np.array_equal(ref, batch[i])
+
+    @pytest.mark.parametrize("m", [10, 15])
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_production_shape_bit_identical(self, m, dim, monkeypatch):
+        """Paper-sized landmark sets and enough hosts that problems leave
+        the working set in many different iterations, a good share of them
+        cut off by the iteration cap, and one host measuring a zero delay."""
+        from repro.coords import neldermead
+
+        runs = []
+
+        def recording(*args, **kwargs):
+            runs.append(nelder_mead_batch(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(neldermead, "nelder_mead_batch", recording)
+        rng = np.random.default_rng(100 * m + dim)
+        hosts = 220
+        landmarks = rng.uniform(0.0, 100.0, (m, dim))
+        positions = rng.uniform(0.0, 100.0, (hosts, dim))
+        true = np.sqrt(
+            ((landmarks[None, :, :] - positions[:, None, :]) ** 2).sum(axis=2)
+        )
+        measured = true * rng.uniform(1.0, 1.15, (hosts, m))
+        measured[7, 3] = 0.0  # the host sits on landmark 3
+        cap = {2: 60, 3: 105, 5: 250}[dim]  # about the median descent
+
+        batch = locate_hosts(landmarks, measured, max_iterations=cap)
+        (run,) = runs  # both starts of every host
+        assert 0.2 * hosts < run.converged.sum() < 1.8 * hosts
+        assert len(set(run.iterations.tolist())) > 10
+        for i in range(hosts):
+            ref = locate_host(landmarks, measured[i], max_iterations=cap)
+            assert np.array_equal(ref, batch[i]), i
 
     def test_empty_batch(self):
         out = locate_hosts(np.zeros((4, 2)), np.zeros((0, 4)))
@@ -356,20 +468,83 @@ class TestFrameworkModes:
         from repro.telemetry import Telemetry
 
         telemetry = Telemetry()
-        HFCFramework.build(proxy_count=24, seed=3, telemetry=telemetry)
+        HFCFramework.build(proxy_count=150, seed=3, telemetry=telemetry)
         roots = telemetry.tracer.snapshot(limit=10)
         names = {root["name"] for root in roots}
         assert "construct" in names
         construct = next(r for r in roots if r["name"] == "construct")
-        child_names = {c["name"] for c in construct["children"]}
+        children = {c["name"]: c for c in construct["children"]}
         assert {
             "construct.topology",
             "construct.embedding",
             "construct.clustering",
             "construct.borders",
-        } <= child_names
+        } <= set(children)
+        # the embedding's own children account for (nearly) all of it
+        embedding = children["construct.embedding"]
+        phases = {c["name"]: c["duration"] for c in embedding["children"]}
+        assert set(phases) == {
+            "construct.embedding.choose_landmarks",
+            "construct.embedding.measure_landmarks",
+            "construct.embedding.landmarks",
+            "construct.embedding.measure_hosts",
+            "construct.embedding.locate",
+        }
+        assert sum(phases.values()) >= 0.9 * embedding["duration"]
         counters = telemetry.registry.snapshot()["counters"]
         assert any(
             entry["name"] == "construct.measurements" and entry["value"] > 0
             for entry in counters
         )
+
+
+#: sha256 of what a build produces, captured at the commit before the
+#: Section-3 kernels went by axis (PR 17): drift fails here in seconds, not
+#: only in the end-to-end digest at n=2000
+CONSTRUCTION_DIGEST_FIXTURE = os.path.join(
+    os.path.dirname(__file__), "fixtures", "construction_digest.json"
+)
+CONSTRUCTION_DIGEST_CASES = [(150, 2), (400, 2), (150, 3)]
+
+
+def _construction_digest(n, dimension):
+    from repro.core import FrameworkConfig, HFCFramework
+
+    framework = HFCFramework.build(
+        proxy_count=n, config=FrameworkConfig(dimension=dimension), seed=11
+    )
+    columnar = framework.columnar
+    parts = {
+        "coordinates": columnar.coords,
+        "labels": columnar.labels,
+        "border_matrix": columnar.border_matrix,
+        "landmark_coordinates": framework.embedding_report.landmark_coordinates,
+    }
+    return {
+        name: hashlib.sha256(arr.tobytes()).hexdigest()
+        for name, arr in parts.items()
+    }
+
+
+def write_construction_digest_fixture():
+    """Regenerate the fixture — only when a build is *meant* to change:
+    ``python -c "import tests.test_construction_equivalence as t;
+    t.write_construction_digest_fixture()"``."""
+    with open(CONSTRUCTION_DIGEST_FIXTURE, "w", encoding="utf-8") as handle:
+        json.dump(
+            {
+                f"n={n},dim={dim}": _construction_digest(n, dim)
+                for n, dim in CONSTRUCTION_DIGEST_CASES
+            },
+            handle,
+            indent=1,
+        )
+        handle.write("\n")
+
+
+class TestConstructionDigest:
+    @pytest.mark.parametrize("n,dimension", CONSTRUCTION_DIGEST_CASES)
+    def test_build_matches_the_recorded_digest(self, n, dimension):
+        with open(CONSTRUCTION_DIGEST_FIXTURE, encoding="utf-8") as handle:
+            expected = json.load(handle)[f"n={n},dim={dimension}"]
+        assert _construction_digest(n, dimension) == expected
