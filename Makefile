@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-full bench-query traffic examples clean lint bench-smoke fault-matrix e2e-selftest profile ab ci coverage
+.PHONY: install test test-output numbers examples lint coverage fault-matrix e2e-selftest profile ab ci clean
 
 # Editable install with the consolidated dev dependency list — the same
 # `[project.optional-dependencies] dev` extra every CI job installs from.
@@ -15,23 +15,13 @@ test:
 test-output:
 	$(PYTHON) -m pytest tests/ 2>&1 | tee test_output.txt
 
-bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-bench-full:
-	REPRO_SCALE=full $(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-bench-output:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
-
-# Regenerate the batched-query bench (BENCH_query.json) at the active scale.
-bench-query:
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_query.py --benchmark-only -q
-
-# Regenerate the sustained-traffic bench (BENCH_traffic.json) at the active
-# scale: steady state, rate-sweep saturation, and load-under-faults.
-traffic:
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_traffic.py --benchmark-only -q
+# Regenerate every simulated number the repo reports (Table 1, Figs 9/10,
+# A1-A8, the extension studies) into this scale's section of
+# benchmarks/paper_numbers.json: half a minute at the default scale, minutes
+# with REPRO_SCALE=full. The numbers are seed-deterministic, so the gate is
+#   make numbers && git diff --exit-code benchmarks/paper_numbers.json
+numbers:
+	PYTHONPATH=src $(PYTHON) -m benchmarks.numbers
 
 examples:
 	for f in examples/*.py; do echo "== $$f =="; $(PYTHON) $$f || exit 1; done
@@ -45,34 +35,6 @@ lint:
 	@if command -v mypy >/dev/null 2>&1; then \
 		mypy src/repro; \
 	else echo "mypy not installed; skipping (CI runs it)"; fi
-
-# The small-scale benches and their gates against the committed baselines.
-# This target is the one copy of the list: the CI bench-smoke job runs it.
-bench-smoke:
-	cp BENCH_construction.json /tmp/bench_baseline.json
-	cp BENCH_churn.json /tmp/churn_baseline.json
-	cp BENCH_query.json /tmp/query_baseline.json
-	cp BENCH_resilience.json /tmp/resilience_baseline.json
-	cp BENCH_traffic.json /tmp/traffic_baseline.json
-	cp BENCH_snapshot.json /tmp/snapshot_baseline.json
-	cp BENCH_hierarchy.json /tmp/hierarchy_baseline.json
-	cp BENCH_shard.json /tmp/shard_baseline.json
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_construction.py --benchmark-only -q
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_churn.py::test_incremental_churn_speedup --benchmark-only -q
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_query.py --benchmark-only -q
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_resilience.py::test_fault_matrix_recovery --benchmark-only -q
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_traffic.py --benchmark-only -q
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_snapshot.py --benchmark-only -q
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_multilevel.py --benchmark-only -q
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_shard.py --benchmark-only -q
-	$(PYTHON) scripts/check_bench_regression.py /tmp/bench_baseline.json BENCH_construction.json --tolerance 0.25
-	$(PYTHON) scripts/check_bench_regression.py /tmp/churn_baseline.json BENCH_churn.json --tolerance 0.25 --metric maintenance --metric state_bytes
-	$(PYTHON) scripts/check_bench_regression.py /tmp/query_baseline.json BENCH_query.json --tolerance 0.25 --metric batch_throughput --metric single_query
-	$(PYTHON) scripts/check_bench_regression.py /tmp/resilience_baseline.json BENCH_resilience.json --tolerance 0.25 --metric delivery_recovery --metric reconverge_margin
-	$(PYTHON) scripts/check_bench_regression.py /tmp/traffic_baseline.json BENCH_traffic.json --tolerance 0.25 --metric steady_throughput --metric p95_latency
-	$(PYTHON) scripts/check_bench_regression.py /tmp/snapshot_baseline.json BENCH_snapshot.json --tolerance 0.25 --metric warm_start
-	$(PYTHON) scripts/check_bench_regression.py /tmp/hierarchy_baseline.json BENCH_hierarchy.json --tolerance 0.25 --metric state_l3 --metric delay_l3
-	$(PYTHON) scripts/check_bench_regression.py /tmp/shard_baseline.json BENCH_shard.json --tolerance 0.25 --metric completed_ratio --metric locality
 
 # Tier-1 suite under coverage, enforcing the same floor as the CI tests job
 # (py3.12 leg); writes the HTML report to htmlcov/. Skipped with a notice
@@ -125,13 +87,14 @@ ab:
 	$(PYTHON) scripts/ab_e2e.py $(REF) --pairs $(PAIRS) --seed $(SEED) $(if $(filter command% environment%,$(origin W)),--workload $(W)) $(if $(RECORD),--record $(RECORD))
 
 # Mirror the full CI workflow locally: tier-1 tests, e2e self-test, lint,
-# fault matrix, bench smoke + gate.
+# fault matrix, the simulated numbers and their exact gate.
 ci:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
 	$(MAKE) e2e-selftest
 	$(MAKE) lint
 	$(MAKE) fault-matrix
-	$(MAKE) bench-smoke
+	$(MAKE) numbers
+	git diff --exit-code benchmarks/paper_numbers.json
 
 clean:
 	rm -rf build *.egg-info benchmarks/out .pytest_cache

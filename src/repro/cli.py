@@ -6,7 +6,6 @@ Commands:
 * ``table1``  — print the (scaled) Table 1 environments;
 * ``fig9``    — regenerate Fig 9 (state-maintenance overhead);
 * ``fig10``   — regenerate Fig 10 (service-path efficiency);
-* ``report``  — regenerate the complete evaluation as one markdown report;
 * ``protocol``— run the Section-4 state protocol and print its cost;
 * ``telemetry`` — exercise every instrumented layer and dump the metrics;
 * ``traffic`` — sustained open-loop session load: steady-state report,
@@ -121,26 +120,6 @@ def cmd_fig10(args: argparse.Namespace) -> int:
     if args.json:
         dump_json(efficiency_to_dict(result), args.json)
         print(f"JSON written to {args.json}")
-    return 0
-
-
-def cmd_report(args: argparse.Namespace) -> int:
-    from repro.experiments.full_report import generate_full_report
-
-    report = generate_full_report(
-        scale=args.scale,
-        topologies=args.topologies,
-        requests=args.requests,
-        include_ablations=not args.no_ablations,
-        seed=args.seed,
-    )
-    if args.json:
-        # the report is markdown; --json writes it to the given file instead
-        with open(args.json, "w") as handle:
-            handle.write(report)
-        print(f"report written to {args.json}")
-    else:
-        print(report)
     return 0
 
 
@@ -377,15 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     fig10.add_argument("--requests", type=int, default=150)
     fig10.add_argument("--strategies", default="mesh,hfc_agg,hfc_full")
     fig10.set_defaults(fn=cmd_fig10)
-
-    report = sub.add_parser(
-        "report", help="regenerate the complete evaluation as markdown"
-    )
-    _add_common(report)
-    report.add_argument("--topologies", type=int, default=2)
-    report.add_argument("--requests", type=int, default=100)
-    report.add_argument("--no-ablations", action="store_true")
-    report.set_defaults(fn=cmd_report)
 
     protocol = sub.add_parser("protocol", help="run the state protocol")
     protocol.add_argument("--proxies", type=int, default=100)

@@ -2,24 +2,13 @@
 
 from repro.experiments.environments import (
     TABLE1,
-    Environment,
     EnvironmentSpec,
     build_environment,
     scale_factor,
     scaled_table1,
 )
-from repro.experiments.overhead import (
-    OverheadPoint,
-    OverheadResult,
-    run_overhead_experiment,
-)
-from repro.experiments.path_efficiency import (
-    ALL_STRATEGIES,
-    DEFAULT_STRATEGIES,
-    EfficiencyPoint,
-    EfficiencyResult,
-    run_path_efficiency,
-)
+from repro.experiments.overhead import OverheadResult, run_overhead_experiment
+from repro.experiments.path_efficiency import run_path_efficiency
 from repro.experiments.report import ascii_table, series_block
 from repro.experiments.workload import (
     WorkloadConfig,
@@ -29,13 +18,7 @@ from repro.experiments.workload import (
 )
 
 __all__ = [
-    "ALL_STRATEGIES",
-    "DEFAULT_STRATEGIES",
-    "Environment",
     "EnvironmentSpec",
-    "EfficiencyPoint",
-    "EfficiencyResult",
-    "OverheadPoint",
     "OverheadResult",
     "TABLE1",
     "WorkloadConfig",

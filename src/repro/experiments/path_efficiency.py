@@ -38,7 +38,6 @@ from repro.util.errors import ReproError
 from repro.util.rng import RngLike, ensure_rng, spawn
 
 DEFAULT_STRATEGIES = ("mesh", "hfc_agg", "hfc_full")
-ALL_STRATEGIES = ("mesh", "hfc_agg", "hfc_full", "flat", "oracle")
 
 
 @dataclass

@@ -3,8 +3,8 @@
 Each factory returns a :class:`~repro.faults.plan.FaultPlan` whose
 geometry is derived deterministically from the given HFC (so the same
 seed over the same build is the same plan, bit for bit). They are the
-plans the test suite, the resilience bench (``bench_resilience.py``),
-and the CI fault-matrix smoke job all share:
+plans the test suite, the ``fault_matrix`` study
+(``benchmarks/numbers.py``) and the CI fault-matrix smoke job all share:
 
 * :func:`loss_burst_plan` — overlay-wide 30% loss burst;
 * :func:`partition_heal_plan` — split the clusters in two halves, heal;
@@ -156,8 +156,8 @@ def super_border_crash_plan(
     per-level aggregate reconvergence is observable, not vacuous.
 
     Deliberately *not* part of :func:`standard_fault_matrix`: the
-    resilience bench iterates that matrix, and its gated baselines predate
-    this plan. The fault-matrix script wires it in explicitly.
+    ``fault_matrix`` study iterates that matrix, and its recorded numbers
+    predate this plan. The fault-matrix script wires it in explicitly.
     """
     from repro.hierarchy.levels import build_levels
 

@@ -389,7 +389,8 @@ class HierarchyLevels:
 
         Each coordinate entry is one float64 k-vector (``8 * k`` bytes),
         each service entry one 8-byte aggregate code — the dimensionless
-        model ``benchmarks/bench_multilevel.py`` sweeps across depths.
+        model the ``hierarchy_depth`` study (``benchmarks/numbers.py``)
+        sweeps across depths.
         """
         coords = self.coordinates_node_states()
         services = self.service_node_states()

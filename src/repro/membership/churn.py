@@ -16,19 +16,17 @@ This module implements exactly that design, *incrementally*:
   the overlay re-clusters from scratch (the elected proxy P re-runs
   Section 3.2/3.3).
 
-A join or leave touches exactly one cluster, so the default
-``incremental=True`` mode patches the overlay in place: the affected
-cluster's member list and coordinate block are rebuilt (O(cluster)), and
-border selection re-runs only for the k-1 cluster pairs involving that
-cluster (:func:`repro.overlay.hfc.patch_borders_for_cluster`), using the
-same blocked closest-pair kernel as the full scan. Full reconstruction is
-reserved for :meth:`DynamicOverlay.restructure` (and for
-``incremental=False``, the legacy rebuild-the-world mode kept as the
-benchmark baseline). The derived ``space`` / ``clustering`` / ``overlay``
-/ ``hfc`` objects are materialised lazily on first access after a change,
-so a burst of churn events does not pay O(n) per event for views nobody
-reads. ``tests/test_incremental_equivalence.py`` proves both modes
-produce identical topologies after every event.
+A join or leave touches exactly one cluster, so it patches the overlay in
+place: the affected cluster's member list and coordinate block are rebuilt
+(O(cluster)), and border selection re-runs only for the k-1 cluster pairs
+involving that cluster (:func:`repro.overlay.hfc.patch_borders_for_cluster`),
+using the same blocked closest-pair kernel as the full scan. Full
+reconstruction is reserved for :meth:`DynamicOverlay.restructure`. The
+derived ``space`` / ``clustering`` / ``overlay`` / ``hfc`` objects are
+materialised lazily on first access after a change, so a burst of churn
+events does not pay O(n) per event for views nobody reads.
+``tests/test_incremental_equivalence.py`` proves the patched topology equals
+a rebuilt one (``tests/oracles/churn.py``) after every event.
 
 Every event advances :attr:`DynamicOverlay.version` (an
 :class:`~repro.core.versioning.OverlayVersion`: restructures bump the
@@ -93,8 +91,6 @@ class DynamicOverlay:
     history: List[ChurnEvent] = field(default_factory=list)
     #: observability scope (default: the process-wide one)
     telemetry: Optional[Telemetry] = None
-    #: patch the topology per event (default) instead of rebuilding it
-    incremental: bool = True
     #: compute the separation ratio after every event (O(n²/k)); disable
     #: for throughput-sensitive churn driving
     track_quality: bool = True
@@ -234,14 +230,13 @@ class DynamicOverlay:
     ):
         """Build a depth-*levels* recursive hierarchy and keep it patched.
 
-        After attaching, every incremental join/leave patches the level
+        After attaching, every join/leave patches the level
         stack along the affected spine only: the churned cluster's
         centroid, its ancestor groups' centroids, and the border pairs
         involving those ancestors at each level are re-selected — the
         upper-level *assignment* stays sticky, exactly like cluster
-        membership does for the base level. :meth:`restructure` (and the
-        legacy ``incremental=False`` mode) re-derives the assignment from
-        scratch instead. The patched stack is bit-identical to
+        membership does for the base level. :meth:`restructure` re-derives
+        the assignment from scratch instead. The patched stack is bit-identical to
         ``build_levels(self.hfc, depth, assignments=<current groups>)``
         (the equivalence suite asserts this).
         """
@@ -352,7 +347,7 @@ class DynamicOverlay:
     def _patch_hierarchy_spine(self, cluster_id: int) -> None:
         """Re-centroid + re-border the level stack along one cluster's spine.
 
-        The only hierarchy work an incremental join/leave pays: the
+        The only hierarchy work a join/leave pays: the
         churned cluster's centroid, then per upper level the one ancestor
         group's centroid and its border pairs against every sibling group
         (same build-order proxy lists and the same blocked closest-pair
@@ -490,7 +485,7 @@ class DynamicOverlay:
         pre-measured *coords*, e.g. replayed by the equivalence suite) and
         joins the cluster of its geometrically nearest existing proxy (the
         paper's suggested rule). Only that cluster's membership and border
-        pairs are recomputed in incremental mode.
+        pairs are recomputed.
         """
         if router in self._labels:
             raise MembershipError(f"proxy {router!r} is already a member")
@@ -505,17 +500,14 @@ class DynamicOverlay:
         self._coord_row[router] = row
         self._placement[router] = frozenset(services)
         self._labels[router] = cluster_id
-        if self.incremental:
-            members = list(self._clusters[cluster_id])
-            insort(members, router)
-            self._clusters[cluster_id] = members
-            self._blocks[cluster_id] = self._block(members)
-            patch_borders_for_cluster(
-                self._borders, cluster_id, self._clusters, self._blocks
-            )
-            self._patch_hierarchy_spine(cluster_id)
-        else:
-            self._full_rebuild()
+        members = list(self._clusters[cluster_id])
+        insort(members, router)
+        self._clusters[cluster_id] = members
+        self._blocks[cluster_id] = self._block(members)
+        patch_borders_for_cluster(
+            self._borders, cluster_id, self._clusters, self._blocks
+        )
+        self._patch_hierarchy_spine(cluster_id)
         self._finish_event("join", router)
         self._maybe_restructure()
         return router
@@ -523,9 +515,9 @@ class DynamicOverlay:
     def leave(self, proxy: ProxyId) -> None:
         """Proxy *proxy* leaves the overlay.
 
-        In incremental mode only its cluster is patched; if it was the
-        cluster's last member the cluster vanishes and the surviving
-        cluster ids compact downward (exactly as a full rebuild would).
+        Only its cluster is patched; if it was the cluster's last member
+        the cluster vanishes and the surviving cluster ids compact downward
+        (exactly as a full rebuild would).
         """
         if proxy not in self._labels:
             raise MembershipError(f"proxy {proxy!r} is not a member")
@@ -534,35 +526,32 @@ class DynamicOverlay:
         cluster_id = self._labels.pop(proxy)
         self._free_rows.append(self._coord_row.pop(proxy))
         del self._placement[proxy]
-        if self.incremental:
-            members = [p for p in self._clusters[cluster_id] if p != proxy]
-            if members:
-                self._clusters[cluster_id] = members
-                self._blocks[cluster_id] = self._block(members)
-                patch_borders_for_cluster(
-                    self._borders, cluster_id, self._clusters, self._blocks
-                )
-                self._patch_hierarchy_spine(cluster_id)
-            else:
-                del self._clusters[cluster_id]
-                del self._blocks[cluster_id]
-                for p, c in self._labels.items():
-                    if c > cluster_id:
-                        self._labels[p] = c - 1
-                self._borders = drop_cluster_from_borders(
-                    self._borders, cluster_id
-                )
-                self._hier_drop_cluster(cluster_id)
+        members = [p for p in self._clusters[cluster_id] if p != proxy]
+        if members:
+            self._clusters[cluster_id] = members
+            self._blocks[cluster_id] = self._block(members)
+            patch_borders_for_cluster(
+                self._borders, cluster_id, self._clusters, self._blocks
+            )
+            self._patch_hierarchy_spine(cluster_id)
         else:
-            self._full_rebuild()
+            del self._clusters[cluster_id]
+            del self._blocks[cluster_id]
+            for p, c in self._labels.items():
+                if c > cluster_id:
+                    self._labels[p] = c - 1
+            self._borders = drop_cluster_from_borders(
+                self._borders, cluster_id
+            )
+            self._hier_drop_cluster(cluster_id)
         self._finish_event("leave", proxy)
         self._maybe_restructure()
 
     def restructure(self) -> None:
         """Re-run clustering from scratch (the elected proxy P's re-run).
 
-        The only full rebuild in incremental mode; it advances the version
-        epoch because cluster ids are reassigned wholesale.
+        The only full rebuild; it advances the version epoch because
+        cluster ids are reassigned wholesale.
         """
         clustering = cluster_nodes(
             self.space, list(self._labels), self._cluster_config
@@ -632,12 +621,6 @@ class DynamicOverlay:
                 borders[(i, j)] = self._clusters[i][a]
                 borders[(j, i)] = self._clusters[j][b]
         self._borders = borders
-
-    def _full_rebuild(self) -> None:
-        """The legacy rebuild-the-world path (``incremental=False``)."""
-        self._adopt_labels(dict(self._labels))
-        self._refresh_borders()
-        self._rebuild_hierarchy()
 
     def _nearest_member(self, point: Sequence[float]) -> ProxyId:
         """The current member geometrically closest to *point*."""
@@ -713,20 +696,15 @@ def run_churn_session(
     join_probability: float = 0.5,
     seed: RngLike = None,
     restructure_tolerance: Optional[float] = 0.7,
-    incremental: bool = True,
 ) -> DynamicOverlay:
-    """Drive a random churn session against *framework* (the E1 bench).
+    """Drive a random churn session against *framework* (the E1 study).
 
     Joins pick random unused stub routers and random service subsets from
     the catalog; leaves pick random current members. Returns the
     :class:`DynamicOverlay` with its full event history.
     """
     rng = ensure_rng(seed)
-    dyn = DynamicOverlay(
-        framework,
-        restructure_tolerance=restructure_tolerance,
-        incremental=incremental,
-    )
+    dyn = DynamicOverlay(framework, restructure_tolerance=restructure_tolerance)
     catalog = list(framework.catalog.names)
     used = set(dyn.proxies)
     free = [s for s in framework.physical.topology.stub_nodes if s not in used]

@@ -102,8 +102,8 @@ def save_snapshot(
     framework's). *state_plane* is an optional
     ``StateDistributionProtocol.snapshot_state_plane()`` capture to embed.
     The archive is uncompressed on purpose: coordinates are incompressible
-    float noise and save/load wall-clock is the point (see
-    ``benchmarks/bench_snapshot.py``).
+    float noise and save/load wall-clock is the point (the end-to-end
+    benchmark's ``persistence.save_s`` / ``persistence.load_s``).
     """
     framework, columnar = _snapshot_parts(target)
     topo = framework.physical.topology

@@ -29,8 +29,8 @@ difference since the stream's previous announcement, with a full snapshot
 every ``refresh_every`` announcements as the soft-state safety net; stale
 or gapped announcements are ignored by the receiver-side assembler.
 ``refresh_every=1`` makes every announcement a full snapshot: the paper's
-re-flood-everything behaviour, which ``benchmarks/bench_churn.py`` uses as
-the cost baseline. Convergence semantics, ground-truth checks and the
+re-flood-everything behaviour, which the ``state_bytes`` study
+(``benchmarks/numbers.py``) uses as the cost baseline. Convergence semantics, ground-truth checks and the
 per-proxy table contents do not depend on the cadence —
 ``tests/test_delta_state.py`` asserts it.
 """

@@ -10,7 +10,7 @@ Entry points:
 
 * :func:`get_telemetry` — the process-wide default scope (default-on);
 * :class:`Telemetry` — a private scope (each simulator owns one);
-* :data:`NULL_TELEMETRY` — instrumentation off (the bench baseline).
+* :data:`NULL_TELEMETRY` — instrumentation off.
 """
 
 from repro.telemetry.core import (

@@ -17,8 +17,8 @@ are stamped with ``Simulator.now`` (clock kind ``"sim"``); otherwise with
 the wall clock.
 
 :class:`NullTelemetry` is the measured-off state: every handle it returns
-is a shared no-op, which the overhead bench uses as the
-pre-instrumentation baseline.
+is a shared no-op — the pre-instrumentation baseline an overhead
+measurement compares against.
 """
 
 from __future__ import annotations
@@ -201,7 +201,7 @@ class _NullEventLog(EventLog):
 
 
 class NullTelemetry(Telemetry):
-    """Telemetry that measures nothing — the overhead-bench baseline."""
+    """Telemetry that measures nothing."""
 
     enabled = False
 

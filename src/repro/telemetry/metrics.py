@@ -300,7 +300,7 @@ class MetricsRegistry:
             mine.merge(metric)
 
     def clear(self) -> None:
-        """Drop every metric (used by tests and the overhead bench)."""
+        """Drop every metric (tests, and drivers between independent runs)."""
         self._metrics.clear()
 
     def snapshot(self) -> Dict[str, Any]:

@@ -7,9 +7,9 @@ are stated in: offered vs. completed load, sojourn-time quantiles
 rate-sweep saturation finder.
 
 All quantities are measured on the *simulated* clock, so every number
-here is deterministic for a given config + seed — which is what lets the
-benchmark gate (``check_bench_regression.py``) compare them across
-runner hardware.
+here is deterministic for a given config + seed — which is what lets
+``benchmarks/paper_numbers.json`` record them and CI compare them exactly,
+on any runner hardware.
 """
 
 from __future__ import annotations

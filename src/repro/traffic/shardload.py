@@ -19,8 +19,8 @@ hash-derived destination, each request walking the paper's 4-node path
 (source → own border → peer border → destination). Everything is a pure
 function of (seed, proxy, request index) — no RNG stream is shared
 across shards — so the completed-request count is bit-identical for any
-shard count and any worker count: the benches gate on that ratio being
-exactly 1.0.
+shard count and any worker count: the ``shard`` study
+(``benchmarks/numbers.py``) asserts that every issued request completes.
 """
 
 from __future__ import annotations

@@ -1,3 +1,3 @@
-"""Slow reference twins the equivalence tests and legacy benches compare
+"""Slow reference twins the equivalence tests compare
 the single production code path against. Not collected: no ``test_*`` names.
 """

@@ -153,26 +153,3 @@ class TestTelemetryCLI:
         assert "sim.messages.delivered" in counters
         histograms = {h["name"] for h in payload["metrics"]["histograms"]}
         assert "sim.delivery.latency" in histograms
-
-
-class TestReportCommand:
-    def test_report_runs_without_ablations(self, capsys):
-        code = main([
-            "report", "--scale", "0.12", "--topologies", "1",
-            "--requests", "5", "--no-ablations", "--seed", "3",
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "Fig 9(a)" in out
-        assert "Fig 10" in out
-        assert "Ablations" not in out
-
-    def test_report_to_file(self, tmp_path, capsys):
-        target = tmp_path / "report.md"
-        code = main([
-            "report", "--scale", "0.12", "--topologies", "1",
-            "--requests", "5", "--no-ablations", "--seed", "3",
-            "--json", str(target),
-        ])
-        assert code == 0
-        assert "Fig 10" in target.read_text()

@@ -2,8 +2,8 @@
 
 The incremental membership layer patches only the touched cluster's
 membership and border pairs per event. These tests drive identical event
-sequences through two twin overlays — ``incremental=True`` and
-``incremental=False`` (rebuild-the-world) — and assert the resulting
+sequences through two twin overlays — the production ``DynamicOverlay`` and
+``tests/oracles/churn.py``'s rebuild-the-world twin — and assert the resulting
 topologies are *bit-identical*: same clusters, same labels, same border
 pairs, same routing matrices. A third check compares the patched border
 dict against a fresh :func:`~repro.overlay.hfc.build_hfc` run on the
@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from repro.membership import DynamicOverlay
 from repro.overlay.hfc import build_hfc
 from repro.util.rng import ensure_rng
+from tests.oracles.churn import RebuildingOverlay
 
 
 def _join_pool(framework, count, seed):
@@ -47,13 +48,10 @@ def _join_pool(framework, count, seed):
 
 
 def _twins(framework):
-    make = lambda incremental: DynamicOverlay(  # noqa: E731
-        framework,
-        restructure_tolerance=None,
-        track_quality=False,
-        incremental=incremental,
+    make = lambda cls: cls(  # noqa: E731
+        framework, restructure_tolerance=None, track_quality=False
     )
-    return make(True), make(False)
+    return make(DynamicOverlay), make(RebuildingOverlay)
 
 
 def assert_same_structure(inc, full):

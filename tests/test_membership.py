@@ -6,6 +6,7 @@ from repro.membership import DynamicOverlay, run_churn_session
 from repro.routing import HierarchicalRouter, validate_path
 from repro.services import ServiceRequest, linear_graph
 from repro.util.errors import MembershipError
+from tests.oracles.churn import RebuildingOverlay
 from tests.oracles.csp import ReferenceCspRouter
 
 
@@ -125,9 +126,6 @@ class TestRestructure:
 
 
 class TestVersioning:
-    def test_incremental_is_the_default(self, dyn):
-        assert dyn.incremental is True
-
     def test_join_and_leave_bump_step(self, framework, dyn):
         v0 = dyn.version
         router_id = free_stub(framework, dyn)
@@ -155,9 +153,7 @@ class TestVersioning:
 
     def test_full_mode_produces_same_topology(self, framework):
         inc = DynamicOverlay(framework, restructure_tolerance=None)
-        full = DynamicOverlay(
-            framework, restructure_tolerance=None, incremental=False
-        )
+        full = RebuildingOverlay(framework, restructure_tolerance=None)
         victim = inc.hfc.all_border_nodes()[0]
         inc.leave(victim)
         full.leave(victim)
