@@ -47,9 +47,8 @@ from repro.cluster.mstcluster import Clustering, ClusteringConfig, cluster_nodes
 from repro.coords.space import CoordinateSpace
 from repro.overlay.hfc import HFCTopology
 from repro.overlay.network import ProxyId
-from repro.routing.batch import ChildOutcome
-from repro.routing.hierarchical import ChildRequest, HierarchicalRouter
-from repro.routing.path import Hop, ServicePath, merge_consecutive_hops
+from repro.routing.hierarchical import ChildHops, ChildRequest, HierarchicalRouter
+from repro.routing.path import Hop, merge_consecutive_hops
 from repro.services.catalog import ServiceName
 from repro.services.graph import ServiceGraph
 from repro.services.placement import aggregate_capability
@@ -445,10 +444,8 @@ class _LevelView:
     def border(self, i: GroupId, j: GroupId) -> ProxyId:
         return self._h.top_border(i, j)
 
-    def external_estimate(self, i: GroupId, j: GroupId) -> float:
-        return self.space.distance(
-            self._h.top_border(i, j), self._h.top_border(j, i)
-        )
+    #: the topology's own estimate, over this view's ``space`` and ``border``
+    external_estimate = HFCTopology.external_estimate
 
     def expand_hop(self, u: ProxyId, v: ProxyId) -> List[ProxyId]:
         return self._h.expand_hop(u, v)
@@ -497,12 +494,11 @@ class RecursiveRouter(HierarchicalRouter):
             self._sub_routers[group_id] = cached
         return cached
 
-    def _relay_path(self, child: ChildRequest) -> ServicePath:
+    def _relay_hops(self, child: ChildRequest) -> Tuple[Hop, ...]:
         hops = self.hierarchy.sub_hierarchy(child.cluster).expand_hop(
             child.source_proxy, child.destination_proxy
         )
-        merged = merge_consecutive_hops([Hop(proxy=p) for p in hops])
-        return ServicePath(hops=tuple(merged))
+        return tuple(merge_consecutive_hops([Hop(proxy=p) for p in hops]))
 
     def _sub_request(
         self, request: ServiceRequest, child: ChildRequest
@@ -520,13 +516,14 @@ class RecursiveRouter(HierarchicalRouter):
 
     def _conquer(
         self, jobs: Sequence[Tuple[ServiceRequest, ChildRequest]]
-    ) -> List[ChildOutcome]:
+    ) -> List[ChildHops]:
         """Descend one level: one batched call per touched sub-hierarchy.
 
         Relay-only children cross their group along its internal border
         structure; the others are grouped by top-level group across the
         whole call and resolved by that group's sub-router in one
-        ``route_many_detailed`` — batching is preserved at every level.
+        ``route_many_detailed``, whose paths' hops are the children's —
+        batching is preserved at every level.
         """
         outcomes: List[Any] = [None] * len(jobs)
         buckets: Dict[GroupId, List[int]] = {}
@@ -534,13 +531,13 @@ class RecursiveRouter(HierarchicalRouter):
             if child.slots:
                 buckets.setdefault(child.cluster, []).append(at)
             else:
-                outcomes[at] = self._relay_path(child)
+                outcomes[at] = self._relay_hops(child)
         for group_id, ats in buckets.items():
             result = self._sub_router(group_id).route_many_detailed(
                 [self._sub_request(*jobs[at]) for at in ats]
             )
             for at, path, error in zip(ats, result.paths, result.errors):
-                outcomes[at] = path if error is None else error
+                outcomes[at] = error if path is None else path.hops
         return outcomes
 
 

@@ -30,9 +30,8 @@ import numpy as np
 from repro.netsim.physical import PhysicalNetwork
 from repro.overlay.hfc import HFCTopology
 from repro.overlay.network import OverlayNetwork, ProxyId
-from repro.routing.batch import ChildOutcome
 from repro.routing.flat import FlatRouter
-from repro.routing.hierarchical import ChildRequest, HierarchicalRouter
+from repro.routing.hierarchical import ChildHops, ChildRequest, HierarchicalRouter
 from repro.routing.providers import CoordinateProvider, DistanceProvider
 from repro.services.request import ServiceRequest
 from repro.util.errors import NoFeasiblePathError, RoutingError
@@ -211,21 +210,21 @@ class QoSHierarchicalRouter(HierarchicalRouter):
 
     def _conquer(
         self, jobs: Sequence[Tuple[ServiceRequest, ChildRequest]]
-    ) -> List[ChildOutcome]:
+    ) -> List[ChildHops]:
         """Intra-cluster solving plus a bandwidth check on every child hop.
 
         Children with services route through the bandwidth-masked provider
         already; a child with *no* services is a direct border-to-border
-        relay that the provider never sees, so each hop of every child
-        path is verified here. Infeasible means the whole CSP choice was
-        infeasible.
+        relay that the provider never sees, so each link between the hop
+        proxies of every child is verified here. Infeasible means the whole
+        CSP choice was infeasible.
         """
         outcomes = super()._conquer(jobs)
-        for at, path in enumerate(outcomes):
-            if isinstance(path, NoFeasiblePathError):
+        for at, hops in enumerate(outcomes):
+            if isinstance(hops, NoFeasiblePathError):
                 continue
-            proxies = path.proxies()
-            for u, v in zip(proxies, proxies[1:]):
+            for (u, _, _), (v, _, _) in zip(hops, hops[1:]):
+                # a link from a proxy to itself carries anything
                 bottleneck = self.model.overlay_bandwidth(u, v)
                 if bottleneck < self.min_bandwidth:
                     outcomes[at] = NoFeasiblePathError(

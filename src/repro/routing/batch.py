@@ -17,9 +17,9 @@ resolution crosses. This module hosts the structures one pipeline call
   stale.
 * :func:`child_specs` — the conquer candidates of a call's children, from
   one pass over each touched cluster's members and the live placement.
-* :class:`ChildSpec` / :func:`solve_child_spec` — a self-contained
-  description of one intra-cluster child solve plus the function that
-  solves it.
+* :func:`solve_specs` / :func:`solve_child_spec` — the proxies picked for a
+  call's children (one padded kernel) or for one child (the flat solver),
+  and :func:`child_hops`, the hop sequence a child's picks stand for.
 * :class:`BatchRouteResult` — aligned per-request outcomes of a batch.
 * :func:`padded` / :func:`staircase` / :func:`backtrack` — the row layout
   the two padded chain kernels (cluster-level CSP, conquer) share.
@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import (
     Any,
+    Callable,
     Dict,
     Hashable,
     List,
@@ -51,12 +52,11 @@ from typing import (
 import numpy as np
 
 from repro.coords.space import CoordinateSpace
+from repro.overlay.hfc import HFCTopology
 from repro.overlay.network import ProxyId
-from repro.routing.flat import materialise_assignment
 from repro.routing.path import Hop, ServicePath
 from repro.routing.servicedag import solve_vectorised
-from repro.services.graph import ServiceGraph, SlotId
-from repro.services.request import ServiceRequest
+from repro.services.graph import ServiceGraph
 from repro.util.errors import NoFeasiblePathError
 
 ClusterId = int
@@ -176,6 +176,64 @@ class QueryTables:
     border_ptr: np.ndarray
 
 
+def build_query_tables(
+    k: int,
+    border: Callable[[ClusterId, ClusterId], ProxyId],
+    distance: Callable[[ProxyId, ProxyId], float],
+    external: Optional[Callable[[ClusterId, ClusterId], float]] = None,
+) -> QueryTables:
+    """The one :class:`QueryTables` builder: *k* clusters, ``border(i, j)``
+    the border of *i* facing *j*, ``distance(u, v)`` between two borders.
+
+    ``d_border`` is always the *distance* of two borders of one cluster —
+    symmetric bit for bit (``math.dist`` takes absolute differences) — so
+    only its upper triangle is asked for. ``external(i, j)`` fills ``ext``
+    per ordered pair (an estimate may mask one direction); None says the
+    estimate *is* the distance of the border pair, and ``ext`` is mirrored
+    the same way.
+    """
+    ext = [[0.0] * k for _ in range(k)]
+    border_row = [[-1] * k for _ in range(k)]
+    border_list: List[ProxyId] = []
+    border_code: Dict[ProxyId, int] = {}
+    border_ptr = [0]
+    for i in range(k):
+        codes, estimates = border_row[i], ext[i]
+        for j in range(k):
+            if i == j:
+                continue
+            proxy = border(i, j)
+            code = border_code.get(proxy)
+            if code is None:
+                code = border_code[proxy] = len(border_list)
+                border_list.append(proxy)
+            codes[j] = code
+            if external is not None:
+                estimates[j] = external(i, j)
+        border_ptr.append(len(border_list))
+    if external is None:
+        for i in range(k):
+            for j in range(i + 1, k):
+                ext[i][j] = ext[j][i] = distance(
+                    border_list[border_row[i][j]], border_list[border_row[j][i]]
+                )
+    nb = len(border_list)
+    d_border = np.zeros((nb, nb), dtype=float)
+    for lo, hi in zip(border_ptr, border_ptr[1:]):
+        for a in range(lo, hi):
+            for b in range(a + 1, hi):
+                d_border[a, b] = d_border[b, a] = distance(border_list[a], border_list[b])
+    return QueryTables(
+        cluster_count=k,
+        ext=np.array(ext, dtype=float),
+        border_row=np.array(border_row, dtype=np.int64),
+        border_list=border_list,
+        border_code=border_code,
+        d_border=d_border,
+        border_ptr=np.array(border_ptr, dtype=np.int64),
+    )
+
+
 def query_tables(hfc: Any) -> QueryTables:
     """Build (or fetch the cached) :class:`QueryTables` for *hfc*.
 
@@ -193,78 +251,37 @@ def query_tables(hfc: Any) -> QueryTables:
     if columnar is not None:
         # Topologies carrying a columnar overlay state (framework-built
         # hfc, snapshot-restored views) share that state's cached tables
-        # instead of walking the object graph again; the columnar builder
-        # makes the same scalar math.dist calls in the same order, so the
-        # tables are bit-identical either way.
+        # instead of walking the object graph again; the columnar state
+        # feeds the same builder the same math.dist calls in the same
+        # order, so the tables are bit-identical either way.
         tables = columnar.query_tables()
-        hfc._query_tables_cache = tables
-        return tables
-    k = hfc.cluster_count
-    ext = np.zeros((k, k), dtype=float)
-    border_row = np.full((k, k), -1, dtype=np.int64)
-    border_list: List[ProxyId] = []
-    border_code: Dict[ProxyId, int] = {}
-    border_ptr = np.zeros(k + 1, dtype=np.int64)
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                continue
-            proxy = hfc.border(i, j)
-            code = border_code.get(proxy)
-            if code is None:
-                code = len(border_list)
-                border_code[proxy] = code
-                border_list.append(proxy)
-            border_row[i, j] = code
-            ext[i, j] = hfc.external_estimate(i, j)
-        border_ptr[i + 1] = len(border_list)
-    nb = len(border_list)
-    d_border = np.zeros((nb, nb), dtype=float)
-    space = hfc.space
-    for i in range(k):
-        codes = range(border_ptr[i], border_ptr[i + 1])
-        for a in codes:
-            for b in codes:
-                if a != b:
-                    d_border[a, b] = space.distance(
-                        border_list[a], border_list[b]
-                    )
-    tables = QueryTables(
-        cluster_count=k,
-        ext=ext,
-        border_row=border_row,
-        border_list=border_list,
-        border_code=border_code,
-        d_border=d_border,
-        border_ptr=border_ptr,
-    )
+    else:
+        # a surface that keeps the topology's own estimate — the coordinate
+        # distance of the border pair — needs only one triangle of it
+        stock = getattr(type(hfc), "external_estimate", None) is HFCTopology.external_estimate
+        tables = build_query_tables(
+            hfc.cluster_count,
+            hfc.border,
+            hfc.space.distance,
+            None if stock else hfc.external_estimate,
+        )
     hfc._query_tables_cache = tables
     return tables
 
 
 # -- batched conquer -----------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class ChildSpec:
-    """One intra-cluster child solve: request plus its candidates.
-
-    ``candidates`` holds, per slot, the provider proxies of that slot's
-    service inside the child's cluster — in exactly the order
-    :meth:`FlatRouter.candidates_for` would produce (overlay placement
-    order filtered by membership).
-    """
-
-    cluster: ClusterId
-    slots: Tuple[SlotId, ...]
-    services: Tuple[str, ...]
-    source_proxy: ProxyId
-    destination_proxy: ProxyId
-    candidates: Tuple[Tuple[SlotId, Tuple[ProxyId, ...]], ...]
+#: per slot of one child, the proxies inside its cluster offering the slot's
+#: service — in the order :meth:`FlatRouter.candidates_for` would produce
+#: (overlay placement order filtered by membership)
+ChildCandidates = Tuple[Tuple[ProxyId, ...], ...]
+#: one child solve: the proxies picked for its slots in order, or why its
+#: cluster cannot serve it
+ChildPicks = Union[Sequence[ProxyId], NoFeasiblePathError]
 
 
-def child_specs(hfc: Any, children: Sequence[Any]) -> List[ChildSpec]:
-    """The :class:`ChildSpec` of every dissected child of one pipeline call.
+def child_specs(hfc: Any, children: Sequence[Any]) -> List[ChildCandidates]:
+    """The conquer candidates of every dissected child of one pipeline call.
 
     A resolution touches only the few clusters its CSP crosses, so nothing
     here scans the overlay: each touched cluster's members are walked once,
@@ -285,7 +302,7 @@ def child_specs(hfc: Any, children: Sequence[Any]) -> List[ChildSpec]:
     ordered = getattr(hfc, "_ordered_members_cache", None)
     if ordered is None:
         ordered = hfc._ordered_members_cache = {}
-    providers: Dict[Tuple[ClusterId, str], Tuple[ProxyId, ...]] = {}
+    providers: Dict[ClusterId, Dict[str, Tuple[ProxyId, ...]]] = {}
     for cluster, services in wanted.items():
         if cluster not in ordered:
             ordered[cluster] = sorted(hfc.members(cluster), key=overlay.index_of)
@@ -293,90 +310,72 @@ def child_specs(hfc: Any, children: Sequence[Any]) -> List[ChildSpec]:
         for proxy in ordered[cluster]:
             for service in services & placement[proxy]:
                 found[service].append(proxy)
-        for service, proxies in found.items():
-            providers[cluster, service] = tuple(proxies)
+        providers[cluster] = {service: tuple(proxies) for service, proxies in found.items()}
     return [
-        ChildSpec(
-            cluster=child.cluster,
-            slots=tuple(child.slots),
-            services=tuple(child.services),
-            source_proxy=child.source_proxy,
-            destination_proxy=child.destination_proxy,
-            candidates=tuple(
-                (slot, providers[child.cluster, service])
-                for slot, service in zip(child.slots, child.services)
-            ),
-        )
+        tuple(map(providers[child.cluster].__getitem__, child.services))
+        if child.services
+        else ()
         for child in children
     ]
 
 
-def child_infeasible_error(spec: ChildSpec) -> NoFeasiblePathError:
+def child_infeasible_error(child: Any) -> NoFeasiblePathError:
     """The error of a child its cluster cannot serve."""
     return NoFeasiblePathError(
-        f"cluster {spec.cluster} cannot serve child request "
-        f"{spec.services} (stale aggregate state?)"
+        f"cluster {child.cluster} cannot serve child request "
+        f"{child.services} (stale aggregate state?)"
     )
 
 
-def solve_child_spec(spec: ChildSpec, provider: Any) -> ServicePath:
-    """Solve one child spec through the flat solver and *provider*.
-
-    Empty children degenerate to the direct link between the endpoints;
-    otherwise the (pre-filtered) candidates go through the flat router's
-    solver and materialisation.
-    """
-    if not spec.slots:
-        return _materialise_chain(spec, [])
+def solve_child_spec(child: Any, candidates: ChildCandidates, provider: Any) -> List[ProxyId]:
+    """The proxies serving one child's slots, through the flat solver and
+    *provider*; a child with no slots picks nobody."""
+    if not child.slots:
+        return []
     sub_sg = ServiceGraph(
-        services=dict(zip(spec.slots, spec.services)),
-        edges=frozenset(zip(spec.slots, spec.slots[1:])),
+        services=dict(zip(child.slots, child.services)),
+        edges=frozenset(zip(child.slots, child.slots[1:])),
     )
-    sub_request = ServiceRequest(
-        source_proxy=spec.source_proxy,
-        service_graph=sub_sg,
-        destination_proxy=spec.destination_proxy,
-    )
-    candidates = {slot: list(cands) for slot, cands in spec.candidates}
     try:
         solution = solve_vectorised(
             sub_sg,
-            candidates,
-            spec.source_proxy,
-            spec.destination_proxy,
+            {slot: list(cands) for slot, cands in zip(child.slots, candidates)},
+            child.source_proxy,
+            child.destination_proxy,
             provider.block,
         )
     except NoFeasiblePathError:
-        raise child_infeasible_error(spec) from None
-    return materialise_assignment(sub_request, solution.assignment)
+        raise child_infeasible_error(child) from None
+    return [proxy for _, proxy in solution.assignment]
 
 
-#: one child outcome: its path, or why its cluster cannot serve it
-ChildOutcome = Union[ServicePath, NoFeasiblePathError]
-
-
-def _materialise_chain(spec: ChildSpec, proxies: Sequence[ProxyId]) -> ServicePath:
-    """Hops of a solved chain spec, *proxies* serving its slots in order —
-    :func:`materialise_assignment` without the expander machinery
-    (hierarchical children never expand hops) or the merge pass: a chain's
-    service hops are all kept, only a relay end can duplicate its neighbour."""
-    hops = [Hop(*hop) for hop in zip(proxies, spec.services, spec.slots)]
-    if not hops or hops[0].proxy != spec.source_proxy:
-        hops.insert(0, Hop(proxy=spec.source_proxy))
-    if hops[-1].proxy != spec.destination_proxy:
-        hops.append(Hop(proxy=spec.destination_proxy))
-    return ServicePath(hops=tuple(hops))
+def child_hops(child: Any, proxies: Sequence[ProxyId]) -> Tuple[Hop, ...]:
+    """Hops of a solved child, *proxies* serving its slots in order — what
+    :func:`~repro.routing.flat.materialise_assignment` yields for a chain
+    without its expander machinery (hierarchical children never expand
+    hops) or its merge pass: a chain's service hops are all kept, only a
+    relay end can duplicate its neighbour, so the ends are added only where
+    they do not. An empty child is the direct link between its endpoints.
+    """
+    hops = list(map(Hop, proxies, child.services, child.slots))
+    if not hops or hops[0].proxy != child.source_proxy:
+        hops.insert(0, Hop(child.source_proxy))
+    if hops[-1].proxy != child.destination_proxy:
+        hops.append(Hop(child.destination_proxy))
+    return tuple(hops)
 
 
 def solve_specs(
-    specs: Sequence[ChildSpec],
+    children: Sequence[Any],
+    candidates: Sequence[ChildCandidates],
     provider: Any,
     *,
     space: Optional[CoordinateSpace] = None,
-) -> List[ChildOutcome]:
-    """Solve the child specs of one call: a path or the infeasibility of each.
+) -> List[ChildPicks]:
+    """Solve the children of one call: the picked proxies of each, or its
+    infeasibility.
 
-    Over a coordinate *space* every spec goes through the padded staircase
+    Over a coordinate *space* every child goes through the padded staircase
     kernel: each child a hierarchical dissection produces is a chain (a run
     of consecutive slots of the chosen configuration path), so the whole
     conquer step is one numpy relaxation per chain position and block of
@@ -391,34 +390,28 @@ def solve_specs(
     labels — so ``argmin``'s first-occurrence tie-break picks the same
     instance :func:`solve_vectorised` picks.
     """
-    outcomes: List[Optional[ChildOutcome]] = [None] * len(specs)
+    picks: List[Any] = [()] * len(children)
     if space is None:
-        for i, spec in enumerate(specs):
+        for i, (child, cands) in enumerate(zip(children, candidates)):
             try:
-                outcomes[i] = solve_child_spec(spec, provider)
+                picks[i] = solve_child_spec(child, cands, provider)
             except NoFeasiblePathError as err:
-                outcomes[i] = err
-        return outcomes  # type: ignore[return-value]
-    chains: List[int] = []
+                picks[i] = err
+        return picks
+    chains = [i for i, cands in enumerate(candidates) if cands]
     code: Dict[Tuple[ProxyId, ...], int] = {}
-    for i, spec in enumerate(specs):
-        if spec.slots:
-            chains.append(i)
-            for _, cands in spec.candidates:
-                code.setdefault(cands, len(code))
-        else:
-            outcomes[i] = _materialise_chain(spec, [])
+    for i in chains:
+        for cands in candidates[i]:
+            code.setdefault(cands, len(code))
     provider_rows, provider_mask = padded([space.rows(cands) for cands in code])
     stacked, lane = space.stacked, np.arange(provider_rows.shape[1])
-    for block in staircase([len(specs[i].slots) for i in chains]):
+    for block in staircase([len(candidates[i]) for i in chains]):
         idxs = [chains[m] for m in block]
-        slot_code, live = padded(
-            [[code[cands] for _, cands in specs[i].candidates] for i in idxs]
-        )
+        slot_code, live = padded([[code[cands] for cands in candidates[i]] for i in idxs])
         alive, last = live.sum(axis=0).tolist(), live.sum(axis=1) - 1
         valid, coords = provider_mask[slot_code], stacked[provider_rows[slot_code]]
-        src = stacked[space.rows(specs[i].source_proxy for i in idxs)]
-        dst = stacked[space.rows(specs[i].destination_proxy for i in idxs)]
+        src = stacked[space.rows(children[i].source_proxy for i in idxs)]
+        dst = stacked[space.rows(children[i].destination_proxy for i in idxs)]
 
         diff = coords[:, 0] - src[:, None, :]
         labels = np.sqrt(np.einsum("bck,bck->bc", diff, diff))
@@ -438,12 +431,9 @@ def solve_specs(
         feasible = np.isfinite(totals[rows[:, 0], winner]).tolist()
         lanes = backtrack(parents, winner, last, alive).tolist()
         for i, ok, picked in zip(idxs, feasible, lanes):
-            spec = specs[i]
-            outcomes[i] = (
-                _materialise_chain(
-                    spec, [cands[j] for (_, cands), j in zip(spec.candidates, picked)]
-                )
+            picks[i] = (
+                [cands[j] for cands, j in zip(candidates[i], picked)]
                 if ok
-                else child_infeasible_error(spec)
+                else child_infeasible_error(children[i])
             )
-    return outcomes  # type: ignore[return-value]
+    return picks

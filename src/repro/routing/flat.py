@@ -14,9 +14,10 @@ proxy's services and a distance between every proxy pair (through a
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.overlay.network import OverlayNetwork, ProxyId
+from repro.routing.batch import BATCH_SIZE_BUCKETS, BatchRouteResult
 from repro.routing.path import Hop, ServicePath, merge_consecutive_hops
 from repro.routing.providers import (
     CoordinateProvider,
@@ -26,10 +27,7 @@ from repro.routing.providers import (
 from repro.routing.servicedag import solve_vectorised
 from repro.services.request import ServiceRequest
 from repro.telemetry import get_telemetry
-from repro.util.errors import RoutingError
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (batch imports flat)
-    from repro.routing.batch import BatchRouteResult
+from repro.util.errors import NoFeasiblePathError, RoutingError
 
 #: expands one overlay hop (u, v) into the relay proxy sequence [u, ..., v]
 HopExpander = Callable[[ProxyId, ProxyId], Sequence[ProxyId]]
@@ -112,7 +110,7 @@ class FlatRouter:
 
     def route_many_detailed(
         self, requests: Sequence[ServiceRequest]
-    ) -> "BatchRouteResult":
+    ) -> BatchRouteResult:
         """Resolve a batch, capturing per-request outcomes.
 
         The overlay's provider lists are scanned once per distinct service
@@ -120,9 +118,6 @@ class FlatRouter:
         content and order match :meth:`candidates_for` exactly, so every
         returned path is bit-identical to the per-request call.
         """
-        from repro.routing.batch import BATCH_SIZE_BUCKETS, BatchRouteResult
-        from repro.util.errors import NoFeasiblePathError
-
         requests = list(requests)
         providers_memo: Dict[str, List[ProxyId]] = {}
         paths: List[Optional[ServicePath]] = []
@@ -172,11 +167,7 @@ def materialise_assignment(
     assignment: Sequence[Tuple[int, ProxyId]],
     expander: Optional[HopExpander] = None,
 ) -> ServicePath:
-    """Turn a slot→proxy assignment into a concrete path with relays.
-
-    Module-level so the batch engine can materialise child solutions
-    without a router object.
-    """
+    """Turn a slot→proxy assignment into a concrete path with relays."""
     sg = request.service_graph
     waypoints: List[Hop] = [Hop(proxy=request.source_proxy)]
     for slot, proxy in assignment:

@@ -41,12 +41,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import islice
 from typing import (
     Any,
     Dict,
     FrozenSet,
     Hashable,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -60,9 +63,9 @@ from repro.overlay.network import ProxyId
 from repro.routing.batch import (
     BATCH_SIZE_BUCKETS,
     BatchRouteResult,
-    ChildOutcome,
     QueryTables,
     backtrack,
+    child_hops,
     child_specs,
     padded,
     query_tables,
@@ -78,7 +81,7 @@ from repro.services.placement import aggregate_capability
 from repro.services.request import ServiceRequest
 from repro.telemetry import Telemetry, get_telemetry
 from repro.telemetry.tracing import WALL_SPAN_BUCKETS
-from repro.util.errors import NoFeasiblePathError, RoutingError
+from repro.util.errors import ClusteringError, NoFeasiblePathError, RoutingError
 
 ClusterId = int
 #: a label key at the cluster level
@@ -105,9 +108,9 @@ class ClusterServicePath:
         return seq
 
 
-@dataclass(frozen=True)
-class ChildRequest:
-    """A dissected piece of the original request, solvable inside one cluster.
+class ChildRequest(NamedTuple):
+    """A dissected piece of the original request, solvable inside one cluster
+    (plain data: a routed batch builds thousands).
 
     ``slots`` may be empty: the cluster then only relays from
     *source_proxy* to *destination_proxy* (e.g. the source's own cluster
@@ -121,6 +124,9 @@ class ChildRequest:
     destination_proxy: ProxyId
 
 
+#: what the conquer hook answers per child: its hop sequence (what
+#: ``ServicePath.hops`` holds), or why its cluster cannot serve it
+ChildHops = Union[Tuple[Hop, ...], NoFeasiblePathError]
 #: what the CSP stage holds per request: the path or its infeasibility
 _CspOutcome = Union[ClusterServicePath, NoFeasiblePathError]
 #: one linear request waiting for the chain kernel: (request, source cluster)
@@ -145,7 +151,13 @@ class HierarchicalResult:
     path: ServicePath
     csp: ClusterServicePath
     child_requests: List[ChildRequest]
-    child_paths: List[ServicePath]
+    #: per child, the hop sequence its cluster answered with
+    child_hops: List[Tuple[Hop, ...]]
+
+    @cached_property
+    def child_paths(self) -> List[ServicePath]:
+        """The children's answers as service paths, wrapped on first read."""
+        return [ServicePath(hops=hops) for hops in self.child_hops]
 
 
 class HierarchicalRouter:
@@ -165,6 +177,12 @@ class HierarchicalRouter:
     #: pruned cluster-level information bind their view here — dissection
     #: and conquer always run on :attr:`hfc`.
     cluster_view: Any = None
+    #: the map step's index, ``service -> cluster ids ascending``, and the
+    #: capability view it was built from. A view is replaced, never edited in
+    #: place; however that happens (feed sync, ``rebind``, a subclass, plain
+    #: assignment to :attr:`cluster_capabilities`), the next map step finds
+    #: another object there and builds the index again
+    _offering_index: Tuple[Any, Dict[ServiceName, List[ClusterId]]] = (None, {})
 
     def __init__(
         self,
@@ -365,7 +383,7 @@ class HierarchicalRouter:
                     if children is None:
                         results.append(csp)
                         continue
-                    outcomes: List[Any] = [next(solved) for _ in children]
+                    outcomes: List[Any] = list(islice(solved, len(children)))
                     failure = next(
                         (o for o in outcomes if isinstance(o, NoFeasiblePathError)),
                         None,
@@ -378,7 +396,7 @@ class HierarchicalRouter:
                             path=self.compose(request, outcomes),
                             csp=csp,
                             child_requests=children,
-                            child_paths=outcomes,
+                            child_hops=outcomes,
                         )
                     )
 
@@ -411,19 +429,22 @@ class HierarchicalRouter:
     ) -> Dict[SlotId, List[ClusterId]]:
         """Clusters able to fill each slot, per SCT_C (the *map* step).
 
-        *offering* memoizes the per-service cluster lists across the
-        requests of one pipeline call.
+        *offering* collects the per-service cluster lists of one pipeline
+        call's requests.
         """
         if offering is None:
             offering = {}
-        capabilities, nothing = self.cluster_capabilities, frozenset()
+        capabilities = self.cluster_capabilities
+        indexed, index = self._offering_index
+        if indexed is not capabilities:
+            index = {}
+            for cid in range(self._view.cluster_count):
+                for service in capabilities.get(cid, ()):
+                    index.setdefault(service, []).append(cid)
+            self._offering_index = capabilities, index
         for service in sg.services.values():
             if service not in offering:
-                offering[service] = [
-                    cid
-                    for cid in range(self._view.cluster_count)
-                    if service in capabilities.get(cid, nothing)
-                ]
+                offering[service] = index.get(service) or []
         return {slot: offering[service] for slot, service in sg.services.items()}
 
     def cluster_level_path(self, request: ServiceRequest) -> ClusterServicePath:
@@ -453,7 +474,23 @@ class HierarchicalRouter:
         keys: List[Hashable] = []
         for request in requests:
             sg = request.service_graph
-            cs = view.cluster_of(request.source_proxy)
+            cs = None
+            try:
+                cs = view.cluster_of(request.source_proxy)
+                view.cluster_of(request.destination_proxy)
+            except ClusteringError:
+                # not (or, after a leave, no longer) a member: this request's
+                # own infeasibility, not the failure of the whole call
+                role, proxy = (
+                    ("source", request.source_proxy)
+                    if cs is None
+                    else ("destination", request.destination_proxy)
+                )
+                keys.append(("not a member", len(keys)))
+                memo[keys[-1]] = NoFeasiblePathError(
+                    f"{role} proxy {proxy!r} is not an overlay member"
+                )
+                continue
             key = (service_graph_signature(sg), cs, request.destination_proxy)
             keys.append(key)
             if key in memo or key in chains:
@@ -898,8 +935,8 @@ class HierarchicalRouter:
         self, request: ServiceRequest, csp: ClusterServicePath
     ) -> List[ChildRequest]:
         """Split the request along the CSP into per-cluster child requests."""
-        hfc = self.hfc
-        sg = request.service_graph
+        border = self.hfc.border
+        services = request.service_graph.services
         runs: List[Tuple[ClusterId, List[SlotId]]] = []
         for slot, cluster in csp.assignment:
             if runs and runs[-1][0] == cluster:
@@ -911,51 +948,48 @@ class HierarchicalRouter:
         if runs[-1][0] != csp.destination_cluster:
             runs.append((csp.destination_cluster, []))
 
-        children: List[ChildRequest] = []
-        for k, (cluster, slots) in enumerate(runs):
-            source = (
-                request.source_proxy
-                if k == 0
-                else hfc.border(cluster, runs[k - 1][0])
+        # child k runs from the border it is entered through to the border
+        # facing child k+1; the request's own endpoints close the two ends
+        clusters = [cluster for cluster, _ in runs]
+        crossings = list(zip(clusters, clusters[1:]))
+        sources = [request.source_proxy] + [border(b, a) for a, b in crossings]
+        destinations = [border(a, b) for a, b in crossings] + [request.destination_proxy]
+        return [
+            ChildRequest(
+                cluster, tuple(slots), tuple([services[s] for s in slots]), source, destination
             )
-            destination = (
-                request.destination_proxy
-                if k == len(runs) - 1
-                else hfc.border(cluster, runs[k + 1][0])
-            )
-            children.append(
-                ChildRequest(
-                    cluster=cluster,
-                    slots=tuple(slots),
-                    services=tuple(sg.service_of(s) for s in slots),
-                    source_proxy=source,
-                    destination_proxy=destination,
-                )
-            )
-        return children
+            for (cluster, slots), source, destination in zip(runs, sources, destinations)
+        ]
 
     # -- step 4: conquer -----------------------------------------------------------
 
     def _conquer(
         self, jobs: Sequence[Tuple[ServiceRequest, ChildRequest]]
-    ) -> List[ChildOutcome]:
-        """Solve every ``(request, child)`` of one pipeline call; one path or
-        :class:`NoFeasiblePathError` per job, in order.
+    ) -> List[ChildHops]:
+        """Solve every ``(request, child)`` of one pipeline call: per job, in
+        order, the child's hop sequence or its :class:`NoFeasiblePathError`.
 
-        The one conquer hook. Here every child is an optimal flat solve
-        inside its cluster over the members' live placement (one
-        :func:`child_specs` and one :func:`solve_specs` over all the
-        children of the call); a subclass with another way to cross a cluster (the
-        recursive router descends a level) overrides it, one with an extra
-        admission rule post-checks the outcomes.
+        The one conquer hook, and its whole contract. Here every child is an
+        optimal flat solve inside its cluster over the members' live
+        placement (one :func:`child_specs` and one :func:`solve_specs` over
+        all the children of the call, hops built from the picked proxies); a
+        subclass with another way to cross a cluster (the recursive router
+        descends a level) overrides it, one with an extra admission rule
+        post-checks the hops.
         """
-        return solve_specs(
-            child_specs(self.hfc, [child for _, child in jobs]),
+        children = [child for _, child in jobs]
+        picks = solve_specs(
+            children,
+            child_specs(self.hfc, children),
             self._provider,
             space=self.hfc.space
             if isinstance(self._provider, CoordinateProvider)
             else None,
         )
+        return [
+            picked if isinstance(picked, NoFeasiblePathError) else child_hops(child, picked)
+            for child, picked in zip(children, picks)
+        ]
 
     def solve_child(
         self, request: ServiceRequest, child: ChildRequest
@@ -968,15 +1002,18 @@ class HierarchicalRouter:
         (outcome,) = self._conquer([(request, child)])
         if isinstance(outcome, NoFeasiblePathError):
             raise outcome
-        return outcome
+        return ServicePath(hops=outcome)
 
     def compose(
-        self, request: ServiceRequest, child_paths: Sequence[ServicePath]
+        self,
+        request: ServiceRequest,
+        child_paths: Sequence[Union[ServicePath, Sequence[Hop]]],
     ) -> ServicePath:
-        """Concatenate child paths into the final service path."""
+        """Concatenate the children's answers — paths, or the hop sequences
+        the conquer hook hands over — into the final service path."""
         hops: List[Hop] = []
-        for child_path in child_paths:
-            hops.extend(child_path.hops)
+        for child in child_paths:
+            hops.extend(child.hops if isinstance(child, ServicePath) else child)
         merged = merge_consecutive_hops(hops)
         if not merged:
             raise RoutingError("composition produced an empty path")

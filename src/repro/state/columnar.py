@@ -488,51 +488,15 @@ class ColumnarOverlayState:
         return self._level_tables[index]
 
     def _tables_from_matrix(self, border_matrix: np.ndarray) -> "QueryTables":
-        from repro.routing.batch import QueryTables
+        from repro.routing.batch import build_query_tables
 
-        k = int(border_matrix.shape[0])
-        coord_tuples = [tuple(c) for c in self.coords.tolist()]
-        ext = np.zeros((k, k), dtype=float)
-        border_row = np.full((k, k), -1, dtype=np.int64)
-        border_list: List[ProxyId] = []
-        border_code: Dict[ProxyId, int] = {}
-        code_row: List[int] = []
-        border_ptr = np.zeros(k + 1, dtype=np.int64)
-        for i in range(k):
-            for j in range(k):
-                if i == j:
-                    continue
-                r = int(border_matrix[i, j])
-                proxy = int(self.proxies[r])
-                code = border_code.get(proxy)
-                if code is None:
-                    code = len(border_list)
-                    border_code[proxy] = code
-                    border_list.append(proxy)
-                    code_row.append(r)
-                border_row[i, j] = code
-                ext[i, j] = math.dist(
-                    coord_tuples[r], coord_tuples[int(border_matrix[j, i])]
-                )
-            border_ptr[i + 1] = len(border_list)
-        nb = len(border_list)
-        d_border = np.zeros((nb, nb), dtype=float)
-        for i in range(k):
-            codes = range(border_ptr[i], border_ptr[i + 1])
-            for a in codes:
-                for b in codes:
-                    if a != b:
-                        d_border[a, b] = math.dist(
-                            coord_tuples[code_row[a]], coord_tuples[code_row[b]]
-                        )
-        return QueryTables(
-            cluster_count=k,
-            ext=ext,
-            border_row=border_row,
-            border_list=border_list,
-            border_code=border_code,
-            d_border=d_border,
-            border_ptr=border_ptr,
+        proxies, rows = self.proxies.tolist(), border_matrix.tolist()
+        used = sorted({row for line in rows for row in line if row >= 0})
+        point = {proxies[row]: tuple(self.coords[row].tolist()) for row in used}
+        return build_query_tables(
+            len(rows),
+            lambda i, j: proxies[rows[i][j]],
+            lambda u, v: math.dist(point[u], point[v]),
         )
 
 

@@ -5,7 +5,8 @@ router's one batched pipeline is compared against.
 padded numpy kernels; :class:`ReferenceCspRouter` resolves one request at a
 time, top to bottom — map, a Python-level relaxation with one update per
 (predecessor, candidate) pair for linear *and* branching graphs, dissect,
-one ``solve_child_spec`` per child, compose — and never enters the chain
+one ``solve_child_spec`` per child (candidates from a whole-overlay provider
+scan, both end relays then the merge pass), compose — and never enters the chain
 kernels (``_solve_chains``, ``solve_specs``) nor the per-slot numpy
 ``_solve_label``. Only ``_solve_exact`` (scalar, and the sole implementation
 of that ablation) and the cost helpers are shared with production.
@@ -13,8 +14,9 @@ of that ablation) and the cost helpers are shared with production.
 
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.routing.batch import ChildOutcome, ChildSpec, solve_child_spec
+from repro.routing.batch import solve_child_spec
 from repro.routing.hierarchical import (
+    ChildHops,
     ChildRequest,
     ClusterId,
     ClusterServicePath,
@@ -22,9 +24,19 @@ from repro.routing.hierarchical import (
     HierarchicalRouter,
     _Entry,
 )
+from repro.routing.path import Hop, merge_consecutive_hops
 from repro.services.graph import ServiceGraph, SlotId
 from repro.services.request import ServiceRequest
 from repro.util.errors import NoFeasiblePathError
+
+
+def flat_child_hops(child: ChildRequest, picked: Sequence) -> Tuple[Hop, ...]:
+    """A solved child's hops the way the flat router builds them: both end
+    relays always, then the merge pass."""
+    hops = [Hop(proxy=child.source_proxy)]
+    hops += map(Hop, picked, child.services, child.slots)
+    hops.append(Hop(proxy=child.destination_proxy))
+    return tuple(merge_consecutive_hops(hops))
 
 
 class ReferenceCspRouter(HierarchicalRouter):
@@ -48,7 +60,7 @@ class ReferenceCspRouter(HierarchicalRouter):
                     path=path,
                     csp=csp,
                     child_requests=children,
-                    child_paths=child_paths,
+                    child_hops=[child_path.hops for child_path in child_paths],
                 )
             )
         return results
@@ -88,28 +100,23 @@ class ReferenceCspRouter(HierarchicalRouter):
 
     def _conquer(
         self, jobs: Sequence[Tuple[ServiceRequest, ChildRequest]]
-    ) -> List[ChildOutcome]:
+    ) -> List[ChildHops]:
         # candidates the way the flat router lists them: a whole-overlay
         # provider scan per slot, filtered by cluster membership
         overlay = self.hfc.overlay
-        outcomes: List[ChildOutcome] = []
+        outcomes: List[ChildHops] = []
         for _, child in jobs:
             members = set(self.hfc.members(child.cluster))
-            spec = ChildSpec(
-                cluster=child.cluster,
-                slots=tuple(child.slots),
-                services=tuple(child.services),
-                source_proxy=child.source_proxy,
-                destination_proxy=child.destination_proxy,
-                candidates=tuple(
-                    (slot, tuple(p for p in overlay.providers_of(service) if p in members))
-                    for slot, service in zip(child.slots, child.services)
-                ),
+            candidates = tuple(
+                tuple(p for p in overlay.providers_of(service) if p in members)
+                for service in child.services
             )
             try:
-                outcomes.append(solve_child_spec(spec, self._provider))
+                picked = solve_child_spec(child, candidates, self._provider)
             except NoFeasiblePathError as err:
                 outcomes.append(err)
+                continue
+            outcomes.append(flat_child_hops(child, picked))
         return outcomes
 
     def _relax_scalar(

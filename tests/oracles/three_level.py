@@ -18,7 +18,7 @@ from repro.hierarchy.levels import build_levels
 from repro.overlay.hfc import HFCTopology
 from repro.overlay.network import ProxyId
 from repro.routing.hierarchical import HierarchicalRouter
-from repro.routing.path import Hop, ServicePath, merge_consecutive_hops
+from repro.routing.path import Hop, merge_consecutive_hops
 from repro.services.catalog import ServiceName
 from repro.services.graph import ServiceGraph
 from repro.services.placement import aggregate_capability
@@ -260,8 +260,7 @@ class ThreeLevelRouter(HierarchicalRouter):
             hops = multilevel.sub_hfc(child.cluster).expand_hop(
                 child.source_proxy, child.destination_proxy
             )
-            merged = merge_consecutive_hops([Hop(proxy=p) for p in hops])
-            return ServicePath(hops=tuple(merged))
+            return tuple(merge_consecutive_hops([Hop(proxy=p) for p in hops]))
         sg = request.service_graph
         sub_sg = ServiceGraph(
             services={slot: sg.service_of(slot) for slot in child.slots},
@@ -272,4 +271,4 @@ class ThreeLevelRouter(HierarchicalRouter):
             service_graph=sub_sg,
             destination_proxy=child.destination_proxy,
         )
-        return self._sub_router(child.cluster).route(sub_request)
+        return self._sub_router(child.cluster).route(sub_request).hops

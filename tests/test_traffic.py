@@ -323,6 +323,40 @@ class TestEngine:
         events = {json.loads(line)["event"] for line in lines}
         assert {"arrival", "admit", "request", "complete"} <= events
 
+    def test_a_departed_endpoint_costs_one_request_not_the_flush(self, tiny_framework):
+        """A proxy leaves between a request's issue and its flush, the router
+        is rebound: that request is infeasible, the rest of the flush routes."""
+        from repro.membership import DynamicOverlay
+        from repro.routing import HierarchicalRouter
+
+        dyn = DynamicOverlay(tiny_framework, restructure_tolerance=None)
+        router = HierarchicalRouter(dyn.hfc)
+        config = TrafficConfig(
+            arrival=Poisson(rate=0.05),
+            duration=4_000.0,
+            warmup=0.0,
+            batch_interval=400.0,
+            session=SessionConfig(mean_lifetime=1_000.0, mean_gap=100.0),
+        )
+        engine = TrafficEngine(tiny_framework, config, router=router, seed=4)
+        engine.start()
+        # stop short of a flush tick, with requests waiting
+        engine.sim.run_until(790.0)
+        waiting = [request for _, request in engine._pending]
+        endpoints = [{r.source_proxy, r.destination_proxy} for r in waiting]
+        gone = waiting[0].source_proxy
+        hit = [gone in pair for pair in endpoints]
+        assert len(waiting) >= 3 and not all(hit)
+        records = [record for record, _ in engine._pending]
+
+        dyn.leave(gone)
+        router.rebind(dyn.hfc)
+        engine._flush()
+        assert not engine._pending
+        for record, lost in zip(records, hit):
+            assert record.infeasible == lost and record.routed == (not lost)
+        assert engine._m_infeasible.value == sum(hit)
+
 
 # -- rate sweep ---------------------------------------------------------------------
 
