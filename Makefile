@@ -57,23 +57,13 @@ e2e-selftest:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/e2e/tests/selftest.py -q
 
 # Where a workload's time goes: cProfile over one untraced 5 s run of the
-# end-to-end benchmark. Two tables: the top 30 functions by own time over the
-# whole run (set-up and the harness's calibration kernel included), then the
-# measured rounds' stage split — top 30 by cumulative time among the layers a
-# round runs (routing, services, membership, state, traffic, faults, the
-# event engine), which leaves the fixture build out — except for
-# `construct_2k`, whose rounds *are* the build: there the second table is the
-# construction layers. `make profile W=route_2k`.
+# end-to-end benchmark (scripts/profile_e2e.py). Three tables: the top 30
+# functions by own time over the whole run, the measured rounds' stage split
+# by layer, and the cyclic collector's collections and seconds per generation
+# (which cProfile cannot see). `make profile W=route_2k`.
 W ?= engine_16k
-ifeq ($(W),construct_2k)
-PROFILE_LAYERS = repro/(coords|cluster|overlay|graph|netsim/(topology|physical))
-else
-PROFILE_LAYERS = repro/(routing|services|membership|state|traffic|faults|netsim/(eventsim|shard))
-endif
 profile:
-	mkdir -p benchmarks/out
-	$(PYTHON) -m cProfile -o benchmarks/out/$(W).pstats benchmarks/e2e/run.py --workload $(W) --seconds 5 --trace 0
-	$(PYTHON) -c "import pstats; s = pstats.Stats('benchmarks/out/$(W).pstats'); s.sort_stats('tottime').print_stats(30); s.sort_stats('cumtime').print_stats('$(PROFILE_LAYERS)', 30)"
+	$(PYTHON) scripts/profile_e2e.py --workload $(W)
 
 # Alternating A/B of the end-to-end benchmark against a reference commit (or
 # a directory holding a checkout): medians, quartiles, pairs won and the
@@ -86,11 +76,13 @@ SEED ?= 11
 ab:
 	$(PYTHON) scripts/ab_e2e.py $(REF) --pairs $(PAIRS) --seed $(SEED) $(if $(filter command% environment%,$(origin W)),--workload $(W)) $(if $(RECORD),--record $(RECORD))
 
-# Mirror the full CI workflow locally: tier-1 tests, e2e self-test, lint,
-# fault matrix, the simulated numbers and their exact gate.
+# Mirror the full CI workflow locally: tier-1 tests, e2e self-test, the
+# profiling script at smoke scale, lint, fault matrix, the simulated numbers
+# and their exact gate.
 ci:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
 	$(MAKE) e2e-selftest
+	$(PYTHON) scripts/profile_e2e.py --workload engine_16k --scale smoke
 	$(MAKE) lint
 	$(MAKE) fault-matrix
 	$(MAKE) numbers

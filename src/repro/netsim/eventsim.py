@@ -22,13 +22,13 @@ a send allocates a tuple and nothing else.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 from contextlib import contextmanager
 from heapq import heappop, heappush
 from typing import (
-    TYPE_CHECKING, Any, Callable, Dict, Hashable, Iterator, List, NamedTuple, Optional,
-    Sequence, Tuple,
+    TYPE_CHECKING, Any, Callable, Dict, Hashable, Iterator, List, NamedTuple, Optional, Tuple,
 )
 
 from repro.telemetry import Counter, Histogram, MetricsRegistry, Telemetry, get_telemetry
@@ -87,6 +87,24 @@ OutboxEntry = Tuple[float, int, int, Message, float]
 #: a worker process's barrier step: hand over this shard's outbox, get back
 #: its share of every shard's, already in merge order
 _OutboxSwap = Callable[[List[OutboxEntry]], List[OutboxEntry]]
+
+
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Run the body with the cyclic collector off, then put it back as found.
+
+    Everything the engine allocates per event (heap entry, message, outbox
+    entry) is acyclic and freed by reference count; a collection in the
+    middle of a run can only re-walk the live processes and the messages in
+    flight. Cyclic garbage an *action* makes waits for the body to end.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class _KindMetrics:
@@ -308,17 +326,13 @@ class Simulator:
         return lane
 
     @contextmanager
-    def _on(self, lane: _Lane) -> Iterator[None]:
-        """Land new work on *lane* (it is executing, or being set up)."""
-        previous, self._active = self._active, lane
+    def _on_shard(self, shard: int) -> Iterator[None]:
+        """Land a program's set-up on the lane of *shard* (the driver's without lanes)."""
+        self._active = self._lanes[shard] if self._lanes else self._driver
         try:
             yield
         finally:
-            self._active = previous
-
-    def _on_shard(self, shard: int) -> Any:
-        """:meth:`_on` the lane of *shard* (the driver when there are no lanes)."""
-        return self._on(self._lanes[shard] if self._lanes else self._driver)
+            self._active = self._driver
 
     def _confine(self, shard: int, swap: _OutboxSwap) -> None:
         """Make this the engine of one worker process, which owns *shard*.
@@ -339,16 +353,18 @@ class Simulator:
         if address in self._processes:
             raise StateError(f"duplicate process address {address!r}")
         lane = self._lane_of(address)
-        if self._swap is not None and lane.shard != self._shard:
+        confined = self._swap is not None and lane.shard != self._shard
+        if confined or (lane is not self._active and self._active is not self._driver):
+            # only the driver, which runs at barriers, may reach into another
+            # lane's heap: a shard lane's neighbour may already have run past now
+            who = f"shard {self._shard} worker" if confined else f"shard {self._active.shard}"
             owner = "no shard" if lane is self._driver else f"shard {lane.shard}"
             raise StateError(
-                f"shard {self._shard} worker cannot register {address!r}: the "
-                f"plan assigns it to {owner}"
+                f"{who} cannot register {address!r}: the plan assigns it to {owner}"
             )
         self._processes[address] = process
         process.simulator = self
-        with self._on(lane):
-            self.schedule(0.0, process.start)
+        heappush(lane.heap, (self.now, next(self._counter), process.start, None, 0.0))
 
     def deregister(self, address: Address) -> "Process":
         """Detach and return the process at *address*.
@@ -437,54 +453,69 @@ class Simulator:
         event. The driver, which only runs at barriers, pushes into the
         recipient's heap directly; a shard lane buffers the copy in its
         outbox until the window's barrier, so its delay must not be below
-        the plan's lookahead.
+        the plan's lookahead. What cannot be delivered (see
+        :meth:`_refusal`) raises before any tally moves.
         """
         sent_at = self.now
-        metrics = self._metrics.get(message.kind) or self._kind_metrics(message.kind)
-        metrics.sent.value += 1
-        self._n_sent += 1
-        delays: Sequence[float] = (delay,)
-        if self.interceptor is not None:
-            decided = self.interceptor(message, delay)
-            if decided is not None:
-                delays = decided
-                if not delays:
-                    # The nominal copy was swallowed by the interceptor: account
-                    # for it so `sent + duplicated == delivered + dropped + pending`.
-                    self._record_drop(message, "intercepted")
-                    return
-                metrics.duplicated.value += len(delays) - 1
-                self._n_duplicated += len(delays) - 1
+        _, recipient, kind, _, size = message
+        delays = None if self.interceptor is None else self.interceptor(message, delay)
+        lowest = delay if delays is None else min(delays, default=math.inf)
         origin = self._active
         # without shard lanes every address, and all execution, is the driver's
         dest = origin
         if self._lanes:
-            recipient = message.recipient
             dest = self._lane_by_address.get(recipient) or self._lane_of(recipient)
+        local = dest is origin or origin is self._driver
+        if size < 0 or lowest < 0 or not local and (
+            lowest < self._lookahead or dest is self._driver and self._swap is not None
+        ):
+            # before any tally moves: a refused send leaves the ledger as it was
+            raise self._refusal(message, lowest)
+        metrics = self._metrics.get(kind) or self._kind_metrics(kind)
+        metrics.sent.value += 1
+        self._n_sent += 1
+        if delays is None:
+            self._n_undelivered += 1
+            if local:
+                heappush(dest.heap, (sent_at + delay, next(self._counter), None, message, sent_at))
+            else:
+                origin.outbox.append(
+                    (sent_at + delay, origin.shard, next(self._counter), message, sent_at)
+                )
+            return
+        if not delays:
+            # The nominal copy was swallowed by the interceptor: account
+            # for it so `sent + duplicated == delivered + dropped + pending`.
+            self._record_drop(message, "intercepted")
+            return
+        metrics.duplicated.value += len(delays) - 1
+        self._n_duplicated += len(delays) - 1
         self._n_undelivered += len(delays)
         for actual in delays:
-            if actual < 0:
-                raise StateError(f"cannot deliver in the past (delay={actual})")
-            if dest is origin or origin is self._driver:
-                heappush(
-                    dest.heap, (sent_at + actual, next(self._counter), None, message, sent_at)
-                )
-            elif dest is self._driver and self._swap is not None:
-                raise StateError(
-                    f"shard {self._shard} worker: send {message.sender!r} -> "
-                    f"{message.recipient!r} leaves the partition, and worker mode "
-                    "has no driver lane"
-                )
-            elif actual < self._lookahead:
-                raise StateError(
-                    f"cross-shard send {message.sender!r} -> {message.recipient!r} "
-                    f"with delay {actual} below the lookahead {self._lookahead}; "
-                    "the shard plan's lookahead must lower-bound every cross-shard delay"
-                )
+            if local:
+                heappush(dest.heap, (sent_at + actual, next(self._counter), None, message, sent_at))
             else:
                 origin.outbox.append(
                     (sent_at + actual, origin.shard, next(self._counter), message, sent_at)
                 )
+
+    def _refusal(self, message: Message, lowest: float) -> StateError:
+        """Why :meth:`send` refuses *message*, whose shortest delay is *lowest*."""
+        route = f"send {message.sender!r} -> {message.recipient!r}"
+        if message.size < 0:
+            return StateError(f"{route} with a negative size ({message.size})")
+        if lowest < 0:
+            return StateError(f"cannot deliver in the past (delay={lowest})")
+        if self._swap is not None and self._lane_of(message.recipient) is self._driver:
+            return StateError(
+                f"shard {self._shard} worker: {route} leaves the partition, and worker "
+                "mode has no driver lane"
+            )
+        return StateError(
+            f"cross-shard {route} with delay {lowest} below the lookahead "
+            f"{self._lookahead}; the shard plan's lookahead must lower-bound every "
+            "cross-shard delay"
+        )
 
     # -- execution ---------------------------------------------------------------
 
@@ -498,7 +529,8 @@ class Simulator:
         heap = lane.heap
         processes = self._processes
         metrics_of = self._metrics
-        with self._on(lane):
+        previous, self._active = self._active, lane
+        try:
             while heap and heap[0][0] <= upto:
                 time, _, action, message, sent_at = heappop(heap)
                 self.now = time
@@ -507,17 +539,20 @@ class Simulator:
                     action()
                     continue
                 self._n_undelivered -= 1
-                recipient = processes.get(message.recipient)
+                _, address, kind, _, size = message
+                recipient = processes.get(address)
                 if recipient is None:
                     self._record_drop(message, "unregistered")
                     continue
                 # a worker process first meets a kind sent from another shard here
-                metrics = metrics_of.get(message.kind) or self._kind_metrics(message.kind)
+                metrics = metrics_of.get(kind) or self._kind_metrics(kind)
                 metrics.delivered.value += 1
-                metrics.size_units.inc(message.size)  # inc() checks the sender's size
+                metrics.size_units.value += size  # send() refused a negative one
                 metrics.latency.observe(time - sent_at)
                 self._n_delivered += 1
                 recipient.receive(message)
+        finally:
+            self._active = previous
 
     def _exchange(self) -> None:
         """The barrier step: move every outbox entry to its destination heap.
@@ -550,7 +585,7 @@ class Simulator:
     def run_until(self, end_time: float) -> None:
         """Process events with timestamp <= *end_time*; the clock ends there."""
         driver, lanes = self._driver, self._lanes
-        with self._running():
+        with self._running(), _collector_paused():
             while lanes and self.now < end_time:
                 # Driver events run only at barriers, where every lane stands
                 # at the driver's instant: single-heap semantics for global
@@ -619,6 +654,7 @@ class Process:
         """Send a message to *recipient*, delivered after *delay*."""
         if self.simulator is None:
             raise StateError(f"process {self.address!r} is not registered")
+        # tuple.__new__: the NamedTuple's own __new__ is a Python frame per hop
         self.simulator.send(
-            Message(self.address, recipient, kind, payload, size), delay
+            tuple.__new__(Message, (self.address, recipient, kind, payload, size)), delay
         )

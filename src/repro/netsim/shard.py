@@ -33,7 +33,9 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.netsim.eventsim import DRIVER, Address, OutboxEntry, Simulator, _ledger
+from repro.netsim.eventsim import (
+    DRIVER, Address, OutboxEntry, Simulator, _collector_paused, _ledger,
+)
 from repro.telemetry import Telemetry
 from repro.util.errors import StateError
 
@@ -288,10 +290,12 @@ def _run_program(
     sim: Simulator, program: ShardProgram, plan: ShardPlan, shards: Sequence[int], until: float
 ) -> List[Any]:
     """Set *program* up on each of *shards*, run to *until*, collect per shard."""
-    for shard in shards:
-        with sim._on_shard(shard):
-            program.setup(sim, plan.views[shard] if plan.views else None, plan)
-    sim.run_until(until)
+    # a set-up registers processes that all survive: nothing for a collection to find
+    with _collector_paused():
+        for shard in shards:
+            with sim._on_shard(shard):
+                program.setup(sim, plan.views[shard] if plan.views else None, plan)
+        sim.run_until(until)
     return [program.collect(sim, shard) for shard in shards]
 
 

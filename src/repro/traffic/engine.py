@@ -352,7 +352,9 @@ class TrafficEngine:
     def _dispatch(self, rid: int, path: ServicePath) -> None:
         self._flows[rid] = path
         first = path.hops[0].proxy
-        self._ensure_relay(first)
+        # here, on the driver lane: a shard lane may not register for another
+        for hop in path.hops:
+            self._ensure_relay(hop.proxy)
         self.sim.send(
             Message(("traffic", first), ("traffic", first), "traffic_data", (rid, 0)),
             delay=0.0,
@@ -384,7 +386,6 @@ class TrafficEngine:
             self.sim.schedule(delay, lambda: self._complete(rid))
             return
         nxt = path.hops[index + 1].proxy
-        self._ensure_relay(nxt)
         delay += self.framework.overlay.true_delay(hop.proxy, nxt)
         relay.send(("traffic", nxt), "traffic_data", (rid, index + 1), delay=delay)
 

@@ -129,7 +129,11 @@ class _Relay(Process):
         self.counters = counters
 
     def receive(self, message: Message) -> None:
-        self.program._hop(self, message)
+        rid, path, idx = message[3]  # the payload
+        if idx + 1 >= len(path):
+            self.counters["completed"].inc()
+        else:
+            self.program._forward(self, rid, path, idx)
 
 
 class UniformTraffic(ShardProgram):
@@ -205,11 +209,12 @@ class UniformTraffic(ShardProgram):
     # -- workload ----------------------------------------------------------------
 
     def _issuer(self, sim: Simulator, relay: _Relay, row: int):
-        counter = {"k": 0}
+        k = 0
 
         def issue() -> None:
-            self._issue(sim, relay, row, counter["k"])
-            counter["k"] += 1
+            nonlocal k
+            self._issue(sim, relay, row, k)
+            k += 1
             if sim.now + self.period < self.duration:
                 sim.schedule(self.period, issue)
 
@@ -234,13 +239,6 @@ class UniformTraffic(ShardProgram):
             relay.counters["completed"].inc()
             return
         self._forward(relay, rid, path, 0)
-
-    def _hop(self, relay: _Relay, message: Message) -> None:
-        rid, path, idx = message.payload
-        if idx + 1 >= len(path):
-            relay.counters["completed"].inc()
-            return
-        self._forward(relay, rid, path, idx)
 
     def _forward(self, relay: _Relay, rid: Any, path: Any, idx: int) -> None:
         nxt = path[idx + 1]

@@ -8,12 +8,14 @@ re-run the same cases on a 2-shard engine whose test addresses span both
 lanes, so one suite holds for both shapes.
 """
 
+import gc
 import multiprocessing
 import pickle
+import weakref
 
 import pytest
 
-from repro.netsim import Message, Process, ShardPlan, Simulator
+from repro.netsim import Message, Process, ShardPlan, ShardProgram, Simulator, run_sharded
 from repro.util.errors import StateError
 
 #: the test addresses, split over two shards ("ghost" and "x" stay
@@ -409,6 +411,44 @@ class TestConservation:
         sim.run_all()
         assert sim.conservation()["pending"] == 0
 
+    def test_refused_send_moves_no_tally(self):
+        # A negative size used to surface as TelemetryError at the delivery,
+        # with the receiver on the stack and pending/delivered already moved;
+        # a negative delay in an interceptor's list after pending had moved.
+        # Both are refused in send, from outside a run and from inside one
+        # (a -> b: a same-lane event plan-less, an outbox entry on two lanes).
+        class Sender(Recorder):
+            def receive(self, message):
+                self.send("b", "k", None, delay=1.0, size=message.payload)
+
+        sim = self.make_sim()
+        b = Recorder("b")
+        sim.register(Sender("a"))
+        sim.register(b)
+        sim.send(Message("x", "b", "k", None, size=4), delay=1.0)
+        sim.run_until(5.0)
+        before = sim.conservation()
+        assert before["balanced"] == 1 and before["delivered"] == 1
+
+        with pytest.raises(StateError, match="negative size"):
+            sim.send(Message("x", "b", "k", None, size=-1), delay=1.0)
+        assert sim.conservation() == before
+        sim.interceptor = lambda message, delay: [delay, -0.5]
+        with pytest.raises(StateError, match="past"):
+            sim.send(Message("x", "b", "k", None), delay=1.0)
+        assert sim.conservation() == before
+        sim.interceptor = None
+
+        sim.send(Message("x", "a", "go", -3), delay=1.0)
+        with pytest.raises(StateError, match="negative size"):
+            sim.run_until(10.0)
+        after = sim.conservation()
+        assert after["balanced"] == 1
+        # the trigger was delivered; the refused reply was never sent
+        assert (after["sent"], after["delivered"]) == (before["sent"] + 1, 2)
+        assert after["pending"] == 0 and len(b.received) == 1
+        assert sim.bytes_delivered == 5
+
     def test_property_random_lifecycle_conserves(self):
         from hypothesis import given, settings
         from hypothesis import strategies as st
@@ -456,6 +496,117 @@ class TestConservation:
         check()
 
 
+class _Cycle:
+    """An object in a reference cycle with itself."""
+
+    def __init__(self):
+        self.me = self
+
+
+def _collector_state():
+    return gc.isenabled(), gc.get_threshold(), gc.get_freeze_count()
+
+
+class _TimerProgram(ShardProgram):
+    """Every shard runs *action* once, at t=1."""
+
+    def __init__(self, action):
+        self.action = action
+
+    def setup(self, sim, view, plan):
+        sim.schedule(1.0, self.action)
+
+
+def _run_timer(sim, action):
+    sim.schedule(1.0, action)
+    sim.run_until(5.0)
+
+
+#: the ways into the pop loop; run_sharded nests run_until's bracket in its own
+RUNS = {
+    "plan-less": lambda action: _run_timer(Simulator(), action),
+    "two-shards": lambda action: _run_timer(two_shard_sim(), action),
+    "run_sharded": lambda action: run_sharded(TWO_SHARDS, _TimerProgram(action), 5.0),
+}
+
+
+def _set_collecting(enabled):
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("how", sorted(RUNS))
+class TestCollector:
+    """The run loops keep the cyclic collector out of the way and put the
+    process-wide collector state back exactly as they found it."""
+
+    @pytest.fixture(autouse=True)
+    def _restore_collector(self):
+        enabled, threshold, _ = _collector_state()
+        yield
+        _set_collecting(enabled)
+        gc.set_threshold(*threshold)
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_is_put_back(self, how, enabled):
+        _set_collecting(enabled)
+        gc.set_threshold(701, 11, 9)
+        before = _collector_state()
+        ran = []
+        RUNS[how](lambda: ran.append(1))
+        assert ran and _collector_state() == before
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_is_put_back_when_an_action_raises(self, how, enabled):
+        _set_collecting(enabled)
+        before = _collector_state()
+
+        def boom():
+            raise RuntimeError("boom")
+
+        with pytest.raises(RuntimeError, match="boom"):
+            RUNS[how](boom)
+        assert _collector_state() == before
+
+    def test_cycles_made_by_an_action_go_at_the_next_collection(self, how):
+        made = []
+        RUNS[how](lambda: made.extend(weakref.ref(_Cycle()) for _ in range(50)))
+        assert len(made) >= 50
+        gc.collect()
+        assert all(ref() is None for ref in made)
+
+
+class TestAccountingMidRun:
+    make_sim = staticmethod(Simulator)
+
+    def test_reader_mid_run_sees_every_delivery_before_it(self):
+        sim = self.make_sim()
+        sim.register(Recorder("a"))
+        sim.register(Recorder("b"))
+        for i in range(6):
+            sim.send(Message("a", "b" if i % 2 else "a", "k", None, size=3), delay=1.0 + i)
+        seen = []
+
+        def read():
+            registry = sim.telemetry.registry
+            seen.append((
+                sim.now,
+                registry.total("sim.messages.delivered"),
+                registry.total("sim.bytes.delivered"),
+                sim.conservation(),
+            ))
+
+        for at in (0.5, 2.5, 4.25, 6.5):
+            sim.schedule(at, read)
+        sim.run_until(10.0)
+        assert [(now, count) for now, count, _, _ in seen] == [
+            (0.5, 0), (2.5, 2), (4.25, 4), (6.5, 6)
+        ]
+        for _, count, size_units, ledger in seen:
+            assert size_units == 3 * count
+            assert ledger["delivered"] == count and ledger["pending"] == 6 - count
+            assert ledger["balanced"] == 1
+
+
 # -- the same suite on the laned shape ------------------------------------------
 
 
@@ -490,3 +641,57 @@ class TestLifecycleTwoShards(TestLifecycle):
 
 class TestConservationTwoShards(TestConservation):
     make_sim = staticmethod(two_shard_sim)
+
+
+class TestAccountingMidRunTwoShards(TestAccountingMidRun):
+    make_sim = staticmethod(two_shard_sim)
+
+
+class TestRegisterAcrossLanes:
+    """``register`` lands ``start`` at *now* on the owner's heap. Only the
+    driver, which runs at barriers, may do that to another lane: a shard
+    lane's neighbour may already have run past *now*."""
+
+    class Host(Process):
+        """Runs *action* on its own lane at *at*."""
+
+        def __init__(self, address, at, action):
+            super().__init__(address)
+            self.at, self.action = at, action
+
+        def start(self):
+            self.simulator.schedule(self.at, self.action)
+
+    def test_shard_lane_cannot_register_on_another_lane(self):
+        # lane 0 runs a timer at t=8 inside the first window; lane 1's timer
+        # at t=5 then registers a lane-0 address, whose start at t=5 would
+        # take lane 0's clock from 8 back to 5 in the next window
+        sim = Simulator(plan=ShardPlan(
+            shards=2, bounds=(0, 1, 2), lookahead=10.0,
+            proxy_shard={"a": 0, "late": 0, "b": 1},
+        ))
+        clock = []
+        late = Recorder("late")
+        sim.register(self.Host("a", 8.0, lambda: clock.append(sim.now)))
+        sim.register(self.Host("b", 5.0, lambda: sim.register(late)))
+        with pytest.raises(StateError, match="shard 1 cannot register 'late'.*shard 0"):
+            sim.run_until(20.0)
+        assert clock == [8.0] and not sim.is_registered("late")
+
+    def test_own_lane_and_driver_may_register(self):
+        sim = two_shard_sim()
+        started = []
+
+        class Starter(Process):
+            def start(self):
+                started.append((self.address, self.simulator.now))
+
+        # bob's lane registers its own address; a driver timer, any address
+        sim.register(self.Host("bob", 5.0, lambda: sim.register(Starter("p1"))))
+        sim.schedule(7.0, lambda: sim.register(Starter("p0")))
+        sim.schedule(7.0, lambda: sim.register(Starter("ghost")))
+        sim.run_until(6.0)
+        sim.register(Starter("p2"))
+        sim.run_until(20.0)
+        # at the t=7 barrier the driver's own heap runs before the lanes'
+        assert started == [("p1", 5.0), ("p2", 6.0), ("ghost", 7.0), ("p0", 7.0)]

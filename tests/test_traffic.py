@@ -273,6 +273,18 @@ class TestEngine:
         assert report.in_flight_peak >= 1
         assert engine.finish() is report  # idempotent
 
+    def test_runs_on_shard_lanes(self, tiny_framework):
+        # a flow's relays are registered at dispatch, on the driver lane: a
+        # hop running on one shard's lane may not register the next hop's
+        # relay on another's (Simulator.register refuses that)
+        plain = TrafficEngine(tiny_framework, QUICK, seed=1).run()
+        sim = tiny_framework.simulator(shards=2)
+        assert sim.shards == 2
+        laned = TrafficEngine(tiny_framework, QUICK, sim=sim, seed=1).run()
+        assert sim.exchanged > 0 and sim.conservation()["balanced"]
+        assert laned.requests_completed == plain.requests_completed > 0
+        assert laned.latency_p95 == pytest.approx(plain.latency_p95)
+
     def test_admission_cap_rejects(self, tiny_framework):
         config = TrafficConfig(
             arrival=Poisson(rate=0.05),
