@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-output numbers examples lint coverage fault-matrix e2e-selftest profile ab ci clean
+.PHONY: install test test-output numbers examples lint coverage fault-matrix e2e-selftest profile scale ab ci clean
 
 # Editable install with the consolidated dev dependency list — the same
 # `[project.optional-dependencies] dev` extra every CI job installs from.
@@ -65,6 +65,15 @@ W ?= engine_16k
 profile:
 	$(PYTHON) scripts/profile_e2e.py --workload $(W)
 
+# What a cold build costs as n grows (scripts/build_scale.py): one
+# HFCFramework.build(seed=11) per size, each in a fresh subprocess, printing
+# build_s, the construct.* span split, shortest-path rows and relaxation
+# rounds, peak RSS and the construction digest — the table ROADMAP item 4
+# reads. `make scale N="2000 6000 10000"`.
+N ?= 2000 6000 10000
+scale:
+	$(PYTHON) scripts/build_scale.py $(N)
+
 # Alternating A/B of the end-to-end benchmark against a reference commit (or
 # a directory holding a checkout): medians, quartiles, pairs won and the
 # BENCHMARK.json bound per workload and metric.
@@ -77,12 +86,13 @@ ab:
 	$(PYTHON) scripts/ab_e2e.py $(REF) --pairs $(PAIRS) --seed $(SEED) $(if $(filter command% environment%,$(origin W)),--workload $(W)) $(if $(RECORD),--record $(RECORD))
 
 # Mirror the full CI workflow locally: tier-1 tests, e2e self-test, the
-# profiling script at smoke scale, lint, fault matrix, the simulated numbers
-# and their exact gate.
+# profiling and build-scale scripts at smoke size, lint, fault matrix, the
+# simulated numbers and their exact gate.
 ci:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
 	$(MAKE) e2e-selftest
 	$(PYTHON) scripts/profile_e2e.py --workload engine_16k --scale smoke
+	$(MAKE) scale N=300
 	$(MAKE) lint
 	$(MAKE) fault-matrix
 	$(MAKE) numbers

@@ -29,7 +29,7 @@ from repro.coords.neldermead import (
 )
 from repro.coords.space import CoordinateSpace
 from repro.netsim.physical import PhysicalNetwork
-from repro.util.errors import EmbeddingError
+from repro.util.errors import EmbeddingError, TopologyError
 from repro.util.rng import RngLike, ensure_rng
 
 
@@ -273,18 +273,23 @@ def choose_landmarks(
     of m landmarks").
     """
     rng = ensure_rng(seed)
-    nodes = physical.graph.nodes()
+    nodes = range(physical.topology.node_count)
     if count > len(nodes):
         raise EmbeddingError(f"cannot pick {count} landmarks from {len(nodes)} routers")
-    first = rng.choice(nodes)
-    landmarks = [first]
-    min_dist = dict(physical.delays_from(first))
+
+    def row(landmark: int) -> np.ndarray:
+        delays = physical.delays_from(landmark).array
+        if delays.max() == float("inf"):
+            raise TopologyError(
+                f"router {int(delays.argmax())!r} unreachable from {landmark!r}"
+            )
+        return delays
+
+    landmarks = [rng.choice(nodes)]
+    min_dist = row(landmarks[0]).copy()
     while len(landmarks) < count:
-        nxt = max(nodes, key=lambda n: min_dist.get(n, 0.0))
-        landmarks.append(nxt)
-        for node, d in physical.delays_from(nxt).items():
-            if d < min_dist.get(node, float("inf")):
-                min_dist[node] = d
+        landmarks.append(int(min_dist.argmax()))
+        np.minimum(min_dist, row(landmarks[-1]), out=min_dist)
     return landmarks
 
 

@@ -103,16 +103,19 @@ class HFCFramework:
         with tracer.span("construct", proxies=proxy_count):
             if physical is None:
                 with tracer.span("construct.topology"):
-                    topo = transit_stub(
-                        config.physical_size_for(proxy_count),
-                        config=config.transit_stub,
-                        seed=spawn(rng, "topology"),
-                    )
-                    physical = PhysicalNetwork(
-                        topo,
-                        noise=config.measurement_noise,
-                        seed=spawn(rng, "noise"),
-                    )
+                    with tracer.span("construct.topology.wire"):
+                        topo = transit_stub(
+                            config.physical_size_for(proxy_count),
+                            config=config.transit_stub,
+                            seed=spawn(rng, "topology"),
+                        )
+                    with tracer.span("construct.topology.index"):
+                        physical = PhysicalNetwork(
+                            topo,
+                            noise=config.measurement_noise,
+                            seed=spawn(rng, "noise"),
+                            telemetry=telemetry,
+                        )
             proxies = physical.pick_overlay_nodes(
                 proxy_count, seed=spawn(rng, "proxies")
             )
@@ -410,7 +413,7 @@ class HFCFramework:
         sizes = self.clustering.sizes()
         return (
             f"HFCFramework(n={self.overlay.size} proxies on "
-            f"{self.physical.graph.node_count} routers, "
+            f"{self.physical.topology.node_count} routers, "
             f"{self.clustering.cluster_count} clusters "
             f"(sizes {min(sizes)}..{max(sizes)}), "
             f"{len(self.hfc.all_border_nodes())} border proxies, "

@@ -327,7 +327,9 @@ def run_landmark_ablation(
             physical = base_env.framework.physical
             proxies = base_env.framework.overlay.proxies
             pick_rng = spawn(rng, "landmarks")
-            landmarks = pick_rng.sample(physical.graph.nodes(), spec.landmarks)
+            landmarks = pick_rng.sample(
+                range(physical.topology.node_count), spec.landmarks
+            )
             from repro.coords.embedding import build_coordinate_space
 
             space, _ = build_coordinate_space(

@@ -10,20 +10,58 @@ questions the overlay layer asks:
   the paper's noise treatment available (take the minimum of several
   probes, Section 3.1).
 
-Single-source delay maps are cached because the experiments ask for delays
-from the same proxies thousands of times.
+Single-source delays are float rows over the router ids, computed by one
+numpy relaxation kernel over the topology's edge columns and cached per
+source, because the experiments ask for delays from the same proxies
+thousands of times.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.graph.shortest_paths import dijkstra
+from repro.graph.graph import Graph
+from repro.graph.shortest_paths import dijkstra, reconstruct_path
 from repro.netsim.topology import PhysicalTopology
+from repro.telemetry import Telemetry, get_telemetry
 from repro.util.errors import TopologyError
-from repro.util.rng import RngLike, ensure_rng
+from repro.util.rng import RngLike, ensure_rng, uniform_draws
+
+_INF = float("inf")
+
+
+class DelayRow(Mapping[int, float]):
+    """One source's shortest-path delays, as a mapping over a float row.
+
+    ``array[v]`` is the delay to router ``v``, ``inf`` where ``v`` cannot be
+    reached; the kernels read :attr:`array` directly, and ``item`` is its
+    scalar read, bound once because :meth:`PhysicalNetwork.delay` does one per
+    simulated message. As a mapping it holds the reachable routers only, like
+    the ``dist`` dict of :func:`repro.graph.shortest_paths.dijkstra`.
+    """
+
+    __slots__ = ("array", "item")
+
+    def __init__(self, array: np.ndarray) -> None:
+        self.array = array
+        self.item = array.item
+
+    def __getitem__(self, router: int) -> float:
+        try:
+            delay = self.item(router)
+        except (IndexError, TypeError):
+            raise KeyError(router) from None
+        if delay == _INF or router < 0:
+            raise KeyError(router)
+        return delay
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(np.flatnonzero(self.array != _INF).tolist())
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self.array != _INF))
 
 
 class PhysicalNetwork:
@@ -36,6 +74,8 @@ class PhysicalNetwork:
             are biased upward by queueing, never downward below the
             propagation floor.
         seed: RNG for measurement noise.
+        telemetry: scope for the ``physical.rows`` counter and the
+            ``physical.relax_rounds`` histogram; the process scope when None.
     """
 
     def __init__(
@@ -43,57 +83,123 @@ class PhysicalNetwork:
         topology: PhysicalTopology,
         noise: float = 0.10,
         seed: RngLike = None,
+        telemetry: Optional[Telemetry] = None,
     ) -> None:
         if noise < 0:
             raise TopologyError(f"noise must be >= 0, got {noise}")
         self.topology = topology
-        self.graph = topology.graph
         self.noise = noise
         self._rng = ensure_rng(seed)
-        self._delay_cache: Dict[int, Dict[int, float]] = {}
+        self._registry = (telemetry if telemetry is not None else get_telemetry()).registry
+        self._rows: Dict[int, DelayRow] = {}
         self._parent_cache: Dict[int, Dict[int, int]] = {}
+        # The relaxation kernel's index: every link as two arcs (arc j < m runs
+        # edge_u[j] -> edge_v[j], arc m + j the other way), sorted by destination
+        # so one ``reduceat`` takes each router's best offer. The sort key is the
+        # narrowest dtype that holds a router id: numpy radix-sorts 16-bit keys.
+        narrow = np.min_scalar_type(max(topology.node_count - 1, 0))
+        dst = np.concatenate(
+            [topology.edge_v, topology.edge_u], dtype=narrow, casting="unsafe"
+        )
+        order = np.argsort(dst, kind="stable")
+        dst = dst[order]
+        starts = np.empty(len(dst), dtype=bool)
+        starts[:1] = True
+        np.not_equal(dst[1:], dst[:-1], out=starts[1:])
+        self._arc_heads = np.flatnonzero(starts)
+        self._arc_dst = dst[self._arc_heads].astype(np.intp)
+        self._arc_src = np.concatenate([topology.edge_u, topology.edge_v]).take(order)
+        self._arc_w = topology.edge_w.take(order, mode="wrap")
+
+    @property
+    def graph(self) -> Graph:
+        """The topology's derived :class:`Graph` view."""
+        return self.topology.graph
 
     # -- true delays -------------------------------------------------------
 
-    def delays_from(self, source: int) -> Dict[int, float]:
+    def delays_from(self, source: int) -> DelayRow:
         """True shortest-path delay from *source* to every reachable router."""
-        cached = self._delay_cache.get(source)
-        if cached is None:
-            cached, parents = dijkstra(self.graph, source)
-            self._delay_cache[source] = cached
-            self._parent_cache[source] = parents
-        return cached
+        try:
+            return self._rows[source]
+        except KeyError:
+            row = self._rows[source] = DelayRow(self._relax(source))
+            return row
+
+    def _relax(self, source: int) -> np.ndarray:
+        """Shortest-path delays from *source* as a float row, ``inf`` = unreachable.
+
+        Synchronous relaxation: every round each router takes the minimum of its
+        delay and ``delay[neighbour] + link`` over its arcs, until nothing moves
+        (longest shortest path's hops + 1 rounds). Float addition is monotone, so
+        the fixpoint is Dijkstra's left-to-right path sums bit for bit (DESIGN §7).
+        """
+        if source not in self.topology.node_kind:
+            raise TopologyError(f"unknown router {source!r}")
+        dist = np.full(self.topology.node_count, _INF)
+        dist[source] = 0.0
+        src, w, heads, dst = self._arc_src, self._arc_w, self._arc_heads, self._arc_dst
+        offers = np.empty(len(src))
+        rounds = 0
+        while len(src):
+            rounds += 1
+            np.take(dist, src, out=offers)
+            offers += w
+            held = dist[dst]
+            best = np.minimum(held, np.minimum.reduceat(offers, heads))
+            if np.array_equal(best, held):
+                break
+            dist[dst] = best
+        self._registry.counter("physical.rows").inc()
+        self._registry.histogram("physical.relax_rounds").observe(rounds)
+        return dist
 
     def route(self, u: int, v: int) -> List[int]:
         """The router sequence of the shortest-delay path from *u* to *v*."""
-        from repro.graph.shortest_paths import reconstruct_path
-
         if u == v:
             return [u]
-        self.delays_from(u)  # populates the parent cache
-        if v not in self._delay_cache[u]:
+        parents = self._parent_cache.get(u)
+        if parents is None:
+            parents = self._parent_cache[u] = dijkstra(self.graph, u)[1]
+        if v not in parents:
             raise TopologyError(f"router {v!r} unreachable from {u!r}")
-        return reconstruct_path(self._parent_cache[u], u, v)
+        return reconstruct_path(parents, u, v)
 
     def delay(self, u: int, v: int) -> float:
         """True end-to-end delay between routers *u* and *v* (ms)."""
         if u == v:
             return 0.0
-        dist = self.delays_from(u)
-        if v not in dist:
+        try:
+            delay = self.delays_from(u).item(v)
+        except IndexError:
+            delay = _INF
+        if delay == _INF or v < 0:
             raise TopologyError(f"router {v!r} unreachable from {u!r}")
-        return dist[v]
+        return delay
 
     def delay_matrix(self, nodes: Sequence[int]) -> np.ndarray:
         """Dense true-delay matrix among *nodes* (``(n, n)`` float array)."""
-        n = len(nodes)
-        matrix = np.zeros((n, n), dtype=float)
-        for i, u in enumerate(nodes):
-            dist = self.delays_from(u)
-            for j, v in enumerate(nodes):
-                if i != j:
-                    matrix[i, j] = dist[v]
-        return matrix
+        return self._rows_at(nodes, nodes)
+
+    def _router_index(self, routers: Sequence[int]) -> np.ndarray:
+        """*routers* as an index array into a delay row."""
+        index = np.asarray(routers, dtype=np.intp).reshape(-1)
+        if len(index) and not 0 <= index.min() <= index.max() < self.topology.node_count:
+            raise TopologyError(f"unknown router among {routers!r}")
+        return index
+
+    def _rows_at(self, sources: Sequence[int], columns: Sequence[int]) -> np.ndarray:
+        """``[i, j]`` = true delay from ``sources[i]`` to ``columns[j]``: one
+        row and one ``take`` per source."""
+        index = self._router_index(columns)
+        delays = np.empty((len(sources), len(index)), dtype=float)
+        for i, s in enumerate(sources):
+            np.take(self.delays_from(s).array, index, out=delays[i])
+        lost = np.argwhere(delays == _INF)
+        if len(lost):
+            i, j = lost[0]
+            raise TopologyError(f"router {columns[j]!r} unreachable from {sources[i]!r}")
+        return delays
 
     # -- noisy measurements --------------------------------------------------
 
@@ -129,7 +235,7 @@ class PhysicalNetwork:
         for t in targets] for s in sources]`` — it consumes the identical
         noise stream in the identical (source-major) order — but obtains the
         true delays from the *target* side: ``len(targets)`` single-source
-        Dijkstra runs instead of ``len(sources)``. With a handful of landmark
+        rows instead of ``len(sources)``. With a handful of landmark
         targets and thousands of proxy sources that removes the dominant
         construction cost (the per-proxy shortest-path sweeps).
 
@@ -139,17 +245,7 @@ class PhysicalNetwork:
         """
         if probes < 1:
             raise ValueError(f"probes must be >= 1, got {probes}")
-        sources = list(sources)
-        targets = list(targets)
-        delays = np.empty((len(sources), len(targets)), dtype=float)
-        for j, t in enumerate(targets):
-            dist = self.delays_from(t)
-            try:
-                delays[:, j] = [0.0 if s == t else dist[s] for s in sources]
-            except KeyError as exc:
-                raise TopologyError(
-                    f"router {t!r} unreachable from {exc.args[0]!r}"
-                ) from None
+        delays = np.ascontiguousarray(self._rows_at(list(targets), list(sources)).T)
         if self.noise == 0.0:
             return delays
         # :meth:`_noisy` over the whole matrix, in place: the stream is drawn
@@ -157,8 +253,7 @@ class PhysicalNetwork:
         # delay is returned as it is); ``uniform(0.0, noise)`` is
         # ``0.0 + noise * random()``.
         live = delays != 0.0
-        draw = self._rng.random
-        draws = np.array([draw() for _ in range(int(live.sum()) * probes)])
+        draws = uniform_draws(self._rng, int(live.sum()) * probes)
         observed = delays[live][:, None] * (1.0 + self.noise * draws.reshape(-1, probes))
         delays[live] = observed.min(axis=1)
         return delays
@@ -167,21 +262,11 @@ class PhysicalNetwork:
 
     def nearest(self, source: int, candidates: Iterable[int]) -> int:
         """The candidate router closest (true delay) to *source*."""
-        dist = self.delays_from(source)
-        best: Optional[int] = None
-        best_d = float("inf")
-        for c in candidates:
-            d = 0.0 if c == source else dist.get(c, float("inf"))
-            if d < best_d:
-                best, best_d = c, d
-        if best is None:
+        pool = list(candidates)
+        delays = self.delays_from(source).array.take(self._router_index(pool))
+        if not pool or delays.min() == _INF:
             raise TopologyError("candidates is empty or all unreachable")
-        return best
-
-    def warm_cache(self, sources: Iterable[int]) -> None:
-        """Precompute delay maps from every router in *sources*."""
-        for s in sources:
-            self.delays_from(s)
+        return pool[int(delays.argmin())]
 
     def pick_overlay_nodes(self, count: int, seed: RngLike = None) -> List[int]:
         """Choose *count* distinct stub routers to host overlay proxies."""

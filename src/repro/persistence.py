@@ -38,7 +38,6 @@ from repro.coords.embedding import EmbeddingReport
 from repro.core.config import FrameworkConfig
 from repro.core.framework import HFCFramework
 from repro.core.versioning import OverlayVersion
-from repro.graph.graph import Graph
 from repro.netsim.physical import PhysicalNetwork
 from repro.netsim.topology import PhysicalTopology, TransitStubConfig
 from repro.services.catalog import ServiceCatalog
@@ -107,10 +106,9 @@ def save_snapshot(
     """
     framework, columnar = _snapshot_parts(target)
     topo = framework.physical.topology
-    nodes = list(topo.graph.nodes())
-    kinds: List[str] = sorted({topo.node_kind[n] for n in nodes})
+    nodes = range(topo.node_count)
+    kinds: List[str] = sorted(set(topo.node_kind.values()))
     kind_code = {kind: i for i, kind in enumerate(kinds)}
-    edges = list(topo.graph.edges())
     report = framework.embedding_report
     meta = {
         "format_version": SNAPSHOT_FORMAT_VERSION,
@@ -151,7 +149,7 @@ def save_snapshot(
             handle,
             meta=np.array(json.dumps(meta)),
             **level_arrays,
-            phys_nodes=np.array(nodes, dtype=np.int64),
+            phys_nodes=np.arange(topo.node_count, dtype=np.int64),
             phys_pos=np.array(
                 [topo.positions[n] for n in nodes], dtype=float
             ),
@@ -161,10 +159,10 @@ def save_snapshot(
             phys_stub=np.array(
                 [topo.stub_domain.get(n, -1) for n in nodes], dtype=np.int64
             ),
-            edge_uv=np.array(
-                [[u, v] for u, v, _ in edges], dtype=np.int64
-            ).reshape(len(edges), 2),
-            edge_w=np.array([w for _, _, w in edges], dtype=float),
+            # links in generation order: a restored network derives the same
+            # adjacency order, hence the same choice among equal-delay routes
+            edge_uv=np.column_stack([topo.edge_u, topo.edge_v]),
+            edge_w=topo.edge_w,
             landmark_ids=np.array(report.landmark_ids, dtype=np.int64),
             landmark_coords=np.asarray(report.landmark_coordinates, dtype=float),
             proxies=columnar.proxies,
@@ -246,26 +244,17 @@ def load_snapshot(path: str) -> OverlaySnapshot:
         transit_stub=TransitStubConfig(**meta["config"]["transit_stub"]),
     )
     kinds = meta["node_kinds"]
-    graph = Graph()
-    positions = {}
-    node_kind = {}
-    stub_domain = {}
-    pos_rows = arrays["phys_pos"].tolist()
-    for i, node in enumerate(arrays["phys_nodes"].tolist()):
-        graph.add_node(node)
-        positions[node] = tuple(pos_rows[i])
-        node_kind[node] = kinds[int(arrays["phys_kind"][i])]
-        domain = int(arrays["phys_stub"][i])
-        if domain >= 0:
-            stub_domain[node] = domain
-    weights = arrays["edge_w"].tolist()
-    for i, (u, v) in enumerate(arrays["edge_uv"].tolist()):
-        graph.add_edge(u, v, weights[i])
+    nodes = arrays["phys_nodes"]
+    if not np.array_equal(nodes, np.arange(len(nodes))):
+        raise ReproError(f"snapshot {path!r}: routers are not numbered 0..n-1")
+    edge_uv = arrays["edge_uv"].reshape(-1, 2)
     topology = PhysicalTopology(
-        graph=graph,
-        positions=positions,
-        node_kind=node_kind,
-        stub_domain=stub_domain,
+        edge_u=edge_uv[:, 0],
+        edge_v=edge_uv[:, 1],
+        edge_w=arrays["edge_w"],
+        positions=dict(enumerate(map(tuple, arrays["phys_pos"].tolist()))),
+        node_kind=dict(enumerate(kinds[k] for k in arrays["phys_kind"].tolist())),
+        stub_domain={n: d for n, d in enumerate(arrays["phys_stub"].tolist()) if d >= 0},
     )
     physical = PhysicalNetwork(topology, noise=meta["noise"])
 

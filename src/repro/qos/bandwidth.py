@@ -60,14 +60,19 @@ class BandwidthModel:
             raise RoutingError("bandwidth ranges must be positive")
         self.physical = physical
         rng = ensure_rng(seed)
-        kinds = physical.topology.node_kind
+        topo = physical.topology
+        transit = np.array([topo.node_kind[n] == "transit" for n in range(topo.node_count)])
+        low = np.minimum(topo.edge_u, topo.edge_v)
+        high = np.maximum(topo.edge_u, topo.edge_v)
+        # Capacities are drawn link by link in the order ``Graph.edges()``
+        # lists them — grouped by lower endpoint, generation order within —
+        # so a seed keeps giving each link the capacity it always had.
+        order = np.argsort(low, kind="stable")
+        core = (transit[low] & transit[high])[order].tolist()
         self._capacity: Dict[Tuple[int, int], float] = {}
-        for u, v, _ in physical.graph.edges():
-            if kinds.get(u) == "transit" and kinds.get(v) == "transit":
-                low, high = transit_range
-            else:
-                low, high = stub_range
-            self._capacity[_key(u, v)] = rng.uniform(low, high)
+        for key, is_core in zip(zip(low[order].tolist(), high[order].tolist()), core):
+            bounds = transit_range if is_core else stub_range
+            self._capacity[key] = rng.uniform(*bounds)
         self._bottleneck_cache: Dict[Tuple[int, int], float] = {}
 
     def link_capacity(self, u: int, v: int) -> float:

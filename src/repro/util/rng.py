@@ -68,6 +68,18 @@ def numpy_generator(seed: RngLike = None, label: str = "numpy"):
     return np.random.default_rng(base ^ _stable_hash(label))
 
 
+def uniform_draws(rng: random.Random, count: int):
+    """The next *count* values of ``rng.random()`` as a float array, bit for bit,
+    leaving *rng* where *count* calls would: ``random()`` is ``((a >> 5) * 2**26
+    + (b >> 6)) / 2**53`` over two successive 32-bit Mersenne-Twister outputs,
+    and ``getrandbits(64 * count)`` is those outputs, least significant first."""
+    import numpy as np
+
+    raw = rng.getrandbits(64 * count).to_bytes(8 * count, "little")
+    words = np.frombuffer(raw, dtype="<u4")
+    return ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) / 9007199254740992.0
+
+
 def _stable_hash(text: str) -> int:
     """A process-independent 64-bit FNV-1a hash of *text*.
 

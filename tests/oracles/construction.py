@@ -1,7 +1,10 @@
 """The pre-vectorization Section-3 construction: full-matrix landmark
 objective, per-host scalar embedding, per-round full-distance Prim, one
-``closest_pair`` scan per cluster pair."""
+``closest_pair`` scan per cluster pair — and the pre-columnar substrate under
+it: the generators wiring a ``Graph`` one ``add_edge`` at a time, greedy
+k-center over dict Dijkstra rows."""
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
@@ -21,8 +24,182 @@ from repro.coords.embedding import (
 )
 from repro.coords.neldermead import minimize_with_restarts
 from repro.coords.space import CoordinateSpace
-from repro.util.errors import GraphError
+from repro.graph.graph import Graph
+from repro.graph.shortest_paths import dijkstra
+from repro.netsim.topology import TransitStubConfig
+from repro.util.errors import GraphError, TopologyError
 from repro.util.rng import ensure_rng
+
+
+class LoggedGraph(Graph):
+    """A ``Graph`` that also keeps its ``add_edge`` calls, in order."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.log: List[Tuple[int, int, float]] = []
+
+    def add_edge(self, u, v, weight=1.0) -> None:
+        super().add_edge(u, v, weight)
+        self.log.append((u, v, weight))
+
+
+@dataclass
+class ReferenceTopology:
+    graph: LoggedGraph
+    positions: Dict[int, Tuple[float, float]]
+    node_kind: Dict[int, str]
+    stub_domain: Dict[int, int]
+
+
+def _link_delay(config, a, b) -> float:
+    distance = math.dist(a, b)
+    return config.min_link_delay + config.delay_per_unit * distance
+
+
+def _waxman_wire_reference(graph, nodes, positions, config, rng) -> None:
+    """Forced random spanning tree, then one Waxman draw per unlinked pair:
+    ``math.dist`` for the diameter, again for the probability, again for the
+    delay, ``graph.has_edge`` asked of every pair."""
+    if len(nodes) <= 1:
+        return
+    order = nodes[:]
+    rng.shuffle(order)
+    for i in range(1, len(order)):
+        u = order[i]
+        v = order[rng.randrange(i)]
+        graph.add_edge(u, v, _link_delay(config, positions[u], positions[v]))
+    diameter = max(
+        math.dist(positions[u], positions[v])
+        for i, u in enumerate(nodes)
+        for v in nodes[i + 1 :]
+    )
+    diameter = max(diameter, 1e-9)
+    for i, u in enumerate(nodes):
+        for v in nodes[i + 1 :]:
+            if graph.has_edge(u, v):
+                continue
+            d = math.dist(positions[u], positions[v])
+            p = config.waxman_alpha * math.exp(-d / (config.waxman_beta * diameter))
+            if rng.random() < p:
+                graph.add_edge(u, v, _link_delay(config, positions[u], positions[v]))
+
+
+def transit_stub_reference(total_nodes, config=None, seed=None) -> ReferenceTopology:
+    """``transit_stub`` wiring a ``Graph`` edge by edge."""
+    config = config or TransitStubConfig()
+    rng = ensure_rng(seed)
+    transit_count = config.transit_domains * config.transit_nodes_per_domain
+    stub_domain_count = transit_count * config.stub_domains_per_transit_node
+    stub_budget = total_nodes - transit_count
+    if stub_budget < 2 * stub_domain_count:
+        raise TopologyError(f"total_nodes={total_nodes} too small for config")
+
+    graph = LoggedGraph()
+    positions = {}
+    node_kind = {}
+    stub_domain = {}
+    next_id = 0
+
+    transit_by_domain = []
+    for _ in range(config.transit_domains):
+        center = (
+            rng.uniform(0.15, 0.85) * config.plane_size,
+            rng.uniform(0.15, 0.85) * config.plane_size,
+        )
+        domain_nodes = []
+        for _ in range(config.transit_nodes_per_domain):
+            positions[next_id] = (
+                center[0] + rng.gauss(0.0, config.transit_spread),
+                center[1] + rng.gauss(0.0, config.transit_spread),
+            )
+            node_kind[next_id] = "transit"
+            graph.add_node(next_id)
+            domain_nodes.append(next_id)
+            next_id += 1
+        _waxman_wire_reference(graph, domain_nodes, positions, config, rng)
+        transit_by_domain.append(domain_nodes)
+
+    for i in range(len(transit_by_domain)):
+        a = rng.choice(transit_by_domain[i])
+        b = rng.choice(transit_by_domain[(i + 1) % len(transit_by_domain)])
+        if a != b and not graph.has_edge(a, b):
+            graph.add_edge(a, b, _link_delay(config, positions[a], positions[b]))
+    if len(transit_by_domain) > 2:
+        for domain in transit_by_domain:
+            a = rng.choice(domain)
+            other = rng.choice([d for d in transit_by_domain if d is not domain])
+            b = rng.choice(other)
+            if a != b and not graph.has_edge(a, b):
+                graph.add_edge(a, b, _link_delay(config, positions[a], positions[b]))
+
+    base = stub_budget // stub_domain_count
+    extra = stub_budget % stub_domain_count
+    domain_index = 0
+    for attach in [n for domain in transit_by_domain for n in domain]:
+        for _ in range(config.stub_domains_per_transit_node):
+            size = base + (1 if domain_index < extra else 0)
+            center = (
+                positions[attach][0] + rng.gauss(0.0, config.stub_spread * 2),
+                positions[attach][1] + rng.gauss(0.0, config.stub_spread * 2),
+            )
+            domain_nodes = []
+            for _ in range(size):
+                positions[next_id] = (
+                    center[0] + rng.gauss(0.0, config.stub_spread),
+                    center[1] + rng.gauss(0.0, config.stub_spread),
+                )
+                node_kind[next_id] = "stub"
+                stub_domain[next_id] = domain_index
+                graph.add_node(next_id)
+                domain_nodes.append(next_id)
+                next_id += 1
+            _waxman_wire_reference(graph, domain_nodes, positions, config, rng)
+            gateway = min(
+                domain_nodes, key=lambda n: math.dist(positions[n], positions[attach])
+            )
+            graph.add_edge(
+                gateway, attach, _link_delay(config, positions[gateway], positions[attach])
+            )
+            domain_index += 1
+    return ReferenceTopology(graph, positions, node_kind, stub_domain)
+
+
+def waxman_reference(
+    node_count, alpha=0.6, beta=0.3, plane_size=1000.0, seed=None
+) -> ReferenceTopology:
+    """``waxman`` wiring a ``Graph`` edge by edge."""
+    rng = ensure_rng(seed)
+    config = TransitStubConfig(waxman_alpha=alpha, waxman_beta=beta, plane_size=plane_size)
+    graph = LoggedGraph()
+    positions = {
+        i: (rng.uniform(0, plane_size), rng.uniform(0, plane_size))
+        for i in range(node_count)
+    }
+    graph.add_nodes(range(node_count))
+    _waxman_wire_reference(graph, list(range(node_count)), positions, config, rng)
+    return ReferenceTopology(
+        graph,
+        positions,
+        {i: "stub" for i in range(node_count)},
+        {i: 0 for i in range(node_count)},
+    )
+
+
+def choose_landmarks_reference(graph, count, seed=None) -> List[int]:
+    """Greedy k-center over dict rows from the heap Dijkstra; a router with
+    no row entry counts as distance 0 (never picked), as it used to."""
+    rng = ensure_rng(seed)
+    nodes = graph.nodes()
+    first = rng.choice(nodes)
+    landmarks = [first]
+    min_dist = dict(dijkstra(graph, first)[0])
+    while len(landmarks) < count:
+        nxt = max(nodes, key=lambda n: min_dist.get(n, 0.0))
+        landmarks.append(nxt)
+        for node, d in dijkstra(graph, nxt)[0].items():
+            if d < min_dist.get(node, float("inf")):
+                min_dist[node] = d
+    return landmarks
 
 
 def embed_landmarks_reference(measured, dim, *, max_iterations=3000, seed=None) -> np.ndarray:

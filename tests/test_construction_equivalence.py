@@ -491,6 +491,16 @@ class TestFrameworkModes:
             "construct.embedding.locate",
         }
         assert sum(phases.values()) >= 0.9 * embedding["duration"]
+        topology = children["construct.topology"]
+        assert [c["name"] for c in topology["children"]] == [
+            "construct.topology.wire",
+            "construct.topology.index",
+        ]
+        # one shortest-path row per landmark, each a few relaxation rounds
+        # (the hop diameter), counted in the scope the build was given
+        assert telemetry.registry.total("physical.rows") == 10
+        rounds = telemetry.registry.get("physical.relax_rounds")
+        assert rounds.count == 10 and 2 <= rounds.min <= rounds.max <= 40
         counters = telemetry.registry.snapshot()["counters"]
         assert any(
             entry["name"] == "construct.measurements" and entry["value"] > 0

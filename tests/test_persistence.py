@@ -28,10 +28,12 @@ def restored(binary_snapshot):
     return binary_snapshot.framework
 
 
-def _rewrite_snapshot(path, edit_meta=None, drop=()):
-    """Re-save the snapshot at *path* with edited meta / without some arrays."""
+def _rewrite_snapshot(path, edit_meta=None, drop=(), edit_arrays=None):
+    """Re-save the snapshot at *path* with edited meta / arrays / without some arrays."""
     with np.load(str(path), allow_pickle=False) as data:
         arrays = {name: data[name] for name in data.files if name not in drop}
+    if edit_arrays is not None:
+        edit_arrays(arrays)
     if edit_meta is not None:
         meta = json.loads(str(arrays["meta"]))
         edit_meta(meta)
@@ -53,6 +55,23 @@ class TestRoundTrip:
         b = restored.physical.graph
         assert a.node_count == b.node_count
         assert sorted(a.edges()) == sorted(b.edges())
+
+    def test_edge_columns_preserved_in_generation_order(self, tiny_framework, restored):
+        built, loaded = tiny_framework.physical.topology, restored.physical.topology
+        assert np.array_equal(loaded.edge_u, built.edge_u)
+        assert np.array_equal(loaded.edge_v, built.edge_v)
+        assert np.array_equal(loaded.edge_w, built.edge_w)
+        # hence the derived views list every router's neighbours in one order
+        for node in built.graph.nodes():
+            assert list(loaded.graph.neighbors(node)) == list(built.graph.neighbors(node))
+
+    def test_physical_routes_identical(self, tiny_framework, restored):
+        rng = ensure_rng(5)
+        routers = range(tiny_framework.physical.topology.node_count)
+        for _ in range(50):
+            u, v = rng.sample(routers, 2)
+            assert restored.physical.route(u, v) == tiny_framework.physical.route(u, v)
+            assert restored.physical.delay(u, v) == tiny_framework.physical.delay(u, v)
 
     def test_coordinates_preserved(self, tiny_framework, restored):
         for proxy in tiny_framework.overlay.proxies:
@@ -124,6 +143,36 @@ class TestFormatGuard:
         for seed in range(8):
             request = tiny_framework.random_request(seed=seed)
             assert restored.route(request).hops == original.route(request).hops
+
+    def test_links_grouped_by_endpoint_still_load(self, tiny_framework, snapshot_path):
+        """Snapshots used to list links in ``Graph.edges()`` order — grouped
+        by lower endpoint, that endpoint first; they load with the same delays."""
+
+        def regroup(arrays):
+            pairs = np.sort(arrays["edge_uv"], axis=1)
+            order = np.argsort(pairs[:, 0], kind="stable")
+            arrays["edge_uv"], arrays["edge_w"] = pairs[order], arrays["edge_w"][order]
+
+        _rewrite_snapshot(snapshot_path, edit_arrays=regroup)
+        loaded = load_snapshot(str(snapshot_path)).framework.physical
+        built = tiny_framework.physical
+        assert sorted(loaded.graph.edges()) == sorted(built.graph.edges())
+        routers = list(range(0, built.topology.node_count, 7))
+        assert np.array_equal(loaded.delay_matrix(routers), built.delay_matrix(routers))
+
+    def test_malformed_physical_arrays_raise_typed_error(self, snapshot_path):
+        def renumber(arrays):
+            arrays["phys_nodes"] = arrays["phys_nodes"] + 1
+
+        def negate(arrays):
+            arrays["edge_w"] = -arrays["edge_w"]
+
+        blob = snapshot_path.read_bytes()
+        for edit, message in ((renumber, "0..n-1"), (negate, "negative weight")):
+            snapshot_path.write_bytes(blob)
+            _rewrite_snapshot(snapshot_path, edit_arrays=edit)
+            with pytest.raises(ReproError, match=message):
+                load_snapshot(str(snapshot_path))
 
     def test_truncated_archive_raises_typed_error(self, snapshot_path):
         blob = snapshot_path.read_bytes()

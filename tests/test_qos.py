@@ -12,6 +12,7 @@ from repro.qos import (
 )
 from repro.routing import CoordinateProvider, validate_path
 from repro.util.errors import NoFeasiblePathError, RoutingError
+from repro.util.rng import ensure_rng
 
 import numpy as np
 
@@ -25,6 +26,17 @@ class TestBandwidthModel:
     def test_every_physical_link_has_capacity(self, framework, model):
         for u, v, _ in framework.physical.graph.edges():
             assert model.link_capacity(u, v) > 0
+
+    def test_capacities_drawn_in_graph_edge_order(self, framework, model):
+        """The model reads the edge columns, but draws link by link in the
+        order ``Graph.edges()`` lists them — what it iterated before — so a
+        seed keeps giving every link the same capacity."""
+        rng = ensure_rng(4)
+        kinds = framework.physical.topology.node_kind
+        for u, v, _ in framework.physical.graph.edges():
+            core = kinds[u] == "transit" and kinds[v] == "transit"
+            expected = rng.uniform(*((155.0, 1000.0) if core else (10.0, 100.0)))
+            assert model.link_capacity(u, v) == expected
 
     def test_capacity_symmetric_lookup(self, framework, model):
         u, v, _ = next(framework.physical.graph.edges())

@@ -11,6 +11,7 @@ from repro.util import (
     ensure_rng,
     spawn,
 )
+from repro.util.rng import uniform_draws
 from repro.util.validation import (
     require_at_least,
     require_in_range,
@@ -59,6 +60,20 @@ class TestSpawn:
             d1.random()  # heavy use of the first child
         d2 = spawn(p2, "b")
         assert [d2.random() for _ in range(3)] == c2_values
+
+
+class TestUniformDraws:
+    @pytest.mark.parametrize("seed", [0, 1, 11, 2**40 + 7])
+    @pytest.mark.parametrize("count", [0, 1, 2, 33, 1000])
+    def test_equals_that_many_random_calls(self, seed, count):
+        """Same values, same generator state afterwards, bit for bit."""
+        bulk, one_by_one = random.Random(seed), random.Random(seed)
+        bulk.gauss(0.0, 1.0)  # a cached second gaussian must not matter
+        one_by_one.gauss(0.0, 1.0)
+        assert uniform_draws(bulk, count).tolist() == [
+            one_by_one.random() for _ in range(count)
+        ]
+        assert bulk.getstate() == one_by_one.getstate()
 
 
 class TestValidation:
