@@ -92,6 +92,7 @@ ci:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
 	$(MAKE) e2e-selftest
 	$(PYTHON) scripts/profile_e2e.py --workload engine_16k --scale smoke
+	$(PYTHON) scripts/profile_e2e.py --workload churn_2k --scale smoke
 	$(MAKE) scale N=300
 	$(MAKE) lint
 	$(MAKE) fault-matrix

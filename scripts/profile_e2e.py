@@ -9,8 +9,9 @@ Prints, after the run's own summary:
 * the top 30 functions by own time over the whole run (set-up and the
   harness's calibration kernel included);
 * the measured rounds' stage split: the top 30 by cumulative time among the
-  layers a round runs (routing, services, membership, state, traffic, faults,
-  the event engine), which leaves the fixture build out — except for
+  layers a round runs (routing, services, membership with the coords and
+  overlay kernels a join calls, state, traffic, faults, the event engine),
+  which leaves most of the fixture build out — except for
   ``construct_2k``, whose rounds *are* the build: there, the construction
   layers;
 * what cProfile cannot see — a collection's time lands on whichever frame
@@ -38,7 +39,12 @@ from typing import Any, Dict, List
 ROOT = Path(__file__).resolve().parent.parent
 
 CONSTRUCTION_LAYERS = "repro/(coords|cluster|overlay|graph|netsim/(topology|physical))"
-ROUND_LAYERS = "repro/(routing|services|membership|state|traffic|faults|netsim/(eventsim|shard))"
+# coords and overlay too: a churn round's join is a landmark solve (coords) and
+# a border patch (overlay), which no other round's stage split would show
+ROUND_LAYERS = (
+    "repro/(routing|services|membership|coords|overlay|state|traffic|faults"
+    "|netsim/(eventsim|shard))"
+)
 
 
 class CollectionTimer:

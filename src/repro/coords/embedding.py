@@ -149,9 +149,20 @@ def locate_host(
 
     safe = np.where(measured > 0, measured, 1.0)
 
+    # The objective runs ~200 times a solve on a handful of floats: ufuncs
+    # into two buffers, not five temporaries behind two np.sum wrappers.
+    diff = np.empty_like(landmarks)
+    est = np.empty(landmarks.shape[0])
+
     def objective(point: np.ndarray) -> float:
-        est = np.sqrt(np.sum((landmarks - point) ** 2, axis=1))
-        return float(np.sum(((est - measured) / safe) ** 2))
+        np.subtract(landmarks, point, out=diff)
+        np.multiply(diff, diff, out=diff)
+        np.add.reduce(diff, axis=1, out=est)
+        np.sqrt(est, out=est)
+        np.subtract(est, measured, out=est)
+        np.divide(est, safe, out=est)
+        np.multiply(est, est, out=est)
+        return float(np.add.reduce(est))
 
     # Start from the measurement-weighted centroid: closer landmarks pull
     # harder. A second start at the nearest landmark guards against the

@@ -29,11 +29,27 @@ def cross_distances(block_a: np.ndarray, block_b: np.ndarray) -> np.ndarray:
     the membership layer's nearest-member scan) reduces this same block, so
     full scans and incremental patches rank candidate pairs identically.
     """
-    cols_a, cols_b = block_a.T, block_b.T
-    dist = cols_a[0][:, None] - cols_b[0][None, :]
+    return _distances_by_axis(block_a.T[:, :, None], block_b.T[:, None, :])
+
+
+def paired_distances(block_a: np.ndarray, block_b: np.ndarray) -> np.ndarray:
+    """Row-by-row distances between two ``(m, k)`` blocks, ``(m,)`` out.
+
+    The diagonal of :func:`cross_distances` without the block, through the
+    same per-axis arithmetic: a value from here compares exactly (``==``
+    means equal floats) against an entry of a block from there — which is
+    what lets the membership layer decide whether a joiner can have taken
+    over a border pair without re-reducing it.
+    """
+    return _distances_by_axis(block_a.T, block_b.T)
+
+
+def _distances_by_axis(cols_a: np.ndarray, cols_b: np.ndarray) -> np.ndarray:
+    """sqrt of the per-axis squared differences of broadcastable columns."""
+    dist = cols_a[0] - cols_b[0]
     dist *= dist
     for axis in range(1, cols_a.shape[0]):
-        term = cols_a[axis][:, None] - cols_b[axis][None, :]
+        term = cols_a[axis] - cols_b[axis]
         term *= term
         dist += term
     return np.sqrt(dist, out=dist)

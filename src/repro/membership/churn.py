@@ -18,9 +18,11 @@ This module implements exactly that design, *incrementally*:
 
 A join or leave touches exactly one cluster, so it patches the overlay in
 place: the affected cluster's member list and coordinate block are rebuilt
-(O(cluster)), and border selection re-runs only for the k-1 cluster pairs
-involving that cluster (:func:`repro.overlay.hfc.patch_borders_for_cluster`),
-using the same blocked closest-pair kernel as the full scan. Full
+(O(cluster)), and border selection re-runs — through the full scan's own
+kernel (:func:`repro.overlay.hfc.patch_borders_for_cluster`) — only for the
+pairs of that cluster the event can have moved: the ones a leaver bordered,
+the ones a joiner is at least as close to as the current pair
+(:meth:`DynamicOverlay._touched` says why that is exact). Full
 reconstruction is reserved for :meth:`DynamicOverlay.restructure`. The
 derived ``space`` / ``clustering`` / ``overlay`` / ``hfc`` objects are
 materialised lazily on first access after a change, so a burst of churn
@@ -44,14 +46,14 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 from repro.cluster.mstcluster import Clustering, ClusteringConfig, cluster_nodes
 from repro.cluster.quality import separation_ratio
 from repro.coords.embedding import locate_host
-from repro.coords.space import CoordinateSpace, cross_distances
+from repro.coords.space import CoordinateSpace, cross_distances, paired_distances
 from repro.core.framework import HFCFramework
 from repro.core.versioning import ChangeNotifier, OverlayVersion
 from repro.overlay.hfc import (
     HFCTopology,
-    closest_cross_pair,
     drop_cluster_from_borders,
     patch_borders_for_cluster,
+    scan_borders,
 )
 from repro.overlay.network import OverlayNetwork, ProxyId
 from repro.services.catalog import ServiceName
@@ -71,6 +73,8 @@ class ChurnEvent:
     cluster: Optional[int]
     #: quality after the event; None when quality tracking is disabled
     quality_after: Optional[float]
+    #: closest-pair launches the event made, upper levels included
+    pairs_reduced: int = 0
 
 
 @dataclass
@@ -232,8 +236,8 @@ class DynamicOverlay:
 
         After attaching, every join/leave patches the level
         stack along the affected spine only: the churned cluster's
-        centroid, its ancestor groups' centroids, and the border pairs
-        involving those ancestors at each level are re-selected — the
+        centroid, its ancestor groups' centroids, and those ancestors'
+        border pairs the event can have moved are re-selected — the
         upper-level *assignment* stays sticky, exactly like cluster
         membership does for the base level. :meth:`restructure` re-derives
         the assignment from scratch instead. The patched stack is bit-identical to
@@ -344,71 +348,60 @@ class DynamicOverlay:
         )
         self._adopt_hierarchy(hierarchy)
 
-    def _patch_hierarchy_spine(self, cluster_id: int) -> None:
-        """Re-centroid + re-border the level stack along one cluster's spine.
+    def _hier_patch_from(
+        self, start: int, unit: int, minima: Optional[np.ndarray], leaver: ProxyId
+    ) -> int:
+        """Patch the spine above *unit*, a unit of upper level *start*.
 
-        The only hierarchy work a join/leave pays: the
-        churned cluster's centroid, then per upper level the one ancestor
-        group's centroid and its border pairs against every sibling group
-        (same build-order proxy lists and the same blocked closest-pair
-        kernel as a cold build, so the result is bit-identical to
-        rebuilding under the current assignment).
+        All a join/leave pays per level: the ancestor group's centroid and
+        the base level's rule one level up (:meth:`_touched`; a group's
+        minimum is the minimum of its units') — the same kernel over the
+        same build-order populations as a cold build, gathered only for
+        the groups a re-reduced pair names, so the stack stays bit-identical
+        to rebuilding under the current assignment. Returns the launches.
         """
-        if self._hier_levels is None:
-            return
-        self._hier_base_centroids[cluster_id] = self._blocks[cluster_id].mean(
-            axis=0
+        levels = self._hier_levels
+        unit_centroids = (
+            levels[start - 1]["centroids"] if start else self._hier_base_centroids
         )
-        gid = next(
-            g
-            for g, units in enumerate(self._hier_levels[0]["groups"])
-            if cluster_id in units
-        )
-        self._hier_patch_from(0, gid)
-
-    def _hier_patch_from(self, start: int, gid: int) -> None:
-        """Patch centroids/borders from level *start* (group *gid*) upward."""
-        unit_proxies: List[List[ProxyId]] = [list(c) for c in self._clusters]
-        unit_centroids = self._hier_base_centroids
-        g: Optional[int] = None
-        for idx, spec in enumerate(self._hier_levels):
+        launches = 0
+        for idx in range(start, len(levels)):
+            spec = levels[idx]
             groups = spec["groups"]
-            group_proxies = [
-                [p for u in units for p in unit_proxies[u]] for units in groups
-            ]
-            if idx == start:
-                g = gid
-            elif idx > start:
-                prev = g
-                g = next(
-                    gg for gg, units in enumerate(groups) if prev in units
-                )
-            if g is not None:
-                spec["centroids"][g] = unit_centroids[groups[g]].mean(axis=0)
-                for other in range(len(groups)):
-                    if other == g:
-                        continue
-                    i, j = (g, other) if g < other else (other, g)
-                    a, b = closest_cross_pair(
-                        self._block(group_proxies[i]),
-                        self._block(group_proxies[j]),
-                    )
-                    spec["borders"][(i, j)] = group_proxies[i][a]
-                    spec["borders"][(j, i)] = group_proxies[j][b]
-            unit_proxies = group_proxies
-            unit_centroids = spec["centroids"]
-        self._hierarchy_view = None
+            gid = next(g for g, units in enumerate(groups) if unit in units)
+            spec["centroids"][gid] = unit_centroids[groups[gid]].mean(axis=0)
+            if minima is not None:
+                minima = np.array([minima[units].min() for units in groups])
+            others = self._touched(spec["borders"], gid, len(groups), minima, leaver)
+            members, blocks = {}, {}
+            for g in (gid, *others) if others else ():
+                members[g], blocks[g] = self._hier_group(idx, g)
+            patch_borders_for_cluster(spec["borders"], gid, members, blocks, others)
+            launches += len(others)
+            unit, unit_centroids = gid, spec["centroids"]
+        return launches
 
-    def _hier_drop_cluster(self, cluster_id: int) -> None:
+    def _hier_group(self, idx: int, gid: int) -> Tuple[List[ProxyId], np.ndarray]:
+        """Group *gid* of upper level *idx*: proxies in build order, block."""
+        units = [gid]
+        for spec in reversed(self._hier_levels[: idx + 1]):
+            units = [u for unit in units for u in spec["groups"][unit]]
+        return (
+            [p for c in units for p in self._clusters[c]],
+            np.concatenate([self._blocks[c] for c in units]),
+        )
+
+    def _hier_drop_cluster(self, cluster_id: int, leaver: ProxyId) -> int:
         """A base cluster vanished: unthread it from the level stack.
 
         Mirrors the base level's compaction: the unit is removed from its
         parent group and higher unit ids shift down; an emptied group is
         itself removed the same way one level up (cascading). The
-        surviving ancestor spine is then re-centroided and re-bordered.
+        surviving ancestor spine is then re-centroided and loses *leaver*
+        as any other leave does. Returns the launches that took.
         """
         if self._hier_levels is None:
-            return
+            return 0
         self._hier_base_centroids = np.delete(
             self._hier_base_centroids, cluster_id, axis=0
         )
@@ -425,8 +418,7 @@ class DynamicOverlay:
                     if u != removed
                 ]
             if groups[gid]:
-                self._hier_patch_from(idx, gid)
-                return
+                return self._hier_patch_from(idx, groups[gid][0], None, leaver)
             del groups[gid]
             spec["centroids"] = np.delete(spec["centroids"], gid, axis=0)
             spec["borders"] = {
@@ -440,7 +432,7 @@ class DynamicOverlay:
             removed = gid
         # the whole spine vanished through the top: the remaining groups'
         # populations are untouched, so nothing is left to re-select
-        self._hierarchy_view = None
+        return 0
 
     @classmethod
     def from_snapshot(cls, snapshot, **kwargs) -> "DynamicOverlay":
@@ -484,17 +476,21 @@ class DynamicOverlay:
         It derives coordinates from landmark measurements (or takes
         pre-measured *coords*, e.g. replayed by the equivalence suite) and
         joins the cluster of its geometrically nearest existing proxy (the
-        paper's suggested rule). Only that cluster's membership and border
-        pairs are recomputed.
+        paper's suggested rule). Only that cluster's membership and the
+        border pairs the joiner can have taken over are recomputed.
         """
         if router in self._labels:
             raise MembershipError(f"proxy {router!r} is already a member")
-        point = (
-            self.locate(router, probes=probes)
-            if coords is None
-            else tuple(float(x) for x in coords)
+        point = np.asarray(
+            self.locate(router, probes=probes) if coords is None else coords,
+            dtype=float,
         )
-        cluster_id = self._labels[self._nearest_member(point)]
+        if point.shape != self._coord_arr.shape[1:] or not np.isfinite(point).all():
+            raise MembershipError(
+                f"proxy {router!r} cannot join at {point.tolist()}: not a finite "
+                f"point of dimension {self._coord_arr.shape[1]}"
+            )
+        cluster_id, minima = self._nearest_cluster(point)
         row = self._free_rows.pop() if self._free_rows else self._alloc_row()
         self._coord_arr[row] = point
         self._coord_row[router] = row
@@ -504,11 +500,7 @@ class DynamicOverlay:
         insort(members, router)
         self._clusters[cluster_id] = members
         self._blocks[cluster_id] = self._block(members)
-        patch_borders_for_cluster(
-            self._borders, cluster_id, self._clusters, self._blocks
-        )
-        self._patch_hierarchy_spine(cluster_id)
-        self._finish_event("join", router)
+        self._patch_event("join", router, cluster_id, minima)
         self._maybe_restructure()
         return router
 
@@ -530,10 +522,7 @@ class DynamicOverlay:
         if members:
             self._clusters[cluster_id] = members
             self._blocks[cluster_id] = self._block(members)
-            patch_borders_for_cluster(
-                self._borders, cluster_id, self._clusters, self._blocks
-            )
-            self._patch_hierarchy_spine(cluster_id)
+            self._patch_event("leave", proxy, cluster_id)
         else:
             del self._clusters[cluster_id]
             del self._blocks[cluster_id]
@@ -543,8 +532,9 @@ class DynamicOverlay:
             self._borders = drop_cluster_from_borders(
                 self._borders, cluster_id
             )
-            self._hier_drop_cluster(cluster_id)
-        self._finish_event("leave", proxy)
+            self._finish_event(
+                "leave", proxy, upper=self._hier_drop_cluster(cluster_id, proxy)
+            )
         self._maybe_restructure()
 
     def restructure(self) -> None:
@@ -559,7 +549,13 @@ class DynamicOverlay:
         self._adopt_labels(dict(clustering.labels))
         self._refresh_borders()
         self._rebuild_hierarchy()
-        self._finish_event("restructure", None, epoch=True)
+        self._finish_event(
+            "restructure",
+            None,
+            epoch=True,
+            reelected=[pair for pair in self._borders if pair[0] < pair[1]],
+            upper=sum(len(s["borders"]) for s in self._hier_levels or ()) // 2,
+        )
 
     # -- quality ------------------------------------------------------------------
 
@@ -613,28 +609,70 @@ class DynamicOverlay:
 
     def _refresh_borders(self) -> None:
         """Full closest-pair border scan over the current blocks."""
-        borders: Dict[Tuple[int, int], ProxyId] = {}
-        k = len(self._clusters)
-        for i in range(k):
-            for j in range(i + 1, k):
-                a, b = closest_cross_pair(self._blocks[i], self._blocks[j])
-                borders[(i, j)] = self._clusters[i][a]
-                borders[(j, i)] = self._clusters[j][b]
-        self._borders = borders
+        self._borders = scan_borders(self._clusters, self._blocks)
 
-    def _nearest_member(self, point: Sequence[float]) -> ProxyId:
-        """The current member geometrically closest to *point*."""
-        target = np.asarray(point, dtype=float)[None, :]
-        best: Optional[ProxyId] = None
-        best_d = float("inf")
-        for members, block in zip(self._clusters, self._blocks):
-            d = cross_distances(target, block)[0]
-            i = int(np.argmin(d))
-            if float(d[i]) < best_d:
-                best, best_d = members[i], float(d[i])
-        if best is None:
-            raise MembershipError("overlay has no members to join next to")
-        return best
+    def _nearest_cluster(self, point: np.ndarray) -> Tuple[int, np.ndarray]:
+        """The cluster of the member closest to *point* (the first such
+        cluster on a tie), and *point*'s minimum distance to every cluster:
+        one kernel launch against the stacked blocks."""
+        d = cross_distances(point[None, :], np.concatenate(self._blocks))[0]
+        starts = np.cumsum([0] + [len(c) for c in self._clusters[:-1]])
+        minima = np.minimum.reduceat(d, starts)
+        return int(np.argmin(minima)), minima
+
+    def _touched(
+        self,
+        borders: Dict[Tuple[int, int], ProxyId],
+        unit: int,
+        count: int,
+        minima: Optional[np.ndarray],
+        leaver: ProxyId,
+    ) -> List[int]:
+        """The units ``j`` whose border pair with *unit* an event can have moved.
+
+        A leaver moves the pairs it bordered; a joiner (*minima* given: its
+        minimum distance to every unit) those it is at least as close to as
+        the pair's current distance. Exact, not a heuristic: an argmin with
+        earliest-position ties is unchanged by removing a non-chosen entry
+        or by inserting strictly larger ones, and both sides of the ``<=``
+        are the kernel's own floats.
+        """
+        others = [j for j in range(count) if j != unit]
+        if minima is None:
+            return [j for j in others if borders[(unit, j)] == leaver]
+        row = self._coord_row
+        near = self._coord_arr[[row[borders[(unit, j)]] for j in others]]
+        far = self._coord_arr[[row[borders[(j, unit)]] for j in others]]
+        hit = minima[others] <= paired_distances(near, far)
+        return [j for j, moved in zip(others, hit.tolist()) if moved]
+
+    def _patch_event(
+        self,
+        kind: str,
+        proxy: ProxyId,
+        cluster_id: int,
+        minima: Optional[np.ndarray] = None,
+    ) -> None:
+        """Re-elect what *proxy*'s join (*minima* given) or leave moved, at
+        the base level and up the spine."""
+        others = self._touched(
+            self._borders, cluster_id, len(self._clusters), minima, proxy
+        )
+        patch_borders_for_cluster(
+            self._borders, cluster_id, self._clusters, self._blocks, others
+        )
+        upper = 0
+        if self._hier_levels is not None:
+            self._hier_base_centroids[cluster_id] = self._blocks[cluster_id].mean(
+                axis=0
+            )
+            upper = self._hier_patch_from(0, cluster_id, minima, proxy)
+        self._finish_event(
+            kind,
+            proxy,
+            reelected=[tuple(sorted((cluster_id, j))) for j in others],
+            upper=upper,
+        )
 
     def _invalidate_views(self) -> None:
         self._space_view: Optional[CoordinateSpace] = None
@@ -644,22 +682,32 @@ class DynamicOverlay:
         self._hierarchy_view = None
 
     def _finish_event(
-        self, kind: str, proxy: Optional[ProxyId], *, epoch: bool = False
+        self,
+        kind: str,
+        proxy: Optional[ProxyId],
+        *,
+        epoch: bool = False,
+        reelected: Sequence[Tuple[int, int]] = (),
+        upper: int = 0,
     ) -> None:
+        """Version, record and announce an event that re-elected the base
+        pairs *reelected* and made *upper* more launches up the spine."""
         self._invalidate_views()
         self.version = (
             self.version.bump_epoch() if epoch else self.version.bump()
         )
-        self._record(kind, proxy)
-        self.notifier.notify(self.version, kind=kind, proxy=proxy)
+        self._record(kind, proxy, len(reelected) + upper)
+        self.notifier.notify(
+            self.version, kind=kind, proxy=proxy, reelected=list(reelected)
+        )
 
-    def _record(self, kind: str, proxy: Optional[ProxyId]) -> None:
+    def _record(
+        self, kind: str, proxy: Optional[ProxyId], pairs_reduced: int
+    ) -> None:
         quality = self.quality() if self.track_quality else None
         cluster = self._labels.get(proxy) if proxy is not None else None
         self.history.append(
-            ChurnEvent(
-                kind=kind, proxy=proxy, cluster=cluster, quality_after=quality
-            )
+            ChurnEvent(kind, proxy, cluster, quality, pairs_reduced)
         )
         telemetry = self.telemetry
         if telemetry is None:
@@ -671,8 +719,12 @@ class DynamicOverlay:
             overlay_size=self.size,
             clusters=len(self._clusters),
             quality=quality,
+            pairs_reduced=pairs_reduced,
         )
         telemetry.registry.counter("membership.events", kind=kind).inc()
+        telemetry.registry.counter(
+            "membership.border_pairs_reduced", kind=kind
+        ).inc(pairs_reduced)
         telemetry.registry.gauge("membership.overlay_size").set(self.size)
         telemetry.registry.gauge("membership.cluster_count").set(
             len(self._clusters)

@@ -22,7 +22,7 @@ ground truth therefore exercises the same imprecision the real system would.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -328,39 +328,41 @@ def select_borders_closest(
     re-materialising both clusters' coordinates for each of the k(k-1)/2
     pairs the way per-pair :meth:`CoordinateSpace.closest_pair` calls do.
     """
-    k = clustering.cluster_count
-    members = [clustering.members(i) for i in range(k)]
-    blocks = [space.array(m) for m in members]
+    members = [clustering.members(i) for i in range(clustering.cluster_count)]
+    return scan_borders(members, [space.array(m) for m in members])
+
+
+def scan_borders(
+    members: List[List[ProxyId]], blocks: List[np.ndarray]
+) -> Dict[Tuple[int, int], ProxyId]:
+    """The full scan: every cluster pair's border pair from the blocks."""
     borders: Dict[Tuple[int, int], ProxyId] = {}
-    for i in range(k):
-        for j in range(i + 1, k):
-            a, b = closest_cross_pair(blocks[i], blocks[j])
-            borders[(i, j)] = members[i][a]
-            borders[(j, i)] = members[j][b]
+    for i in range(len(members)):
+        patch_borders_for_cluster(
+            borders, i, members, blocks, range(i + 1, len(members))
+        )
     return borders
 
 
 def patch_borders_for_cluster(
     borders: Dict[Tuple[int, int], ProxyId],
     cluster_id: int,
-    members: List[List[ProxyId]],
-    blocks: List[np.ndarray],
+    members: Union[Sequence[List[ProxyId]], Mapping[int, List[ProxyId]]],
+    blocks: Union[Sequence[np.ndarray], Mapping[int, np.ndarray]],
+    others: Iterable[int],
 ) -> None:
-    """Re-select, in place, every border pair involving *cluster_id*.
+    """Re-select, in place, the border pairs of *cluster_id* with *others*.
 
-    The incremental membership layer calls this after a join or leave
-    touched one cluster: only the k-1 pairs that include the changed
-    cluster are re-reduced, each with the same blocked
-    :func:`closest_cross_pair` kernel the full scan uses, so the patched
-    ``borders`` dict is bit-identical to rerunning
-    :func:`select_borders_closest` from scratch. Pairs are always computed
-    in ``(min, max)`` cluster-id orientation to preserve the full scan's
-    tie-break direction.
+    The one selector: the full scan asks it about every pair, a membership
+    event only about the pairs it can have moved (the caller's choice — see
+    ``DynamicOverlay._touched`` for why that choice is exact). Each pair is
+    re-reduced with :func:`closest_cross_pair` in ``(min, max)`` cluster-id
+    orientation, so no tie rule exists twice and a patched ``borders`` dict
+    is bit-identical to a fresh :func:`select_borders_closest`. *members* /
+    *blocks* need entries only for *cluster_id* and *others* (lists or
+    dicts).
     """
-    k = len(members)
-    for other in range(k):
-        if other == cluster_id:
-            continue
+    for other in others:
         i, j = (cluster_id, other) if cluster_id < other else (other, cluster_id)
         a, b = closest_cross_pair(blocks[i], blocks[j])
         borders[(i, j)] = members[i][a]

@@ -10,6 +10,9 @@ through identical event sequences and requires equal clusters, labels,
 borders and routing matrices after every event.
 """
 
+import numpy as np
+
+from repro.hierarchy.levels import build_levels
 from repro.membership import DynamicOverlay
 
 
@@ -30,3 +33,26 @@ class RebuildingOverlay(DynamicOverlay):
         self._refresh_borders()
         self._rebuild_hierarchy()
         self._invalidate_views()
+
+
+def assert_levels_equal(got, want):
+    """Two level stacks hold the same arrays, level by level."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a.parent, b.parent)
+        assert np.array_equal(a.ptr, b.ptr)
+        assert np.array_equal(a.members, b.members)
+        assert np.array_equal(a.border_matrix, b.border_matrix)
+        assert np.array_equal(a.centroids, b.centroids)
+
+
+def assert_matches_cold_levels(dyn):
+    """*dyn*'s patched level stack equals a cold :func:`build_levels` under
+    the assignment it currently holds (centroids and borders from scratch)."""
+    patched = dyn.hierarchy()
+    assignments = [
+        [list(level.members_of(g)) for g in range(level.count)]
+        for level in patched.levels
+    ]
+    cold = build_levels(dyn.hfc, patched.depth, assignments=assignments)
+    assert_levels_equal(patched.levels, cold.levels)

@@ -38,6 +38,7 @@ from repro.state.delta import (
 from repro.state.overhead import coordinates_node_states, service_node_states
 from repro.util.errors import NoFeasiblePathError, RoutingError, TopologyError
 from repro.util.rng import ensure_rng
+from tests.oracles.churn import assert_levels_equal, assert_matches_cold_levels
 from tests.oracles.three_level import ThreeLevelRouter, build_multilevel
 
 
@@ -68,16 +69,6 @@ def _outcome(router, request):
         return router.route(request)
     except NoFeasiblePathError as err:
         return ("err", str(err))
-
-
-def _assert_levels_equal(got, want):
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        assert np.array_equal(a.parent, b.parent)
-        assert np.array_equal(a.ptr, b.ptr)
-        assert np.array_equal(a.members, b.members)
-        assert np.array_equal(a.border_matrix, b.border_matrix)
-        assert np.array_equal(a.centroids, b.centroids)
 
 
 def _replay(dyn, pool, decisions):
@@ -287,13 +278,7 @@ class TestChurnedHierarchy:
         )
         dyn.attach_hierarchy(3)
         _replay(dyn, pool, decisions)
-        h = dyn.hierarchy()
-        assignments = [
-            [list(level.members_of(g)) for g in range(level.count)]
-            for level in h.levels
-        ]
-        cold = build_levels(dyn.hfc, h.depth, assignments=assignments)
-        _assert_levels_equal(h.levels, cold.levels)
+        assert_matches_cold_levels(dyn)
 
     def test_cluster_vanish_cascade(self, tiny_framework):
         dyn = DynamicOverlay(
@@ -304,14 +289,8 @@ class TestChurnedHierarchy:
         smallest = min(dyn.clustering.clusters, key=len)
         for proxy in list(smallest):
             dyn.leave(proxy)
-        h = dyn.hierarchy()
-        assignments = [
-            [list(level.members_of(g)) for g in range(level.count)]
-            for level in h.levels
-        ]
-        cold = build_levels(dyn.hfc, h.depth, assignments=assignments)
-        _assert_levels_equal(h.levels, cold.levels)
-        h.validate()
+        assert_matches_cold_levels(dyn)
+        dyn.hierarchy().validate()
 
     def test_columnar_capture_carries_levels(self, tiny_framework):
         dyn = DynamicOverlay(
@@ -320,7 +299,7 @@ class TestChurnedHierarchy:
         dyn.attach_hierarchy(3)
         state = dyn.columnar()
         assert len(state.levels) == 1
-        _assert_levels_equal(state.levels, dyn.hierarchy().levels)
+        assert_levels_equal(state.levels, dyn.hierarchy().levels)
 
 
 # -- persistence -----------------------------------------------------------------
@@ -336,7 +315,7 @@ class TestSnapshotRoundTrip:
         finally:
             if os.path.exists(path):
                 os.unlink(path)
-        _assert_levels_equal(
+        assert_levels_equal(
             snap.columnar.levels, tiny_framework.columnar.levels
         )
         warm = snap.framework.build_hierarchy(4)

@@ -12,17 +12,29 @@ current overlay, closing the loop with the construction pipeline.
 Join coordinates are measured once (they depend only on the landmarks,
 not on overlay state) and replayed into both twins, so the two runs see
 the exact same floats and any divergence is a patching bug, not RNG.
+
+An event re-reduces only the border pairs it can have moved, and that
+choice leans on how the kernel breaks ties. ``TestLatticeTies`` therefore
+replays churn on *integer lattice* coordinates, where equal distances and
+duplicate points are the norm, and compares every event's borders (and
+attached level stack) with the per-pair oracle.
 """
+
+import dataclasses
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster.mstcluster import Clustering
+from repro.coords.space import CoordinateSpace
 from repro.membership import DynamicOverlay
 from repro.overlay.hfc import build_hfc
 from repro.util.rng import ensure_rng
-from tests.oracles.churn import RebuildingOverlay
+from tests.oracles.churn import RebuildingOverlay, assert_matches_cold_levels
+from tests.oracles.construction import select_borders_closest_reference
 
 
 def _join_pool(framework, count, seed):
@@ -138,3 +150,156 @@ class TestScriptedEquivalence:
         inc_route, _ = inc.hfc.routing_matrices()
         full_route, _ = full.hfc.routing_matrices()
         assert np.array_equal(inc_route, full_route)
+
+
+# -- lattice coordinates: ties and duplicates -----------------------------------
+
+GRID = 12  # lattice sites per axis
+CELL = 4  # a cluster is a CELL x CELL block of sites
+
+
+@pytest.fixture(scope="module")
+def lattice(framework):
+    """``framework``'s proxies re-seated on an integer lattice.
+
+    Nine grid-cell clusters (neighbours one lattice step apart, so their
+    border pairs tie many ways) plus two hand-made ones: a *hub* of two
+    proxies on one site off to the right — the lower id borders every other
+    cluster, its duplicate none — and a *singleton* above. Returns the
+    re-seated framework, the hub pair and the singleton.
+    """
+    rng = random.Random(23)
+    proxies = sorted(framework.overlay.proxies)
+    (hub, shadow, single), rest = proxies[:3], proxies[3:]
+    sites = {hub: (GRID + 8, 6), shadow: (GRID + 8, 6), single: (6, GRID + 8)}
+    cell_of = {hub: (9, 0), shadow: (9, 0), single: (9, 1)}
+    for proxy in rest:
+        x, y = rng.randrange(GRID), rng.randrange(GRID)
+        sites[proxy] = (x, y)
+        cell_of[proxy] = (x // CELL, y // CELL)
+    ids = {cell: cid for cid, cell in enumerate(sorted(set(cell_of.values())))}
+    labels = {p: ids[cell_of[p]] for p in proxies}
+    clusters = [[p for p in proxies if labels[p] == c] for c in range(len(ids))]
+    space = CoordinateSpace.from_stacked(
+        proxies, np.array([sites[p] for p in proxies], dtype=float)
+    )
+    clustering = Clustering(clusters=clusters, labels=labels)
+    seated = dataclasses.replace(
+        framework,
+        space=space,
+        clustering=clustering,
+        hfc=build_hfc(framework.overlay, clustering, space),
+    )
+    return seated, (hub, shadow), single
+
+
+def _free_routers(framework):
+    """Routers hosting no proxy, ascending: ids below and among the members'."""
+    members = set(framework.overlay.proxies)
+    nodes = range(framework.physical.topology.node_count)
+    return [r for r in nodes if r not in members]
+
+
+def _lattice_overlay(seated, levels):
+    dyn = DynamicOverlay(seated, restructure_tolerance=None, track_quality=False)
+    if levels:
+        dyn.attach_hierarchy(levels)
+    return dyn
+
+
+def assert_matches_oracles(dyn):
+    """Borders equal the per-pair oracle; the level stack a cold rebuild."""
+    assert dyn.hfc.borders == select_borders_closest_reference(
+        dyn.space, dyn.clustering
+    )
+    if dyn._hier_levels is not None:
+        assert_matches_cold_levels(dyn)
+
+
+@pytest.mark.parametrize("levels", [0, 3])
+class TestLatticeTies:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        events=st.lists(
+            st.tuples(
+                st.booleans(),
+                st.integers(0, GRID + 8),
+                st.integers(0, GRID + 8),
+                st.integers(0, 10_000),
+            ),
+            min_size=1,
+            max_size=14,
+        )
+    )
+    def test_every_event_matches_the_oracles(self, lattice, levels, events):
+        seated, _hub, _single = lattice
+        dyn = _lattice_overlay(seated, levels)
+        free = _free_routers(seated)
+        for join, x, y, pick in events:
+            if join or dyn.size <= 3:
+                # from either end: an id sorting before or among the members
+                router = free.pop(0 if pick % 2 else -1)
+                dyn.join(router, frozenset({"s0"}), coords=(x, y))
+            else:
+                dyn.leave(dyn.proxies[pick % dyn.size])
+            assert_matches_oracles(dyn)
+
+    def test_joiner_exactly_ties_the_current_pair(self, lattice, levels):
+        """A duplicate of a border proxy ties every pair that proxy serves:
+        all of them are re-reduced, and the lower id wins the tie."""
+        seated, _hub, _single = lattice
+        free = _free_routers(seated)
+        probe = _lattice_overlay(seated, 0)
+        border = next(
+            p
+            for p in probe.hfc.all_border_nodes()
+            if min(free) < p < max(free) and probe.size > 3
+        )
+        served = {
+            tuple(sorted(pair))
+            for pair, proxy in probe.hfc.borders.items()
+            if proxy == border
+        }
+        site = probe.space.coordinate(border)
+        for router, takes_over in ((min(free), True), (max(free), False)):
+            dyn = _lattice_overlay(seated, levels)
+            seen = []
+            dyn.notifier.subscribe(lambda version, **info: seen.append(info))
+            dyn.join(router, frozenset({"s0"}), coords=site)
+            assert served <= set(seen[-1]["reelected"])
+            assert dyn.history[-1].pairs_reduced >= len(served)
+            assert (router in dyn.hfc.all_border_nodes()) == takes_over
+            assert (border in dyn.hfc.all_border_nodes()) != takes_over
+            assert_matches_oracles(dyn)
+
+    def test_leaver_is_border_toward_every_cluster(self, lattice, levels):
+        seated, (hub, shadow), _single = lattice
+        dyn = _lattice_overlay(seated, levels)
+        home = dyn.clustering.cluster_of(hub)
+        k = dyn.hfc.cluster_count
+        assert all(dyn.hfc.border(home, j) == hub for j in range(k) if j != home)
+        base = []
+        dyn.notifier.subscribe(lambda version, **info: base.extend(info["reelected"]))
+        dyn.leave(hub)
+        assert len(base) == k - 1 and all(home in pair for pair in base)
+        assert all(
+            dyn.hfc.border(home, j) == shadow for j in range(k) if j != home
+        )
+        assert_matches_oracles(dyn)
+
+    def test_leaver_borders_nothing(self, lattice, levels):
+        seated, (_hub, shadow), _single = lattice
+        dyn = _lattice_overlay(seated, levels)
+        before = dict(dyn.hfc.borders)
+        dyn.leave(shadow)
+        assert dyn.history[-1].pairs_reduced == 0
+        assert dyn.hfc.borders == before
+        assert_matches_oracles(dyn)
+
+    def test_last_member_leaves(self, lattice, levels):
+        seated, _hub, single = lattice
+        dyn = _lattice_overlay(seated, levels)
+        k = dyn.hfc.cluster_count
+        dyn.leave(single)
+        assert dyn.hfc.cluster_count == k - 1
+        assert_matches_oracles(dyn)

@@ -1,5 +1,7 @@
 """Tests for the dynamic-membership extension (joins, leaves, restructuring)."""
 
+import random
+
 import pytest
 
 from repro.membership import DynamicOverlay, run_churn_session
@@ -45,6 +47,29 @@ class TestJoin:
         dyn.join(router_id, frozenset({"zzz"}))
         assert dyn.overlay.placement[router_id] == frozenset({"zzz"})
         assert router_id in dyn.space
+
+    @pytest.mark.parametrize(
+        "coords",
+        [(1.0,), (1.0, 2.0, 3.0), (float("nan"), 0.0), (0.0, float("inf"))],
+        ids=["1-D", "3-D", "nan", "inf"],
+    )
+    def test_bad_coordinates_rejected_before_any_state_moves(
+        self, framework, dyn, coords
+    ):
+        """A wrong-dimension or non-finite point names the proxy and leaves
+        the overlay as it was — with a freed row waiting to be reused."""
+        dyn.leave(dyn.proxies[0])
+        assert dyn._free_rows
+        router_id = free_stub(framework, dyn)
+        before = (
+            list(dyn._free_rows), dict(dyn._labels), dyn.version, list(dyn.history)
+        )
+        with pytest.raises(MembershipError, match=repr(router_id)):
+            dyn.join(router_id, frozenset({"s0"}), coords=coords)
+        assert before == (
+            dyn._free_rows, dyn._labels, dyn.version, dyn.history
+        )
+        assert router_id not in dyn
 
     def test_join_recorded_in_history(self, framework, dyn):
         router_id = free_stub(framework, dyn)
@@ -171,6 +196,98 @@ class TestVersioning:
         dyn.telemetry = None  # e.g. a stripped embedded deployment
         dyn.leave(dyn.proxies[0])  # must not raise
         assert dyn.history[-1].kind == "leave"
+
+
+class TestPairsReduced:
+    """An event says how many closest-pair launches it made, and which base
+    pairs it re-elected — in its history entry, the event log, a counter
+    and the notifier."""
+
+    def test_counted_where_the_event_is_recorded(self, framework):
+        from repro.telemetry import Telemetry
+
+        telemetry = Telemetry()
+        dyn = DynamicOverlay(
+            framework, restructure_tolerance=None, telemetry=telemetry
+        )
+        announced = []
+        dyn.notifier.subscribe(
+            lambda version, **info: announced.append(info["reelected"])
+        )
+        dyn.leave(dyn.hfc.all_border_nodes()[0])
+        dyn.join(free_stub(framework, dyn), frozenset({"s0"}))
+        dyn.restructure()
+        k = dyn.hfc.cluster_count
+        assert [e.pairs_reduced for e in dyn.history] == [
+            len(pairs) for pairs in announced
+        ]
+        assert dyn.history[0].pairs_reduced >= 1  # it bordered something
+        assert all(i < j for pairs in announced for i, j in pairs)
+        assert sorted(announced[-1]) == [
+            (i, j) for i in range(k) for j in range(i + 1, k)
+        ]
+        logged = [
+            event["pairs_reduced"]
+            for event in telemetry.events
+            if event["kind"].startswith("membership.")
+        ]
+        assert logged == [e.pairs_reduced for e in dyn.history]
+        for event in dyn.history:
+            counter = telemetry.registry.counter(
+                "membership.border_pairs_reduced", kind=event.kind
+            )
+            assert counter.value == event.pairs_reduced
+
+    def test_seeded_session_total_repeats_exactly(self):
+        """The default session (40 events, tolerance 0.7) at seed 402 on a
+        fresh build (a join's probes draw from the network's noise stream):
+        a count, so pinned — it moves only if the events or the rule do."""
+        from repro.core import HFCFramework
+
+        totals = [
+            sum(
+                e.pairs_reduced
+                for e in run_churn_session(
+                    HFCFramework.build(proxy_count=80, seed=7), seed=402
+                ).history
+            )
+            for _ in range(2)
+        ]
+        assert totals == [29, 29]
+
+    def test_event_cost_is_local_at_n2000_with_three_levels(self):
+        """The timing-free form of "a leave is microseconds": at n=2000
+        (60 clusters, 8 top-level groups) an event launches the kernel a
+        handful of times — most events not once — where it used to launch
+        it for every sibling at every level (59 + 7 times), and the level
+        stack adds almost nothing."""
+        from repro.core import HFCFramework
+
+        big = HFCFramework.build(proxy_count=2000, seed=11)
+        plain = DynamicOverlay(big, restructure_tolerance=None, track_quality=False)
+        tall = DynamicOverlay(big, restructure_tolerance=None, track_quality=False)
+        tall.attach_hierarchy(levels=3)
+        rng = random.Random(5)
+        free = [s for s in big.physical.topology.stub_nodes if s not in plain]
+        joiners = [(r, plain.locate(r)) for r in rng.sample(free, 60)]
+        for dyn in (plain, tall):
+            for router_id, coords in joiners:
+                dyn.join(router_id, frozenset({"s0"}), coords=coords)
+            for proxy in random.Random(6).sample(big.overlay.proxies, 60):
+                dyn.leave(proxy)
+        full_scan = sum(
+            count - 1
+            for count in (
+                big.clustering.cluster_count,
+                *(level.count for level in tall.hierarchy().levels),
+            )
+        )
+        for kind in ("join", "leave"):
+            base = [e.pairs_reduced for e in plain.history if e.kind == kind]
+            stacked = [e.pairs_reduced for e in tall.history if e.kind == kind]
+            assert sorted(stacked)[len(stacked) // 2] <= 2
+            assert sum(stacked) <= len(stacked) * full_scan / 6
+            assert sum(stacked) - sum(base) <= len(stacked)
 
 
 class TestChurnSession:
