@@ -9,8 +9,14 @@ growth and warm caches from a smaller build never flatter a larger one, and
 peak RSS is that build's own. Per size, one table row:
 
 * ``build_s`` — wall seconds of the whole build;
-* the ``construct.*`` span split (``topology`` also as ``wire`` + ``index``),
-  read from the build's own telemetry scope;
+* the ``construct.*`` span split (``topology`` also as ``wire`` + ``index``;
+  ``embedding`` also as its two solves, which scale differently:
+  ``landmarks``, the n-independent landmark solve, and ``locate``, the
+  batched per-host solve, linear in n), read from the build's own telemetry
+  scope;
+* ``converged`` / ``capped`` — whether the kept landmark descent met its
+  tolerances, and how many of the solve's two starts ran into the iteration
+  cap instead (each of those costs the full cap);
 * ``rows`` / ``rounds`` — shortest-path rows the physical substrate computed
   and the relaxation kernel's rounds per row (max);
 * ``rss_mb`` — the subprocess's peak resident set;
@@ -43,6 +49,10 @@ COLUMNS = (
     ("wire", "construct.topology.wire"),
     ("index", "construct.topology.index"),
     ("embedding", "construct.embedding"),
+    ("landmarks", "construct.embedding.landmarks"),
+    ("locate", "construct.embedding.locate"),
+    ("converged", "converged"),
+    ("capped", "capped_starts"),
     ("services", "construct.services"),
     ("clustering", "construct.clustering"),
     ("borders", "construct.borders"),
@@ -67,6 +77,9 @@ def build_once(n: int) -> Dict[str, Any]:
     (root,) = telemetry.tracer.find_roots("construct")
     for span in root.walk():
         row[span.name] = span.duration
+        if span.name == "construct.embedding.landmarks":
+            row["converged"] = span.attributes["converged"]
+            row["capped_starts"] = span.attributes["capped_starts"]
     rounds = telemetry.registry.get("physical.relax_rounds")
     row["rows"] = telemetry.registry.total("physical.rows")
     row["rounds"] = int(rounds.max) if rounds is not None and rounds.count else 0

@@ -24,8 +24,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.coords.neldermead import (
+    MinimizeResult,
     minimize_with_restarts,
     minimize_with_restarts_batch,
+    nelder_mead,
 )
 from repro.coords.space import CoordinateSpace
 from repro.netsim.physical import PhysicalNetwork
@@ -74,6 +76,20 @@ def embed_landmarks(
     Returns an ``(m, dim)`` coordinate array minimizing the sum of squared
     relative errors between geometric and measured distances.
     """
+    runs = _landmark_runs(measured, dim, max_iterations=max_iterations, seed=seed)
+    return _kept(runs).x.reshape(-1, dim)
+
+
+def _kept(runs: List[MinimizeResult]) -> MinimizeResult:
+    """The lowest run, the earliest on a tie (``minimize_with_restarts``' rule)."""
+    return min(runs, key=lambda run: run.fun)
+
+
+def _landmark_runs(
+    measured: np.ndarray, dim: int, *, max_iterations: int = 3000, seed: RngLike = None
+) -> List[MinimizeResult]:
+    """The landmark solve's descents, one per start, over the flat
+    ``m * dim`` coordinate vector."""
     measured = np.asarray(measured, dtype=float)
     m = measured.shape[0]
     if m < dim + 1:
@@ -112,20 +128,45 @@ def embed_landmarks(
     scale = float(np.max(measured)) or 1.0
     jitter = initial + rng.gauss(0.0, 1.0) * 0.0  # deterministic base start
     starts = [initial.ravel(), (jitter + scale * 0.05 * _gauss_array(rng, (m, dim))).ravel()]
-    result = minimize_with_restarts(
-        objective,
-        starts,
-        initial_step=scale * 0.05,
-        max_iterations=max_iterations,
-        xtol=scale * 1e-6,
-    )
-    return result.x.reshape(m, dim)
+    return [
+        nelder_mead(
+            objective,
+            start,
+            initial_step=scale * 0.05,
+            max_iterations=max_iterations,
+            xtol=scale * 1e-6,
+        )
+        for start in starts
+    ]
 
 
 def _gauss_array(rng, shape: Tuple[int, int]) -> np.ndarray:
     return np.array(
         [[rng.gauss(0.0, 1.0) for _ in range(shape[1])] for _ in range(shape[0])]
     )
+
+
+def _check_measurements(landmarks: np.ndarray, measured: np.ndarray, rank: int) -> None:
+    """Reject, before descending, what no descent can use: anything but
+    ``(m, k)`` landmarks against rank-*rank* measurements (``(m,)`` for one
+    host, ``(H, m)`` for many), or a NaN or infinite measurement. A zero
+    measurement — a proxy on a landmark's router — is legal."""
+    if landmarks.ndim != 2 or measured.ndim != rank:
+        raise EmbeddingError(
+            f"expected (m, k) landmarks and {'(H, m)' if rank == 2 else '(m,)'} "
+            f"measurements, got {landmarks.shape} and {measured.shape}"
+        )
+    if landmarks.shape[0] != measured.shape[-1]:
+        raise EmbeddingError(
+            f"{landmarks.shape[0]} landmark coordinates but "
+            f"{measured.shape[-1]} measurements{' per host' if rank == 2 else ''}"
+        )
+    if not np.isfinite(measured).all():
+        where = tuple(np.argwhere(~np.isfinite(measured))[0].tolist())
+        raise EmbeddingError(
+            f"non-finite measurement {measured[where]} to landmark {where[-1]}"
+            + (f" in host row {where[0]}" if rank == 2 else "")
+        )
 
 
 def locate_host(
@@ -139,13 +180,22 @@ def locate_host(
     Minimizes the sum of squared relative errors between the host-to-landmark
     geometric distances and the measured delays (the per-host step of GNP).
     """
+    return solve_host(
+        landmark_coords, measured_to_landmarks, max_iterations=max_iterations
+    ).x
+
+
+def solve_host(
+    landmark_coords: np.ndarray,
+    measured_to_landmarks: Sequence[float],
+    *,
+    max_iterations: int = 800,
+) -> MinimizeResult:
+    """:func:`locate_host` with the kept descent's diagnostics: the
+    coordinates are ``.x``, beside ``fun``, ``iterations`` and ``converged``."""
     landmarks = np.asarray(landmark_coords, dtype=float)
     measured = np.asarray(measured_to_landmarks, dtype=float)
-    if landmarks.shape[0] != measured.shape[0]:
-        raise EmbeddingError(
-            f"{landmarks.shape[0]} landmark coordinates but "
-            f"{measured.shape[0]} measurements"
-        )
+    _check_measurements(landmarks, measured, 1)
 
     safe = np.where(measured > 0, measured, 1.0)
 
@@ -171,14 +221,13 @@ def locate_host(
     centroid = (landmarks * weights[:, None]).sum(axis=0) / weights.sum()
     nearest = landmarks[int(np.argmin(measured))]
     scale = float(np.max(measured)) or 1.0
-    result = minimize_with_restarts(
+    return minimize_with_restarts(
         objective,
         [centroid, nearest],
         initial_step=scale * 0.1,
         max_iterations=max_iterations,
         xtol=scale * 1e-7,
     )
-    return result.x
 
 
 def locate_hosts(
@@ -202,16 +251,7 @@ def locate_hosts(
     """
     landmarks = np.asarray(landmark_coords, dtype=float)
     measured = np.asarray(measured_matrix, dtype=float)
-    if measured.ndim != 2 or landmarks.ndim != 2:
-        raise EmbeddingError(
-            f"expected (m, k) landmarks and (H, m) measurements, got "
-            f"{landmarks.shape} and {measured.shape}"
-        )
-    if landmarks.shape[0] != measured.shape[1]:
-        raise EmbeddingError(
-            f"{landmarks.shape[0]} landmark coordinates but "
-            f"{measured.shape[1]} measurements per host"
-        )
+    _check_measurements(landmarks, measured, 2)
     hosts = measured.shape[0]
     if hosts == 0:
         return np.zeros((0, landmarks.shape[1]), dtype=float)
@@ -351,8 +391,19 @@ def build_coordinate_space(
                 measurement_count += probes
                 measured[i, j] = measured[j, i] = value
 
-    with telemetry.tracer.span("construct.embedding.landmarks", dimension=dimension):
-        landmark_coords = embed_landmarks(measured, dimension, seed=rng)
+    with telemetry.tracer.span(
+        "construct.embedding.landmarks", dimension=dimension
+    ) as span:
+        runs = _landmark_runs(measured, dimension, seed=rng)
+        kept = _kept(runs)
+        landmark_coords = kept.x.reshape(m, dimension)
+        # a start the cap cut off is not an error (the kept fit is reported
+        # as landmark_fit_error) but it is the solve's whole cost: say so
+        span.attributes.update(
+            iterations=kept.iterations,
+            converged=kept.converged,
+            capped_starts=sum(not run.converged for run in runs),
+        )
 
     diff = landmark_coords[:, None, :] - landmark_coords[None, :, :]
     est = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))

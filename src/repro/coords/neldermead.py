@@ -12,12 +12,15 @@ the test suite but has no runtime dependency beyond numpy.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
 Objective = Callable[[np.ndarray], float]
+"""Scalar objective: an ``(n,)`` point -> its value. The point is a buffer the
+solver reuses — valid during the call; copy to keep."""
 
 
 @dataclass
@@ -50,6 +53,8 @@ def nelder_mead(
 
     Args:
         objective: function of an ``(n,)`` numpy vector returning a float.
+            The vector is a buffer this loop reuses: valid during the call;
+            copy to keep.
         x0: starting point, length n >= 1.
         initial_step: size of the initial simplex's per-axis offsets.
         xtol: terminate when the simplex's max vertex distance to the best
@@ -68,57 +73,76 @@ def nelder_mead(
     for i in range(n):
         step = initial_step if x0[i] == 0 else initial_step * max(abs(x0[i]), 1.0) * 0.1
         simplex[i + 1, i] += step if step != 0 else initial_step
-    values = np.array([objective(v) for v in simplex])
+    # Sorted here and after a shrink, and kept sorted in between: a step
+    # moves one vertex, so it costs one insertion, not a sort and two gathers.
+    # The values are Python floats: no numpy scalar in a comparison.
+    values = _sort_simplex(simplex, [float(objective(v)) for v in simplex])
+    body, worst = simplex[:-1], simplex[-1]
+    centroid, trial, second = np.empty(n), np.empty(n), np.empty(n)
+    add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
+    column_sums, count = np.add.reduce, np.array(float(n))
 
-    alpha, gamma, rho, sigma = 1.0, 2.0, 0.5, 0.5
+    gamma, rho, sigma = 2.0, 0.5, 0.5  # reflection is 1: no multiply
     iterations = 0
     converged = False
     while iterations < max_iterations:
-        order = np.argsort(values, kind="stable")
-        simplex, values = simplex[order], values[order]
-
-        # ufunc methods, not np.max / ndarray.mean: the same reductions
-        # without their Python wrappers (a fifth of an iteration at n = 20)
-        x_spread = np.maximum.reduce(np.absolute(simplex[1:] - simplex[0]), axis=None)
-        f_spread = abs(values[-1] - values[0])
-        if x_spread <= xtol and f_spread <= ftol:
+        # the f-spread first (two floats); the x-spread (three passes over
+        # the simplex) only when it passed — the same conjunction
+        if abs(values[-1] - values[0]) <= ftol and (
+            np.maximum.reduce(np.absolute(simplex[1:] - simplex[0]), axis=None) <= xtol
+        ):
             converged = True
             break
 
-        centroid = np.add.reduce(simplex[:-1], axis=0) / n
-        worst = simplex[-1]
-
-        reflected = centroid + alpha * (centroid - worst)
-        f_reflected = objective(reflected)
-        if values[0] <= f_reflected < values[-2]:
-            simplex[-1], values[-1] = reflected, f_reflected
-        elif f_reflected < values[0]:
-            expanded = centroid + gamma * (reflected - centroid)
-            f_expanded = objective(expanded)
-            if f_expanded < f_reflected:
-                simplex[-1], values[-1] = expanded, f_expanded
-            else:
-                simplex[-1], values[-1] = reflected, f_reflected
+        # the whole ordered sum over the n best rows, not a running update:
+        # the summation order is the result
+        column_sums(body, 0, None, centroid)
+        divide(centroid, count, centroid)
+        subtract(centroid, worst, trial)
+        add(centroid, trial, trial)
+        vertex, value = trial, float(objective(trial))
+        # `slot` is where a stable sort puts a new last element: after every
+        # value <= it. A value that won a `<` is not NaN and neither is what
+        # it beat, so each search runs over non-NaN values only and the NaNs
+        # stay last, where np.argsort has them.
+        if values[0] <= value < values[-2]:
+            slot = bisect_right(values, value, 0, n - 1)
+        elif value < values[0]:
+            subtract(trial, centroid, second)
+            multiply(second, gamma, second)
+            add(centroid, second, second)
+            expanded = float(objective(second))
+            if expanded < value:
+                vertex, value = second, expanded
+            slot = 0  # below the best either way; NaNs may sit further down
         else:
-            contracted = centroid + rho * (worst - centroid)
-            f_contracted = objective(contracted)
-            if f_contracted < values[-1]:
-                simplex[-1], values[-1] = contracted, f_contracted
-            else:
-                best = simplex[0]
-                for i in range(1, n + 1):
-                    simplex[i] = best + sigma * (simplex[i] - best)
-                    values[i] = objective(simplex[i])
+            subtract(worst, centroid, second)
+            multiply(second, rho, second)
+            add(centroid, second, second)
+            vertex, value = second, float(objective(second))
+            slot = bisect_right(values, value, 0, n) if value < values[-1] else None
+        if slot is None:
+            best = simplex[0]
+            for i in range(1, n + 1):
+                simplex[i] = best + sigma * (simplex[i] - best)
+                values[i] = float(objective(simplex[i]))
+            values = _sort_simplex(simplex, values)
+        else:
+            simplex[slot + 1 :] = simplex[slot:-1]  # overlapping: numpy buffers it
+            simplex[slot] = vertex
+            del values[-1]
+            values.insert(slot, value)
         iterations += 1
 
+    return MinimizeResult(simplex[0].copy(), values[0], iterations, converged)
+
+
+def _sort_simplex(simplex: np.ndarray, values: list) -> list:
+    """Put the rows of *simplex* in stable value order (NaNs last, as
+    ``np.argsort`` has them) in place; returns the values in that order."""
     order = np.argsort(values, kind="stable")
-    simplex, values = simplex[order], values[order]
-    return MinimizeResult(
-        x=simplex[0].copy(),
-        fun=float(values[0]),
-        iterations=iterations,
-        converged=converged,
-    )
+    simplex[:] = simplex[order]
+    return [values[i] for i in order]
 
 
 def minimize_with_restarts(

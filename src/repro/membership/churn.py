@@ -45,7 +45,8 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.cluster.mstcluster import Clustering, ClusteringConfig, cluster_nodes
 from repro.cluster.quality import separation_ratio
-from repro.coords.embedding import locate_host
+from repro.coords.embedding import solve_host
+from repro.coords.neldermead import MinimizeResult
 from repro.coords.space import CoordinateSpace, cross_distances, paired_distances
 from repro.core.framework import HFCFramework
 from repro.core.versioning import ChangeNotifier, OverlayVersion
@@ -457,11 +458,15 @@ class DynamicOverlay:
         one cached Dijkstra per landmark instead of one from the joining
         router.
         """
+        return tuple(float(x) for x in self._solve(router, probes).x)
+
+    def _solve(self, router: int, probes: int) -> MinimizeResult:
+        """The descent behind :meth:`locate`, iteration count and all."""
         fw = self.framework
         landmarks = fw.embedding_report.landmark_ids
         landmark_coords = np.asarray(fw.embedding_report.landmark_coordinates)
         measured = fw.physical.measure_many([router], landmarks, probes=probes)[0]
-        return tuple(float(x) for x in locate_host(landmark_coords, measured))
+        return solve_host(landmark_coords, measured)
 
     def join(
         self,
@@ -481,10 +486,12 @@ class DynamicOverlay:
         """
         if router in self._labels:
             raise MembershipError(f"proxy {router!r} is already a member")
-        point = np.asarray(
-            self.locate(router, probes=probes) if coords is None else coords,
-            dtype=float,
-        )
+        detail = {}
+        if coords is None:
+            # a measurement no descent can use raises here, nothing touched yet
+            solved = self._solve(router, probes)
+            coords, detail = solved.x, {"locate_iterations": solved.iterations}
+        point = np.asarray(coords, dtype=float)
         if point.shape != self._coord_arr.shape[1:] or not np.isfinite(point).all():
             raise MembershipError(
                 f"proxy {router!r} cannot join at {point.tolist()}: not a finite "
@@ -500,7 +507,7 @@ class DynamicOverlay:
         insort(members, router)
         self._clusters[cluster_id] = members
         self._blocks[cluster_id] = self._block(members)
-        self._patch_event("join", router, cluster_id, minima)
+        self._patch_event("join", router, cluster_id, minima, **detail)
         self._maybe_restructure()
         return router
 
@@ -652,9 +659,10 @@ class DynamicOverlay:
         proxy: ProxyId,
         cluster_id: int,
         minima: Optional[np.ndarray] = None,
+        **detail: int,
     ) -> None:
         """Re-elect what *proxy*'s join (*minima* given) or leave moved, at
-        the base level and up the spine."""
+        the base level and up the spine; *detail* goes on the event record."""
         others = self._touched(
             self._borders, cluster_id, len(self._clusters), minima, proxy
         )
@@ -672,6 +680,7 @@ class DynamicOverlay:
             proxy,
             reelected=[tuple(sorted((cluster_id, j))) for j in others],
             upper=upper,
+            **detail,
         )
 
     def _invalidate_views(self) -> None:
@@ -689,6 +698,7 @@ class DynamicOverlay:
         epoch: bool = False,
         reelected: Sequence[Tuple[int, int]] = (),
         upper: int = 0,
+        **detail: int,
     ) -> None:
         """Version, record and announce an event that re-elected the base
         pairs *reelected* and made *upper* more launches up the spine."""
@@ -696,13 +706,13 @@ class DynamicOverlay:
         self.version = (
             self.version.bump_epoch() if epoch else self.version.bump()
         )
-        self._record(kind, proxy, len(reelected) + upper)
+        self._record(kind, proxy, len(reelected) + upper, **detail)
         self.notifier.notify(
             self.version, kind=kind, proxy=proxy, reelected=list(reelected)
         )
 
     def _record(
-        self, kind: str, proxy: Optional[ProxyId], pairs_reduced: int
+        self, kind: str, proxy: Optional[ProxyId], pairs_reduced: int, **detail: int
     ) -> None:
         quality = self.quality() if self.track_quality else None
         cluster = self._labels.get(proxy) if proxy is not None else None
@@ -720,6 +730,7 @@ class DynamicOverlay:
             clusters=len(self._clusters),
             quality=quality,
             pairs_reduced=pairs_reduced,
+            **detail,
         )
         telemetry.registry.counter("membership.events", kind=kind).inc()
         telemetry.registry.counter(

@@ -1,8 +1,9 @@
 """The pre-vectorization Section-3 construction: full-matrix landmark
-objective, per-host scalar embedding, per-round full-distance Prim, one
-``closest_pair`` scan per cluster pair — and the pre-columnar substrate under
-it: the generators wiring a ``Graph`` one ``add_edge`` at a time, greedy
-k-center over dict Dijkstra rows."""
+objective, the scalar simplex that re-sorts every step, per-host scalar
+embedding, per-round full-distance Prim, one ``closest_pair`` scan per
+cluster pair — and the pre-columnar substrate under it: the generators wiring
+a ``Graph`` one ``add_edge`` at a time, greedy k-center over dict Dijkstra
+rows."""
 
 import math
 import time
@@ -22,7 +23,7 @@ from repro.coords.embedding import (
     embed_landmarks,
     locate_host,
 )
-from repro.coords.neldermead import minimize_with_restarts
+from repro.coords.neldermead import MinimizeResult
 from repro.coords.space import CoordinateSpace
 from repro.graph.graph import Graph
 from repro.graph.shortest_paths import dijkstra
@@ -202,6 +203,72 @@ def choose_landmarks_reference(graph, count, seed=None) -> List[int]:
     return landmarks
 
 
+def nelder_mead_reference(
+    objective, x0, *, initial_step=1.0, xtol=1e-6, ftol=1e-9, max_iterations=2000
+) -> MinimizeResult:
+    """``nelder_mead`` re-sorting the whole simplex every iteration: a stable
+    ``argsort``, two fancy-index copies, both spreads, fresh temporaries for
+    the centroid and every trial vertex."""
+    x0 = np.asarray(x0, dtype=float)
+    if x0.ndim != 1 or x0.size == 0:
+        raise ValueError(f"x0 must be a non-empty 1-D vector, got shape {x0.shape}")
+    n = x0.size
+
+    simplex = np.tile(x0, (n + 1, 1))
+    for i in range(n):
+        step = initial_step if x0[i] == 0 else initial_step * max(abs(x0[i]), 1.0) * 0.1
+        simplex[i + 1, i] += step if step != 0 else initial_step
+    values = np.array([objective(v) for v in simplex])
+
+    alpha, gamma, rho, sigma = 1.0, 2.0, 0.5, 0.5
+    iterations = 0
+    converged = False
+    while iterations < max_iterations:
+        order = np.argsort(values, kind="stable")
+        simplex, values = simplex[order], values[order]
+
+        x_spread = np.maximum.reduce(np.absolute(simplex[1:] - simplex[0]), axis=None)
+        f_spread = abs(values[-1] - values[0])
+        if x_spread <= xtol and f_spread <= ftol:
+            converged = True
+            break
+
+        centroid = np.add.reduce(simplex[:-1], axis=0) / n
+        worst = simplex[-1]
+
+        reflected = centroid + alpha * (centroid - worst)
+        f_reflected = objective(reflected)
+        if values[0] <= f_reflected < values[-2]:
+            simplex[-1], values[-1] = reflected, f_reflected
+        elif f_reflected < values[0]:
+            expanded = centroid + gamma * (reflected - centroid)
+            f_expanded = objective(expanded)
+            if f_expanded < f_reflected:
+                simplex[-1], values[-1] = expanded, f_expanded
+            else:
+                simplex[-1], values[-1] = reflected, f_reflected
+        else:
+            contracted = centroid + rho * (worst - centroid)
+            f_contracted = objective(contracted)
+            if f_contracted < values[-1]:
+                simplex[-1], values[-1] = contracted, f_contracted
+            else:
+                best = simplex[0]
+                for i in range(1, n + 1):
+                    simplex[i] = best + sigma * (simplex[i] - best)
+                    values[i] = objective(simplex[i])
+        iterations += 1
+
+    order = np.argsort(values, kind="stable")
+    simplex, values = simplex[order], values[order]
+    return MinimizeResult(
+        x=simplex[0].copy(),
+        fun=float(values[0]),
+        iterations=iterations,
+        converged=converged,
+    )
+
+
 def embed_landmarks_reference(measured, dim, *, max_iterations=3000, seed=None) -> np.ndarray:
     """``embed_landmarks`` with the objective over the full m x m distance
     matrix, its upper triangle re-indexed on every evaluation."""
@@ -218,14 +285,17 @@ def embed_landmarks_reference(measured, dim, *, max_iterations=3000, seed=None) 
     scale = float(np.max(measured)) or 1.0
     jitter = initial + rng.gauss(0.0, 1.0) * 0.0
     starts = [initial.ravel(), (jitter + scale * 0.05 * _gauss_array(rng, (m, dim))).ravel()]
-    result = minimize_with_restarts(
-        objective,
-        starts,
-        initial_step=scale * 0.05,
-        max_iterations=max_iterations,
-        xtol=scale * 1e-6,
-    )
-    return result.x.reshape(m, dim)
+    runs = [
+        nelder_mead_reference(
+            objective,
+            start,
+            initial_step=scale * 0.05,
+            max_iterations=max_iterations,
+            xtol=scale * 1e-6,
+        )
+        for start in starts
+    ]
+    return min(runs, key=lambda run: run.fun).x.reshape(m, dim)
 
 
 def euclidean_mst_reference(points: np.ndarray) -> List[Tuple[int, int, float]]:

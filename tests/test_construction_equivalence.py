@@ -6,9 +6,11 @@ MST edge sets, same cluster partitions and same border pairs as the
 original per-host/per-pair loops, which live on as test oracles in
 ``tests/oracles/construction.py``. These tests pin that claim:
 
-* solver-level, bit-exact: the batched Nelder-Mead replays the scalar
-  algorithm's decisions, so on identical inputs the results are identical
-  to the last bit (hypothesis-driven);
+* solver-level, bit-exact: the scalar simplex that keeps its order by
+  insertion evaluates the points, in the order, of the loop that re-sorts
+  every step, and the batched Nelder-Mead replays the scalar algorithm's
+  decisions, so on identical inputs the results are identical to the last
+  bit (hypothesis-driven);
 * kernel-level: MST edge sets, cluster partitions and border selections
   agree between the fast and reference implementations across random
   topologies (hypothesis-driven, integer coordinates so distance ties are
@@ -51,6 +53,7 @@ from tests.oracles.construction import (
     construct_reference,
     embed_landmarks_reference,
     euclidean_mst_reference,
+    nelder_mead_reference,
     select_borders_closest_reference,
 )
 
@@ -121,6 +124,156 @@ class TestLandmarkObjective:
         fast = embed_landmarks(measured, dim, max_iterations=400, seed=seed)
         slow = embed_landmarks_reference(measured, dim, max_iterations=400, seed=seed)
         assert np.array_equal(fast, slow)
+
+
+def scalar_objective(family, rng, n):
+    """A scalar objective in *n* variables around a random centre."""
+    centre = rng.uniform(-3.0, 3.0, n)
+    weight = rng.uniform(0.1, 3.0, n)
+
+    def value(point):
+        d = point - centre
+        if family == "quadratic":
+            return float(np.sum(weight * d * d))
+        if family == "ties":  # one decimal: equal values everywhere
+            return float(np.round(np.sum(np.abs(d)), 1))
+        if family == "nan_half_space" and d[0] > 1.0:
+            return float("nan")
+        if family == "nan_band" and 0.5 < abs(d[0]) < 1.5:
+            return float("nan")
+        return float(np.sum(np.abs(d) + (d * d) * (d * d)))
+
+    return value
+
+
+def traced(solver, objective, x0, **kwargs):
+    """*solver*'s result and the points it evaluated, in order."""
+    points = []
+
+    def recording(point):
+        points.append(point.copy())
+        return objective(point)
+
+    return solver(recording, x0, **kwargs), points
+
+
+def assert_same_descent(objective, x0, **kwargs):
+    """``nelder_mead`` == ``nelder_mead_reference``: result and trajectory."""
+    new, new_points = traced(nelder_mead, objective, x0, **kwargs)
+    old, old_points = traced(nelder_mead_reference, objective, x0, **kwargs)
+    assert len(new_points) == len(old_points)
+    for step, (a, b) in enumerate(zip(new_points, old_points)):
+        assert np.array_equal(a, b, equal_nan=True), step
+    assert np.array_equal(new.x, old.x, equal_nan=True)
+    assert np.array_equal(new.fun, old.fun, equal_nan=True)
+    assert (new.iterations, new.converged) == (old.iterations, old.converged)
+    return new, new_points
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+class TestScalarSimplexKeepsItsOrder:
+    """The scalar loop sorts once and then inserts; the oracle re-sorts the
+    whole simplex every iteration. Same floats from the same operations in
+    the same order, so not only the answer but every evaluated point is
+    equal."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 20),
+        family=st.sampled_from(
+            ["quadratic", "l1_quartic", "ties", "nan_half_space", "nan_band"]
+        ),
+        cap=st.sampled_from([0, 1, 7, 60, 400]),
+        step=st.sampled_from([0.3, 1.0, 2.5]),
+    )
+    def test_replays_the_resorting_loop(self, seed, n, family, cap, step):
+        rng = np.random.default_rng(seed)
+        objective = scalar_objective(family, rng, n)
+        x0 = rng.uniform(-5.0, 5.0, n)
+        x0[rng.uniform(size=n) < 0.3] = 0.0
+        assert_same_descent(
+            objective,
+            x0,
+            initial_step=step,
+            xtol=float(rng.choice([1e-6, 1e-2, 10.0])),
+            ftol=float(rng.choice([1e-9, 1e-3, 1e3])),
+            max_iterations=cap,
+        )
+
+    def test_a_new_value_tying_an_old_one_goes_after_it(self):
+        """Plateaus of equal values: the stable sort keeps the older vertex
+        first, so an insertion lands after every value equal to it (a
+        ``bisect_left`` diverges from the oracle on this descent)."""
+        seen = []
+
+        def plateaus(point):
+            seen.append(float(np.floor(np.abs(point).sum())))
+            return seen[-1]
+
+        assert_same_descent(
+            plateaus, [3.3, -2.6, 1.9], initial_step=0.7, max_iterations=40
+        )
+        assert len(set(seen)) < len(seen) / 3  # ties are the common case
+
+    def test_nan_vertices_stay_last_while_a_new_best_goes_first(self):
+        """The start sits in a NaN band, so three of the four vertices are
+        NaN; expansions then put a new best at row 0 with NaNs further down
+        (a plain bisect over them diverges from the oracle on this descent),
+        and a shrink re-sorts with NaNs among the values."""
+
+        def banded(point):
+            if 0.5 < abs(point[0]) < 1.5:
+                return float("nan")
+            return float(np.sum(point * point))
+
+        result, points = assert_same_descent(
+            banded, [1.4, 1.0, 1.0], initial_step=1.0, max_iterations=25
+        )
+        assert sum(np.isnan(banded(p)) for p in points[:4]) == 3
+        assert np.isfinite(result.fun)
+
+    def test_a_shrink_step(self):
+        """A bumpy bowl where a contraction fails: the loop shrinks,
+        re-evaluates n vertices in row order and re-sorts (a loop that skips
+        the re-sort diverges from the oracle on this descent)."""
+
+        def bumpy(point):
+            d = point - np.array([1.0, 0.0])
+            return float(np.sum(d * d) + 3.0 * np.sum(np.cos(3.0 * d)))
+
+        result, points = assert_same_descent(
+            bumpy, [0.0, -3.0], initial_step=2.0, max_iterations=10
+        )
+        # past the initial simplex an iteration evaluates one or two
+        # points; only a shrink evaluates 2 + n
+        assert len(points) - 3 > 2 * result.iterations
+
+    def test_zero_iterations_returns_the_best_initial_vertex(self):
+        result, points = assert_same_descent(
+            lambda p: float(p[0] ** 2 + p[1]), [1.0, 2.0], max_iterations=0
+        )
+        assert len(points) == 3 and result.iterations == 0 and not result.converged
+        assert np.array_equal(result.x, [1.0, 2.0])
+
+    def test_the_point_is_valid_during_the_call_only(self):
+        """The objective is handed a buffer the loop reuses: an objective
+        that keeps copies sees the trajectory, one that keeps the argument
+        itself sees the same few buffers over and over."""
+        copies, kept = [], []
+
+        def bowl(point):
+            copies.append(point.copy())
+            kept.append(point)
+            return float(np.sum(point * point))
+
+        nelder_mead(bowl, [3.0, -2.0, 1.0], max_iterations=50)
+        trials = slice(4, None)  # past the initial simplex's own rows
+        assert len({c.tobytes() for c in copies[trials]}) > 40
+        assert len({id(k) for k in kept[trials]}) <= 3
+        assert sum(
+            np.array_equal(k, c) for k, c in zip(kept[trials], copies[trials])
+        ) < len(copies[trials]) / 4
 
 
 class TestBatchedNelderMead:
@@ -506,6 +659,46 @@ class TestFrameworkModes:
             entry["name"] == "construct.measurements" and entry["value"] > 0
             for entry in counters
         )
+
+
+    def test_landmark_solve_reports_how_it_ended(self, small_topology):
+        """The ``construct.embedding.landmarks`` span says what the solve
+        cost and whether it finished: the kept start's iterations and
+        convergence, and how many starts ran into the 3,000 cap. Seeded, so
+        the counts repeat exactly. At the paper's 10 landmarks neither start
+        of the 20-variable descent meets its tolerances inside the cap; a
+        smaller landmark set does."""
+        from repro.core import HFCFramework
+        from repro.telemetry import Telemetry
+
+        def solve_attributes(telemetry):
+            (span,) = (
+                span
+                for root in telemetry.tracer.roots
+                for span in root.walk()
+                if span.name == "construct.embedding.landmarks"
+            )
+            return span.attributes
+
+        telemetry = Telemetry()
+        HFCFramework.build(proxy_count=150, seed=11, telemetry=telemetry)
+        assert solve_attributes(telemetry) == {
+            "dimension": 2, "iterations": 3000, "converged": False, "capped_starts": 2,
+        }
+
+        telemetry = Telemetry()
+        physical = PhysicalNetwork(small_topology, noise=0.1, seed=102)
+        build_coordinate_space(
+            physical,
+            physical.pick_overlay_nodes(20, seed=1),
+            landmark_count=6,
+            dimension=3,
+            seed=5,
+            telemetry=telemetry,
+        )
+        assert solve_attributes(telemetry) == {
+            "dimension": 3, "iterations": 2154, "converged": True, "capped_starts": 1,
+        }
 
 
 #: sha256 of what a build produces, captured at the commit before the

@@ -1,5 +1,6 @@
 """Tests for the landmark coordinate embedding (Section 3.1)."""
 
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from repro.coords import (
     embed_landmarks,
     embedding_accuracy,
     locate_host,
+    locate_hosts,
 )
 from repro.util.errors import EmbeddingError
 
@@ -104,6 +106,39 @@ class TestLocateHost:
         measured = np.linalg.norm(landmarks - host, axis=1) * 1.05
         estimate = locate_host(landmarks, measured)
         assert np.linalg.norm(estimate - host) < 1.5
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_measurement_rejected_before_descending(self, bad):
+        """A NaN used to burn both starts' iteration caps under a stream of
+        RuntimeWarnings and return [nan nan]; an inf used to return the
+        weighted-centroid start as if it had located the host."""
+        landmarks = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0], [10.0, 10.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EmbeddingError, match="landmark 2"):
+                locate_host(landmarks, [5.0, 6.0, bad, 7.0])
+            with pytest.raises(EmbeddingError, match="landmark 1 in host row 3"):
+                measured = np.full((5, 4), 6.0)
+                measured[3, 1] = bad
+                locate_hosts(landmarks, measured)
+
+    def test_wrong_rank_rejected_like_the_batch(self):
+        """1-D landmarks used to die with numpy's AxisError."""
+        for landmarks, measured in (
+            (np.zeros(3), [1.0, 2.0, 3.0]),
+            (np.zeros((3, 2)), [[1.0, 2.0, 3.0]]),
+            (np.zeros((3, 2)), 1.0),
+        ):
+            with pytest.raises(EmbeddingError, match=r"expected \(m, k\) landmarks"):
+                locate_host(landmarks, measured)
+
+    def test_zero_measurement_is_legal(self):
+        """A proxy on a landmark's router measures zero delay to it."""
+        landmarks = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0], [10.0, 10.0]])
+        measured = np.linalg.norm(landmarks - landmarks[1], axis=1)
+        assert measured[1] == 0.0
+        estimate = locate_host(landmarks, measured)
+        assert estimate == pytest.approx(landmarks[1], abs=1e-3)
 
 
 class TestChooseLandmarks:

@@ -7,7 +7,7 @@ import pytest
 from repro.membership import DynamicOverlay, run_churn_session
 from repro.routing import HierarchicalRouter, validate_path
 from repro.services import ServiceRequest, linear_graph
-from repro.util.errors import MembershipError
+from repro.util.errors import EmbeddingError, MembershipError
 from tests.oracles.churn import RebuildingOverlay
 from tests.oracles.csp import ReferenceCspRouter
 
@@ -70,6 +70,53 @@ class TestJoin:
             dyn._free_rows, dyn._labels, dyn.version, dyn.history
         )
         assert router_id not in dyn
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_unusable_measurement_surfaces_before_any_state_moves(
+        self, framework, dyn, monkeypatch, bad
+    ):
+        """A probe that came back NaN or infinite is the embedding's error,
+        naming the landmark, raised before the descent and before the
+        overlay is touched — with a freed row waiting to be reused."""
+        dyn.leave(dyn.proxies[0])
+        assert dyn._free_rows
+        router_id = free_stub(framework, dyn)
+        measure_many = framework.physical.measure_many
+
+        def broken(sources, targets, **kwargs):
+            measured = measure_many(sources, targets, **kwargs)
+            measured[0, 4] = bad
+            return measured
+
+        monkeypatch.setattr(framework.physical, "measure_many", broken)
+        before = (
+            list(dyn._free_rows), dict(dyn._labels), dyn.version, list(dyn.history)
+        )
+        with pytest.raises(EmbeddingError, match="landmark 4"):
+            dyn.join(router_id, frozenset({"s0"}))
+        assert before == (
+            dyn._free_rows, dyn._labels, dyn.version, dyn.history
+        )
+        assert router_id not in dyn
+
+    def test_join_record_carries_the_locate_iterations(self, framework):
+        """The event log says what the join's own solve cost, beside the
+        border pairs it re-reduced; a join at given coordinates ran none."""
+        from repro.telemetry import Telemetry
+
+        telemetry = Telemetry()
+        dyn = DynamicOverlay(
+            framework, restructure_tolerance=None, telemetry=telemetry
+        )
+        first, second = [
+            s for s in framework.physical.topology.stub_nodes if s not in dyn
+        ][:2]
+        dyn.join(first, frozenset({"s0"}))
+        dyn.join(second, frozenset({"s0"}), coords=dyn.locate(second))
+        located, given = telemetry.events.of_kind("membership.join")
+        assert 20 <= located["locate_iterations"] <= 800
+        assert "pairs_reduced" in located
+        assert "locate_iterations" not in given
 
     def test_join_recorded_in_history(self, framework, dyn):
         router_id = free_stub(framework, dyn)
