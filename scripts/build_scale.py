@@ -17,6 +17,9 @@ peak RSS is that build's own. Per size, one table row:
 * ``converged`` / ``capped`` — whether the kept landmark descent met its
   tolerances, and how many of the solve's two starts ran into the iteration
   cap instead (each of those costs the full cap);
+* ``mst_rounds`` / ``mst_pairs`` — the Borůvka rounds of the clustering's
+  Euclidean MST and the squared distances it evaluated (all n² pairs would
+  be n(n-1)/2);
 * ``rows`` / ``rounds`` — shortest-path rows the physical substrate computed
   and the relaxation kernel's rounds per row (max);
 * ``rss_mb`` — the subprocess's peak resident set;
@@ -55,6 +58,8 @@ COLUMNS = (
     ("capped", "capped_starts"),
     ("services", "construct.services"),
     ("clustering", "construct.clustering"),
+    ("mst_rounds", "mst_rounds"),
+    ("mst_pairs", "mst_pairs"),
     ("borders", "construct.borders"),
     ("columnar", "construct.columnar"),
     ("rows", "rows"),
@@ -80,6 +85,9 @@ def build_once(n: int) -> Dict[str, Any]:
         if span.name == "construct.embedding.landmarks":
             row["converged"] = span.attributes["converged"]
             row["capped_starts"] = span.attributes["capped_starts"]
+        if span.name == "construct.clustering":
+            row["mst_rounds"] = span.attributes["mst_rounds"]
+            row["mst_pairs"] = span.attributes["mst_pairs"]
     rounds = telemetry.registry.get("physical.relax_rounds")
     row["rows"] = telemetry.registry.total("physical.rows")
     row["rounds"] = int(rounds.max) if rounds is not None and rounds.count else 0

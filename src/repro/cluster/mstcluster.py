@@ -26,7 +26,7 @@ but would inflate the border-node count in the HFC topology.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
@@ -81,6 +81,9 @@ class Clustering:
         labels: node -> cluster id.
         removed_edges: the inconsistent MST edges that were cut,
             as ``(u, v, length, ratio)``.
+        stats: what :func:`cluster_nodes` spent: ``mst_rounds`` and
+            ``mst_pairs`` (Borůvka rounds and squared distances evaluated
+            for the tree) and ``merged`` (small clusters merged away).
     """
 
     clusters: List[List[NodeId]]
@@ -88,6 +91,7 @@ class Clustering:
     removed_edges: List[Tuple[NodeId, NodeId, float, float]] = field(
         default_factory=list
     )
+    stats: Dict[str, int] = field(default_factory=dict, compare=False)
 
     @property
     def cluster_count(self) -> int:
@@ -164,12 +168,17 @@ def cluster_nodes(
     """Cluster *nodes* of *space* by Zahn's inconsistent-edge method.
 
     Returns a :class:`Clustering`. With a single node (or all points
-    coincident) the result is one cluster.
+    coincident) the result is one cluster. A node listed twice is a
+    :class:`ClusteringError`.
     """
     config = config or ClusteringConfig()
     node_list: List[NodeId] = list(nodes) if nodes is not None else space.nodes()
     if not node_list:
         raise ClusteringError("cannot cluster an empty node set")
+    if len(set(node_list)) < len(node_list):
+        counts = Counter(node_list)
+        duplicate = next(node for node in node_list if counts[node] > 1)
+        raise ClusteringError(f"node {duplicate!r} is listed more than once")
     if len(node_list) == 1:
         return Clustering(clusters=[node_list], labels={node_list[0]: 0})
 
@@ -212,6 +221,7 @@ def cluster_nodes(
     cluster_lists = [sorted(v) for v in clusters_idx.values()]
     cluster_lists.sort(key=lambda c: c[0])
 
+    before = len(cluster_lists)
     if config.min_cluster_size > 1 and len(cluster_lists) > 1:
         cluster_lists = _merge_small_clusters(
             points, cluster_lists, config.min_cluster_size
@@ -219,7 +229,14 @@ def cluster_nodes(
 
     clusters = [[node_list[i] for i in c] for c in cluster_lists]
     labels = {node: cid for cid, members in enumerate(clusters) for node in members}
-    return Clustering(clusters=clusters, labels=labels, removed_edges=removed_edges)
+    stats = {
+        "mst_rounds": mst_edges.rounds,
+        "mst_pairs": mst_edges.pairs,
+        "merged": before - len(cluster_lists),
+    }
+    return Clustering(
+        clusters=clusters, labels=labels, removed_edges=removed_edges, stats=stats
+    )
 
 
 def _components_after_cuts(
@@ -256,11 +273,14 @@ def _merge_small_clusters(
     """Merge clusters below *min_size* into their nearest larger cluster.
 
     Nearest is measured centroid-to-centroid, mirroring how a late-joining
-    proxy would pick "the cluster of its nearest neighbours" (Section 7).
-    Merging repeats until every cluster meets the minimum or one remains.
+    proxy would pick "the cluster of its nearest neighbours" (Section 7),
+    the first of equally near ones winning. Merging repeats until every
+    cluster meets the minimum or one remains. Per merge, one distance
+    launch over the centroid array: ``vecdot`` per row is the 1-D
+    ``np.linalg.norm`` to the bit.
     """
     clusters = [list(c) for c in clusters]
-    centroids = [points[c].mean(axis=0) for c in clusters]
+    centroids = np.array([points[c].mean(axis=0) for c in clusters])
     while len(clusters) > 1:
         sizes = [len(c) for c in clusters]
         small = [i for i, s in enumerate(sizes) if s < min_size]
@@ -268,16 +288,12 @@ def _merge_small_clusters(
             break
         # Merge the smallest offender first for determinism.
         victim = min(small, key=lambda i: (sizes[i], clusters[i][0]))
-        best = None
-        best_d = float("inf")
-        for i, centroid in enumerate(centroids):
-            if i == victim:
-                continue
-            d = float(np.linalg.norm(centroid - centroids[victim]))
-            if d < best_d:
-                best, best_d = i, d
-        assert best is not None
+        delta = centroids - centroids[victim]
+        distance = np.sqrt(np.vecdot(delta, delta))
+        distance[victim] = np.inf
+        best = int(np.argmin(distance))
         clusters[best] = sorted(clusters[best] + clusters[victim])
         centroids[best] = points[clusters[best]].mean(axis=0)
-        del clusters[victim], centroids[victim]
+        del clusters[victim]
+        centroids = np.delete(centroids, victim, axis=0)
     return clusters

@@ -151,8 +151,9 @@ class HFCFramework:
             overlay = OverlayNetwork(
                 physical=physical, proxies=proxies, placement=placement, space=space
             )
-            with tracer.span("construct.clustering"):
+            with tracer.span("construct.clustering") as span:
                 clustering = cluster_nodes(space, proxies, config.clustering)
+                span.attributes.update(clustering.stats)
             with tracer.span("construct.borders", clusters=clustering.cluster_count):
                 hfc = build_hfc(overlay, clustering)
             with tracer.span("construct.columnar"):

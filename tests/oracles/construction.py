@@ -1,9 +1,10 @@
 """The pre-vectorization Section-3 construction: full-matrix landmark
 objective, the scalar simplex that re-sorts every step, per-host scalar
-embedding, per-round full-distance Prim, one ``closest_pair`` scan per
-cluster pair — and the pre-columnar substrate under it: the generators wiring
-a ``Graph`` one ``add_edge`` at a time, greedy k-center over dict Dijkstra
-rows."""
+embedding, per-round full-distance Prim (and a dense Kruskal that fixes the
+tree among ties), the small-cluster merge that measures one centroid at a
+time, one ``closest_pair`` scan per cluster pair — and the pre-columnar
+substrate under it: the generators wiring a ``Graph`` one ``add_edge`` at a
+time, greedy k-center over dict Dijkstra rows."""
 
 import math
 import time
@@ -26,6 +27,7 @@ from repro.coords.embedding import (
 from repro.coords.neldermead import MinimizeResult
 from repro.coords.space import CoordinateSpace
 from repro.graph.graph import Graph
+from repro.graph.mst import MstEdges, UnionFind
 from repro.graph.shortest_paths import dijkstra
 from repro.netsim.topology import TransitStubConfig
 from repro.util.errors import GraphError, TopologyError
@@ -328,14 +330,63 @@ def euclidean_mst_reference(points: np.ndarray) -> List[Tuple[int, int, float]]:
     return edges
 
 
-def cluster_nodes_reference(space, nodes=None, config=None) -> Clustering:
-    """``cluster_nodes`` with the reference Prim swapped in for the kernel."""
-    fast = mstcluster.euclidean_mst
-    mstcluster.euclidean_mst = euclidean_mst_reference
+def euclidean_mst_kruskal_reference(points: np.ndarray) -> List[Tuple[int, int, float]]:
+    """Dense Kruskal under the order ``(d², min(i, j), max(i, j))``: every
+    pair's difference-form squared distance, one sort, a union-find. With
+    tied distances the MST is not unique and Prim's pick depends on its
+    visiting order; this is the tree ``euclidean_mst`` promises."""
+    pts = np.asarray(points, dtype=float)
+    n = pts.shape[0]
+    i, j = np.triu_indices(n, 1)
+    delta = pts[j] - pts[i]
+    d2 = np.einsum("ij,ij->i", delta, delta)
+    forest = UnionFind(range(n))
+    edges: List[Tuple[int, int, float]] = []
+    for e in np.lexsort((j, i, d2)):
+        if forest.union(int(i[e]), int(j[e])):
+            edges.append((int(i[e]), int(j[e]), float(np.sqrt(d2[e]))))
+    return edges
+
+
+def merge_small_clusters_reference(points, clusters, min_size) -> List[List[int]]:
+    """``_merge_small_clusters`` measuring one centroid at a time with
+    ``np.linalg.norm``, a strict ``<`` keeping the first of equals."""
+    clusters = [list(c) for c in clusters]
+    centroids = [points[c].mean(axis=0) for c in clusters]
+    while len(clusters) > 1:
+        sizes = [len(c) for c in clusters]
+        small = [i for i, s in enumerate(sizes) if s < min_size]
+        if not small:
+            break
+        victim = min(small, key=lambda i: (sizes[i], clusters[i][0]))
+        best = None
+        best_d = float("inf")
+        for i, centroid in enumerate(centroids):
+            if i == victim:
+                continue
+            d = float(np.linalg.norm(centroid - centroids[victim]))
+            if d < best_d:
+                best, best_d = i, d
+        assert best is not None
+        clusters[best] = sorted(clusters[best] + clusters[victim])
+        centroids[best] = points[clusters[best]].mean(axis=0)
+        del clusters[victim], centroids[victim]
+    return clusters
+
+
+def cluster_nodes_reference(
+    space, nodes=None, config=None, *, mst=euclidean_mst_reference
+) -> Clustering:
+    """``cluster_nodes`` with a reference tree (*mst*, the Prim by default)
+    swapped in for the kernel, and the reference merge for the vectorised
+    one."""
+    fast = mstcluster.euclidean_mst, mstcluster._merge_small_clusters
+    mstcluster.euclidean_mst = lambda points: MstEdges(mst(points))
+    mstcluster._merge_small_clusters = merge_small_clusters_reference
     try:
         return mstcluster.cluster_nodes(space, nodes, config)
     finally:
-        mstcluster.euclidean_mst = fast
+        mstcluster.euclidean_mst, mstcluster._merge_small_clusters = fast
 
 
 def select_borders_closest_reference(space, clustering) -> Dict[Tuple[int, int], int]:

@@ -92,6 +92,18 @@ class TestClusterDetection:
         with pytest.raises(ClusteringError):
             cluster_nodes(space, nodes=[])
 
+    def test_duplicate_node_rejected_before_any_work(self, monkeypatch):
+        """A node listed twice would come back twice in one cluster."""
+        from repro.cluster import mstcluster
+
+        def no_tree(points):
+            raise AssertionError("the tree was built")
+
+        monkeypatch.setattr(mstcluster, "euclidean_mst", no_tree)
+        space = CoordinateSpace({i: (float(i), 0.0) for i in range(4)})
+        with pytest.raises(ClusteringError, match="node 1 is listed more than once"):
+            cluster_nodes(space, [0, 1, 1, 2, 3])
+
     def test_higher_factor_fewer_clusters(self):
         space = blobs([(0, 0), (30, 0), (60, 0), (90, 0)], per_blob=5, spread=2.0)
         low = cluster_nodes(space, config=ClusteringConfig(factor=1.5, min_cluster_size=1))

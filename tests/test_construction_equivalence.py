@@ -1,10 +1,10 @@
 """Equivalence suite: the construction kernels == their reference oracles.
 
 The Section-3 construction pipeline (batched Nelder-Mead embedding,
-squared-distance argmin Prim, blocked border-pair minima) claims the same
-MST edge sets, same cluster partitions and same border pairs as the
-original per-host/per-pair loops, which live on as test oracles in
-``tests/oracles/construction.py``. These tests pin that claim:
+kd-tree Borůvka MST, vectorised small-cluster merges, blocked border-pair
+minima) claims the same MST edge sets, same cluster partitions and same
+border pairs as the original per-host/per-pair loops, which live on as test
+oracles in ``tests/oracles/construction.py``. These tests pin that claim:
 
 * solver-level, bit-exact: the scalar simplex that keeps its order by
   insertion evaluates the points, in the order, of the loop that re-sorts
@@ -14,7 +14,10 @@ original per-host/per-pair loops, which live on as test oracles in
 * kernel-level: MST edge sets, cluster partitions and border selections
   agree between the fast and reference implementations across random
   topologies (hypothesis-driven, integer coordinates so distance ties are
-  exact in both squared and rooted form);
+  exact in both squared and rooted form — where ties make the MST
+  non-unique, the reference is the dense Kruskal under the kernel's
+  ``(d², min(i, j), max(i, j))`` order; on float clouds it is the Prim,
+  edge for edge and weight for weight);
 * pipeline-level: end-to-end construction over real transit-stub networks
   produces identical clusters and identical border pairs on both paths
   (fixed seeds; the production path measures true delays from the landmark
@@ -31,6 +34,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import mstcluster
 from repro.cluster.mstcluster import ClusteringConfig, cluster_nodes
 from repro.coords.embedding import (
     build_coordinate_space,
@@ -45,6 +49,7 @@ from repro.coords.neldermead import (
     nelder_mead_batch,
 )
 from repro.coords.space import CoordinateSpace
+from repro.graph import mst
 from repro.graph.mst import euclidean_mst
 from repro.netsim import PhysicalNetwork, transit_stub
 from repro.overlay.hfc import select_borders_closest
@@ -52,7 +57,9 @@ from tests.oracles.construction import (
     cluster_nodes_reference,
     construct_reference,
     embed_landmarks_reference,
+    euclidean_mst_kruskal_reference,
     euclidean_mst_reference,
+    merge_small_clusters_reference,
     nelder_mead_reference,
     select_borders_closest_reference,
 )
@@ -461,9 +468,9 @@ class TestLocateHostsBatch:
             locate_hosts(np.zeros((4, 2)), np.zeros((3, 5)))
 
 
-#: integer lattice points — squared distances are exact floats, so the
-#: squared-distance Prim and the rooted reference rank candidates identically
-#: even at exact ties.
+#: integer lattice points — squared distances are exact floats and ties are
+#: everywhere, so the MST is rarely unique: which tree comes back is the
+#: kernel's tie rule, held to the dense Kruskal under the same order.
 lattice_points = st.lists(
     st.tuples(st.integers(-60, 60), st.integers(-60, 60)),
     min_size=2,
@@ -472,8 +479,10 @@ lattice_points = st.lists(
 )
 
 
-def canonical_edges(edges):
-    return {(min(i, j), max(i, j)) for i, j, _ in edges}
+def weighted_edges(edges):
+    """Edge -> weight, orientation dropped: equal dicts mean the same tree
+    with bit-equal weights."""
+    return {(min(i, j), max(i, j)): w for i, j, w in edges}
 
 
 class TestMstEquivalence:
@@ -482,11 +491,84 @@ class TestMstEquivalence:
     def test_edge_sets_match_reference(self, points):
         pts = np.asarray(points, dtype=float)
         fast = euclidean_mst(pts)
-        ref = euclidean_mst_reference(pts)
-        assert canonical_edges(fast) == canonical_edges(ref)
-        assert np.allclose(
-            sorted(w for _, _, w in fast), sorted(w for _, _, w in ref)
+        ref = euclidean_mst_kruskal_reference(pts)
+        assert weighted_edges(fast) == weighted_edges(ref)
+
+
+@st.composite
+def clouds(draw):
+    """Point clouds the kd-tree Borůvka finds hard or degenerate, in 1-3
+    dimensions, with n on both sides of the leaf size."""
+    kind = draw(
+        st.sampled_from(
+            ["uniform", "blobs", "lattice", "duplicates", "coincident", "collinear"]
         )
+    )
+    dim = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 6 * mst.LEAF_SIZE))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "blobs":
+        # gaps far wider than any blob: no point's near neighbours cross one
+        centres = rng.uniform(-1e4, 1e4, (int(rng.integers(2, 6)), dim))
+        return centres[rng.integers(0, len(centres), n)] + rng.normal(0.0, 1.0, (n, dim))
+    if kind == "lattice":  # ties everywhere, and boxes whose bound is exact
+        return rng.integers(-4, 5, (n, dim)).astype(float)
+    if kind == "duplicates":
+        base = rng.uniform(-50.0, 50.0, (max(1, n // 3), dim))
+        return base[rng.integers(0, len(base), n)]
+    if kind == "coincident":
+        return np.tile(rng.uniform(-5.0, 5.0, dim), (n, 1))
+    if kind == "collinear":
+        return np.outer(rng.uniform(-100.0, 100.0, n), rng.normal(size=dim))
+    return rng.uniform(-100.0, 100.0, (n, dim))
+
+
+def all_distinct(pts):
+    i, j = np.triu_indices(len(pts), 1)
+    delta = pts[j] - pts[i]
+    d2 = np.einsum("ij,ij->i", delta, delta)
+    return np.unique(d2).size == d2.size
+
+
+class TestBoruvkaKernel:
+    """The kd-tree Borůvka against both oracles: the tie rule's Kruskal
+    always, edge for edge; the Prim edge for edge wherever the MST is unique
+    (all pairwise distances distinct) and, since every MST of a graph has
+    the same multiset of weights, weight for weight everywhere."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(pts=clouds())
+    def test_matches_the_oracles(self, pts):
+        fast = euclidean_mst(pts)
+        assert len(fast) == len(pts) - 1
+        assert all(i < j for i, j, _ in fast)
+        assert weighted_edges(fast) == weighted_edges(euclidean_mst_kruskal_reference(pts))
+        prim = euclidean_mst_reference(pts)
+        assert sorted(w for _, _, w in fast) == sorted(w for _, _, w in prim)
+        if all_distinct(pts):
+            assert weighted_edges(fast) == weighted_edges(prim)
+
+    def test_blobs_at_n_3000_match_prim(self, monkeypatch):
+        """Four blobs of 750 at the corners of a square: the tree's first
+        two splits separate them, so once a blob is one component every
+        leaf it touches is its own, its bound comes from an O(n) row, and
+        the bridges found under that bound are still the Prim's to the
+        bit."""
+        rows = []
+
+        def recording(pts, comp, lonely, count):
+            rows.append(lonely.size)
+            return row_bounds(pts, comp, lonely, count)
+
+        row_bounds = mst._row_bounds
+        monkeypatch.setattr(mst, "_row_bounds", recording)
+        rng = np.random.default_rng(2)
+        centres = np.array([[0.0, 0.0], [1e4, 0.0], [0.0, 1.1e4], [1e4, 1.1e4]])
+        pts = np.repeat(centres, 750, axis=0) + rng.normal(0.0, 30.0, (3000, 2))
+        pts = pts[rng.permutation(3000)]
+        fast = euclidean_mst(pts)
+        assert weighted_edges(fast) == weighted_edges(euclidean_mst_reference(pts))
+        assert sum(rows) > 0
 
 
 class TestClusterPartitionEquivalence:
@@ -498,9 +580,45 @@ class TestClusterPartitionEquivalence:
         )
         config = ClusteringConfig(factor=2.0, min_cluster_size=1)
         fast = cluster_nodes(space, config=config)
-        ref = cluster_nodes_reference(space, config=config)
+        ref = cluster_nodes_reference(
+            space, config=config, mst=euclidean_mst_kruskal_reference
+        )
         assert fast.clusters == ref.clusters
         assert fast.labels == ref.labels
+
+
+class TestSmallClusterMerge:
+    """One distance launch per merge == one ``np.linalg.norm`` per centroid:
+    same victims, same nearest cluster, first of equals on ties."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 60),
+        dim=st.integers(1, 3),
+        lattice=st.booleans(),
+        min_size=st.integers(2, 5),
+    )
+    def test_matches_the_per_centroid_loop(self, seed, n, dim, lattice, min_size):
+        rng = np.random.default_rng(seed)
+        if lattice:  # integer centroids: equal distances everywhere
+            points = rng.integers(-3, 4, (n, dim)).astype(float)
+        else:
+            points = rng.uniform(-100.0, 100.0, (n, dim))
+        labels = rng.integers(0, int(rng.integers(1, n + 1)), n)
+        clusters = [np.flatnonzero(labels == c).tolist() for c in np.unique(labels)]
+        clusters.sort(key=lambda c: c[0])
+        fast = mstcluster._merge_small_clusters(points, clusters, min_size)
+        assert fast == merge_small_clusters_reference(points, clusters, min_size)
+
+    def test_a_tie_goes_to_the_first_cluster(self):
+        points = np.array([[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
+        clusters = [[0], [1], [2, 3]]
+        # cluster 1 sits exactly between clusters 0 and 2; the singleton
+        # cluster 0 goes first and joins 1, whose centroid then moves
+        fast = mstcluster._merge_small_clusters(points, clusters, 2)
+        assert fast == merge_small_clusters_reference(points, clusters, 2)
+        assert fast == [[0, 1], [2, 3]]
 
 
 class TestBorderEquivalence:
@@ -660,6 +778,33 @@ class TestFrameworkModes:
             for entry in counters
         )
 
+
+    def test_clustering_span_reports_the_tree_and_the_merges(self):
+        """``construct.clustering`` carries what the build's clustering
+        cost: Borůvka rounds, squared distances evaluated and small clusters
+        merged away. Seeded, so the counts repeat exactly."""
+        from dataclasses import replace
+
+        from repro.core import HFCFramework
+        from repro.telemetry import Telemetry
+
+        telemetry = Telemetry()
+        framework = HFCFramework.build(proxy_count=150, seed=11, telemetry=telemetry)
+        (span,) = (
+            span
+            for root in telemetry.tracer.roots
+            for span in root.walk()
+            if span.name == "construct.clustering"
+        )
+        assert span.attributes == framework.clustering.stats == {
+            "mst_rounds": 4, "mst_pairs": 5316, "merged": 2,
+        }
+        unmerged = cluster_nodes(
+            framework.space,
+            framework.overlay.proxies,
+            replace(framework.config.clustering, min_cluster_size=1),
+        )
+        assert unmerged.cluster_count - framework.clustering.cluster_count == 2
 
     def test_landmark_solve_reports_how_it_ended(self, small_topology):
         """The ``construct.embedding.landmarks`` span says what the solve

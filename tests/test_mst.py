@@ -1,6 +1,7 @@
 """Tests for union-find and the three MST implementations."""
 
 import math
+import warnings
 
 import networkx as nx
 import numpy as np
@@ -137,6 +138,55 @@ class TestEuclideanMst:
     def test_rejects_bad_shape(self):
         with pytest.raises(GraphError):
             euclidean_mst(np.zeros(5))
+
+    @pytest.mark.parametrize("shape", [(5,), (3, 2, 2), (4, 0)])
+    def test_rejects_what_is_not_n_by_k(self, shape):
+        with pytest.raises(GraphError, match=r"2-D \(n, k\)"):
+            euclidean_mst(np.zeros(shape))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_rows_up_front(self, bad):
+        """A NaN or infinite coordinate names its row before any distance
+        is taken: no ``inf - inf`` RuntimeWarning, no tree to walk."""
+        pts = np.arange(40.0).reshape(20, 2)
+        pts[13, 1] = bad
+        pts[17, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GraphError, match="row 13 is not finite"):
+                euclidean_mst(pts)
+
+    def test_ties_follow_squared_length_then_indices(self):
+        """With tied lengths the MST is not unique: the tree returned is the
+        one Kruskal builds in ``(d², min(i, j), max(i, j))`` order. Here the
+        two length-2 edges tie and (0, 3) precedes (1, 2); Prim from point 0
+        would pick (1, 2), the lower-index point of its frontier."""
+        pts = np.array([[0.0, 1.0], [0.0, 2.0], [2.0, 2.0], [2.0, 1.0]])
+        edges = euclidean_mst(pts)
+        assert sorted(edges) == [(0, 1, 1.0), (0, 3, 2.0), (2, 3, 1.0)]
+
+    def test_copies_of_a_point_join_the_first_without_a_search(self):
+        """m copies of one point are m² zero-length ties no box bound can
+        prune: each copy joins the first point at its coordinates, and only
+        that one enters the tree."""
+        pts = np.repeat([[1.0, 2.0], [4.0, 6.0]], 10_000, axis=0)
+        edges = euclidean_mst(pts)
+        assert sorted(edges) == sorted(
+            [(0, i, 0.0) for i in range(1, 10_000)]
+            + [(10_000, i, 0.0) for i in range(10_001, 20_000)]
+            + [(0, 10_000, 5.0)]
+        )
+        assert edges.rounds == 1 and edges.pairs < 10
+
+    def test_reports_rounds_and_pairs(self):
+        """Borůvka at least halves the component count every round, and the
+        tree search scores far fewer than all n(n-1)/2 pairs."""
+        rng = np.random.default_rng(4)
+        n = 3000
+        edges = euclidean_mst(rng.uniform(0.0, 100.0, (n, 2)))
+        assert len(edges) == n - 1
+        assert 1 <= edges.rounds <= math.ceil(math.log2(n))
+        assert n <= edges.pairs < n * (n - 1) // 20
 
     def test_collinear_points_chain(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
