@@ -46,8 +46,9 @@ coverage:
 			--cov-report=html --cov-fail-under=70; \
 	else echo "pytest-cov not installed; skipping (CI runs it)"; fi
 
-# The CI fault-matrix smoke job: three seeded fault plans (loss burst,
-# partition heal, crash/restart) at small n under the convergence auditor.
+# The CI fault-matrix smoke job: seeded fault plans (loss burst, partition
+# heal, crash/restart wiped and warm, super-border crash) at small n under the
+# convergence auditor; the two crash/restart plans also run under traffic.
 fault-matrix:
 	PYTHONPATH=src $(PYTHON) scripts/run_fault_matrix.py --audit-dir benchmarks/out
 

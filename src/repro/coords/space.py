@@ -25,9 +25,9 @@ def cross_distances(block_a: np.ndarray, block_b: np.ndarray) -> np.ndarray:
     ``(|a|, k)`` and ``(|b|, k)`` in, ``(|a|, |b|)`` out. The squared
     differences are accumulated axis by axis into the one output block —
     no ``(|a|, |b|, k)`` difference cube. Every border-selection kernel
-    (:meth:`CoordinateSpace.closest_pair`, ``overlay.hfc.closest_cross_pair``,
-    the membership layer's nearest-member scan) reduces this same block, so
-    full scans and incremental patches rank candidate pairs identically.
+    (``overlay.hfc.closest_cross_pair``, the membership layer's
+    nearest-member scan) reduces this same block, so full scans and
+    incremental patches rank candidate pairs identically.
     """
     return _distances_by_axis(block_a.T[:, :, None], block_b.T[:, None, :])
 
@@ -87,7 +87,7 @@ class CoordinateSpace:
         per-node tuple conversion and no re-stacking on the first
         :meth:`array` call. This is how the columnar overlay state shares
         one coordinate array with every space view it hands out: kernels
-        (``array``, ``distance_matrix``, ``closest_pair``) read views of
+        (``array``, ``distance_matrix``, ``stacked``) read views of
         the caller's array. Scalar accessors (:meth:`coordinate`,
         :meth:`distance`) go through a tuple table materialised once from
         the same floats, so values are bit-identical either way. The
@@ -170,43 +170,3 @@ class CoordinateSpace:
         pts = self.array(nodes)
         diff = pts[:, None, :] - pts[None, :, :]
         return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-
-    def restrict(self, nodes: Iterable[NodeId]) -> "CoordinateSpace":
-        """A new space containing only *nodes* (must all be present)."""
-        return CoordinateSpace({n: self.coordinate(n) for n in nodes})
-
-    def merged_with(self, other: Dict[NodeId, Sequence[float]]) -> "CoordinateSpace":
-        """A new space with *other*'s nodes added (same dimension required)."""
-        coords: Dict[NodeId, Sequence[float]] = dict(self._coords)
-        coords.update(other)
-        return CoordinateSpace(coords)
-
-    def nearest(self, node: NodeId, candidates: Iterable[NodeId]) -> NodeId:
-        """The candidate geometrically closest to *node* (excluding itself)."""
-        best = None
-        best_d = float("inf")
-        for c in candidates:
-            if c == node:
-                continue
-            d = self.distance(node, c)
-            if d < best_d:
-                best, best_d = c, d
-        if best is None:
-            raise EmbeddingError("no candidate other than the node itself")
-        return best
-
-    def closest_pair(
-        self, group_a: Sequence[NodeId], group_b: Sequence[NodeId]
-    ) -> Tuple[NodeId, NodeId, float]:
-        """The closest pair ``(a, b, distance)`` with a in *group_a*, b in *group_b*.
-
-        This is exactly the paper's border-proxy selection rule (Section 3.3).
-        Vectorised; ties break toward the earliest indices, so the result is
-        deterministic for deterministic inputs.
-        """
-        if not group_a or not group_b:
-            raise EmbeddingError("closest_pair requires two non-empty groups")
-        dist = cross_distances(self.array(group_a), self.array(group_b))
-        flat = int(np.argmin(dist))
-        i, j = divmod(flat, dist.shape[1])
-        return group_a[i], group_b[j], float(dist[i, j])

@@ -32,8 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Mapping, Optional
 
-from repro.util.errors import ReproError
-
 #: capability view type: cluster id -> services available in that cluster
 ClusterCapabilities = Dict[int, FrozenSet[str]]
 
@@ -74,16 +72,9 @@ class ChangeNotifier:
         self._subscribers: List[Callable[..., None]] = []
 
     def subscribe(self, callback: Callable[..., None]) -> Callable[..., None]:
-        """Register *callback*; returns it so it can be unsubscribed."""
+        """Register *callback* for every later event; returns it."""
         self._subscribers.append(callback)
         return callback
-
-    def unsubscribe(self, callback: Callable[..., None]) -> None:
-        """Remove a previously registered *callback* (no-op if absent)."""
-        try:
-            self._subscribers.remove(callback)
-        except ValueError:
-            pass
 
     def notify(self, version: OverlayVersion, **info: object) -> None:
         """Deliver ``(version, **info)`` to every subscriber."""
@@ -152,11 +143,3 @@ class MutableCapabilityFeed(CapabilityFeed):
         )
         self.notifier.notify(self._version)
         return self._version
-
-    def update_cluster(self, cluster_id: int, services: FrozenSet[str]) -> OverlayVersion:
-        """Publish a single-cluster change (step bump)."""
-        if cluster_id < 0:
-            raise ReproError(f"invalid cluster id {cluster_id}")
-        updated = dict(self._capabilities)
-        updated[cluster_id] = frozenset(services)
-        return self.publish(updated)

@@ -7,7 +7,9 @@ overlay link costs its ground-truth delay, every service hop adds a
 processing delay.
 
 Failures are first-class: a proxy can be scheduled to **fail** mid-session
-(it silently stops forwarding — the hard case). The destination runs a
+(it silently stops forwarding — the hard case). A failure is a permanent
+crash in the fault layer's model, so a killed packet is a counted drop in
+the simulator's ledger, not a silent disappearance. The destination runs a
 per-packet watchdog; when an expected packet times out it asks a
 *rerouter* for a replacement path that avoids the failed proxies and
 signals the source to switch. The session report separates delivered /
@@ -20,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import CrashRestart, FaultPlan
 from repro.netsim.eventsim import Message, Process, Simulator
 from repro.overlay.network import OverlayNetwork, ProxyId
 from repro.routing.path import ServicePath
@@ -69,13 +73,6 @@ class SessionReport:
     def lost(self) -> int:
         return len(self.records) - self.delivered
 
-    @property
-    def mean_latency(self) -> float:
-        latencies = [r.latency for r in self.records if r.latency is not None]
-        if not latencies:
-            return float("nan")
-        return sum(latencies) / len(latencies)
-
 
 def path_nominal_latency(
     path: ServicePath, overlay: OverlayNetwork, processing_delay: float
@@ -100,10 +97,6 @@ class _Forwarder(Process):
         assert self.simulator is not None
         path = self.session.paths[self.version]
         hop = path.hops[self.index]
-        if hop.proxy in self.session.failed and (
-            self.simulator.now >= self.session.fail_times[hop.proxy]
-        ):
-            return  # silent failure: the packet dies here
         if self.index == len(path.hops) - 1:
             self.session._delivered(message.payload, self.simulator.now)
             return
@@ -169,8 +162,8 @@ class StreamingSession:
 
         self.paths: Dict[int, ServicePath] = {1: path}
         self.active_version = 1
+        #: the proxies that fail during the run (what the rerouter avoids)
         self.failed: frozenset = frozenset()
-        self.fail_times: Dict[ProxyId, float] = {}
         self.rerouter: Optional[Rerouter] = None
         self.recovery_triggered = False
         self.sim = Simulator(telemetry=telemetry)
@@ -194,20 +187,25 @@ class StreamingSession:
         """Stream the packet train; returns the session report.
 
         Args:
-            failures: ``{proxy: fail_time}`` — each proxy silently stops
-                forwarding at its fail time.
+            failures: ``{proxy: fail_time}`` — each proxy crashes for good
+                at its fail time: a permanent
+                :class:`~repro.faults.plan.CrashRestart`, executed by a
+                :class:`~repro.faults.injector.FaultInjector` on the
+                session's simulator, so every packet it kills is a counted
+                drop in ``sim.conservation()``.
             rerouter: called with the set of failed proxies once loss is
                 detected; must return a replacement path (or raise).
         """
         failures = failures or {}
         self.failed = frozenset(failures)
-        self.fail_times = dict(failures)
         self.rerouter = rerouter
         self.report.failed_proxies = tuple(sorted(failures, key=repr))
-        for proxy, fail_time in sorted(failures.items(), key=lambda kv: repr(kv[0])):
-            self.sim.telemetry.events.record(
-                "session.failure_injected", proxy=proxy, fail_time=fail_time
+        if failures:
+            plan = FaultPlan(
+                seed=0,
+                specs=[CrashRestart(p, failures[p]) for p in self.report.failed_proxies],
             )
+            FaultInjector(plan).install(self.sim, resolve=self._proxy_of)
 
         self.sim.register(self._watchdog)
         self._register_version(1)
@@ -245,6 +243,13 @@ class StreamingSession:
         telemetry.publish()
 
     # -- internals ----------------------------------------------------------------
+
+    def _proxy_of(self, address: Tuple) -> object:
+        """The proxy a ``("hop", version, index)`` address runs on; the
+        source and watchdog addresses stand for themselves."""
+        if address[0] == "hop":
+            return self.paths[address[1]].hops[address[2]].proxy
+        return address
 
     def _register_version(self, version: int) -> None:
         for index in range(len(self.paths[version].hops)):

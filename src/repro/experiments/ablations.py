@@ -25,14 +25,16 @@
 
 from __future__ import annotations
 
+import itertools
+import random
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cluster.mstcluster import cluster_nodes
+from repro.cluster.mstcluster import Clustering, cluster_nodes
 from repro.cluster.quality import separation_ratio, size_statistics
-from repro.coords.embedding import embedding_accuracy
+from repro.coords.embedding import build_coordinate_space, embedding_accuracy
 from repro.core.config import FrameworkConfig
 from repro.experiments.environments import EnvironmentSpec, build_environment, scaled_table1
 from repro.experiments.report import ascii_table
@@ -41,8 +43,9 @@ from repro.experiments.workload import (
     generate_requests,
     resolve_requests,
 )
-from repro.overlay.hfc import build_hfc
+from repro.overlay.hfc import HFCTopology, build_hfc
 from repro.overlay.mesh import build_mesh
+from repro.overlay.network import OverlayNetwork, ProxyId
 from repro.routing.hierarchical import HierarchicalRouter
 from repro.routing.meshrouting import MeshRouter
 from repro.state.overhead import mean_coordinates_overhead, mean_service_overhead
@@ -220,8 +223,13 @@ def run_border_ablation(
     )
     rows: List[BorderRow] = []
     for rule in ("closest", "random"):
-        hfc = build_hfc(
-            fw.overlay, fw.clustering, border_rule=rule, seed=spawn(rng, rule)
+        draws = spawn(rng, rule)  # both rules draw, so the random pairs keep their seed
+        hfc = (
+            build_hfc(fw.overlay, fw.clustering)
+            if rule == "closest"
+            else HFCTopology(
+                fw.overlay, fw.clustering, fw.space, random_borders(fw.clustering, draws)
+            )
         )
         load = hfc.border_load()
         rows.append(
@@ -233,6 +241,16 @@ def run_border_ablation(
             )
         )
     return rows
+
+
+def random_borders(clustering: Clustering, rng: random.Random) -> Dict[Tuple[int, int], ProxyId]:
+    """A uniform random cross pair for every cluster pair: the baseline A3
+    holds the paper's closest-pair rule against."""
+    borders: Dict[Tuple[int, int], ProxyId] = {}
+    for i, j in itertools.combinations(range(clustering.cluster_count), 2):
+        borders[(i, j)] = rng.choice(clustering.members(i))
+        borders[(j, i)] = rng.choice(clustering.members(j))
+    return borders
 
 
 def render_border_ablation(rows: Sequence[BorderRow]) -> str:
@@ -330,8 +348,6 @@ def run_landmark_ablation(
             landmarks = pick_rng.sample(
                 range(physical.topology.node_count), spec.landmarks
             )
-            from repro.coords.embedding import build_coordinate_space
-
             space, _ = build_coordinate_space(
                 physical,
                 proxies,
@@ -339,10 +355,6 @@ def run_landmark_ablation(
                 dimension=2,
                 seed=spawn(rng, "embed"),
             )
-            from repro.cluster.mstcluster import cluster_nodes
-            from repro.overlay.hfc import build_hfc
-            from repro.overlay.network import OverlayNetwork
-
             overlay = OverlayNetwork(
                 physical=physical,
                 proxies=proxies,

@@ -33,7 +33,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple, TypeVar
 
-from repro.faults.injector import FaultInjector
+from repro.faults.injector import AddressResolver, FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.overlay.network import ProxyId
 from repro.state.protocol import StateDistributionProtocol
@@ -338,6 +338,60 @@ def restores_placement(run: _Run) -> _Run:
     return wrapper  # type: ignore[return-value]
 
 
+def _audited_protocol(
+    framework: Any,
+    plan: FaultPlan,
+    *,
+    k_periods: int,
+    protocol_seed: RngLike,
+    resolve: Optional[AddressResolver] = None,
+    **protocol_args: Any,
+) -> ConvergenceAuditor:
+    """The protocol, its restart wiring, the installed injector and the
+    auditor for *plan*: what every fault-scenario runner starts from.
+
+    The injector's restart hook is wired to
+    :meth:`~repro.state.protocol.StateDistributionProtocol.wipe_state`, so
+    a :class:`~repro.faults.plan.CrashRestart` with ``wipe_state=True``
+    reboots the proxy with empty soft state (and, if ``services_after`` is
+    set, a changed service placement) — the scenario that flushes out
+    stale-stream bugs. Specs with ``warm_restart=True`` instead get their
+    state plane captured at the crash instant (the crash hook) and
+    restored on restart via
+    :meth:`~repro.state.protocol.StateDistributionProtocol.restore_state`
+    — the snapshot-backed recovery path, where learned tables survive and
+    only the emitter incarnation advances. *resolve* maps auxiliary
+    addresses to proxies (see :meth:`FaultInjector.install`); the other
+    keywords go to the protocol.
+    """
+    protocol = StateDistributionProtocol(
+        framework.hfc,
+        seed=protocol_seed if protocol_seed is not None else plan.seed,
+        **protocol_args,
+    )
+
+    snapshots: Dict[Any, Dict[str, Any]] = {}
+
+    def on_crash(spec: Any) -> None:
+        if spec.warm_restart:
+            snapshots[spec.proxy] = protocol.snapshot_proxy(spec.proxy)
+
+    def on_restart(spec: Any) -> None:
+        if spec.warm_restart and spec.proxy in snapshots:
+            protocol.restore_state(
+                spec.proxy, snapshots.pop(spec.proxy), services=spec.services_after
+            )
+        elif spec.wipe_state:
+            protocol.wipe_state(spec.proxy, services=spec.services_after)
+        elif spec.services_after is not None:
+            protocol.update_local_services(spec.proxy, spec.services_after)
+
+    injector = FaultInjector(plan).install(
+        protocol.sim, on_restart=on_restart, on_crash=on_crash, resolve=resolve
+    )
+    return ConvergenceAuditor(protocol, injector, k_periods=k_periods)
+
+
 @restores_placement
 def run_fault_scenario(
     framework: Any,
@@ -353,46 +407,11 @@ def run_fault_scenario(
 ) -> FaultScenarioResult:
     """Build protocol + injector + auditor for *plan* and run the audit.
 
-    The injector's restart hook is wired to
-    :meth:`~repro.state.protocol.StateDistributionProtocol.wipe_state`, so
-    a :class:`~repro.faults.plan.CrashRestart` with ``wipe_state=True``
-    reboots the proxy with empty soft state (and, if ``services_after`` is
-    set, a changed service placement) — the scenario that flushes out
-    stale-stream bugs. Specs with ``warm_restart=True`` instead get their
-    state plane captured at the crash instant (the crash hook) and
-    restored on restart via
-    :meth:`~repro.state.protocol.StateDistributionProtocol.restore_state`
-    — the snapshot-backed recovery path, where learned tables survive and
-    only the emitter incarnation advances.
+    Crashes restart through the protocol's wipe or warm-restore path, as
+    each spec asks (see :func:`_audited_protocol`).
     """
-    protocol = StateDistributionProtocol(
-        framework.hfc,
-        seed=protocol_seed if protocol_seed is not None else plan.seed,
-        refresh_every=refresh_every,
-        aggregate_period=aggregate_period,
-        sim=sim,
+    auditor = _audited_protocol(
+        framework, plan, k_periods=k_periods, protocol_seed=protocol_seed,
+        refresh_every=refresh_every, aggregate_period=aggregate_period, sim=sim,
     )
-
-    snapshots: Dict[Any, Dict[str, Any]] = {}
-
-    def on_crash(spec: Any) -> None:
-        if getattr(spec, "warm_restart", False):
-            snapshots[spec.proxy] = protocol.snapshot_proxy(spec.proxy)
-
-    def on_restart(spec: Any) -> None:
-        if getattr(spec, "warm_restart", False) and spec.proxy in snapshots:
-            protocol.restore_state(
-                spec.proxy, snapshots.pop(spec.proxy), services=spec.services_after
-            )
-        elif spec.wipe_state:
-            protocol.wipe_state(spec.proxy, services=spec.services_after)
-        elif spec.services_after is not None:
-            protocol.update_local_services(spec.proxy, spec.services_after)
-
-    injector = FaultInjector(plan).install(
-        protocol.sim, on_restart=on_restart, on_crash=on_crash
-    )
-    auditor = ConvergenceAuditor(protocol, injector, k_periods=k_periods)
-    return auditor.audit(
-        framework, probes=probes, check_interval=check_interval
-    )
+    return auditor.audit(framework, probes=probes, check_interval=check_interval)

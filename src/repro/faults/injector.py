@@ -23,7 +23,6 @@ trace. Every decision also bumps a ``faults.*`` telemetry counter.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_right
 from typing import Any, Callable, Dict, List, Optional
 
@@ -259,10 +258,3 @@ class FaultInjector:
             entry["recipient"] = message.recipient
         entry.update(fields)
         self.trace.append(entry)
-
-    def dump_trace(self, path: str) -> int:
-        """Write the fault trace as JSON lines; returns the entry count."""
-        with open(path, "w", encoding="utf-8") as fh:
-            for entry in self.trace:
-                fh.write(json.dumps(entry, sort_keys=True, default=repr) + "\n")
-        return len(self.trace)

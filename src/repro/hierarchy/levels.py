@@ -45,7 +45,7 @@ import numpy as np
 
 from repro.cluster.mstcluster import Clustering, ClusteringConfig, cluster_nodes
 from repro.coords.space import CoordinateSpace
-from repro.overlay.hfc import HFCTopology
+from repro.overlay.hfc import HFCTopology, scan_borders
 from repro.overlay.network import ProxyId
 from repro.routing.hierarchical import ChildHops, ChildRequest, HierarchicalRouter
 from repro.routing.path import Hop, merge_consecutive_hops
@@ -602,11 +602,10 @@ def build_level(
 
     Centroids are the mean of each group's unit centroids; borders are the
     closest proxy pair across the two groups' full proxy populations (the
-    paper's Section-3.3 rule, one level up), scanned in ascending group
-    order — identical tie-breaks to the three-level prototype. Shared by
-    the cold build and the churn layer's spine patching, which is what
-    makes a patched hierarchy bit-equal to a rebuild over the same
-    grouping.
+    paper's Section-3.3 rule, one level up), elected by the base level's
+    :func:`~repro.overlay.hfc.scan_borders` over per-group coordinate
+    blocks, each gathered once — so a level breaks ties exactly as the
+    base level and the churn layer's per-pair patches do.
     """
     count = len(groups)
     count_below = int(unit_centroids.shape[0])
@@ -627,11 +626,9 @@ def build_level(
         [p for u in units for p in unit_proxies[u]] for units in groups
     ]
     border_matrix = np.full((count, count), -1, dtype=np.int64)
-    for i in range(count):
-        for j in range(i + 1, count):
-            a, b, _ = space.closest_pair(group_proxies[i], group_proxies[j])
-            border_matrix[i, j] = row_of[a]
-            border_matrix[j, i] = row_of[b]
+    borders = scan_borders(group_proxies, [space.array(g) for g in group_proxies])
+    for (i, j), proxy in borders.items():
+        border_matrix[i, j] = row_of[proxy]
     return HierarchyLevel(
         parent=parent,
         ptr=ptr,

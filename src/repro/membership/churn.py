@@ -443,10 +443,22 @@ class DynamicOverlay:
         framework skips re-embedding and re-clustering (the dominant cost
         of a cold build), and the overlay resumes at the snapshot's
         :class:`~repro.core.versioning.OverlayVersion` so version-driven
-        consumers (router caches, capability feeds) keep their ordering.
+        consumers (router caches, capability feeds) keep their ordering. A
+        level stack the snapshot carries comes back attached, under the
+        assignment it was saved with; a later :meth:`restructure`
+        re-derives it with :meth:`attach_hierarchy`'s defaults.
         """
+        from repro.hierarchy.levels import HierarchyLevels
+
         dyn = cls(snapshot.framework, **kwargs)
         dyn.version = snapshot.version
+        levels = snapshot.columnar.levels
+        if levels:
+            dyn._hier_meta = {"depth": 2 + len(levels)}
+            hfc = snapshot.framework.hfc
+            dyn._adopt_hierarchy(
+                HierarchyLevels(hfc=hfc, levels=list(levels), row_proxies=hfc.overlay.proxies)
+            )
         return dyn
 
     # -- mutations --------------------------------------------------------------

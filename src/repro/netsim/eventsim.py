@@ -220,8 +220,8 @@ class Simulator:
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         #: per-kind message metrics, created at the kind's first message
         self._metrics: Dict[str, _KindMetrics] = {}
-        #: per-(kind, cause) drop counter
-        self._drop_handles: Dict[Tuple[str, str], Counter] = {}
+        #: per-(kind, cause) drop counters: copies, and the kind's size units
+        self._drop_handles: Dict[Tuple[str, str], Tuple[Counter, Counter]] = {}
         #: optional hook on the delivery path (see :data:`DeliveryInterceptor`)
         self.interceptor: Optional[DeliveryInterceptor] = None
         # Plain-int mirrors of the conservation counters so the invariant
@@ -289,14 +289,18 @@ class Simulator:
         return metrics
 
     def _record_drop(self, message: Message, cause: str) -> None:
+        """The one place a copy dies: its count by cause, its size by kind."""
         key = (message.kind, cause)
-        counter = self._drop_handles.get(key)
-        if counter is None:
-            counter = self.telemetry.registry.counter(
-                "sim.messages.dropped", kind=message.kind, cause=cause
+        handles = self._drop_handles.get(key)
+        if handles is None:
+            registry = self.telemetry.registry
+            handles = self._drop_handles[key] = (
+                registry.counter("sim.messages.dropped", kind=message.kind, cause=cause),
+                registry.counter("sim.bytes.dropped", kind=message.kind),
             )
-            self._drop_handles[key] = counter
-        counter.inc()
+        copies, size_units = handles
+        copies.inc()
+        size_units.inc(message.size)
         self._n_dropped += 1
 
     @contextmanager

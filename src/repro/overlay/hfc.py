@@ -81,10 +81,6 @@ class HFCTopology:
         """Coordinate-space length of the external link between clusters i, j."""
         return self.space.distance(self.border(i, j), self.border(j, i))
 
-    def external_true(self, i: int, j: int) -> float:
-        """Ground-truth delay of the external link between clusters i and j."""
-        return self.overlay.true_delay(self.border(i, j), self.border(j, i))
-
     def border_nodes(self, cluster_id: int) -> List[ProxyId]:
         """Distinct border proxies of *cluster_id*, sorted."""
         found = {
@@ -309,10 +305,9 @@ def closest_cross_pair(
     """Row/column indices of the closest cross pair between two blocks.
 
     The blocked distance-matrix minimum at the heart of border selection.
-    Arithmetic and argmin tie-breaking (earliest row, then earliest column,
-    wins) are identical to :meth:`CoordinateSpace.closest_pair`, so full
+    Ties break toward the earliest row, then the earliest column, so full
     scans and incremental per-pair patches select the same borders — the
-    equivalence suite asserts this.
+    equivalence suite asserts this against one brute-force scan per pair.
     """
     flat = int(np.argmin(cross_distances(block_i, block_j)))
     return divmod(flat, block_j.shape[0])
@@ -326,7 +321,7 @@ def select_borders_closest(
     Fetches each cluster's coordinate block once and reduces every cluster
     pair with one blocked distance-matrix minimum (cdist-style), instead of
     re-materialising both clusters' coordinates for each of the k(k-1)/2
-    pairs the way per-pair :meth:`CoordinateSpace.closest_pair` calls do.
+    pairs.
     """
     members = [clustering.members(i) for i in range(clustering.cluster_count)]
     return scan_borders(members, [space.array(m) for m in members])
@@ -390,41 +385,22 @@ def build_hfc(
     overlay: OverlayNetwork,
     clustering: Clustering,
     space: Optional[CoordinateSpace] = None,
-    *,
-    border_rule: str = "closest",
-    seed=None,
 ) -> HFCTopology:
     """Construct the HFC topology from a clustering (paper Section 3.3).
 
     For every cluster pair, the geometrically closest cross-pair of proxies
-    becomes the border pair (``border_rule="closest"``, the paper's rule).
-    ``border_rule="random"`` picks a uniform random cross-pair instead — the
-    ablation quantifying how much the selection rule buys. *space* defaults
-    to the overlay's attached coordinate space.
+    becomes the border pair. *space* defaults to the overlay's attached
+    coordinate space.
     """
-    from repro.util.rng import ensure_rng
-
     space = space or overlay.space
     if space is None:
         raise TopologyError("an HFC topology needs a coordinate space")
-    if border_rule not in ("closest", "random"):
-        raise TopologyError(
-            f"border_rule must be 'closest' or 'random', got {border_rule!r}"
-        )
     for proxy in overlay.proxies:
         if proxy not in clustering.labels:
             raise TopologyError(f"proxy {proxy!r} missing from clustering")
-
-    if border_rule == "closest":
-        borders = select_borders_closest(space, clustering)
-    else:
-        rng = ensure_rng(seed)
-        borders = {}
-        k = clustering.cluster_count
-        for i in range(k):
-            for j in range(i + 1, k):
-                borders[(i, j)] = rng.choice(clustering.members(i))
-                borders[(j, i)] = rng.choice(clustering.members(j))
     return HFCTopology(
-        overlay=overlay, clustering=clustering, space=space, borders=borders
+        overlay=overlay,
+        clustering=clustering,
+        space=space,
+        borders=select_borders_closest(space, clustering),
     )

@@ -19,9 +19,14 @@ aggregate into its own cluster, exactly as the paper's rule reads ("is
 responsible for forwarding it to other proxies of its own cluster"). This
 costs one intra-cluster flood per neighbour border per aggregate period at
 steady state, but it makes the soft-state flow self-healing — a lost
-forward is repaired one period later — which the loss-rate tests rely on.
-State is dropped only for silence: a member unheard for ``EXPIRY_PERIODS``
-local periods leaves its peers' SCT_P on their own local timer.
+forward is repaired one period later. State is dropped only for silence: a
+member unheard for ``EXPIRY_PERIODS`` local periods leaves its peers' SCT_P
+on their own local timer.
+
+The protocol loses nothing itself. Message loss is a fault: install a
+:class:`~repro.faults.FaultInjector` with a ``LinkLoss`` plan on
+:attr:`StateDistributionProtocol.sim`, and every lost copy lands in the
+simulator's conservation ledger.
 
 The wire carries sequence-numbered
 :class:`~repro.state.delta.Announcement` payloads — the symmetric
@@ -71,11 +76,12 @@ class ProtocolReport:
         total_messages: all delivered messages.
         total_size: sum of message sizes (header + carried service names
             per announcement).
-        messages_dropped: messages lost to the configured loss rate.
+        messages_dropped: message copies the simulator dropped, to any cause
+            (a fault plan's loss, a crash, an unregistered recipient).
         delivery_latency: per-kind ``{p50, p95, p99, mean}`` summaries of
             message delivery latency (simulated ms).
-        dropped_bytes: sizes of the dropped messages (so overhead reports
-            can account for bytes put on the wire but never delivered).
+        dropped_bytes: sizes of those copies (so overhead reports can account
+            for bytes put on the wire but never delivered).
         bytes_by_kind: delivered sizes per message kind.
         refresh: :meth:`StateDistributionProtocol.delta_stats` at the end;
             ``changed / applied`` is the useful share of the refresh flow.
@@ -139,13 +145,6 @@ class _ProxyAgent(Process):
         )
         self.emitter = DeltaEmitter(refresh_every=protocol.refresh_every)
         self.assembler = DeltaAssembler()
-
-    def send(self, recipient, kind, payload, delay, size=1) -> None:
-        # model in-transit loss: a dropped message never reaches the heap,
-        # but its bytes were spent — account them as dropped
-        if self.protocol.should_drop(size):
-            return
-        super().send(recipient, kind, payload, delay, size)
 
     # -- wire encoding --------------------------------------------------------
 
@@ -301,7 +300,6 @@ class StateDistributionProtocol:
         *,
         local_period: float = 500.0,
         aggregate_period: float = 1000.0,
-        loss_rate: float = 0.0,
         seed: RngLike = None,
         telemetry=None,
         refresh_every: int = 4,
@@ -309,16 +307,11 @@ class StateDistributionProtocol:
     ) -> None:
         if local_period <= 0 or aggregate_period <= 0:
             raise StateError("protocol periods must be positive")
-        if not 0.0 <= loss_rate < 1.0:
-            raise StateError("loss_rate must be in [0, 1)")
         if refresh_every < 1:
             raise StateError(f"refresh_every must be >= 1, got {refresh_every}")
         self.hfc = hfc
         self.local_period = local_period
         self.aggregate_period = aggregate_period
-        #: probability that any single protocol message is silently dropped;
-        #: the periodic soft-state design must converge regardless
-        self.loss_rate = loss_rate
         #: every K-th announcement per stream is a full snapshot (1: all)
         self.refresh_every = refresh_every
         self._rng = ensure_rng(seed)
@@ -326,8 +319,6 @@ class StateDistributionProtocol:
         # telemetry scope; the protocol only creates one when it owns the sim.
         self.sim = sim if sim is not None else Simulator(telemetry=telemetry)
         registry = self.sim.telemetry.registry
-        self._dropped = registry.counter("protocol.messages.dropped")
-        self._dropped_bytes = registry.counter("protocol.dropped_bytes")
         self._announced_full = registry.counter(
             "protocol.announcements", kind="full"
         )
@@ -367,24 +358,6 @@ class StateDistributionProtocol:
     def delay(self, u: ProxyId, v: ProxyId) -> float:
         """Message latency between two proxies (ground-truth delay)."""
         return self.hfc.overlay.true_delay(u, v)
-
-    @property
-    def messages_dropped(self) -> int:
-        """Messages lost to the configured loss rate so far."""
-        return self._dropped.value
-
-    @property
-    def dropped_bytes(self) -> int:
-        """Total abstract size of the messages lost to the loss rate."""
-        return self._dropped_bytes.value
-
-    def should_drop(self, size: int = 1) -> bool:
-        """Bernoulli(loss_rate) draw; counts drops (and their bytes)."""
-        if self.loss_rate > 0.0 and self._rng.random() < self.loss_rate:
-            self._dropped.inc()
-            self._dropped_bytes.inc(size)
-            return True
-        return False
 
     def count_announcement(self, announcement: Announcement) -> None:
         """Tally an announcement by kind (full vs delta)."""
@@ -496,7 +469,8 @@ class StateDistributionProtocol:
         ``leave`` events call :meth:`remove_proxy` for proxies this protocol
         still tracks, so sustained churn no longer grows the simulator's
         process registry or crashes on in-flight messages to departed
-        proxies. Returns the subscribed callback (for unsubscription).
+        proxies. The subscription lasts as long as the notifier; returns the
+        subscribed callback.
         """
 
         def _on_change(version: int, **info: object) -> None:
@@ -676,9 +650,9 @@ class StateDistributionProtocol:
             ),
             total_messages=self.sim.messages_delivered,
             total_size=self.sim.bytes_delivered,
-            messages_dropped=self.messages_dropped,
+            messages_dropped=self.sim.messages_dropped,
             delivery_latency=latency_summaries,
-            dropped_bytes=self.dropped_bytes,
+            dropped_bytes=registry.total("sim.bytes.dropped"),
             bytes_by_kind=registry.values_by_label("sim.bytes.delivered", "kind"),
             refresh=self.delta_stats(),
             fault_drops=registry.values_by_label("faults.dropped", "cause"),

@@ -111,10 +111,6 @@ class EventLog:
         except ValueError:
             pass
 
-    @property
-    def has_sinks(self) -> bool:
-        return bool(self._sinks)
-
     # -- queries ----------------------------------------------------------------
 
     def __len__(self) -> int:

@@ -153,11 +153,6 @@ class Tracer:
 
     # -- queries ----------------------------------------------------------------
 
-    @property
-    def active_span(self) -> Optional[Span]:
-        """The innermost open span, if any."""
-        return self._stack[-1] if self._stack else None
-
     def find_roots(self, name: str) -> List[Span]:
         """Retained root spans called *name*, oldest first."""
         return [s for s in self.roots if s.name == name]

@@ -1,12 +1,12 @@
 """Sustained-load-under-faults scenarios.
 
-Composes the three PR-5/PR-6 layers on one simulator: the state protocol,
-a :class:`~repro.faults.injector.FaultInjector` executing a seeded fault
+Composes three layers on one simulator: the state protocol, a
+:class:`~repro.faults.injector.FaultInjector` executing a seeded fault
 plan, and the open-loop :class:`~repro.traffic.engine.TrafficEngine`.
 Traffic data messages travel through the same delivery interceptor as
 protocol messages (the injector is installed with
 ``resolve=traffic_proxy`` so relay addresses map to proxies), which means
-a crash or partition silently kills in-flight requests — and the
+a crash or partition kills in-flight requests as counted drops — and the
 *delivery continuity* number reports how much of the offered load still
 completed while the faults were acting.
 
@@ -21,13 +21,11 @@ from dataclasses import dataclass, replace
 from typing import Any, Dict, Optional
 
 from repro.faults.auditor import (
-    ConvergenceAuditor,
     FaultScenarioResult,
+    _audited_protocol,
     restores_placement,
 )
-from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
-from repro.state.protocol import StateDistributionProtocol
 from repro.traffic.engine import TrafficConfig, TrafficEngine, traffic_proxy
 from repro.traffic.measure import SteadyStateReport
 from repro.util.rng import RngLike
@@ -77,33 +75,21 @@ def run_traffic_under_faults(
 ) -> TrafficFaultResult:
     """Run sustained traffic while *plan* executes, under the auditor.
 
-    Mirrors :func:`repro.faults.run_fault_scenario` (same protocol wiring,
-    restart hook, and audit), with a traffic engine attached to the same
-    simulator. The traffic duration is stretched to cover the auditor's
-    settle window so load spans the whole fault-and-recovery timeline.
+    Starts from the same protocol, restart hooks (wipe and warm restore),
+    injector and auditor as :func:`repro.faults.run_fault_scenario`, with a
+    traffic engine attached to the same simulator. The traffic duration is
+    stretched to cover the auditor's settle window so load spans the whole
+    fault-and-recovery timeline.
 
     *sim* accepts a pre-built simulator — e.g. a sharded one from
     :meth:`HFCFramework.simulator` — so the whole scenario (protocol,
     injector, traffic) runs on it; results are shard-count-invariant.
     """
-    protocol = StateDistributionProtocol(
-        framework.hfc,
-        seed=protocol_seed if protocol_seed is not None else plan.seed,
-        refresh_every=refresh_every,
-        aggregate_period=aggregate_period,
-        sim=sim,
+    auditor = _audited_protocol(
+        framework, plan, k_periods=k_periods, protocol_seed=protocol_seed, resolve=traffic_proxy,
+        refresh_every=refresh_every, aggregate_period=aggregate_period, sim=sim,
     )
-
-    def on_restart(spec: Any) -> None:
-        if spec.wipe_state:
-            protocol.wipe_state(spec.proxy, services=spec.services_after)
-        elif spec.services_after is not None:
-            protocol.update_local_services(spec.proxy, spec.services_after)
-
-    injector = FaultInjector(plan).install(
-        protocol.sim, on_restart=on_restart, resolve=traffic_proxy
-    )
-    auditor = ConvergenceAuditor(protocol, injector, k_periods=k_periods)
+    protocol = auditor.protocol
 
     config = config or TrafficConfig()
     # the audit runs to deadline + 2 refresh periods; keep arrivals flowing
@@ -114,9 +100,7 @@ def run_traffic_under_faults(
 
     engine = TrafficEngine(framework, config, sim=protocol.sim, seed=traffic_seed)
     engine.start()
-    scenario = auditor.audit(
-        framework, probes=probes, check_interval=check_interval
-    )
+    scenario = auditor.audit(framework, probes=probes, check_interval=check_interval)
     report = engine.finish()
 
     first_fault = plan.first_fault_start

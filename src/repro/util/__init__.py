@@ -1,4 +1,4 @@
-"""Shared plumbing: RNG handling, validation, exceptions."""
+"""Shared plumbing: RNG handling, sampling, exceptions."""
 
 from repro.util.errors import (
     ClusteringError,

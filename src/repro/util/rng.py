@@ -41,33 +41,6 @@ def spawn(rng: random.Random, label: str) -> random.Random:
     return random.Random(base ^ mix)
 
 
-def numpy_generator(seed: RngLike = None, label: str = "numpy"):
-    """A ``numpy.random.Generator`` derived from the library's RNG plumbing.
-
-    The vectorized construction kernels occasionally need bulk random draws
-    (e.g. random topologies in the property/benchmark suites). Drawing them
-    from ``numpy`` directly would fork an undocumented second seed universe,
-    so this helper derives the numpy generator from the same
-    ``random.Random`` stream everything else uses: the parent contributes 64
-    seed bits (one ``getrandbits`` draw, exactly like :func:`spawn`) mixed
-    with the stable hash of *label*.
-
-    Two consequences, by design:
-
-    * the numpy stream is a pure function of ``(seed, label, draws so far)``
-      — reruns reproduce it, and distinct labels give independent streams;
-    * the parent ``random.Random`` advances by exactly one draw, the same
-      perturbation :func:`spawn` makes, so interleaving ``rng.gauss``-based
-      and numpy-based consumers stays deterministic (no silent drift between
-      the scalar and vectorized code paths).
-    """
-    import numpy as np
-
-    rng = ensure_rng(seed)
-    base = rng.getrandbits(64)
-    return np.random.default_rng(base ^ _stable_hash(label))
-
-
 def uniform_draws(rng: random.Random, count: int):
     """The next *count* values of ``rng.random()`` as a float array, bit for bit,
     leaving *rng* where *count* calls would: ``random()`` is ``((a >> 5) * 2**26

@@ -25,12 +25,12 @@ from repro.coords.embedding import (
     locate_host,
 )
 from repro.coords.neldermead import MinimizeResult
-from repro.coords.space import CoordinateSpace
+from repro.coords.space import CoordinateSpace, cross_distances
 from repro.graph.graph import Graph
 from repro.graph.mst import MstEdges, UnionFind
 from repro.graph.shortest_paths import dijkstra
 from repro.netsim.topology import TransitStubConfig
-from repro.util.errors import GraphError, TopologyError
+from repro.util.errors import EmbeddingError, GraphError, TopologyError
 from repro.util.rng import ensure_rng
 
 
@@ -389,14 +389,29 @@ def cluster_nodes_reference(
         mstcluster.euclidean_mst, mstcluster._merge_small_clusters = fast
 
 
+def closest_pair(space, group_a, group_b):
+    """The closest pair ``(a, b, distance)`` with a in *group_a*, b in *group_b*.
+
+    The paper's border-proxy selection rule (Section 3.3) for one pair of
+    groups, gathering both groups' coordinates per call; ties break toward
+    the earliest indices.
+    """
+    if not group_a or not group_b:
+        raise EmbeddingError("closest_pair requires two non-empty groups")
+    dist = cross_distances(space.array(group_a), space.array(group_b))
+    flat = int(np.argmin(dist))
+    i, j = divmod(flat, dist.shape[1])
+    return group_a[i], group_b[j], float(dist[i, j])
+
+
 def select_borders_closest_reference(space, clustering) -> Dict[Tuple[int, int], int]:
-    """One :meth:`CoordinateSpace.closest_pair` per cluster pair."""
+    """One :func:`closest_pair` per cluster pair."""
     borders = {}
     k = clustering.cluster_count
     for i in range(k):
         for j in range(i + 1, k):
-            a, b, _ = space.closest_pair(
-                clustering.members(i), clustering.members(j)
+            a, b, _ = closest_pair(
+                space, clustering.members(i), clustering.members(j)
             )
             borders[(i, j)] = a
             borders[(j, i)] = b

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.experiments.ablations import (
+    random_borders,
     render_border_ablation,
     render_dimension_ablation,
     render_inconsistency_ablation,
@@ -15,6 +16,7 @@ from repro.experiments.ablations import (
     run_method_ablation,
 )
 from repro.experiments.environments import EnvironmentSpec
+from repro.util.rng import ensure_rng
 
 TINY = EnvironmentSpec(physical_nodes=150, landmarks=10, proxies=40, clients=10)
 
@@ -86,6 +88,15 @@ class TestBorderAblation:
 
     def test_render(self, rows):
         assert "border rule" in render_border_ablation(rows)
+
+    def test_random_border_rule_valid_but_not_closest(self, framework):
+        clustering = framework.clustering
+        borders = random_borders(clustering, ensure_rng(3))
+        k = clustering.cluster_count
+        assert len(borders) == k * (k - 1)
+        for (i, _), proxy in borders.items():
+            assert clustering.cluster_of(proxy) == i
+        assert borders != framework.hfc.borders
 
 
 class TestMethodAblation:

@@ -20,8 +20,8 @@ from repro.coords import CoordinateSpace
 from repro.util.errors import ClusteringError
 
 
-def blobs(centers, per_blob=6, spread=1.0, seed=0):
-    """Well-separated Gaussian blobs as a CoordinateSpace."""
+def blobs(centers, per_blob=6, spread=1.0, seed=0, extra=None):
+    """Well-separated Gaussian blobs (plus the *extra* points) as a CoordinateSpace."""
     rng = np.random.default_rng(seed)
     coords = {}
     for b, (cx, cy) in enumerate(centers):
@@ -30,6 +30,7 @@ def blobs(centers, per_blob=6, spread=1.0, seed=0):
                 cx + rng.normal(0, spread),
                 cy + rng.normal(0, spread),
             )
+    coords.update(extra or {})
     return CoordinateSpace(coords)
 
 
@@ -119,14 +120,12 @@ class TestClusterDetection:
 
     def test_min_cluster_size_merges_singletons(self):
         # two tight blobs plus one distant outlier
-        space = blobs([(0, 0), (100, 100)], per_blob=6)
-        space = space.merged_with({"outlier": (500.0, 500.0)})
+        space = blobs([(0, 0), (100, 100)], per_blob=6, extra={"outlier": (500.0, 500.0)})
         clustering = cluster_nodes(space, config=ClusteringConfig(min_cluster_size=2))
         assert all(len(c) >= 2 for c in clustering.clusters)
 
     def test_min_cluster_size_disabled_keeps_singleton(self):
-        space = blobs([(0, 0), (100, 100)], per_blob=6)
-        space = space.merged_with({"outlier": (500.0, 500.0)})
+        space = blobs([(0, 0), (100, 100)], per_blob=6, extra={"outlier": (500.0, 500.0)})
         clustering = cluster_nodes(space, config=ClusteringConfig(min_cluster_size=1))
         assert any(len(c) == 1 for c in clustering.clusters)
 

@@ -78,6 +78,21 @@ class TestFailureWithoutRecovery:
         report = session.run(failures={victim: 0.0})
         assert report.delivered == 0
 
+    def test_every_lost_packet_is_a_counted_drop(self, framework, routed):
+        """A failure is a crash in the fault layer: the packets it kills are
+        in the simulator's ledger, not counted as delivered."""
+        _, path = routed
+        victim = path.service_hops()[0].proxy
+        session = StreamingSession(
+            framework.overlay, path, packet_count=20, packet_interval=5.0
+        )
+        report = session.run(failures={victim: 40.0})
+        ledger = session.sim.conservation()
+        assert ledger["balanced"] and ledger["pending"] == 0
+        assert 0 < report.lost == ledger["dropped"]
+        dropped = session.sim.telemetry.registry.values_by_label("sim.messages.dropped", "cause")
+        assert dropped == {"intercepted": report.lost}
+
 
 class TestFailureWithRecovery:
     def test_session_recovers(self, framework, routed):

@@ -199,13 +199,19 @@ class TestDeltaProtocol:
         assert protocol.converged()
 
     def test_lossy_delta_run_accounts_dropped_bytes(self, tiny_framework):
-        protocol = StateDistributionProtocol(
-            tiny_framework.hfc, seed=23, loss_rate=0.2
-        )
+        from repro.faults import FaultInjector, FaultPlan, LinkLoss
+        from repro.state import message_overhead
+
+        protocol = StateDistributionProtocol(tiny_framework.hfc, seed=23)
+        plan = FaultPlan(19, (LinkLoss(0.0, 40000.0, 0.2),))
+        FaultInjector(plan).install(protocol.sim)
         report = protocol.run(max_time=40000.0)
         assert report.converged_at is not None
-        assert protocol.dropped_bytes > 0
-        assert report.dropped_bytes == protocol.dropped_bytes
+        registry = protocol.sim.telemetry.registry
+        by_kind = registry.values_by_label("sim.bytes.dropped", "kind")
+        assert report.dropped_bytes == sum(by_kind.values()) > 0
+        assert set(by_kind) <= set(report.bytes_by_kind)
+        assert message_overhead(report)["dropped_bytes"] == report.dropped_bytes
 
 
 class TestCapabilityFeeds:

@@ -454,6 +454,23 @@ class TestScenarios:
         assert result.counters["protocol.restarts"] == 1
         assert result.counters["protocol.restarts.warm"] == 1
 
+    def test_both_runners_restore_a_warm_restart(self):
+        """The traffic runner wires the same restart hooks as the plain one:
+        a warm restart restores under load too, instead of wiping."""
+        from repro.traffic import Poisson, TrafficConfig, run_traffic_under_faults
+
+        framework = HFCFramework.build(proxy_count=48, seed=3)
+        victim = framework.hfc.overlay.proxies[0]
+        spec = CrashRestart(victim, crash_at=2000.0, restart_at=4500.0, warm_restart=True)
+        plan = FaultPlan(seed=5, specs=(spec,))
+        plain = run_fault_scenario(framework, plan)
+        config = TrafficConfig(arrival=Poisson(rate=0.01), duration=4000.0, warmup=500.0)
+        loaded = run_traffic_under_faults(framework, plan, config=config, traffic_seed=8)
+        for result in (plain, loaded.scenario):
+            assert result.passed
+            assert result.counters["protocol.restarts"] == 1
+            assert result.counters["protocol.restarts.warm"] == 1
+
     def test_trace_bit_identical_across_runs(self, fault_framework):
         plan = loss_burst_plan(fault_framework.hfc)
 

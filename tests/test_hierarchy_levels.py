@@ -328,6 +328,25 @@ class TestSnapshotRoundTrip:
                 warm_router, request
             )
 
+    def test_dynamic_overlay_comes_back_with_its_levels(self, tiny_framework, pool):
+        """A churned overlay's patched stack survives save -> load -> from_snapshot,
+        and keeps patching like a cold build afterwards."""
+        dyn = DynamicOverlay(tiny_framework, restructure_tolerance=None, track_quality=False)
+        dyn.attach_hierarchy(3)
+        _replay(dyn, pool, [1, 4, 7, 2])
+        path = tempfile.mktemp(suffix=".npz")
+        try:
+            save_snapshot(dyn, path)
+            twin = DynamicOverlay.from_snapshot(
+                load_snapshot(path), restructure_tolerance=None, track_quality=False
+            )
+        finally:
+            if os.path.exists(path):
+                os.unlink(path)
+        assert_levels_equal(twin.hierarchy().levels, dyn.hierarchy().levels)
+        twin.leave(twin.proxies[0])
+        assert_matches_cold_levels(twin)
+
     def test_snapshot_without_levels_still_loads(self, tiny_framework):
         fresh = HFCFramework.build(proxy_count=30, physical=None, seed=123)
         path = tempfile.mktemp(suffix=".npz")

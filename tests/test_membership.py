@@ -34,7 +34,10 @@ class TestJoin:
         router_id = free_stub(framework, dyn)
         dyn.join(router_id, frozenset({"s0"}))
         cid = dyn.clustering.cluster_of(router_id)
-        nearest = dyn.space.nearest(router_id, [p for p in dyn.proxies if p != router_id])
+        nearest = min(
+            (p for p in dyn.proxies if p != router_id),
+            key=lambda p: dyn.space.distance(router_id, p),
+        )
         assert cid == dyn.clustering.cluster_of(nearest)
 
     def test_join_duplicate_rejected(self, framework, dyn):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.graph import is_connected
-from repro.overlay import OverlayNetwork, build_hfc, build_mesh, mesh_statistics
+from repro.overlay import OverlayNetwork, build_mesh, mesh_statistics
 from repro.services import generic_catalog, install_services
 from repro.util.errors import ServiceModelError, TopologyError
 
@@ -150,20 +150,6 @@ class TestHFCTopology:
                     for v in hfc.members(j)
                 )
                 assert hfc.external_estimate(i, j) == pytest.approx(best)
-
-    def test_random_border_rule_valid_but_not_closest(self, framework):
-        hfc_rand = build_hfc(
-            framework.overlay, framework.clustering, border_rule="random", seed=3
-        )
-        k = hfc_rand.cluster_count
-        for i in range(k):
-            for j in range(k):
-                if i != j:
-                    assert hfc_rand.cluster_of(hfc_rand.border(i, j)) == i
-
-    def test_bad_border_rule_rejected(self, framework):
-        with pytest.raises(TopologyError):
-            build_hfc(framework.overlay, framework.clustering, border_rule="magic")
 
     def test_overlay_graph_two_hop_property(self, framework):
         """In HFC any two proxies are connected; intra-cluster pairs directly."""

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.coords import CoordinateSpace
 from repro.util.errors import EmbeddingError
+from tests.oracles.construction import closest_pair
 
 
 @pytest.fixture
@@ -64,40 +65,17 @@ class TestMatrices:
         assert np.all(np.diag(m) == 0)
 
 
-class TestDerivedSpaces:
-    def test_restrict(self, unit_square):
-        sub = unit_square.restrict(["a", "b"])
-        assert len(sub) == 2
-        assert sub.distance("a", "b") == 1.0
-
-    def test_restrict_unknown_raises(self, unit_square):
-        with pytest.raises(EmbeddingError):
-            unit_square.restrict(["a", "nope"])
-
-    def test_merged_with(self, unit_square):
-        merged = unit_square.merged_with({"e": (2.0, 0.0)})
-        assert len(merged) == 5
-        assert merged.distance("b", "e") == 1.0
-        # original untouched
-        assert "e" not in unit_square
-
-
 class TestQueries:
-    def test_nearest_excludes_self(self, unit_square):
-        assert unit_square.nearest("a", ["a", "b", "c"]) == "b"
-
-    def test_nearest_no_candidates_raises(self, unit_square):
-        with pytest.raises(EmbeddingError):
-            unit_square.nearest("a", ["a"])
+    """The per-pair border rule the construction oracle scans with."""
 
     def test_closest_pair_simple(self, unit_square):
-        a, b, d = unit_square.closest_pair(["a", "d"], ["b", "c"])
+        a, b, d = closest_pair(unit_square, ["a", "d"], ["b", "c"])
         assert (a, b) in {("a", "b"), ("d", "c")}
         assert d == pytest.approx(1.0)
 
     def test_closest_pair_empty_raises(self, unit_square):
         with pytest.raises(EmbeddingError):
-            unit_square.closest_pair([], ["a"])
+            closest_pair(unit_square, [], ["a"])
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -115,7 +93,7 @@ class TestQueries:
             coords[f"b{i}"] = p
             group_b.append(f"b{i}")
         space = CoordinateSpace(coords)
-        _, _, d = space.closest_pair(group_a, group_b)
+        _, _, d = closest_pair(space, group_a, group_b)
         expected = min(
             space.distance(u, v) for u in group_a for v in group_b
         )

@@ -380,42 +380,63 @@ class TestProtocolDynamics:
             framework.overlay.placement[victim] = old
 
 
+def lossy_protocol(hfc, loss_rate, *, seed, plan_seed, horizon):
+    """A protocol whose simulator loses *loss_rate* of all copies until *horizon*."""
+    from repro.faults import FaultInjector, FaultPlan, LinkLoss
+    from repro.state import StateDistributionProtocol
+
+    protocol = StateDistributionProtocol(hfc, seed=seed)
+    plan = FaultPlan(plan_seed, (LinkLoss(0.0, horizon, loss_rate),))
+    FaultInjector(plan).install(protocol.sim)
+    return protocol
+
+
 class TestProtocolUnderLoss:
     def test_converges_despite_heavy_loss(self, framework):
-        """The periodic soft-state design must heal 30% message loss."""
-        from repro.state import StateDistributionProtocol
-
-        protocol = StateDistributionProtocol(
-            framework.hfc, loss_rate=0.3, seed=13
+        """The periodic soft-state design must heal 30% message loss, and
+        every lost copy is in the simulator's ledger."""
+        protocol = lossy_protocol(
+            framework.hfc, 0.3, seed=13, plan_seed=16, horizon=60000.0
         )
         report = protocol.run(max_time=60000.0)
-        assert protocol.messages_dropped > 0
         assert report.converged_at is not None
+        sim = protocol.sim
+        ledger = sim.conservation()
+        assert ledger["balanced"] and ledger["dropped"] > 0
+        assert report.messages_dropped == sim.messages_dropped == ledger["dropped"]
+        assert report.fault_drops["loss"] == report.messages_dropped
+        assert report.dropped_bytes > 0
+        assert report.dropped_bytes == sim.telemetry.registry.total("sim.bytes.dropped")
 
     def test_loss_slows_convergence(self, framework):
         from repro.state import StateDistributionProtocol
 
         clean = StateDistributionProtocol(framework.hfc, seed=14)
-        lossy = StateDistributionProtocol(
-            framework.hfc, loss_rate=0.4, seed=14
+        lossy = lossy_protocol(
+            framework.hfc, 0.4, seed=14, plan_seed=18, horizon=90000.0
         )
-        t_clean = clean.run(max_time=60000.0).converged_at
-        t_lossy = lossy.run(max_time=60000.0).converged_at
+        t_clean = clean.run(max_time=90000.0).converged_at
+        t_lossy = lossy.run(max_time=90000.0).converged_at
         assert t_clean is not None and t_lossy is not None
         assert t_lossy >= t_clean
 
     def test_invalid_loss_rate_rejected(self, framework):
+        """Loss is a fault plan's, validated there; the protocol has no knob."""
+        from repro.faults import LinkLoss
         from repro.state import StateDistributionProtocol
-        from repro.util.errors import StateError
+        from repro.util.errors import FaultError
 
-        with pytest.raises(StateError):
-            StateDistributionProtocol(framework.hfc, loss_rate=1.0)
-        with pytest.raises(StateError):
-            StateDistributionProtocol(framework.hfc, loss_rate=-0.1)
+        with pytest.raises(FaultError):
+            LinkLoss(0.0, 1000.0, 1.5)
+        with pytest.raises(FaultError):
+            LinkLoss(0.0, 1000.0, -0.1)
+        with pytest.raises(TypeError):
+            StateDistributionProtocol(framework.hfc, loss_rate=0.3)
 
     def test_zero_loss_drops_nothing(self, framework):
         from repro.state import StateDistributionProtocol
 
         protocol = StateDistributionProtocol(framework.hfc, seed=15)
-        protocol.run(max_time=5000.0)
-        assert protocol.messages_dropped == 0
+        report = protocol.run(max_time=5000.0)
+        assert report.messages_dropped == protocol.sim.messages_dropped == 0
+        assert report.dropped_bytes == 0

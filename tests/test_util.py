@@ -1,4 +1,4 @@
-"""Tests for the util package (rng, validation, errors)."""
+"""Tests for the util package (rng, errors)."""
 
 import random
 
@@ -12,14 +12,6 @@ from repro.util import (
     spawn,
 )
 from repro.util.rng import uniform_draws
-from repro.util.validation import (
-    require_at_least,
-    require_in_range,
-    require_non_empty,
-    require_non_negative,
-    require_positive,
-    require_unique,
-)
 
 
 class TestEnsureRng:
@@ -74,38 +66,6 @@ class TestUniformDraws:
             one_by_one.random() for _ in range(count)
         ]
         assert bulk.getstate() == one_by_one.getstate()
-
-
-class TestValidation:
-    def test_require_positive(self):
-        require_positive("x", 1.0)
-        with pytest.raises(ValueError):
-            require_positive("x", 0.0)
-
-    def test_require_non_negative(self):
-        require_non_negative("x", 0.0)
-        with pytest.raises(ValueError):
-            require_non_negative("x", -0.1)
-
-    def test_require_in_range(self):
-        require_in_range("x", 5, 0, 10)
-        with pytest.raises(ValueError):
-            require_in_range("x", 11, 0, 10)
-
-    def test_require_at_least(self):
-        require_at_least("x", 3, 3)
-        with pytest.raises(ValueError):
-            require_at_least("x", 2, 3)
-
-    def test_require_non_empty(self):
-        require_non_empty("x", [1])
-        with pytest.raises(ValueError):
-            require_non_empty("x", [])
-
-    def test_require_unique(self):
-        require_unique("x", [1, 2, 3])
-        with pytest.raises(ValueError):
-            require_unique("x", [1, 1])
 
 
 class TestErrors:
