@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import asdict
+from dataclasses import asdict, is_dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, Sequence
 
@@ -36,7 +36,6 @@ import numpy as np
 
 from repro.core import HFCFramework
 from repro.experiments import (
-    OverheadResult,
     WorkloadConfig,
     ascii_table,
     build_environment,
@@ -47,10 +46,9 @@ from repro.experiments import (
     scaled_table1,
 )
 from repro.experiments import ablations
-from repro.experiments.resilience import render_resilience, run_resilience_experiment
-from repro.experiments.serialize import efficiency_to_dict, overhead_to_dict
+from repro.experiments.resilience import run_resilience_experiment
 from repro.experiments.staleness import run_staleness_experiment
-from repro.experiments.stretch import render_stretch, run_stretch_analysis
+from repro.experiments.stretch import run_stretch_analysis
 from repro.faults import crash_restart_plan, run_fault_scenario, standard_fault_matrix
 from repro.hierarchy import RecursiveRouter, build_levels
 from repro.membership import run_churn_session
@@ -84,8 +82,11 @@ def _requests(full: bool) -> int:
     return 1000 if full else 150
 
 
-def _show(title: str, rows: Sequence[Dict[str, Any]]) -> None:
-    """Print *rows* (dicts sharing one key order) as a titled table."""
+def _show(title: str, rows: Sequence[Any]) -> None:
+    """Print *rows* as a titled table: dicts sharing one key order, or a
+    harness's row dataclasses, one column per field (a summary field prints
+    as its own string)."""
+    rows = [row if isinstance(row, dict) else vars(row) for row in rows]
     print(f"{title}\n" + ascii_table(list(rows[0]), [list(r.values()) for r in rows]))
 
 
@@ -116,18 +117,14 @@ def fig9(full: bool) -> Any:
     """Fig 9 — node-states per proxy, flat vs HFC: (a) coordinates, (b) services."""
     topologies = 10 if full else 3
     # each panel keeps the seed it was first recorded with
-    result = OverheadResult(
-        coordinates=run_overhead_experiment(
-            topologies_per_size=topologies, seed=91
-        ).coordinates,
-        service=run_overhead_experiment(
-            topologies_per_size=topologies, seed=92
-        ).service,
-    )
-    print(result.render())
-    for point in result.coordinates + result.service:
-        assert point.hierarchical < point.flat
-    return overhead_to_dict(result)
+    panels = {
+        "coordinates": run_overhead_experiment(topologies_per_size=topologies, seed=91).coordinates,
+        "service": run_overhead_experiment(topologies_per_size=topologies, seed=92).service,
+    }
+    for label, (panel, points) in zip("ab", panels.items()):
+        _show(f"Fig 9({label}) — {panel} node-states per proxy", points)
+        assert all(point.hierarchical < point.flat for point in points)
+    return {"figure": "9", "panels": panels}
 
 
 def fig10(full: bool) -> Any:
@@ -138,42 +135,36 @@ def fig10(full: bool) -> Any:
         requests_per_topology=_requests(full),
         seed=100,
     )
-    print(result.render())
+    _show("Fig 10 — avg. service path length (true delay units)",
+          [{"proxies": point.proxies, **point.mean_delay} for point in result.points])
     for point in result.points:
         assert all(v == 0 for v in point.failures.values())
         assert point.mean_delay["oracle"] <= point.mean_delay["hfc_full"]
-    return efficiency_to_dict(result)
+    return {"figure": "10", "strategies": list(result.strategies), "points": result.points}
 
 
-def _ablation(name: str, title: str, run: Callable, render: Callable, seed: int) -> Study:
+def _ablation(name: str, title: str, run: Callable, seed: int) -> Study:
     def study(full: bool) -> Any:
         rows = run(requests=max(50, _requests(full) // 2), seed=seed)
-        print(f"{title}\n{render(rows)}")
-        return [asdict(row) for row in rows]
+        _show(title, rows)
+        return rows
 
     study.__name__ = name
     return study
 
 
 ABLATIONS = [
-    _ablation("a1", "A1 — coordinate-space dimension",
-              ablations.run_dimension_ablation, ablations.render_dimension_ablation, 201),
-    _ablation("a2", "A2 — MST inconsistency factor",
-              ablations.run_inconsistency_ablation,
-              ablations.render_inconsistency_ablation, 202),
-    _ablation("a3", "A3 — border-selection rule",
-              ablations.run_border_ablation, ablations.render_border_ablation, 203),
-    _ablation("a4", "A4 — CSP relaxation method",
-              ablations.run_method_ablation, ablations.render_method_ablation, 204),
+    _ablation("a1", "A1 — coordinate-space dimension", ablations.run_dimension_ablation, 201),
+    _ablation("a2", "A2 — MST inconsistency factor", ablations.run_inconsistency_ablation, 202),
+    _ablation("a3", "A3 — border-selection rule", ablations.run_border_ablation, 203),
+    _ablation("a4", "A4 — CSP relaxation method", ablations.run_method_ablation, 204),
     _ablation("a5", "A5 — mesh link-information quality",
-              ablations.run_mesh_information_ablation,
-              ablations.render_mesh_information_ablation, 205),
+              ablations.run_mesh_information_ablation, 205),
     _ablation("a6", "A6 — cluster representation (all borders vs single logical node)",
-              ablations.run_aggregation_ablation, ablations.render_aggregation_ablation, 206),
+              ablations.run_aggregation_ablation, 206),
     _ablation("a7", "A7 — landmark placement (k-center vs random)",
-              ablations.run_landmark_ablation, ablations.render_landmark_ablation, 207),
-    _ablation("a8", "A8 — overlay topology family",
-              ablations.run_mesh_family_ablation, ablations.render_mesh_family_ablation, 208),
+              ablations.run_landmark_ablation, 207),
+    _ablation("a8", "A8 — overlay topology family", ablations.run_mesh_family_ablation, 208),
 ]
 
 
@@ -247,11 +238,11 @@ def staleness(full: bool) -> Any:
 def stretch(full: bool) -> Any:
     """E7 — per-request stretch vs the true-delay optimum."""
     rows = run_stretch_analysis(request_count=max(100, _requests(full)), seed=1100)
-    print(f"E7 — per-request stretch vs true-delay optimum\n{render_stretch(rows)}")
+    _show("E7 — per-request stretch vs true-delay optimum", rows)
     by = {r.strategy: r for r in rows}
     assert all(r.median >= 1.0 for r in rows)
     assert by["hfc_agg"].median <= by["mesh"].median * 1.1
-    return [asdict(row) for row in rows]
+    return rows
 
 
 def hierarchy_depth(full: bool) -> Any:
@@ -424,16 +415,15 @@ def resilience(full: bool) -> Any:
     """E4 — session delivery when a mid-path service proxy fails, by recovery policy."""
     proxies, sessions = (200, 16) if full else (48, 8)
     rows = run_resilience_experiment(proxy_count=proxies, sessions=sessions, seed=701)
-    print(f"E4 — session delivery under proxy failure, n={proxies}\n"
-          + render_resilience(rows))
+    _show(f"E4 — session delivery under proxy failure, n={proxies} (latency in ms)", rows)
     by = {r.policy: r for r in rows}
     assert by["reroute"].delivery_rate.mean >= by["no recovery"].delivery_rate.mean
     return {
         "proxies": proxies,
         "sessions": sessions,
-        "delivery_no_recovery": asdict(by["no recovery"].delivery_rate),
-        "delivery_reroute": asdict(by["reroute"].delivery_rate),
-        "recovery_latency": asdict(by["reroute"].recovery_latency),
+        "delivery_no_recovery": by["no recovery"].delivery_rate,
+        "delivery_reroute": by["reroute"].delivery_rate,
+        "recovery_latency": by["reroute"].recovery_latency,
     }
 
 
@@ -565,7 +555,10 @@ STUDIES: Sequence[Study] = [
 
 
 def _plain(value: Any) -> Any:
-    """JSON-ready copy: floats at 6 significant digits, counts and booleans exact."""
+    """JSON-ready copy: floats at 6 significant digits, counts and booleans exact;
+    a harness's row dataclasses go field by field."""
+    if is_dataclass(value):
+        return _plain(asdict(value))
     if isinstance(value, dict):
         return {str(k): _plain(v) for k, v in value.items()}
     if isinstance(value, list):

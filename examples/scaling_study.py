@@ -9,6 +9,7 @@ for the full 250/500/750/1000-proxy sweep (slow in pure Python).
 import sys
 
 from repro.experiments import (
+    ascii_table,
     run_overhead_experiment,
     run_path_efficiency,
     scaled_table1,
@@ -24,7 +25,12 @@ def main() -> None:
 
     print("Regenerating Fig 9 (state-maintenance overhead)...")
     overhead = run_overhead_experiment(specs, topologies_per_size=3, seed=1)
-    print(overhead.render())
+    print("Fig 9(a) coordinates / Fig 9(b) service node-states per proxy")
+    print(ascii_table(
+        ["proxies", "flat", "(a) hierarchical", "(b) hierarchical"],
+        [[c.proxies, c.flat, c.hierarchical, s.hierarchical]
+         for c, s in zip(overhead.coordinates, overhead.service)],
+    ))
     print()
 
     print("Regenerating Fig 10 (service-path efficiency)...")
@@ -35,7 +41,12 @@ def main() -> None:
         requests_per_topology=150,
         seed=2,
     )
-    print(efficiency.render())
+    print("Fig 10 — avg. service path length (true delay units)")
+    print(ascii_table(
+        ["proxies", *efficiency.strategies],
+        [[p.proxies, *(p.mean_delay[name] for name in efficiency.strategies)]
+         for p in efficiency.points],
+    ))
     print()
 
     last = efficiency.points[-1]

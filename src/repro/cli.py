@@ -3,50 +3,45 @@
 Commands:
 
 * ``demo``    — build a framework, route one request with every strategy;
-* ``table1``  — print the (scaled) Table 1 environments;
-* ``fig9``    — regenerate Fig 9 (state-maintenance overhead);
-* ``fig10``   — regenerate Fig 10 (service-path efficiency);
 * ``protocol``— run the Section-4 state protocol and print its cost;
 * ``telemetry`` — exercise every instrumented layer and dump the metrics;
 * ``traffic`` — sustained open-loop session load: steady-state report,
   optional rate sweep (saturation point) and load-under-faults scenario;
 * ``shard``   — synthetic large-n workload on the sharded event simulator.
 
-Common flags: ``--scale`` (fraction of paper sizes), ``--seed``,
-``--json FILE`` (machine-readable output), ``--telemetry-out FILE``
-(dump the process-wide telemetry snapshot collected during the command).
+Common flags: ``--seed``, ``--json FILE`` (machine-readable output),
+``--telemetry-out FILE`` (dump the process-wide telemetry snapshot collected
+during the command). The paper's Table 1, Fig 9 and Fig 10 and every other
+study are driven by ``make numbers`` (``benchmarks/numbers.py``), not here.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.core import HFCFramework
-from repro.experiments import (
-    ascii_table,
-    run_overhead_experiment,
-    run_path_efficiency,
-    scaled_table1,
-)
-from repro.experiments.serialize import (
-    dump_json,
-    efficiency_to_dict,
-    overhead_to_dict,
-)
+from repro.experiments import ascii_table
 from repro.routing import validate_path
 from repro.telemetry import get_telemetry
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--scale", type=float, default=0.2,
-                        help="fraction of the paper's Table 1 sizes (default 0.2)")
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--json", metavar="FILE", default=None,
                         help="also write results as JSON")
     parser.add_argument("--telemetry-out", metavar="FILE", default=None,
                         help="write the collected telemetry snapshot as JSON")
+
+
+def _dump_json(payload: Dict[str, Any], path: str) -> None:
+    """Write *payload* to *path* as pretty-printed JSON (``--json``)."""
+    with open(path, "w") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    print(f"JSON written to {path}")
 
 
 def _dump_telemetry(args: argparse.Namespace) -> None:
@@ -80,49 +75,6 @@ def cmd_demo(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_table1(args: argparse.Namespace) -> int:
-    specs = scaled_table1(args.scale)
-    print(ascii_table(
-        ["physical", "landmarks", "proxies", "clients",
-         "services/proxy", "req. length"],
-        [
-            [s.physical_nodes, s.landmarks, s.proxies, s.clients,
-             f"{s.min_services}-{s.max_services}",
-             f"{s.min_request_length}-{s.max_request_length}"]
-            for s in specs
-        ],
-    ))
-    return 0
-
-
-def cmd_fig9(args: argparse.Namespace) -> int:
-    result = run_overhead_experiment(
-        scaled_table1(args.scale),
-        topologies_per_size=args.topologies,
-        seed=args.seed,
-    )
-    print(result.render())
-    if args.json:
-        dump_json(overhead_to_dict(result), args.json)
-        print(f"JSON written to {args.json}")
-    return 0
-
-
-def cmd_fig10(args: argparse.Namespace) -> int:
-    result = run_path_efficiency(
-        scaled_table1(args.scale),
-        strategies=tuple(args.strategies.split(",")),
-        topologies_per_size=args.topologies,
-        requests_per_topology=args.requests,
-        seed=args.seed,
-    )
-    print(result.render())
-    if args.json:
-        dump_json(efficiency_to_dict(result), args.json)
-        print(f"JSON written to {args.json}")
-    return 0
-
-
 def cmd_protocol(args: argparse.Namespace) -> int:
     from repro.state.protocol import StateDistributionProtocol
 
@@ -136,8 +88,7 @@ def cmd_protocol(args: argparse.Namespace) -> int:
     print(ascii_table(["message kind", "count"], rows))
     print(f"converged at t={report.converged_at}")
     if args.json:
-        dump_json(report.to_dict(), args.json)
-        print(f"JSON written to {args.json}")
+        _dump_json(report.to_dict(), args.json)
     return 0
 
 
@@ -280,8 +231,7 @@ def cmd_traffic(args: argparse.Namespace) -> int:
         payload["under_faults"] = result.to_dict()
 
     if args.json:
-        dump_json(payload, args.json)
-        print(f"JSON written to {args.json}")
+        _dump_json(payload, args.json)
     return 0
 
 
@@ -307,7 +257,7 @@ def cmd_shard(args: argparse.Namespace) -> int:
           f"{result.event_rate:.0f}"]],
     ))
     if args.json:
-        dump_json(
+        _dump_json(
             {
                 "proxies": result.proxies,
                 "clusters": result.clusters,
@@ -325,7 +275,6 @@ def cmd_shard(args: argparse.Namespace) -> int:
             },
             args.json,
         )
-        print(f"JSON written to {args.json}")
     return 0
 
 
@@ -340,22 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--proxies", type=int, default=100)
     _add_common(demo)
     demo.set_defaults(fn=cmd_demo)
-
-    table1 = sub.add_parser("table1", help="print the (scaled) environments")
-    _add_common(table1)
-    table1.set_defaults(fn=cmd_table1)
-
-    fig9 = sub.add_parser("fig9", help="regenerate Fig 9")
-    _add_common(fig9)
-    fig9.add_argument("--topologies", type=int, default=3)
-    fig9.set_defaults(fn=cmd_fig9)
-
-    fig10 = sub.add_parser("fig10", help="regenerate Fig 10")
-    _add_common(fig10)
-    fig10.add_argument("--topologies", type=int, default=2)
-    fig10.add_argument("--requests", type=int, default=150)
-    fig10.add_argument("--strategies", default="mesh,hfc_agg,hfc_full")
-    fig10.set_defaults(fn=cmd_fig10)
 
     protocol = sub.add_parser("protocol", help="run the state protocol")
     protocol.add_argument("--proxies", type=int, default=100)

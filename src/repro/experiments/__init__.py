@@ -9,7 +9,7 @@ from repro.experiments.environments import (
 )
 from repro.experiments.overhead import OverheadResult, run_overhead_experiment
 from repro.experiments.path_efficiency import run_path_efficiency
-from repro.experiments.report import ascii_table, series_block
+from repro.experiments.report import ascii_table
 from repro.experiments.workload import (
     WorkloadConfig,
     generate_requests,
@@ -31,5 +31,4 @@ __all__ = [
     "run_path_efficiency",
     "scale_factor",
     "scaled_table1",
-    "series_block",
 ]

@@ -37,7 +37,6 @@ from repro.cluster.quality import separation_ratio, size_statistics
 from repro.coords.embedding import build_coordinate_space, embedding_accuracy
 from repro.core.config import FrameworkConfig
 from repro.experiments.environments import EnvironmentSpec, build_environment, scaled_table1
-from repro.experiments.report import ascii_table
 from repro.experiments.workload import (
     WorkloadConfig,
     generate_requests,
@@ -118,16 +117,6 @@ def run_dimension_ablation(
     return rows
 
 
-def render_dimension_ablation(rows: Sequence[DimensionRow]) -> str:
-    """A1 rows as a printable table."""
-    return ascii_table(
-        ["k", "median rel. err", "clusters", "separation", "HFC mean delay"],
-        [
-            [r.dimension, r.median_rel_error, r.cluster_count, r.separation, r.hfc_mean_delay]
-            for r in rows
-        ],
-    )
-
 
 # -- A2: inconsistency factor ------------------------------------------------------
 
@@ -183,17 +172,6 @@ def run_inconsistency_ablation(
         )
     return rows
 
-
-def render_inconsistency_ablation(rows: Sequence[FactorRow]) -> str:
-    """A2 rows as a printable table."""
-    return ascii_table(
-        ["factor", "clusters", "largest frac", "coord states", "svc states", "HFC delay"],
-        [
-            [r.factor, r.cluster_count, r.largest_fraction, r.coord_overhead,
-             r.service_overhead, r.hfc_mean_delay]
-            for r in rows
-        ],
-    )
 
 
 # -- A3: border-selection rule ---------------------------------------------------
@@ -253,13 +231,6 @@ def random_borders(clustering: Clustering, rng: random.Random) -> Dict[Tuple[int
     return borders
 
 
-def render_border_ablation(rows: Sequence[BorderRow]) -> str:
-    """A3 rows as a printable table."""
-    return ascii_table(
-        ["border rule", "HFC mean delay", "max load", "mean load"],
-        [[r.rule, r.hfc_mean_delay, r.max_border_load, r.mean_border_load] for r in rows],
-    )
-
 
 # -- A4: CSP relaxation method --------------------------------------------------------
 
@@ -292,13 +263,6 @@ def run_method_ablation(
         )
     return rows
 
-
-def render_method_ablation(rows: Sequence[MethodRow]) -> str:
-    """A4 rows as a printable table."""
-    return ascii_table(
-        ["CSP method", "HFC mean delay"],
-        [[r.method, r.hfc_mean_delay] for r in rows],
-    )
 
 
 # -- A7: landmark placement ----------------------------------------------------------
@@ -399,13 +363,6 @@ def run_landmark_ablation(
     return rows
 
 
-def render_landmark_ablation(rows: Sequence[LandmarkRow]) -> str:
-    """A7 rows as a printable table."""
-    return ascii_table(
-        ["landmark placement", "median rel. err", "HFC mean delay"],
-        [[r.placement, r.median_rel_error, r.hfc_mean_delay] for r in rows],
-    )
-
 
 # -- A6: cluster-aggregation representation ----------------------------------------
 
@@ -449,13 +406,6 @@ def run_aggregation_ablation(
     ]
 
 
-def render_aggregation_ablation(rows: Sequence[AggregationRow]) -> str:
-    """A6 rows as a printable table."""
-    return ascii_table(
-        ["cluster representation", "HFC mean delay"],
-        [[r.representation, r.hfc_mean_delay] for r in rows],
-    )
-
 
 # -- A5: mesh information quality -----------------------------------------------------
 
@@ -492,13 +442,6 @@ def run_mesh_information_ablation(
         )
     return rows
 
-
-def render_mesh_information_ablation(rows: Sequence[MeshInfoRow]) -> str:
-    """A5 rows as a printable table."""
-    return ascii_table(
-        ["mesh link weights", "mesh mean delay"],
-        [[r.weight, r.mesh_mean_delay] for r in rows],
-    )
 
 
 # -- A8: mesh family -------------------------------------------------------------
@@ -548,11 +491,3 @@ def run_mesh_family_ablation(
         ),
     ]
     return rows
-
-
-def render_mesh_family_ablation(rows: Sequence[MeshFamilyRow]) -> str:
-    """A8 rows as a printable table."""
-    return ascii_table(
-        ["overlay topology", "mean delay", "edges"],
-        [[r.topology, r.mean_delay, r.edges] for r in rows],
-    )

@@ -21,7 +21,6 @@ from repro.experiments.environments import (
     build_environment,
     scaled_table1,
 )
-from repro.experiments.report import series_block
 from repro.state.overhead import (
     mean_coordinates_overhead,
     mean_service_overhead,
@@ -46,29 +45,6 @@ class OverheadResult:
 
     coordinates: List[OverheadPoint]
     service: List[OverheadPoint]
-
-    def render(self) -> str:
-        """The two panels as printable series blocks."""
-        xs = [p.proxies for p in self.coordinates]
-        blocks = [
-            series_block(
-                "Fig 9(a) — coordinates-related node-states per proxy",
-                {
-                    "flat": [p.flat for p in self.coordinates],
-                    "hierarchical": [p.hierarchical for p in self.coordinates],
-                },
-                xs,
-            ),
-            series_block(
-                "Fig 9(b) — service-related node-states per proxy",
-                {
-                    "flat": [p.flat for p in self.service],
-                    "hierarchical": [p.hierarchical for p in self.service],
-                },
-                xs,
-            ),
-        ]
-        return "\n\n".join(blocks)
 
 
 def run_overhead_experiment(

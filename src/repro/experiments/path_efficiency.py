@@ -28,7 +28,6 @@ from repro.experiments.environments import (
     build_environment,
     scaled_table1,
 )
-from repro.experiments.report import series_block
 from repro.experiments.workload import (
     WorkloadConfig,
     generate_requests,
@@ -57,17 +56,6 @@ class EfficiencyResult:
 
     points: List[EfficiencyPoint]
     strategies: Sequence[str]
-
-    def render(self) -> str:
-        """Fig. 10's bars as a printable series block."""
-        xs = [p.proxies for p in self.points]
-        series = {
-            name: [p.mean_delay.get(name, float("nan")) for p in self.points]
-            for name in self.strategies
-        }
-        return series_block(
-            "Fig 10 — avg. service path length (true delay units)", series, xs
-        )
 
 
 def _routers_for(environment: Environment, strategies: Sequence[str], seed) -> Dict[str, object]:

@@ -1,12 +1,12 @@
-"""Plain-text reporting helpers for the experiment harnesses.
+"""Plain-text tables for the experiment harnesses' rows.
 
-Benchmarks print the same rows/series the paper's tables and figures show;
-these helpers keep that output consistent and dependency-free.
+``benchmarks/numbers.py`` prints every study's rows through
+:func:`ascii_table`, so the output stays consistent and dependency-free.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+from typing import Iterable, List, Sequence
 
 
 def ascii_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
@@ -26,15 +26,6 @@ def ascii_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str
         )
     out.append(line)
     return "\n".join(out)
-
-
-def series_block(title: str, series: Dict[str, Sequence[float]], xs: Sequence[object]) -> str:
-    """Render one figure's data series as labelled rows (x column first)."""
-    headers = ["x"] + list(series)
-    rows = []
-    for i, x in enumerate(xs):
-        rows.append([x] + [values[i] for values in series.values()])
-    return f"{title}\n" + ascii_table(headers, rows)
 
 
 def _fmt(cell: object) -> str:

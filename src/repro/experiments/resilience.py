@@ -15,7 +15,6 @@ from typing import List, Optional
 from repro.core.framework import HFCFramework
 from repro.dataplane.recovery import make_rerouter
 from repro.dataplane.session import StreamingSession
-from repro.experiments.report import ascii_table
 from repro.experiments.stats import Summary, summarize
 from repro.routing.hierarchical import HierarchicalRouter
 from repro.util.errors import RoutingError
@@ -101,19 +100,3 @@ def run_resilience_experiment(
             )
         )
     return rows
-
-
-def render_resilience(rows: List[ResilienceRow]) -> str:
-    """Resilience rows as a printable table."""
-    table_rows = []
-    for row in rows:
-        recovery = (
-            str(row.recovery_latency) if row.recovery_latency else "-"
-        )
-        table_rows.append(
-            [row.policy, row.sessions, str(row.delivery_rate), recovery]
-        )
-    return ascii_table(
-        ["policy", "sessions", "delivery rate", "recovery latency (ms)"],
-        table_rows,
-    )

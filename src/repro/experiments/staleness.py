@@ -29,7 +29,6 @@ from typing import List
 import numpy as np
 
 from repro.core.framework import HFCFramework
-from repro.experiments.report import ascii_table
 from repro.experiments.workload import resolve_requests
 from repro.routing.cache import CachedHierarchicalRouter
 from repro.services.request import ServiceRequest
@@ -123,12 +122,4 @@ def _route_all(
         routed=len(delays),
         infeasible=result.infeasible_count,
         mean_delay=float(np.mean(delays)) if delays else float("nan"),
-    )
-
-
-def render_staleness(rows: List[StalenessRow]) -> str:
-    """E6 rows as a printable table."""
-    return ascii_table(
-        ["SCT_C state", "routed", "infeasible", "mean delay"],
-        [[r.state, r.routed, r.infeasible, r.mean_delay] for r in rows],
     )

@@ -51,10 +51,6 @@ class Summary:
     def high(self) -> float:
         return self.mean + self.ci95
 
-    def overlaps(self, other: "Summary") -> bool:
-        """True if the two 95% intervals overlap (difference not resolved)."""
-        return self.low <= other.high and other.low <= self.high
-
     def __str__(self) -> str:
         return f"{self.mean:.2f} ± {self.ci95:.2f} (n={self.count})"
 
@@ -71,10 +67,3 @@ def summarize(values: Sequence[float]) -> Summary:
     std = math.sqrt(variance)
     ci95 = t_critical_95(n - 1) * std / math.sqrt(n)
     return Summary(count=n, mean=mean, std=std, ci95=ci95)
-
-
-def relative_difference(a: float, b: float) -> float:
-    """(a - b) / b — positive when a exceeds b."""
-    if b == 0:
-        raise ReproError("relative difference undefined for b == 0")
-    return (a - b) / b

@@ -20,7 +20,6 @@ from repro.experiments.environments import (
     scaled_table1,
 )
 from repro.experiments.path_efficiency import _routers_for
-from repro.experiments.report import ascii_table
 from repro.experiments.workload import (
     WorkloadConfig,
     generate_requests,
@@ -92,14 +91,3 @@ def run_stretch_analysis(
             )
         )
     return rows
-
-
-def render_stretch(rows: Sequence[StretchRow]) -> str:
-    """E7 rows as a printable table."""
-    return ascii_table(
-        ["strategy", "median", "p90", "p99", "worst", "requests"],
-        [
-            [r.strategy, r.median, r.p90, r.p99, r.worst, r.requests]
-            for r in rows
-        ],
-    )

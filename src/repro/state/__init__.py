@@ -15,10 +15,8 @@ from repro.state.delta import (
 )
 from repro.state.overhead import (
     coordinates_node_states,
-    flat_node_states,
     mean_coordinates_overhead,
     mean_service_overhead,
-    message_overhead,
     service_node_states,
 )
 from repro.state.protocol import (
@@ -44,9 +42,7 @@ __all__ = [
     "ServiceCapabilityTable",
     "StateDistributionProtocol",
     "coordinates_node_states",
-    "flat_node_states",
     "mean_coordinates_overhead",
     "mean_service_overhead",
-    "message_overhead",
     "service_node_states",
 ]

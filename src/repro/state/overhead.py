@@ -25,11 +25,6 @@ from repro.overlay.hfc import HFCTopology
 from repro.overlay.network import ProxyId
 
 
-def flat_node_states(overlay_size: int) -> int:
-    """Per-proxy node-states in a flat (single-level) topology."""
-    return overlay_size
-
-
 def coordinates_node_states(hfc: HFCTopology) -> Dict[ProxyId, int]:
     """Per-proxy coordinates-related node-states in the HFC topology."""
     all_borders = set(hfc.all_border_nodes())
@@ -51,26 +46,6 @@ def service_node_states(hfc: HFCTopology) -> Dict[ProxyId, int]:
         for proxy in members:
             result[proxy] = len(members) + hfc.cluster_count
     return result
-
-
-def message_overhead(report) -> Dict[str, object]:
-    """Wire-cost accounting of one protocol run.
-
-    Complements the Fig-9 *stored* node-state accounting with the *moved*
-    state: delivered sizes per message kind, dropped bytes (messages put
-    on the wire but lost to the loss model), and the mean delivered
-    message size — the number the delta encoding shrinks.
-    """
-    mean_size = (
-        report.total_size / report.total_messages if report.total_messages else 0.0
-    )
-    return {
-        "bytes_by_kind": dict(report.bytes_by_kind),
-        "total_messages": report.total_messages,
-        "total_size": report.total_size,
-        "dropped_bytes": report.dropped_bytes,
-        "mean_message_size": mean_size,
-    }
 
 
 def mean_coordinates_overhead(hfc: HFCTopology) -> float:

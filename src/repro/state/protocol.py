@@ -272,20 +272,28 @@ class _ProxyAgent(Process):
 class ProtocolCapabilityFeed:
     """A versioned SCT_C view over a running protocol (feed contract).
 
-    ``version`` is the observer proxy's SCT_C revision counter — it
-    advances exactly when the observed table content changes, so routers
+    ``version`` follows the observer proxy's live SCT_C revision counter —
+    it advances exactly when the observed table content changes, so routers
     bound to this feed refresh (and drop their caches) precisely when the
-    protocol learned something new. Duck-typed against
+    protocol learned something new. A wipe, a warm restore or the
+    observer's removal swaps in a table whose revisions restart; the
+    version then continues past everything the old table reached, so it
+    never repeats one a router already synced to. Duck-typed against
     :class:`repro.core.versioning.CapabilityFeed`.
     """
 
     def __init__(self, protocol: "StateDistributionProtocol") -> None:
         self._protocol = protocol
-        self._observer = protocol.states[protocol.hfc.overlay.proxies[0]]
+        self._table = protocol._observer().sct_c
+        self._base = 0
 
     @property
     def version(self) -> int:
-        return self._observer.sct_c.revision
+        table = self._protocol._observer().sct_c
+        if table is not self._table:
+            self._base += self._table.revision + 1
+            self._table = table
+        return self._base + table.revision
 
     def capabilities(self) -> Dict[ClusterId, FrozenSet[ServiceName]]:
         return self._protocol.capabilities_for_routing()
@@ -504,15 +512,15 @@ class StateDistributionProtocol:
         }
 
     def snapshot_state_plane(self) -> Dict[str, object]:
-        """Per-proxy :meth:`snapshot_proxy` captures for every proxy.
+        """Per-proxy :meth:`snapshot_proxy` captures for every tracked proxy.
 
         The shape ``repro.persistence.save_snapshot`` accepts as its
         ``state_plane`` argument (keys are proxy ids as strings — the
         capture is JSON all the way down).
         """
         return {
-            str(proxy): self.snapshot_proxy(proxy)
-            for proxy in self.hfc.overlay.proxies
+            str(agent.proxy): self.snapshot_proxy(agent.proxy)
+            for agent in self._agents
         }
 
     def restore_state(
@@ -661,16 +669,21 @@ class StateDistributionProtocol:
     def capabilities_for_routing(self) -> Dict[ClusterId, FrozenSet[ServiceName]]:
         """A destination proxy's current SCT_C view, usable by the router.
 
-        Picks an arbitrary fixed proxy (the first overlay proxy) as the
-        observer; useful for wiring possibly-stale protocol state into
+        The observer is the first proxy the protocol still tracks, read live
+        (a wipe or restore replaces its tables); useful for wiring
+        possibly-stale protocol state into
         :class:`~repro.routing.hierarchical.HierarchicalRouter`.
         """
-        observer = self.states[self.hfc.overlay.proxies[0]]
+        observer = self._observer()
         return {
             cid: observer.sct_c.services_of(cid)
             for cid in range(self.hfc.cluster_count)
             if cid in observer.sct_c
         }
+
+    def _observer(self) -> ProxyState:
+        """The state routing reads: the first tracked proxy's, as it is now."""
+        return self._agents[0].state
 
     def capability_feed(self) -> ProtocolCapabilityFeed:
         """A versioned feed over :meth:`capabilities_for_routing`.

@@ -1,14 +1,14 @@
-"""Tests for the ablation harnesses (A1-A7)."""
+"""Tests for the ablation harnesses (A1-A8).
+
+Each ``test_render`` prints the rows through ``benchmarks/numbers.py``'s one
+table printer, the way ``make numbers`` shows them.
+"""
 
 import pytest
 
+from benchmarks.numbers import _show
 from repro.experiments.ablations import (
     random_borders,
-    render_border_ablation,
-    render_dimension_ablation,
-    render_inconsistency_ablation,
-    render_mesh_information_ablation,
-    render_method_ablation,
     run_border_ablation,
     run_dimension_ablation,
     run_inconsistency_ablation,
@@ -40,9 +40,9 @@ class TestDimensionAblation:
             assert row.cluster_count >= 1
             assert row.hfc_mean_delay > 0
 
-    def test_render(self, rows):
-        text = render_dimension_ablation(rows)
-        assert "median rel. err" in text
+    def test_render(self, rows, capsys):
+        _show("A1", rows)
+        assert "median_rel_error" in capsys.readouterr().out
 
 
 class TestInconsistencyAblation:
@@ -61,8 +61,9 @@ class TestInconsistencyAblation:
             assert row.service_overhead > 0
             assert 0 < row.largest_fraction <= 1
 
-    def test_render(self, rows):
-        assert "factor" in render_inconsistency_ablation(rows)
+    def test_render(self, rows, capsys):
+        _show("A2", rows)
+        assert "largest_fraction" in capsys.readouterr().out
 
 
 class TestBorderAblation:
@@ -86,8 +87,9 @@ class TestBorderAblation:
             assert row.max_border_load >= 1
             assert row.mean_border_load >= 1
 
-    def test_render(self, rows):
-        assert "border rule" in render_border_ablation(rows)
+    def test_render(self, rows, capsys):
+        _show("A3", rows)
+        assert "max_border_load" in capsys.readouterr().out
 
     def test_random_border_rule_valid_but_not_closest(self, framework):
         clustering = framework.clustering
@@ -111,8 +113,9 @@ class TestMethodAblation:
         by = {r.method: r.hfc_mean_delay for r in rows}
         assert by["backtrack"] <= by["external"] * 1.05
 
-    def test_render(self, rows):
-        assert "CSP method" in render_method_ablation(rows)
+    def test_render(self, rows, capsys):
+        _show("A4", rows)
+        assert "backtrack" in capsys.readouterr().out
 
 
 class TestMeshInformationAblation:
@@ -127,8 +130,9 @@ class TestMeshInformationAblation:
         by = {r.weight: r.mesh_mean_delay for r in rows}
         assert by["true"] <= by["coords"] * 1.05
 
-    def test_render(self, rows):
-        assert "mesh link weights" in render_mesh_information_ablation(rows)
+    def test_render(self, rows, capsys):
+        _show("A5", rows)
+        assert "mesh_mean_delay" in capsys.readouterr().out
 
 
 class TestAggregationAblation:
@@ -147,10 +151,9 @@ class TestAggregationAblation:
     def test_delays_positive(self, rows):
         assert all(r.hfc_mean_delay > 0 for r in rows)
 
-    def test_render(self, rows):
-        from repro.experiments.ablations import render_aggregation_ablation
-
-        assert "cluster representation" in render_aggregation_ablation(rows)
+    def test_render(self, rows, capsys):
+        _show("A6", rows)
+        assert "single logical node" in capsys.readouterr().out
 
 
 class TestCentroidRouterPaths:
@@ -216,10 +219,9 @@ class TestLandmarkAblation:
             assert 0 <= row.median_rel_error < 1.5
             assert row.hfc_mean_delay > 0
 
-    def test_render(self, rows):
-        from repro.experiments.ablations import render_landmark_ablation
-
-        assert "landmark placement" in render_landmark_ablation(rows)
+    def test_render(self, rows, capsys):
+        _show("A7", rows)
+        assert "median_rel_error" in capsys.readouterr().out
 
 
 class TestMeshFamilyAblation:
@@ -239,7 +241,6 @@ class TestMeshFamilyAblation:
             assert row.mean_delay > 0
             assert row.edges > 0
 
-    def test_render(self, rows):
-        from repro.experiments.ablations import render_mesh_family_ablation
-
-        assert "overlay topology" in render_mesh_family_ablation(rows)
+    def test_render(self, rows, capsys):
+        _show("A8", rows)
+        assert "gabriel mesh" in capsys.readouterr().out

@@ -157,19 +157,12 @@ class TestDeltaProtocol:
             assert report.to_dict()["bytes_by_kind"] == report.bytes_by_kind
 
     def test_message_overhead_accounting(self, reports):
-        from repro.state import message_overhead
-
-        accounts = {}
+        mean_size = {}
         for mode, (_, report) in reports.items():
-            acct = message_overhead(report)
-            assert acct["total_size"] == report.total_size
-            assert acct["dropped_bytes"] == 0
-            accounts[mode] = acct
+            assert report.dropped_bytes == 0
+            mean_size[mode] = report.total_size / report.total_messages
         # the delta encoding shrinks the mean delivered message
-        assert (
-            accounts["delta"]["mean_message_size"]
-            < accounts["full"]["mean_message_size"] / 2
-        )
+        assert mean_size["delta"] < mean_size["full"] / 2
 
     def test_delta_stats_counted(self, reports):
         protocol, report = reports["delta"]
@@ -200,7 +193,6 @@ class TestDeltaProtocol:
 
     def test_lossy_delta_run_accounts_dropped_bytes(self, tiny_framework):
         from repro.faults import FaultInjector, FaultPlan, LinkLoss
-        from repro.state import message_overhead
 
         protocol = StateDistributionProtocol(tiny_framework.hfc, seed=23)
         plan = FaultPlan(19, (LinkLoss(0.0, 40000.0, 0.2),))
@@ -211,7 +203,6 @@ class TestDeltaProtocol:
         by_kind = registry.values_by_label("sim.bytes.dropped", "kind")
         assert report.dropped_bytes == sum(by_kind.values()) > 0
         assert set(by_kind) <= set(report.bytes_by_kind)
-        assert message_overhead(report)["dropped_bytes"] == report.dropped_bytes
 
 
 class TestCapabilityFeeds:

@@ -31,12 +31,21 @@ def _walk(value, path=""):
             yield from _walk(child, f"{path}.{index}")
 
 
+#: the two cheapest studies of production routing and state, and every study
+#: the driver prints and writes from a harness's row dataclasses
+FRESH = [
+    numbers.hierarchy_depth, numbers.state_bytes,
+    numbers.table1, numbers.fig9, numbers.fig10, *numbers.ABLATIONS,
+    numbers.staleness, numbers.stretch, numbers.resilience,
+]
+
+
 @pytest.fixture(scope="module")
 def small_run():
-    """The two cheapest studies of production routing and state, at ``small``."""
+    """:data:`FRESH` at ``small``."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setenv("REPRO_SCALE", "small")
-        yield numbers.run([numbers.hierarchy_depth, numbers.state_bytes])
+        yield numbers.run(FRESH)
 
 
 def test_committed_sections_match_a_fresh_run(small_run):

@@ -1,9 +1,13 @@
-"""The README's quickstart snippet must actually run."""
+"""The README's quickstart snippet must actually run, and the docs name only
+commands that exist."""
 
 import pathlib
 import re
 
-README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+from repro.cli import build_parser
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def test_quickstart_snippet_executes():
@@ -31,3 +35,14 @@ def test_architecture_block_matches_source_tree():
     assert actual <= named | {"util"}, (
         f"packages undocumented in README: {actual - named - {'util'}}"
     )
+
+
+def test_docs_name_only_real_commands():
+    """Every ``python -m repro <command>`` (or ``a|b|c``) the docs show is a subcommand."""
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    named = set()
+    for doc in ("README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"):
+        for group in re.findall(r"python -m repro\s+([a-z][\w|\\]*)", (ROOT / doc).read_text()):
+            named |= {name for name in re.split(r"\\?\|", group) if name}
+    assert named, "the docs show no command"
+    assert named <= set(sub.choices), f"docs name missing commands: {named - set(sub.choices)}"

@@ -2,9 +2,10 @@
 
 import pytest
 
+from benchmarks.numbers import _show
 from repro.experiments.environments import EnvironmentSpec
-from repro.experiments.staleness import render_staleness, run_staleness_experiment
-from repro.experiments.stretch import render_stretch, run_stretch_analysis
+from repro.experiments.staleness import run_staleness_experiment
+from repro.experiments.stretch import run_stretch_analysis
 from repro.util.errors import ReproError
 
 TINY = EnvironmentSpec(physical_nodes=150, landmarks=10, proxies=40, clients=10)
@@ -30,8 +31,9 @@ class TestStaleness:
         for row in rows:
             assert row.routed + row.infeasible == 30
 
-    def test_render(self, rows):
-        assert "SCT_C state" in render_staleness(rows)
+    def test_render(self, rows, capsys):
+        _show("E6", rows)
+        assert "re-converged" in capsys.readouterr().out
 
 
 class TestStretch:
@@ -54,5 +56,6 @@ class TestStretch:
         with pytest.raises(ReproError):
             run_stretch_analysis(strategies=("oracle",), spec=TINY, seed=5)
 
-    def test_render(self, rows):
-        assert "p99" in render_stretch(rows)
+    def test_render(self, rows, capsys):
+        _show("E7", rows)
+        assert "p99" in capsys.readouterr().out

@@ -7,7 +7,6 @@ from repro.state import (
     ServiceCapabilityTable,
     StateDistributionProtocol,
     coordinates_node_states,
-    flat_node_states,
     mean_coordinates_overhead,
     mean_service_overhead,
     service_node_states,
@@ -231,6 +230,58 @@ class TestDepartedProxy:
             assert proxy in state.sct_p
 
 
+class TestObserverIsLive:
+    """Routing's SCT_C view, its feed and the snapshot follow the tracked agents."""
+
+    @pytest.fixture
+    def protocol(self, tiny_framework):
+        protocol = StateDistributionProtocol(tiny_framework.hfc, seed=3)
+        assert protocol.run().converged_at is not None
+        return protocol
+
+    def test_removing_the_observer_hands_the_view_to_the_next_proxy(self, protocol):
+        first, second = protocol.hfc.overlay.proxies[:2]
+        feed = protocol.capability_feed()
+        before = feed.version
+        protocol.remove_proxy(first)
+        assert set(protocol.snapshot_state_plane()) == {str(p) for p in protocol.states}
+        table = protocol.states[second].sct_c
+        assert protocol.capabilities_for_routing() == {
+            cid: table.services_of(cid) for cid in range(protocol.hfc.cluster_count)
+            if cid in table
+        }
+        assert feed.version > before
+
+    def test_a_feed_bound_router_relearns_a_wiped_observer(self, protocol):
+        from repro.routing.cache import CachedHierarchicalRouter
+
+        observer = protocol.hfc.overlay.proxies[0]
+        feed = protocol.capability_feed()
+        router = CachedHierarchicalRouter(protocol.hfc, capability_feed=feed)
+        assert router.refresh_capabilities()
+        assert router.cluster_capabilities == protocol.ground_truth_sct_c()
+        seen = [feed.version]
+        protocol.wipe_state(observer)
+        assert router.refresh_capabilities()
+        assert set(router.cluster_capabilities) == {protocol.hfc.cluster_of(observer)}
+        while not protocol.converged():
+            protocol.sim.run_until(protocol.sim.now + 250.0)
+            seen.append(feed.version)
+        assert seen == sorted(seen) and seen[1] > seen[0]
+        router.refresh_capabilities()
+        assert router.cluster_capabilities == protocol.ground_truth_sct_c()
+
+    def test_a_restore_never_repeats_a_version(self, protocol):
+        observer = protocol.hfc.overlay.proxies[0]
+        feed = protocol.capability_feed()
+        saved, versions = protocol.snapshot_proxy(observer), [feed.version]
+        protocol.wipe_state(observer)
+        versions.append(feed.version)
+        protocol.restore_state(observer, saved)
+        versions.append(feed.version)
+        assert versions == sorted(set(versions))
+
+
 class TestProtocol:
     @pytest.fixture(scope="class")
     def report_and_protocol(self, framework):
@@ -288,9 +339,6 @@ class TestProtocol:
 
 
 class TestOverheadAccounting:
-    def test_flat_is_n(self):
-        assert flat_node_states(250) == 250
-
     def test_coordinates_node_states_formula(self, framework):
         hfc = framework.hfc
         states = coordinates_node_states(hfc)

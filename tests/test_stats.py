@@ -4,11 +4,7 @@ import math
 
 import pytest
 
-from repro.experiments.stats import (
-    relative_difference,
-    summarize,
-    t_critical_95,
-)
+from repro.experiments.stats import summarize, t_critical_95
 from repro.util.errors import ReproError
 
 
@@ -57,21 +53,5 @@ class TestSummarize:
         assert s.low == pytest.approx(s.mean - s.ci95)
         assert s.high == pytest.approx(s.mean + s.ci95)
 
-    def test_overlaps(self):
-        a = summarize([1.0, 2.0, 3.0])
-        b = summarize([2.5, 3.5, 4.5])
-        far = summarize([100.0, 101.0, 102.0])
-        assert a.overlaps(b) and b.overlaps(a)
-        assert not a.overlaps(far)
-
     def test_str_format(self):
         assert "n=3" in str(summarize([1.0, 2.0, 3.0]))
-
-
-class TestRelativeDifference:
-    def test_positive_when_a_larger(self):
-        assert relative_difference(12.0, 10.0) == pytest.approx(0.2)
-
-    def test_zero_denominator_rejected(self):
-        with pytest.raises(ReproError):
-            relative_difference(1.0, 0.0)
