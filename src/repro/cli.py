@@ -9,10 +9,11 @@ Commands:
   optional rate sweep (saturation point) and load-under-faults scenario;
 * ``shard``   — synthetic large-n workload on the sharded event simulator.
 
-Common flags: ``--seed``, ``--json FILE`` (machine-readable output),
-``--telemetry-out FILE`` (dump the process-wide telemetry snapshot collected
-during the command). The paper's Table 1, Fig 9 and Fig 10 and every other
-study are driven by ``make numbers`` (``benchmarks/numbers.py``), not here.
+Common flags: ``--seed``, ``--telemetry-out FILE`` (dump the process-wide
+telemetry snapshot collected during the command), and but for ``demo``
+``--json FILE`` (machine-readable output). The paper's Table 1, Fig 9 and
+Fig 10 and every other study are driven by ``make numbers``
+(``benchmarks/numbers.py``), not here.
 """
 
 from __future__ import annotations
@@ -30,8 +31,6 @@ from repro.telemetry import get_telemetry
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--json", metavar="FILE", default=None,
-                        help="also write results as JSON")
     parser.add_argument("--telemetry-out", metavar="FILE", default=None,
                         help="write the collected telemetry snapshot as JSON")
 
@@ -347,6 +346,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(shard)
     shard.set_defaults(fn=cmd_shard)
 
+    # demo writes nothing: --json there is a usage error, not a silent no-op
+    for writer in (protocol, telemetry, traffic, shard):
+        writer.add_argument("--json", metavar="FILE", default=None,
+                            help="also write results as JSON")
     return parser
 
 

@@ -23,6 +23,7 @@ trace. Every decision also bumps a ``faults.*`` telemetry counter.
 
 from __future__ import annotations
 
+import functools
 from bisect import bisect_right
 from typing import Any, Callable, Dict, List, Optional
 
@@ -98,7 +99,8 @@ class FaultInjector:
         proxy ids fault specs name (default: identity). Layers that
         register auxiliary processes under namespaced addresses (the
         traffic engine's per-proxy relays) pass their resolver so
-        crash/partition/loss matching sees the proxy.
+        crash/partition/loss matching sees the proxy. A resolver must be
+        pure: it is asked once per address and its answer kept.
         """
         if self.sim is not None:
             raise FaultError("injector is already installed")
@@ -107,7 +109,7 @@ class FaultInjector:
         self.sim = sim
         self._on_restart = on_restart
         self._on_crash = on_crash
-        self._resolve = resolve
+        self._resolve = None if resolve is None else functools.cache(resolve)
         sim.interceptor = self.intercept
         registry = sim.telemetry.registry
         self._drop_counters = {
@@ -169,8 +171,7 @@ class FaultInjector:
         now = sim.now
         sender, recipient = message.sender, message.recipient
         if self._resolve is not None:
-            sender = self._resolve(sender)
-            recipient = self._resolve(recipient)
+            sender, recipient = self._resolve(sender), self._resolve(recipient)
 
         # neither endpoint ever crashes, no window is open: no draw, no trace
         crashes = sender in self._crashes_of or recipient in self._crashes_of

@@ -18,11 +18,11 @@ resolution crosses. This module hosts the structures one pipeline call
 * :func:`child_specs` — the conquer candidates of a call's children, from
   one pass over each touched cluster's members and the live placement.
 * :func:`solve_specs` / :func:`solve_child_spec` — the proxies picked for a
-  call's children (one padded kernel) or for one child (the flat solver),
+  call's children (one ragged kernel) or for one child (the flat solver),
   and :func:`child_hops`, the hop sequence a child's picks stand for.
 * :class:`BatchRouteResult` — aligned per-request outcomes of a batch.
-* :func:`padded` / :func:`staircase` / :func:`backtrack` — the row layout
-  the two padded chain kernels (cluster-level CSP, conquer) share.
+* :func:`ragged_chunks` / :func:`segment_argmin` — the ragged layout the two
+  chain kernels (cluster-level CSP, conquer) share.
 
 Only intra-cluster border pairs enter the ``d_border`` table: the
 back-tracking cost model charges internal segments exclusively between two
@@ -41,7 +41,9 @@ from typing import (
     Callable,
     Dict,
     Hashable,
+    Iterator,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Set,
@@ -57,6 +59,8 @@ from repro.overlay.network import ProxyId
 from repro.routing.path import Hop, ServicePath
 from repro.routing.servicedag import solve_vectorised
 from repro.services.graph import ServiceGraph
+from repro.telemetry import NULL_TELEMETRY
+from repro.telemetry.tracing import Tracer
 from repro.util.errors import NoFeasiblePathError
 
 ClusterId = int
@@ -72,47 +76,104 @@ def service_graph_signature(sg: ServiceGraph) -> Hashable:
     return sg.signature
 
 
-# -- the staircase: what the two padded chain kernels share ---------------------
+# -- the ragged layout: what the two chain kernels share -------------------------
 
-#: rows per padded kernel pass. A pass holds up to ten (rows x width x width)
-#: temporaries (width = candidates per slot, 13 clusters at n=2000: 170 KB
-#: each at 128 rows). One pass over a 1000-request batch held eight times
-#: that and raised the peak RSS of ``route_2k`` by 16%; 192 rows, by 3%.
-_BLOCK_ROWS = 128
-
-
-def padded(rows: Sequence[Sequence[Any]], dtype: Any = np.int64) -> Tuple[np.ndarray, np.ndarray]:
-    """*rows* as one zero-padded matrix (at least one lane wide) and its validity mask."""
-    lens = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-    mask = np.arange(max(1, int(lens.max(initial=0))))[None, :] < lens[:, None]
-    matrix = np.zeros(mask.shape, dtype=dtype)
-    matrix[mask] = list(chain.from_iterable(rows))
-    return matrix, mask
+#: real (row, predecessor lane, lane) triples per kernel chunk. A chunk keeps
+#: a few triple-length arrays alive; at n=2000 doubling this to 32k raised the
+#: peak RSS of ``route_2k`` by 4% (2% here, 0.5% at 8k) for 7% more requests/s
+_CHUNK_TRIPLES = 16384
 
 
-def staircase(lengths: Sequence[int]) -> List[List[int]]:
-    """Row positions longest chain first, cut into blocks of ``_BLOCK_ROWS``:
-    inside a block chain position *t* relaxes only the prefix of rows that
-    reach it, so one launch per stage serves every chain length with no wasted
-    lanes (a finished row's labels simply stop being touched)."""
-    order = sorted(range(len(lengths)), key=lengths.__getitem__, reverse=True)
-    return [order[at : at + _BLOCK_ROWS] for at in range(0, len(order), _BLOCK_ROWS)]
+class Ragged(NamedTuple):
+    """One chunk of chains. A slot's *lanes* are its candidates, numbered
+    position-major; ``items[lane]`` indexes the flat candidates, the first
+    ``heads`` are position 0 (rows ``head_rows``). Past it a lane is one
+    *segment* of ``seg_len`` triples ``(its row, predecessor lane, it)``
+    (``pred``), and ``positions`` slices lanes, triples and segments per
+    position; ``tail`` blocks each row's last lanes, ``beyond`` the extra."""
+
+    items: np.ndarray
+    head_rows: np.ndarray
+    heads: int
+    pred: np.ndarray
+    seg_len: np.ndarray
+    positions: List[Tuple[slice, slice, np.ndarray, np.ndarray]]
+    tail: np.ndarray
+    beyond: np.ndarray
+    lengths: List[int]
+
+    def walk(self, parent: np.ndarray, final: np.ndarray, values: np.ndarray) -> List[List[Any]]:
+        """Per row, ``values`` of the lanes it picked from its lane *final*
+        back along ``parent`` (a position-0 lane is its own), first first."""
+        walked = np.empty((len(final), len(self.positions) + 1), dtype=np.int64)
+        for step in range(walked.shape[1]):
+            walked[:, step] = final
+            final = parent.take(final)
+        return [row[n - 1 :: -1] for row, n in zip(values.take(walked).tolist(), self.lengths)]
 
 
-def backtrack(
-    parents: List[np.ndarray], winner: np.ndarray, last: np.ndarray, alive: List[int]
-) -> np.ndarray:
-    """The lane chosen at every position of every row of a staircase block:
-    ``parents[t - 1]`` holds, for the ``alive[t]`` rows reaching position *t*,
-    each lane's best predecessor lane; *winner* is each row's best lane at its
-    own position ``last``."""
-    rows = np.arange(len(winner))
-    lanes = np.zeros((len(winner), len(alive)), dtype=np.int64)
-    lanes[rows, last] = winner
-    for t in range(len(alive) - 2, -1, -1):
-        n = alive[t + 1]
-        lanes[:n, t] = parents[t][rows[:n], lanes[:n, t + 1]]
-    return lanes
+def ragged_chunks(
+    widths: Sequence[int], rows: Sequence[Sequence[int]]
+) -> Iterator[Tuple[int, int, Ragged]]:
+    """Rows ``r0:r1`` and their layout per chunk of about ``_CHUNK_TRIPLES``
+    real triples. A row lists its slots' candidate groups, group *g* being
+    the ``widths[g] >= 1`` flat candidates after the groups before it."""
+    group = np.array(widths, dtype=np.int64)
+    slots = np.fromiter(chain.from_iterable(rows), dtype=np.int64)
+    start, width = (np.cumsum(group) - group)[slots], group[slots]
+    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    ends, bounds = np.cumsum(lengths), [0, len(rows)]
+    if len(width) * int(width.max()) ** 2 > _CHUNK_TRIPLES:  # else surely one chunk
+        pairs = np.zeros(len(width), dtype=np.int64)
+        np.multiply(width[1:], width[:-1], out=pairs[1:])
+        pairs[ends[:-1]] = 0  # a row's first slot has no predecessor
+        through = np.cumsum(pairs)[ends - 1] // _CHUNK_TRIPLES
+        bounds[1:1] = (np.flatnonzero(np.diff(through)) + 1).tolist()
+    for r0, r1 in zip(bounds, bounds[1:]):
+        s0, s1 = ends[r0] - lengths[r0], ends[r1 - 1]
+        yield r0, r1, _ragged(start[s0:s1], width[s0:s1], lengths[r0:r1])
+
+
+def _ragged(start: np.ndarray, width: np.ndarray, lengths: np.ndarray) -> Ragged:
+    rows = len(lengths)
+    first = np.cumsum(lengths) - lengths
+    position = np.arange(len(width)) - np.repeat(first, lengths)
+    order = np.argsort(position, kind="stable")
+    rank = order.argsort()
+    w = width[order]
+    lane_end = np.cumsum(w)
+    lane_start = lane_end - w
+    heads = int(lane_end[rows - 1])
+    # a slot past position 0 follows the slot before it in its row
+    pred_slot = rank[order[rows:] - 1]
+    seg_len = np.repeat(w[pred_slot], w[rows:])
+    seg_end = np.cumsum(seg_len)
+    seg_start = seg_end - seg_len
+    pred_start = np.repeat(lane_start[pred_slot], w[rows:]) - seg_start
+    lanes = lane_end[np.cumsum(np.bincount(position)) - 1].tolist()
+    triples = np.concatenate(([0], seg_end))[np.array(lanes) - heads].tolist()
+    positions = [
+        (slice(la, lb), slice(ta, tb), seg_start[la - heads : lb - heads] - ta, seg_len[la - heads : lb - heads])
+        for la, lb, ta, tb in zip(lanes, lanes[1:], triples, triples[1:])
+    ]
+    last = rank[first + lengths - 1]
+    tail = lane_start[last][:, None] + np.arange(w[last].max())
+    return Ragged(
+        np.arange(lane_end[-1]) + np.repeat(start[order] - lane_start, w),
+        np.repeat(np.arange(rows), w[:rows]), heads,
+        np.arange(triples[-1]) + np.repeat(pred_start, seg_len), seg_len, positions,
+        np.minimum(tail, lane_end[-1] - 1), tail >= lane_end[last][:, None], lengths.tolist(),
+    )
+
+
+def segment_argmin(
+    values: np.ndarray, starts: np.ndarray, lengths: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per segment ``values[starts[i]:][:lengths[i]]`` (non-empty, no NaN): its
+    minimum and its first index holding it — ``argmin``'s tie-break."""
+    mins = np.minimum.reduceat(values, starts)
+    hits = np.flatnonzero(values == np.repeat(mins, lengths))
+    return mins, hits[hits.searchsorted(starts)]
 
 
 # -- per-batch outcome ---------------------------------------------------------
@@ -165,15 +226,17 @@ class QueryTables:
     entries (see the module docstring). Codes are handed out in ``(i, j)``
     scan order and a border belongs to its own cluster, so cluster *i*'s
     borders are the codes ``border_ptr[i]:border_ptr[i + 1]``.
+    ``d_entry`` is ``d_border`` behind a zero row and column, read at entry
+    codes shifted by one (0: none) and ``border_row + 1``.
     """
 
     cluster_count: int
     ext: np.ndarray
     border_row: np.ndarray
     border_list: List[ProxyId]
-    border_code: Dict[ProxyId, int]
     d_border: np.ndarray
     border_ptr: np.ndarray
+    d_entry: np.ndarray
 
 
 def build_query_tables(
@@ -217,20 +280,19 @@ def build_query_tables(
                 ext[i][j] = ext[j][i] = distance(
                     border_list[border_row[i][j]], border_list[border_row[j][i]]
                 )
-    nb = len(border_list)
-    d_border = np.zeros((nb, nb), dtype=float)
+    d_entry = np.zeros((len(border_list) + 1,) * 2, dtype=float)
     for lo, hi in zip(border_ptr, border_ptr[1:]):
-        for a in range(lo, hi):
-            for b in range(a + 1, hi):
-                d_border[a, b] = d_border[b, a] = distance(border_list[a], border_list[b])
+        for a in range(lo + 1, hi + 1):
+            for b in range(a + 1, hi + 1):
+                d_entry[a, b] = d_entry[b, a] = distance(border_list[a - 1], border_list[b - 1])
     return QueryTables(
         cluster_count=k,
         ext=np.array(ext, dtype=float),
         border_row=np.array(border_row, dtype=np.int64),
         border_list=border_list,
-        border_code=border_code,
-        d_border=d_border,
+        d_border=d_entry[1:, 1:],
         border_ptr=np.array(border_ptr, dtype=np.int64),
+        d_entry=d_entry,
     )
 
 
@@ -371,24 +433,24 @@ def solve_specs(
     provider: Any,
     *,
     space: Optional[CoordinateSpace] = None,
+    tracer: Tracer = NULL_TELEMETRY.tracer,
 ) -> List[ChildPicks]:
     """Solve the children of one call: the picked proxies of each, or its
     infeasibility.
 
-    Over a coordinate *space* every child goes through the padded staircase
+    Over a coordinate *space* every child goes through the ragged chain
     kernel: each child a hierarchical dissection produces is a chain (a run
     of consecutive slots of the chosen configuration path), so the whole
-    conquer step is one numpy relaxation per chain position and block of
+    conquer step is one numpy relaxation per chain position and chunk of
     rows instead of one solver invocation per child — bit-identical to
     per-child :func:`solve_child_spec`, which serves any other *provider*
-    (one that masks or measures links). Distance blocks come from the same
+    (one that masks or measures links). Distances come from the same
     coordinates (gathered through row indices into the space's stacked
-    matrix, one row list per distinct provider tuple of the call) and the
-    same ``sqrt(einsum(diff, diff))`` element formula as
+    matrix) and the same ``sqrt(einsum(diff, diff))`` element formula as
     :meth:`CoordinateProvider.block`, sums keep the solver's association
-    order, and padding lanes sit *after* the real candidates carrying ``inf``
-    labels — so ``argmin``'s first-occurrence tie-break picks the same
-    instance :func:`solve_vectorised` picks.
+    order, and ties break as ``argmin`` does — so the same instance
+    :func:`solve_vectorised` picks is picked. *tracer* hears the triples
+    relaxed and the chunks.
     """
     picks: List[Any] = [()] * len(children)
     if space is None:
@@ -398,42 +460,46 @@ def solve_specs(
             except NoFeasiblePathError as err:
                 picks[i] = err
         return picks
-    chains = [i for i, cands in enumerate(candidates) if cands]
+    chains: List[int] = []
     code: Dict[Tuple[ProxyId, ...], int] = {}
-    for i in chains:
-        for cands in candidates[i]:
-            code.setdefault(cands, len(code))
-    provider_rows, provider_mask = padded([space.rows(cands) for cands in code])
-    stacked, lane = space.stacked, np.arange(provider_rows.shape[1])
-    for block in staircase([len(candidates[i]) for i in chains]):
-        idxs = [chains[m] for m in block]
-        slot_code, live = padded([[code[cands] for cands in candidates[i]] for i in idxs])
-        alive, last = live.sum(axis=0).tolist(), live.sum(axis=1) - 1
-        valid, coords = provider_mask[slot_code], stacked[provider_rows[slot_code]]
-        src = stacked[space.rows(children[i].source_proxy for i in idxs)]
-        dst = stacked[space.rows(children[i].destination_proxy for i in idxs)]
-
-        diff = coords[:, 0] - src[:, None, :]
-        labels = np.sqrt(np.einsum("bck,bck->bc", diff, diff))
-        labels[~valid[:, 0]] = np.inf
-        parents: List[np.ndarray] = []
-        rows = np.arange(len(idxs))[:, None]
-        for t in range(1, len(alive)):
-            n = alive[t]
-            diff = coords[:n, t - 1, :, None, :] - coords[:n, t, None, :, :]
-            via = labels[:n, :, None] + np.sqrt(np.einsum("bpck,bpck->bpc", diff, diff))
-            best_pred = np.argmin(via, axis=1)
-            labels[:n] = np.where(valid[:n, t], via[rows[:n], best_pred, lane], np.inf)
-            parents.append(best_pred)
-        diff = coords[rows[:, 0], last] - dst[:, None, :]
-        totals = labels + np.sqrt(np.einsum("bck,bck->bc", diff, diff))
-        winner = np.argmin(totals, axis=1)
-        feasible = np.isfinite(totals[rows[:, 0], winner]).tolist()
-        lanes = backtrack(parents, winner, last, alive).tolist()
-        for i, ok, picked in zip(idxs, feasible, lanes):
-            picks[i] = (
-                [cands[j] for cands, j in zip(candidates[i], picked)]
-                if ok
-                else child_infeasible_error(children[i])
-            )
+    for i, cands in enumerate(candidates):
+        if not all(cands):
+            picks[i] = child_infeasible_error(children[i])
+        elif all(len(slot) == 1 for slot in cands):  # nothing to decide
+            picks[i] = [slot[0] for slot in cands]
+        else:
+            chains.append(i)
+            for slot in cands:
+                code.setdefault(slot, len(code))
+    relaxed = chunks = 0
+    proxies = list(chain.from_iterable(code))
+    stacked = space.stacked
+    at_proxy = stacked[space.rows(proxies)]
+    src = stacked[space.rows(children[i].source_proxy for i in chains)]
+    dst = stacked[space.rows(children[i].destination_proxy for i in chains)]
+    rows = [[code[cands] for cands in candidates[i]] for i in chains]
+    for r0, r1, lay in ragged_chunks(list(map(len, code)), rows) if chains else ():
+        xy = at_proxy[lay.items]
+        diff = xy[: lay.heads] - src[r0:r1][lay.head_rows]
+        labels = np.empty(len(xy))
+        labels[: lay.heads] = np.sqrt(np.einsum("ik,ik->i", diff, diff))
+        diff = xy[lay.pred] - np.repeat(xy[lay.heads :], lay.seg_len, axis=0)
+        hop = np.sqrt(np.einsum("ik,ik->i", diff, diff))
+        parent = np.arange(len(xy))
+        for lanes, at, starts, lengths in lay.positions:
+            pred = lay.pred[at]
+            via = labels.take(pred)
+            via += hop[at]
+            labels[lanes], first = segment_argmin(via, starts, lengths)
+            parent[lanes] = pred.take(first)
+        diff = xy[lay.tail] - dst[r0:r1, None, :]
+        totals = labels.take(lay.tail) + np.sqrt(np.einsum("rck,rck->rc", diff, diff))
+        totals[lay.beyond] = np.inf
+        winner = (np.arange(r1 - r0), totals.argmin(axis=1))
+        feasible = np.isfinite(totals[winner]).tolist()
+        for i, ok, items in zip(chains[r0:r1], feasible, lay.walk(parent, lay.tail[winner], lay.items)):
+            picks[i] = [proxies[at] for at in items] if ok else child_infeasible_error(children[i])
+        relaxed += len(lay.pred)
+        chunks += 1
+    tracer.add(relaxed=relaxed, chunks=chunks)
     return picks

@@ -42,7 +42,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
+from itertools import chain, islice
 from typing import (
     Any,
     Dict,
@@ -64,14 +64,13 @@ from repro.routing.batch import (
     BATCH_SIZE_BUCKETS,
     BatchRouteResult,
     QueryTables,
-    backtrack,
     child_hops,
     child_specs,
-    padded,
     query_tables,
+    ragged_chunks,
+    segment_argmin,
     service_graph_signature,
     solve_specs,
-    staircase,
 )
 from repro.routing.path import Hop, ServicePath, merge_consecutive_hops
 from repro.routing.providers import CoordinateProvider, DistanceProvider
@@ -79,7 +78,7 @@ from repro.services.catalog import ServiceName
 from repro.services.graph import ServiceGraph, SlotId
 from repro.services.placement import aggregate_capability
 from repro.services.request import ServiceRequest
-from repro.telemetry import Telemetry, get_telemetry
+from repro.telemetry import NULL_TELEMETRY, Telemetry, get_telemetry
 from repro.telemetry.tracing import WALL_SPAN_BUCKETS
 from repro.util.errors import ClusteringError, NoFeasiblePathError, RoutingError
 
@@ -133,17 +132,6 @@ _CspOutcome = Union[ClusterServicePath, NoFeasiblePathError]
 _ChainJob = Tuple[ServiceRequest, ClusterId]
 
 
-def _internal_segments(
-    d_border: np.ndarray, entry: np.ndarray, exit_codes: np.ndarray
-) -> np.ndarray:
-    """``d_border[entry, exit]`` per label — :meth:`HierarchicalRouter._internal`
-    as a table lookup: zero where the entry border is unknown (code -1) or is
-    the exit border itself. A -1 exit (no border toward one's own cluster)
-    reads a finite entry the caller's same-cluster mask discards."""
-    segments = d_border[np.where(entry < 0, 0, entry), np.where(exit_codes < 0, 0, exit_codes)]
-    return np.where((entry < 0) | (entry == exit_codes), 0.0, segments)
-
-
 @dataclass
 class HierarchicalResult:
     """Everything produced while resolving one request hierarchically."""
@@ -171,6 +159,7 @@ class HierarchicalRouter:
     # whose cluster level is the topology itself
     capability_feed: Any = None
     _feed_version: object = _UNSYNCED
+    telemetry: Telemetry = NULL_TELEMETRY
     #: the cluster-level surface the CSP stage relaxes over (``cluster_count``
     #: / ``cluster_of`` / ``border`` / ``external_estimate`` / ``space``);
     #: None means the topology itself. Subclasses that route on coarser or
@@ -361,7 +350,8 @@ class HierarchicalRouter:
         with tracer.span(
             "route", router="hierarchical", method=self.method, requests=count
         ):
-            with tracer.span("route.csp"):
+            # the chain kernels add the triples they relaxed and their chunks
+            with tracer.span("route.csp", relaxed=0, chunks=0):
                 csps: List[Any] = self._csp_stage(requests)
             with tracer.span("route.dissect"):
                 children_of = [
@@ -376,7 +366,7 @@ class HierarchicalRouter:
                 if children is not None
                 for child in children
             ]
-            with tracer.span("route.conquer", children=len(jobs)):
+            with tracer.span("route.conquer", children=len(jobs), relaxed=0, chunks=0):
                 solved = iter(self._conquer(jobs))
             with tracer.span("route.compose"):
                 for request, csp, children in zip(requests, csps, children_of):
@@ -462,7 +452,7 @@ class HierarchicalRouter:
         cluster, destination proxy) — in front of the version-driven cache a
         subclass keeps behind :meth:`_csp_cache_get` / :meth:`_csp_cache_put`.
         Which solver runs is read off the request itself: chains under the
-        label-setting methods wait for the padded staircase kernel; only the
+        label-setting methods wait for the ragged chain kernel; only the
         inputs it cannot take (branching graphs, ``exact``) are solved one
         by one.
         """
@@ -553,87 +543,85 @@ class HierarchicalRouter:
             estimated_cost=cost,
         )
 
-    # -- the padded chain kernel ---------------------------------------------------
+    # -- the ragged chain kernel ---------------------------------------------------
 
     def _solve_chains(
         self, jobs: Sequence[_ChainJob], offering: Dict[ServiceName, List[ClusterId]]
     ) -> List[_CspOutcome]:
         """Cluster-level paths of linear requests (every slot has candidates):
-        one padded relaxation pass per chain position over each staircase
-        block of rows (longest chain first; position *t* relaxes the rows
-        reaching it).
+        one relaxation pass per chain position over the real ``(row,
+        predecessor, candidate)`` triples of each chunk of rows
+        (:func:`~repro.routing.batch.ragged_chunks`).
 
-        Equivalence with the scalar reference rests on the same three facts
-        as :meth:`_solve_label` — shared scalar-sourced tables,
-        preserved ``(dist + ext) + internal`` association, first-occurrence
-        ``argmin`` matching strict-``<`` updates in candidate order — plus
-        one batching fact: padding lanes sit after the real candidates and
-        carry ``inf`` labels, so they never steal an argmin tie.
+        Equivalent to the scalar reference by :meth:`_solve_label`'s three
+        facts; a candidate in its predecessor's cluster adds ``ext``'s zero
+        diagonal and ``d_entry``'s zero column, keeping the label as the
+        reference's ``ci == cj`` branch does. Label-free gathers are made once
+        per chunk; an entry is carried as the offset of its ``d_entry`` row.
         """
         if not jobs:
             return []
         view = self._view
         tables = query_tables(view)
-        ext, border_row, d_border = tables.ext, tables.border_row, tables.d_border
-        with_internal = self.method == "backtrack" and len(tables.border_list) > 0
-        # per distinct service of the call: its candidate clusters, padded
+        k, stride = tables.cluster_count, len(tables.border_list) + 1
+        ext, border_row = tables.ext.ravel(), tables.border_row.ravel().astype(np.int32)
+        d_entry = tables.d_entry.ravel()
+        with_internal = self.method == "backtrack" and stride > 1
+        # per distinct service of the call: its candidate clusters, side by side
         code = {service: at for at, service in enumerate(offering)}
-        clusters, offered = padded(list(offering.values()))
-        lane = np.arange(clusters.shape[1])
+        clusters = np.fromiter(chain.from_iterable(offering.values()), dtype=np.int64)
         chains = [request.service_graph.topological_order() for request, _ in jobs]
-        results: List[Optional[_CspOutcome]] = [None] * len(jobs)
-        for members in staircase([len(chain) for chain in chains]):
-            requests = [jobs[j][0] for j in members]
-            slot_code, live = padded(
-                [
-                    [code[request.service_graph.services[s]] for s in chains[j]]
-                    for j, request in zip(members, requests)
-                ]
-            )
-            alive, last = live.sum(axis=0).tolist(), live.sum(axis=1) - 1
-            cand, vmask = clusters[slot_code], offered[slot_code]
-            destinations = [request.destination_proxy for request in requests]
-            cds = [view.cluster_of(pd) for pd in destinations]
-            cs_arr = np.array([jobs[j][1] for j in members], dtype=np.int64)[:, None]
-
-            # source-slot labels straight from the tables (same floats _start
-            # reads back out of external_estimate/border)
-            k0 = cand[:, 0]
-            at_home = k0 == cs_arr
-            labels = np.where(at_home, 0.0, ext[cs_arr, k0])
-            labels[~vmask[:, 0]] = np.inf
-            entry = np.where(at_home, -1, border_row[k0, cs_arr])
-            parents: List[np.ndarray] = []
-            at = np.arange(len(members))[:, None]
-            for t in range(1, len(alive)):
-                n = alive[t]
-                kp, kc = cand[:n, t - 1, :, None], cand[:n, t, None, :]
-                label, ent = labels[:n, :, None], entry[:n, :, None]
-                same = kp == kc
-                costs = label + ext[kp, kc]
+        services = [request.service_graph.services for request, _ in jobs]
+        rows = [[code[named[slot]] for slot in c] for named, c in zip(services, chains)]
+        sources = np.fromiter((cs for _, cs in jobs), dtype=np.int64, count=len(jobs))
+        results: List[_CspOutcome] = []
+        relaxed = chunks = 0
+        for r0, r1, lay in ragged_chunks(list(map(len, offering.values())), rows):
+            lane_cluster = clusters.take(lay.items)
+            k0, cs = lane_cluster[: lay.heads], sources[r0:r1].take(lay.head_rows)
+            # the floats _start reads back out of external_estimate / border
+            labels = np.empty(len(lane_cluster))
+            labels[: lay.heads] = ext.take(cs * k + k0)
+            entry = np.zeros(len(lane_cluster), dtype=np.int64)
+            entry[: lay.heads] = (border_row.take(k0 * k + cs) + 1) * stride
+            parent = np.arange(len(lane_cluster))
+            # few triple-length arrays stay alive: int32 border codes
+            kp = lane_cluster.take(lay.pred)
+            kc = np.repeat(lane_cluster[lay.heads :], lay.seg_len)
+            step = ext.take(kp * k + kc)
+            if with_internal:
+                exits = border_row.take(kp * k + kc) + np.int32(1)
+                entries = (border_row.take(kc * k + kp) + np.int32(1)) * np.int32(stride)
+            del kp, kc
+            for lanes, at, starts, lengths in lay.positions:
+                pred = lay.pred[at]
+                costs = labels.take(pred)
+                costs += step[at]
+                if with_internal:  # entry border of each label to its exit border
+                    costs += d_entry.take(entry.take(pred) + exits[at])
+                labels[lanes], first = segment_argmin(costs, starts, lengths)
+                parent[lanes] = won = pred.take(first)
                 if with_internal:
-                    # back-tracking, batched: entry border of each label to
-                    # the exit border toward the candidate cluster
-                    costs = costs + _internal_segments(d_border, ent, border_row[kp, kc])
-                costs = np.where(same, label, costs)
-                entries = np.where(same, ent, border_row[kc, kp])
-                win = np.argmin(costs, axis=1)
-                entry[:n] = entries[at[:n], win, lane]
-                labels[:n] = np.where(vmask[:n, t], costs[at[:n], win, lane], np.inf)
-                parents.append(win)
-
-            totals = self._sink(tables, labels, entry, cand[at[:, 0], last], cds, destinations)
-            winner = np.argmin(totals, axis=1)
-            bounds = totals[at[:, 0], winner].tolist()
-            lanes = backtrack(parents, winner, last, alive)
-            chosen = cand[at, np.arange(len(alive)), lanes].tolist()
-            for j, cd, bound, picked in zip(members, cds, bounds, chosen):
-                results[j] = (
+                    fresh = entries[at].take(first)
+                    entry[lanes] = np.where(fresh == 0, entry.take(won), fresh)
+            block = labels.take(lay.tail)
+            block[lay.beyond] = np.inf
+            destinations = [request.destination_proxy for request, _ in jobs[r0:r1]]
+            cds = [view.cluster_of(pd) for pd in destinations]
+            tail = entry.take(lay.tail) // stride, lane_cluster.take(lay.tail)
+            totals = self._sink(tables, block, *tail, cds, destinations)
+            winner = (np.arange(r1 - r0), totals.argmin(axis=1))
+            chosen = lay.walk(parent, lay.tail[winner], lane_cluster)
+            for j, cd, bound, picked in zip(range(r0, r1), cds, totals[winner].tolist(), chosen):
+                results.append(
                     NoFeasiblePathError(_NO_CONFIGURATION)
                     if bound == float("inf")
                     else ClusterServicePath(tuple(zip(chains[j], picked)), jobs[j][1], cd, bound)
                 )
-        return results  # type: ignore[return-value]
+            relaxed += len(lay.pred)
+            chunks += 1
+        self.telemetry.tracer.add(relaxed=relaxed, chunks=chunks)
+        return results
 
     def _sink(
         self,
@@ -646,34 +634,29 @@ class HierarchicalRouter:
     ) -> np.ndarray:
         """``label + tail`` of every last-slot label ``(rows, lanes)``, row *b*
         ending at ``destinations[b]`` in cluster ``cds[b]`` — :meth:`_tail` as
-        table lookups. Three facts keep every float and tie-break of the scalar
-        scan: the summands are the tables' own ``ext`` / ``d_border`` entries in
-        :meth:`_tail`'s association ``(ext + internal) + dist``; the exact
-        distances to a destination are one short row over *its own cluster's*
-        borders (all a destination proxy can know), filled by the same
-        ``space.distance(border, pd)`` calls; and an unlabeled lane carries
-        ``inf``, so a first-occurrence ``argmin`` is the scan's strict ``<``.
+        table lookups (entries shifted by one, 0 for none), in :meth:`_tail`'s
+        association ``(ext + internal) + dist``. The exact distances to a
+        destination are a row over *its own cluster's* borders only (all a
+        destination proxy can know), from the same ``space.distance`` calls.
         """
         cd = np.array(cds, dtype=np.int64)[:, None]
         tail = tables.ext[clusters, cd]
         if self.method == "backtrack" and tables.border_list:
-            border_row, ptr = tables.border_row, tables.border_ptr
+            border_row, ptr = tables.border_row, tables.border_ptr.tolist()
             distance = self._view.space.distance
-            known: Dict[ProxyId, List[float]] = {}
+            # one 0.0 (no border) and, per distinct destination, the distances
+            # from its cluster's borders; ``base[pd] + shifted code`` finds one
+            to_pd, base = [0.0], {}
             for pd, c in zip(destinations, cds):
-                if pd not in known:
-                    known[pd] = [
-                        distance(tables.border_list[code], pd)
-                        for code in range(ptr[c], ptr[c + 1])
-                    ]
-            to_pd, _ = padded([known[pd] for pd in destinations], float)
+                if pd not in base:
+                    base[pd] = len(to_pd) - 1 - ptr[c]
+                    to_pd += [distance(tables.border_list[code], pd) for code in range(ptr[c], ptr[c + 1])]
             home = clusters == cd
-            internal = _internal_segments(tables.d_border, entry, border_row[clusters, cd])
-            # the border of cd the path reaches pd from; -1: none, no charge
-            via = np.where(home, entry, border_row[cd, clusters])
-            dist = np.where(
-                via < 0, 0.0, to_pd[np.arange(len(cds))[:, None], np.maximum(via - ptr[cd], 0)]
-            )
+            internal = tables.d_entry[entry, border_row[clusters, cd] + 1]
+            # the border of cd the path reaches pd from; 0: none, no charge
+            via = np.where(home, entry, border_row[cd, clusters] + 1)
+            at = np.array([base[pd] for pd in destinations], dtype=np.int64)[:, None] + via
+            dist = np.array(to_pd).take(np.where(via > 0, at, 0))
             tail = np.where(home, dist, (tail + internal) + dist)
         return labels + tail
 
@@ -739,18 +722,17 @@ class HierarchicalRouter:
         ``np.argmin``'s first-occurrence tie-break equals the reference's
         strict-``<`` update over the same (predecessor, candidate)
         iteration order, with the start label compared first. Missing
-        labels are carried as ``inf`` (the reference simply leaves them out
-        of its dict): an all-``inf`` column stays unlabeled, and a finite
-        winner can never be preceded by an ``inf`` entry in argmin order.
+        labels are ``inf``: they never precede a finite winner.
         """
         tables = query_tables(self._view)
         ext = tables.ext
         border_row = tables.border_row
-        d_border = tables.d_border
+        d_entry = tables.d_entry
         nb = len(tables.border_list)
 
         # per finalized slot: candidates, label costs (inf = unlabeled),
-        # entry-border codes (-1 = None), parent pointers (slot, index)
+        # entry-border codes shifted by one (0 = None), parent pointers
+        # (slot, index)
         info: Dict[
             SlotId,
             Tuple[List[ClusterId], np.ndarray, np.ndarray, np.ndarray, np.ndarray],
@@ -760,22 +742,17 @@ class HierarchicalRouter:
             cand = candidates[slot]
             n = len(cand)
             if n == 0:
-                info[slot] = (
-                    cand,
-                    np.empty(0, dtype=float),
-                    np.empty(0, dtype=np.int64),
-                    np.empty(0, dtype=np.int64),
-                    np.empty(0, dtype=np.int64),
-                )
+                none = np.empty(0, dtype=np.int64)
+                info[slot] = (cand, np.empty(0, dtype=float), none, none, none)
                 continue
             cand_arr = np.asarray(cand, dtype=np.int64)
             if slot in source_slots:
                 # the floats _start reads back out of external_estimate/border
                 init_cost = np.where(cand_arr == cs, 0.0, ext[cs, cand_arr])
-                init_ent = np.where(cand_arr == cs, -1, border_row[cand_arr, cs])
+                init_ent = border_row[cand_arr, cs] + 1
             else:
                 init_cost = np.full(n, np.inf)
-                init_ent = np.full(n, -1, dtype=np.int64)
+                init_ent = np.zeros(n, dtype=np.int64)
 
             pred_cluster: List[np.ndarray] = []
             pred_cost: List[np.ndarray] = []
@@ -800,18 +777,15 @@ class HierarchicalRouter:
                 ps_arr = np.concatenate(pred_slot)
                 pi_arr = np.concatenate(pred_index)
 
-                same = ci_arr[:, None] == cand_arr[None, :]
-                cost_diff = d_arr[:, None] + ext[ci_arr[:, None], cand_arr[None, :]]
+                # (predecessor, candidate) pairs; one in a single cluster adds
+                # ext's zero diagonal and d_entry's zero column to its label
+                pair = ci_arr[:, None], cand_arr[None, :]
+                costs = d_arr[:, None] + ext[pair]
                 if with_internal and nb:
                     # the back-tracking step, batched: from the border each
                     # label entered through to the exit border toward cj
-                    cost_diff = cost_diff + _internal_segments(
-                        d_border, e_arr[:, None], border_row[ci_arr[:, None], cand_arr[None, :]]
-                    )
-                costs = np.where(same, d_arr[:, None], cost_diff)
-                entries = np.where(
-                    same, e_arr[:, None], border_row[cand_arr[None, :], ci_arr[:, None]]
-                )
+                    costs = costs + d_entry[e_arr[:, None], border_row[pair] + 1]
+                entries = np.where(pair[0] == pair[1], e_arr[:, None], border_row.T[pair] + 1)
                 combined = np.vstack([init_cost[None, :], costs])
                 win = np.argmin(combined, axis=0)
                 cols = np.arange(n)
@@ -985,6 +959,7 @@ class HierarchicalRouter:
             space=self.hfc.space
             if isinstance(self._provider, CoordinateProvider)
             else None,
+            tracer=self.telemetry.tracer,
         )
         return [
             picked if isinstance(picked, NoFeasiblePathError) else child_hops(child, picked)

@@ -128,6 +128,11 @@ class Tracer:
         clock, kind = self._clock_provider()
         return Span(self, name, clock, kind, attributes)
 
+    def add(self, **amounts: int) -> None:
+        """Add *amounts* (work done) to the innermost open span's attributes."""
+        for name, amount in amounts.items() if self._stack else ():
+            self._stack[-1].attributes[name] = self._stack[-1].attributes.get(name, 0) + amount
+
     # -- span lifecycle (called by Span.__enter__/__exit__) --------------------
 
     def _push(self, span: Span) -> None:

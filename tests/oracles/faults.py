@@ -31,8 +31,9 @@ class ReferenceFaultInjector(FaultInjector):
         now = sim.now
         sender, recipient = message.sender, message.recipient
         if self._resolve is not None:
-            sender = self._resolve(sender)
-            recipient = self._resolve(recipient)
+            # the resolver itself, asked per message
+            sender = self._resolve.__wrapped__(sender)
+            recipient = self._resolve.__wrapped__(recipient)
 
         if self.down(sender, now):
             return self._drop("crash_sender", message, now)

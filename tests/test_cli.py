@@ -89,6 +89,35 @@ class TestCommands:
         )
         assert "p95" in payload["delivery_latency"]["local_state"]
 
+    def test_demo_has_no_json(self, capsys, tmp_path):
+        """``demo`` writes nothing, so ``--json`` is a usage error, not a no-op."""
+        target = tmp_path / "demo.json"
+        with pytest.raises(SystemExit) as exited:
+            main(["demo", "--proxies", "40", "--json", str(target)])
+        assert exited.value.code == 2
+        assert not target.exists()
+
+    def test_traffic_with_json(self, capsys, tmp_path):
+        target = tmp_path / "traffic.json"
+        code = main([
+            "traffic", "--proxies", "30", "--rate", "0.008", "--duration", "3000",
+            "--seed", "3", "--json", str(target),
+        ])
+        assert code == 0
+        steady = json.loads(target.read_text())["steady"]
+        assert steady["completed_rate"] > 0
+
+    def test_shard_with_json(self, capsys, tmp_path):
+        target = tmp_path / "shard.json"
+        code = main([
+            "shard", "--proxies", "400", "--clusters", "8", "--shards", "2",
+            "--duration", "1000", "--json", str(target),
+        ])
+        assert code == 0
+        payload = json.loads(target.read_text())
+        assert (payload["proxies"], payload["shards"]) == (400, 2)
+        assert payload["completed"] == payload["requests"] > 0
+
 
 class TestSerialize:
     """Figs 9-10 reach JSON field by field from their row dataclasses."""

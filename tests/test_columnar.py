@@ -112,7 +112,6 @@ class TestQueryTables:
         col = state.query_tables()
         assert col.cluster_count == obj.cluster_count
         assert col.border_list == obj.border_list
-        assert col.border_code == obj.border_code
         assert np.array_equal(col.border_row, obj.border_row)
         assert np.array_equal(col.ext, obj.ext)
         assert np.array_equal(col.d_border, obj.d_border)

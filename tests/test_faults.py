@@ -337,6 +337,28 @@ class TestIndexedInjectorMatchesScan:
         assert injector._rng.getstate() == before
         assert [e["fault"] for e in injector.trace] == ["crash", "restart"]
 
+    def test_resolver_asked_once_per_address(self):
+        from repro.netsim.eventsim import Message
+        from repro.traffic.engine import traffic_proxy
+
+        asked = []
+
+        def resolve(address):
+            asked.append(address)
+            return traffic_proxy(address)
+
+        plan = FaultPlan(seed=4, specs=(CrashRestart(proxy="c", crash_at=5.0, restart_at=15.0),))
+        sim = Simulator()
+        injector = FaultInjector(plan).install(sim, resolve=resolve)
+        addresses = ["a", ("traffic", "a"), "c", ("traffic", "c")]
+        dropped = 0
+        for at in range(20):
+            sim.run_until(float(at))
+            message = Message(addresses[at % 4], addresses[(at + 1) % 4], "data", None)
+            dropped += injector.intercept(message, 1.0) == []
+        assert dropped > 0  # the relays of "c" share its crash
+        assert sorted(map(str, asked)) == sorted(map(str, addresses))
+
 
 @pytest.fixture(scope="module")
 def fault_framework():

@@ -40,6 +40,7 @@ from repro.services.graph import branching_graph
 from repro.telemetry import Telemetry
 from repro.util.errors import NoFeasiblePathError
 from tests.oracles.csp import ReferenceCspRouter
+from tests.oracles.padded import PaddedCspRouter
 
 #: one shared physical substrate; synthetic overlays draw proxies from it
 _PHYSICAL = PhysicalNetwork(waxman(40, seed=1234), noise=0.0, seed=99)
@@ -231,7 +232,7 @@ def test_single_request_is_the_batch_of_one(make, case):
         assert single.stats.hits + single.stats.misses > 0
 
 
-# -- property: the staircase kernels against the scalar oracle, at their edges ---
+# -- property: the chain kernels against the scalar oracle, at their edges -------
 
 
 class _ReferenceCentroid(CentroidAggregationRouter, ReferenceCspRouter):
@@ -332,7 +333,7 @@ def _assert_same_resolution(got, want):
 @settings(max_examples=8, deadline=None)
 @given(batch_case(), st.integers(0, 2**32 - 1))
 def test_staircase_matches_scalar_oracle(make, case, seed):
-    """Property: a mixed-length batch spanning several kernel blocks resolves
+    """Property: a mixed-length batch spanning several kernel chunks resolves
     slot for slot as the scalar oracle resolves it, in any order."""
     hfc, _ = case
     rng = random.Random(seed)
@@ -344,7 +345,7 @@ def test_staircase_matches_scalar_oracle(make, case, seed):
     want = oracle._resolve(requests)
     order = list(range(len(requests)))
     rng.shuffle(order)
-    with mock.patch.object(batch_module, "_BLOCK_ROWS", 16):
+    with mock.patch.object(batch_module, "_CHUNK_TRIPLES", 48):
         got = router._resolve(requests)
         permuted = router._resolve([requests[i] for i in order])
     assert len(got) == len(permuted) == len(requests)
@@ -352,6 +353,115 @@ def test_staircase_matches_scalar_oracle(make, case, seed):
         _assert_same_resolution(outcome, want[idx])
     for at, idx in enumerate(order):
         _assert_same_resolution(permuted[at], want[idx])
+
+
+# -- property: the ragged layout against the padded one and the scalar oracle ---
+
+
+@st.composite
+def lattice_case(draw):
+    """An overlay on a 4 x 4 integer lattice, where equal costs are everywhere
+    and the first occurrence decides every tie. Cluster 0 is one proxy
+    offering every service, so each of its borders is that proxy: a path
+    through it enters and leaves by the same border. Most other proxies
+    offer one service, so one-candidate slots are common."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    proxies = _PHYSICAL.graph.nodes()[: draw(st.integers(6, 16))]
+    space = CoordinateSpace(
+        {p: (float(rng.randrange(4)), float(rng.randrange(4))) for p in proxies}
+    )
+    catalog = ["s0", "s1", "s2", "s3"]
+    placement = {p: frozenset(rng.sample(catalog, rng.choice((1, 1, 2)))) for p in proxies}
+    placement[proxies[0]] = frozenset(catalog)
+    overlay = OverlayNetwork(
+        physical=_PHYSICAL, proxies=list(proxies), placement=placement, space=space
+    )
+    count = draw(st.integers(2, 5))
+    labels = {p: i if i < count else rng.randrange(1, count) for i, p in enumerate(proxies)}
+    clusters = [sorted(p for p in proxies if labels[p] == c) for c in range(count)]
+    return build_hfc(overlay, Clustering(clusters=clusters, labels=labels))
+
+
+def _lattice_batch(hfc, rng):
+    """Many chains of length 1, some up to 6, duplicate keys, a "ghost" row
+    (its conquer slot has no candidate) and a "nowhere" row."""
+    proxies = list(hfc.overlay.proxies)
+    catalog = sorted(set().union(*hfc.overlay.placement.values()))
+
+    def request(names):
+        src, dst = rng.sample(proxies, 2)
+        return ServiceRequest(src, linear_graph(names), dst)
+
+    requests = [
+        request([rng.choice(catalog) for _ in range(length)])
+        for length in (1, 1, 1, 2, 3, 4, 6)
+        for _ in range(rng.randint(1, 4))
+    ]
+    for name in ("ghost", "nowhere"):
+        requests.append(request([rng.choice(catalog), name, rng.choice(catalog)]))
+    requests += rng.sample(requests, 4)
+    rng.shuffle(requests)
+    return requests
+
+
+@pytest.mark.parametrize("method", ["backtrack", "external"])
+@settings(max_examples=20, deadline=None)
+@given(lattice_case(), st.integers(0, 2**32 - 1), st.sampled_from([1, 5, 40, 32768]))
+def test_ragged_matches_padded_and_scalar(method, hfc, seed, budget):
+    """Property: the ragged kernels, the padded ones they replaced and the
+    scalar pipeline resolve a batch identically — ties, one-candidate slots,
+    length-1 chains, all-inf rows and entry-equals-exit borders included —
+    however small the chunk budget."""
+    requests = _lattice_batch(hfc, random.Random(seed))
+    caps = HierarchicalRouter(hfc).cluster_capabilities
+    caps[0] = caps[0] | {"ghost"}
+    telemetry = Telemetry()
+    ragged = HierarchicalRouter(hfc, method=method, cluster_capabilities=caps, telemetry=telemetry)
+    padded = PaddedCspRouter(hfc, method=method, cluster_capabilities=caps)
+    want = ReferenceCspRouter(hfc, method=method, cluster_capabilities=caps)._resolve(requests)
+    with mock.patch.object(batch_module, "_CHUNK_TRIPLES", budget):
+        got = ragged._resolve(requests)
+    for outcome, padded_outcome, expected in zip(got, padded._resolve(requests), want):
+        _assert_same_resolution(outcome, expected)
+        _assert_same_resolution(padded_outcome, expected)
+    (root,) = telemetry.tracer.find_roots("route")
+    csp = root.children[0]
+    if budget == 1 and csp.attributes["relaxed"] > 1:
+        assert csp.attributes["chunks"] > 1
+
+
+def test_kernel_spans_count_real_triples(framework):
+    """``route.csp`` / ``route.conquer`` say how many real (row, predecessor,
+    candidate) triples their kernel relaxed, and in how many chunks."""
+    hfc = framework.hfc
+    requests = [r for r in _workload(framework, count=60) if r.service_graph.is_linear]
+    telemetry = Telemetry()
+    router = HierarchicalRouter(hfc, telemetry=telemetry)
+    with mock.patch.object(batch_module, "_CHUNK_TRIPLES", 64):
+        results = router._resolve(requests)
+
+    def triples(widths):
+        return sum(a * b for a, b in zip(widths, widths[1:]))
+
+    rows = {}
+    for request in requests:
+        sg = request.service_graph
+        key = (sg.signature, hfc.cluster_of(request.source_proxy), request.destination_proxy)
+        candidates = router.cluster_candidates(sg)
+        rows[key] = triples([len(candidates[slot]) for slot in sg.topological_order()])
+    children = [child for result in results for child in result.child_requests]
+    # a child with one candidate per slot has nothing to relax
+    conquered = sum(
+        triples([len(slot) for slot in cands])
+        for cands in batch_module.child_specs(hfc, children)
+        if all(cands) and any(len(slot) > 1 for slot in cands)
+    )
+    (root,) = telemetry.tracer.find_roots("route")
+    csp, _, conquer, _ = root.children
+    assert csp.attributes["relaxed"] == sum(rows.values()) > 64
+    assert conquer.attributes["relaxed"] == conquered
+    assert csp.attributes["chunks"] > 1
+    assert conquer.attributes["chunks"] >= 1
 
 
 # -- framework wiring ----------------------------------------------------------
