@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import json
 import math
-import random
 from dataclasses import asdict, is_dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, Sequence
@@ -52,13 +51,9 @@ from repro.experiments.stretch import run_stretch_analysis
 from repro.faults import crash_restart_plan, run_fault_scenario, standard_fault_matrix
 from repro.hierarchy import RecursiveRouter, build_levels
 from repro.membership import run_churn_session
-from repro.multicast import MulticastRequest, build_service_tree, unicast_baseline_cost
-from repro.overlay import OverlayNetwork, build_hfc
-from repro.placement import optimize_placement
 from repro.qos import BandwidthModel, QoSHierarchicalRouter
 from repro.routing import HierarchicalRouter
 from repro.routing.signaling import SignalingSimulator
-from repro.services import ServiceRequest, linear_graph
 from repro.state import StateDistributionProtocol
 from repro.telemetry import get_telemetry
 from repro.traffic import (
@@ -300,67 +295,6 @@ def qos(full: bool) -> Any:
     return rows
 
 
-def multicast(full: bool) -> Any:
-    """E3 — service multicast tree vs per-destination unicast, by group size."""
-    fw = HFCFramework.build(proxy_count=scaled_table1()[0].proxies, seed=601)
-    router = HierarchicalRouter(fw.hfc)
-    rng = random.Random(602)
-    rows = []
-    for size in (2, 4, 8, 16):
-        tree_costs, unicast_costs = [], []
-        for _ in range(10):
-            picked = rng.sample(fw.overlay.proxies, size + 1)
-            names = [rng.choice(list(fw.catalog.names)) for _ in range(5)]
-            request = MulticastRequest(picked[0], linear_graph(names), tuple(picked[1:]))
-            tree_costs.append(build_service_tree(router, request).total_cost(fw.overlay))
-            unicast_costs.append(unicast_baseline_cost(router, request, fw.overlay))
-        tree, unicast = sum(tree_costs) / 10, sum(unicast_costs) / 10
-        rows.append({"destinations": size, "tree_cost": tree,
-                     "unicast_cost": unicast, "ratio": tree / unicast})
-    _show("E3 — service multicast tree vs unicast (total delivery cost)", rows)
-    assert rows[-1]["ratio"] < rows[0]["ratio"]  # amortisation widens with group size
-    return rows
-
-
-def placement(full: bool) -> Any:
-    """E8 — demand-aware service placement under a Zipf workload, equal budget."""
-    fw = HFCFramework.build(proxy_count=scaled_table1()[0].proxies, seed=1201)
-    names = list(fw.catalog.names)
-    weights = [1.0 / (i + 1) for i in range(len(names))]
-    rng = random.Random(1202)
-    requests = []
-    for _ in range(80):
-        src, dst = rng.sample(fw.overlay.proxies, 2)
-        services = rng.choices(names, weights=weights, k=rng.randint(4, 8))
-        requests.append(ServiceRequest(src, linear_graph(services), dst))
-
-    def routed(label: str, assignment: Any) -> Dict[str, Any]:
-        overlay = OverlayNetwork(
-            physical=fw.physical, proxies=fw.overlay.proxies,
-            placement=assignment, space=fw.space,
-        )
-        router = HierarchicalRouter(build_hfc(overlay, fw.clustering))
-        delays = []
-        for request in requests:
-            try:
-                delays.append(router.route(request).true_delay(overlay))
-            except NoFeasiblePathError:
-                continue
-        return {"placement": label, "mean_delay": float(np.mean(delays)),
-                "routed": len(delays)}
-
-    rows = [routed("original (uniform random)", fw.overlay.placement)]
-    for label, popularity, seed in (
-        ("demand-aware (matching zipf)", "zipf", 1203),
-        ("demand-oblivious k-median", "uniform", 1204),
-    ):
-        plan = optimize_placement(fw.overlay, fw.catalog, popularity=popularity, seed=seed)
-        rows.append(routed(label, plan.placement))
-    _show("E8 — placement optimisation under a Zipf workload (equal budget)", rows)
-    assert rows[1]["mean_delay"] < rows[0]["mean_delay"]  # demand-aware beats random
-    return rows
-
-
 def signaling(full: bool) -> Any:
     """Setup latency and control messages of hierarchical route resolution."""
     count = max(30, _requests(full) // 4)
@@ -547,7 +481,7 @@ def shard(full: bool) -> Any:
 STUDIES: Sequence[Study] = [
     table1, fig9, fig10, *ABLATIONS,
     protocol_cost, stretch, staleness, churn_quality, state_bytes, hierarchy_depth,
-    qos, multicast, placement, signaling, resilience, fault_matrix, traffic, shard,
+    qos, signaling, resilience, fault_matrix, traffic, shard,
 ]
 
 

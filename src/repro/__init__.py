@@ -13,10 +13,12 @@ Subpackages mirror the paper's structure: :mod:`repro.netsim` (physical
 substrate), :mod:`repro.coords` (Section 3.1), :mod:`repro.cluster`
 (Section 3.2), :mod:`repro.overlay` (Section 3.3 / HFC), :mod:`repro.state`
 (Section 4), :mod:`repro.routing` (Section 5), :mod:`repro.experiments`
-(Section 6), plus the future-work extensions :mod:`repro.membership` and
-:mod:`repro.qos`, and the deterministic fault-injection harness
-:mod:`repro.faults` (fault plans, delivery interception, convergence
-auditing).
+(Section 6), plus the future-work extensions :mod:`repro.membership`,
+:mod:`repro.qos` and :mod:`repro.hierarchy` (L-level HFC), and the runtime
+around them: :mod:`repro.traffic`, :mod:`repro.dataplane` and the
+deterministic fault-injection harness :mod:`repro.faults`. Service placement
+is taken as given (Table 1's static installation), and the authors'
+companion work on service multicast is not reproduced.
 """
 
 from repro.core.config import FrameworkConfig

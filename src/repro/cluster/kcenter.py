@@ -1,14 +1,15 @@
-"""Greedy k-center clustering — an ablation baseline.
+"""Greedy k-center clustering — the upper-level clusterer of the recursive hierarchy.
 
-The paper commits to Zahn's MST clustering; this module provides the obvious
-alternative (greedy 2-approximate k-center: pick the farthest point as the
-next center, assign everyone to the nearest center) so the ablation benches
-can ask whether the HFC results depend on the specific clusterer.
+The paper's clusters come from Zahn's MST clustering; each level above them
+re-clusters the level below's centroids with greedy 2-approximate k-center
+(pick the farthest point as the next center, assign everyone to the nearest
+center), which yields the balanced ``round(sqrt(count))`` groups
+:func:`repro.hierarchy.levels.build_levels` asks for.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, List, Optional, Sequence
+from typing import Hashable, List
 
 import numpy as np
 
@@ -23,17 +24,16 @@ NodeId = Hashable
 def kcenter_cluster(
     space: CoordinateSpace,
     k: int,
-    nodes: Optional[Sequence[NodeId]] = None,
     seed: RngLike = None,
 ) -> Clustering:
-    """Partition *nodes* into *k* clusters by greedy k-center.
+    """Partition the nodes of *space* into *k* clusters by greedy k-center.
 
     The first center is random (seeded); each subsequent center is the node
     farthest from all existing centers; finally every node joins its nearest
     center. Returns the same :class:`Clustering` type as the MST clusterer so
     downstream code is clusterer-agnostic.
     """
-    node_list: List[NodeId] = list(nodes) if nodes is not None else space.nodes()
+    node_list: List[NodeId] = space.nodes()
     if not node_list:
         raise ClusteringError("cannot cluster an empty node set")
     if k < 1:

@@ -218,45 +218,31 @@ class HFCFramework:
 
     # -- recursive hierarchy -------------------------------------------------------
 
-    def build_hierarchy(
-        self,
-        levels: int = 3,
-        *,
-        method: str = "kcenter",
-        seed: RngLike = 0,
-        group_counts=None,
-        reuse: bool = True,
-    ):
+    def build_hierarchy(self, levels: int = 3):
         """Build (or restore) a depth-*levels* recursive hierarchy.
 
         The single entry point of the level-generic hierarchy:
-        ``levels=2`` wraps the bi-level HFC untouched, every extra level
-        re-clusters the centroids of the level below (greedy k-center by
-        default, ``method="mst"`` for Zahn's machinery) and selects
-        borders by the closest-pair rule one level up. The resulting
-        upper-level CSR arrays are attached to :attr:`columnar`, so
-        snapshots round-trip the full stack and per-level query tables
-        are shared zero-copy with every router built from it.
+        ``levels=2`` wraps the bi-level HFC untouched and leaves any
+        attached stack alone; every extra level re-clusters the centroids
+        of the level below (greedy k-center) and selects borders by the
+        closest-pair rule one level up. The resulting upper-level CSR
+        arrays are attached to :attr:`columnar`, so snapshots round-trip
+        the full stack and per-level query tables are shared zero-copy
+        with every router built from it.
 
-        When *reuse* is true and the columnar state already carries a
-        stack of the right depth (e.g. a framework restored from a
-        snapshot), that stack is materialised directly — no
-        re-clustering or border re-selection runs.
+        When the columnar state already carries a stack of the right depth
+        (e.g. a framework restored from a snapshot), that stack is
+        materialised directly — no re-clustering or border re-selection
+        runs.
         """
         from repro.hierarchy.levels import build_levels, levels_from_columnar
 
+        if levels == 2:
+            return build_levels(self.hfc, 2)
         state = self.columnar
-        if reuse and len(state.levels) == levels - 2:
-            return levels_from_columnar(state, self.hfc) if state.levels else (
-                build_levels(self.hfc, 2)
-            )
-        hierarchy = build_levels(
-            self.hfc,
-            levels,
-            method=method,
-            seed=seed,
-            group_counts=group_counts,
-        )
+        if len(state.levels) == levels - 2:
+            return levels_from_columnar(state, self.hfc)
+        hierarchy = build_levels(self.hfc, levels)
         state.attach_levels(hierarchy.levels)
         hierarchy.columnar = state
         return hierarchy

@@ -4,10 +4,10 @@ The paper builds a bi-level HFC; the hardcoded three-level prototype that
 preceded this module now lives in ``tests/oracles/three_level.py`` as the
 independent routing reference. This module makes the recursion explicit:
 **level 0 is the proxies, level 1 the paper's clusters, and level k+1
-re-clusters the level-k centroids with the same machinery** — Zahn MST or
-greedy k-center on the centroid cloud, border pairs by the
-closest-proxy-pair rule applied across the two groups' full proxy
-populations. A depth-``L`` :class:`HierarchyLevels` therefore is:
+re-clusters the level-k centroids** — greedy k-center on the centroid
+cloud, border pairs by the closest-proxy-pair rule applied across the two
+groups' full proxy populations. A depth-``L`` :class:`HierarchyLevels`
+therefore is:
 
 * the base :class:`~repro.overlay.hfc.HFCTopology` (levels 0 and 1), and
 * ``L - 2`` :class:`~repro.state.columnar.HierarchyLevel` CSR entries,
@@ -43,7 +43,8 @@ from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cluster.mstcluster import Clustering, ClusteringConfig, cluster_nodes
+from repro.cluster.kcenter import kcenter_cluster
+from repro.cluster.mstcluster import Clustering
 from repro.coords.space import CoordinateSpace
 from repro.overlay.hfc import HFCTopology, scan_borders
 from repro.overlay.network import ProxyId
@@ -559,35 +560,18 @@ def base_centroids(hfc: HFCTopology) -> np.ndarray:
     )
 
 
-def _group_units(
-    centroids: np.ndarray,
-    *,
-    method: str,
-    group_count: Optional[int],
-    seed,
-    config: Optional[ClusteringConfig],
-) -> List[List[int]]:
+def _group_units(centroids: np.ndarray) -> List[List[int]]:
     """Cluster one level's unit centroids into the next level's groups.
 
-    ``kcenter`` (default) targets ``round(sqrt(count))`` balanced groups;
-    ``mst`` applies the same Zahn machinery used at level 1. Returns the
-    per-group unit-id lists, ids ascending — the prototype's convention.
+    Greedy k-center (seed 0) targeting ``round(sqrt(count))`` balanced
+    groups. Returns the per-group unit-id lists, ids ascending — the
+    prototype's convention.
     """
     space = CoordinateSpace(
         {unit: tuple(row) for unit, row in enumerate(centroids.tolist())}
     )
-    if method == "mst":
-        clustering = cluster_nodes(
-            space, config=config or ClusteringConfig(min_cluster_size=1)
-        )
-    elif method == "kcenter":
-        from repro.cluster.kcenter import kcenter_cluster
-
-        if group_count is None:
-            group_count = max(1, int(round(centroids.shape[0] ** 0.5)))
-        clustering = kcenter_cluster(space, group_count, seed=seed)
-    else:
-        raise TopologyError(f"method must be 'kcenter' or 'mst', got {method!r}")
+    group_count = max(1, int(round(centroids.shape[0] ** 0.5)))
+    clustering = kcenter_cluster(space, group_count, seed=0)
     return [sorted(members) for members in clustering.clusters]
 
 
@@ -642,21 +626,17 @@ def build_levels(
     hfc: HFCTopology,
     depth: int,
     *,
-    method: str = "kcenter",
-    group_counts: Optional[Sequence[Optional[int]]] = None,
-    seed=0,
-    config: Optional[ClusteringConfig] = None,
     assignments: Optional[Sequence[Sequence[Sequence[int]]]] = None,
 ) -> HierarchyLevels:
     """Build a depth-``depth`` recursive hierarchy over *hfc*.
 
     ``depth=2`` wraps the bi-level topology untouched. Every added level
-    re-clusters the level below's centroids (*method*, per-level size
-    overrides via *group_counts*) and selects borders by the closest-pair
-    rule over the groups' full proxy populations. *assignments*, when
-    given, fixes the per-level groupings instead of re-clustering — the
-    churn layer's cold-rebuild reference, which recomputes every centroid
-    and border from scratch under a known-good assignment.
+    re-clusters the level below's centroids (:func:`_group_units`) and
+    selects borders by the closest-pair rule over the groups' full proxy
+    populations. *assignments*, when given, fixes the per-level groupings
+    instead of re-clustering — the churn layer's cold-rebuild reference,
+    which recomputes every centroid and border from scratch under a
+    known-good assignment.
     """
     if depth < 2:
         raise TopologyError(f"hierarchy depth must be >= 2, got {depth}")
@@ -677,17 +657,7 @@ def build_levels(
         if assignments is not None:
             groups = [sorted(units) for units in assignments[index]]
         else:
-            groups = _group_units(
-                unit_centroids,
-                method=method,
-                group_count=(
-                    group_counts[index]
-                    if group_counts is not None and index < len(group_counts)
-                    else None
-                ),
-                seed=seed,
-                config=config,
-            )
+            groups = _group_units(unit_centroids)
         level = build_level(
             groups, unit_proxies, unit_centroids, hfc.space, row_of
         )

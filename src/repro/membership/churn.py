@@ -127,7 +127,6 @@ class DynamicOverlay:
         #: per upper level {"groups", "borders", "centroids"}, maintained
         #: incrementally along the churned spine
         self._hier_levels: Optional[List[Dict]] = None
-        self._hier_meta: Optional[Dict] = None
         self._hier_base_centroids: Optional[np.ndarray] = None
         self._adopt_labels(dict(fw.clustering.labels))
         self._refresh_borders()
@@ -225,14 +224,7 @@ class DynamicOverlay:
 
     # -- recursive hierarchy ------------------------------------------------------
 
-    def attach_hierarchy(
-        self,
-        levels: int = 3,
-        *,
-        method: str = "kcenter",
-        seed=0,
-        group_counts=None,
-    ):
+    def attach_hierarchy(self, levels: int = 3):
         """Build a depth-*levels* recursive hierarchy and keep it patched.
 
         After attaching, every join/leave patches the level
@@ -247,16 +239,7 @@ class DynamicOverlay:
         """
         from repro.hierarchy.levels import build_levels
 
-        hierarchy = build_levels(
-            self.hfc, levels, method=method, seed=seed, group_counts=group_counts
-        )
-        self._hier_meta = {
-            "depth": levels,
-            "method": method,
-            "seed": seed,
-            "group_counts": group_counts,
-        }
-        self._adopt_hierarchy(hierarchy)
+        self._adopt_hierarchy(build_levels(self.hfc, levels))
         return self.hierarchy()
 
     def hierarchy(self):
@@ -339,15 +322,7 @@ class DynamicOverlay:
         from repro.hierarchy.levels import build_levels
 
         self._invalidate_views()  # the base state just changed wholesale
-        meta = self._hier_meta or {}
-        hierarchy = build_levels(
-            self.hfc,
-            meta.get("depth", 2 + len(self._hier_levels)),
-            method=meta.get("method", "kcenter"),
-            seed=meta.get("seed", 0),
-            group_counts=meta.get("group_counts"),
-        )
-        self._adopt_hierarchy(hierarchy)
+        self._adopt_hierarchy(build_levels(self.hfc, 2 + len(self._hier_levels)))
 
     def _hier_patch_from(
         self, start: int, unit: int, minima: Optional[np.ndarray], leaver: ProxyId
@@ -446,7 +421,7 @@ class DynamicOverlay:
         consumers (router caches, capability feeds) keep their ordering. A
         level stack the snapshot carries comes back attached, under the
         assignment it was saved with; a later :meth:`restructure`
-        re-derives it with :meth:`attach_hierarchy`'s defaults.
+        re-derives it at the same depth, as it would on the live overlay.
         """
         from repro.hierarchy.levels import HierarchyLevels
 
@@ -454,7 +429,6 @@ class DynamicOverlay:
         dyn.version = snapshot.version
         levels = snapshot.columnar.levels
         if levels:
-            dyn._hier_meta = {"depth": 2 + len(levels)}
             hfc = snapshot.framework.hfc
             dyn._adopt_hierarchy(
                 HierarchyLevels(hfc=hfc, levels=list(levels), row_proxies=hfc.overlay.proxies)

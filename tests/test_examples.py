@@ -46,11 +46,6 @@ class TestExamples:
         assert "dynamic membership" in out
         assert "bandwidth-aware routing" in out
 
-    def test_service_multicast(self):
-        out = run_example("service_multicast.py", "4", "3")
-        assert "shared service chain" in out
-        assert "saving" in out
-
     def test_protocol_walkthrough(self):
         out = run_example("protocol_walkthrough.py", "3")
         assert "converged at" in out
@@ -66,7 +61,3 @@ class TestExamples:
         assert "packets lost" in out
         assert "new path" in out
 
-    def test_placement_optimization(self):
-        out = run_example("placement_optimization.py", "3")
-        assert "demand-aware" in out
-        assert "saving from placement" in out

@@ -115,6 +115,24 @@ class TestDepthTwo:
         router = framework.hierarchy_router(levels=2)
         assert type(router).__name__ == "HierarchicalRouter"
 
+    def test_depth_two_leaves_an_attached_stack_alone(self, tmp_path):
+        """Asking for depth 2 after depth 3 keeps the stack on the columnar
+        state: a snapshot still carries it and depth 3 comes back as the same
+        level objects, without re-clustering."""
+        fw = HFCFramework.build(proxy_count=60, seed=3)
+        three = fw.build_hierarchy(3)
+        stack = list(fw.columnar.levels)
+        assert len(stack) == 1
+        assert fw.build_hierarchy(2).depth == 2
+        router = fw.hierarchy_router(levels=2)
+        assert type(router).__name__ == "HierarchicalRouter"
+        assert [id(level) for level in fw.columnar.levels] == [id(level) for level in stack]
+        path = str(tmp_path / "overlay.npz")
+        save_snapshot(fw, path)
+        assert_levels_equal(load_snapshot(path).columnar.levels, stack)
+        again = fw.build_hierarchy(3)
+        assert [id(level) for level in again.levels] == [id(level) for level in three.levels]
+
     @settings(max_examples=10, deadline=None)
     @given(decisions=st.lists(st.integers(0, 7), min_size=1, max_size=8))
     def test_hypothesis_churned_depth2_matches_build_hfc(

@@ -4,6 +4,7 @@ hierarchy (the level the three-level prototype used to hardcode)."""
 import numpy as np
 import pytest
 
+from repro.core import HFCFramework
 from repro.hierarchy import RecursiveRouter, build_levels
 from repro.routing import HierarchicalRouter, validate_path
 from repro.state import coordinates_node_states
@@ -44,18 +45,6 @@ class TestConstruction:
     def test_super_border_self_rejected(self, multilevel):
         with pytest.raises(TopologyError):
             multilevel.top_border(0, 0)
-
-    def test_mst_method_also_valid(self, framework):
-        ml = build_levels(framework.hfc, 3, method="mst")
-        assert ml.top_count >= 1
-
-    def test_bad_method_rejected(self, framework):
-        with pytest.raises(TopologyError):
-            build_levels(framework.hfc, 3, method="psychic")
-
-    def test_explicit_super_count(self, framework):
-        ml = build_levels(framework.hfc, 3, group_counts=[2])
-        assert ml.top_count <= 2
 
     def test_sub_hfc_structure(self, multilevel):
         for sid in range(multilevel.top_count):
@@ -141,35 +130,22 @@ class TestThreeLevelRouting:
             t3 += three.route(request).true_delay(overlay)
         assert t3 <= t2 * 2.0
 
-    def test_single_super_degenerates_to_two_level(self, framework):
-        ml = build_levels(framework.hfc, 3, group_counts=[1])
-        router = RecursiveRouter(ml)
-        request = framework.random_request(seed=3)
-        path = router.route(request)
-        validate_path(path, request, framework.overlay)
+    def test_single_super_degenerates_to_two_level(self):
+        """Two clusters make round(sqrt(2)) = 1 top group: the recursive
+        router then takes the bi-level router's paths."""
+        fw = HFCFramework.build(proxy_count=12, seed=5)
+        assert fw.clustering.cluster_count == 2
+        ml = build_levels(fw.hfc, 3)
+        assert ml.top_count == 1
+        router, flat = RecursiveRouter(ml), HierarchicalRouter(fw.hfc)
+        for seed in range(5):
+            request = fw.random_request(seed=seed)
+            path = router.route(request)
+            validate_path(path, request, fw.overlay)
+            assert path.hops == flat.route(request).hops
 
 
 class TestComposition:
-    def test_multicast_over_three_levels(self, framework, multilevel):
-        """RecursiveRouter is a HierarchicalRouter, so the multicast tree
-        builder composes with it unchanged."""
-        import random
-
-        from repro.multicast import MulticastRequest, build_service_tree
-        from repro.services import ServiceRequest, linear_graph
-
-        router = RecursiveRouter(multilevel)
-        rng = random.Random(5)
-        picked = rng.sample(framework.overlay.proxies, 5)
-        names = [rng.choice(list(framework.catalog.names)) for _ in range(3)]
-        request = MulticastRequest(picked[0], linear_graph(names), tuple(picked[1:]))
-        tree = build_service_tree(router, request)
-        for destination in request.destinations:
-            unicast = ServiceRequest(
-                request.source_proxy, request.service_graph, destination
-            )
-            validate_path(tree.path_to(destination), unicast, framework.overlay)
-
     def test_caching_over_three_levels(self, framework, multilevel):
         """The CSP cache layer stacks on the recursive router too."""
         from repro.routing.cache import CachedHierarchicalRouter

@@ -46,3 +46,14 @@ def test_docs_name_only_real_commands():
             named |= {name for name in re.split(r"\\?\|", group) if name}
     assert named, "the docs show no command"
     assert named <= set(sub.choices), f"docs name missing commands: {named - set(sub.choices)}"
+
+
+def test_example_list_matches_examples_dir():
+    """README's ``python examples/<file>.py`` lines name exactly the scripts in ``examples/``."""
+    listed = re.findall(r"^python examples/(\w+\.py)", README.read_text(), flags=re.MULTILINE)
+    assert len(listed) == len(set(listed)), "README lists an example twice"
+    actual = {p.name for p in (ROOT / "examples").glob("*.py")}
+    assert set(listed) == actual, (
+        f"README lists missing examples {set(listed) - actual}, "
+        f"omits {actual - set(listed)}"
+    )
