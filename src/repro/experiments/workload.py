@@ -86,16 +86,16 @@ def random_service_graph(
     rng = ensure_rng(seed)
     if sampler is None:
         sampler = ServiceSampler(catalog, WorkloadConfig(request_count=1))
-    draw = lambda: sampler.draw(rng)  # noqa: E731 - tiny local helper
     if not nonlinear or length < 3:
-        return linear_graph([draw() for _ in range(length)])
+        return linear_graph(sampler.draws(rng, length))
     head_budget = max(2, length // 2)
     first = max(1, head_budget // 2)
     second = max(1, head_budget - first)
     tail = max(1, length - first - second)
+    names = sampler.draws(rng, first + second + tail)
     return branching_graph(
-        chains=[[draw() for _ in range(first)], [draw() for _ in range(second)]],
-        tail=[draw() for _ in range(tail)],
+        chains=[names[:first], names[first : first + second]],
+        tail=names[first + second :],
     )
 
 

@@ -35,6 +35,7 @@ raising on any other distance query.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import (
     Any,
@@ -104,12 +105,15 @@ class Ragged(NamedTuple):
 
     def walk(self, parent: np.ndarray, final: np.ndarray, values: np.ndarray) -> List[List[Any]]:
         """Per row, ``values`` of the lanes it picked from its lane *final*
-        back along ``parent`` (a position-0 lane is its own), first first."""
-        walked = np.empty((len(final), len(self.positions) + 1), dtype=np.int64)
-        for step in range(walked.shape[1]):
-            walked[:, step] = final
-            final = parent.take(final)
-        return [row[n - 1 :: -1] for row, n in zip(values.take(walked).tolist(), self.lengths)]
+        back along ``parent``, first first."""
+        parent, values = parent.tolist(), values.tolist()
+        rows: List[List[Any]] = []
+        for lane, n in zip(final.tolist(), self.lengths):
+            row: List[Any] = [None] * n
+            for at in range(n - 1, -1, -1):
+                row[at], lane = values[lane], parent[lane]
+            rows.append(row)
+        return rows
 
 
 def ragged_chunks(
@@ -120,49 +124,49 @@ def ragged_chunks(
     the ``widths[g] >= 1`` flat candidates after the groups before it."""
     group = np.array(widths, dtype=np.int64)
     slots = np.fromiter(chain.from_iterable(rows), dtype=np.int64)
-    start, width = (np.cumsum(group) - group)[slots], group[slots]
+    start, width = (group.cumsum() - group).take(slots), group.take(slots)
     lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-    ends, bounds = np.cumsum(lengths), [0, len(rows)]
-    if len(width) * int(width.max()) ** 2 > _CHUNK_TRIPLES:  # else surely one chunk
+    ends, bounds = lengths.cumsum(), [0, len(rows)]
+    if len(rows) > 1 and len(width) * max(widths) ** 2 > _CHUNK_TRIPLES:  # else surely one chunk
         pairs = np.zeros(len(width), dtype=np.int64)
         np.multiply(width[1:], width[:-1], out=pairs[1:])
         pairs[ends[:-1]] = 0  # a row's first slot has no predecessor
-        through = np.cumsum(pairs)[ends - 1] // _CHUNK_TRIPLES
-        bounds[1:1] = (np.flatnonzero(np.diff(through)) + 1).tolist()
+        through = pairs.cumsum().take(ends - 1) // _CHUNK_TRIPLES
+        bounds[1:1] = (np.diff(through).nonzero()[0] + 1).tolist()
     for r0, r1 in zip(bounds, bounds[1:]):
-        s0, s1 = ends[r0] - lengths[r0], ends[r1 - 1]
+        s0, s1 = int(ends[r0]) - len(rows[r0]), int(ends[r1 - 1])
         yield r0, r1, _ragged(start[s0:s1], width[s0:s1], lengths[r0:r1])
 
 
 def _ragged(start: np.ndarray, width: np.ndarray, lengths: np.ndarray) -> Ragged:
-    rows = len(lengths)
-    first = np.cumsum(lengths) - lengths
-    position = np.arange(len(width)) - np.repeat(first, lengths)
-    order = np.argsort(position, kind="stable")
+    # ndarray methods: at one short row ``np.*``'s dispatch costs as much as the math
+    rows, ends = len(lengths), lengths.cumsum()
+    position = np.arange(len(width)) - (ends - lengths).repeat(lengths)
+    order = position.argsort(kind="stable")
     rank = order.argsort()
-    w = width[order]
-    lane_end = np.cumsum(w)
+    w = width.take(order)
+    lane_end = w.cumsum()
     lane_start = lane_end - w
-    heads = int(lane_end[rows - 1])
+    heads, lane_count = int(lane_end[rows - 1]), int(lane_end[-1])
     # a slot past position 0 follows the slot before it in its row
-    pred_slot = rank[order[rows:] - 1]
-    seg_len = np.repeat(w[pred_slot], w[rows:])
-    seg_end = np.cumsum(seg_len)
+    pred_slot, w_on = rank.take(order[rows:] - 1), w[rows:]
+    seg_len = w.take(pred_slot).repeat(w_on)
+    seg_end = seg_len.cumsum()
     seg_start = seg_end - seg_len
-    pred_start = np.repeat(lane_start[pred_slot], w[rows:]) - seg_start
-    lanes = lane_end[np.cumsum(np.bincount(position)) - 1].tolist()
-    triples = np.concatenate(([0], seg_end))[np.array(lanes) - heads].tolist()
+    pred_start = lane_start.take(pred_slot).repeat(w_on) - seg_start
+    lanes = lane_end.take(np.bincount(position).cumsum() - 1).tolist()
+    triples = [0, *seg_end.take(np.array(lanes[1:], dtype=np.int64) - (heads + 1)).tolist()]
     positions = [
         (slice(la, lb), slice(ta, tb), seg_start[la - heads : lb - heads] - ta, seg_len[la - heads : lb - heads])
         for la, lb, ta, tb in zip(lanes, lanes[1:], triples, triples[1:])
     ]
-    last = rank[first + lengths - 1]
-    tail = lane_start[last][:, None] + np.arange(w[last].max())
+    last = rank.take(ends - 1)
+    tail = lane_start.take(last)[:, None] + np.arange(w.take(last).max())
     return Ragged(
-        np.arange(lane_end[-1]) + np.repeat(start[order] - lane_start, w),
-        np.repeat(np.arange(rows), w[:rows]), heads,
-        np.arange(triples[-1]) + np.repeat(pred_start, seg_len), seg_len, positions,
-        np.minimum(tail, lane_end[-1] - 1), tail >= lane_end[last][:, None], lengths.tolist(),
+        np.arange(lane_count) + (start.take(order) - lane_start).repeat(w),
+        np.arange(rows).repeat(w[:rows]), heads,
+        np.arange(triples[-1]) + pred_start.repeat(seg_len), seg_len, positions,
+        np.minimum(tail, lane_count - 1), tail >= lane_end.take(last)[:, None], lengths.tolist(),
     )
 
 
@@ -172,8 +176,8 @@ def segment_argmin(
     """Per segment ``values[starts[i]:][:lengths[i]]`` (non-empty, no NaN): its
     minimum and its first index holding it — ``argmin``'s tie-break."""
     mins = np.minimum.reduceat(values, starts)
-    hits = np.flatnonzero(values == np.repeat(mins, lengths))
-    return mins, hits[hits.searchsorted(starts)]
+    (hits,) = (values == mins.repeat(lengths)).nonzero()
+    return mins, hits.take(hits.searchsorted(starts))
 
 
 # -- per-batch outcome ---------------------------------------------------------
@@ -237,6 +241,15 @@ class QueryTables:
     d_border: np.ndarray
     border_ptr: np.ndarray
     d_entry: np.ndarray
+
+    @cached_property
+    def flat(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Raveled for gathers at ``i * k + j``: ``ext``, *i*'s exit border toward
+        *j* and *j*'s entry border from *i* as ``d_entry`` row (int32 codes
+        shifted by one, 0: none), and ``d_entry``."""
+        exits = self.border_row + 1
+        entries = (exits.T * (len(self.border_list) + 1)).ravel().astype(np.int32)
+        return self.ext.ravel(), exits.ravel().astype(np.int32), entries, self.d_entry.ravel()
 
 
 def build_query_tables(
@@ -345,34 +358,38 @@ ChildPicks = Union[Sequence[ProxyId], NoFeasiblePathError]
 def child_specs(hfc: Any, children: Sequence[Any]) -> List[ChildCandidates]:
     """The conquer candidates of every dissected child of one pipeline call.
 
-    A resolution touches only the few clusters its CSP crosses, so nothing
-    here scans the overlay: each touched cluster's members are walked once,
-    in overlay proxy order (the order a whole-overlay provider scan filtered
-    by membership yields), keeping per member the services the call's
-    children ask of that cluster. Placement is read live and nothing derived
-    from it outlives the call — a crash or a rebind may rewrite it between
-    calls.
+    Nothing here scans the overlay: each touched cluster keeps a provider
+    index on the topology, like ``_query_tables_cache`` — its members in
+    overlay proxy order (as a whole-overlay scan filtered by membership
+    yields), their placement, and the providers of each service asked so far;
+    one walk over the members adds what a call asks and the index lacks.
+    Placement is read live: an index holds while each member's placement is
+    (identity first, else equal to) the set it was built from; a call finding
+    one rewritten (a crash, a restore, a rebind) starts that index afresh.
     """
+    cached = getattr(hfc, "_providers_cache", None)
+    if cached is None:
+        cached = hfc._providers_cache = {}
+    placement = hfc.overlay.placement
     wanted: Dict[ClusterId, Set[str]] = {}
     for child in children:
         if child.services:
             wanted.setdefault(child.cluster, set()).update(child.services)
-    overlay = hfc.overlay
-    placement = overlay.placement
-    # membership lives on the topology, like ``_query_tables_cache``: a churn
-    # or a restructure materialises a new topology object
-    ordered = getattr(hfc, "_ordered_members_cache", None)
-    if ordered is None:
-        ordered = hfc._ordered_members_cache = {}
     providers: Dict[ClusterId, Dict[str, Tuple[ProxyId, ...]]] = {}
     for cluster, services in wanted.items():
-        if cluster not in ordered:
-            ordered[cluster] = sorted(hfc.members(cluster), key=overlay.index_of)
-        found: Dict[str, List[ProxyId]] = {service: [] for service in services}
-        for proxy in ordered[cluster]:
-            for service in services & placement[proxy]:
-                found[service].append(proxy)
-        providers[cluster] = {service: tuple(proxies) for service, proxies in found.items()}
+        entry = cached.get(cluster)
+        if entry is None or list(map(placement.__getitem__, entry[0])) != entry[1]:
+            members = entry[0] if entry else sorted(hfc.members(cluster), key=hfc.overlay.index_of)
+            entry = cached[cluster] = (members, list(map(placement.__getitem__, members)), {})
+        members, placed, index = entry
+        missing = services.difference(index)
+        if missing:
+            found: Dict[str, List[ProxyId]] = {service: [] for service in missing}
+            for proxy, offered in zip(members, placed):
+                for service in missing & offered:
+                    found[service].append(proxy)
+            index.update((service, tuple(proxies)) for service, proxies in found.items())
+        providers[cluster] = index
     return [
         tuple(map(providers[child.cluster].__getitem__, child.services))
         if child.services
@@ -474,16 +491,16 @@ def solve_specs(
     relaxed = chunks = 0
     proxies = list(chain.from_iterable(code))
     stacked = space.stacked
-    at_proxy = stacked[space.rows(proxies)]
-    src = stacked[space.rows(children[i].source_proxy for i in chains)]
-    dst = stacked[space.rows(children[i].destination_proxy for i in chains)]
+    at_proxy = stacked.take(space.rows(proxies), axis=0)
+    src = stacked.take(space.rows(children[i].source_proxy for i in chains), axis=0)
+    dst = stacked.take(space.rows(children[i].destination_proxy for i in chains), axis=0)
     rows = [[code[cands] for cands in candidates[i]] for i in chains]
     for r0, r1, lay in ragged_chunks(list(map(len, code)), rows) if chains else ():
-        xy = at_proxy[lay.items]
-        diff = xy[: lay.heads] - src[r0:r1][lay.head_rows]
+        xy = at_proxy.take(lay.items, axis=0)
+        diff = xy[: lay.heads] - src[r0:r1].take(lay.head_rows, axis=0)
         labels = np.empty(len(xy))
         labels[: lay.heads] = np.sqrt(np.einsum("ik,ik->i", diff, diff))
-        diff = xy[lay.pred] - np.repeat(xy[lay.heads :], lay.seg_len, axis=0)
+        diff = xy.take(lay.pred, axis=0) - xy[lay.heads :].repeat(lay.seg_len, axis=0)
         hop = np.sqrt(np.einsum("ik,ik->i", diff, diff))
         parent = np.arange(len(xy))
         for lanes, at, starts, lengths in lay.positions:
@@ -492,7 +509,7 @@ def solve_specs(
             via += hop[at]
             labels[lanes], first = segment_argmin(via, starts, lengths)
             parent[lanes] = pred.take(first)
-        diff = xy[lay.tail] - dst[r0:r1, None, :]
+        diff = xy.take(lay.tail, axis=0) - dst[r0:r1, None, :]
         totals = labels.take(lay.tail) + np.sqrt(np.einsum("rck,rck->rc", diff, diff))
         totals[lay.beyond] = np.inf
         winner = (np.arange(r1 - r0), totals.argmin(axis=1))

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain, islice
 from typing import (
     Any,
@@ -172,6 +172,8 @@ class HierarchicalRouter:
     #: assignment to :attr:`cluster_capabilities`), the next map step finds
     #: another object there and builds the index again
     _offering_index: Tuple[Any, Dict[ServiceName, List[ClusterId]]] = (None, {})
+    #: the metric handles :meth:`_resolve` bumps, bound once per telemetry scope
+    _metrics: Tuple[Any, ...] = (None,)
 
     def __init__(
         self,
@@ -391,23 +393,28 @@ class HierarchicalRouter:
                     )
 
         registry = self.telemetry.registry
+        batches = registry.counter("routing.batch.batches", router="hierarchical")
+        if self._metrics[0] is not batches:  # a new telemetry scope, or its registry cleared
+            histogram = partial(registry.histogram, router="hierarchical")
+            self._metrics = (
+                batches,
+                registry.counter("routing.batch.requests", router="hierarchical"),
+                histogram("routing.batch.size", buckets=BATCH_SIZE_BUCKETS),
+                histogram("routing.batch.request_seconds", buckets=WALL_SPAN_BUCKETS),
+                {},  # per outcome, registered on its first hit
+            )
+        _, requested, sizes, seconds, outcomes = self._metrics
         infeasible = sum(isinstance(r, NoFeasiblePathError) for r in results)
-        registry.counter("routing.batch.batches", router="hierarchical").inc()
-        registry.counter("routing.batch.requests", router="hierarchical").inc(count)
-        registry.histogram(
-            "routing.batch.size", buckets=BATCH_SIZE_BUCKETS, router="hierarchical"
-        ).observe(count)
+        batches.inc()
+        requested.inc(count)
+        sizes.observe(count)
         if count:
-            registry.histogram(
-                "routing.batch.request_seconds",
-                buckets=WALL_SPAN_BUCKETS,
-                router="hierarchical",
-            ).observe((time.perf_counter() - started) / count)
+            seconds.observe((time.perf_counter() - started) / count)
         for outcome, hits in (("ok", count - infeasible), ("infeasible", infeasible)):
             if hits:
-                registry.counter(
-                    "routing.requests", router="hierarchical", outcome=outcome
-                ).inc(hits)
+                if outcome not in outcomes:
+                    outcomes[outcome] = registry.counter("routing.requests", router="hierarchical", outcome=outcome)
+                outcomes[outcome].inc(hits)
         return results
 
     # -- steps 1+2: map, cluster-level shortest paths ------------------------------
@@ -564,8 +571,7 @@ class HierarchicalRouter:
         view = self._view
         tables = query_tables(view)
         k, stride = tables.cluster_count, len(tables.border_list) + 1
-        ext, border_row = tables.ext.ravel(), tables.border_row.ravel().astype(np.int32)
-        d_entry = tables.d_entry.ravel()
+        ext, exits_of, entries_of, d_entry = tables.flat
         with_internal = self.method == "backtrack" and stride > 1
         # per distinct service of the call: its candidate clusters, side by side
         code = {service: at for at, service in enumerate(offering)}
@@ -574,6 +580,8 @@ class HierarchicalRouter:
         services = [request.service_graph.services for request, _ in jobs]
         rows = [[code[named[slot]] for slot in c] for named, c in zip(services, chains)]
         sources = np.fromiter((cs for _, cs in jobs), dtype=np.int64, count=len(jobs))
+        destinations = [request.destination_proxy for request, _ in jobs]
+        cds = [view.cluster_of(pd) for pd in destinations]
         results: List[_CspOutcome] = []
         relaxed = chunks = 0
         for r0, r1, lay in ragged_chunks(list(map(len, offering.values())), rows):
@@ -581,42 +589,41 @@ class HierarchicalRouter:
             k0, cs = lane_cluster[: lay.heads], sources[r0:r1].take(lay.head_rows)
             # the floats _start reads back out of external_estimate / border
             labels = np.empty(len(lane_cluster))
-            labels[: lay.heads] = ext.take(cs * k + k0)
             entry = np.zeros(len(lane_cluster), dtype=np.int64)
-            entry[: lay.heads] = (border_row.take(k0 * k + cs) + 1) * stride
+            head = cs * k + k0
+            labels[: lay.heads], entry[: lay.heads] = ext.take(head), entries_of.take(head)
             parent = np.arange(len(lane_cluster))
             # few triple-length arrays stay alive: int32 border codes
             kp = lane_cluster.take(lay.pred)
-            kc = np.repeat(lane_cluster[lay.heads :], lay.seg_len)
-            step = ext.take(kp * k + kc)
+            kp *= k
+            kp += lane_cluster[lay.heads :].repeat(lay.seg_len)
+            step = ext.take(kp)
             if with_internal:
-                exits = border_row.take(kp * k + kc) + np.int32(1)
-                entries = (border_row.take(kc * k + kp) + np.int32(1)) * np.int32(stride)
-            del kp, kc
+                exits, entries = exits_of.take(kp), entries_of.take(kp)
+                same = entries == 0
+            del kp
             for lanes, at, starts, lengths in lay.positions:
                 pred = lay.pred[at]
                 costs = labels.take(pred)
                 costs += step[at]
                 if with_internal:  # entry border of each label to its exit border
-                    costs += d_entry.take(entry.take(pred) + exits[at])
+                    held = entry.take(pred)
+                    costs += d_entry.take(held + exits[at])
                 labels[lanes], first = segment_argmin(costs, starts, lengths)
-                parent[lanes] = won = pred.take(first)
-                if with_internal:
-                    fresh = entries[at].take(first)
-                    entry[lanes] = np.where(fresh == 0, entry.take(won), fresh)
+                parent[lanes] = pred.take(first)
+                if with_internal:  # a candidate in its predecessor's cluster keeps its entry
+                    entry[lanes] = np.where(same[at], held, entries[at]).take(first)
             block = labels.take(lay.tail)
             block[lay.beyond] = np.inf
-            destinations = [request.destination_proxy for request, _ in jobs[r0:r1]]
-            cds = [view.cluster_of(pd) for pd in destinations]
             tail = entry.take(lay.tail) // stride, lane_cluster.take(lay.tail)
-            totals = self._sink(tables, block, *tail, cds, destinations)
+            totals = self._sink(tables, block, *tail, cds[r0:r1], destinations[r0:r1])
             winner = (np.arange(r1 - r0), totals.argmin(axis=1))
             chosen = lay.walk(parent, lay.tail[winner], lane_cluster)
-            for j, cd, bound, picked in zip(range(r0, r1), cds, totals[winner].tolist(), chosen):
+            for j, bound, picked in zip(range(r0, r1), totals[winner].tolist(), chosen):
                 results.append(
                     NoFeasiblePathError(_NO_CONFIGURATION)
                     if bound == float("inf")
-                    else ClusterServicePath(tuple(zip(chains[j], picked)), jobs[j][1], cd, bound)
+                    else ClusterServicePath(tuple(zip(chains[j], picked)), jobs[j][1], cds[j], bound)
                 )
             relaxed += len(lay.pred)
             chunks += 1
@@ -639,10 +646,13 @@ class HierarchicalRouter:
         destination are a row over *its own cluster's* borders only (all a
         destination proxy can know), from the same ``space.distance`` calls.
         """
+        ext, exits_of, _, d_entry = tables.flat
+        k, stride = tables.cluster_count, len(tables.border_list) + 1
         cd = np.array(cds, dtype=np.int64)[:, None]
-        tail = tables.ext[clusters, cd]
+        out = clusters * k + cd
+        tail = ext.take(out)
         if self.method == "backtrack" and tables.border_list:
-            border_row, ptr = tables.border_row, tables.border_ptr.tolist()
+            ptr = tables.border_ptr.tolist()
             distance = self._view.space.distance
             # one 0.0 (no border) and, per distinct destination, the distances
             # from its cluster's borders; ``base[pd] + shifted code`` finds one
@@ -650,11 +660,11 @@ class HierarchicalRouter:
             for pd, c in zip(destinations, cds):
                 if pd not in base:
                     base[pd] = len(to_pd) - 1 - ptr[c]
-                    to_pd += [distance(tables.border_list[code], pd) for code in range(ptr[c], ptr[c + 1])]
+                    to_pd += [distance(border, pd) for border in tables.border_list[ptr[c] : ptr[c + 1]]]
             home = clusters == cd
-            internal = tables.d_entry[entry, border_row[clusters, cd] + 1]
+            internal = d_entry.take(entry * stride + exits_of.take(out))
             # the border of cd the path reaches pd from; 0: none, no charge
-            via = np.where(home, entry, border_row[cd, clusters] + 1)
+            via = np.where(home, entry, exits_of.take(cd * k + clusters))
             at = np.array([base[pd] for pd in destinations], dtype=np.int64)[:, None] + via
             dist = np.array(to_pd).take(np.where(via > 0, at, 0))
             tail = np.where(home, dist, (tail + internal) + dist)

@@ -188,12 +188,17 @@ class ServiceGraph:
 
 
 def linear_graph(service_names: Sequence[ServiceName]) -> ServiceGraph:
-    """A linear SG: names[0] -> names[1] -> ... (paper Figure 2(a))."""
+    """A linear SG: names[0] -> names[1] -> ... (paper Figure 2(a)), its shape
+    seeded: a chain needs no edge validation and no Kahn's sort."""
     if not service_names:
         raise ServiceModelError("linear service graph needs at least one service")
-    services = {i: name for i, name in enumerate(service_names)}
-    edges = {(i, i + 1) for i in range(len(service_names) - 1)}
-    return ServiceGraph(services=services, edges=frozenset(edges))
+    order = tuple(range(len(service_names)))
+    sg = object.__new__(ServiceGraph)
+    sg.__dict__.update(
+        services=dict(zip(order, service_names)), edges=frozenset(zip(order, order[1:])),
+        _shape=(order, order[:1], order[-1:]), is_linear=True,
+    )
+    return sg
 
 
 def branching_graph(

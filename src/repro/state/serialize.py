@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import Any, Dict, Hashable, List
 
 from repro.state.delta import DeltaAssembler, DeltaEmitter
-from repro.state.tables import ProxyState, ServiceCapabilityTable, _Entry
+from repro.state.tables import ProxyState, ServiceCapabilityTable
 from repro.util.errors import StateError
 
 
@@ -67,9 +67,7 @@ def capability_table_from_dict(payload: Dict[str, Any]) -> ServiceCapabilityTabl
     recomputed — consumers compare revisions across the save boundary)."""
     table = ServiceCapabilityTable()
     for key, services, updated_at in payload["entries"]:
-        table._entries[decode_key(key)] = _Entry(
-            services=frozenset(services), updated_at=float(updated_at)
-        )
+        table.update(decode_key(key), frozenset(services), now=float(updated_at))
     table.revision = int(payload["revision"])
     return table
 

@@ -14,7 +14,7 @@ staleness and convergence of the distribution protocol.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Hashable, Tuple
+from typing import Dict, FrozenSet, Hashable, Optional, Tuple
 
 from repro.services.catalog import ServiceName
 from repro.util.errors import StateError
@@ -41,6 +41,9 @@ class ServiceCapabilityTable:
 
     _entries: Dict[Hashable, _Entry] = field(default_factory=dict)
     revision: int = 0
+    #: service -> how many entries list it, kept from the first :meth:`union`
+    #: on (a table nobody aggregates never counts)
+    _counts: Optional[Dict[ServiceName, int]] = field(default=None, init=False, repr=False, compare=False)
     #: ``(revision, union of every entry)`` as of the last :meth:`union` call
     _union: Tuple[int, FrozenSet[ServiceName]] = field(
         default=(-1, frozenset()), init=False, repr=False, compare=False
@@ -54,14 +57,30 @@ class ServiceCapabilityTable:
         if held is not None and (held.services is services or held.services == services):
             held.updated_at = now
             return False
-        self._entries[key] = _Entry(services=frozenset(services), updated_at=now)
+        services = frozenset(services)
+        self._recount(services, frozenset() if held is None else held.services)
+        self._entries[key] = _Entry(services=services, updated_at=now)
         self.revision += 1
         return True
 
     def remove(self, key: Hashable) -> None:
         """Drop *key*'s entry (no-op if absent)."""
-        if self._entries.pop(key, None) is not None:
+        held = self._entries.pop(key, None)
+        if held is not None:
+            self._recount(frozenset(), held.services)
             self.revision += 1
+
+    def _recount(self, new: FrozenSet[ServiceName], old: FrozenSet[ServiceName]) -> None:
+        """Move the counts, once kept, from one entry's *old* content to its
+        *new*: only the symmetric difference moves."""
+        counts = self._counts
+        if counts is not None:
+            for service in new - old:
+                counts[service] = counts.get(service, 0) + 1
+            for service in old - new:
+                counts[service] -= 1
+                if not counts[service]:
+                    del counts[service]
 
     def expire(self, before: float, keep: Hashable) -> bool:
         """Drop every entry but *keep*'s last written before *before*; True if any was."""
@@ -71,10 +90,15 @@ class ServiceCapabilityTable:
         return bool(silent)
 
     def union(self) -> FrozenSet[ServiceName]:
-        """Every service some entry lists; recomputed only once ``revision`` has moved."""
+        """Every service some entry lists (the counted ones), frozen once per
+        ``revision``."""
         revision, union = self._union
         if revision != self.revision:
-            union = frozenset().union(*(e.services for e in self._entries.values()))
+            if self._counts is None:
+                self._counts = {}
+                for entry in self._entries.values():
+                    self._recount(entry.services, frozenset())
+            union = frozenset(self._counts)
             self._union = (self.revision, union)
         return union
 

@@ -81,6 +81,12 @@ class PopularitySampler(Generic[T]):
 
     def draw(self, rng: random.Random) -> T:
         """One item, drawn with the configured popularity from *rng*."""
+        return self.draws(rng, 1)[0]
+
+    def draws(self, rng: random.Random, count: int) -> List[T]:
+        """*count* items, consuming *rng* exactly as *count* :meth:`draw` calls
+        do (``choices`` makes one ``random()`` per item)."""
         if self._weights is None:
-            return rng.choice(self._items)
-        return rng.choices(self._items, cum_weights=self._cum_weights, k=1)[0]
+            choice, items = rng.choice, self._items
+            return [choice(items) for _ in range(count)]
+        return rng.choices(self._items, cum_weights=self._cum_weights, k=count)

@@ -136,6 +136,35 @@ class TestWorkload:
         assert not sg.is_linear
         assert sg.slot_count == 6
 
+    @pytest.mark.parametrize("popularity", ["uniform", "zipf"])
+    def test_random_service_graphs_match_the_per_slot_draws(self, popularity):
+        """Oracle: one sampler call per request builds the graphs, signatures
+        and topological orders the per-slot draws through the validating
+        constructor build, and leaves the RNG where they leave it."""
+        import random
+
+        from repro.experiments.workload import ServiceSampler
+        from tests.oracles.workload import random_service_graph_reference
+
+        catalog = generic_catalog(12)
+        sampler = ServiceSampler(catalog, WorkloadConfig(popularity=popularity))
+        ours, theirs = random.Random(5), random.Random(5)
+        for draw in range(300):
+            length, nonlinear = 1 + draw % 10, draw % 7 == 0
+            sg = random_service_graph(
+                catalog, length, nonlinear=nonlinear, sampler=sampler, seed=ours
+            )
+            want = random_service_graph_reference(
+                sampler, theirs, length, nonlinear=nonlinear
+            )
+            assert sg == want and sg.signature == want.signature
+            assert sg.topological_order() == want.topological_order()
+            assert (sg.source_slots(), sg.sink_slots()) == (
+                want.source_slots(), want.sink_slots()
+            )
+            assert sg.is_linear == want.is_linear
+        assert ours.getstate() == theirs.getstate()
+
     def test_short_nonlinear_falls_back_to_linear(self):
         catalog = generic_catalog(10)
         sg = random_service_graph(catalog, 2, nonlinear=True, seed=1)

@@ -477,6 +477,43 @@ def _workload(framework, count=25, infeasible=False):
     return requests
 
 
+def test_provider_index_rebuilds_only_what_moved(framework):
+    """Cost guard, counted rather than timed: on a fixed overlay a second call
+    touching the same clusters rebuilds no provider index and walks no
+    members; rewriting one proxy's services as ``crash_restart_plan`` does
+    rebuilds that proxy's cluster and no other, and so does restoring them."""
+    hfc = framework.hfc
+    requests = _workload(framework, count=40)
+    router = framework.hierarchical_router()
+    first = router.route_many_detailed(requests)
+    cache = hfc._providers_cache
+
+    def rebuilt():
+        before = {cluster: (entry, len(entry[2])) for cluster, entry in cache.items()}
+        router.rebind(hfc)
+        paths = router.route_many_detailed(requests).paths
+        moved = sorted(c for c, entry in cache.items() if before.get(c, (None,))[0] is not entry)
+        grown = [c for c, entry in cache.items() if c not in moved and len(entry[2]) != before[c][1]]
+        return paths, moved, grown
+
+    assert rebuilt() == (first.paths, [], [])
+    served = sorted({
+        child.cluster
+        for request in requests
+        for child in router.route_detailed(request).child_requests
+        if child.services
+    })
+    victim = hfc.members(served[0])[0]
+    placement = hfc.overlay.placement
+    before, services = placement[victim], sorted(placement[victim])
+    try:
+        placement[victim] = frozenset(services[:-1]) if len(services) > 1 else frozenset({"zzz"})
+        assert rebuilt()[1:] == ([served[0]], [])
+    finally:
+        placement[victim] = before
+    assert rebuilt() == (first.paths, [served[0]], [])
+
+
 def test_route_many_matches_route_on_framework(framework):
     requests = _workload(framework)
     router = framework.hierarchical_router()

@@ -94,6 +94,17 @@ class TestLinearGraph:
         sg = linear_graph(["a", "b"])
         assert sg.configurations() == [[0, 1]]
 
+    @pytest.mark.parametrize("names", [["a"], ["a", "b"], ["c", "a", "c", "b", "a"]])
+    def test_seeded_chain_equals_the_validated_one(self, names):
+        """The chain's seeded shape is what edge validation and Kahn's sort
+        derive for the same graph."""
+        from tests.oracles.workload import linear_graph_reference
+
+        sg, want = linear_graph(names), linear_graph_reference(names)
+        assert sg == want and hash(sg.signature) == hash(want.signature)
+        assert sg._shape == want._shape and sg.is_linear is want.is_linear is True
+        assert list(sg.services.items()) == list(want.services.items())
+
 
 class TestServiceGraphValidation:
     def test_cycle_rejected(self):
@@ -353,7 +364,10 @@ class TestGraphFacts:
         proxies = tiny_framework.overlay.proxies
         placement = tiny_framework.overlay.placement
         names = [sorted(placement[p])[0] for p in proxies[:4]]
-        request = ServiceRequest(proxies[0], linear_graph(names), proxies[-1])
+        # a chain is born with its shape: linear_graph runs no sort at all
+        assert linear_graph(names).topological_order() == [0, 1, 2, 3] and runs == []
+        sg = ServiceGraph(services=dict(enumerate(names)), edges={(0, 1), (1, 2), (2, 3)})
+        request = ServiceRequest(proxies[0], sg, proxies[-1])
         assert runs == [id(request.service_graph)]
         router = tiny_framework.hierarchical_router()
         path = router.route(request)

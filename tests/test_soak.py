@@ -111,15 +111,45 @@ class OverlaySoak(RuleBasedStateMachine):
 
     @rule(seed=SEEDS)
     def rebind_and_route(self, seed):
+        self._route_batch(random.Random(seed))
+
+    @rule(seed=SEEDS)
+    def rewrite_placement(self, seed):
+        """Rewrite one proxy's live placement as a crash with
+        ``services_after`` does, routing from it after each write: another
+        set, the same content as a new frozenset, then the ``clear()`` +
+        ``update()`` restore of ``restores_placement``. A provider index kept
+        past any of these writes answers with the old providers."""
+        rng = random.Random(seed)
+        placement = self.dyn.hfc.overlay.placement
+        proxy = rng.choice(self.dyn.proxies)
+        before = dict(placement)
+        names = list(self.dyn.framework.catalog.names)
+        moved = frozenset(rng.sample(names, rng.randint(1, 3)))
+        changed = sorted(moved ^ before[proxy])
+        for services in (moved, frozenset(list(moved))):
+            placement[proxy] = services
+            self._route_batch(rng, proxy, changed)
+        placement.clear()
+        placement.update(before)
+        self._route_batch(rng, proxy, changed)
+
+    def _route_batch(self, rng, source=None, wanted=()):
+        """Route a batch after a rebind and hold every path to the reference
+        router's; requests start at *source* when given and ask for one of
+        the *wanted* services when given."""
         dyn = self.dyn
         hfc = dyn.hfc
         self.router.rebind(hfc)
         reference = ReferenceCspRouter(hfc)
-        rng = random.Random(seed)
         services = sorted(set().union(*hfc.overlay.placement.values()))
         for _ in range(BATCH):
             src, dst = rng.sample(dyn.proxies, 2)
+            if source is not None and source != dst:
+                src = source
             chain = rng.sample(services, min(3, len(services)))
+            if wanted:
+                chain[rng.randrange(len(chain))] = rng.choice(wanted)
             request = ServiceRequest(src, linear_graph(chain), dst)
             got = route_or_error(self.router, request)
             assert got == route_or_error(reference, request)

@@ -1,6 +1,8 @@
 """Tests for state tables, the distribution protocol, and overhead accounting."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.state import (
     ProxyState,
@@ -12,6 +14,11 @@ from repro.state import (
     service_node_states,
 )
 from repro.util.errors import StateError
+from tests.oracles.state import union_reference
+
+_KEYS = st.sampled_from(["p1", "p2", "p3", "p4"])
+#: fresh frozensets, so equal content often arrives as another object
+_SERVICE_SETS = st.lists(st.sampled_from(["a", "b", "c", "d", "e"]), max_size=4).map(frozenset)
 
 
 class TestServiceCapabilityTable:
@@ -49,6 +56,34 @@ class TestServiceCapabilityTable:
         assert table.union() == frozenset({"a"})
         table.update("p1", frozenset({"c"}))
         assert table.union() == frozenset({"c"})
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("update"), _KEYS, _SERVICE_SETS),
+                st.tuples(st.just("remove"), _KEYS),
+                st.tuples(st.just("expire"), st.integers(0, 12), _KEYS),
+            ),
+            max_size=40,
+        )
+    )
+    def test_counted_union_is_the_recomputed_union(self, steps):
+        """Property: after any update / remove / expire sequence the counted
+        union equals the union recomputed from every entry, and no count is
+        left at zero, whether counting started with the table or later."""
+        table, late = ServiceCapabilityTable(), ServiceCapabilityTable()
+        for clock, (op, *args) in enumerate(steps, start=1):
+            for each in (table, late):
+                if op == "update":
+                    each.update(args[0], args[1], now=float(clock))
+                elif op == "remove":
+                    each.remove(args[0])
+                else:
+                    each.expire(float(clock - args[0]), keep=args[1])
+            assert table.union() == union_reference(table), (op, args)
+            assert all(table._counts.values())
+        assert late.union() == table.union() and late._counts == table._counts
 
     def test_expire_drops_the_silent_but_never_the_kept_key(self):
         table = ServiceCapabilityTable()
@@ -152,8 +187,7 @@ class TestUnionUnderLifecycle:
                     )
                 state = agent.state
                 assert state is protocol.states[proxy]
-                brute = frozenset().union(*state.sct_p.as_dict().values())
-                assert state.aggregate_own_cluster() == brute, (op, args)
+                assert state.aggregate_own_cluster() == union_reference(state.sct_p), (op, args)
 
         check()
 
