@@ -96,6 +96,7 @@ ci:
 	$(PYTHON) scripts/profile_e2e.py --workload churn_2k --scale smoke
 	$(PYTHON) scripts/profile_e2e.py --workload route_2k --scale smoke
 	$(PYTHON) scripts/profile_e2e.py --workload lifecycle_120 --scale smoke
+	$(PYTHON) scripts/profile_e2e.py --workload construct_2k --scale smoke
 	$(MAKE) scale N=300
 	$(MAKE) lint
 	$(MAKE) fault-matrix

@@ -19,12 +19,14 @@ the distance-obtainment step.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import sqrt
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.coords.neldermead import (
     MinimizeResult,
+    Objective,
     minimize_with_restarts,
     minimize_with_restarts_batch,
     nelder_mead,
@@ -149,8 +151,8 @@ def _gauss_array(rng, shape: Tuple[int, int]) -> np.ndarray:
 def _check_measurements(landmarks: np.ndarray, measured: np.ndarray, rank: int) -> None:
     """Reject, before descending, what no descent can use: anything but
     ``(m, k)`` landmarks against rank-*rank* measurements (``(m,)`` for one
-    host, ``(H, m)`` for many), or a NaN or infinite measurement. A zero
-    measurement — a proxy on a landmark's router — is legal."""
+    host, ``(H, m)`` for many), no landmark, or a negative, NaN or infinite
+    measurement. A zero one — a proxy on a landmark's router — is legal."""
     if landmarks.ndim != 2 or measured.ndim != rank:
         raise EmbeddingError(
             f"expected (m, k) landmarks and {'(H, m)' if rank == 2 else '(m,)'} "
@@ -161,12 +163,66 @@ def _check_measurements(landmarks: np.ndarray, measured: np.ndarray, rank: int) 
             f"{landmarks.shape[0]} landmark coordinates but "
             f"{measured.shape[-1]} measurements{' per host' if rank == 2 else ''}"
         )
-    if not np.isfinite(measured).all():
-        where = tuple(np.argwhere(~np.isfinite(measured))[0].tolist())
+    if landmarks.shape[0] == 0:
+        raise EmbeddingError("no landmark to locate against")
+    unusable = ~np.isfinite(measured) | (measured < 0)
+    if unusable.any():
+        where = tuple(np.argwhere(unusable)[0].tolist())
         raise EmbeddingError(
-            f"non-finite measurement {measured[where]} to landmark {where[-1]}"
+            f"unusable measurement {measured[where]} to landmark {where[-1]}"
             + (f" in host row {where[0]}" if rank == 2 else "")
         )
+
+
+def _numpy_sum(terms: List[float]) -> float:
+    """``np.add.reduce`` of *terms* (each >= 0 or NaN), bit for bit: numpy's
+    pairwise order is one running sum below 8 terms, eight interleaved
+    accumulators and then the tail up to 128, and halves cut at a multiple
+    of 8 above. Explicit ``+`` only: Python 3.12's ``sum()`` compensates."""
+    n = len(terms)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _numpy_sum(terms[:half]) + _numpy_sum(terms[half:])
+    total, full = 0.0, 0
+    if n >= 8:
+        acc, full = terms[:8], n - n % 8
+        for i in range(8, full, 8):
+            acc = [a + t for a, t in zip(acc, terms[i : i + 8])]
+        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+    for term in terms[full:]:
+        total += term
+    return total
+
+
+def _host_objective(landmarks: np.ndarray, measured: np.ndarray) -> Objective:
+    """The host step's objective, ``sum(((|l - p| - measured) / safe)**2)``, on
+    Python floats (numpy's dispatch would cost more than ten terms' arithmetic):
+    each float is numpy's, in its operations and both sums' order."""
+    rows = [(c, m, m if m > 0 else 1.0) for c, m in zip(landmarks.tolist(), measured.tolist())]
+    if landmarks.shape[1] != 2:
+
+        def objective(point: np.ndarray) -> float:
+            p = point.tolist()
+            terms: List[float] = []
+            for coords, meas, s in rows:
+                e = (sqrt(_numpy_sum([(c - q) * (c - q) for c, q in zip(coords, p)])) - meas) / s
+                terms.append(e * e)
+            return _numpy_sum(terms)
+
+        return objective
+    # the paper's plane, unrolled: an axis loop per landmark outcosts its sum
+    planar = [(c0, c1, meas, s) for (c0, c1), meas, s in rows]
+
+    def plane(point: np.ndarray) -> float:
+        p0, p1 = point.tolist()
+        terms: List[float] = []
+        for c0, c1, meas, s in planar:
+            d0, d1 = c0 - p0, c1 - p1
+            e = (sqrt(d0 * d0 + d1 * d1) - meas) / s
+            terms.append(e * e)
+        return _numpy_sum(terms)
+
+    return plane
 
 
 def locate_host(
@@ -180,9 +236,7 @@ def locate_host(
     Minimizes the sum of squared relative errors between the host-to-landmark
     geometric distances and the measured delays (the per-host step of GNP).
     """
-    return solve_host(
-        landmark_coords, measured_to_landmarks, max_iterations=max_iterations
-    ).x
+    return solve_host(landmark_coords, measured_to_landmarks, max_iterations=max_iterations).x
 
 
 def solve_host(
@@ -197,23 +251,6 @@ def solve_host(
     measured = np.asarray(measured_to_landmarks, dtype=float)
     _check_measurements(landmarks, measured, 1)
 
-    safe = np.where(measured > 0, measured, 1.0)
-
-    # The objective runs ~200 times a solve on a handful of floats: ufuncs
-    # into two buffers, not five temporaries behind two np.sum wrappers.
-    diff = np.empty_like(landmarks)
-    est = np.empty(landmarks.shape[0])
-
-    def objective(point: np.ndarray) -> float:
-        np.subtract(landmarks, point, out=diff)
-        np.multiply(diff, diff, out=diff)
-        np.add.reduce(diff, axis=1, out=est)
-        np.sqrt(est, out=est)
-        np.subtract(est, measured, out=est)
-        np.divide(est, safe, out=est)
-        np.multiply(est, est, out=est)
-        return float(np.add.reduce(est))
-
     # Start from the measurement-weighted centroid: closer landmarks pull
     # harder. A second start at the nearest landmark guards against the
     # centroid landing in a bad basin.
@@ -222,7 +259,7 @@ def solve_host(
     nearest = landmarks[int(np.argmin(measured))]
     scale = float(np.max(measured)) or 1.0
     return minimize_with_restarts(
-        objective,
+        _host_objective(landmarks, measured),
         [centroid, nearest],
         initial_step=scale * 0.1,
         max_iterations=max_iterations,

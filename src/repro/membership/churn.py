@@ -41,6 +41,7 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass, field
+from time import perf_counter
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.cluster.mstcluster import Clustering, ClusteringConfig, cluster_nodes
@@ -475,8 +476,10 @@ class DynamicOverlay:
         detail = {}
         if coords is None:
             # a measurement no descent can use raises here, nothing touched yet
+            started = perf_counter()
             solved = self._solve(router, probes)
-            coords, detail = solved.x, {"locate_iterations": solved.iterations}
+            took = (perf_counter() - started) * 1e3
+            coords, detail = solved.x, {"locate_iterations": solved.iterations, "locate_ms": took}
         point = np.asarray(coords, dtype=float)
         if point.shape != self._coord_arr.shape[1:] or not np.isfinite(point).all():
             raise MembershipError(
@@ -645,7 +648,7 @@ class DynamicOverlay:
         proxy: ProxyId,
         cluster_id: int,
         minima: Optional[np.ndarray] = None,
-        **detail: int,
+        **detail: float,
     ) -> None:
         """Re-elect what *proxy*'s join (*minima* given) or leave moved, at
         the base level and up the spine; *detail* goes on the event record."""
@@ -684,7 +687,7 @@ class DynamicOverlay:
         epoch: bool = False,
         reelected: Sequence[Tuple[int, int]] = (),
         upper: int = 0,
-        **detail: int,
+        **detail: float,
     ) -> None:
         """Version, record and announce an event that re-elected the base
         pairs *reelected* and made *upper* more launches up the spine."""
@@ -698,7 +701,7 @@ class DynamicOverlay:
         )
 
     def _record(
-        self, kind: str, proxy: Optional[ProxyId], pairs_reduced: int, **detail: int
+        self, kind: str, proxy: Optional[ProxyId], pairs_reduced: int, **detail: float
     ) -> None:
         quality = self.quality() if self.track_quality else None
         cluster = self._labels.get(proxy) if proxy is not None else None

@@ -24,7 +24,7 @@ from repro.coords.embedding import (
     embed_landmarks,
     locate_host,
 )
-from repro.coords.neldermead import MinimizeResult
+from repro.coords.neldermead import MinimizeResult, minimize_with_restarts
 from repro.coords.space import CoordinateSpace, cross_distances
 from repro.graph.graph import Graph
 from repro.graph.mst import MstEdges, UnionFind
@@ -268,6 +268,44 @@ def nelder_mead_reference(
         fun=float(values[0]),
         iterations=iterations,
         converged=converged,
+    )
+
+
+def host_objective_reference(landmarks, measured):
+    """``solve_host``'s objective as numpy ufuncs into two buffers: the form
+    its float objective must equal bit for bit."""
+    safe = np.where(measured > 0, measured, 1.0)
+    diff = np.empty_like(landmarks)
+    est = np.empty(landmarks.shape[0])
+
+    def objective(point):
+        np.subtract(landmarks, point, out=diff)
+        np.multiply(diff, diff, out=diff)
+        np.add.reduce(diff, axis=1, out=est)
+        np.sqrt(est, out=est)
+        np.subtract(est, measured, out=est)
+        np.divide(est, safe, out=est)
+        np.multiply(est, est, out=est)
+        return float(np.add.reduce(est))
+
+    return objective
+
+
+def solve_host_reference(landmark_coords, measured_to_landmarks, *, max_iterations=800):
+    """``solve_host`` with the numpy objective: the same two starts, steps
+    and tolerances."""
+    landmarks = np.asarray(landmark_coords, dtype=float)
+    measured = np.asarray(measured_to_landmarks, dtype=float)
+    weights = 1.0 / np.maximum(measured, 1e-9)
+    centroid = (landmarks * weights[:, None]).sum(axis=0) / weights.sum()
+    nearest = landmarks[int(np.argmin(measured))]
+    scale = float(np.max(measured)) or 1.0
+    return minimize_with_restarts(
+        host_objective_reference(landmarks, measured),
+        [centroid, nearest],
+        initial_step=scale * 0.1,
+        max_iterations=max_iterations,
+        xtol=scale * 1e-7,
     )
 
 

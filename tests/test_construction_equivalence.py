@@ -37,10 +37,12 @@ from hypothesis import strategies as st
 from repro.cluster import mstcluster
 from repro.cluster.mstcluster import ClusteringConfig, cluster_nodes
 from repro.coords.embedding import (
+    _host_objective,
     build_coordinate_space,
     embed_landmarks,
     locate_host,
     locate_hosts,
+    solve_host,
 )
 from repro.coords.neldermead import (
     minimize_with_restarts,
@@ -59,9 +61,11 @@ from tests.oracles.construction import (
     embed_landmarks_reference,
     euclidean_mst_kruskal_reference,
     euclidean_mst_reference,
+    host_objective_reference,
     merge_small_clusters_reference,
     nelder_mead_reference,
     select_borders_closest_reference,
+    solve_host_reference,
 )
 
 
@@ -466,6 +470,45 @@ class TestLocateHostsBatch:
 
         with pytest.raises(EmbeddingError):
             locate_hosts(np.zeros((4, 2)), np.zeros((3, 5)))
+
+
+class TestHostObjectiveIsNumpys:
+    """``solve_host`` evaluates its objective on Python floats; the numpy
+    form it replaced (``host_objective_reference``) is the answer to the last
+    bit. Numpy sums in pairwise order (one running sum below 8 terms, eight
+    accumulators up to 128, halves above), so the landmark counts straddle
+    both seams, and the axis sum runs over every dimension the float form
+    unrolls (2) or loops (the rest)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 300) | st.sampled_from([7, 8, 9, 15, 16, 17, 127, 128, 129, 136, 256]),
+        k=st.integers(1, 5),
+        exponent=st.floats(-6.0, 6.0),
+    )
+    def test_value_and_descent_equal_the_numpy_form(self, seed, m, k, exponent):
+        rng = np.random.default_rng(seed)
+        scale = 10.0**exponent
+        landmarks = rng.uniform(-1.0, 1.0, (m, k)) * scale
+        host = rng.uniform(-1.0, 1.0, k) * scale
+        true = np.sqrt(((landmarks - host) ** 2).sum(axis=1))
+        measured = true * rng.uniform(0.5, 2.0, m)
+        measured[rng.random(m) < 0.2] = 0.0  # proxies on a landmark's router
+
+        ours = _host_objective(landmarks, measured)
+        reference = host_objective_reference(landmarks, measured)
+        for point in (host, landmarks[0], rng.uniform(-3.0, 3.0, k) * scale, -host):
+            assert ours(point) == reference(point)
+
+        got = solve_host(landmarks, measured, max_iterations=120)
+        want = solve_host_reference(landmarks, measured, max_iterations=120)
+        assert np.array_equal(got.x, want.x)
+        assert (got.fun, got.iterations, got.converged) == (
+            want.fun,
+            want.iterations,
+            want.converged,
+        )
 
 
 #: integer lattice points — squared distances are exact floats and ties are

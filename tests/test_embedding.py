@@ -100,6 +100,16 @@ class TestLocateHost:
         with pytest.raises(EmbeddingError):
             locate_host(np.zeros((3, 2)), [1.0, 2.0])
 
+    def test_empty_landmark_set_rejected_before_descending(self):
+        """No landmark used to reach np.argmin, warn, and die with numpy's
+        'attempt to get argmin of an empty sequence'."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EmbeddingError, match="no landmark"):
+                locate_host(np.zeros((0, 2)), [])
+            with pytest.raises(EmbeddingError, match="no landmark"):
+                locate_hosts(np.zeros((0, 2)), np.zeros((3, 0)))
+
     def test_robust_to_mild_noise(self):
         landmarks = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0], [10.0, 10.0]])
         host = np.array([6.0, 2.0])
@@ -107,11 +117,14 @@ class TestLocateHost:
         estimate = locate_host(landmarks, measured)
         assert np.linalg.norm(estimate - host) < 1.5
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), pytest.param(-1.0, id="negative")]
+    )
     def test_non_finite_measurement_rejected_before_descending(self, bad):
         """A NaN used to burn both starts' iteration caps under a stream of
         RuntimeWarnings and return [nan nan]; an inf used to return the
-        weighted-centroid start as if it had located the host."""
+        weighted-centroid start as if it had located the host; a negative
+        delay used to weight that start by 1e9."""
         landmarks = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0], [10.0, 10.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")

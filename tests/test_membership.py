@@ -74,11 +74,13 @@ class TestJoin:
         )
         assert router_id not in dyn
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), pytest.param(-1.0, id="negative")]
+    )
     def test_unusable_measurement_surfaces_before_any_state_moves(
         self, framework, dyn, monkeypatch, bad
     ):
-        """A probe that came back NaN or infinite is the embedding's error,
+        """A probe that came back NaN, infinite or negative is the embedding's error,
         naming the landmark, raised before the descent and before the
         overlay is touched — with a freed row waiting to be reused."""
         dyn.leave(dyn.proxies[0])
@@ -103,8 +105,9 @@ class TestJoin:
         assert router_id not in dyn
 
     def test_join_record_carries_the_locate_iterations(self, framework):
-        """The event log says what the join's own solve cost, beside the
-        border pairs it re-reduced; a join at given coordinates ran none."""
+        """The event log says what the join's own solve cost, in iterations
+        and wall time, beside the border pairs it re-reduced; a join at given
+        coordinates ran none."""
         from repro.telemetry import Telemetry
 
         telemetry = Telemetry()
@@ -118,8 +121,9 @@ class TestJoin:
         dyn.join(second, frozenset({"s0"}), coords=dyn.locate(second))
         located, given = telemetry.events.of_kind("membership.join")
         assert 20 <= located["locate_iterations"] <= 800
+        assert located["locate_ms"] > 0.0
         assert "pairs_reduced" in located
-        assert "locate_iterations" not in given
+        assert "locate_iterations" not in given and "locate_ms" not in given
 
     def test_join_recorded_in_history(self, framework, dyn):
         router_id = free_stub(framework, dyn)
