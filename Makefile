@@ -78,17 +78,18 @@ scale:
 # Alternating A/B of the end-to-end benchmark against a reference commit (or
 # a directory holding a checkout): medians, quartiles, pairs won and the
 # BENCHMARK.json bound per workload and metric.
-# `make ab REF=<commit> [W=<workload>] [PAIRS=10] [SEED=11]`; without W, every
-# workload. RECORD=benchmarks/history.jsonl appends the comparison to the
+# `make ab REF=<commit> [W="<workload> ..."] [PAIRS=10] [SEED=11]`; without W,
+# every workload. RECORD=benchmarks/history.jsonl appends the comparison to the
 # committed trajectory (one JSON line per run).
 PAIRS ?= 10
 SEED ?= 11
 ab:
-	$(PYTHON) scripts/ab_e2e.py $(REF) --pairs $(PAIRS) --seed $(SEED) $(if $(filter command% environment%,$(origin W)),--workload $(W)) $(if $(RECORD),--record $(RECORD))
+	$(PYTHON) scripts/ab_e2e.py $(REF) --pairs $(PAIRS) --seed $(SEED) $(if $(filter command% environment%,$(origin W)),$(foreach w,$(W),--workload $(w))) $(if $(RECORD),--record $(RECORD))
 
 # Mirror the full CI workflow locally: tier-1 tests, e2e self-test, the
-# profiling and build-scale scripts at smoke size, lint, fault matrix, the
-# simulated numbers and their exact gate.
+# profiling and build-scale scripts at smoke size, one A/B pair of two
+# workloads against HEAD, lint, fault matrix, the simulated numbers and their
+# exact gate.
 ci:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
 	$(MAKE) e2e-selftest
@@ -98,6 +99,7 @@ ci:
 	$(PYTHON) scripts/profile_e2e.py --workload lifecycle_120 --scale smoke
 	$(PYTHON) scripts/profile_e2e.py --workload construct_2k --scale smoke
 	$(MAKE) scale N=300
+	$(MAKE) ab REF=HEAD W="route_2k churn_2k" PAIRS=1 RECORD=benchmarks/out/ab_smoke.jsonl
 	$(MAKE) lint
 	$(MAKE) fault-matrix
 	$(MAKE) numbers

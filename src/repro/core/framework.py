@@ -35,12 +35,13 @@ from repro.netsim.topology import transit_stub
 from repro.overlay.hfc import HFCTopology, build_hfc
 from repro.overlay.mesh import build_mesh
 from repro.overlay.network import OverlayNetwork
+from repro.routing.batch import placement_capabilities
 from repro.routing.flat import FlatRouter, coordinate_router, oracle_router
 from repro.routing.hierarchical import HierarchicalRouter
 from repro.routing.meshrouting import MeshRouter, hfc_full_state_router
 from repro.services.catalog import ServiceCatalog, scaled_catalog
 from repro.services.graph import linear_graph
-from repro.services.placement import aggregate_capability, install_services
+from repro.services.placement import install_services
 from repro.services.request import ServiceRequest
 from repro.state.columnar import ColumnarOverlayState, attach_columnar
 from repro.state.overhead import (
@@ -352,14 +353,7 @@ class HFCFramework:
         :meth:`cached_hierarchical_router` for version-driven cache
         invalidation.
         """
-        return MutableCapabilityFeed(
-            {
-                cid: aggregate_capability(
-                    self.overlay.placement, self.hfc.members(cid)
-                )
-                for cid in range(self.hfc.cluster_count)
-            }
-        )
+        return MutableCapabilityFeed(placement_capabilities(self.hfc))
 
     def run_state_protocol(
         self,

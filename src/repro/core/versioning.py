@@ -7,9 +7,11 @@ announcements, version-aware routing caches) needs one shared notion of
 * :class:`OverlayVersion` — a monotonically increasing ``(epoch, step)``
   pair. ``step`` advances on every local mutation (a join, a leave, a
   capability change); ``epoch`` advances on structural rebuilds
-  (``restructure()``), which invalidate anything derived from cluster
-  ids. Versions are totally ordered and hashable, so consumers can cache
-  the last version they acted on and compare.
+  (``restructure()``), which — like a leave that empties a cluster
+  (``dropped``) — invalidate anything derived from cluster ids. Versions
+  are totally ordered and hashable, so consumers can cache the last
+  version they acted on and compare.
+* :class:`MembershipChanges` — the changes between two materialised views.
 * :class:`ChangeNotifier` — a minimal synchronous publish/subscribe hub;
   the membership layer notifies on every event, the state/routing layers
   subscribe.
@@ -29,8 +31,8 @@ this module's classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Mapping, Optional
+from dataclasses import dataclass, field
+from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
 #: capability view type: cluster id -> services available in that cluster
 ClusterCapabilities = Dict[int, FrozenSet[str]]
@@ -42,7 +44,8 @@ class OverlayVersion:
 
     ``epoch`` counts structural rebuilds (restructures), ``step`` counts
     mutations within an epoch. Lexicographic ordering means any event —
-    local or structural — produces a strictly larger version.
+    local or structural — produces a strictly larger version; a step can
+    renumber clusters too (a leave that empties one).
     """
 
     epoch: int = 0
@@ -58,6 +61,21 @@ class OverlayVersion:
 
     def __str__(self) -> str:
         return f"{self.epoch}.{self.step}"
+
+
+@dataclass
+class MembershipChanges:
+    """The changes between the view whose record's :attr:`token` is *base*
+    and the view this record is attached to: joins and leaves in order as
+    ``(kind, proxy, cluster)``, the base pairs ``(i, j)``, ``i < j``, they
+    re-elected, and the clusters ``dropped`` (ids above one shift down)."""
+
+    base: object = None
+    token: object = field(default_factory=object)
+    moves: List[Tuple[str, int, int]] = field(default_factory=list)
+    reelected: Set[Tuple[int, int]] = field(default_factory=set)
+    dropped: List[int] = field(default_factory=list)
+    restructured: bool = False
 
 
 class ChangeNotifier:

@@ -48,11 +48,11 @@ from repro.cluster.mstcluster import Clustering
 from repro.coords.space import CoordinateSpace
 from repro.overlay.hfc import HFCTopology, scan_borders
 from repro.overlay.network import ProxyId
+from repro.routing.batch import placement_capabilities
 from repro.routing.hierarchical import ChildHops, ChildRequest, HierarchicalRouter
 from repro.routing.path import Hop, merge_consecutive_hops
 from repro.services.catalog import ServiceName
 from repro.services.graph import ServiceGraph
-from repro.services.placement import aggregate_capability
 from repro.services.request import ServiceRequest
 from repro.state.columnar import HierarchyLevel
 from repro.util.errors import RoutingError, TopologyError
@@ -258,12 +258,6 @@ class HierarchyLevels:
 
     # -- aggregates --------------------------------------------------------------
 
-    def top_capability(self, group_id: GroupId) -> FrozenSet[ServiceName]:
-        """Set-union service aggregate of one top-level group."""
-        return aggregate_capability(
-            self.hfc.overlay.placement, self.top_members(group_id)
-        )
-
     def aggregates(self) -> Dict[Tuple[int, int], FrozenSet[ServiceName]]:
         """Every ``(level, group) -> capability aggregate`` of the stack.
 
@@ -271,12 +265,8 @@ class HierarchyLevels:
         ``k >= 2`` entries are aggregate-of-aggregates, unioned upward.
         Keyed for :func:`repro.state.delta.announce_aggregates`.
         """
-        placement = self.hfc.overlay.placement
         out: Dict[Tuple[int, int], FrozenSet[ServiceName]] = {}
-        below = [
-            aggregate_capability(placement, self.hfc.members(cid))
-            for cid in range(self.hfc.cluster_count)
-        ]
+        below = list(placement_capabilities(self.hfc).values())
         for cid, services in enumerate(below):
             out[(1, cid)] = services
         for index, level in enumerate(self.levels):

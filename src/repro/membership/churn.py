@@ -34,7 +34,8 @@ Every event advances :attr:`DynamicOverlay.version` (an
 :class:`~repro.core.versioning.OverlayVersion`: restructures bump the
 epoch, joins/leaves the step) and fires :attr:`DynamicOverlay.notifier`,
 which is how the state and routing layers learn that their capability
-views are out of date.
+views are out of date; the events between two ``hfc`` views are handed to
+the later one as its ``membership_changes``, which a rebind patches from.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from repro.coords.embedding import solve_host
 from repro.coords.neldermead import MinimizeResult
 from repro.coords.space import CoordinateSpace, cross_distances, paired_distances
 from repro.core.framework import HFCFramework
-from repro.core.versioning import ChangeNotifier, OverlayVersion
+from repro.core.versioning import ChangeNotifier, MembershipChanges, OverlayVersion
 from repro.overlay.hfc import (
     HFCTopology,
     drop_cluster_from_borders,
@@ -124,6 +125,7 @@ class DynamicOverlay:
         self._cluster_config: ClusteringConfig = fw.config.clustering
         self.version = OverlayVersion()
         self.notifier = ChangeNotifier()
+        self._changes = MembershipChanges()
         #: mutable recursive-hierarchy spec (None until attach_hierarchy):
         #: per upper level {"groups", "borders", "centroids"}, maintained
         #: incrementally along the churned spine
@@ -196,6 +198,8 @@ class DynamicOverlay:
                 space=self.space,
                 borders=dict(self._borders),
             )
+            setattr(self._hfc_view, "membership_changes", self._changes)
+            self._changes = MembershipChanges(base=self._changes.token)
         return self._hfc_view
 
     def columnar(self):
@@ -529,7 +533,8 @@ class DynamicOverlay:
                 self._borders, cluster_id
             )
             self._finish_event(
-                "leave", proxy, upper=self._hier_drop_cluster(cluster_id, proxy)
+                "leave", proxy, cluster=cluster_id, dropped=cluster_id,
+                upper=self._hier_drop_cluster(cluster_id, proxy),
             )
         self._maybe_restructure()
 
@@ -539,6 +544,7 @@ class DynamicOverlay:
         The only full rebuild; it advances the version epoch because
         cluster ids are reassigned wholesale.
         """
+        self._changes.restructured = True  # before a level stack rebuild reads hfc
         clustering = cluster_nodes(
             self.space, list(self._labels), self._cluster_config
         )
@@ -667,6 +673,7 @@ class DynamicOverlay:
         self._finish_event(
             kind,
             proxy,
+            cluster=cluster_id,
             reelected=[tuple(sorted((cluster_id, j))) for j in others],
             upper=upper,
             **detail,
@@ -684,20 +691,27 @@ class DynamicOverlay:
         kind: str,
         proxy: Optional[ProxyId],
         *,
+        cluster: Optional[int] = None,
         epoch: bool = False,
         reelected: Sequence[Tuple[int, int]] = (),
         upper: int = 0,
+        dropped: Optional[int] = None,
         **detail: float,
     ) -> None:
-        """Version, record and announce an event that re-elected the base
-        pairs *reelected* and made *upper* more launches up the spine."""
+        """Version, record and announce an event on *cluster* that re-elected the base
+        pairs *reelected*, made *upper* more launches up the spine, emptied *dropped*."""
+        if proxy is not None:
+            self._changes.moves.append((kind, proxy, cluster))
+        self._changes.reelected.update(reelected)
+        if dropped is not None:
+            self._changes.dropped.append(dropped)
         self._invalidate_views()
         self.version = (
             self.version.bump_epoch() if epoch else self.version.bump()
         )
         self._record(kind, proxy, len(reelected) + upper, **detail)
         self.notifier.notify(
-            self.version, kind=kind, proxy=proxy, reelected=list(reelected)
+            self.version, kind=kind, proxy=proxy, reelected=list(reelected), dropped=dropped
         )
 
     def _record(

@@ -16,7 +16,8 @@ resolution crosses. This module hosts the structures one pipeline call
   a fresh topology after every churn event, so the cache can never go
   stale.
 * :func:`child_specs` — the conquer candidates of a call's children, from
-  one pass over each touched cluster's members and the live placement.
+  each touched cluster's provider index; :func:`rebind_derived` carries all of
+  the above and :func:`offering_index` to the next view, patched from its changes.
 * :func:`solve_specs` / :func:`solve_child_spec` — the proxies picked for a
   call's children (one ragged kernel) or for one child (the flat solver),
   and :func:`child_hops`, the hop sequence a child's picks stand for.
@@ -34,20 +35,22 @@ raising on any other distance query.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, groupby, repeat
+from operator import itemgetter
 from typing import (
     Any,
     Callable,
     Dict,
+    FrozenSet,
     Hashable,
     Iterator,
     List,
     NamedTuple,
     Optional,
     Sequence,
-    Set,
     Tuple,
     Union,
 )
@@ -344,6 +347,49 @@ def query_tables(hfc: Any) -> QueryTables:
     return tables
 
 
+def patch_query_tables(tables: QueryTables, hfc: Any, changes: Any) -> QueryTables:
+    """What :func:`build_query_tables` returns on *hfc*, bit for bit, from *tables* of
+    the view before *changes*: on the ``k x k`` border-proxy matrix (-1 on the diagonal)
+    only a pair or cluster whose border moved (re-elected, or back at new coordinates)
+    and a ``d_entry`` pair beside a border new to its cluster are asked again."""
+    distance, moves = hfc.space.distance, changes.moves
+    held = np.array(tables.border_list + [-1]).take(tables.border_row)
+    proxies = held.copy()
+    for i, j in changes.reelected:
+        proxies[i, j], proxies[j, i] = hfc.borders[i, j], hfc.borders[j, i]
+    back = {p for kind, p, _ in moves if kind == "leave"} & {p for kind, p, _ in moves if kind == "join"}
+    moved = (proxies != held) | np.isin(proxies, list(back))
+    ext = tables.ext.copy()
+    i, j = np.triu(moved | moved.T, 1).nonzero()
+    ext[i, j] = ext[j, i] = list(map(distance, proxies[i, j].tolist(), proxies[j, i].tolist()))
+    ptr = tables.border_ptr.tolist()
+    lists = [tables.border_list[lo:hi] for lo, hi in zip(ptr, ptr[1:])]
+    for c in moved.any(axis=1).nonzero()[0].tolist():
+        lists[c] = [p for p in dict.fromkeys(proxies[c].tolist()) if p >= 0]
+    border_list = list(chain.from_iterable(lists))
+    ptr = np.cumsum([0] + list(map(len, lists)), dtype=np.int64)
+    # codes by proxy id, new and old shifted by one; -1 reads the last slot
+    code = np.full(max([*border_list, *tables.border_list, *back], default=0) + 2, -1)
+    was = np.zeros_like(code)
+    was[tables.border_list] = np.arange(1, len(tables.border_list) + 1)
+    was[list(back)] = 0
+    code[border_list] = np.arange(len(border_list))
+    # every in-cluster pair (a border keeps its cluster) read at its old codes,
+    # and asked again where one side is new to the cluster (old code 0)
+    at = np.concatenate([[0], was.take(border_list)])
+    size = np.diff(ptr)
+    reps = size.repeat(size)
+    a = np.arange(1, len(at)).repeat(reps)
+    b = (ptr[:-1] + 1).repeat(size).repeat(reps)
+    b += np.arange(len(a)) - (reps.cumsum() - reps).repeat(reps)
+    d_entry = np.zeros((len(at), len(at)))
+    d_entry[a, b] = tables.d_entry[at.take(a), at.take(b)]
+    ask = (a < b) & (at.take(a) * at.take(b) == 0)
+    for u, v in zip(a[ask].tolist(), b[ask].tolist()):
+        d_entry[u, v] = d_entry[v, u] = distance(border_list[u - 1], border_list[v - 1])
+    return QueryTables(tables.cluster_count, ext, code.take(proxies), border_list, d_entry[1:, 1:], ptr, d_entry)
+
+
 # -- batched conquer -----------------------------------------------------------
 
 #: per slot of one child, the proxies inside its cluster offering the slot's
@@ -355,47 +401,125 @@ ChildCandidates = Tuple[Tuple[ProxyId, ...], ...]
 ChildPicks = Union[Sequence[ProxyId], NoFeasiblePathError]
 
 
-def child_specs(hfc: Any, children: Sequence[Any]) -> List[ChildCandidates]:
-    """The conquer candidates of every dissected child of one pipeline call.
+class ClusterEntry(NamedTuple):
+    """Per cluster, cached on the topology: members in overlay order, their placement
+    sets, each service's providers (in member order) and their keys, the SCT_C aggregate."""
 
-    Nothing here scans the overlay: each touched cluster keeps a provider
-    index on the topology, like ``_query_tables_cache`` — its members in
-    overlay proxy order (as a whole-overlay scan filtered by membership
-    yields), their placement, and the providers of each service asked so far;
-    one walk over the members adds what a call asks and the index lacks.
-    Placement is read live: an index holds while each member's placement is
-    (identity first, else equal to) the set it was built from; a call finding
-    one rewritten (a crash, a restore, a rebind) starts that index afresh.
-    """
-    cached = getattr(hfc, "_providers_cache", None)
-    if cached is None:
-        cached = hfc._providers_cache = {}
-    placement = hfc.overlay.placement
-    wanted: Dict[ClusterId, Set[str]] = {}
-    for child in children:
-        if child.services:
-            wanted.setdefault(child.cluster, set()).update(child.services)
-    providers: Dict[ClusterId, Dict[str, Tuple[ProxyId, ...]]] = {}
-    for cluster, services in wanted.items():
+    members: List[ProxyId]
+    placed: List[FrozenSet[str]]
+    providers: Dict[str, Tuple[ProxyId, ...]]
+    aggregate: FrozenSet[str]
+
+
+def cluster_entry(hfc: Any, cluster: ClusterId) -> ClusterEntry:
+    """*cluster*'s entry on *hfc*, its one builder. Placement is read live: an
+    entry holds while each member's placement is (identity first, else equal
+    to) the set it was built from; a read finding one rewritten starts afresh."""
+    cached, placement = vars(hfc).setdefault("_providers_cache", {}), hfc.overlay.placement
+    entry = cached.get(cluster)
+    if entry is None or list(map(placement.__getitem__, entry.members)) != entry.placed:
+        members = entry.members if entry else sorted(hfc.members(cluster), key=hfc.overlay.index_of)
+        placed = list(map(placement.__getitem__, members))
+        lists: Dict[str, List[ProxyId]] = {}
+        for proxy, offered in zip(members, placed):
+            for service in offered:
+                lists.setdefault(service, []).append(proxy)
+        providers = {service: tuple(proxies) for service, proxies in lists.items()}
+        entry = cached[cluster] = ClusterEntry(members, placed, providers, frozenset(providers))
+    return entry
+
+
+def placement_capabilities(hfc: Any) -> Dict[ClusterId, FrozenSet[str]]:
+    """Ground-truth SCT_C: each cluster's aggregate of the live placement."""
+    return {cid: cluster_entry(hfc, cid).aggregate for cid in range(hfc.cluster_count)}
+
+
+def child_specs(hfc: Any, children: Sequence[Any]) -> List[ChildCandidates]:
+    """The conquer candidates of every dissected child of one pipeline call,
+    from each touched cluster's :func:`cluster_entry`."""
+    touched = {child.cluster for child in children if child.services}
+    providers = {cluster: cluster_entry(hfc, cluster).providers for cluster in touched}
+    return [tuple(map(providers[c.cluster].get, c.services, repeat(()))) if c.services else () for c in children]
+
+
+def offering_index(capabilities: Dict[ClusterId, FrozenSet[str]], k: int, base: Any = None) -> Dict[str, List[ClusterId]]:
+    """The map step's index, ``service -> cluster ids ascending``, of *capabilities*;
+    with *base*, ``(index, flips)``, that index patched by each cluster's services
+    ``flips[cid]`` gained or lost (into new lists: the old index stays whole)."""
+    if base is None:
+        index: Dict[str, List[ClusterId]] = {}
+        for cid in range(k):
+            for service in capabilities.get(cid, ()):
+                index.setdefault(service, []).append(cid)
+        return index
+    index, flips = base[0].copy(), base[1]
+    for cid, services in flips.items():
+        for service in services:
+            ids = index[service] = list(index.get(service, ()))
+            if cid in ids:  # a loss
+                ids.remove(cid)
+            else:
+                insort(ids, cid)
+            if not ids:
+                del index[service]
+    return index
+
+
+def _move_members(cached: Dict[ClusterId, ClusterEntry], placement: Any, moves: Any) -> None:
+    """Apply *moves* in order to the entries the new view took over (a joiner appended
+    to its services' providers, as overlay order puts it last); a new aggregate if they changed."""
+    for cluster, moved in groupby(sorted(moves, key=itemgetter(2)), itemgetter(2)):
         entry = cached.get(cluster)
-        if entry is None or list(map(placement.__getitem__, entry[0])) != entry[1]:
-            members = entry[0] if entry else sorted(hfc.members(cluster), key=hfc.overlay.index_of)
-            entry = cached[cluster] = (members, list(map(placement.__getitem__, members)), {})
-        members, placed, index = entry
-        missing = services.difference(index)
-        if missing:
-            found: Dict[str, List[ProxyId]] = {service: [] for service in missing}
-            for proxy, offered in zip(members, placed):
-                for service in missing & offered:
-                    found[service].append(proxy)
-            index.update((service, tuple(proxies)) for service, proxies in found.items())
-        providers[cluster] = index
-    return [
-        tuple(map(providers[child.cluster].__getitem__, child.services))
-        if child.services
-        else ()
-        for child in children
-    ]
+        if entry is None:
+            continue
+        members, placed, providers, aggregate = entry
+        for kind, proxy, _ in moved:
+            if kind == "join":
+                members.append(proxy)
+                placed.append(placement.get(proxy, frozenset()))
+                for service in placed[-1]:
+                    providers[service] = providers.get(service, ()) + (proxy,)
+            else:
+                at = members.index(proxy)
+                del members[at]
+                for service in placed.pop(at):
+                    providers[service] = tuple(p for p in providers[service] if p != proxy)
+                    if not providers[service]:
+                        del providers[service]
+        if providers.keys() != aggregate:
+            cached[cluster] = entry._replace(aggregate=frozenset(providers))
+
+
+def rebind_derived(
+    old: Any, new: Any, capabilities: Dict[ClusterId, FrozenSet[str]], offering: Tuple[Any, Any]
+) -> Tuple[Dict[ClusterId, FrozenSet[str]], Tuple[Any, Any], Dict[str, Any]]:
+    """A feed-less router's SCT_C, map index ``(capabilities, index)`` and ``routing.rebind``
+    event fields on view *new*: patched from *old*'s when *new*'s ``membership_changes``
+    follow from *old* (or *new* is *old*), else derived afresh, and the mode says why."""
+    changes, held = getattr(new, "membership_changes", None), getattr(old, "membership_changes", None)
+    mode = "patched"
+    if new is not old:
+        related = changes is not None and held is not None and changes.base is held.token
+        if changes is not None and changes.restructured:
+            mode = "restructured"
+        elif not related or changes.dropped:
+            mode = "renumbered" if related else "first bind"
+    event: Dict[str, Any] = dict(mode=mode, members_moved=0, pairs_patched=0)
+    if mode == "patched" and new is not old:  # the new view takes over what the old one derived
+        cached, tables = vars(old).pop("_providers_cache", None), vars(old).pop("_query_tables_cache", None)
+        if cached is not None and "_providers_cache" not in vars(new):
+            new._providers_cache = cached
+            _move_members(cached, new.overlay.placement, changes.moves)
+            event["members_moved"] = len(changes.moves)
+        if tables is not None and "_query_tables_cache" not in vars(new):
+            new._query_tables_cache = patch_query_tables(tables, new, changes)
+            event["pairs_patched"] = len(changes.reelected)
+    after = placement_capabilities(new)
+    flips = {c: after[c] ^ capabilities.get(c, frozenset()) for c in after if after[c] is not capabilities.get(c)}
+    event.update(clusters_reaggregated=len(flips), services_flipped=sum(map(len, flips.values())))
+    if mode != "patched" or offering[0] is not capabilities:
+        return after, (None, {}), event
+    return after, (after, offering_index(after, new.cluster_count, (offering[1], flips))), event
 
 
 def child_infeasible_error(child: Any) -> NoFeasiblePathError:

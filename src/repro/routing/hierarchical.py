@@ -66,8 +66,11 @@ from repro.routing.batch import (
     QueryTables,
     child_hops,
     child_specs,
+    offering_index,
+    placement_capabilities,
     query_tables,
     ragged_chunks,
+    rebind_derived,
     segment_argmin,
     service_graph_signature,
     solve_specs,
@@ -76,7 +79,6 @@ from repro.routing.path import Hop, ServicePath, merge_consecutive_hops
 from repro.routing.providers import CoordinateProvider, DistanceProvider
 from repro.services.catalog import ServiceName
 from repro.services.graph import ServiceGraph, SlotId
-from repro.services.placement import aggregate_capability
 from repro.services.request import ServiceRequest
 from repro.telemetry import NULL_TELEMETRY, Telemetry, get_telemetry
 from repro.telemetry.tracing import WALL_SPAN_BUCKETS
@@ -166,11 +168,11 @@ class HierarchicalRouter:
     #: pruned cluster-level information bind their view here — dissection
     #: and conquer always run on :attr:`hfc`.
     cluster_view: Any = None
-    #: the map step's index, ``service -> cluster ids ascending``, and the
-    #: capability view it was built from. A view is replaced, never edited in
-    #: place; however that happens (feed sync, ``rebind``, a subclass, plain
-    #: assignment to :attr:`cluster_capabilities`), the next map step finds
-    #: another object there and builds the index again
+    #: the map step's index (:func:`~repro.routing.batch.offering_index`) and
+    #: the capability view it was built from. A view is replaced, never edited in
+    #: place; however that happens (feed sync, a subclass, plain assignment to
+    #: :attr:`cluster_capabilities`), the next map step finds another object
+    #: there and builds the index again, unless a ``rebind`` patched it
     _offering_index: Tuple[Any, Dict[ServiceName, List[ClusterId]]] = (None, {})
     #: the metric handles :meth:`_resolve` bumps, bound once per telemetry scope
     _metrics: Tuple[Any, ...] = (None,)
@@ -209,7 +211,7 @@ class HierarchicalRouter:
         self.capability_feed = capability_feed
         self._bind(hfc)
         if cluster_capabilities is None and capability_feed is None:
-            cluster_capabilities = self._placement_capabilities()
+            cluster_capabilities = placement_capabilities(hfc)
         self.cluster_capabilities = cluster_capabilities or {}
 
     def _bind(self, hfc: HFCTopology) -> None:
@@ -222,14 +224,6 @@ class HierarchicalRouter:
         """
         self.hfc = hfc
         self._provider: DistanceProvider = CoordinateProvider(hfc.space)
-
-    def _placement_capabilities(self) -> Dict[ClusterId, FrozenSet[ServiceName]]:
-        """Ground-truth SCT_C: each cluster's aggregate of the live placement."""
-        hfc = self.hfc
-        return {
-            cid: aggregate_capability(hfc.overlay.placement, hfc.members(cid))
-            for cid in range(hfc.cluster_count)
-        }
 
     @property
     def _view(self) -> Any:
@@ -271,19 +265,25 @@ class HierarchicalRouter:
         Recovery flows keep one long-lived router across overlay repairs
         instead of constructing a new one per failure; after a membership
         change rebuilt the topology they rebind. Feed-less routers get the
-        ground-truth capability view of the new placement; feed-bound ones
-        are forced to resynchronise on the next refresh. Either way
+        ground-truth capability view of the new placement, patched from
+        the old one (:func:`~repro.routing.batch.rebind_derived`); feed-bound
+        ones are forced to resynchronise on the next refresh. Either way
         :meth:`_capabilities_changed` fires, because topology-derived
         caches (CSP keys embed cluster ids, which a rebuild renumbers) are
-        all invalid now.
+        all invalid now. A ``routing.rebind`` event says what it did.
         """
+        old = getattr(self, "hfc", None)
         self._bind(hfc)
         if self.capability_feed is None:
-            self.cluster_capabilities = self._placement_capabilities()
+            self.cluster_capabilities, self._offering_index, event = rebind_derived(
+                old, hfc, self.cluster_capabilities, self._offering_index
+            )
             self._capabilities_changed()
         else:
+            event = dict(mode="feed")
             self._feed_version = self._UNSYNCED
             self.refresh_capabilities()
+        self.telemetry.events.record("routing.rebind", **event)
 
     # -- CSP cache hooks (no-ops here; the cached subclass persists CSPs) -------
 
@@ -434,10 +434,7 @@ class HierarchicalRouter:
         capabilities = self.cluster_capabilities
         indexed, index = self._offering_index
         if indexed is not capabilities:
-            index = {}
-            for cid in range(self._view.cluster_count):
-                for service in capabilities.get(cid, ()):
-                    index.setdefault(service, []).append(cid)
+            index = offering_index(capabilities, self._view.cluster_count)
             self._offering_index = capabilities, index
         for service in sg.services.values():
             if service not in offering:

@@ -29,6 +29,7 @@ from repro.membership import DynamicOverlay
 from repro.overlay.hfc import build_hfc
 from repro.persistence import load_snapshot, save_snapshot
 from repro.routing.batch import query_tables
+from repro.services import aggregate_capability
 from repro.state.delta import (
     DeltaAssembler,
     DeltaEmitter,
@@ -226,7 +227,9 @@ class TestRecursion:
         )
         assert view == aggregates
         for gid in range(h.top_count):
-            assert aggregates[(2, gid)] == h.top_capability(gid)
+            assert aggregates[(2, gid)] == aggregate_capability(
+                h.hfc.overlay.placement, h.top_members(gid)
+            )
             assert aggregates[(2, gid)] == frozenset().union(
                 *(aggregates[(1, cid)] for cid in h.base_clusters_of(gid))
             )

@@ -230,6 +230,28 @@ class TestVersioning:
         assert [kind for _, kind in seen] == ["join", "leave"]
         assert seen[0][0] < seen[1][0]
 
+    def test_a_cluster_emptying_leave_names_the_dropped_id(self):
+        """Emptying a cluster shifts every id above it down by one: the
+        notification and the next view's change record say which one went
+        (n=40 at seed 5 has seven clusters)."""
+        from repro.core import HFCFramework
+
+        dyn = DynamicOverlay(
+            HFCFramework.build(proxy_count=40, seed=5), restructure_tolerance=None
+        )
+        seen = []
+        dyn.notifier.subscribe(lambda version, **info: seen.append((version, info)))
+        clusters = dyn.clustering.clusters
+        smallest = min(range(len(clusters)), key=lambda c: len(clusters[c]))
+        for proxy in list(clusters[smallest]):
+            dyn.leave(proxy)
+        version, info = seen[-1]
+        assert info["kind"] == "leave" and info["reelected"] == []
+        assert info["dropped"] == smallest
+        assert all(earlier["dropped"] is None for _, earlier in seen[:-1])
+        assert dyn.hfc.membership_changes.dropped == [smallest]
+        assert dyn.hfc.cluster_count == len(clusters) - 1
+
     def test_full_mode_produces_same_topology(self, framework):
         inc = DynamicOverlay(framework, restructure_tolerance=None)
         full = RebuildingOverlay(framework, restructure_tolerance=None)

@@ -7,6 +7,7 @@ import pytest
 from repro.core import HFCFramework
 from repro.hierarchy import RecursiveRouter, build_levels
 from repro.routing import HierarchicalRouter, validate_path
+from repro.services import aggregate_capability
 from repro.state import coordinates_node_states
 from repro.util.errors import TopologyError
 
@@ -97,7 +98,9 @@ class TestThreeLevelRouting:
     def test_capabilities_are_super_aggregates(self, multilevel):
         router = RecursiveRouter(multilevel)
         for sid in range(multilevel.top_count):
-            assert router.cluster_capabilities[sid] == multilevel.top_capability(sid)
+            assert router.cluster_capabilities[sid] == aggregate_capability(
+                multilevel.hfc.overlay.placement, multilevel.top_members(sid)
+            )
 
     def test_cross_super_hops_use_super_borders(self, framework, multilevel):
         """A direct hop between super-clusters must be a super-border link."""

@@ -12,8 +12,15 @@ After every rule the whole-system invariants must hold:
 * the patched level stack equals a cold :func:`build_levels` under the
   assignment it holds (:func:`assert_matches_cold_levels`);
 
-and the routing rule holds every production path to :func:`validate_path`
-and to the path :class:`ReferenceCspRouter` returns.
+* what the router rotation carried across its rebinds — capabilities, the
+  map step's index, the per-cluster provider entries and the query tables
+  (bit for bit) — equals a cold derivation on the view each is bound to;
+
+and the routing rule rebinds the plain, cached, centroid and QoS routers and
+holds every production path to :func:`validate_path`, to a router of the
+same class built fresh on the same view and (plain and cached) to the path
+:class:`ReferenceCspRouter` returns; a proxy that left raises its own
+:class:`NoFeasiblePathError` as an endpoint.
 
 The framework is built once per module; every machine wraps it afresh.
 """
@@ -23,6 +30,7 @@ import tempfile
 from functools import lru_cache
 from pathlib import Path
 
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
@@ -30,12 +38,16 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 from repro.core import HFCFramework
 from repro.membership import DynamicOverlay
 from repro.persistence import load_snapshot, save_snapshot
+from repro.qos import BandwidthModel, QoSHierarchicalRouter, cluster_pair_bandwidth
 from repro.routing import HierarchicalRouter, validate_path
+from repro.routing.aggregation import CentroidAggregationRouter
+from repro.routing.cache import CachedHierarchicalRouter
 from repro.services import ServiceRequest, linear_graph
 from repro.util.errors import NoFeasiblePathError
 from tests.oracles.churn import assert_levels_equal, assert_matches_cold_levels
 from tests.oracles.construction import select_borders_closest_reference
 from tests.oracles.csp import ReferenceCspRouter
+from tests.oracles.rebind import assert_carried_state_is_cold, cold_capabilities
 
 #: hierarchy depth the machine attaches and keeps patched
 DEPTH = 3
@@ -53,6 +65,27 @@ def soak_framework() -> HFCFramework:
     return HFCFramework.build(proxy_count=40, seed=5)
 
 
+@lru_cache(maxsize=None)
+def bandwidth():
+    """The QoS router's model and a floor pruning the thinner third of the
+    framework's cluster links."""
+    framework = soak_framework()
+    model = BandwidthModel(framework.physical, seed=5)
+    links = sorted(cluster_pair_bandwidth(framework.hfc, model).values())
+    return model, links[len(links) // 3]
+
+
+#: the rotation: each router class the machine rebinds, built on a view
+ROTATION = {
+    "plain": HierarchicalRouter,
+    "cached": lambda hfc: CachedHierarchicalRouter(hfc, cache_size=8),
+    "centroid": CentroidAggregationRouter,
+    "qos": lambda hfc: QoSHierarchicalRouter(hfc, *bandwidth()),
+}
+#: the classes whose paths are the paper's, so the scalar reference's
+EXACT = ("plain", "cached")
+
+
 def overlay_with_hierarchy(framework) -> DynamicOverlay:
     dyn = DynamicOverlay(framework, restructure_tolerance=None, track_quality=False)
     dyn.attach_hierarchy(DEPTH)
@@ -66,11 +99,19 @@ def route_or_error(router, request):
         return type(err)
 
 
+def outcomes(router, requests):
+    """One batch through *router*: per request its path or error type."""
+    result = router.route_many_detailed(requests)
+    return [type(e) if e is not None else p for p, e in zip(result.paths, result.errors)]
+
+
 class OverlaySoak(RuleBasedStateMachine):
     def __init__(self) -> None:
         super().__init__()
         self.dyn = overlay_with_hierarchy(soak_framework())
-        self.router = HierarchicalRouter(self.dyn.hfc)
+        self.routers = {name: make(self.dyn.hfc) for name, make in ROTATION.items()}
+        self.departed, self.notes = [], []
+        self.dyn.notifier.subscribe(lambda version, **info: self.notes.append(info))
 
     # -- rules ----------------------------------------------------------------------
 
@@ -87,7 +128,30 @@ class OverlaySoak(RuleBasedStateMachine):
     @precondition(lambda self: self.dyn.size > MIN_SIZE)
     @rule(seed=SEEDS)
     def leave(self, seed):
-        self.dyn.leave(random.Random(seed).choice(self.dyn.proxies))
+        self._leave(random.Random(seed).choice(self.dyn.proxies))
+
+    @rule(seed=SEEDS)
+    def churn_block(self, seed):
+        """5-15 joins and leaves before one rebind, emptying a cluster (its
+        ids above shift down, the notification names it) whenever one has
+        at most two members, so the carried state spans many events."""
+        dyn, rng = self.dyn, random.Random(seed)
+        for _ in range(rng.randint(5, 15)):
+            clusters = dyn.clustering.clusters
+            small = [c for c, members in enumerate(clusters) if len(members) <= 2]
+            if small and dyn.size - len(clusters[small[0]]) >= MIN_SIZE and len(clusters) > 2:
+                for proxy in list(clusters[small[0]]):
+                    self._leave(proxy)
+                assert self.notes[-1]["dropped"] == small[0] and self.notes[-1]["reelected"] == []
+            elif rng.random() < 0.5 or dyn.size <= MIN_SIZE:
+                self.join(rng.randrange(2**32))
+            else:
+                self._leave(rng.choice(dyn.proxies))
+        self._route_batch(rng)
+
+    def _leave(self, proxy):
+        self.dyn.leave(proxy)
+        self.departed.append(proxy)
 
     @rule()
     def restructure(self):
@@ -108,6 +172,7 @@ class OverlaySoak(RuleBasedStateMachine):
         assert twin.overlay.placement == dyn.overlay.placement
         assert_levels_equal(twin.hierarchy().levels, dyn.hierarchy().levels)
         self.dyn = twin
+        twin.notifier.subscribe(lambda version, **info: self.notes.append(info))
 
     @rule(seed=SEEDS)
     def rebind_and_route(self, seed):
@@ -129,20 +194,21 @@ class OverlaySoak(RuleBasedStateMachine):
         changed = sorted(moved ^ before[proxy])
         for services in (moved, frozenset(list(moved))):
             placement[proxy] = services
-            self._route_batch(rng, proxy, changed)
+            self._route_batch(rng, proxy, changed, rotation=("plain",))
         placement.clear()
         placement.update(before)
         self._route_batch(rng, proxy, changed)
 
-    def _route_batch(self, rng, source=None, wanted=()):
-        """Route a batch after a rebind and hold every path to the reference
+    def _route_batch(self, rng, source=None, wanted=(), rotation=ROTATION):
+        """Rebind the *rotation* and route a batch, holding every outcome to
+        a router of its class built fresh on the view and to the reference
         router's; requests start at *source* when given and ask for one of
-        the *wanted* services when given."""
+        the *wanted* services when given. A departed proxy, as a source,
+        raises its own error."""
         dyn = self.dyn
         hfc = dyn.hfc
-        self.router.rebind(hfc)
-        reference = ReferenceCspRouter(hfc)
         services = sorted(set().union(*hfc.overlay.placement.values()))
+        requests = []
         for _ in range(BATCH):
             src, dst = rng.sample(dyn.proxies, 2)
             if source is not None and source != dst:
@@ -150,11 +216,23 @@ class OverlaySoak(RuleBasedStateMachine):
             chain = rng.sample(services, min(3, len(services)))
             if wanted:
                 chain[rng.randrange(len(chain))] = rng.choice(wanted)
-            request = ServiceRequest(src, linear_graph(chain), dst)
-            got = route_or_error(self.router, request)
-            assert got == route_or_error(reference, request)
-            if got is not NoFeasiblePathError:
-                validate_path(got, request, hfc.overlay)
+            requests.append(ServiceRequest(src, linear_graph(chain), dst))
+        reference = ReferenceCspRouter(hfc, cluster_capabilities=cold_capabilities(hfc))
+        want = [route_or_error(reference, request) for request in requests]
+        gone = [proxy for proxy in self.departed if proxy not in dyn]
+        for name in rotation:
+            router = self.routers[name]
+            router.rebind(hfc)
+            got = outcomes(router, requests)
+            assert got == outcomes(ROTATION[name](hfc), requests), name
+            assert name not in EXACT or got == want, name
+            for path, request in zip(got, requests):
+                if path is not NoFeasiblePathError:
+                    validate_path(path, request, hfc.overlay)
+            if gone:
+                stranger = ServiceRequest(gone[-1], linear_graph(services[:1]), dyn.proxies[0])
+                with pytest.raises(NoFeasiblePathError, match="is not an overlay member"):
+                    router.route(stranger)
 
     # -- invariants -----------------------------------------------------------------
 
@@ -177,6 +255,13 @@ class OverlaySoak(RuleBasedStateMachine):
     @invariant()
     def levels_match_cold_build(self):
         assert_matches_cold_levels(self.dyn)
+
+    @invariant()
+    def carried_state_matches_a_cold_derivation(self):
+        views = set()
+        for router in self.routers.values():
+            assert_carried_state_is_cold(router, view=id(router.hfc) not in views)
+            views.add(id(router.hfc))
 
 
 OverlaySoak.TestCase.settings = settings(
