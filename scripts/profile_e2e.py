@@ -15,9 +15,10 @@ Prints, after the run's own summary:
   ``construct_2k``, whose rounds *are* the build: there, the construction
   layers;
 * what cProfile cannot see — a collection's time lands on whichever frame
-  happened to allocate: the cyclic collector's collections, seconds and
-  objects freed per generation over the whole run (the harness's own
-  ``gc.collect()`` before every round included), from a ``gc.callbacks`` timer.
+  happened to allocate: the cyclic collector's own collections, seconds and
+  objects freed per generation over the whole run, from a ``gc.callbacks``
+  timer, and on a row of their own the explicit ``gc.collect()`` calls (the
+  harness makes one before every round).
 
 The dump lands in ``benchmarks/out/<workload>.pstats`` (git-ignored).
 ``--scale smoke`` is for CI: it proves the script runs, its numbers mean nothing.
@@ -34,7 +35,7 @@ import runpy
 import sys
 from pathlib import Path
 from time import perf_counter
-from typing import Any, Dict, List
+from typing import Any, Callable, Dict, List
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -48,27 +49,42 @@ ROUND_LAYERS = (
 
 
 class CollectionTimer:
-    """Collections, seconds and objects freed per generation, via ``gc.callbacks``."""
+    """Collections, seconds and objects freed per generation, via ``gc.callbacks``;
+    the ones a ``gc.collect()`` call asked for (while :meth:`explicit` wraps it)
+    on the last row."""
 
     def __init__(self) -> None:
-        self.generations: List[List[float]] = [[0, 0.0, 0] for _ in range(3)]
+        self.rows: List[List[float]] = [[0, 0.0, 0] for _ in range(4)]
         self._started = 0.0
+        self._asked = False
+
+    def explicit(self, collect: Callable[..., int]) -> Callable[..., int]:
+        """*collect*, its collections counted apart from the program's own."""
+
+        def asked(*args: Any, **kwargs: Any) -> int:
+            self._asked = True
+            try:
+                return collect(*args, **kwargs)
+            finally:
+                self._asked = False
+
+        return asked
 
     def __call__(self, phase: str, info: Dict[str, Any]) -> None:
         if phase == "start":
             self._started = perf_counter()
             return
-        row = self.generations[info["generation"]]
+        row = self.rows[3 if self._asked else info["generation"]]
         row[0] += 1
         row[1] += perf_counter() - self._started
         row[2] += info["collected"]
 
     def report(self, wall: float) -> str:
         lines = [f"   {'generation':<12} {'collections':>12} {'seconds':>10} {'freed':>10}"]
-        for generation, (count, seconds, freed) in enumerate(self.generations):
+        for generation, (count, seconds, freed) in zip((0, 1, 2, "gc.collect()"), self.rows):
             lines.append(f"   {generation:<12} {count:>12} {seconds:>10.3f} {freed:>10}")
-        spent = sum(row[1] for row in self.generations)
-        lines.append(f"   collecting {spent:.3f} s of {wall:.3f} s ({spent / wall:.1%})")
+        own = sum(row[1] for row in self.rows[:3])
+        lines.append(f"   the program collecting {own:.3f} s of {wall:.3f} s ({own / wall:.1%})")
         return "\n".join(lines)
 
 
@@ -89,6 +105,7 @@ def main(argv: List[str] | None = None) -> int:
     collections = CollectionTimer()
     profile = cProfile.Profile()
     gc.callbacks.append(collections)
+    collect, gc.collect = gc.collect, collections.explicit(gc.collect)
     started = perf_counter()
     try:
         profile.runcall(runpy.run_path, str(script), run_name="__main__")
@@ -97,6 +114,7 @@ def main(argv: List[str] | None = None) -> int:
             return int(done.code)
     finally:
         wall = perf_counter() - started
+        gc.collect = collect
         gc.callbacks.remove(collections)
 
     out = ROOT / "benchmarks" / "out"

@@ -135,7 +135,10 @@ class CoordinateSpace:
 
     def distance(self, u: NodeId, v: NodeId) -> float:
         """Euclidean distance between *u* and *v* in the space."""
-        return math.dist(self.coordinate(u), self.coordinate(v))
+        try:
+            return math.dist(self._coords[u], self._coords[v])
+        except KeyError as exc:
+            raise EmbeddingError(f"node {exc.args[0]!r} has no coordinates") from None
 
     def _index(self) -> Dict[NodeId, int]:
         """node -> row of :attr:`stacked`; stacks the coordinates on first use."""

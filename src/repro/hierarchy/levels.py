@@ -491,12 +491,9 @@ class RecursiveRouter(HierarchicalRouter):
         )
         return tuple(merge_consecutive_hops([Hop(proxy=p) for p in hops]))
 
-    def _sub_request(
-        self, request: ServiceRequest, child: ChildRequest
-    ) -> ServiceRequest:
-        sg = request.service_graph
+    def _sub_request(self, child: ChildRequest) -> ServiceRequest:
         sub_sg = ServiceGraph(
-            services={slot: sg.service_of(slot) for slot in child.slots},
+            services=dict(zip(child.slots, child.services)),
             edges=frozenset(zip(child.slots, child.slots[1:])),
         )
         return ServiceRequest(
@@ -505,9 +502,7 @@ class RecursiveRouter(HierarchicalRouter):
             destination_proxy=child.destination_proxy,
         )
 
-    def _conquer(
-        self, jobs: Sequence[Tuple[ServiceRequest, ChildRequest]]
-    ) -> List[ChildHops]:
+    def _conquer(self, children: Sequence[ChildRequest]) -> List[ChildHops]:
         """Descend one level: one batched call per touched sub-hierarchy.
 
         Relay-only children cross their group along its internal border
@@ -516,16 +511,16 @@ class RecursiveRouter(HierarchicalRouter):
         ``route_many_detailed``, whose paths' hops are the children's —
         batching is preserved at every level.
         """
-        outcomes: List[Any] = [None] * len(jobs)
+        outcomes: List[Any] = [None] * len(children)
         buckets: Dict[GroupId, List[int]] = {}
-        for at, (_, child) in enumerate(jobs):
+        for at, child in enumerate(children):
             if child.slots:
                 buckets.setdefault(child.cluster, []).append(at)
             else:
                 outcomes[at] = self._relay_hops(child)
         for group_id, ats in buckets.items():
             result = self._sub_router(group_id).route_many_detailed(
-                [self._sub_request(*jobs[at]) for at in ats]
+                [self._sub_request(children[at]) for at in ats]
             )
             for at, path, error in zip(ats, result.paths, result.errors):
                 outcomes[at] = error if path is None else path.hops

@@ -33,7 +33,6 @@ from repro.overlay.network import OverlayNetwork, ProxyId
 from repro.routing.flat import FlatRouter
 from repro.routing.hierarchical import ChildHops, ChildRequest, HierarchicalRouter
 from repro.routing.providers import CoordinateProvider, DistanceProvider
-from repro.services.request import ServiceRequest
 from repro.util.errors import NoFeasiblePathError, RoutingError
 from repro.util.rng import RngLike, ensure_rng
 
@@ -213,9 +212,7 @@ class QoSHierarchicalRouter(HierarchicalRouter):
             self._provider, self.model, self.min_bandwidth
         )
 
-    def _conquer(
-        self, jobs: Sequence[Tuple[ServiceRequest, ChildRequest]]
-    ) -> List[ChildHops]:
+    def _conquer(self, children: Sequence[ChildRequest]) -> List[ChildHops]:
         """Intra-cluster solving plus a bandwidth check on every child hop.
 
         Children with services route through the bandwidth-masked provider
@@ -224,7 +221,7 @@ class QoSHierarchicalRouter(HierarchicalRouter):
         proxies of every child is verified here. Infeasible means the whole
         CSP choice was infeasible.
         """
-        outcomes = super()._conquer(jobs)
+        outcomes = super()._conquer(children)
         for at, hops in enumerate(outcomes):
             if isinstance(hops, NoFeasiblePathError):
                 continue

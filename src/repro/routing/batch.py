@@ -19,8 +19,7 @@ resolution crosses. This module hosts the structures one pipeline call
   each touched cluster's provider index; :func:`rebind_derived` carries all of
   the above and :func:`offering_index` to the next view, patched from its changes.
 * :func:`solve_specs` / :func:`solve_child_spec` — the proxies picked for a
-  call's children (one ragged kernel) or for one child (the flat solver),
-  and :func:`child_hops`, the hop sequence a child's picks stand for.
+  call's children (one ragged kernel) or for one child (the flat solver).
 * :class:`BatchRouteResult` — aligned per-request outcomes of a batch.
 * :func:`ragged_chunks` / :func:`segment_argmin` — the ragged layout the two
   chain kernels (cluster-level CSP, conquer) share.
@@ -38,8 +37,8 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, groupby, repeat
-from operator import itemgetter
+from itertools import accumulate, chain, compress, groupby, repeat
+from operator import itemgetter, not_
 from typing import (
     Any,
     Callable,
@@ -51,8 +50,8 @@ from typing import (
     NamedTuple,
     Optional,
     Sequence,
+    Set,
     Tuple,
-    Union,
 )
 
 import numpy as np
@@ -60,7 +59,7 @@ import numpy as np
 from repro.coords.space import CoordinateSpace
 from repro.overlay.hfc import HFCTopology
 from repro.overlay.network import ProxyId
-from repro.routing.path import Hop, ServicePath
+from repro.routing.path import ServicePath
 from repro.routing.servicedag import solve_vectorised
 from repro.services.graph import ServiceGraph
 from repro.telemetry import NULL_TELEMETRY
@@ -396,9 +395,6 @@ def patch_query_tables(tables: QueryTables, hfc: Any, changes: Any) -> QueryTabl
 #: service — in the order :meth:`FlatRouter.candidates_for` would produce
 #: (overlay placement order filtered by membership)
 ChildCandidates = Tuple[Tuple[ProxyId, ...], ...]
-#: one child solve: the proxies picked for its slots in order, or why its
-#: cluster cannot serve it
-ChildPicks = Union[Sequence[ProxyId], NoFeasiblePathError]
 
 
 class ClusterEntry(NamedTuple):
@@ -434,12 +430,15 @@ def placement_capabilities(hfc: Any) -> Dict[ClusterId, FrozenSet[str]]:
     return {cid: cluster_entry(hfc, cid).aggregate for cid in range(hfc.cluster_count)}
 
 
-def child_specs(hfc: Any, children: Sequence[Any]) -> List[ChildCandidates]:
-    """The conquer candidates of every dissected child of one pipeline call,
-    from each touched cluster's :func:`cluster_entry`."""
-    touched = {child.cluster for child in children if child.services}
-    providers = {cluster: cluster_entry(hfc, cluster).providers for cluster in touched}
-    return [tuple(map(providers[c.cluster].get, c.services, repeat(()))) if c.services else () for c in children]
+def child_specs(hfc: Any, children: Sequence[Any]) -> List[Tuple[ProxyId, ...]]:
+    """The conquer candidates of one pipeline call: per slot of every
+    dissected child, side by side in child order, the providers of its
+    service in the child's cluster (the :data:`ChildCandidates` of each child,
+    concatenated), from each touched cluster's :func:`cluster_entry`."""
+    clusters, services = list(map(itemgetter(0), children)), list(map(itemgetter(2), children))
+    providers = {cluster: cluster_entry(hfc, cluster).providers for cluster in set(compress(clusters, services))}
+    per_slot = chain.from_iterable(map(repeat, clusters, map(len, services)))
+    return [providers[cluster].get(service, ()) for cluster, service in zip(per_slot, chain.from_iterable(services))]
 
 
 def offering_index(capabilities: Dict[ClusterId, FrozenSet[str]], k: int, base: Any = None) -> Dict[str, List[ClusterId]]:
@@ -552,34 +551,21 @@ def solve_child_spec(child: Any, candidates: ChildCandidates, provider: Any) -> 
     return [proxy for _, proxy in solution.assignment]
 
 
-def child_hops(child: Any, proxies: Sequence[ProxyId]) -> Tuple[Hop, ...]:
-    """Hops of a solved child, *proxies* serving its slots in order — what
-    :func:`~repro.routing.flat.materialise_assignment` yields for a chain
-    without its expander machinery (hierarchical children never expand
-    hops) or its merge pass: a chain's service hops are all kept, only a
-    relay end can duplicate its neighbour, so the ends are added only where
-    they do not. An empty child is the direct link between its endpoints.
-    """
-    hops = list(map(Hop, proxies, child.services, child.slots))
-    if not hops or hops[0].proxy != child.source_proxy:
-        hops.insert(0, Hop(child.source_proxy))
-    if hops[-1].proxy != child.destination_proxy:
-        hops.append(Hop(child.destination_proxy))
-    return tuple(hops)
-
-
 def solve_specs(
     children: Sequence[Any],
-    candidates: Sequence[ChildCandidates],
+    candidates: Sequence[Tuple[ProxyId, ...]],
     provider: Any,
     *,
     space: Optional[CoordinateSpace] = None,
     tracer: Tracer = NULL_TELEMETRY.tracer,
-) -> List[ChildPicks]:
-    """Solve the children of one call: the picked proxies of each, or its
-    infeasibility.
+) -> Tuple[List[Optional[ProxyId]], Set[int]]:
+    """Solve the children of one call, *candidates* as :func:`child_specs`
+    lays them out: the proxy picked for every slot, side by side the same
+    way, and the children whose cluster cannot serve them (their slots'
+    picks mean nothing).
 
-    Over a coordinate *space* every child goes through the ragged chain
+    A child with one candidate per slot has nothing to decide. Over a
+    coordinate *space* every other child goes through the ragged chain
     kernel: each child a hierarchical dissection produces is a chain (a run
     of consecutive slots of the chosen configuration path), so the whole
     conquer step is one numpy relaxation per chain position and chunk of
@@ -593,32 +579,30 @@ def solve_specs(
     :func:`solve_vectorised` picks is picked. *tracer* hears the triples
     relaxed and the chunks.
     """
-    picks: List[Any] = [()] * len(children)
+    sizes = list(map(len, map(itemgetter(1), children)))
+    start = list(accumulate(sizes, initial=0))  # child i's slots: start[i]:start[i + 1]
+    owner = list(chain.from_iterable(map(repeat, range(len(children)), sizes)))
+    widths = list(map(len, candidates))
+    # a slot's first candidate: the pick of every child with nothing to decide
+    picks: List[Optional[ProxyId]] = [slot[0] if slot else None for slot in candidates]
+    refused = {owner[at] for at in compress(range(len(widths)), map(not_, widths))}
     if space is None:
-        for i, (child, cands) in enumerate(zip(children, candidates)):
+        for i in sorted(set(owner) - refused):
             try:
-                picks[i] = solve_child_spec(child, cands, provider)
-            except NoFeasiblePathError as err:
-                picks[i] = err
-        return picks
-    chains: List[int] = []
+                picks[start[i] : start[i + 1]] = solve_child_spec(children[i], candidates[start[i] : start[i + 1]], provider)
+            except NoFeasiblePathError:
+                refused.add(i)
+        return picks, refused
+    wide = compress(range(len(widths)), map(int.__gt__, widths, repeat(1)))
+    chains = sorted({owner[at] for at in wide} - refused)
     code: Dict[Tuple[ProxyId, ...], int] = {}
-    for i, cands in enumerate(candidates):
-        if not all(cands):
-            picks[i] = child_infeasible_error(children[i])
-        elif all(len(slot) == 1 for slot in cands):  # nothing to decide
-            picks[i] = [slot[0] for slot in cands]
-        else:
-            chains.append(i)
-            for slot in cands:
-                code.setdefault(slot, len(code))
+    rows = [[code.setdefault(slot, len(code)) for slot in candidates[start[i] : start[i + 1]]] for i in chains]
     relaxed = chunks = 0
     proxies = list(chain.from_iterable(code))
     stacked = space.stacked
     at_proxy = stacked.take(space.rows(proxies), axis=0)
-    src = stacked.take(space.rows(children[i].source_proxy for i in chains), axis=0)
-    dst = stacked.take(space.rows(children[i].destination_proxy for i in chains), axis=0)
-    rows = [[code[cands] for cands in candidates[i]] for i in chains]
+    src = stacked.take(space.rows([children[i].source_proxy for i in chains]), axis=0)
+    dst = stacked.take(space.rows([children[i].destination_proxy for i in chains]), axis=0)
     for r0, r1, lay in ragged_chunks(list(map(len, code)), rows) if chains else ():
         xy = at_proxy.take(lay.items, axis=0)
         diff = xy[: lay.heads] - src[r0:r1].take(lay.head_rows, axis=0)
@@ -639,8 +623,11 @@ def solve_specs(
         winner = (np.arange(r1 - r0), totals.argmin(axis=1))
         feasible = np.isfinite(totals[winner]).tolist()
         for i, ok, items in zip(chains[r0:r1], feasible, lay.walk(parent, lay.tail[winner], lay.items)):
-            picks[i] = [proxies[at] for at in items] if ok else child_infeasible_error(children[i])
+            if ok:
+                picks[start[i] : start[i + 1]] = [proxies[at] for at in items]
+            else:
+                refused.add(i)
         relaxed += len(lay.pred)
         chunks += 1
     tracer.add(relaxed=relaxed, chunks=chunks)
-    return picks
+    return picks, refused

@@ -40,20 +40,23 @@ Three variants of step 2 are provided (`method=`):
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import chain, islice
+from itertools import chain, compress, repeat
+from operator import attrgetter, itemgetter
 from typing import (
     Any,
+    Callable,
     Dict,
     FrozenSet,
     Hashable,
+    Iterable,
     List,
     NamedTuple,
     Optional,
     Sequence,
     Tuple,
     Union,
+    cast,
 )
 
 import numpy as np
@@ -64,7 +67,7 @@ from repro.routing.batch import (
     BATCH_SIZE_BUCKETS,
     BatchRouteResult,
     QueryTables,
-    child_hops,
+    child_infeasible_error,
     child_specs,
     offering_index,
     placement_capabilities,
@@ -72,7 +75,6 @@ from repro.routing.batch import (
     ragged_chunks,
     rebind_derived,
     segment_argmin,
-    service_graph_signature,
     solve_specs,
 )
 from repro.routing.path import Hop, ServicePath, merge_consecutive_hops
@@ -91,9 +93,9 @@ _Entry = Optional[ProxyId]
 METHODS = ("backtrack", "exact", "external")
 _NO_CONFIGURATION = "no cluster-level configuration satisfies the request"
 
-@dataclass(frozen=True)
-class ClusterServicePath:
-    """The CSP: which cluster serves each slot, plus the estimated bound."""
+class ClusterServicePath(NamedTuple):
+    """The CSP: which cluster serves each slot, plus the estimated bound
+    (plain data: a routed batch builds one per distinct request)."""
 
     assignment: Tuple[Tuple[SlotId, ClusterId], ...]
     source_cluster: ClusterId
@@ -130,24 +132,54 @@ class ChildRequest(NamedTuple):
 ChildHops = Union[Tuple[Hop, ...], NoFeasiblePathError]
 #: what the CSP stage holds per request: the path or its infeasibility
 _CspOutcome = Union[ClusterServicePath, NoFeasiblePathError]
-#: one linear request waiting for the chain kernel: (request, source cluster)
-_ChainJob = Tuple[ServiceRequest, ClusterId]
+#: one linear request waiting for the chain kernel: its slots in order, their
+#: services, its source and destination clusters and its destination proxy
+_ChainJob = Tuple[List[SlotId], List[ServiceName], ClusterId, ClusterId, ProxyId]
+
+#: a NamedTuple from the tuple of its fields, in C (the generated ``__new__``
+#: is a Python call, and a routed batch builds tens of thousands)
+_child = cast(Callable[[Tuple[Any, ...]], ChildRequest], partial(tuple.__new__, ChildRequest))
+_csp = cast(Callable[[Tuple[Any, ...]], ClusterServicePath], partial(tuple.__new__, ClusterServicePath))
+_hop = cast(Callable[[Tuple[Any, ...]], Hop], partial(tuple.__new__, Hop))
 
 
-@dataclass
 class HierarchicalResult:
-    """Everything produced while resolving one request hierarchically."""
+    """One request resolved hierarchically: its path and its CSP. The child
+    decomposition is derived on first read, by the router's :meth:`dissect`
+    (so read it before rebinding the router) and by cutting the path where
+    each next child's source proxy first appears — a child's hops stay inside
+    its cluster and two clusters share no proxy, so :meth:`compose` joined
+    the children's answers without merging any two of them."""
 
-    path: ServicePath
-    csp: ClusterServicePath
-    child_requests: List[ChildRequest]
-    #: per child, the hop sequence its cluster answered with
-    child_hops: List[Tuple[Hop, ...]]
+    def __init__(self, path: ServicePath, csp: ClusterServicePath, request: ServiceRequest, router: Any) -> None:
+        self.path, self.csp, self._request, self._router = path, csp, request, router
+
+    @cached_property
+    def child_requests(self) -> List[ChildRequest]:
+        """The request dissected along the CSP."""
+        return self._router.dissect(self._request, self.csp)
+
+    @cached_property
+    def child_hops(self) -> List[Tuple[Hop, ...]]:
+        """Per child, the hop sequence its cluster answered with."""
+        proxies, cuts = [hop.proxy for hop in self.path.hops], [0]
+        for child in self.child_requests[1:]:
+            cuts.append(proxies.index(child.source_proxy, cuts[-1] + 1))
+        return [self.path.hops[a:b] for a, b in zip(cuts, [*cuts[1:], None])]
 
     @cached_property
     def child_paths(self) -> List[ServicePath]:
         """The children's answers as service paths, wrapped on first read."""
         return [ServicePath(hops=hops) for hops in self.child_hops]
+
+    def __eq__(self, other: object) -> bool:
+        fields = attrgetter("path", "csp", "child_requests", "child_hops")
+        return isinstance(other, HierarchicalResult) and fields(self) == fields(other)
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"HierarchicalResult(path={self.path!r}, csp={self.csp!r})"
 
 
 class HierarchicalRouter:
@@ -317,9 +349,7 @@ class HierarchicalRouter:
         result.raise_first()
         return [path for path in result.paths if path is not None]
 
-    def route_many_detailed(
-        self, requests: Sequence[ServiceRequest]
-    ) -> BatchRouteResult:
+    def route_many_detailed(self, requests: Sequence[ServiceRequest]) -> BatchRouteResult:
         """Resolve a batch, capturing per-request outcomes."""
         paths: List[Optional[ServicePath]] = []
         errors: List[Optional[NoFeasiblePathError]] = []
@@ -343,54 +373,43 @@ class HierarchicalRouter:
         over every request still alive; an infeasible request carries its
         error through the remaining stages instead of aborting the call, so
         every slot ends as a :class:`HierarchicalResult` or the
-        :class:`NoFeasiblePathError` of its first failing stage.
+        :class:`NoFeasiblePathError` of its first failing stage. Past the
+        conquer only the answers' hops stay alive; a result derives the rest.
         """
         tracer = self.telemetry.tracer
         started = time.perf_counter()
         count = len(requests)
         results: List[Any] = []
-        with tracer.span(
-            "route", router="hierarchical", method=self.method, requests=count
-        ):
+        infeasible = 0
+        with tracer.span("route", router="hierarchical", method=self.method, requests=count):
             # the chain kernels add the triples they relaxed and their chunks
             with tracer.span("route.csp", relaxed=0, chunks=0):
                 csps: List[Any] = self._csp_stage(requests)
+            # every request's children side by side; how many each has (0: no CSP)
+            children: List[ChildRequest] = []
+            counts: List[int] = []
             with tracer.span("route.dissect"):
-                children_of = [
-                    None
-                    if isinstance(csp, NoFeasiblePathError)
-                    else self.dissect(request, csp)
-                    for request, csp in zip(requests, csps)
-                ]
-            jobs = [
-                (request, child)
-                for request, children in zip(requests, children_of)
-                if children is not None
-                for child in children
-            ]
-            with tracer.span("route.conquer", children=len(jobs), relaxed=0, chunks=0):
-                solved = iter(self._conquer(jobs))
+                dissect = self.dissect
+                for request, csp in zip(requests, csps):
+                    before = len(children)
+                    if not isinstance(csp, NoFeasiblePathError):
+                        children += dissect(request, csp)
+                    counts.append(len(children) - before)
+            with tracer.span("route.conquer", children=len(children), relaxed=0, chunks=0):
+                answers: List[Any] = self._conquer(children)
+            del children
             with tracer.span("route.compose"):
-                for request, csp, children in zip(requests, csps, children_of):
-                    if children is None:
-                        results.append(csp)
-                        continue
-                    outcomes: List[Any] = list(islice(solved, len(children)))
-                    failure = next(
-                        (o for o in outcomes if isinstance(o, NoFeasiblePathError)),
-                        None,
-                    )
-                    if failure is not None:
+                compose, end = self.compose, 0
+                for request, csp, n in zip(requests, csps, counts):
+                    mine = answers[end : end + n]
+                    end += n
+                    refused = compress(mine, map(isinstance, mine, repeat(NoFeasiblePathError)))
+                    failure = next(refused, None) if n else csp
+                    if failure is None:
+                        results.append(HierarchicalResult(compose(request, mine), csp, request, self))
+                    else:
                         results.append(failure)
-                        continue
-                    results.append(
-                        HierarchicalResult(
-                            path=self.compose(request, outcomes),
-                            csp=csp,
-                            child_requests=children,
-                            child_hops=outcomes,
-                        )
-                    )
+                        infeasible += 1
 
         registry = self.telemetry.registry
         batches = registry.counter("routing.batch.batches", router="hierarchical")
@@ -404,7 +423,6 @@ class HierarchicalRouter:
                 {},  # per outcome, registered on its first hit
             )
         _, requested, sizes, seconds, outcomes = self._metrics
-        infeasible = sum(isinstance(r, NoFeasiblePathError) for r in results)
         batches.inc()
         requested.inc(count)
         sizes.observe(count)
@@ -419,26 +437,28 @@ class HierarchicalRouter:
 
     # -- steps 1+2: map, cluster-level shortest paths ------------------------------
 
-    def cluster_candidates(
-        self,
-        sg: ServiceGraph,
-        offering: Optional[Dict[ServiceName, List[ClusterId]]] = None,
-    ) -> Dict[SlotId, List[ClusterId]]:
-        """Clusters able to fill each slot, per SCT_C (the *map* step).
-
-        *offering* collects the per-service cluster lists of one pipeline
-        call's requests.
-        """
-        if offering is None:
-            offering = {}
+    def _offer(self, services: Iterable[ServiceName], offering: Dict[ServiceName, List[ClusterId]]) -> Dict[ServiceName, List[ClusterId]]:
+        """*offering* with the clusters of each of *services* per SCT_C (the
+        *map* step), read off an index built again whenever another view
+        object is bound."""
         capabilities = self.cluster_capabilities
         indexed, index = self._offering_index
         if indexed is not capabilities:
             index = offering_index(capabilities, self._view.cluster_count)
             self._offering_index = capabilities, index
-        for service in sg.services.values():
+        for service in services:
             if service not in offering:
                 offering[service] = index.get(service) or []
+        return offering
+
+    def cluster_candidates(
+        self,
+        sg: ServiceGraph,
+        offering: Optional[Dict[ServiceName, List[ClusterId]]] = None,
+    ) -> Dict[SlotId, List[ClusterId]]:
+        """Clusters able to fill each slot, per SCT_C; *offering* collects the
+        per-service cluster lists of one pipeline call's requests."""
+        offering = self._offer(sg.services.values(), {} if offering is None else offering)
         return {slot: offering[service] for slot, service in sg.services.items()}
 
     def cluster_level_path(self, request: ServiceRequest) -> ClusterServicePath:
@@ -456,36 +476,31 @@ class HierarchicalRouter:
         cluster, destination proxy) — in front of the version-driven cache a
         subclass keeps behind :meth:`_csp_cache_get` / :meth:`_csp_cache_put`.
         Which solver runs is read off the request itself: chains under the
-        label-setting methods wait for the ragged chain kernel; only the
-        inputs it cannot take (branching graphs, ``exact``) are solved one
-        by one.
+        label-setting methods whose every slot has a candidate wait for the
+        ragged chain kernel; only the inputs it cannot take (branching
+        graphs, ``exact``, a chain with an unoffered service) go through
+        :meth:`cluster_candidates` one by one.
         """
         self.refresh_capabilities()
-        view = self._view
+        cluster_of = self._view.cluster_of
         memo: Dict[Hashable, _CspOutcome] = {}
         chains: Dict[Hashable, _ChainJob] = {}
         offering: Dict[ServiceName, List[ClusterId]] = {}
         keys: List[Hashable] = []
         for request in requests:
-            sg = request.service_graph
+            sg, pd = request.service_graph, request.destination_proxy
             cs = None
             try:
-                cs = view.cluster_of(request.source_proxy)
-                view.cluster_of(request.destination_proxy)
+                cs = cluster_of(request.source_proxy)
+                cd = cluster_of(pd)
             except ClusteringError:
                 # not (or, after a leave, no longer) a member: this request's
                 # own infeasibility, not the failure of the whole call
-                role, proxy = (
-                    ("source", request.source_proxy)
-                    if cs is None
-                    else ("destination", request.destination_proxy)
-                )
+                role, proxy = ("source", request.source_proxy) if cs is None else ("destination", pd)
                 keys.append(("not a member", len(keys)))
-                memo[keys[-1]] = NoFeasiblePathError(
-                    f"{role} proxy {proxy!r} is not an overlay member"
-                )
+                memo[keys[-1]] = NoFeasiblePathError(f"{role} proxy {proxy!r} is not an overlay member")
                 continue
-            key = (service_graph_signature(sg), cs, request.destination_proxy)
+            key = (sg.signature, cs, pd)
             keys.append(key)
             if key in memo or key in chains:
                 continue
@@ -493,24 +508,29 @@ class HierarchicalRouter:
             if cached is not None:
                 memo[key] = cached
                 continue
+            if sg.is_linear and self.method != "exact":
+                order = sg.topological_order()
+                named = list(map(sg.services.__getitem__, order))
+                if all(map(self._offer(named, offering).__getitem__, named)):
+                    chains[key] = (order, named, cs, cd, pd)
+                    continue
             candidates = self.cluster_candidates(sg, offering)
-            linear = sg.is_linear
-            if linear and not all(candidates.values()):
+            if sg.is_linear and not all(candidates.values()):
                 # a branching SG may route around an empty slot; a chain cannot
                 missing = [sg.service_of(s) for s in sg.slots() if not candidates[s]]
-                memo[key] = NoFeasiblePathError(
-                    f"services unavailable in every cluster: {missing}"
-                )
-            elif linear and self.method != "exact":
-                chains[key] = (request, cs)
-            else:
-                try:
-                    csp = self._solve_general(request, candidates, cs)
-                except NoFeasiblePathError as err:
-                    memo[key] = err
+                memo[key] = NoFeasiblePathError(f"services unavailable in every cluster: {missing}")
+                continue
+            try:  # one request through the per-request solvers (any graph, any method)
+                if self.method == "exact":
+                    cost, assignment = self._solve_exact(request, sg, candidates, cs, cd)
                 else:
-                    memo[key] = csp
-                    self._csp_cache_put(key, csp)
+                    with_internal = self.method == "backtrack"
+                    cost, assignment = self._solve_label(request, sg, candidates, cs, cd, with_internal=with_internal)
+            except NoFeasiblePathError as err:
+                memo[key] = err
+            else:
+                memo[key] = ClusterServicePath(tuple(assignment), cs, cd, cost)
+                self._csp_cache_put(key, memo[key])
         solved = self._solve_chains(list(chains.values()), offering)
         for key, outcome in zip(chains, solved):
             memo[key] = outcome
@@ -523,29 +543,6 @@ class HierarchicalRouter:
             type(o)(*o.args) if isinstance(o, NoFeasiblePathError) else o
             for o in outcomes
         ]
-
-    def _solve_general(
-        self,
-        request: ServiceRequest,
-        candidates: Dict[SlotId, List[ClusterId]],
-        cs: ClusterId,
-    ) -> ClusterServicePath:
-        """One request through the per-request solvers (any graph, any method)."""
-        cd = self._view.cluster_of(request.destination_proxy)
-        sg = request.service_graph
-        if self.method == "exact":
-            cost, assignment = self._solve_exact(request, sg, candidates, cs, cd)
-        else:
-            cost, assignment = self._solve_label(
-                request, sg, candidates, cs, cd,
-                with_internal=self.method == "backtrack",
-            )
-        return ClusterServicePath(
-            assignment=tuple(assignment),
-            source_cluster=cs,
-            destination_cluster=cd,
-            estimated_cost=cost,
-        )
 
     # -- the ragged chain kernel ---------------------------------------------------
 
@@ -565,20 +562,16 @@ class HierarchicalRouter:
         """
         if not jobs:
             return []
-        view = self._view
-        tables = query_tables(view)
+        tables = query_tables(self._view)
         k, stride = tables.cluster_count, len(tables.border_list) + 1
         ext, exits_of, entries_of, d_entry = tables.flat
         with_internal = self.method == "backtrack" and stride > 1
         # per distinct service of the call: its candidate clusters, side by side
         code = {service: at for at, service in enumerate(offering)}
         clusters = np.fromiter(chain.from_iterable(offering.values()), dtype=np.int64)
-        chains = [request.service_graph.topological_order() for request, _ in jobs]
-        services = [request.service_graph.services for request, _ in jobs]
-        rows = [[code[named[slot]] for slot in c] for named, c in zip(services, chains)]
-        sources = np.fromiter((cs for _, cs in jobs), dtype=np.int64, count=len(jobs))
-        destinations = [request.destination_proxy for request, _ in jobs]
-        cds = [view.cluster_of(pd) for pd in destinations]
+        chains, named, css, cds, destinations = zip(*jobs)
+        rows = [list(map(code.__getitem__, services)) for services in named]
+        sources = np.array(css, dtype=np.int64)
         results: List[_CspOutcome] = []
         relaxed = chunks = 0
         for r0, r1, lay in ragged_chunks(list(map(len, offering.values())), rows):
@@ -619,8 +612,8 @@ class HierarchicalRouter:
             for j, bound, picked in zip(range(r0, r1), totals[winner].tolist(), chosen):
                 results.append(
                     NoFeasiblePathError(_NO_CONFIGURATION)
-                    if bound == float("inf")
-                    else ClusterServicePath(tuple(zip(chains[j], picked)), jobs[j][1], cds[j], bound)
+                    if bound == np.inf
+                    else _csp((tuple(zip(chains[j], picked)), css[j], cds[j], bound))
                 )
             relaxed += len(lay.pred)
             chunks += 1
@@ -657,7 +650,7 @@ class HierarchicalRouter:
             for pd, c in zip(destinations, cds):
                 if pd not in base:
                     base[pd] = len(to_pd) - 1 - ptr[c]
-                    to_pd += [distance(border, pd) for border in tables.border_list[ptr[c] : ptr[c + 1]]]
+                    to_pd += map(distance, tables.border_list[ptr[c] : ptr[c + 1]], repeat(pd))
             home = clusters == cd
             internal = d_entry.take(entry * stride + exits_of.take(out))
             # the border of cd the path reaches pd from; 0: none, no charge
@@ -912,54 +905,41 @@ class HierarchicalRouter:
 
     # -- step 3: divide ---------------------------------------------------------
 
-    def dissect(
-        self, request: ServiceRequest, csp: ClusterServicePath
-    ) -> List[ChildRequest]:
-        """Split the request along the CSP into per-cluster child requests."""
-        border = self.hfc.border
-        services = request.service_graph.services
-        runs: List[Tuple[ClusterId, List[SlotId]]] = []
-        for slot, cluster in csp.assignment:
-            if runs and runs[-1][0] == cluster:
-                runs[-1][1].append(slot)
-            else:
-                runs.append((cluster, [slot]))
-        if not runs or runs[0][0] != csp.source_cluster:
-            runs.insert(0, (csp.source_cluster, []))
-        if runs[-1][0] != csp.destination_cluster:
-            runs.append((csp.destination_cluster, []))
-
-        # child k runs from the border it is entered through to the border
-        # facing child k+1; the request's own endpoints close the two ends
-        clusters = [cluster for cluster, _ in runs]
-        crossings = list(zip(clusters, clusters[1:]))
-        sources = [request.source_proxy] + [border(b, a) for a, b in crossings]
-        destinations = [border(a, b) for a, b in crossings] + [request.destination_proxy]
-        return [
-            ChildRequest(
-                cluster, tuple(slots), tuple([services[s] for s in slots]), source, destination
-            )
-            for (cluster, slots), source, destination in zip(runs, sources, destinations)
-        ]
+    def dissect(self, request: ServiceRequest, csp: ClusterServicePath) -> List[ChildRequest]:
+        """Split the request along the CSP into per-cluster child requests: the
+        maximal runs of consecutive slots in one cluster, and an empty run in
+        the source's or destination's cluster where the CSP leaves an end."""
+        border, services = self.hfc.border, request.service_graph.services
+        slots = tuple(map(itemgetter(0), csp.assignment))
+        named = tuple(map(services.__getitem__, slots))
+        # a child runs from the border it is entered through to the border
+        # facing the next one; the request's own endpoints close the two ends
+        children: List[ChildRequest] = []
+        here, start, source = csp.source_cluster, 0, request.source_proxy
+        for at, (_, cluster) in enumerate((*csp.assignment, (None, csp.destination_cluster))):
+            if cluster != here:
+                children.append(_child((here, slots[start:at], named[start:at], source, border(here, cluster))))
+                here, start, source = cluster, at, border(cluster, here)
+        children.append(_child((here, slots[start:], named[start:], source, request.destination_proxy)))
+        return children
 
     # -- step 4: conquer -----------------------------------------------------------
 
-    def _conquer(
-        self, jobs: Sequence[Tuple[ServiceRequest, ChildRequest]]
-    ) -> List[ChildHops]:
-        """Solve every ``(request, child)`` of one pipeline call: per job, in
-        order, the child's hop sequence or its :class:`NoFeasiblePathError`.
+    def _conquer(self, children: Sequence[ChildRequest]) -> List[ChildHops]:
+        """Solve every child of one pipeline call: per child, in order, its
+        hop sequence or its :class:`NoFeasiblePathError`.
 
         The one conquer hook, and its whole contract. Here every child is an
         optimal flat solve inside its cluster over the members' live
         placement (one :func:`child_specs` and one :func:`solve_specs` over
-        all the children of the call, hops built from the picked proxies); a
-        subclass with another way to cross a cluster (the recursive router
-        descends a level) overrides it, one with an extra admission rule
-        post-checks the hops.
+        all the children of the call); its picks become its service hops,
+        behind a relay on its source proxy and before one on its destination
+        proxy where a pick does not stand there already. A subclass with
+        another way to cross a cluster (the recursive router descends a
+        level) overrides it, one with an extra admission rule post-checks
+        the hops.
         """
-        children = [child for _, child in jobs]
-        picks = solve_specs(
+        picks, refused = solve_specs(
             children,
             child_specs(self.hfc, children),
             self._provider,
@@ -968,20 +948,36 @@ class HierarchicalRouter:
             else None,
             tracer=self.telemetry.tracer,
         )
-        return [
-            picked if isinstance(picked, NoFeasiblePathError) else child_hops(child, picked)
-            for child, picked in zip(children, picks)
-        ]
+        # every service hop of the call in one pass; one relay hop per proxy
+        offered = chain.from_iterable(map(itemgetter(2), children))
+        filled = chain.from_iterable(map(itemgetter(1), children))
+        served = list(map(_hop, zip(picks, offered, filled)))
+        ends = list({*map(itemgetter(3), children), *map(itemgetter(4), children)})
+        relay = dict(zip(ends, map(_hop, zip(ends, repeat(None), repeat(None)))))
+        answers: List[Any] = []
+        end = 0
+        for at, (_, slots, _, source, destination) in enumerate(children):
+            start, end = end, end + len(slots)
+            if not slots:
+                answers.append((relay[source],) if source == destination else (relay[source], relay[destination]))
+            elif at in refused:
+                answers.append(child_infeasible_error(children[at]))
+            else:
+                hops = served[start:end]
+                if hops[0].proxy != source:
+                    hops.insert(0, relay[source])
+                if hops[-1].proxy != destination:
+                    hops.append(relay[destination])
+                answers.append(tuple(hops))
+        return answers
 
-    def solve_child(
-        self, request: ServiceRequest, child: ChildRequest
-    ) -> ServicePath:
+    def solve_child(self, request: ServiceRequest, child: ChildRequest) -> ServicePath:
         """Optimal intra-cluster resolution of one child request ([11] flat).
 
         An empty child (no services) degenerates to the direct intra-cluster
         link between its endpoints.
         """
-        (outcome,) = self._conquer([(request, child)])
+        (outcome,) = self._conquer([child])
         if isinstance(outcome, NoFeasiblePathError):
             raise outcome
         return ServicePath(hops=outcome)
@@ -992,11 +988,15 @@ class HierarchicalRouter:
         child_paths: Sequence[Union[ServicePath, Sequence[Hop]]],
     ) -> ServicePath:
         """Concatenate the children's answers — paths, or the hop sequences
-        the conquer hook hands over — into the final service path."""
+        the conquer hook hands over — into the final service path. Each
+        answer is merged already, so only where two meet can a relay
+        duplicate its neighbour: the merge runs there alone."""
         hops: List[Hop] = []
         for child in child_paths:
-            hops.extend(child.hops if isinstance(child, ServicePath) else child)
-        merged = merge_consecutive_hops(hops)
-        if not merged:
+            answer = child.hops if isinstance(child, ServicePath) else child
+            if hops and answer and hops[-1].proxy == answer[0].proxy:
+                answer = merge_consecutive_hops([hops.pop(), *answer])
+            hops += answer
+        if not hops:
             raise RoutingError("composition produced an empty path")
-        return ServicePath(hops=tuple(merged))
+        return ServicePath(hops=tuple(hops))

@@ -2,14 +2,17 @@
 router's one batched pipeline is compared against.
 
 ``HierarchicalRouter`` resolves a list of requests stage by stage through
-padded numpy kernels; :class:`ReferenceCspRouter` resolves one request at a
-time, top to bottom — map, a Python-level relaxation with one update per
-(predecessor, candidate) pair for linear *and* branching graphs, dissect,
-one ``solve_child_spec`` per child (candidates from a whole-overlay provider
-scan, both end relays then the merge pass), compose — and never enters the chain
-kernels (``_solve_chains``, ``solve_specs``) nor the per-slot numpy
-``_solve_label``. Only ``_solve_exact`` (scalar, and the sole implementation
-of that ablation) and the cost helpers are shared with production.
+ragged numpy kernels and folds each child's picks into its request's hops;
+:class:`ReferenceCspRouter` resolves one request at a time, top to bottom —
+map, a Python-level relaxation with one update per (predecessor, candidate)
+pair for linear *and* branching graphs, its own dissection into runs, one
+``solve_child_spec`` per child (candidates from a whole-overlay provider
+scan, both end relays then the merge pass), and a composition that merges the
+whole concatenated path — and never enters the chain kernels
+(``_solve_chains``, ``solve_specs``), the per-slot numpy ``_solve_label``
+nor the production ``dissect`` / ``compose``. Only ``_solve_exact`` (scalar,
+and the sole implementation of that ablation) and the cost helpers are
+shared with production.
 """
 
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -24,10 +27,10 @@ from repro.routing.hierarchical import (
     HierarchicalRouter,
     _Entry,
 )
-from repro.routing.path import Hop, merge_consecutive_hops
+from repro.routing.path import Hop, ServicePath, merge_consecutive_hops
 from repro.services.graph import ServiceGraph, SlotId
 from repro.services.request import ServiceRequest
-from repro.util.errors import NoFeasiblePathError
+from repro.util.errors import NoFeasiblePathError, RoutingError
 
 
 def flat_child_hops(child: ChildRequest, picked: Sequence) -> Tuple[Hop, ...]:
@@ -37,6 +40,48 @@ def flat_child_hops(child: ChildRequest, picked: Sequence) -> Tuple[Hop, ...]:
     hops += map(Hop, picked, child.services, child.slots)
     hops.append(Hop(proxy=child.destination_proxy))
     return tuple(merge_consecutive_hops(hops))
+
+
+def child_hops(child: ChildRequest, proxies: Sequence) -> Tuple[Hop, ...]:
+    """Hops of a solved child, *proxies* serving its slots in order: a
+    chain's service hops are all kept, only a relay end can duplicate its
+    neighbour, so the ends are added only where they do not. An empty child
+    is the direct link between its endpoints."""
+    hops = list(map(Hop, proxies, child.services, child.slots))
+    if not hops or hops[0].proxy != child.source_proxy:
+        hops.insert(0, Hop(child.source_proxy))
+    if hops[-1].proxy != child.destination_proxy:
+        hops.append(Hop(child.destination_proxy))
+    return tuple(hops)
+
+
+def dissect_runs(
+    border, request: ServiceRequest, csp: ClusterServicePath
+) -> List[ChildRequest]:
+    """The request split along the CSP, run by run: consecutive slots in one
+    cluster form a child; an empty child in the source's cluster and one in
+    the destination's close the ends the CSP leaves open."""
+    services = request.service_graph.services
+    runs: List[Tuple[ClusterId, List[SlotId]]] = []
+    for slot, cluster in csp.assignment:
+        if runs and runs[-1][0] == cluster:
+            runs[-1][1].append(slot)
+        else:
+            runs.append((cluster, [slot]))
+    if not runs or runs[0][0] != csp.source_cluster:
+        runs.insert(0, (csp.source_cluster, []))
+    if runs[-1][0] != csp.destination_cluster:
+        runs.append((csp.destination_cluster, []))
+    clusters = [cluster for cluster, _ in runs]
+    crossings = list(zip(clusters, clusters[1:]))
+    sources = [request.source_proxy] + [border(b, a) for a, b in crossings]
+    destinations = [border(a, b) for a, b in crossings] + [request.destination_proxy]
+    return [
+        ChildRequest(
+            cluster, tuple(slots), tuple([services[s] for s in slots]), source, destination
+        )
+        for (cluster, slots), source, destination in zip(runs, sources, destinations)
+    ]
 
 
 class ReferenceCspRouter(HierarchicalRouter):
@@ -55,15 +100,29 @@ class ReferenceCspRouter(HierarchicalRouter):
             except NoFeasiblePathError as err:
                 results.append(err)
                 continue
-            results.append(
-                HierarchicalResult(
-                    path=path,
-                    csp=csp,
-                    child_requests=children,
-                    child_hops=[child_path.hops for child_path in child_paths],
-                )
-            )
+            result = HierarchicalResult(path, csp, request, self)
+            # what this pipeline built, not what a result would derive
+            result.child_requests = children
+            result.child_hops = [child_path.hops for child_path in child_paths]
+            results.append(result)
         return results
+
+    def dissect(self, request: ServiceRequest, csp: ClusterServicePath) -> List[ChildRequest]:
+        return dissect_runs(self.hfc.border, request, csp)
+
+    def compose(
+        self,
+        request: ServiceRequest,
+        child_paths: Sequence[Union[ServicePath, Sequence[Hop]]],
+    ) -> ServicePath:
+        """The children's hops concatenated, then the whole path merged."""
+        hops: List[Hop] = []
+        for child in child_paths:
+            hops.extend(child.hops if isinstance(child, ServicePath) else child)
+        merged = merge_consecutive_hops(hops)
+        if not merged:
+            raise RoutingError("composition produced an empty path")
+        return ServicePath(hops=tuple(merged))
 
     def cluster_level_path(self, request: ServiceRequest) -> ClusterServicePath:
         self.refresh_capabilities()
@@ -98,14 +157,12 @@ class ReferenceCspRouter(HierarchicalRouter):
             estimated_cost=cost,
         )
 
-    def _conquer(
-        self, jobs: Sequence[Tuple[ServiceRequest, ChildRequest]]
-    ) -> List[ChildHops]:
+    def _conquer(self, children: Sequence[ChildRequest]) -> List[ChildHops]:
         # candidates the way the flat router lists them: a whole-overlay
         # provider scan per slot, filtered by cluster membership
         overlay = self.hfc.overlay
         outcomes: List[ChildHops] = []
-        for _, child in jobs:
+        for child in children:
             members = set(self.hfc.members(child.cluster))
             candidates = tuple(
                 tuple(p for p in overlay.providers_of(service) if p in members)

@@ -10,7 +10,7 @@ segment argmin picks. :class:`PaddedCspRouter` is the production router with
 both chain kernels swapped for these.
 """
 
-from itertools import chain
+from itertools import chain, islice
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -19,8 +19,6 @@ from repro.coords.space import CoordinateSpace
 from repro.overlay.network import ProxyId
 from repro.routing.batch import (
     ChildCandidates,
-    ChildPicks,
-    child_hops,
     child_infeasible_error,
     child_specs,
     query_tables,
@@ -36,6 +34,7 @@ from repro.routing.hierarchical import (
 from repro.routing.providers import CoordinateProvider
 from repro.services.catalog import ServiceName
 from repro.util.errors import NoFeasiblePathError
+from tests.oracles.csp import child_hops
 
 #: rows per padded kernel pass
 _BLOCK_ROWS = 128
@@ -89,8 +88,9 @@ def solve_specs_padded(
     provider: Any,
     *,
     space: Optional[CoordinateSpace] = None,
-) -> List[ChildPicks]:
-    """The padded staircase conquer kernel."""
+) -> List[Any]:
+    """The padded staircase conquer kernel: per child, the proxies picked
+    for its slots or its error."""
     picks: List[Any] = [()] * len(children)
     if space is None:
         for i, (child, cands) in enumerate(zip(children, candidates)):
@@ -155,21 +155,15 @@ class PaddedCspRouter(HierarchicalRouter):
         code = {service: at for at, service in enumerate(offering)}
         clusters, offered = padded(list(offering.values()))
         lane = np.arange(clusters.shape[1])
-        chains = [request.service_graph.topological_order() for request, _ in jobs]
+        chains = [order for order, *_ in jobs]
         results: List[Optional[_CspOutcome]] = [None] * len(jobs)
         for members in staircase([len(chain) for chain in chains]):
-            requests = [jobs[j][0] for j in members]
-            slot_code, live = padded(
-                [
-                    [code[request.service_graph.services[s]] for s in chains[j]]
-                    for j, request in zip(members, requests)
-                ]
-            )
+            slot_code, live = padded([[code[service] for service in jobs[j][1]] for j in members])
             alive, last = live.sum(axis=0).tolist(), live.sum(axis=1) - 1
             cand, vmask = clusters[slot_code], offered[slot_code]
-            destinations = [request.destination_proxy for request in requests]
+            destinations = [jobs[j][4] for j in members]
             cds = [view.cluster_of(pd) for pd in destinations]
-            cs_arr = np.array([jobs[j][1] for j in members], dtype=np.int64)[:, None]
+            cs_arr = np.array([jobs[j][2] for j in members], dtype=np.int64)[:, None]
 
             k0 = cand[:, 0]
             at_home = k0 == cs_arr
@@ -205,15 +199,15 @@ class PaddedCspRouter(HierarchicalRouter):
                 results[j] = (
                     NoFeasiblePathError(_NO_CONFIGURATION)
                     if bound == float("inf")
-                    else ClusterServicePath(tuple(zip(chains[j], picked)), jobs[j][1], cd, bound)
+                    else ClusterServicePath(tuple(zip(chains[j], picked)), jobs[j][2], cd, bound)
                 )
         return results  # type: ignore[return-value]
 
-    def _conquer(self, jobs):
-        children = [child for _, child in jobs]
+    def _conquer(self, children):
+        flat = iter(child_specs(self.hfc, children))
         picks = solve_specs_padded(
             children,
-            child_specs(self.hfc, children),
+            [tuple(islice(flat, len(child.slots))) for child in children],
             self._provider,
             space=self.hfc.space
             if isinstance(self._provider, CoordinateProvider)

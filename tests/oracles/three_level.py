@@ -243,17 +243,17 @@ class ThreeLevelRouter(HierarchicalRouter):
             self._sub_routers[super_id] = cached
         return cached
 
-    def _conquer(self, jobs):
+    def _conquer(self, children):
         """One scalar sub-route per child, in order."""
         outcomes = []
-        for request, child in jobs:
+        for child in children:
             try:
-                outcomes.append(self._solve_one(request, child))
+                outcomes.append(self._solve_one(child))
             except NoFeasiblePathError as err:
                 outcomes.append(err)
         return outcomes
 
-    def _solve_one(self, request, child):
+    def _solve_one(self, child):
         multilevel = self.multilevel
         if not child.slots:
             # relay across the super-cluster along its level-1 structure
@@ -261,9 +261,8 @@ class ThreeLevelRouter(HierarchicalRouter):
                 child.source_proxy, child.destination_proxy
             )
             return tuple(merge_consecutive_hops([Hop(proxy=p) for p in hops]))
-        sg = request.service_graph
         sub_sg = ServiceGraph(
-            services={slot: sg.service_of(slot) for slot in child.slots},
+            services=dict(zip(child.slots, child.services)),
             edges=frozenset(zip(child.slots, child.slots[1:])),
         )
         sub_request = ServiceRequest(

@@ -25,12 +25,11 @@ from repro.membership import DynamicOverlay
 from repro.overlay.hfc import build_hfc
 from repro.overlay.network import OverlayNetwork
 from repro.routing import ChildRequest, HierarchicalRouter, Hop, ServicePath
-from repro.routing.batch import child_hops
 from repro.routing.cache import CachedHierarchicalRouter
 from repro.routing.path import merge_consecutive_hops
 from repro.services import ServiceRequest, linear_graph
 from repro.util.errors import NoFeasiblePathError
-from tests.oracles.csp import flat_child_hops
+from tests.oracles.csp import child_hops, flat_child_hops
 from tests.test_query_batch import (
     _PHYSICAL,
     STAIRCASE_PAIRS,
@@ -124,7 +123,7 @@ def test_every_router_class_answers_with_hops(make):
         children = got.child_requests
         relays += sum(not child.slots for child in children)
         assert got.child_paths == [router.solve_child(request, child) for child in children]
-        assert router._conquer([(request, child) for child in children]) == got.child_hops
+        assert router._conquer(children) == got.child_hops
         assert router.compose(request, got.child_paths) == got.path
         assert router.compose(request, got.child_hops) == got.path
     assert relays, "no empty relay child in the seeded batch: the test is vacuous"
@@ -139,7 +138,7 @@ def test_an_infeasible_child_is_an_error_in_its_own_slot():
     inside = [p for p in hfc.overlay.proxies if hfc.cluster_of(p) != 0]
     request = ServiceRequest(inside[0], linear_graph([catalog[0], "ghost"]), inside[1])
     children = router.dissect(request, router.cluster_level_path(request))
-    outcomes = router._conquer([(request, child) for child in children])
+    outcomes = router._conquer(children)
     assert len(outcomes) == len(children)
     for child, outcome in zip(children, outcomes):
         if "ghost" in child.services:

@@ -417,7 +417,7 @@ class TestChurnSession:
         assert sum(bool(child.slots) for _, child in jobs) >= 20
         expected = [reference.solve_child(*job) for job in jobs]
         assert [router.solve_child(*job) for job in jobs] == expected
-        assert router._conquer(jobs) == [path.hops for path in expected]
+        assert router._conquer([child for _, child in jobs]) == [path.hops for path in expected]
 
     def test_framework_untouched(self, framework):
         before_proxies = list(framework.overlay.proxies)

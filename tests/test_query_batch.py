@@ -11,6 +11,7 @@ production wiring (cached router, flat routers, telemetry counters,
 """
 
 import random
+from itertools import islice
 from unittest import mock
 
 import numpy as np
@@ -450,10 +451,12 @@ def test_kernel_spans_count_real_triples(framework):
         candidates = router.cluster_candidates(sg)
         rows[key] = triples([len(candidates[slot]) for slot in sg.topological_order()])
     children = [child for result in results for child in result.child_requests]
+    # the call's candidates, slot by slot: each child takes its slots' share
+    flat = iter(batch_module.child_specs(hfc, children))
     # a child with one candidate per slot has nothing to relax
     conquered = sum(
         triples([len(slot) for slot in cands])
-        for cands in batch_module.child_specs(hfc, children)
+        for cands in (tuple(islice(flat, len(child.slots))) for child in children)
         if all(cands) and any(len(slot) > 1 for slot in cands)
     )
     (root,) = telemetry.tracer.find_roots("route")

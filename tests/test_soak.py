@@ -19,7 +19,9 @@ After every rule the whole-system invariants must hold:
 and the routing rule rebinds the plain, cached, centroid and QoS routers and
 holds every production path to :func:`validate_path`, to a router of the
 same class built fresh on the same view and (plain and cached) to the path
-:class:`ReferenceCspRouter` returns; a proxy that left raises its own
+:class:`ReferenceCspRouter` returns and to the flat optimum: its
+coordinate length is never below the path :func:`coordinate_router` finds
+on the same view (relays only add length); a proxy that left raises its own
 :class:`NoFeasiblePathError` as an endpoint.
 
 The framework is built once per module; every machine wraps it afresh.
@@ -39,7 +41,7 @@ from repro.core import HFCFramework
 from repro.membership import DynamicOverlay
 from repro.persistence import load_snapshot, save_snapshot
 from repro.qos import BandwidthModel, QoSHierarchicalRouter, cluster_pair_bandwidth
-from repro.routing import HierarchicalRouter, validate_path
+from repro.routing import HierarchicalRouter, coordinate_router, validate_path
 from repro.routing.aggregation import CentroidAggregationRouter
 from repro.routing.cache import CachedHierarchicalRouter
 from repro.services import ServiceRequest, linear_graph
@@ -84,6 +86,8 @@ ROTATION = {
 }
 #: the classes whose paths are the paper's, so the scalar reference's
 EXACT = ("plain", "cached")
+#: relative slack of the flat-optimum bound: the two lengths sum different hops
+FLAT_TOLERANCE = 1e-9
 
 
 def overlay_with_hierarchy(framework) -> DynamicOverlay:
@@ -219,6 +223,7 @@ class OverlaySoak(RuleBasedStateMachine):
             requests.append(ServiceRequest(src, linear_graph(chain), dst))
         reference = ReferenceCspRouter(hfc, cluster_capabilities=cold_capabilities(hfc))
         want = [route_or_error(reference, request) for request in requests]
+        flat = outcomes(coordinate_router(hfc.overlay), requests)
         gone = [proxy for proxy in self.departed if proxy not in dyn]
         for name in rotation:
             router = self.routers[name]
@@ -226,9 +231,12 @@ class OverlaySoak(RuleBasedStateMachine):
             got = outcomes(router, requests)
             assert got == outcomes(ROTATION[name](hfc), requests), name
             assert name not in EXACT or got == want, name
-            for path, request in zip(got, requests):
+            for path, request, best in zip(got, requests, flat):
                 if path is not NoFeasiblePathError:
                     validate_path(path, request, hfc.overlay)
+                    if name in EXACT:
+                        floor = best.estimated_length(hfc.overlay)
+                        assert path.estimated_length(hfc.overlay) >= floor * (1 - FLAT_TOLERANCE), name
             if gone:
                 stranger = ServiceRequest(gone[-1], linear_graph(services[:1]), dyn.proxies[0])
                 with pytest.raises(NoFeasiblePathError, match="is not an overlay member"):
