@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,9 +45,16 @@ from repro.experiments.workload import (
 from repro.overlay.hfc import HFCTopology, build_hfc
 from repro.overlay.mesh import build_mesh
 from repro.overlay.network import OverlayNetwork, ProxyId
-from repro.routing.hierarchical import HierarchicalRouter
+from repro.routing.hierarchical import (
+    _NO_CONFIGURATION,
+    ClusterId,
+    ClusterServicePath,
+    HierarchicalRouter,
+)
 from repro.routing.meshrouting import MeshRouter
+from repro.services.graph import ServiceGraph, SlotId
 from repro.state.overhead import mean_coordinates_overhead, mean_service_overhead
+from repro.util.errors import NoFeasiblePathError
 from repro.util.rng import RngLike, ensure_rng, spawn
 
 
@@ -241,6 +248,95 @@ class MethodRow:
     hfc_mean_delay: float
 
 
+#: a cluster-level label key: the border its cluster was entered by (None: at the source)
+_Entry = Optional[ProxyId]
+
+
+class ExactCspRouter(HierarchicalRouter):
+    """A4's third row: the CSP as dynamic programming over (slot, cluster,
+    entry-border) states — the imprecision-free version of the back-tracking
+    cost model, one request at a time in scalar Python. It replaces only the
+    CSP stage's solver (:meth:`_solve_csps`); the rest of the pipeline is
+    the production one."""
+
+    def __init__(self, hfc: Any, **kwargs: Any) -> None:
+        super().__init__(hfc, **kwargs)
+        self.method = "exact"
+
+    def _solve_csps(self, jobs: Sequence[Any], offering: Dict[str, List[ClusterId]]) -> List[Any]:
+        outcomes: List[Any] = []
+        for sg, _, _, cs, cd, pd in jobs:
+            candidates = {slot: offering[service] for slot, service in sg.services.items()}
+            try:
+                cost, assignment = self._solve_exact(sg, candidates, cs, cd, pd)
+            except NoFeasiblePathError as err:
+                outcomes.append(err)
+            else:
+                outcomes.append(ClusterServicePath(tuple(assignment), cs, cd, cost))
+        return outcomes
+
+    def _solve_exact(
+        self, sg: ServiceGraph, candidates: Dict[SlotId, List[ClusterId]], cs: ClusterId, cd: ClusterId, pd: ProxyId
+    ) -> Tuple[float, List[Tuple[SlotId, ClusterId]]]:
+        view = self._view
+        distance, border, external = view.space.distance, view.border, view.external_estimate
+        State = Tuple[SlotId, ClusterId, _Entry]
+        dist: Dict[State, float] = {}
+        parent: Dict[State, Optional[State]] = {}
+        # (slot, cluster) -> its states in first-insertion order
+        states_by: Dict[Tuple[SlotId, ClusterId], List[State]] = {}
+
+        def internal(entry: _Entry, exit_border: ProxyId) -> float:
+            # unknown in the source cluster, nothing where entry is exit
+            return 0.0 if entry is None or entry == exit_border else distance(entry, exit_border)
+
+        def relax(state: State, cost: float, origin: Optional[State]) -> None:
+            known = state in dist
+            if not known or cost < dist[state]:
+                if not known:
+                    states_by.setdefault((state[0], state[1]), []).append(state)
+                dist[state] = cost
+                parent[state] = origin
+
+        source_slots = set(sg.source_slots())
+        for slot in sg.topological_order():
+            for cj in candidates[slot]:
+                if slot in source_slots:  # pd has no coordinates for ps: only the external link counts
+                    entry, cost = (None, 0.0) if cj == cs else (border(cj, cs), external(cs, cj))
+                    relax((slot, cj, entry), cost, None)
+                for pred in sg.predecessors(slot):
+                    for ci in candidates[pred]:
+                        for pstate in tuple(states_by.get((pred, ci), ())):
+                            if ci == cj:
+                                relax((slot, cj, pstate[2]), dist[pstate], pstate)
+                            else:
+                                cost = dist[pstate] + internal(pstate[2], border(ci, cj)) + external(ci, cj)
+                                relax((slot, cj, border(cj, ci)), cost, pstate)
+
+        best_state: Optional[State] = None
+        best_total = float("inf")
+        for slot in sg.sink_slots():
+            for state, cost in dist.items():
+                if state[0] == slot:
+                    _, cluster, entry = state
+                    if cluster == cd:
+                        total = cost + (0.0 if entry is None else distance(entry, pd))
+                    else:
+                        tail = external(cluster, cd) + internal(entry, border(cluster, cd))
+                        total = cost + (tail + distance(border(cd, cluster), pd))
+                    if total < best_total:
+                        best_total, best_state = total, state
+        if best_state is None or best_total == float("inf"):
+            raise NoFeasiblePathError(_NO_CONFIGURATION)
+        assignment: List[Tuple[SlotId, ClusterId]] = []
+        node: Optional[State] = best_state
+        while node is not None:
+            assignment.append((node[0], node[1]))
+            node = parent[node]
+        assignment.reverse()
+        return best_total, assignment
+
+
 def run_method_ablation(
     *,
     requests: int = 100,
@@ -255,13 +351,11 @@ def run_method_ablation(
     reqs = generate_requests(
         env, WorkloadConfig(request_count=requests), seed=spawn(rng, "wl")
     )
-    rows: List[MethodRow] = []
-    for method in ("external", "backtrack", "exact"):
-        router = fw.hierarchical_router(method=method)
-        rows.append(
-            MethodRow(method=method, hfc_mean_delay=_mean_delay(router, reqs, fw.overlay))
-        )
-    return rows
+    routers = [fw.hierarchical_router(method="external"), fw.hierarchical_router(), ExactCspRouter(fw.hfc)]
+    return [
+        MethodRow(method=router.method, hfc_mean_delay=_mean_delay(router, reqs, fw.overlay))
+        for router in routers
+    ]
 
 
 

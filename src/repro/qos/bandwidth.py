@@ -11,7 +11,7 @@ This extension implements the bandwidth half of that future work:
   links fat, stub links thin); an overlay link's bandwidth is the bottleneck
   along the shortest-delay physical route between its endpoints;
 * :class:`BandwidthAwareProvider` masks overlay links below a requested
-  bandwidth to infinity, turning the existing service-DAG solvers into
+  bandwidth to infinity, turning the service-DAG kernel into
   *widest-shortest* routers (shortest delay among bandwidth-feasible paths);
 * :class:`QoSHierarchicalRouter` runs the divide-and-conquer routing with
   bandwidth-pruned cluster-level edges (an external link below the
@@ -132,20 +132,22 @@ class BandwidthAwareProvider(DistanceProvider):
             return float("inf")
         return self.base.pair(u, v)
 
-    def block(self, us: Sequence[ProxyId], vs: Sequence[ProxyId]) -> np.ndarray:
-        block = np.array(self.base.block(us, vs), dtype=float, copy=True)
-        for i, u in enumerate(us):
-            for j, v in enumerate(vs):
-                if u != v and self.model.overlay_bandwidth(u, v) < self.min_bandwidth:
-                    block[i, j] = np.inf
-        return block
+    def pairs(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        """The base distances of proxy pairs, ``inf`` where the link is too thin."""
+        base, (us, vs) = self.base, np.broadcast_arrays(us, vs)
+        ends = us.ravel().tolist(), vs.ravel().tolist()
+        out = np.array(base.pairs(*map(base.points, ends)), dtype=float)
+        for i, (u, v) in enumerate(zip(*ends)):
+            if u != v and self.model.overlay_bandwidth(u, v) < self.min_bandwidth:
+                out[i] = np.inf
+        return out.reshape(us.shape)
 
 
 def qos_flat_router(
     overlay: OverlayNetwork,
     model: BandwidthModel,
     min_bandwidth: float,
-    **kwargs,
+    **kwargs: Any,
 ) -> FlatRouter:
     """Flat widest-shortest router: shortest delay among feasible links."""
     if overlay.space is None:

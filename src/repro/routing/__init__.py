@@ -1,12 +1,7 @@
-"""Service routing: paths, service DAGs, flat/mesh/hierarchical routers."""
+"""Service routing: paths, the service-DAG kernel, flat/mesh/hierarchical routers."""
 
 from repro.routing.aggregation import CentroidAggregationRouter
-from repro.routing.batch import (
-    BatchRouteResult,
-    QueryTables,
-    query_tables,
-    service_graph_signature,
-)
+from repro.routing.batch import BatchRouteResult, QueryTables, query_tables
 from repro.routing.cache import CachedHierarchicalRouter
 from repro.routing.signaling import SetupReport, SignalingSimulator
 from repro.routing.flat import (
@@ -26,7 +21,6 @@ from repro.routing.path import (
     Hop,
     ServicePath,
     merge_consecutive_hops,
-    path_from_assignment,
     validate_path,
 )
 from repro.routing.providers import (
@@ -35,7 +29,6 @@ from repro.routing.providers import (
     MatrixProvider,
     TrueDelayProvider,
 )
-from repro.routing.servicedag import DagSolution, solve_vectorised
 
 __all__ = [
     "BatchRouteResult",
@@ -44,7 +37,6 @@ __all__ = [
     "ChildRequest",
     "ClusterServicePath",
     "CoordinateProvider",
-    "DagSolution",
     "DistanceProvider",
     "FlatRouter",
     "HierarchicalResult",
@@ -62,9 +54,6 @@ __all__ = [
     "materialise_assignment",
     "merge_consecutive_hops",
     "oracle_router",
-    "path_from_assignment",
     "query_tables",
-    "service_graph_signature",
-    "solve_vectorised",
     "validate_path",
 ]

@@ -18,11 +18,11 @@ resolution crosses. This module hosts the structures one pipeline call
 * :func:`child_specs` — the conquer candidates of a call's children, from
   each touched cluster's provider index; :func:`rebind_derived` carries all of
   the above and :func:`offering_index` to the next view, patched from its changes.
-* :func:`solve_specs` / :func:`solve_child_spec` — the proxies picked for a
-  call's children (one ragged kernel) or for one child (the flat solver).
+* :func:`relax` — the one service-DAG kernel (:func:`ragged_chunks`,
+  :func:`segment_argmin`): the CSP stage, the conquer (:func:`solve_specs`)
+  and the flat router differ only in their candidates and their
+  :class:`Costs` gather (:class:`ProxyCosts` for the latter two).
 * :class:`BatchRouteResult` — aligned per-request outcomes of a batch.
-* :func:`ragged_chunks` / :func:`segment_argmin` — the ragged layout the two
-  chain kernels (cluster-level CSP, conquer) share.
 
 Only intra-cluster border pairs enter the ``d_border`` table: the
 back-tracking cost model charges internal segments exclusively between two
@@ -44,11 +44,11 @@ from typing import (
     Callable,
     Dict,
     FrozenSet,
-    Hashable,
     Iterator,
     List,
     NamedTuple,
     Optional,
+    Protocol,
     Sequence,
     Set,
     Tuple,
@@ -56,12 +56,11 @@ from typing import (
 
 import numpy as np
 
-from repro.coords.space import CoordinateSpace
 from repro.overlay.hfc import HFCTopology
 from repro.overlay.network import ProxyId
 from repro.routing.path import ServicePath
-from repro.routing.servicedag import solve_vectorised
-from repro.services.graph import ServiceGraph
+from repro.routing.providers import CoordinateProvider
+from repro.services.graph import ServiceGraph, SlotId
 from repro.telemetry import NULL_TELEMETRY
 from repro.telemetry.tracing import Tracer
 from repro.util.errors import NoFeasiblePathError
@@ -74,12 +73,7 @@ BATCH_SIZE_BUCKETS: Tuple[float, ...] = (
 )
 
 
-def service_graph_signature(sg: ServiceGraph) -> Hashable:
-    """A hashable identity of an SG's shape and service names."""
-    return sg.signature
-
-
-# -- the ragged layout: what the two chain kernels share -------------------------
+# -- the one kernel: a ragged min-plus relaxation over service-DAG rows ----------
 
 #: real (row, predecessor lane, lane) triples per kernel chunk. A chunk keeps
 #: a few triple-length arrays alive; at n=2000 doubling this to 32k raised the
@@ -87,13 +81,56 @@ def service_graph_signature(sg: ServiceGraph) -> Hashable:
 _CHUNK_TRIPLES = 16384
 
 
+class Shape(NamedTuple):
+    """A branching row's slots (the kept ones, in topological order): per slot
+    its predecessors' positions in ``sg.predecessors`` order and its depth
+    (0: a source), then the sink slots' positions in ``sink_slots()`` order. A
+    chain needs none: a slot follows the one before it, the last is the sink."""
+
+    preds: Tuple[Tuple[int, ...], ...]
+    depth: Tuple[int, ...]
+    sinks: Tuple[int, ...]
+
+
+def graph_row(
+    sg: ServiceGraph, order: Sequence[SlotId], widths: Sequence[int]
+) -> Optional[Tuple[Optional[List[int]], Optional[Shape]]]:
+    """Which of *sg*'s slots (positions in *order*, its topological order,
+    ``widths`` candidates each) a kernel row keeps, and its :class:`Shape`;
+    None when no sink can be reached. A chain keeps every slot (``(None,
+    None)``) or none; a branching graph drops each slot without candidates
+    and each one its surviving predecessors cannot reach — a dropped lane
+    would only carry ``inf``, which never wins a finite segment nor a sink."""
+    if sg.is_linear:
+        return (None, None) if all(widths) else None
+    kept: Dict[SlotId, int] = {}
+    preds: List[Tuple[int, ...]] = []
+    depth: List[int] = []
+    for slot, width in zip(order, widths):
+        before = sg.predecessors(slot)
+        alive = tuple(kept[p] for p in before if p in kept)
+        if width and (alive or not before):
+            kept[slot] = len(preds)
+            preds.append(alive)
+            depth.append(1 + max(map(depth.__getitem__, alive), default=-1))
+    sinks = tuple(kept[s] for s in sg.sink_slots() if s in kept)
+    if not sinks:
+        return None
+    at = {slot: i for i, slot in enumerate(order)}
+    return [at[slot] for slot in kept], Shape(tuple(preds), tuple(depth), sinks)
+
+
 class Ragged(NamedTuple):
-    """One chunk of chains. A slot's *lanes* are its candidates, numbered
-    position-major; ``items[lane]`` indexes the flat candidates, the first
-    ``heads`` are position 0 (rows ``head_rows``). Past it a lane is one
-    *segment* of ``seg_len`` triples ``(its row, predecessor lane, it)``
-    (``pred``), and ``positions`` slices lanes, triples and segments per
-    position; ``tail`` blocks each row's last lanes, ``beyond`` the extra."""
+    """One chunk of rows. A slot's *lanes* are its candidates, numbered
+    depth-major (a chain slot's depth is its position); ``items[lane]``
+    indexes the flat candidates, the first ``heads`` are the source slots'
+    (rows ``head_rows``). Past them a lane is one *segment* of ``seg_len``
+    triples ``(its row, predecessor lane, it)`` (``pred``): its predecessor
+    slots' lanes, joined in ``sg.predecessors`` order. ``positions`` slices
+    lanes, triples and segments per depth; ``tail`` blocks each row's sink
+    lanes in ``sink_slots()`` order, ``beyond`` the padding; ``position``
+    is each lane's slot in its row (None when every row is a chain, whose
+    path visits every slot in order)."""
 
     items: np.ndarray
     head_rows: np.ndarray
@@ -103,72 +140,143 @@ class Ragged(NamedTuple):
     positions: List[Tuple[slice, slice, np.ndarray, np.ndarray]]
     tail: np.ndarray
     beyond: np.ndarray
-    lengths: List[int]
+    position: Optional[np.ndarray]
 
     def walk(self, parent: np.ndarray, final: np.ndarray, values: np.ndarray) -> List[List[Any]]:
         """Per row, ``values`` of the lanes it picked from its lane *final*
-        back along ``parent``, first first."""
+        back along ``parent`` to a source (-1), first first."""
         parent, values = parent.tolist(), values.tolist()
         rows: List[List[Any]] = []
-        for lane, n in zip(final.tolist(), self.lengths):
-            row: List[Any] = [None] * n
-            for at in range(n - 1, -1, -1):
-                row[at], lane = values[lane], parent[lane]
+        for lane in final.tolist():
+            row: List[Any] = []
+            while lane >= 0:
+                row.append(values[lane])
+                lane = parent[lane]
+            row.reverse()
             rows.append(row)
         return rows
 
 
 def ragged_chunks(
-    widths: Sequence[int], rows: Sequence[Sequence[int]]
+    widths: Sequence[int], rows: Sequence[Sequence[int]], shapes: Optional[Sequence[Optional[Shape]]] = None
 ) -> Iterator[Tuple[int, int, Ragged]]:
     """Rows ``r0:r1`` and their layout per chunk of about ``_CHUNK_TRIPLES``
-    real triples. A row lists its slots' candidate groups, group *g* being
-    the ``widths[g] >= 1`` flat candidates after the groups before it."""
+    real triples. A row lists its slots' candidate groups in topological
+    order, group *g* being the ``widths[g] >= 1`` flat candidates after the
+    groups before it; ``shapes[r]`` links a branching row's slots (None: a chain)."""
     group = np.array(widths, dtype=np.int64)
     slots = np.fromiter(chain.from_iterable(rows), dtype=np.int64)
     start, width = (group.cumsum() - group).take(slots), group.take(slots)
     lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
     ends, bounds = lengths.cumsum(), [0, len(rows)]
-    if len(rows) > 1 and len(width) * max(widths) ** 2 > _CHUNK_TRIPLES:  # else surely one chunk
-        pairs = np.zeros(len(width), dtype=np.int64)
-        np.multiply(width[1:], width[:-1], out=pairs[1:])
-        pairs[ends[:-1]] = 0  # a row's first slot has no predecessor
+    links = _links(lengths, ends, shapes) if shapes is not None and any(shapes) else None
+    edges = len(width) if links is None else len(links[1])
+    if len(rows) > 1 and max(edges, len(width)) * max(widths) ** 2 > _CHUNK_TRIPLES:  # else surely one chunk
+        if links is None:  # a chain slot follows the one before it
+            pairs = np.zeros(len(width), dtype=np.int64)
+            np.multiply(width[1:], width[:-1], out=pairs[1:])
+            pairs[ends[:-1]] = 0  # a row's first slot has no predecessor
+        else:
+            e_slot, e_pred = links[1:3]
+            pairs = np.bincount(e_slot, width.take(e_slot) * width.take(e_pred), len(width)).astype(np.int64)
         through = pairs.cumsum().take(ends - 1) // _CHUNK_TRIPLES
         bounds[1:1] = (np.diff(through).nonzero()[0] + 1).tolist()
     for r0, r1 in zip(bounds, bounds[1:]):
         s0, s1 = int(ends[r0]) - len(rows[r0]), int(ends[r1 - 1])
-        yield r0, r1, _ragged(start[s0:s1], width[s0:s1], lengths[r0:r1])
+        part = None
+        if links is not None:
+            depth, e_slot, e_pred, k_slot, k_ptr = links
+            e0, e1 = e_slot.searchsorted([s0, s1]).tolist()
+            k0, k1 = int(k_ptr[r0]), int(k_ptr[r1])
+            part = depth[s0:s1], e_slot[e0:e1] - s0, e_pred[e0:e1] - s0, k_slot[k0:k1] - s0, k_ptr[r0 : r1 + 1] - k0
+        yield r0, r1, _ragged(start[s0:s1], width[s0:s1], lengths[r0:r1], part)
 
 
-def _ragged(start: np.ndarray, width: np.ndarray, lengths: np.ndarray) -> Ragged:
+def _links(
+    lengths: np.ndarray, ends: np.ndarray, shapes: Sequence[Optional[Shape]]
+) -> Tuple[np.ndarray, ...]:
+    """Over all slots side by side: each one's depth, the edges ``(slot,
+    predecessor)`` by slot and then predecessor order, the sink slots row by
+    row and where each row's sinks begin."""
+    depths: List[int] = []
+    e_slots: List[int] = []
+    e_preds: List[int] = []
+    k_slots: List[int] = []
+    k_ptr = [0]
+    for base, n, shape in zip((ends - lengths).tolist(), lengths.tolist(), shapes):
+        if shape is None:
+            shape = Shape(((),) + tuple((at,) for at in range(n - 1)), tuple(range(n)), (n - 1,))
+        depths += shape.depth
+        for at, preds in enumerate(shape.preds, base):
+            e_slots += [at] * len(preds)
+            e_preds += [base + p for p in preds]
+        k_slots += [base + s for s in shape.sinks]
+        k_ptr.append(len(k_slots))
+    return tuple(np.array(column, dtype=np.int64) for column in (depths, e_slots, e_preds, k_slots, k_ptr))
+
+
+def _ragged(
+    start: np.ndarray, width: np.ndarray, lengths: np.ndarray, links: Optional[Tuple[np.ndarray, ...]]
+) -> Ragged:
     # ndarray methods: at one short row ``np.*``'s dispatch costs as much as the math
-    rows, ends = len(lengths), lengths.cumsum()
-    position = np.arange(len(width)) - (ends - lengths).repeat(lengths)
-    order = position.argsort(kind="stable")
+    rows, slots, ends = len(lengths), len(width), lengths.cumsum()
+    in_row = np.arange(slots) - (ends - lengths).repeat(lengths)
+    depth = in_row if links is None else links[0]  # a chain slot's depth is its position
+    order = depth.argsort(kind="stable")
     rank = order.argsort()
     w = width.take(order)
     lane_end = w.cumsum()
     lane_start = lane_end - w
-    heads, lane_count = int(lane_end[rows - 1]), int(lane_end[-1])
-    # a slot past position 0 follows the slot before it in its row
-    pred_slot, w_on = rank.take(order[rows:] - 1), w[rows:]
-    seg_len = w.take(pred_slot).repeat(w_on)
-    seg_end = seg_len.cumsum()
+    per_depth = np.bincount(depth)
+    sources = int(per_depth[0])
+    heads, lane_count = int(lane_end[sources - 1]), int(lane_end[-1])
+    w_on = w[sources:]
+    fan: Optional[np.ndarray] = None  # predecessor slots per later slot; None: one each
+    if links is None:  # a chain slot follows the one before it, its last slot is the sink
+        e_from, sink = rank.take(order[rows:] - 1), rank.take(ends - 1)
+        head_rows = np.arange(rows).repeat(w[:rows])
+    else:
+        _, e_slot, e_pred, k_slot, k_ptr = links
+        e_rank = rank.take(e_slot)
+        e_from, sink = rank.take(e_pred).take(e_rank.argsort(kind="stable")), rank.take(k_slot)
+        if len(e_from) > len(w_on):
+            fan = np.bincount(e_rank - sources, minlength=len(w_on))
+        head_rows = np.arange(rows).repeat(lengths).take(order[:sources]).repeat(w[:sources])
+    # a later lane's segment: one piece per predecessor slot, in their order
+    if fan is None:
+        piece_len, piece_from = w.take(e_from).repeat(w_on), lane_start.take(e_from).repeat(w_on)
+        seg_len = piece_len
+    else:
+        reps = fan * w_on
+        first = (reps.cumsum() - reps).repeat(reps)
+        edge = (fan.cumsum() - fan).repeat(reps) + (np.arange(len(first)) - first) % fan.repeat(reps)
+        piece_len, piece_from = w.take(e_from).take(edge), lane_start.take(e_from).take(edge)
+        fan_lane = fan.repeat(w_on)
+        seg_len = np.add.reduceat(piece_len, fan_lane.cumsum() - fan_lane)
+    piece_end = piece_len.cumsum()
+    seg_end = piece_end if fan is None else seg_len.cumsum()
     seg_start = seg_end - seg_len
-    pred_start = lane_start.take(pred_slot).repeat(w_on) - seg_start
-    lanes = lane_end.take(np.bincount(position).cumsum() - 1).tolist()
+    lanes = lane_end.take(per_depth.cumsum() - 1).tolist()
     triples = [0, *seg_end.take(np.array(lanes[1:], dtype=np.int64) - (heads + 1)).tolist()]
     positions = [
         (slice(la, lb), slice(ta, tb), seg_start[la - heads : lb - heads] - ta, seg_len[la - heads : lb - heads])
         for la, lb, ta, tb in zip(lanes, lanes[1:], triples, triples[1:])
     ]
-    last = rank.take(ends - 1)
-    tail = lane_start.take(last)[:, None] + np.arange(w.take(last).max())
+    if len(sink) == rows:  # one sink slot per row
+        tail = lane_start.take(sink)[:, None] + np.arange(w.take(sink).max())
+        beyond = tail >= lane_end.take(sink)[:, None]
+        tail = np.minimum(tail, lane_count - 1)
+    else:
+        sink_w = w.take(sink)
+        per_row = np.add.reduceat(sink_w, k_ptr[:-1])
+        beyond = np.arange(per_row.max()) >= per_row[:, None]
+        tail = np.zeros(beyond.shape, dtype=np.int64)
+        sink_from = lane_start.take(sink) - (sink_w.cumsum() - sink_w)
+        tail[~beyond] = np.arange(int(sink_w.sum())) + sink_from.repeat(sink_w)
     return Ragged(
-        np.arange(lane_count) + (start.take(order) - lane_start).repeat(w),
-        np.arange(rows).repeat(w[:rows]), heads,
-        np.arange(triples[-1]) + pred_start.repeat(seg_len), seg_len, positions,
-        np.minimum(tail, lane_count - 1), tail >= lane_end.take(last)[:, None], lengths.tolist(),
+        np.arange(lane_count) + (start.take(order) - lane_start).repeat(w), head_rows, heads,
+        np.arange(triples[-1]) + (piece_from - (piece_end - piece_len)).repeat(piece_len), seg_len, positions,
+        tail, beyond, None if links is None else in_row.take(order).repeat(w),
     )
 
 
@@ -180,6 +288,83 @@ def segment_argmin(
     mins = np.minimum.reduceat(values, starts)
     (hits,) = (values == mins.repeat(lengths)).nonzero()
     return mins, hits.take(hits.searchsorted(starts))
+
+
+class Costs(Protocol):
+    """What one stage's relaxation reads over rows ``r0:r1`` laid out as
+    *lay*: the head lanes' start labels; the costs of triples *at*
+    (predecessor lanes *pred*) given the labels so far; what *lanes* carry
+    from the triples they took (*first*: offsets into *at*); the ``(rows,
+    tail)`` sink totals, ``inf`` on the padding."""
+
+    def start(self, r0: int, r1: int, lay: Ragged) -> np.ndarray: ...
+    def step(self, labels: np.ndarray, pred: np.ndarray, at: slice) -> np.ndarray: ...
+    def keep(self, lanes: slice, at: slice, first: np.ndarray) -> None: ...
+    def sink(self, labels: np.ndarray) -> np.ndarray: ...
+
+
+def relax(
+    widths: Sequence[int],
+    rows: Sequence[Sequence[int]],
+    costs: Costs,
+    shapes: Optional[Sequence[Optional[Shape]]] = None,
+    tracer: Tracer = NULL_TELEMETRY.tracer,
+) -> Iterator[Tuple[int, int, Ragged, np.ndarray, np.ndarray, List[float]]]:
+    """The one service-DAG relaxation: per chunk of :func:`ragged_chunks`,
+    one min-plus pass per depth over its real triples under *costs*, then
+    the sink. Yields rows ``r0:r1``, their layout, every lane's parent lane
+    (-1: a source), each row's winning sink lane and its total (``inf``: no
+    path); first-occurrence ties, as ``argmin``. Consume it whole: *tracer*
+    hears the triples relaxed and the chunks at the end."""
+    relaxed = chunks = 0
+    for r0, r1, lay in ragged_chunks(widths, rows, shapes) if rows else ():
+        labels = np.empty(len(lay.items))
+        labels[: lay.heads] = costs.start(r0, r1, lay)
+        parent = np.full(len(labels), -1)
+        for lanes, at, starts, lengths in lay.positions:
+            pred = lay.pred[at]
+            labels[lanes], first = segment_argmin(costs.step(labels, pred, at), starts, lengths)
+            parent[lanes] = pred.take(first)
+            costs.keep(lanes, at, first)
+        totals = costs.sink(labels)
+        winner = (np.arange(r1 - r0), totals.argmin(axis=1))
+        yield r0, r1, lay, parent, lay.tail[winner], totals[winner].tolist()
+        relaxed += len(lay.pred)
+        chunks += 1
+    tracer.add(relaxed=relaxed, chunks=chunks)
+
+
+class ProxyCosts(Costs):
+    """The conquer's and the flat router's gather: *provider* distances
+    (``points`` / ``pairs``) from row *r*'s ``sources[r]`` to its first
+    proxies, between consecutive proxies, and on to ``destinations[r]``.
+    *proxies* are the flat candidates."""
+
+    def __init__(
+        self, provider: Any, proxies: Sequence[ProxyId], sources: Sequence[ProxyId], destinations: Sequence[ProxyId]
+    ) -> None:
+        points, self.pairs = provider.points, provider.pairs
+        self.at, self.src, self.dst = points(proxies), points(sources), points(destinations)
+
+    def start(self, r0: int, r1: int, lay: Ragged) -> np.ndarray:
+        self.lay, self.rows = lay, slice(r0, r1)
+        xy = self.xy = self.at.take(lay.items, axis=0)
+        self.hop = self.pairs(xy.take(lay.pred, axis=0), xy[lay.heads :].repeat(lay.seg_len, axis=0))
+        return self.pairs(self.src[self.rows].take(lay.head_rows, axis=0), xy[: lay.heads])
+
+    def step(self, labels: np.ndarray, pred: np.ndarray, at: slice) -> np.ndarray:
+        via = labels.take(pred)
+        via += self.hop[at]
+        return via
+
+    def keep(self, lanes: slice, at: slice, first: np.ndarray) -> None:
+        pass
+
+    def sink(self, labels: np.ndarray) -> np.ndarray:
+        tail = self.lay.tail
+        totals = labels.take(tail) + self.pairs(self.xy.take(tail, axis=0), self.dst[self.rows][:, None])
+        totals[self.lay.beyond] = np.inf
+        return totals
 
 
 # -- per-batch outcome ---------------------------------------------------------
@@ -392,8 +577,7 @@ def patch_query_tables(tables: QueryTables, hfc: Any, changes: Any) -> QueryTabl
 # -- batched conquer -----------------------------------------------------------
 
 #: per slot of one child, the proxies inside its cluster offering the slot's
-#: service — in the order :meth:`FlatRouter.candidates_for` would produce
-#: (overlay placement order filtered by membership)
+#: service — in overlay placement order, filtered by membership
 ChildCandidates = Tuple[Tuple[ProxyId, ...], ...]
 
 
@@ -529,34 +713,11 @@ def child_infeasible_error(child: Any) -> NoFeasiblePathError:
     )
 
 
-def solve_child_spec(child: Any, candidates: ChildCandidates, provider: Any) -> List[ProxyId]:
-    """The proxies serving one child's slots, through the flat solver and
-    *provider*; a child with no slots picks nobody."""
-    if not child.slots:
-        return []
-    sub_sg = ServiceGraph(
-        services=dict(zip(child.slots, child.services)),
-        edges=frozenset(zip(child.slots, child.slots[1:])),
-    )
-    try:
-        solution = solve_vectorised(
-            sub_sg,
-            {slot: list(cands) for slot, cands in zip(child.slots, candidates)},
-            child.source_proxy,
-            child.destination_proxy,
-            provider.block,
-        )
-    except NoFeasiblePathError:
-        raise child_infeasible_error(child) from None
-    return [proxy for _, proxy in solution.assignment]
-
-
 def solve_specs(
     children: Sequence[Any],
     candidates: Sequence[Tuple[ProxyId, ...]],
     provider: Any,
     *,
-    space: Optional[CoordinateSpace] = None,
     tracer: Tracer = NULL_TELEMETRY.tracer,
 ) -> Tuple[List[Optional[ProxyId]], Set[int]]:
     """Solve the children of one call, *candidates* as :func:`child_specs`
@@ -564,20 +725,13 @@ def solve_specs(
     way, and the children whose cluster cannot serve them (their slots'
     picks mean nothing).
 
-    A child with one candidate per slot has nothing to decide. Over a
-    coordinate *space* every other child goes through the ragged chain
-    kernel: each child a hierarchical dissection produces is a chain (a run
-    of consecutive slots of the chosen configuration path), so the whole
-    conquer step is one numpy relaxation per chain position and chunk of
-    rows instead of one solver invocation per child — bit-identical to
-    per-child :func:`solve_child_spec`, which serves any other *provider*
-    (one that masks or measures links). Distances come from the same
-    coordinates (gathered through row indices into the space's stacked
-    matrix) and the same ``sqrt(einsum(diff, diff))`` element formula as
-    :meth:`CoordinateProvider.block`, sums keep the solver's association
-    order, and ties break as ``argmin`` does — so the same instance
-    :func:`solve_vectorised` picks is picked. *tracer* hears the triples
-    relaxed and the chunks.
+    Every child is a chain (a run of consecutive slots of the chosen
+    configuration path), and the whole conquer step is one :func:`relax`
+    over :class:`ProxyCosts`. A child with one candidate per slot has
+    nothing to decide when *provider* is a :class:`CoordinateProvider`,
+    whose distances are all finite; one that masks links (a bandwidth
+    requirement) may refuse even that child, so there every child with a
+    slot is solved.
     """
     sizes = list(map(len, map(itemgetter(1), children)))
     start = list(accumulate(sizes, initial=0))  # child i's slots: start[i]:start[i + 1]
@@ -586,48 +740,19 @@ def solve_specs(
     # a slot's first candidate: the pick of every child with nothing to decide
     picks: List[Optional[ProxyId]] = [slot[0] if slot else None for slot in candidates]
     refused = {owner[at] for at in compress(range(len(widths)), map(not_, widths))}
-    if space is None:
-        for i in sorted(set(owner) - refused):
-            try:
-                picks[start[i] : start[i + 1]] = solve_child_spec(children[i], candidates[start[i] : start[i + 1]], provider)
-            except NoFeasiblePathError:
-                refused.add(i)
-        return picks, refused
-    wide = compress(range(len(widths)), map(int.__gt__, widths, repeat(1)))
+    least = 1 if isinstance(provider, CoordinateProvider) else 0
+    wide = compress(range(len(widths)), map(int.__gt__, widths, repeat(least)))
     chains = sorted({owner[at] for at in wide} - refused)
     code: Dict[Tuple[ProxyId, ...], int] = {}
     rows = [[code.setdefault(slot, len(code)) for slot in candidates[start[i] : start[i + 1]]] for i in chains]
-    relaxed = chunks = 0
     proxies = list(chain.from_iterable(code))
-    stacked = space.stacked
-    at_proxy = stacked.take(space.rows(proxies), axis=0)
-    src = stacked.take(space.rows([children[i].source_proxy for i in chains]), axis=0)
-    dst = stacked.take(space.rows([children[i].destination_proxy for i in chains]), axis=0)
-    for r0, r1, lay in ragged_chunks(list(map(len, code)), rows) if chains else ():
-        xy = at_proxy.take(lay.items, axis=0)
-        diff = xy[: lay.heads] - src[r0:r1].take(lay.head_rows, axis=0)
-        labels = np.empty(len(xy))
-        labels[: lay.heads] = np.sqrt(np.einsum("ik,ik->i", diff, diff))
-        diff = xy.take(lay.pred, axis=0) - xy[lay.heads :].repeat(lay.seg_len, axis=0)
-        hop = np.sqrt(np.einsum("ik,ik->i", diff, diff))
-        parent = np.arange(len(xy))
-        for lanes, at, starts, lengths in lay.positions:
-            pred = lay.pred[at]
-            via = labels.take(pred)
-            via += hop[at]
-            labels[lanes], first = segment_argmin(via, starts, lengths)
-            parent[lanes] = pred.take(first)
-        diff = xy.take(lay.tail, axis=0) - dst[r0:r1, None, :]
-        totals = labels.take(lay.tail) + np.sqrt(np.einsum("rck,rck->rc", diff, diff))
-        totals[lay.beyond] = np.inf
-        winner = (np.arange(r1 - r0), totals.argmin(axis=1))
-        feasible = np.isfinite(totals[winner]).tolist()
-        for i, ok, items in zip(chains[r0:r1], feasible, lay.walk(parent, lay.tail[winner], lay.items)):
-            if ok:
+    costs = ProxyCosts(
+        provider, proxies, [children[i].source_proxy for i in chains], [children[i].destination_proxy for i in chains]
+    )
+    for r0, r1, lay, parent, final, bounds in relax(list(map(len, code)), rows, costs, tracer=tracer):
+        for i, bound, items in zip(chains[r0:r1], bounds, lay.walk(parent, final, lay.items)):
+            if bound < np.inf:
                 picks[start[i] : start[i + 1]] = [proxies[at] for at in items]
             else:
                 refused.add(i)
-        relaxed += len(lay.pred)
-        chunks += 1
-    tracer.add(relaxed=relaxed, chunks=chunks)
     return picks, refused

@@ -25,16 +25,11 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, FrozenSet, Hashable, Mapping, Optional
 
-from repro.routing.batch import service_graph_signature
 from repro.routing.hierarchical import ClusterServicePath, HierarchicalRouter
 from repro.services.catalog import ServiceName
 from repro.util.errors import RoutingError
 
-__all__ = [
-    "CachedHierarchicalRouter",
-    "CacheStats",
-    "service_graph_signature",  # canonical home: repro.routing.batch
-]
+__all__ = ["CachedHierarchicalRouter", "CacheStats"]
 
 
 @dataclass

@@ -14,23 +14,36 @@ proxy's services and a distance between every proxy pair (through a
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from itertools import repeat
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.overlay.network import OverlayNetwork, ProxyId
-from repro.routing.batch import BATCH_SIZE_BUCKETS, BatchRouteResult
+from repro.routing.batch import BATCH_SIZE_BUCKETS, BatchRouteResult, ProxyCosts, graph_row, relax
 from repro.routing.path import Hop, ServicePath, merge_consecutive_hops
 from repro.routing.providers import (
     CoordinateProvider,
     DistanceProvider,
     TrueDelayProvider,
 )
-from repro.routing.servicedag import solve_vectorised
 from repro.services.request import ServiceRequest
 from repro.telemetry import get_telemetry
-from repro.util.errors import NoFeasiblePathError, RoutingError
+from repro.util.errors import NoFeasiblePathError, RoutingError, TopologyError
 
 #: expands one overlay hop (u, v) into the relay proxy sequence [u, ..., v]
 HopExpander = Callable[[ProxyId, ProxyId], Sequence[ProxyId]]
+_NO_CONFIGURATION = "no feasible configuration maps onto instances"
+
+
+def _stranger(overlay: OverlayNetwork, request: ServiceRequest) -> Optional[NoFeasiblePathError]:
+    """The error of a request whose endpoint is not an overlay member."""
+    for role, proxy in (("source", request.source_proxy), ("destination", request.destination_proxy)):
+        try:
+            overlay.index_of(proxy)
+        except TopologyError:
+            return NoFeasiblePathError(f"{role} proxy {proxy!r} is not an overlay member")
+    return None
 
 
 class FlatRouter:
@@ -42,7 +55,6 @@ class FlatRouter:
         provider: DistanceProvider,
         *,
         expander: Optional[HopExpander] = None,
-        candidate_filter: Optional[Callable[[ProxyId], bool]] = None,
         name: str = "flat",
     ) -> None:
         """
@@ -51,55 +63,22 @@ class FlatRouter:
             provider: distance oracle routing optimises against.
             expander: optional relay expansion per chosen overlay hop; when
                 None, hops are direct overlay links (fully-connected view).
-            candidate_filter: optional predicate restricting which proxies
-                may provide services (used for intra-cluster routing).
             name: label used in reports.
         """
         self.overlay = overlay
         self.provider = provider
         self.expander = expander
-        self.candidate_filter = candidate_filter
         self.name = name
-
-    def candidates_for(self, request: ServiceRequest) -> Dict[int, List[ProxyId]]:
-        """Instance candidates per slot: every (allowed) provider of the slot's
-        service."""
-        result: Dict[int, List[ProxyId]] = {}
-        for slot in request.service_graph.slots():
-            service = request.service_graph.service_of(slot)
-            providers = self.overlay.providers_of(service)
-            if self.candidate_filter is not None:
-                providers = [p for p in providers if self.candidate_filter(p)]
-            result[slot] = providers
-        return result
 
     def route(self, request: ServiceRequest) -> ServicePath:
         """Compute an optimal service path for *request*.
 
         Raises :class:`NoFeasiblePathError` when the request cannot be
-        satisfied by the (possibly filtered) overlay.
+        satisfied by the overlay.
         """
-        return self.route_with_candidates(request, self.candidates_for(request))
-
-    def route_with_candidates(
-        self,
-        request: ServiceRequest,
-        candidates: Dict[int, List[ProxyId]],
-    ) -> ServicePath:
-        """Solve *request* against precomputed per-slot candidates.
-
-        The batch engine computes candidate lists once per (cluster,
-        service) pair and feeds them here; with the lists produced by
-        :meth:`candidates_for` this is exactly :meth:`route`.
-        """
-        solution = solve_vectorised(
-            request.service_graph,
-            candidates,
-            request.source_proxy,
-            request.destination_proxy,
-            self.provider.block,
-        )
-        return self._materialise(request, solution.assignment)
+        result = self._solve([request])
+        result.raise_first()
+        return result.paths[0]  # type: ignore[return-value]
 
     def route_many(self, requests: Sequence[ServiceRequest]) -> List[ServicePath]:
         """Resolve a batch, sharing the provider index; raises on the first
@@ -111,55 +90,72 @@ class FlatRouter:
     def route_many_detailed(
         self, requests: Sequence[ServiceRequest]
     ) -> BatchRouteResult:
-        """Resolve a batch, capturing per-request outcomes.
-
-        The overlay's provider lists are scanned once per distinct service
-        for the whole batch instead of once per request slot; candidate
-        content and order match :meth:`candidates_for` exactly, so every
-        returned path is bit-identical to the per-request call.
-        """
-        requests = list(requests)
-        providers_memo: Dict[str, List[ProxyId]] = {}
-        paths: List[Optional[ServicePath]] = []
-        errors: List[Optional[NoFeasiblePathError]] = []
-        for request in requests:
-            sg = request.service_graph
-            candidates: Dict[int, List[ProxyId]] = {}
-            for slot in sg.slots():
-                service = sg.service_of(slot)
-                providers = providers_memo.get(service)
-                if providers is None:
-                    providers = self.overlay.providers_of(service)
-                    providers_memo[service] = providers
-                if self.candidate_filter is not None:
-                    candidates[slot] = [
-                        p for p in providers if self.candidate_filter(p)
-                    ]
-                else:
-                    candidates[slot] = list(providers)
-            try:
-                paths.append(self.route_with_candidates(request, candidates))
-                errors.append(None)
-            except NoFeasiblePathError as err:
-                paths.append(None)
-                errors.append(err)
+        """Resolve a batch, capturing per-request outcomes."""
+        result = self._solve(list(requests))
         registry = get_telemetry().registry
         registry.counter("routing.batch.batches", router=self.name).inc()
         registry.counter("routing.batch.requests", router=self.name).inc(
-            len(requests)
+            len(result)
         )
         registry.histogram(
             "routing.batch.size", buckets=BATCH_SIZE_BUCKETS, router=self.name
-        ).observe(len(requests))
-        return BatchRouteResult(paths=paths, errors=errors)
+        ).observe(len(result))
+        return result
 
-    def _materialise(
-        self,
-        request: ServiceRequest,
-        assignment: Sequence[Tuple[int, ProxyId]],
-    ) -> ServicePath:
-        """Turn a slot→proxy assignment into a concrete path with relays."""
-        return materialise_assignment(request, assignment, self.expander)
+    def _solve(self, requests: List[ServiceRequest]) -> BatchRouteResult:
+        """The one-cluster case of the service-DAG kernel: every request a
+        row over its slots' providers (the overlay is scanned once per
+        distinct service of the call), one :func:`~repro.routing.batch.relax`
+        over :class:`~repro.routing.batch.ProxyCosts`. A request whose
+        endpoint is not an overlay member, or whose graph no provider
+        configuration maps onto, gets its error alone."""
+        overlay = self.overlay
+        code: Dict[str, int] = {}  # service -> its providers' group
+        offering: List[List[ProxyId]] = []
+        errors: List[Optional[NoFeasiblePathError]] = [None] * len(requests)
+        rows: List[List[int]] = []
+        shapes: List[Any] = []
+        jobs: List[Tuple[int, List[Any]]] = []  # request index, its kept slots
+        for at, request in enumerate(requests):
+            errors[at] = _stranger(overlay, request)
+            if errors[at] is not None:
+                continue
+            sg = request.service_graph
+            order = sg.topological_order()
+            groups: List[int] = []
+            for slot in order:
+                service = sg.services[slot]
+                if service not in code:
+                    code[service] = len(offering)
+                    offering.append(overlay.providers_of(service))
+                groups.append(code[service])
+            row = graph_row(sg, order, [len(offering[g]) for g in groups])
+            if row is None:
+                errors[at] = NoFeasiblePathError(_NO_CONFIGURATION)
+                continue
+            kept, shape = row
+            rows.append(groups if kept is None else [groups[i] for i in kept])
+            shapes.append(shape)
+            jobs.append((at, order if kept is None else [order[i] for i in kept]))
+        proxies = [proxy for providers in offering for proxy in providers]
+        costs = ProxyCosts(
+            self.provider, proxies,
+            [requests[at].source_proxy for at, _ in jobs], [requests[at].destination_proxy for at, _ in jobs],
+        )
+        paths: List[Optional[ServicePath]] = [None] * len(requests)
+        for r0, r1, lay, parent, final, bounds in relax(list(map(len, offering)), rows, costs, shapes):
+            placed: Iterable[Optional[List[int]]] = (
+                repeat(None) if lay.position is None else lay.walk(parent, final, lay.position)
+            )
+            picked = zip(placed, lay.walk(parent, final, lay.items), bounds)
+            for (at, slots), (positions, items, bound) in zip(jobs[r0:r1], picked):
+                if bound < np.inf:
+                    filled = slots if positions is None else [slots[p] for p in positions]
+                    assignment = list(zip(filled, map(proxies.__getitem__, items)))
+                    paths[at] = materialise_assignment(requests[at], assignment, self.expander)
+                else:
+                    errors[at] = NoFeasiblePathError(_NO_CONFIGURATION)
+        return BatchRouteResult(paths=paths, errors=errors)
 
 
 def materialise_assignment(

@@ -26,15 +26,16 @@ memo, the touched clusters' member lists) and the public stage methods
 (``cluster_level_path`` / ``dissect`` / ``solve_child`` / ``compose``) are
 the size-one case of their stage.
 
-Three variants of step 2 are provided (`method=`):
+Two variants of step 2 are provided (`method=`):
 
 * ``"backtrack"`` (default, the paper's): labels carry the border through
   which the cluster was entered, found by back-tracking the chosen
   predecessor, and internal segments are added during relaxation;
-* ``"exact"``: dynamic programming over (slot, cluster, entry-border) states
-  — the imprecision-free version of the same cost model (ablation);
 * ``"external"``: unmodified DAG-shortest-paths on external link lengths
   only — the naive baseline the paper's example argues against.
+
+Steps 2 and 4 are both :func:`~repro.routing.batch.relax`, the one
+service-DAG kernel, under two cost gathers.
 """
 
 from __future__ import annotations
@@ -66,15 +67,17 @@ from repro.overlay.network import ProxyId
 from repro.routing.batch import (
     BATCH_SIZE_BUCKETS,
     BatchRouteResult,
+    Costs,
     QueryTables,
+    Ragged,
     child_infeasible_error,
     child_specs,
+    graph_row,
     offering_index,
     placement_capabilities,
     query_tables,
-    ragged_chunks,
     rebind_derived,
-    segment_argmin,
+    relax,
     solve_specs,
 )
 from repro.routing.path import Hop, ServicePath, merge_consecutive_hops
@@ -87,10 +90,7 @@ from repro.telemetry.tracing import WALL_SPAN_BUCKETS
 from repro.util.errors import ClusteringError, NoFeasiblePathError, RoutingError
 
 ClusterId = int
-#: a label key at the cluster level
-_Entry = Optional[ProxyId]
-
-METHODS = ("backtrack", "exact", "external")
+METHODS = ("backtrack", "external")
 _NO_CONFIGURATION = "no cluster-level configuration satisfies the request"
 
 class ClusterServicePath(NamedTuple):
@@ -132,9 +132,10 @@ class ChildRequest(NamedTuple):
 ChildHops = Union[Tuple[Hop, ...], NoFeasiblePathError]
 #: what the CSP stage holds per request: the path or its infeasibility
 _CspOutcome = Union[ClusterServicePath, NoFeasiblePathError]
-#: one linear request waiting for the chain kernel: its slots in order, their
-#: services, its source and destination clusters and its destination proxy
-_ChainJob = Tuple[List[SlotId], List[ServiceName], ClusterId, ClusterId, ProxyId]
+#: one request waiting for the CSP solver: its graph, its slots in topological
+#: order and their services, its source and destination clusters and its
+#: destination proxy
+_CspJob = Tuple[ServiceGraph, List[SlotId], List[ServiceName], ClusterId, ClusterId, ProxyId]
 
 #: a NamedTuple from the tuple of its fields, in C (the generated ``__new__``
 #: is a Python call, and a routed batch builds tens of thousands)
@@ -221,7 +222,7 @@ class HierarchicalRouter:
         """
         Args:
             hfc: the HFC topology (clusters, borders, coordinates).
-            method: CSP computation variant; one of ``backtrack``, ``exact``,
+            method: CSP computation variant; one of ``backtrack``,
                 ``external``.
             cluster_capabilities: SCT_C contents; defaults to the exact
                 aggregation of the current placement (a converged state
@@ -475,16 +476,14 @@ class HierarchicalRouter:
         and a memo keyed by CSP identity — (service-graph shape, source
         cluster, destination proxy) — in front of the version-driven cache a
         subclass keeps behind :meth:`_csp_cache_get` / :meth:`_csp_cache_put`.
-        Which solver runs is read off the request itself: chains under the
-        label-setting methods whose every slot has a candidate wait for the
-        ragged chain kernel; only the inputs it cannot take (branching
-        graphs, ``exact``, a chain with an unoffered service) go through
-        :meth:`cluster_candidates` one by one.
+        Every other request, chain or branching, waits for one
+        :meth:`_solve_csps`; only a chain with an unoffered service is
+        answered here.
         """
         self.refresh_capabilities()
         cluster_of = self._view.cluster_of
         memo: Dict[Hashable, _CspOutcome] = {}
-        chains: Dict[Hashable, _ChainJob] = {}
+        jobs: Dict[Hashable, _CspJob] = {}
         offering: Dict[ServiceName, List[ClusterId]] = {}
         keys: List[Hashable] = []
         for request in requests:
@@ -502,37 +501,22 @@ class HierarchicalRouter:
                 continue
             key = (sg.signature, cs, pd)
             keys.append(key)
-            if key in memo or key in chains:
+            if key in memo or key in jobs:
                 continue
             cached = self._csp_cache_get(key)
             if cached is not None:
                 memo[key] = cached
                 continue
-            if sg.is_linear and self.method != "exact":
-                order = sg.topological_order()
-                named = list(map(sg.services.__getitem__, order))
-                if all(map(self._offer(named, offering).__getitem__, named)):
-                    chains[key] = (order, named, cs, cd, pd)
-                    continue
-            candidates = self.cluster_candidates(sg, offering)
-            if sg.is_linear and not all(candidates.values()):
+            order = sg.topological_order()
+            named = list(map(sg.services.__getitem__, order))
+            offered = self._offer(named, offering)
+            if sg.is_linear and not all(map(offered.__getitem__, named)):
                 # a branching SG may route around an empty slot; a chain cannot
-                missing = [sg.service_of(s) for s in sg.slots() if not candidates[s]]
+                missing = [sg.service_of(s) for s in sg.slots() if not offered[sg.service_of(s)]]
                 memo[key] = NoFeasiblePathError(f"services unavailable in every cluster: {missing}")
                 continue
-            try:  # one request through the per-request solvers (any graph, any method)
-                if self.method == "exact":
-                    cost, assignment = self._solve_exact(request, sg, candidates, cs, cd)
-                else:
-                    with_internal = self.method == "backtrack"
-                    cost, assignment = self._solve_label(request, sg, candidates, cs, cd, with_internal=with_internal)
-            except NoFeasiblePathError as err:
-                memo[key] = err
-            else:
-                memo[key] = ClusterServicePath(tuple(assignment), cs, cd, cost)
-                self._csp_cache_put(key, memo[key])
-        solved = self._solve_chains(list(chains.values()), offering)
-        for key, outcome in zip(chains, solved):
+            jobs[key] = (sg, order, named, cs, cd, pd)
+        for key, outcome in zip(jobs, self._solve_csps(list(jobs.values()), offering)):
             memo[key] = outcome
             if not isinstance(outcome, NoFeasiblePathError):
                 self._csp_cache_put(key, outcome)
@@ -544,80 +528,50 @@ class HierarchicalRouter:
             for o in outcomes
         ]
 
-    # -- the ragged chain kernel ---------------------------------------------------
-
-    def _solve_chains(
-        self, jobs: Sequence[_ChainJob], offering: Dict[ServiceName, List[ClusterId]]
+    def _solve_csps(
+        self, jobs: Sequence[_CspJob], offering: Dict[ServiceName, List[ClusterId]]
     ) -> List[_CspOutcome]:
-        """Cluster-level paths of linear requests (every slot has candidates):
-        one relaxation pass per chain position over the real ``(row,
-        predecessor, candidate)`` triples of each chunk of rows
-        (:func:`~repro.routing.batch.ragged_chunks`).
+        """The seam where the CSP stage calls its solver: per job, its
+        cluster-level path over the clusters *offering* lists per service.
 
-        Equivalent to the scalar reference by :meth:`_solve_label`'s three
-        facts; a candidate in its predecessor's cluster adds ``ext``'s zero
-        diagonal and ``d_entry``'s zero column, keeping the label as the
-        reference's ``ci == cj`` branch does. Label-free gathers are made once
-        per chunk; an entry is carried as the offset of its ``d_entry`` row.
+        Here one :func:`~repro.routing.batch.relax` over
+        :class:`_ClusterCosts`: a row per request, its candidates every
+        offering cluster of each slot's service, a branching graph's rows
+        through :func:`~repro.routing.batch.graph_row`.
         """
-        if not jobs:
-            return []
-        tables = query_tables(self._view)
-        k, stride = tables.cluster_count, len(tables.border_list) + 1
-        ext, exits_of, entries_of, d_entry = tables.flat
-        with_internal = self.method == "backtrack" and stride > 1
-        # per distinct service of the call: its candidate clusters, side by side
         code = {service: at for at, service in enumerate(offering)}
-        clusters = np.fromiter(chain.from_iterable(offering.values()), dtype=np.int64)
-        chains, named, css, cds, destinations = zip(*jobs)
-        rows = [list(map(code.__getitem__, services)) for services in named]
-        sources = np.array(css, dtype=np.int64)
-        results: List[_CspOutcome] = []
-        relaxed = chunks = 0
-        for r0, r1, lay in ragged_chunks(list(map(len, offering.values())), rows):
-            lane_cluster = clusters.take(lay.items)
-            k0, cs = lane_cluster[: lay.heads], sources[r0:r1].take(lay.head_rows)
-            # the floats _start reads back out of external_estimate / border
-            labels = np.empty(len(lane_cluster))
-            entry = np.zeros(len(lane_cluster), dtype=np.int64)
-            head = cs * k + k0
-            labels[: lay.heads], entry[: lay.heads] = ext.take(head), entries_of.take(head)
-            parent = np.arange(len(lane_cluster))
-            # few triple-length arrays stay alive: int32 border codes
-            kp = lane_cluster.take(lay.pred)
-            kp *= k
-            kp += lane_cluster[lay.heads :].repeat(lay.seg_len)
-            step = ext.take(kp)
-            if with_internal:
-                exits, entries = exits_of.take(kp), entries_of.take(kp)
-                same = entries == 0
-            del kp
-            for lanes, at, starts, lengths in lay.positions:
-                pred = lay.pred[at]
-                costs = labels.take(pred)
-                costs += step[at]
-                if with_internal:  # entry border of each label to its exit border
-                    held = entry.take(pred)
-                    costs += d_entry.take(held + exits[at])
-                labels[lanes], first = segment_argmin(costs, starts, lengths)
-                parent[lanes] = pred.take(first)
-                if with_internal:  # a candidate in its predecessor's cluster keeps its entry
-                    entry[lanes] = np.where(same[at], held, entries[at]).take(first)
-            block = labels.take(lay.tail)
-            block[lay.beyond] = np.inf
-            tail = entry.take(lay.tail) // stride, lane_cluster.take(lay.tail)
-            totals = self._sink(tables, block, *tail, cds[r0:r1], destinations[r0:r1])
-            winner = (np.arange(r1 - r0), totals.argmin(axis=1))
-            chosen = lay.walk(parent, lay.tail[winner], lane_cluster)
-            for j, bound, picked in zip(range(r0, r1), totals[winner].tolist(), chosen):
-                results.append(
-                    NoFeasiblePathError(_NO_CONFIGURATION)
-                    if bound == np.inf
-                    else _csp((tuple(zip(chains[j], picked)), css[j], cds[j], bound))
-                )
-            relaxed += len(lay.pred)
-            chunks += 1
-        self.telemetry.tracer.add(relaxed=relaxed, chunks=chunks)
+        widths = list(map(len, offering.values()))
+        results: List[_CspOutcome] = [NoFeasiblePathError(_NO_CONFIGURATION)] * len(jobs)
+        rows: List[List[int]] = []
+        shapes: List[Any] = []
+        live: List[Tuple[int, List[SlotId], ClusterId, ClusterId]] = []
+        css: List[ClusterId] = []
+        cds: List[ClusterId] = []
+        pds: List[ProxyId] = []
+        for at, (sg, order, named, cs, cd, pd) in enumerate(jobs):
+            groups = list(map(code.__getitem__, named))
+            # the stage answered every chain with an unoffered service
+            row = (None, None) if sg.is_linear else graph_row(sg, order, list(map(widths.__getitem__, groups)))
+            if row is not None:
+                kept, shape = row
+                rows.append(groups if kept is None else list(map(groups.__getitem__, kept)))
+                live.append((at, order if kept is None else list(map(order.__getitem__, kept)), cs, cd))
+                shapes.append(shape)
+                css.append(cs)
+                cds.append(cd)
+                pds.append(pd)
+        if not rows:
+            return results
+        costs = _ClusterCosts(self, offering, css, cds, pds)
+        for r0, r1, lay, parent, final, bounds in relax(widths, rows, costs, shapes, self.telemetry.tracer):
+            chosen = lay.walk(parent, final, costs.lane_cluster)
+            placed: Iterable[Optional[List[int]]] = (
+                repeat(None) if lay.position is None else lay.walk(parent, final, lay.position)
+            )
+            for (at, slots, cs, cd), bound, picked, positions in zip(live[r0:r1], bounds, chosen, placed):
+                if bound < np.inf:
+                    filled = slots if positions is None else list(map(slots.__getitem__, positions))
+                    results[at] = _csp((tuple(zip(filled, picked)), cs, cd, bound))
         return results
 
     def _sink(
@@ -629,12 +583,12 @@ class HierarchicalRouter:
         cds: Sequence[ClusterId],
         destinations: Sequence[ProxyId],
     ) -> np.ndarray:
-        """``label + tail`` of every last-slot label ``(rows, lanes)``, row *b*
-        ending at ``destinations[b]`` in cluster ``cds[b]`` — :meth:`_tail` as
-        table lookups (entries shifted by one, 0 for none), in :meth:`_tail`'s
-        association ``(ext + internal) + dist``. The exact distances to a
-        destination are a row over *its own cluster's* borders only (all a
-        destination proxy can know), from the same ``space.distance`` calls.
+        """``label + tail`` of every sink label ``(rows, lanes)``, row *b*
+        ending at ``destinations[b]`` in cluster ``cds[b]`` (entries shifted by
+        one, 0 for none), in the association ``(ext + internal) + dist``. The
+        exact distances to a destination are a row over *its own cluster's*
+        borders only (all a destination proxy can know), from the same
+        ``space.distance`` calls.
         """
         ext, exits_of, _, d_entry = tables.flat
         k, stride = tables.cluster_count, len(tables.border_list) + 1
@@ -659,249 +613,6 @@ class HierarchicalRouter:
             dist = np.array(to_pd).take(np.where(via > 0, at, 0))
             tail = np.where(home, dist, (tail + internal) + dist)
         return labels + tail
-
-    # internal-distance helpers ------------------------------------------------
-
-    def _internal(self, entry: _Entry, exit_border: ProxyId) -> float:
-        """Estimated in-cluster segment from the entry border to the exit
-        border; zero when unknown (source cluster) or when they coincide."""
-        if entry is None or entry == exit_border:
-            return 0.0
-        return self._view.space.distance(entry, exit_border)
-
-    def _tail(
-        self, cluster: ClusterId, entry: _Entry, cd: ClusterId, pd: ProxyId,
-        with_internal: bool,
-    ) -> float:
-        """Bound on the remaining distance from the last service cluster to pd."""
-        view = self._view
-        if cluster == cd:
-            if not with_internal or entry is None:
-                return 0.0
-            return view.space.distance(entry, pd)
-        cost = view.external_estimate(cluster, cd)
-        if with_internal:
-            cost += self._internal(entry, view.border(cluster, cd))
-            cost += view.space.distance(view.border(cd, cluster), pd)
-        return cost
-
-    def _start(
-        self, cluster: ClusterId, cs: ClusterId, with_internal: bool
-    ) -> Tuple[float, _Entry]:
-        """Cost and entry border for reaching the first service cluster."""
-        if cluster == cs:
-            return 0.0, None
-        # pd cannot estimate the segment from ps to the exit border of cs
-        # (it has no coordinates for ps), so only the external link counts.
-        del with_internal  # the source-side internal segment is unknown either way
-        view = self._view
-        return view.external_estimate(cs, cluster), view.border(cluster, cs)
-
-    # label-setting with optional back-tracking, vectorized over precomputed
-    # border tables -----------------------------------------------------------
-
-    def _solve_label(
-        self,
-        request: ServiceRequest,
-        sg: ServiceGraph,
-        candidates: Dict[SlotId, List[ClusterId]],
-        cs: ClusterId,
-        cd: ClusterId,
-        *,
-        with_internal: bool,
-    ) -> Tuple[float, List[Tuple[SlotId, ClusterId]]]:
-        """One numpy pass per slot; bit-identical to the scalar reference
-        loop kept as the test oracle (``tests/oracles/csp.py``).
-
-        Per slot, all (predecessor-label × candidate-cluster) relaxations
-        evaluate at once against the precomputed tables of
-        :func:`~repro.routing.batch.query_tables`. Bit-equality holds
-        because (a) the tables are filled by the same scalar calls the
-        reference makes, (b) the float additions keep the reference's
-        association order ``(dist + ext) + internal``, and (c)
-        ``np.argmin``'s first-occurrence tie-break equals the reference's
-        strict-``<`` update over the same (predecessor, candidate)
-        iteration order, with the start label compared first. Missing
-        labels are ``inf``: they never precede a finite winner.
-        """
-        tables = query_tables(self._view)
-        ext = tables.ext
-        border_row = tables.border_row
-        d_entry = tables.d_entry
-        nb = len(tables.border_list)
-
-        # per finalized slot: candidates, label costs (inf = unlabeled),
-        # entry-border codes shifted by one (0 = None), parent pointers
-        # (slot, index)
-        info: Dict[
-            SlotId,
-            Tuple[List[ClusterId], np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-        ] = {}
-        source_slots = set(sg.source_slots())
-        for slot in sg.topological_order():
-            cand = candidates[slot]
-            n = len(cand)
-            if n == 0:
-                none = np.empty(0, dtype=np.int64)
-                info[slot] = (cand, np.empty(0, dtype=float), none, none, none)
-                continue
-            cand_arr = np.asarray(cand, dtype=np.int64)
-            if slot in source_slots:
-                # the floats _start reads back out of external_estimate/border
-                init_cost = np.where(cand_arr == cs, 0.0, ext[cs, cand_arr])
-                init_ent = border_row[cand_arr, cs] + 1
-            else:
-                init_cost = np.full(n, np.inf)
-                init_ent = np.zeros(n, dtype=np.int64)
-
-            pred_cluster: List[np.ndarray] = []
-            pred_cost: List[np.ndarray] = []
-            pred_entry: List[np.ndarray] = []
-            pred_slot: List[np.ndarray] = []
-            pred_index: List[np.ndarray] = []
-            for pred in sg.predecessors(slot):
-                pcand, pdist, pent, _, _ = info[pred]
-                m = len(pcand)
-                if m == 0:
-                    continue
-                pred_cluster.append(np.asarray(pcand, dtype=np.int64))
-                pred_cost.append(pdist)
-                pred_entry.append(pent)
-                pred_slot.append(np.full(m, pred, dtype=np.int64))
-                pred_index.append(np.arange(m, dtype=np.int64))
-
-            if pred_cluster:
-                ci_arr = np.concatenate(pred_cluster)
-                d_arr = np.concatenate(pred_cost)
-                e_arr = np.concatenate(pred_entry)
-                ps_arr = np.concatenate(pred_slot)
-                pi_arr = np.concatenate(pred_index)
-
-                # (predecessor, candidate) pairs; one in a single cluster adds
-                # ext's zero diagonal and d_entry's zero column to its label
-                pair = ci_arr[:, None], cand_arr[None, :]
-                costs = d_arr[:, None] + ext[pair]
-                if with_internal and nb:
-                    # the back-tracking step, batched: from the border each
-                    # label entered through to the exit border toward cj
-                    costs = costs + d_entry[e_arr[:, None], border_row[pair] + 1]
-                entries = np.where(pair[0] == pair[1], e_arr[:, None], border_row.T[pair] + 1)
-                combined = np.vstack([init_cost[None, :], costs])
-                win = np.argmin(combined, axis=0)
-                cols = np.arange(n)
-                dist_arr = combined[win, cols]
-                relaxed = win > 0
-                row = np.where(relaxed, win - 1, 0)
-                ent_arr = np.where(relaxed, entries[row, cols], init_ent)
-                pslot_arr = np.where(relaxed, ps_arr[row], -1)
-                pidx_arr = np.where(relaxed, pi_arr[row], -1)
-            else:
-                dist_arr = init_cost
-                ent_arr = init_ent
-                pslot_arr = np.full(n, -1, dtype=np.int64)
-                pidx_arr = np.full(n, -1, dtype=np.int64)
-            info[slot] = (cand, dist_arr, ent_arr, pslot_arr, pidx_arr)
-
-        # the one sink, over the sink slots' labels side by side in slot order
-        sinks = sg.sink_slots()
-        totals = self._sink(
-            tables,
-            np.concatenate([info[slot][1] for slot in sinks])[None],
-            np.concatenate([info[slot][2] for slot in sinks])[None],
-            np.array([c for slot in sinks for c in info[slot][0]], dtype=np.int64)[None],
-            [cd],
-            [request.destination_proxy],
-        )[0]
-        if not totals.size or totals.min() == float("inf"):
-            raise NoFeasiblePathError(_NO_CONFIGURATION)
-        j = int(np.argmin(totals))
-        best_total = totals[j]
-        for slot in sinks:
-            if j < len(info[slot][0]):
-                break
-            j -= len(info[slot][0])
-        assignment: List[Tuple[SlotId, ClusterId]] = []
-        while True:
-            cand, _, _, pslot_arr, pidx_arr = info[slot]
-            assignment.append((slot, cand[j]))
-            parent_slot = int(pslot_arr[j])
-            if parent_slot < 0:
-                break
-            slot, j = parent_slot, int(pidx_arr[j])
-        assignment.reverse()
-        return float(best_total), assignment
-
-    # exact DP over (slot, cluster, entry border) -------------------------------
-
-    def _solve_exact(
-        self,
-        request: ServiceRequest,
-        sg: ServiceGraph,
-        candidates: Dict[SlotId, List[ClusterId]],
-        cs: ClusterId,
-        cd: ClusterId,
-    ) -> Tuple[float, List[Tuple[SlotId, ClusterId]]]:
-        view = self._view
-        State = Tuple[SlotId, ClusterId, _Entry]
-        dist: Dict[State, float] = {}
-        parent: Dict[State, Optional[State]] = {}
-        # (slot, cluster) -> its states in first-insertion order: replaces
-        # the O(|states|) full-dict scan per (pred, ci) pair; the list order
-        # equals the dict-comprehension order the scan produced, so
-        # tie-breaking is unchanged
-        states_by: Dict[Tuple[SlotId, ClusterId], List[State]] = {}
-
-        def _relax(state: State, cost: float, origin: Optional[State]) -> None:
-            known = state in dist
-            if not known or cost < dist[state]:
-                if not known:
-                    states_by.setdefault((state[0], state[1]), []).append(state)
-                dist[state] = cost
-                parent[state] = origin
-
-        source_slots = set(sg.source_slots())
-        for slot in sg.topological_order():
-            for cj in candidates[slot]:
-                if slot in source_slots:
-                    cost, ent = self._start(cj, cs, True)
-                    _relax((slot, cj, ent), cost, None)
-                for pred in sg.predecessors(slot):
-                    for ci in candidates[pred]:
-                        for pstate in tuple(states_by.get((pred, ci), ())):
-                            _, _, ent_i = pstate
-                            if ci == cj:
-                                cost = dist[pstate]
-                                state = (slot, cj, ent_i)
-                            else:
-                                cost = (
-                                    dist[pstate]
-                                    + self._internal(ent_i, view.border(ci, cj))
-                                    + view.external_estimate(ci, cj)
-                                )
-                                state = (slot, cj, view.border(cj, ci))
-                            _relax(state, cost, pstate)
-
-        best_state: Optional[State] = None
-        best_total = float("inf")
-        for slot in sg.sink_slots():
-            for state, cost in dist.items():
-                if state[0] != slot:
-                    continue
-                total = cost + self._tail(
-                    state[1], state[2], cd, request.destination_proxy, True
-                )
-                if total < best_total:
-                    best_total = total
-                    best_state = state
-        if best_state is None or best_total == float("inf"):
-            raise NoFeasiblePathError(_NO_CONFIGURATION)
-        assignment: List[Tuple[SlotId, ClusterId]] = []
-        node: Optional[State] = best_state
-        while node is not None:
-            assignment.append((node[0], node[1]))
-            node = parent[node]
-        assignment.reverse()
-        return best_total, assignment
 
     # -- step 3: divide ---------------------------------------------------------
 
@@ -940,13 +651,7 @@ class HierarchicalRouter:
         the hops.
         """
         picks, refused = solve_specs(
-            children,
-            child_specs(self.hfc, children),
-            self._provider,
-            space=self.hfc.space
-            if isinstance(self._provider, CoordinateProvider)
-            else None,
-            tracer=self.telemetry.tracer,
+            children, child_specs(self.hfc, children), self._provider, tracer=self.telemetry.tracer
         )
         # every service hop of the call in one pass; one relay hop per proxy
         offered = chain.from_iterable(map(itemgetter(2), children))
@@ -1000,3 +705,64 @@ class HierarchicalRouter:
         if not hops:
             raise RoutingError("composition produced an empty path")
         return ServicePath(hops=tuple(hops))
+
+
+class _ClusterCosts(Costs):
+    """The CSP stage's gather over :func:`~repro.routing.batch.query_tables`:
+    a source slot starts at ``ext(cs, cluster)`` entered through the border
+    facing *cs*; a step adds ``ext`` and, under back-tracking, the internal
+    segment from the border the label entered by to the exit border (a
+    candidate in its predecessor's cluster adds ``ext``'s zero diagonal and
+    ``d_entry``'s zero column, and keeps the entry); the sink is
+    :meth:`HierarchicalRouter._sink`. An entry is carried as the offset of
+    its ``d_entry`` row; label-free gathers are made once per chunk."""
+
+    def __init__(
+        self, router: HierarchicalRouter, offering: Dict[ServiceName, List[ClusterId]],
+        sources: List[ClusterId], cds: List[ClusterId], destinations: List[ProxyId],
+    ) -> None:
+        self.router, self.cds, self.destinations = router, cds, destinations
+        self.tables = tables = query_tables(router._view)
+        self.stride = len(tables.border_list) + 1
+        self.internal = router.method == "backtrack" and self.stride > 1
+        self.clusters = np.fromiter(chain.from_iterable(offering.values()), dtype=np.int64)
+        self.sources = np.array(sources, dtype=np.int64)
+
+    def start(self, r0: int, r1: int, lay: Ragged) -> np.ndarray:
+        ext, exits_of, entries_of, _ = self.tables.flat
+        k = self.tables.cluster_count
+        self.lay, self.rows = lay, slice(r0, r1)
+        lane_cluster = self.lane_cluster = self.clusters.take(lay.items)
+        head = self.sources[self.rows].take(lay.head_rows) * k + lane_cluster[: lay.heads]
+        self.entry = np.zeros(len(lane_cluster), dtype=np.int64)
+        self.entry[: lay.heads] = entries_of.take(head)
+        # few triple-length arrays stay alive: int32 border codes
+        kp = lane_cluster.take(lay.pred)
+        kp *= k
+        kp += lane_cluster[lay.heads :].repeat(lay.seg_len)
+        self.hop = ext.take(kp)
+        if self.internal:
+            self.exits, self.entries = exits_of.take(kp), entries_of.take(kp)
+            self.same = self.entries == 0
+        return ext.take(head)
+
+    def step(self, labels: np.ndarray, pred: np.ndarray, at: slice) -> np.ndarray:
+        costs = labels.take(pred)
+        costs += self.hop[at]
+        if self.internal:  # entry border of each label to its exit border
+            self.held = self.entry.take(pred)
+            costs += self.tables.flat[3].take(self.held + self.exits[at])
+        return costs
+
+    def keep(self, lanes: slice, at: slice, first: np.ndarray) -> None:
+        if self.internal:  # a candidate in its predecessor's cluster keeps its entry
+            self.entry[lanes] = np.where(self.same[at], self.held, self.entries[at]).take(first)
+
+    def sink(self, labels: np.ndarray) -> np.ndarray:
+        tail = self.lay.tail
+        block = labels.take(tail)
+        block[self.lay.beyond] = np.inf
+        return self.router._sink(
+            self.tables, block, self.entry.take(tail) // self.stride, self.lane_cluster.take(tail),
+            self.cds[self.rows], self.destinations[self.rows],
+        )

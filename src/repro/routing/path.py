@@ -119,24 +119,6 @@ def merge_consecutive_hops(hops: Sequence[Hop]) -> List[Hop]:
     return result
 
 
-def path_from_assignment(
-    request: ServiceRequest,
-    assignment: Sequence[Tuple[int, ProxyId]],
-) -> ServicePath:
-    """Build a :class:`ServicePath` from a slot→proxy assignment.
-
-    *assignment* lists ``(slot, proxy)`` pairs along the chosen configuration
-    in dependency order; endpoint relay hops are added automatically.
-    """
-    hops: List[Hop] = [Hop(proxy=request.source_proxy)]
-    for slot, proxy in assignment:
-        hops.append(
-            Hop(proxy=proxy, service=request.service_graph.service_of(slot), slot=slot)
-        )
-    hops.append(Hop(proxy=request.destination_proxy))
-    return ServicePath(hops=tuple(hops))
-
-
 def validate_path(
     path: ServicePath,
     request: ServiceRequest,

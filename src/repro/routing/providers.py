@@ -1,4 +1,4 @@
-"""Distance providers: the pluggable metric behind the service-DAG solver.
+"""Distance providers: the pluggable metric behind the service-DAG kernel.
 
 Every routing strategy is "service-DAG shortest paths over *some* distance",
 and the distances differ per strategy:
@@ -8,60 +8,22 @@ and the distances differ per strategy:
 * mesh routing over mesh shortest-path distances, or HFC full-state routing
   over HFC-overlay distances → :class:`MatrixProvider`.
 
-A provider answers single-pair queries and (for the vectorised solver) dense
-rectangular blocks.
+A provider answers single-pair queries and, for the kernel
+(:class:`~repro.routing.batch.ProxyCosts`), elementwise ones: it maps
+proxies to :meth:`~DistanceProvider.points` once, and
+:meth:`~DistanceProvider.pairs` measures two arrays of them pair by pair.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections import OrderedDict
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence
 
 import numpy as np
 
 from repro.coords.space import CoordinateSpace
 from repro.overlay.network import OverlayNetwork, ProxyId
 from repro.util.errors import RoutingError
-
-
-class _BlockMemo:
-    """A small LRU cache of dense distance blocks.
-
-    Query workloads ask for the same blocks over and over (every child
-    request inside a cluster shares the same per-service candidate lists),
-    so rebuilding the arrays per call dominates the solver itself. The memo
-    is guarded by a *token*: when the underlying data object is replaced
-    (a new coordinate space, a rebuilt delay matrix), the token no longer
-    matches and the memo drops itself. Cached blocks are shared — callers
-    must treat them as read-only, which every solver in the repo does (the
-    vectorised DAG solver only ever reads blocks).
-    """
-
-    __slots__ = ("capacity", "_token", "_blocks")
-
-    def __init__(self, capacity: int = 512) -> None:
-        self.capacity = capacity
-        self._token: object = None
-        self._blocks: "OrderedDict[Tuple, np.ndarray]" = OrderedDict()
-
-    def lookup(self, token: object, key: Tuple) -> Optional[np.ndarray]:
-        if token is not self._token:
-            self._token = token
-            self._blocks.clear()
-            return None
-        block = self._blocks.get(key)
-        if block is not None:
-            self._blocks.move_to_end(key)
-        return block
-
-    def store(self, key: Tuple, block: np.ndarray) -> None:
-        self._blocks[key] = block
-        if len(self._blocks) > self.capacity:
-            self._blocks.popitem(last=False)
-
-    def __len__(self) -> int:
-        return len(self._blocks)
 
 
 class DistanceProvider(ABC):
@@ -71,79 +33,38 @@ class DistanceProvider(ABC):
     def pair(self, u: ProxyId, v: ProxyId) -> float:
         """Distance from *u* to *v*."""
 
+    def points(self, proxies: Sequence[ProxyId]) -> np.ndarray:
+        """What :meth:`pairs` reads per proxy: by default the proxy itself."""
+        return np.array(proxies)
+
     @abstractmethod
-    def block(self, us: Sequence[ProxyId], vs: Sequence[ProxyId]) -> np.ndarray:
-        """Dense ``(len(us), len(vs))`` distance block."""
+    def pairs(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        """Distance from each of *us* to the one of *vs* it meets when the
+        two arrays of :meth:`points` broadcast together."""
 
 
 class CoordinateProvider(DistanceProvider):
-    """Geometric distances in a coordinate space (estimate-based routing).
+    """Geometric distances in a coordinate space (estimate-based routing):
+    a point is a row of ``space.stacked`` (its last axis), every distance the
+    ``sqrt(einsum(diff, diff))`` of two rows."""
 
-    Dense blocks are memoized per (us, vs) pair, keyed on the (immutable)
-    space object identity — repeat queries for the same candidate lists
-    reuse the array instead of re-stacking and re-reducing coordinates.
-    ``memoize=False`` restores the always-rebuild behaviour (used by the
-    benchmark's scalar baseline).
-    """
-
-    def __init__(self, space: CoordinateSpace, *, memoize: bool = True) -> None:
+    def __init__(self, space: CoordinateSpace) -> None:
         self.space = space
-        self._memo = _BlockMemo() if memoize else None
 
     def pair(self, u: ProxyId, v: ProxyId) -> float:
         return self.space.distance(u, v)
 
-    def block(self, us: Sequence[ProxyId], vs: Sequence[ProxyId]) -> np.ndarray:
-        memo = self._memo
-        if memo is not None:
-            key = (tuple(us), tuple(vs))
-            cached = memo.lookup(self.space, key)
-            if cached is not None:
-                return cached
-        pts_u = self.space.array(us)
-        pts_v = self.space.array(vs)
-        diff = pts_u[:, None, :] - pts_v[None, :, :]
-        block = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-        if memo is not None:
-            memo.store(key, block)
-        return block
+    def points(self, proxies: Sequence[ProxyId]) -> np.ndarray:
+        return self.space.stacked.take(self.space.rows(proxies), axis=0)
 
-
-class TrueDelayProvider(DistanceProvider):
-    """Ground-truth physical delays (an oracle router for bounds/tests).
-
-    The overlay's delay matrix is already cached by the overlay itself;
-    what used to be rebuilt per call are the proxy→row index lists and the
-    gathered block. Both are memoized here, guarded by the identity of the
-    matrix object so an overlay that re-materialises its matrix drops the
-    memo automatically.
-    """
-
-    def __init__(self, overlay: OverlayNetwork, *, memoize: bool = True) -> None:
-        self.overlay = overlay
-        self._memo = _BlockMemo() if memoize else None
-
-    def pair(self, u: ProxyId, v: ProxyId) -> float:
-        return self.overlay.true_delay(u, v)
-
-    def block(self, us: Sequence[ProxyId], vs: Sequence[ProxyId]) -> np.ndarray:
-        matrix = self.overlay.true_delay_matrix()
-        memo = self._memo
-        if memo is not None:
-            key = (tuple(us), tuple(vs))
-            cached = memo.lookup(matrix, key)
-            if cached is not None:
-                return cached
-        ui = [self.overlay.index_of(u) for u in us]
-        vi = [self.overlay.index_of(v) for v in vs]
-        block = matrix[np.ix_(ui, vi)]
-        if memo is not None:
-            memo.store(key, block)
-        return block
+    def pairs(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        diff = us - vs
+        return np.sqrt(np.einsum("...k,...k->...", diff, diff))
 
 
 class MatrixProvider(DistanceProvider):
-    """Distances read from a precomputed matrix (mesh APSP, HFC overlay)."""
+    """Distances read from a precomputed matrix (mesh APSP, HFC overlay):
+    a point is a matrix index."""
 
     def __init__(self, index: Dict[ProxyId, int], matrix: np.ndarray) -> None:
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
@@ -160,7 +81,25 @@ class MatrixProvider(DistanceProvider):
     def pair(self, u: ProxyId, v: ProxyId) -> float:
         return float(self.matrix[self._i(u), self._i(v)])
 
-    def block(self, us: Sequence[ProxyId], vs: Sequence[ProxyId]) -> np.ndarray:
-        ui = [self._i(u) for u in us]
-        vi = [self._i(v) for v in vs]
-        return self.matrix[np.ix_(ui, vi)]
+    def points(self, proxies: Sequence[ProxyId]) -> np.ndarray:
+        return np.array([self._i(p) for p in proxies], dtype=np.int64)
+
+    def pairs(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        return self.matrix[us, vs]
+
+
+class TrueDelayProvider(DistanceProvider):
+    """Ground-truth physical delays (an oracle router for bounds/tests): a
+    point is a proxy's index into the overlay's cached delay matrix."""
+
+    def __init__(self, overlay: OverlayNetwork) -> None:
+        self.overlay = overlay
+
+    def pair(self, u: ProxyId, v: ProxyId) -> float:
+        return self.overlay.true_delay(u, v)
+
+    def points(self, proxies: Sequence[ProxyId]) -> np.ndarray:
+        return np.array([self.overlay.index_of(p) for p in proxies], dtype=np.int64)
+
+    def pairs(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        return self.overlay.true_delay_matrix()[us, vs]

@@ -8,16 +8,16 @@ map, a Python-level relaxation with one update per (predecessor, candidate)
 pair for linear *and* branching graphs, its own dissection into runs, one
 ``solve_child_spec`` per child (candidates from a whole-overlay provider
 scan, both end relays then the merge pass), and a composition that merges the
-whole concatenated path — and never enters the chain kernels
-(``_solve_chains``, ``solve_specs``), the per-slot numpy ``_solve_label``
-nor the production ``dissect`` / ``compose``. Only ``_solve_exact`` (scalar,
-and the sole implementation of that ablation) and the cost helpers are
-shared with production.
+whole concatenated path — and never enters the service-DAG kernel
+(``relax`` under either cost gather) nor the production ``dissect`` /
+``compose``. Its cost helpers are its own; an ``exact`` router (A4's
+``ExactCspRouter`` mixed in) brings its own scalar DP.
 """
 
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.routing.batch import solve_child_spec
+from repro.experiments.ablations import ExactCspRouter
+from repro.overlay.network import ProxyId
 from repro.routing.hierarchical import (
     ChildHops,
     ChildRequest,
@@ -25,12 +25,15 @@ from repro.routing.hierarchical import (
     ClusterServicePath,
     HierarchicalResult,
     HierarchicalRouter,
-    _Entry,
 )
 from repro.routing.path import Hop, ServicePath, merge_consecutive_hops
 from repro.services.graph import ServiceGraph, SlotId
 from repro.services.request import ServiceRequest
 from repro.util.errors import NoFeasiblePathError, RoutingError
+from tests.oracles.servicedag import solve_child_spec
+
+#: a label key at the cluster level: the border a cluster was entered by
+_Entry = Optional[ProxyId]
 
 
 def flat_child_hops(child: ChildRequest, picked: Sequence) -> Tuple[Hop, ...]:
@@ -143,8 +146,8 @@ class ReferenceCspRouter(HierarchicalRouter):
             raise NoFeasiblePathError(
                 f"services unavailable in every cluster: {missing}"
             )
-        if self.method == "exact":
-            cost, assignment = self._solve_exact(request, sg, candidates, cs, cd)
+        if self.method == "exact":  # A4's own DP, when its router is mixed in
+            cost, assignment = self._solve_exact(sg, candidates, cs, cd, request.destination_proxy)  # type: ignore[attr-defined]
         else:
             cost, assignment = self._relax_scalar(
                 request, sg, candidates, cs, cd,
@@ -176,6 +179,37 @@ class ReferenceCspRouter(HierarchicalRouter):
             outcomes.append(flat_child_hops(child, picked))
         return outcomes
 
+    def _internal(self, entry: _Entry, exit_border: ProxyId) -> float:
+        """Estimated in-cluster segment from the entry border to the exit
+        border; zero when unknown (source cluster) or when they coincide."""
+        if entry is None or entry == exit_border:
+            return 0.0
+        return self._view.space.distance(entry, exit_border)
+
+    def _tail(
+        self, cluster: ClusterId, entry: _Entry, cd: ClusterId, pd: ProxyId, with_internal: bool
+    ) -> float:
+        """Bound on the remaining distance from the last service cluster to pd."""
+        view = self._view
+        if cluster == cd:
+            if not with_internal or entry is None:
+                return 0.0
+            return view.space.distance(entry, pd)
+        cost = view.external_estimate(cluster, cd)
+        if with_internal:
+            cost += self._internal(entry, view.border(cluster, cd))
+            cost += view.space.distance(view.border(cd, cluster), pd)
+        return cost
+
+    def _start(self, cluster: ClusterId, cs: ClusterId) -> Tuple[float, _Entry]:
+        """Cost and entry border for reaching the first service cluster: pd
+        cannot estimate the segment from ps to cs's exit border (it has no
+        coordinates for ps), so only the external link counts."""
+        if cluster == cs:
+            return 0.0, None
+        view = self._view
+        return view.external_estimate(cs, cluster), view.border(cluster, cs)
+
     def _relax_scalar(
         self,
         request: ServiceRequest,
@@ -196,7 +230,7 @@ class ReferenceCspRouter(HierarchicalRouter):
             for cj in candidates[slot]:
                 key = (slot, cj)
                 if slot in source_slots:
-                    cost, ent = self._start(cj, cs, with_internal)
+                    cost, ent = self._start(cj, cs)
                     dist[key] = cost
                     entry[key] = ent
                     parent[key] = None
@@ -247,3 +281,15 @@ class ReferenceCspRouter(HierarchicalRouter):
             node = parent[node]
         assignment.reverse()
         return best_total, assignment
+
+
+class ReferenceExactRouter(ExactCspRouter, ReferenceCspRouter):
+    """A4's exact DP through the scalar pipeline."""
+
+
+def router_for(hfc, method: str, *, reference: bool = False, **kwargs) -> HierarchicalRouter:
+    """A router resolving CSPs by *method* — ``"exact"`` is A4's
+    :class:`ExactCspRouter` — production or (*reference*) scalar."""
+    if method == "exact":
+        return (ReferenceExactRouter if reference else ExactCspRouter)(hfc, **kwargs)
+    return (ReferenceCspRouter if reference else HierarchicalRouter)(hfc, method=method, **kwargs)

@@ -1,6 +1,6 @@
-"""The padded staircase chain kernels: the row layout the ragged kernels of
-``routing/batch.py`` and ``HierarchicalRouter._solve_chains`` replaced, kept
-as a differential oracle.
+"""The padded staircase chain kernels: the row layout the ragged kernel of
+``routing/batch.py`` replaced in the CSP stage and the conquer, kept as a
+differential oracle for chains (it has no branching rows).
 
 Every slot of a call is padded to the call's widest candidate list and the
 rows are walked longest chain first in blocks of ``_BLOCK_ROWS``; padding
@@ -22,19 +22,19 @@ from repro.routing.batch import (
     child_infeasible_error,
     child_specs,
     query_tables,
-    solve_child_spec,
 )
 from repro.routing.hierarchical import (
     _NO_CONFIGURATION,
     ClusterServicePath,
     HierarchicalRouter,
-    _ChainJob,
+    _CspJob,
     _CspOutcome,
 )
 from repro.routing.providers import CoordinateProvider
 from repro.services.catalog import ServiceName
 from repro.util.errors import NoFeasiblePathError
 from tests.oracles.csp import child_hops
+from tests.oracles.servicedag import solve_child_spec
 
 #: rows per padded kernel pass
 _BLOCK_ROWS = 128
@@ -143,9 +143,11 @@ def solve_specs_padded(
 class PaddedCspRouter(HierarchicalRouter):
     """The production pipeline with both chain kernels padded."""
 
-    def _solve_chains(
-        self, jobs: Sequence[_ChainJob], offering: Dict[ServiceName, List[int]]
+    def _solve_csps(
+        self, jobs: Sequence[_CspJob], offering: Dict[ServiceName, List[int]]
     ) -> List[_CspOutcome]:
+        assert all(job[0].is_linear for job in jobs), "the padded kernel has chains only"
+        jobs = [job[1:] for job in jobs]
         if not jobs:
             return []
         view = self._view

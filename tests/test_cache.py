@@ -4,10 +4,7 @@ import pytest
 
 from repro.core.versioning import MutableCapabilityFeed
 from repro.routing import HierarchicalRouter, validate_path
-from repro.routing.cache import (
-    CachedHierarchicalRouter,
-    service_graph_signature,
-)
+from repro.routing.cache import CachedHierarchicalRouter
 from repro.services import ServiceRequest, linear_graph, branching_graph
 from repro.util.errors import NoFeasiblePathError, RoutingError
 
@@ -21,17 +18,17 @@ class TestSignature:
     def test_equal_graphs_equal_signatures(self):
         a = linear_graph(["x", "y"])
         b = linear_graph(["x", "y"])
-        assert service_graph_signature(a) == service_graph_signature(b)
+        assert a.signature == b.signature
 
     def test_different_services_differ(self):
-        assert service_graph_signature(linear_graph(["x"])) != (
-            service_graph_signature(linear_graph(["y"]))
+        assert linear_graph(["x"]).signature != (
+            linear_graph(["y"]).signature
         )
 
     def test_shape_matters(self):
         linear = linear_graph(["x", "y", "z"])
         branching = branching_graph(chains=[["x"], ["y"]], tail=["z"])
-        assert service_graph_signature(linear) != service_graph_signature(branching)
+        assert linear.signature != branching.signature
 
 
 class TestCachedRouting:

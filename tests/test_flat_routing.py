@@ -12,6 +12,7 @@ from repro.routing import (
     TrueDelayProvider,
     coordinate_router,
     hfc_full_state_router,
+    materialise_assignment,
     oracle_router,
     validate_path,
 )
@@ -28,12 +29,13 @@ def sample_requests(framework, count, seed=0):
 
 class TestProviders:
     def test_coordinate_provider_pair_vs_block(self, tiny_framework):
+        """The kernel's elementwise ``pairs`` over every pair of a block."""
         provider = CoordinateProvider(tiny_framework.space)
         proxies = tiny_framework.overlay.proxies[:5]
-        block = provider.block(proxies, proxies)
-        for i, u in enumerate(proxies):
-            for j, v in enumerate(proxies):
-                assert block[i, j] == pytest.approx(provider.pair(u, v))
+        us, vs = zip(*[(u, v) for u in proxies for v in proxies])
+        got = provider.pairs(provider.points(us), provider.points(vs))
+        for u, v, distance in zip(us, vs, got):
+            assert distance == pytest.approx(provider.pair(u, v))
 
     def test_true_provider_matches_overlay(self, tiny_framework):
         provider = TrueDelayProvider(tiny_framework.overlay)
@@ -84,35 +86,48 @@ class TestCoordinateAndOracleRouters:
             coordinate_router(tiny_framework.overlay).route(request)
 
     def test_reference_and_numpy_solvers_agree(self, tiny_framework):
-        from repro.routing.path import path_from_assignment
         from tests.oracles.servicedag import solve_reference
 
         router = coordinate_router(tiny_framework.overlay)
         overlay = tiny_framework.overlay
         for request in sample_requests(tiny_framework, 10, seed=4):
+            sg = request.service_graph
             slow = solve_reference(
-                request.service_graph,
-                router.candidates_for(request),
+                sg,
+                {slot: overlay.providers_of(sg.service_of(slot)) for slot in sg.slots()},
                 request.source_proxy,
                 request.destination_proxy,
                 router.provider.pair,
             )
             a = router.route(request).true_delay(overlay)
-            b = path_from_assignment(request, slow.assignment).true_delay(overlay)
+            b = materialise_assignment(request, slow.assignment).true_delay(overlay)
             assert a == pytest.approx(b)
 
-    def test_candidate_filter_restricts(self, tiny_framework):
-        overlay = tiny_framework.overlay
-        allowed = set(overlay.proxies[: len(overlay.proxies) // 2])
-        router = coordinate_router(tiny_framework.overlay)
-        router.candidate_filter = allowed.__contains__
-        for request in sample_requests(tiny_framework, 10, seed=5):
-            try:
-                path = router.route(request)
-            except NoFeasiblePathError:
-                continue
-            for hop in path.service_hops():
-                assert hop.proxy in allowed
+
+FLAT_ROUTERS = {
+    "coordinate": lambda fw: coordinate_router(fw.overlay),
+    "oracle": lambda fw: oracle_router(fw.overlay),
+    "mesh": lambda fw: MeshRouter(fw.overlay, build_mesh(fw.overlay, seed=6)),
+    "hfc-full-state": lambda fw: hfc_full_state_router(fw.hfc),
+}
+
+
+@pytest.mark.parametrize("make", FLAT_ROUTERS.values(), ids=FLAT_ROUTERS.keys())
+def test_stranger_endpoint_fails_only_its_request(tiny_framework, make):
+    """A source or destination that is not an overlay member is that
+    request's own :class:`NoFeasiblePathError`, worded as the hierarchical
+    router words it; the rest of the batch still routes."""
+    router = make(tiny_framework)
+    overlay = tiny_framework.overlay
+    stranger = next(n for n in overlay.physical.graph.nodes() if n not in set(overlay.proxies))
+    ok = sample_requests(tiny_framework, 2, seed=16)
+    sg = ok[0].service_graph
+    batch = [ok[0], ServiceRequest(stranger, sg, overlay.proxies[0]), ok[1]]
+    result = router.route_many_detailed(batch)
+    assert result.ok_count == 2 and result.paths[1] is None
+    assert str(result.errors[1]) == f"source proxy {stranger!r} is not an overlay member"
+    with pytest.raises(NoFeasiblePathError, match="destination proxy .* is not an overlay member"):
+        router.route(ServiceRequest(overlay.proxies[0], sg, stranger))
 
 
 class TestMeshRouter:

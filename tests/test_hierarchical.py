@@ -8,6 +8,8 @@ from repro.routing import HierarchicalRouter, validate_path
 from repro.services import ServiceRequest, linear_graph
 from repro.services.placement import aggregate_capability
 from repro.util.errors import NoFeasiblePathError, RoutingError
+from repro.experiments.ablations import ExactCspRouter
+from tests.oracles.csp import router_for
 
 
 def sample_requests(framework, count, seed=0):
@@ -24,6 +26,12 @@ class TestConstruction:
     def test_bad_method_rejected(self, framework):
         with pytest.raises(RoutingError):
             HierarchicalRouter(framework.hfc, method="magic")
+
+    def test_exact_is_the_ablations_own_router(self, framework):
+        """``exact`` left ``METHODS``: A4's harness routes it."""
+        with pytest.raises(RoutingError, match=r"\('backtrack', 'external'\)"):
+            HierarchicalRouter(framework.hfc, method="exact")
+        assert ExactCspRouter(framework.hfc).method == "exact"
 
     def test_default_capabilities_are_exact_aggregates(self, framework, router):
         for cid in range(framework.hfc.cluster_count):
@@ -152,7 +160,7 @@ class TestConquer:
 class TestMethods:
     @pytest.mark.parametrize("method", ["backtrack", "exact", "external"])
     def test_all_methods_produce_valid_paths(self, framework, method):
-        router = HierarchicalRouter(framework.hfc, method=method)
+        router = router_for(framework.hfc, method)
         for request in sample_requests(framework, 10, seed=13):
             path = router.route(request)
             validate_path(path, request, framework.overlay)
@@ -161,7 +169,7 @@ class TestMethods:
         """The exact DP minimises the same cost model backtracking
         approximates, so its estimated CSP cost is <=."""
         backtrack = HierarchicalRouter(framework.hfc, method="backtrack")
-        exact = HierarchicalRouter(framework.hfc, method="exact")
+        exact = ExactCspRouter(framework.hfc)
         for request in sample_requests(framework, 10, seed=14):
             cb = backtrack.cluster_level_path(request).estimated_cost
             ce = exact.cluster_level_path(request).estimated_cost

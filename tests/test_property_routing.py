@@ -31,6 +31,7 @@ from repro.routing import (
 )
 from repro.services import ServiceRequest, linear_graph
 from repro.util.errors import NoFeasiblePathError
+from tests.oracles.csp import router_for
 
 #: one shared physical substrate; synthetic overlays draw proxies from it
 _PHYSICAL = PhysicalNetwork(waxman(40, seed=1234), noise=0.0, seed=99)
@@ -140,7 +141,7 @@ def test_methods_agree_on_feasibility(case):
     hfc, request = case
     outcomes = {}
     for method in ("backtrack", "exact", "external"):
-        router = HierarchicalRouter(hfc, method=method)
+        router = router_for(hfc, method)
         try:
             router.route(request)
             outcomes[method] = True

@@ -104,17 +104,18 @@ class TestBandwidthAwareProvider:
         assert provider.pair(u, v) == pytest.approx(base.pair(u, v))
 
     def test_block_matches_pair(self, framework, model):
+        """The kernel's elementwise ``pairs`` over every pair of a block."""
         base = CoordinateProvider(framework.space)
         provider = BandwidthAwareProvider(base, model, min_bandwidth=30.0)
         proxies = framework.overlay.proxies[:6]
-        block = provider.block(proxies, proxies)
-        for i, u in enumerate(proxies):
-            for j, v in enumerate(proxies):
-                expected = provider.pair(u, v)
-                if np.isinf(expected):
-                    assert np.isinf(block[i, j])
-                else:
-                    assert block[i, j] == pytest.approx(expected)
+        us, vs = zip(*[(u, v) for u in proxies for v in proxies])
+        got = provider.pairs(provider.points(us), provider.points(vs))
+        for u, v, distance in zip(us, vs, got):
+            expected = provider.pair(u, v)
+            if np.isinf(expected):
+                assert np.isinf(distance)
+            else:
+                assert distance == pytest.approx(expected)
 
     def test_negative_requirement_rejected(self, framework, model):
         with pytest.raises(RoutingError):

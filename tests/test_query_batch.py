@@ -1,4 +1,4 @@
-"""Batched query engine: equivalence, plumbing, and provider-memo tests.
+"""Batched query engine: equivalence and plumbing tests.
 
 ``route_many`` must be observationally indistinguishable from a per-request
 ``route()`` loop — same paths bit-for-bit, same error types and messages
@@ -14,7 +14,6 @@ import random
 from itertools import islice
 from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,12 +34,11 @@ from repro.routing import (
     HierarchicalRouter,
 )
 from repro.routing.cache import CachedHierarchicalRouter
-from repro.routing.providers import CoordinateProvider, TrueDelayProvider
 from repro.services import ServiceRequest, linear_graph
 from repro.services.graph import branching_graph
 from repro.telemetry import Telemetry
 from repro.util.errors import NoFeasiblePathError
-from tests.oracles.csp import ReferenceCspRouter
+from tests.oracles.csp import ReferenceCspRouter, router_for
 from tests.oracles.padded import PaddedCspRouter
 
 #: one shared physical substrate; synthetic overlays draw proxies from it
@@ -141,8 +139,8 @@ def test_route_many_matches_scalar_loop(case):
     """Property: route_many == a scalar reference-relaxation loop, per method."""
     hfc, requests = case
     for method in METHODS:
-        scalar = ReferenceCspRouter(hfc, method=method)
-        batch = HierarchicalRouter(hfc, method=method)
+        scalar = router_for(hfc, method, reference=True)
+        batch = router_for(hfc, method)
         expected_paths, expected_errors = _scalar_outcomes(scalar, requests)
         result = batch.route_many_detailed(requests)
         _assert_same_outcomes(result, expected_paths, expected_errors)
@@ -182,7 +180,7 @@ def _qos_router(hfc):
 
 
 ROUTER_FACTORIES = {
-    **{method: (lambda hfc, m=method: HierarchicalRouter(hfc, method=m)) for method in METHODS},
+    **{method: (lambda hfc, m=method: router_for(hfc, m)) for method in METHODS},
     "cached": lambda hfc: CachedHierarchicalRouter(hfc, cache_size=3),
     "recursive-3": lambda hfc: RecursiveRouter(build_levels(hfc, 3)),
     "recursive-4": lambda hfc: RecursiveRouter(build_levels(hfc, 4)),
@@ -385,13 +383,16 @@ def lattice_case(draw):
 
 def _lattice_batch(hfc, rng):
     """Many chains of length 1, some up to 6, duplicate keys, a "ghost" row
-    (its conquer slot has no candidate) and a "nowhere" row."""
+    (its conquer slot has no candidate) and a "nowhere" row; and branching
+    rows: live ones, one with a dead branch and one with every branch dead."""
     proxies = list(hfc.overlay.proxies)
     catalog = sorted(set().union(*hfc.overlay.placement.values()))
 
-    def request(names):
+    def request(names, heads=None):
         src, dst = rng.sample(proxies, 2)
-        return ServiceRequest(src, linear_graph(names), dst)
+        if heads is None:
+            return ServiceRequest(src, linear_graph(names), dst)
+        return ServiceRequest(src, branching_graph(chains=heads, tail=names), dst)
 
     requests = [
         request([rng.choice(catalog) for _ in range(length)])
@@ -400,6 +401,10 @@ def _lattice_batch(hfc, rng):
     ]
     for name in ("ghost", "nowhere"):
         requests.append(request([rng.choice(catalog), name, rng.choice(catalog)]))
+    pick = lambda count: [rng.choice(catalog) for _ in range(count)]  # noqa: E731
+    requests += [request(pick(rng.randint(1, 2)), [pick(1), pick(2)]) for _ in range(3)]
+    requests.append(request(pick(2), [["nowhere"], pick(1), pick(2)]))
+    requests.append(request(pick(1), [["nowhere"], [rng.choice(catalog), "nowhere"]]))
     requests += rng.sample(requests, 4)
     rng.shuffle(requests)
     return requests
@@ -409,10 +414,11 @@ def _lattice_batch(hfc, rng):
 @settings(max_examples=20, deadline=None)
 @given(lattice_case(), st.integers(0, 2**32 - 1), st.sampled_from([1, 5, 40, 32768]))
 def test_ragged_matches_padded_and_scalar(method, hfc, seed, budget):
-    """Property: the ragged kernels, the padded ones they replaced and the
+    """Property: the ragged kernel, the padded one it replaced and the
     scalar pipeline resolve a batch identically — ties, one-candidate slots,
-    length-1 chains, all-inf rows and entry-equals-exit borders included —
-    however small the chunk budget."""
+    length-1 chains, all-inf rows, entry-equals-exit borders and branching
+    rows with dead branches included — however small the chunk budget. The
+    padded kernel has chains only, so branching rows skip it."""
     requests = _lattice_batch(hfc, random.Random(seed))
     caps = HierarchicalRouter(hfc).cluster_capabilities
     caps[0] = caps[0] | {"ghost"}
@@ -422,9 +428,11 @@ def test_ragged_matches_padded_and_scalar(method, hfc, seed, budget):
     want = ReferenceCspRouter(hfc, method=method, cluster_capabilities=caps)._resolve(requests)
     with mock.patch.object(batch_module, "_CHUNK_TRIPLES", budget):
         got = ragged._resolve(requests)
-    for outcome, padded_outcome, expected in zip(got, padded._resolve(requests), want):
+    for outcome, expected in zip(got, want):
         _assert_same_resolution(outcome, expected)
-        _assert_same_resolution(padded_outcome, expected)
+    chains = [at for at, request in enumerate(requests) if request.service_graph.is_linear]
+    for at, padded_outcome in zip(chains, padded._resolve([requests[at] for at in chains])):
+        _assert_same_resolution(padded_outcome, want[at])
     (root,) = telemetry.tracer.find_roots("route")
     csp = root.children[0]
     if budget == 1 and csp.attributes["relaxed"] > 1:
@@ -622,91 +630,3 @@ def test_route_many_telemetry_counters(framework):
     ).value == len(requests) + 2
     sizes = registry.get("routing.batch.size", router="hierarchical")
     assert (sizes.count, sizes.min, sizes.max) == (3, 1, len(requests))
-
-
-# -- provider block memoization ------------------------------------------------
-
-
-def test_coordinate_provider_memoizes_blocks(framework):
-    provider = CoordinateProvider(framework.hfc.space)
-    us = framework.overlay.proxies[:5]
-    vs = framework.overlay.proxies[5:9]
-    first = provider.block(us, vs)
-    assert provider.block(us, vs) is first  # served from the memo
-
-    plain = CoordinateProvider(framework.hfc.space, memoize=False)
-    again = plain.block(us, vs)
-    assert again is not plain.block(us, vs)
-    assert np.array_equal(first, again)
-
-
-def test_coordinate_provider_memo_drops_on_new_space(framework):
-    provider = CoordinateProvider(framework.hfc.space)
-    us = framework.overlay.proxies[:4]
-    first = provider.block(us, us)
-    # a replaced space object no longer matches the memo token
-    provider.space = CoordinateSpace(
-        {p: framework.hfc.space.coordinate(p) for p in framework.overlay.proxies}
-    )
-    second = provider.block(us, us)
-    assert second is not first
-    assert np.array_equal(first, second)
-
-
-def test_true_delay_provider_memoizes_blocks(framework):
-    provider = TrueDelayProvider(framework.overlay)
-    us = framework.overlay.proxies[:6]
-    vs = framework.overlay.proxies[2:7]
-    first = provider.block(us, vs)
-    assert provider.block(us, vs) is first
-    assert np.array_equal(
-        first, TrueDelayProvider(framework.overlay, memoize=False).block(us, vs)
-    )
-
-
-def test_true_delay_memo_no_thrash_with_cached_matrix(framework):
-    """The overlay's cached matrix is one stable token: repeated block
-    queries must be memo hits, never silent rebuild-and-replace."""
-    provider = TrueDelayProvider(framework.overlay)
-    us = framework.overlay.proxies[:6]
-    vs = framework.overlay.proxies[6:10]
-    blocks = [provider.block(us, vs) for _ in range(5)]
-    assert all(b is blocks[0] for b in blocks)
-    assert len(provider._memo) == 1  # one key, not five rebuilt entries
-
-
-def test_true_delay_memo_drops_on_rebuilt_matrix(framework):
-    provider = TrueDelayProvider(framework.overlay)
-    us = framework.overlay.proxies[:4]
-    first = provider.block(us, us)
-    # force the overlay to re-materialise its delay matrix: a new array
-    # object is a new token, so the memo must drop the old blocks
-    framework.overlay._true_matrix = framework.overlay.true_delay_matrix().copy()
-    second = provider.block(us, us)
-    assert second is not first
-    assert np.array_equal(first, second)
-    assert provider.block(us, us) is second  # re-anchored on the new token
-
-
-def test_block_memo_alternating_tokens_never_cross_serve():
-    """A token flip clears the memo outright: entries stored under token A
-    must never be served under token B, nor resurrected when A returns."""
-    from repro.routing.providers import _BlockMemo
-
-    memo = _BlockMemo(capacity=8)
-    token_a, token_b = object(), object()
-    key = (("u",), ("v",))
-    block_a = np.arange(4.0).reshape(2, 2)
-    block_b = block_a * 10.0
-
-    assert memo.lookup(token_a, key) is None
-    memo.store(key, block_a)
-    assert memo.lookup(token_a, key) is block_a
-
-    assert memo.lookup(token_b, key) is None  # token flip: cleared
-    memo.store(key, block_b)
-    assert memo.lookup(token_b, key) is block_b
-
-    # flipping back to A must NOT serve block_b (or a stale block_a)
-    assert memo.lookup(token_a, key) is None
-    assert len(memo) == 0

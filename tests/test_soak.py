@@ -20,9 +20,10 @@ and the routing rule rebinds the plain, cached, centroid and QoS routers and
 holds every production path to :func:`validate_path`, to a router of the
 same class built fresh on the same view and (plain and cached) to the path
 :class:`ReferenceCspRouter` returns and to the flat optimum: its
-coordinate length is never below the path :func:`coordinate_router` finds
-on the same view (relays only add length); a proxy that left raises its own
-:class:`NoFeasiblePathError` as an endpoint.
+coordinate length is never below the path the per-request dense solver
+(``tests/oracles/servicedag.py``) finds on the same view (relays only add
+length); a proxy that left raises its own :class:`NoFeasiblePathError` as an
+endpoint. Every batch carries one branching request.
 
 The framework is built once per module; every machine wraps it afresh.
 """
@@ -41,15 +42,16 @@ from repro.core import HFCFramework
 from repro.membership import DynamicOverlay
 from repro.persistence import load_snapshot, save_snapshot
 from repro.qos import BandwidthModel, QoSHierarchicalRouter, cluster_pair_bandwidth
-from repro.routing import HierarchicalRouter, coordinate_router, validate_path
+from repro.routing import CoordinateProvider, HierarchicalRouter, materialise_assignment, validate_path
 from repro.routing.aggregation import CentroidAggregationRouter
 from repro.routing.cache import CachedHierarchicalRouter
-from repro.services import ServiceRequest, linear_graph
+from repro.services import ServiceRequest, branching_graph, linear_graph
 from repro.util.errors import NoFeasiblePathError
 from tests.oracles.churn import assert_levels_equal, assert_matches_cold_levels
 from tests.oracles.construction import select_borders_closest_reference
 from tests.oracles.csp import ReferenceCspRouter
 from tests.oracles.rebind import assert_carried_state_is_cold, cold_capabilities
+from tests.oracles.servicedag import provider_block, solve_vectorised
 
 #: hierarchy depth the machine attaches and keeps patched
 DEPTH = 3
@@ -101,6 +103,18 @@ def route_or_error(router, request):
         return router.route(request)
     except NoFeasiblePathError as err:
         return type(err)
+
+
+def flat_optimum(overlay, request):
+    """The flat optimum over coordinates, by the dense per-request solver."""
+    sg = request.service_graph
+    candidates = {slot: overlay.providers_of(sg.service_of(slot)) for slot in sg.slots()}
+    block = provider_block(CoordinateProvider(overlay.space))
+    try:
+        solution = solve_vectorised(sg, candidates, request.source_proxy, request.destination_proxy, block)
+    except NoFeasiblePathError as err:
+        return type(err)
+    return materialise_assignment(request, solution.assignment)
 
 
 def outcomes(router, requests):
@@ -221,9 +235,14 @@ class OverlaySoak(RuleBasedStateMachine):
             if wanted:
                 chain[rng.randrange(len(chain))] = rng.choice(wanted)
             requests.append(ServiceRequest(src, linear_graph(chain), dst))
+        # one branching request: two alternative heads merging into a tail
+        names = [rng.choice(services) for _ in range(4)]
+        sg = branching_graph(chains=[names[:1], names[1:3]], tail=names[3:])
+        src, dst = rng.sample(dyn.proxies, 2)
+        requests.append(ServiceRequest(src, sg, dst))
         reference = ReferenceCspRouter(hfc, cluster_capabilities=cold_capabilities(hfc))
         want = [route_or_error(reference, request) for request in requests]
-        flat = outcomes(coordinate_router(hfc.overlay), requests)
+        flat = [flat_optimum(hfc.overlay, request) for request in requests]
         gone = [proxy for proxy in self.departed if proxy not in dyn]
         for name in rotation:
             router = self.routers[name]
