@@ -1,19 +1,26 @@
-"""Failure recovery: a streaming session survives a proxy crash.
+"""Failure recovery: sustained traffic survives a proxy crash.
 
-Routes a composed-service request, streams a packet train along the path,
-kills a mid-path service proxy part-way through, and shows the watchdog
-detecting the loss, the overlay re-routing around the failed proxy (it is
-treated as having left — its cluster shrinks, borders re-select), and the
-stream resuming on the new path.
+Runs open-loop session traffic over an 80-proxy overlay, crashes the
+busiest mid-path service proxy for good part-way through, and compares the
+traffic engine's two recovery policies. With no recovery every flow the
+crash reaches is lost. With ``repair`` set, a flow still incomplete that
+long past its nominal delay is re-resolved once — after the victim has
+left the membership view (its cluster shrinks, borders re-select) and the
+router has been rebound to it, so the new path routes around the victim.
 
 Run:  python examples/failure_recovery.py [seed]
 """
 
 import sys
+from collections import Counter
+from dataclasses import replace
 
 from repro.core import HFCFramework
-from repro.dataplane import StreamingSession, make_rerouter, path_nominal_latency
 from repro.routing import HierarchicalRouter
+from repro.traffic import Poisson, SessionConfig, TrafficConfig
+from repro.traffic.scenarios import run_traffic_under_crash
+
+FAIL_AT = 500.0
 
 
 def main() -> None:
@@ -23,51 +30,39 @@ def main() -> None:
     print()
 
     router = HierarchicalRouter(framework.hfc)
-    request = None
-    path = None
-    victim = None
-    for attempt in range(50):
-        candidate = framework.random_request(seed=seed + attempt)
-        candidate_path = router.route(candidate)
-        victims = [
-            h.proxy
-            for h in candidate_path.service_hops()
-            if h.proxy
-            not in (candidate.source_proxy, candidate.destination_proxy)
-        ]
-        if victims:
-            request, path, victim = candidate, candidate_path, victims[0]
-            break
-    assert request is not None and path is not None and victim is not None
-
-    print(f"request : {request}")
-    print(f"path    : {path}")
-    nominal = path_nominal_latency(path, framework.overlay, 1.0)
-    print(f"nominal end-to-end latency: {nominal:.1f} ms")
-    print(f"proxy {victim} will fail silently at t=60 ms")
+    crossings: Counter = Counter()
+    for attempt in range(100):
+        request = framework.random_request(seed=seed + attempt)
+        ends = (request.source_proxy, request.destination_proxy)
+        crossings.update(
+            h.proxy for h in router.route(request).service_hops() if h.proxy not in ends
+        )
+    victim, count = crossings.most_common(1)[0]
+    print(f"proxy {victim} serves mid-path on {count} of 100 routed requests;")
+    print(f"it crashes for good at t={FAIL_AT:.0f} ms")
     print()
 
-    session = StreamingSession(
-        framework.overlay,
-        path,
-        packet_count=max(60, int(nominal)),
-        packet_interval=10.0,
+    config = TrafficConfig(
+        arrival=Poisson(rate=0.06),
+        duration=2_000.0,
+        warmup=0.0,
+        drain=1_500.0,
+        session=SessionConfig(mean_lifetime=1_000.0, mean_gap=200.0),
     )
-    report = session.run(
-        failures={victim: 60.0},
-        rerouter=make_rerouter(framework, request),
-    )
-
-    print(f"packets sent       : {len(report.records)}")
-    print(f"packets delivered  : {report.delivered}")
-    print(f"packets lost       : {report.lost} (in flight during the outage)")
-    print(f"loss detected at   : t={report.recovery_started_at:.1f} ms")
-    if report.recovered_at is not None:
-        print(f"first packet on the new path delivered at t={report.recovered_at:.1f} ms")
-        print(f"recovery took {report.recovered_at - 60.0:.1f} ms after the crash")
-    print()
-    print(f"new path (proxy {victim} routed around): {report.final_path}")
-    assert victim not in set(report.final_path.proxies())
+    for policy, repair in (("no recovery", None), ("reroute", 150.0)):
+        engine = run_traffic_under_crash(
+            framework, victim, fail_at=FAIL_AT, config=replace(config, repair=repair), seed=seed
+        )
+        report = engine.report
+        repaired = [r for r in engine.collector.records if r.repaired_at is not None]
+        done = sorted(r.completed_at for r in repaired if r.completed_at is not None)
+        print(f"{policy} (repair={repair}):")
+        print(f"  requests delivered : {report.requests_completed} of {report.requests_offered}")
+        print(f"  lost / infeasible  : {report.requests_lost} / {report.requests_infeasible}")
+        print(f"  flows repaired     : {len(repaired)} ({len(done)} completed on a new path)")
+        if done:
+            print(f"  first repaired flow completed {done[0] - FAIL_AT:.1f} ms after the crash")
+        print()
 
 
 if __name__ == "__main__":

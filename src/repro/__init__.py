@@ -15,8 +15,9 @@ substrate), :mod:`repro.coords` (Section 3.1), :mod:`repro.cluster`
 (Section 4), :mod:`repro.routing` (Section 5), :mod:`repro.experiments`
 (Section 6), plus the future-work extensions :mod:`repro.membership`,
 :mod:`repro.qos` and :mod:`repro.hierarchy` (L-level HFC), and the runtime
-around them: :mod:`repro.traffic`, :mod:`repro.dataplane` and the
-deterministic fault-injection harness :mod:`repro.faults`. Service placement
+around them: the traffic engine :mod:`repro.traffic` (the one data plane,
+repair included) and the deterministic fault-injection harness
+:mod:`repro.faults`. Service placement
 is taken as given (Table 1's static installation), and the authors'
 companion work on service multicast is not reproduced.
 """

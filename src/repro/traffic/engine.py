@@ -20,7 +20,11 @@ closed set of requests, the engine generates *client arrivals as events*:
    protocol messages, so sustained-load-under-faults scenarios run
    unmodified. Service hops additionally pass through a per-proxy FIFO
    server (``service_time`` each), which is what makes latency grow with
-   load and gives the rate sweep a real saturation point.
+   load and gives the rate sweep a real saturation point;
+5. with ``repair`` set, a flow still incomplete ``repair`` ms past its
+   nominal delay goes back into the micro-batch and is re-resolved once
+   through the router — the hand-over a relay's death asks for, on the
+   same data plane and against whatever view the router is bound to.
 
 Determinism: every stochastic draw comes from substreams spawned from one
 seed (arrivals / sessions / workload), and the simulator itself is
@@ -33,7 +37,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.workload import random_service_graph
 from repro.netsim.eventsim import Message, Process, Simulator
@@ -51,6 +55,9 @@ from repro.traffic.sessions import SessionConfig
 from repro.util.errors import TrafficError
 from repro.util.rng import RngLike, ensure_rng, spawn
 from repro.util.sampling import PopularitySampler
+
+if TYPE_CHECKING:
+    from repro.core.framework import HFCFramework
 
 #: sojourn-time histogram buckets (simulated ms)
 SOJOURN_BUCKETS: Tuple[float, ...] = (
@@ -90,6 +97,10 @@ class TrafficConfig:
     #: per-service processing time at the serving proxy's FIFO server
     service_time: float = 1.0
     session: SessionConfig = field(default_factory=SessionConfig)
+    #: slack past a flow's nominal delay (its hops' ``true_delay`` plus
+    #: ``service_time`` per service hop) after which the flow is re-resolved,
+    #: once, through the router; None never repairs
+    repair: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.duration <= 0:
@@ -104,6 +115,8 @@ class TrafficConfig:
             raise TrafficError("max_in_flight must be >= 1")
         if self.service_time < 0:
             raise TrafficError("service_time must be >= 0")
+        if self.repair is not None and self.repair < 0:
+            raise TrafficError("repair must be >= 0")
 
 
 @dataclass
@@ -145,18 +158,18 @@ class TrafficEngine:
 
     def __init__(
         self,
-        framework,
+        framework: "HFCFramework",
         config: Optional[TrafficConfig] = None,
         *,
         sim: Optional[Simulator] = None,
-        router=None,
+        router: Optional[Any] = None,
         seed: RngLike = 0,
         destinations: Optional[Sequence[ProxyId]] = None,
     ) -> None:
         self.framework = framework
         self.config = config or TrafficConfig()
         self.sim = sim if sim is not None else Simulator()
-        self.router = (
+        self.router: Any = (
             router if router is not None else framework.cached_hierarchical_router()
         )
         if not hasattr(self.router, "route_many_detailed"):
@@ -201,6 +214,7 @@ class TrafficEngine:
         self._m_completed = registry.counter("traffic.completed")
         self._m_infeasible = registry.counter("traffic.rejected", reason="infeasible")
         self._m_lost = registry.counter("traffic.lost")
+        self._m_repaired = registry.counter("traffic.repaired")
         self._g_in_flight = registry.gauge("traffic.in_flight")
         self._h_sojourn = registry.histogram("traffic.sojourn", SOJOURN_BUCKETS)
 
@@ -337,7 +351,7 @@ class TrafficEngine:
         batch = self._pending
         self._pending = []
         result = self.router.route_many_detailed([req for _, req in batch])
-        for (record, _), path, error in zip(batch, result.paths, result.errors):
+        for (record, request), path, error in zip(batch, result.paths, result.errors):
             if error is not None:
                 record.infeasible = True
                 self._m_infeasible.inc()
@@ -345,20 +359,44 @@ class TrafficEngine:
                 continue
             assert path is not None
             record.routed = True
-            self._dispatch(record.rid, path)
+            self._dispatch(record, request, path)
 
     # -- data plane -----------------------------------------------------------------
 
-    def _dispatch(self, rid: int, path: ServicePath) -> None:
-        self._flows[rid] = path
+    def _dispatch(
+        self, record: RequestRecord, request: ServiceRequest, path: ServicePath
+    ) -> None:
+        # a repaired flow runs under a fresh key (~rid): the superseded
+        # attempt's late hops find no path and are ignored
+        key = record.rid if record.repaired_at is None else ~record.rid
+        self._flows[key] = path
         first = path.hops[0].proxy
         # here, on the driver lane: a shard lane may not register for another
         for hop in path.hops:
             self._ensure_relay(hop.proxy)
         self.sim.send(
-            Message(("traffic", first), ("traffic", first), "traffic_data", (rid, 0)),
+            Message(("traffic", first), ("traffic", first), "traffic_data", (key, 0)),
             delay=0.0,
         )
+        if self.config.repair is not None and key >= 0:
+            deadline = self._nominal_delay(path) + self.config.repair
+            self.sim.schedule(deadline, lambda: self._deadline(record, request))
+
+    def _nominal_delay(self, path: ServicePath) -> float:
+        """Link delays plus ``service_time`` per service hop along *path*."""
+        hops = path.hops
+        overlay = self.framework.overlay
+        total = sum(overlay.true_delay(a.proxy, b.proxy) for a, b in zip(hops, hops[1:]))
+        return total + self.config.service_time * sum(h.service is not None for h in hops)
+
+    def _deadline(self, record: RequestRecord, request: ServiceRequest) -> None:
+        """A flow past its deadline is superseded and re-queued for the next flush."""
+        if self._flows.pop(record.rid, None) is None:
+            return  # completed in time
+        record.repaired_at = self.sim.now
+        self._m_repaired.inc()
+        self._trace("repair", req=record.rid)
+        self._pending.append((record, request))
 
     def _ensure_relay(self, proxy: ProxyId) -> None:
         if proxy not in self._relays:
@@ -373,26 +411,27 @@ class TrafficEngine:
         self._busy_until[proxy] = at + wait + self.config.service_time
         return wait + self.config.service_time
 
-    def _hop(self, rid: int, index: int, relay: _TrafficRelay) -> None:
-        path = self._flows.get(rid)
+    def _hop(self, key: int, index: int, relay: _TrafficRelay) -> None:
+        path = self._flows.get(key)
         if path is None:
-            return  # duplicate delivery of an already-completed flow
+            return  # a completed or superseded flow (duplicate or late hop)
         now = self.sim.now
         hop = path.hops[index]
         delay = 0.0
         if hop.service is not None:
             delay += self._service_delay(hop.proxy, now)
         if index == len(path.hops) - 1:
-            self.sim.schedule(delay, lambda: self._complete(rid))
+            self.sim.schedule(delay, lambda: self._complete(key))
             return
         nxt = path.hops[index + 1].proxy
         delay += self.framework.overlay.true_delay(hop.proxy, nxt)
-        relay.send(("traffic", nxt), "traffic_data", (rid, index + 1), delay=delay)
+        relay.send(("traffic", nxt), "traffic_data", (key, index + 1), delay=delay)
 
-    def _complete(self, rid: int) -> None:
-        path = self._flows.pop(rid, None)
+    def _complete(self, key: int) -> None:
+        path = self._flows.pop(key, None)
         if path is None:
             return
+        rid = key if key >= 0 else ~key
         record = self.collector.records[rid]
         record.completed_at = self.sim.now
         sojourn = record.sojourn

@@ -15,9 +15,13 @@ on any runner hardware.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
 from repro.util.errors import TrafficError
+
+if TYPE_CHECKING:
+    from repro.core.framework import HFCFramework
+    from repro.traffic.engine import TrafficConfig
 
 
 def quantile(sorted_values: Sequence[float], q: float) -> float:
@@ -43,6 +47,8 @@ class RequestRecord:
     routed: bool = False
     infeasible: bool = False
     completed_at: Optional[float] = None
+    #: when the flow missed its repair deadline and was re-queued (None: never)
+    repaired_at: Optional[float] = None
 
     @property
     def sojourn(self) -> Optional[float]:
@@ -234,12 +240,12 @@ class RateSweepResult:
 
 
 def rate_sweep(
-    framework,
+    framework: "HFCFramework",
     rates: Sequence[float],
     *,
-    config=None,
+    config: Optional["TrafficConfig"] = None,
     seed: int = 0,
-    router=None,
+    router: Optional[Any] = None,
     goodput_floor: float = 0.9,
     latency_factor: float = 3.0,
 ) -> RateSweepResult:

@@ -13,22 +13,35 @@ completed while the faults were acting.
 The convergence auditor runs unchanged on top: the scenario passes only
 if the control plane reconverges within its K-period budget while the
 data plane is under load.
+
+:func:`run_traffic_under_crash` is the repair study (E4): one proxy
+crashes for good under load, and the engine's ``repair`` slack decides
+whether the flows it kills are re-resolved around it once the membership
+layer has let it leave.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from repro.faults.auditor import (
     FaultScenarioResult,
     _audited_protocol,
     restores_placement,
 )
-from repro.faults.plan import FaultPlan
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import CrashRestart, FaultPlan
+from repro.membership.churn import DynamicOverlay
+from repro.netsim.eventsim import Simulator
+from repro.overlay.network import ProxyId
+from repro.routing.hierarchical import HierarchicalRouter
 from repro.traffic.engine import TrafficConfig, TrafficEngine, traffic_proxy
 from repro.traffic.measure import SteadyStateReport
 from repro.util.rng import RngLike
+
+if TYPE_CHECKING:
+    from repro.core.framework import HFCFramework
 
 
 @dataclass(frozen=True)
@@ -60,7 +73,7 @@ class TrafficFaultResult:
 
 @restores_placement
 def run_traffic_under_faults(
-    framework,
+    framework: "HFCFramework",
     plan: FaultPlan,
     *,
     config: Optional[TrafficConfig] = None,
@@ -112,3 +125,45 @@ def run_traffic_under_faults(
         fault_continuity=fault_continuity,
         calm_continuity=calm_continuity,
     )
+
+
+def run_traffic_under_crash(
+    framework: "HFCFramework",
+    victim: ProxyId,
+    *,
+    fail_at: float,
+    config: Optional[TrafficConfig] = None,
+    seed: RngLike = 0,
+    sim: Optional[Simulator] = None,
+) -> TrafficEngine:
+    """Run sustained traffic while *victim* crashes for good at *fail_at*.
+
+    The crash is a permanent :class:`~repro.faults.plan.CrashRestart` run by
+    a :class:`~repro.faults.injector.FaultInjector` with
+    ``resolve=traffic_proxy``, so every flow it kills is a counted drop. The
+    recovery policy is the config's ``repair``: None is "no recovery"; set,
+    it is "reroute" — at ``fail_at + repair`` the victim leaves a
+    :class:`~repro.membership.churn.DynamicOverlay` and the engine's router
+    is rebound to it, so a flow past its deadline re-resolves around the
+    victim (and a request with the victim as an endpoint is infeasible).
+
+    Returns the finished engine: its report, per-request records, trace and
+    simulator. *sim* accepts a pre-built (e.g. sharded) simulator.
+    """
+    config = config or TrafficConfig()
+    sim = sim if sim is not None else Simulator()
+    plan = FaultPlan(seed=0, specs=(CrashRestart(victim, fail_at),))
+    FaultInjector(plan).install(sim, resolve=traffic_proxy)
+    dyn = DynamicOverlay(framework, restructure_tolerance=None, track_quality=False)
+    router = HierarchicalRouter(dyn.hfc)
+    if config.repair is not None:
+
+        def leave() -> None:
+            dyn.leave(victim)
+            router.rebind(dyn.hfc)
+
+        # scheduled before the engine starts: at a tie it runs before a flush
+        sim.schedule(fail_at + config.repair, leave)
+    engine = TrafficEngine(framework, config, sim=sim, router=router, seed=seed)
+    engine.run()
+    return engine

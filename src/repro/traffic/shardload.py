@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 import numpy as np
 
@@ -208,7 +208,7 @@ class UniformTraffic(ShardProgram):
 
     # -- workload ----------------------------------------------------------------
 
-    def _issuer(self, sim: Simulator, relay: _Relay, row: int):
+    def _issuer(self, sim: Simulator, relay: _Relay, row: int) -> Callable[[], None]:
         k = 0
 
         def issue() -> None:

@@ -44,23 +44,6 @@ class NoFeasiblePathError(RoutingError):
     """
 
 
-class SessionError(RoutingError):
-    """A data-plane streaming session cannot continue.
-
-    Subclasses :class:`RoutingError` so existing recovery-policy code that
-    treats any routing failure as "session lost" keeps working, while new
-    callers can discriminate session-level failures precisely.
-    """
-
-
-class EndpointFailedError(SessionError):
-    """A session endpoint (source or destination proxy) failed.
-
-    Unlike a mid-path failure this is unrecoverable: no reroute can avoid
-    the endpoints, so the session must be abandoned.
-    """
-
-
 class StateError(ReproError):
     """State tables or the distribution protocol were used inconsistently."""
 

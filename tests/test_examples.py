@@ -58,6 +58,6 @@ class TestExamples:
 
     def test_failure_recovery(self):
         out = run_example("failure_recovery.py", "3")
-        assert "packets lost" in out
-        assert "new path" in out
+        assert "requests delivered" in out
+        assert "completed on a new path" in out
 

@@ -9,10 +9,10 @@ metric names and span tree.
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
-from repro.dataplane.session import StreamingSession
 from repro.membership.churn import DynamicOverlay
 from repro.netsim.eventsim import Message, Process, Simulator
 from repro.routing.cache import CachedHierarchicalRouter
@@ -27,7 +27,10 @@ from repro.telemetry import (
     get_telemetry,
     use_telemetry,
 )
+from repro.traffic import Poisson
+from repro.traffic.scenarios import run_traffic_under_crash
 from repro.util.errors import TelemetryError
+from tests.test_dataplane import FAIL_AT, LOAD, busiest_relay
 
 
 @pytest.fixture
@@ -391,22 +394,15 @@ class TestIntegration:
                 "membership.events", kind="leave"
             ).value == 1
 
-            router = tiny_framework.hierarchical_router()
-            request = None
-            for seed in range(50, 60):
-                candidate = tiny_framework.random_request(seed=seed)
-                try:
-                    path = router.route(candidate)
-                    request = candidate
-                    break
-                except Exception:
-                    continue
-            assert request is not None
-            session = StreamingSession(
-                tiny_framework.overlay, path, packet_count=5
+            # a repairing traffic run publishes its counters into the scope
+            victim = busiest_relay(tiny_framework)
+            engine = run_traffic_under_crash(
+                tiny_framework, victim, fail_at=FAIL_AT,
+                config=replace(LOAD, arrival=Poisson(rate=0.03), repair=100.0),
             )
-            session.run()
-            assert telemetry.registry.counter(
-                "session.packets", outcome="delivered"
-            ).value == 5
-            assert telemetry.registry.get("session.packet.latency").count == 5
+            repairs = [e for e in engine.trace if e["event"] == "repair"]
+            assert repairs
+            assert telemetry.registry.counter("traffic.repaired").value == len(repairs)
+            assert telemetry.registry.get("traffic.sojourn").count == (
+                engine.report.requests_completed
+            )

@@ -218,6 +218,8 @@ class TestConfigs:
             TrafficConfig(batch_interval=0.0)
         with pytest.raises(TrafficError):
             TrafficConfig(max_in_flight=0)
+        with pytest.raises(TrafficError):
+            TrafficConfig(repair=-1.0)
 
 
 # -- measurement --------------------------------------------------------------------
