@@ -4,13 +4,18 @@
     python scripts/ab_e2e.py <ref> [--workload W ...] [--pairs 10] [--seed 11] [--record FILE]
     make ab REF=<ref> [W=<workload>] [PAIRS=10] [RECORD=benchmarks/history.jsonl]
 
-*ref* is checked out into a temporary ``git worktree`` (removed afterwards);
-a *ref* that names a directory is measured as the checkout it is. Each pair
-runs ``BENCHMARK.json``'s command with ``--trace 0`` once per side, from that
-side's own copy of the harness, and the side that goes first alternates from
-pair to pair. Per (workload, end-to-end metric) the table gives each side's
-median and quartiles, the change's median over the reference's, the pairs the
-change won (ties count for neither) and a verdict:
+Both sides run from copies made the same way at the start (tracked files,
+and untracked ones git does not ignore), side by side in one temporary
+directory, so they differ only in code: the change side from this checkout's
+working tree, the reference from a temporary ``git worktree`` of *ref*
+(removed once copied) or, when *ref* names a directory holding a checkout,
+from that checkout. Each pair runs
+``BENCHMARK.json``'s command with ``--trace 0`` once per side, from that
+side's own copy of the harness, under one ``PYTHONHASHSEED`` drawn per pair
+from ``--seed``, and the side that goes first alternates from pair to pair.
+Per (workload, end-to-end metric) the table gives each side's median and
+quartiles, the change's median over the reference's, the pairs the change won
+(ties count for neither) and a verdict:
 
 * ``gain``       over at least ten pairs, the change won at least 9 in 10 and its
                  median beats the reference's by more than the reference's own
@@ -34,6 +39,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import random
+import shutil
 import statistics
 import subprocess
 import sys
@@ -45,13 +53,17 @@ from typing import Any, Dict, List, Tuple
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_once(root: Path, manifest: Dict[str, Any], workload: str, seed: int) -> Dict[str, Any]:
-    """One untraced run of *workload* in the checkout at *root*."""
+def run_once(
+    root: Path, manifest: Dict[str, Any], workload: str, seed: int, hash_seed: int
+) -> Dict[str, Any]:
+    """One untraced run of *workload* in the checkout at *root*, its str and
+    bytes hashes salted with *hash_seed*."""
     command = [
         *manifest["command"], "--workload", workload, "--seed", str(seed),
         "--seconds", str(manifest["run_seconds"]), "--trace", "0",
     ]
-    done = subprocess.run(command, cwd=root, capture_output=True, text=True)
+    env = {**os.environ, "PYTHONHASHSEED": str(hash_seed)}
+    done = subprocess.run(command, cwd=root, capture_output=True, text=True, env=env)
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
         sys.stderr.write(done.stdout + done.stderr)
@@ -97,19 +109,37 @@ def commit_of(root: Path) -> Dict[str, Any]:
     return {"commit": git("rev-parse", "HEAD") or None, "dirty": bool(git("status", "--porcelain"))}
 
 
+def copy_checkout(source: Path, dest: Path) -> Path:
+    """The checkout at *source* as its files alone: tracked ones and untracked
+    ones git does not ignore, copied to *dest*."""
+    listed = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        cwd=source, check=True, capture_output=True,
+    ).stdout
+    for name in filter(None, listed.split(b"\0")):
+        path = source / os.fsdecode(name)
+        if path.is_file():  # a tracked file deleted in the working tree is listed too
+            (dest / os.fsdecode(name)).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(path, dest / os.fsdecode(name))
+    return dest
+
+
 def compare(
-    ref_root: Path, manifest: Dict[str, Any], workloads: List[str], pairs: int, seed: int
+    ref_root: Path, new_root: Path, manifest: Dict[str, Any], workloads: List[str],
+    pairs: int, seed: int,
 ) -> Tuple[bool, Dict[str, Any]]:
     """Run the pairs and print the table; whether nothing broke, and the table as data."""
     fine = True
     table: Dict[str, Any] = {}
     for workload in workloads:
         runs: Dict[str, List[Dict[str, Any]]] = {"ref": [], "new": []}
+        hash_seeds = random.Random(seed)
         for pair in range(pairs):
             order = ("ref", "new") if pair % 2 == 0 else ("new", "ref")
+            hash_seed = hash_seeds.randrange(2**32)
             for side in order:
-                root = ref_root if side == "ref" else ROOT
-                runs[side].append(run_once(root, manifest, workload, seed))
+                root = ref_root if side == "ref" else new_root
+                runs[side].append(run_once(root, manifest, workload, seed, hash_seed))
             print(f"  {workload} pair {pair + 1}/{pairs} done", file=sys.stderr)
         every = runs["ref"] + runs["new"]
         digests = {run["sim_digest"] for run in every}
@@ -158,35 +188,38 @@ def main(argv: List[str] | None = None) -> int:
     args = parser.parse_args(argv)
     workloads = args.workload or names
 
-    def measured(ref_root: Path) -> bool:
-        fine, table = compare(ref_root, manifest, workloads, args.pairs, args.seed)
-        if args.record:
-            row = {
-                "recorded_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-                "ref": commit_of(ref_root),
-                "change": commit_of(ROOT),
-                "seed": args.seed,
-                "pairs": args.pairs,
-                "workloads": table,
-            }
-            with open(args.record, "a", encoding="utf-8") as history:
-                history.write(json.dumps(row, sort_keys=True) + "\n")
-        return fine
-
-    if Path(args.ref).is_dir():
-        return 0 if measured(Path(args.ref).resolve()) else 1
     with tempfile.TemporaryDirectory(prefix="ab_e2e.") as scratch:
-        tree = Path(scratch) / "ref"
-        subprocess.run(
-            ["git", "worktree", "add", "--detach", str(tree), args.ref],
-            cwd=ROOT, check=True, capture_output=True,
-        )
-        try:
-            fine = measured(tree)
-        finally:
+        ref_root, new_root = Path(scratch) / "ref", Path(scratch) / "change"
+        commits = {"change": commit_of(ROOT)}
+        copy_checkout(ROOT, new_root)
+        if Path(args.ref).is_dir():
+            commits["ref"] = commit_of(Path(args.ref))
+            copy_checkout(Path(args.ref).resolve(), ref_root)
+        else:
+            tree = Path(scratch) / "worktree"
             subprocess.run(
-                ["git", "worktree", "remove", "--force", str(tree)], cwd=ROOT, check=True
+                ["git", "worktree", "add", "--detach", str(tree), args.ref],
+                cwd=ROOT, check=True, capture_output=True,
             )
+            try:
+                commits["ref"] = commit_of(tree)
+                copy_checkout(tree, ref_root)
+            finally:
+                subprocess.run(
+                    ["git", "worktree", "remove", "--force", str(tree)], cwd=ROOT, check=True
+                )
+        fine, table = compare(ref_root, new_root, manifest, workloads, args.pairs, args.seed)
+    if args.record:
+        row = {
+            "recorded_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+            "ref": commits["ref"],
+            "change": commits["change"],
+            "seed": args.seed,
+            "pairs": args.pairs,
+            "workloads": table,
+        }
+        with open(args.record, "a", encoding="utf-8") as history:
+            history.write(json.dumps(row, sort_keys=True) + "\n")
     return 0 if fine else 1
 
 

@@ -22,7 +22,6 @@ a send allocates a tuple and nothing else.
 
 from __future__ import annotations
 
-import gc
 import itertools
 import math
 from contextlib import contextmanager
@@ -32,6 +31,7 @@ from typing import (
 )
 
 from repro.telemetry import Counter, Histogram, MetricsRegistry, Telemetry, get_telemetry
+from repro.util.collector import _collector_paused
 from repro.util.errors import StateError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (shard imports eventsim)
@@ -87,24 +87,6 @@ OutboxEntry = Tuple[float, int, int, Message, float]
 #: a worker process's barrier step: hand over this shard's outbox, get back
 #: its share of every shard's, already in merge order
 _OutboxSwap = Callable[[List[OutboxEntry]], List[OutboxEntry]]
-
-
-@contextmanager
-def _collector_paused() -> Iterator[None]:
-    """Run the body with the cyclic collector off, then put it back as found.
-
-    Everything the engine allocates per event (heap entry, message, outbox
-    entry) is acyclic and freed by reference count; a collection in the
-    middle of a run can only re-walk the live processes and the messages in
-    flight. Cyclic garbage an *action* makes waits for the body to end.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
 
 
 class _KindMetrics:

@@ -34,9 +34,10 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.netsim.eventsim import (
-    DRIVER, Address, OutboxEntry, Simulator, _collector_paused, _ledger,
+    DRIVER, Address, OutboxEntry, Simulator, _ledger,
 )
 from repro.telemetry import Telemetry
+from repro.util.collector import _collector_paused
 from repro.util.errors import StateError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (state imports netsim)

@@ -34,6 +34,7 @@ raising on any other distance query.
 
 from __future__ import annotations
 
+from array import array
 from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property
@@ -437,6 +438,13 @@ class QueryTables:
         exits = self.border_row + 1
         entries = (exits.T * (len(self.border_list) + 1)).ravel().astype(np.int32)
         return self.ext.ravel(), exits.ravel().astype(np.int32), entries, self.d_entry.ravel()
+
+    @cached_property
+    def to_destination(self) -> Dict[ProxyId, array[float]]:
+        """Per destination proxy, the distances from its cluster's borders in
+        code order, filled on first use by the router's sink: a row lives as
+        long as these tables, which a rebind replaces."""
+        return {}
 
 
 def build_query_tables(

@@ -41,6 +41,7 @@ service-DAG kernel, under two cost gathers.
 from __future__ import annotations
 
 import time
+from array import array
 from functools import cached_property, partial
 from itertools import chain, compress, repeat
 from operator import attrgetter, itemgetter
@@ -87,6 +88,7 @@ from repro.services.graph import ServiceGraph, SlotId
 from repro.services.request import ServiceRequest
 from repro.telemetry import NULL_TELEMETRY, Telemetry, get_telemetry
 from repro.telemetry.tracing import WALL_SPAN_BUCKETS
+from repro.util.collector import _collector_paused
 from repro.util.errors import ClusteringError, NoFeasiblePathError, RoutingError
 
 ClusterId = int
@@ -382,7 +384,11 @@ class HierarchicalRouter:
         count = len(requests)
         results: List[Any] = []
         infeasible = 0
-        with tracer.span("route", router="hierarchical", method=self.method, requests=count):
+        # a call makes only acyclic objects that die by reference count: a
+        # collection inside it would only re-walk the results it is building
+        with _collector_paused(), tracer.span(
+            "route", router="hierarchical", method=self.method, requests=count
+        ):
             # the chain kernels add the triples they relaxed and their chunks
             with tracer.span("route.csp", relaxed=0, chunks=0):
                 csps: List[Any] = self._csp_stage(requests)
@@ -588,7 +594,8 @@ class HierarchicalRouter:
         one, 0 for none), in the association ``(ext + internal) + dist``. The
         exact distances to a destination are a row over *its own cluster's*
         borders only (all a destination proxy can know), from the same
-        ``space.distance`` calls.
+        ``space.distance`` calls, made once per destination and *tables*
+        (:attr:`~repro.routing.batch.QueryTables.to_destination`).
         """
         ext, exits_of, _, d_entry = tables.flat
         k, stride = tables.cluster_count, len(tables.border_list) + 1
@@ -599,18 +606,23 @@ class HierarchicalRouter:
             ptr = tables.border_ptr.tolist()
             distance = self._view.space.distance
             # one 0.0 (no border) and, per distinct destination, the distances
-            # from its cluster's borders; ``base[pd] + shifted code`` finds one
-            to_pd, base = [0.0], {}
+            # from its cluster's borders, asked once per tables object;
+            # ``base[pd] + shifted code`` finds one
+            to_pd, base, rows = array("d", [0.0]), {}, tables.to_destination
             for pd, c in zip(destinations, cds):
                 if pd not in base:
                     base[pd] = len(to_pd) - 1 - ptr[c]
-                    to_pd += map(distance, tables.border_list[ptr[c] : ptr[c + 1]], repeat(pd))
+                    row = rows.get(pd)
+                    if row is None:
+                        borders = tables.border_list[ptr[c] : ptr[c + 1]]
+                        row = rows[pd] = array("d", map(distance, borders, repeat(pd)))
+                    to_pd += row
             home = clusters == cd
             internal = d_entry.take(entry * stride + exits_of.take(out))
             # the border of cd the path reaches pd from; 0: none, no charge
             via = np.where(home, entry, exits_of.take(cd * k + clusters))
             at = np.array([base[pd] for pd in destinations], dtype=np.int64)[:, None] + via
-            dist = np.array(to_pd).take(np.where(via > 0, at, 0))
+            dist = np.frombuffer(to_pd).take(np.where(via > 0, at, 0))
             tail = np.where(home, dist, (tail + internal) + dist)
         return labels + tail
 

@@ -25,7 +25,7 @@ import time
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
-from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry.metrics import Histogram, MetricsRegistry
 
 #: (clock function, clock kind tag) — kind is "sim" or "wall"
 ClockInfo = Tuple[Callable[[], float], str]
@@ -122,6 +122,8 @@ class Tracer:
         #: bounded buffer of the most recent *root* span trees
         self.roots: Deque[Span] = deque(maxlen=max_roots)
         self.spans_finished = 0
+        #: ``span.duration`` per (span name, clock kind), looked up once
+        self._durations: Dict[Tuple[str, str], Histogram] = {}
 
     def span(self, name: str, **attributes: Any) -> Span:
         """A context manager timing *name*; nests under any open span."""
@@ -145,12 +147,14 @@ class Tracer:
         if self._stack:
             self._stack.pop()
         self.spans_finished += 1
-        buckets = (
-            SIM_SPAN_BUCKETS if span.clock_kind == "sim" else WALL_SPAN_BUCKETS
-        )
-        self._registry.histogram(
-            "span.duration", buckets, span=span.name, clock=span.clock_kind
-        ).observe(span.duration)
+        key = (span.name, span.clock_kind)
+        histogram = self._durations.get(key)
+        if histogram is None:
+            buckets = SIM_SPAN_BUCKETS if span.clock_kind == "sim" else WALL_SPAN_BUCKETS
+            histogram = self._durations[key] = self._registry.histogram(
+                "span.duration", buckets, span=span.name, clock=span.clock_kind
+            )
+        histogram.observe(span.duration)
         if self._stack:
             self._stack[-1].children.append(span)
         else:
@@ -172,8 +176,10 @@ class Tracer:
         other.roots.clear()
 
     def clear(self) -> None:
+        """Drop the roots, the open stack and the bound histograms."""
         self.roots.clear()
         self._stack.clear()
+        self._durations.clear()
         self.spans_finished = 0
 
     def snapshot(self, limit: int = 50) -> List[Dict[str, Any]]:

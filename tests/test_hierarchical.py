@@ -1,9 +1,11 @@
 """Tests for hierarchical divide-and-conquer routing (paper Section 5)."""
 
+import gc
 import random
 
 import pytest
 
+from repro.qos import BandwidthModel, QoSHierarchicalRouter
 from repro.routing import HierarchicalRouter, validate_path
 from repro.services import ServiceRequest, linear_graph
 from repro.services.placement import aggregate_capability
@@ -216,3 +218,60 @@ class TestStaleState:
         router = HierarchicalRouter(framework.hfc, cluster_capabilities=empty)
         with pytest.raises(NoFeasiblePathError):
             router.route(framework.random_request(seed=16))
+
+
+#: every router that reaches the pipeline through ``_resolve``
+COLLECTOR_ROUTERS = {
+    "plain": lambda fw: fw.hierarchical_router(),
+    "cached": lambda fw: fw.cached_hierarchical_router(),
+    "qos": lambda fw: QoSHierarchicalRouter(fw.hfc, BandwidthModel(fw.physical, seed=4), 1.0),
+    "levels=3": lambda fw: fw.hierarchy_router(levels=3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COLLECTOR_ROUTERS))
+class TestCollector:
+    """A pipeline call runs with the cyclic collector paused, which is sound
+    only while a call makes no cyclic garbage, and puts it back as found."""
+
+    @pytest.fixture(autouse=True)
+    def _restore_collector(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    def test_a_batch_leaves_nothing_for_the_collector(self, framework, name):
+        router = COLLECTOR_ROUTERS[name](framework)
+        requests = sample_requests(framework, 40, seed=5)
+        router.route_many_detailed(requests)  # the tables and caches it keeps
+        gc.collect()
+        gc.disable()  # no collection between the batch and the count
+        result = router.route_many_detailed(requests)
+        assert gc.collect() == 0
+        assert any(path is not None for path in result.paths)
+
+    def test_the_stages_run_with_the_collector_paused(self, framework, name):
+        router = COLLECTOR_ROUTERS[name](framework)
+        seen, dissect = [], router.dissect
+
+        def spy(request, csp):
+            seen.append(gc.isenabled())
+            return dissect(request, csp)
+
+        router.dissect = spy
+        gc.enable()
+        router.route_many_detailed(sample_requests(framework, 5, seed=6))
+        assert seen and not any(seen) and gc.isenabled()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_a_call_that_raises_puts_the_collector_back(self, framework, name, enabled):
+        router = COLLECTOR_ROUTERS[name](framework)
+
+        def boom(request, csp):
+            raise RuntimeError("boom")
+
+        router.dissect = boom
+        (gc.enable if enabled else gc.disable)()
+        with pytest.raises(RuntimeError, match="boom"):
+            router.route_many_detailed(sample_requests(framework, 5, seed=6))
+        assert gc.isenabled() is enabled

@@ -28,14 +28,17 @@ def _shape(value):
     return None
 
 
-def _recorded_row(tmp_path, monkeypatch, capsys):
-    """One row as ``--record`` writes it today: two pairs of canned runs."""
+def _recorded_row(tmp_path, monkeypatch, capsys, calls=None):
+    """One row as ``--record`` writes it today: two pairs of canned runs (each
+    run's root and hash seed appended to *calls*)."""
     spec = importlib.util.spec_from_file_location("ab_e2e", ROOT / "scripts" / "ab_e2e.py")
     ab_e2e = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(ab_e2e)
     values = iter(range(1, 1000))
 
-    def canned(root, manifest, workload, seed):
+    def canned(root, manifest, workload, seed, hash_seed):
+        if calls is not None:
+            calls.append((workload, root, hash_seed, (root / "BENCHMARK.json").is_file()))
         return {
             "failed": 0,
             "correct": True,
@@ -76,3 +79,18 @@ def test_every_line_is_a_row_record_writes(tmp_path, monkeypatch, capsys):
                     assert q1 <= median <= q3 and math.isfinite(q3), f"{where}, {name}.{metric}"
                 assert 0 <= entry["won"] <= row["pairs"], f"{where}, {name}.{metric}"
                 assert entry["verdict"] in VERDICTS, f"{where}, {name}.{metric}"
+
+
+def test_both_runs_of_a_pair_share_one_hash_seed(tmp_path, monkeypatch, capsys):
+    calls = []
+    _recorded_row(tmp_path, monkeypatch, capsys, calls)
+    workload = calls[0][0]
+    runs = [call for call in calls if call[0] == workload]
+    assert len(runs) == 4  # two pairs, one run per side each
+    (ref_first, new_first), (new_second, ref_second) = runs[:2], runs[2:]
+    assert ref_first[2] == new_first[2] and new_second[2] == ref_second[2]
+    assert ref_first[2] != new_second[2], "the seed is drawn per pair"
+    # both sides run from copies of their checkouts, never from this one
+    roots = {call[1] for call in runs}
+    assert len(roots) == 2 and ROOT not in roots
+    assert all(present for *_, present in runs)

@@ -175,6 +175,31 @@ class TestTracing:
         metric = scoped.registry.get("span.duration", span="op", clock="wall")
         assert metric is not None and metric.count == 1
 
+    def test_a_repeated_span_looks_its_histogram_up_once(self, scoped, monkeypatch):
+        lookups = []
+        histogram = scoped.registry.histogram
+
+        def counted(name, *args, **labels):
+            lookups.append((name, labels.get("span")))
+            return histogram(name, *args, **labels)
+
+        monkeypatch.setattr(scoped.registry, "histogram", counted)
+        for _ in range(5):
+            with scoped.tracer.span("op"):
+                pass
+        assert lookups == [("span.duration", "op")]
+        assert scoped.registry.get("span.duration", span="op", clock="wall").count == 5
+
+    def test_a_span_after_clear_lands_in_the_fresh_registry(self, scoped):
+        with scoped.tracer.span("op"):
+            pass
+        before = scoped.registry.get("span.duration", span="op", clock="wall")
+        scoped.clear()
+        with scoped.tracer.span("op"):
+            pass
+        after = scoped.registry.get("span.duration", span="op", clock="wall")
+        assert after is not before and after.count == 1 and before.count == 1
+
     def test_wall_clock_outside_simulation(self, scoped):
         with scoped.tracer.span("op") as span:
             pass
