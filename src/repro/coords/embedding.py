@@ -117,8 +117,12 @@ def _landmark_runs(
     diff = np.empty((first.size, dim))
     est = np.empty(first.size)
 
-    def objective(flat: np.ndarray) -> float:
-        np.dot(pair_diff, flat.reshape(m, dim), out=diff)
+    def objective(flat: Sequence[float]) -> float:
+        try:
+            points = flat.reshape(m, dim)  # type: ignore[attr-defined]
+        except AttributeError:  # a float list: a problem of a few variables
+            points = np.reshape(flat, (m, dim))
+        np.dot(pair_diff, points, out=diff)
         # einsum's own summation order over k, as in `_relative_error`'s input
         np.einsum("pk,pk->p", diff, diff, out=est)
         np.sqrt(est, out=est)
@@ -201,11 +205,10 @@ def _host_objective(landmarks: np.ndarray, measured: np.ndarray) -> Objective:
     rows = [(c, m, m if m > 0 else 1.0) for c, m in zip(landmarks.tolist(), measured.tolist())]
     if landmarks.shape[1] != 2:
 
-        def objective(point: np.ndarray) -> float:
-            p = point.tolist()
+        def objective(point: Sequence[float]) -> float:
             terms: List[float] = []
             for coords, meas, s in rows:
-                e = (sqrt(_numpy_sum([(c - q) * (c - q) for c, q in zip(coords, p)])) - meas) / s
+                e = (sqrt(_numpy_sum([(c - q) * (c - q) for c, q in zip(coords, point)])) - meas) / s
                 terms.append(e * e)
             return _numpy_sum(terms)
 
@@ -213,8 +216,8 @@ def _host_objective(landmarks: np.ndarray, measured: np.ndarray) -> Objective:
     # the paper's plane, unrolled: an axis loop per landmark outcosts its sum
     planar = [(c0, c1, meas, s) for (c0, c1), meas, s in rows]
 
-    def plane(point: np.ndarray) -> float:
-        p0, p1 = point.tolist()
+    def plane(point: Sequence[float]) -> float:
+        p0, p1 = point
         terms: List[float] = []
         for c0, c1, meas, s in planar:
             d0, d1 = c0 - p0, c1 - p1

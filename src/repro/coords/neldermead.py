@@ -6,21 +6,33 @@ downhill simplex. This module implements the standard algorithm with the
 usual coefficients (reflection 1, expansion 2, contraction 1/2, shrink 1/2)
 and adaptive termination on both simplex spread and function-value spread.
 
+The scalar loop is one control flow over two vertex formats, picked by the
+number of variables: up to :data:`_FLOAT_VARIABLES` (a join's locate) lists of
+Python floats, above it (the landmark solve) rows of one numpy buffer — the
+same IEEE operations in the same order, so the format never moves a float.
+
 It is validated against ``scipy.optimize.minimize(method="Nelder-Mead")`` in
 the test suite but has no runtime dependency beyond numpy.
 """
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-Objective = Callable[[np.ndarray], float]
-"""Scalar objective: an ``(n,)`` point -> its value. The point is a buffer the
-solver reuses — valid during the call; copy to keep."""
+Objective = Callable[[Sequence[float]], float]
+"""Scalar objective: a point of n floats -> its value. The point is a list of
+Python floats up to :data:`_FLOAT_VARIABLES` variables and a buffer the solver
+reuses above; either way it is valid during the call only — copy to keep."""
+
+_FLOAT_VARIABLES = 8
+"""The widest problem whose vertices are Python floats: the measured
+break-even of the two formats' iterations (DESIGN §7)."""
 
 
 @dataclass
@@ -52,9 +64,8 @@ def nelder_mead(
     """Minimize *objective* starting from *x0*.
 
     Args:
-        objective: function of an ``(n,)`` numpy vector returning a float.
-            The vector is a buffer this loop reuses: valid during the call;
-            copy to keep.
+        objective: function of a point of n floats returning a float (see
+            :data:`Objective`: valid during the call; copy to keep).
         x0: starting point, length n >= 1.
         initial_step: size of the initial simplex's per-axis offsets.
         xtol: terminate when the simplex's max vertex distance to the best
@@ -73,34 +84,24 @@ def nelder_mead(
     for i in range(n):
         step = initial_step if x0[i] == 0 else initial_step * max(abs(x0[i]), 1.0) * 0.1
         simplex[i + 1, i] += step if step != 0 else initial_step
+    vertices = _float_vertices if n <= _FLOAT_VARIABLES else _array_vertices
+    rows, sort, within, reflect, along = vertices(simplex)
     # Sorted here and after a shrink, and kept sorted in between: a step
     # moves one vertex, so it costs one insertion, not a sort and two gathers.
     # The values are Python floats: no numpy scalar in a comparison.
-    values = _sort_simplex(simplex, [float(objective(v)) for v in simplex])
-    body, worst = simplex[:-1], simplex[-1]
-    centroid, trial, second = np.empty(n), np.empty(n), np.empty(n)
-    add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
-    column_sums, count = np.add.reduce, np.array(float(n))
+    values = sort([float(objective(v)) for v in rows])
 
     gamma, rho, sigma = 2.0, 0.5, 0.5  # reflection is 1: no multiply
     iterations = 0
     converged = False
     while iterations < max_iterations:
-        # the f-spread first (two floats); the x-spread (three passes over
-        # the simplex) only when it passed — the same conjunction
-        if abs(values[-1] - values[0]) <= ftol and (
-            np.maximum.reduce(np.absolute(simplex[1:] - simplex[0]), axis=None) <= xtol
-        ):
+        # the f-spread first (two floats); the x-spread only when it passed
+        if abs(values[-1] - values[0]) <= ftol and within(xtol):
             converged = True
             break
 
-        # the whole ordered sum over the n best rows, not a running update:
-        # the summation order is the result
-        column_sums(body, 0, None, centroid)
-        divide(centroid, count, centroid)
-        subtract(centroid, worst, trial)
-        add(centroid, trial, trial)
-        vertex, value = trial, float(objective(trial))
+        centroid, vertex = reflect()
+        value = float(objective(vertex))
         # `slot` is where a stable sort puts a new last element: after every
         # value <= it. A value that won a `<` is not NaN and neither is what
         # it beat, so each search runs over non-NaN values only and the NaNs
@@ -108,41 +109,92 @@ def nelder_mead(
         if values[0] <= value < values[-2]:
             slot = bisect_right(values, value, 0, n - 1)
         elif value < values[0]:
-            subtract(trial, centroid, second)
-            multiply(second, gamma, second)
-            add(centroid, second, second)
-            expanded = float(objective(second))
-            if expanded < value:
-                vertex, value = second, expanded
+            expanded = along(centroid, vertex, gamma)
+            f_expanded = float(objective(expanded))
+            if f_expanded < value:
+                vertex, value = expanded, f_expanded
             slot = 0  # below the best either way; NaNs may sit further down
         else:
-            subtract(worst, centroid, second)
-            multiply(second, rho, second)
-            add(centroid, second, second)
-            vertex, value = second, float(objective(second))
+            vertex = along(centroid, rows[-1], rho)
+            value = float(objective(vertex))
             slot = bisect_right(values, value, 0, n) if value < values[-1] else None
         if slot is None:
-            best = simplex[0]
+            best = rows[0]
             for i in range(1, n + 1):
-                simplex[i] = best + sigma * (simplex[i] - best)
-                values[i] = float(objective(simplex[i]))
-            values = _sort_simplex(simplex, values)
+                rows[i] = along(best, rows[i], sigma)
+                values[i] = float(objective(rows[i]))
+            values = sort(values)
         else:
-            simplex[slot + 1 :] = simplex[slot:-1]  # overlapping: numpy buffers it
-            simplex[slot] = vertex
+            rows[slot + 1 :] = rows[slot:-1]  # overlapping: both formats copy the source first
+            rows[slot] = vertex
             del values[-1]
             values.insert(slot, value)
         iterations += 1
 
-    return MinimizeResult(simplex[0].copy(), values[0], iterations, converged)
+    return MinimizeResult(np.array(rows[0]), values[0], iterations, converged)
 
 
-def _sort_simplex(simplex: np.ndarray, values: list) -> list:
-    """Put the rows of *simplex* in stable value order (NaNs last, as
-    ``np.argsort`` has them) in place; returns the values in that order."""
-    order = np.argsort(values, kind="stable")
-    simplex[:] = simplex[order]
-    return [values[i] for i in order]
+def _float_vertices(simplex: np.ndarray):
+    """The simplex as n + 1 lists of Python floats, each step a new list:
+    the array format's elementwise operations, one float at a time."""
+    rows = simplex.tolist()
+    n = simplex.shape[1]
+
+    def sort(values: list) -> list:
+        order = np.argsort(values, kind="stable").tolist()
+        rows[:] = [rows[i] for i in order]
+        return [values[i] for i in order]
+
+    def within(xtol: float) -> bool:
+        # a NaN fails `<=` here as it fails the max np.maximum.reduce takes
+        best = rows[0]
+        return all(abs(x - b) <= xtol for row in rows[1:] for x, b in zip(row, best))
+
+    def reflect() -> Tuple[list, list]:
+        # each column of the n best rows added in sorted order by explicit
+        # `+` (numpy's axis-0 reduce; `sum()` compensates on Python 3.12)
+        centroid = [reduce(operator.add, column) / n for column in zip(*rows[:-1])]
+        return centroid, [c + (c - w) for c, w in zip(centroid, rows[-1])]
+
+    def along(base, toward, coef: float) -> list:
+        return [b + coef * (t - b) for b, t in zip(base, toward)]
+
+    return rows, sort, within, reflect, along
+
+
+def _array_vertices(simplex: np.ndarray):
+    """The simplex as the rows of one ``(n + 1, n)`` buffer; every trial
+    point is written into one of two preallocated buffers."""
+    n = simplex.shape[1]
+    body, worst = simplex[:-1], simplex[-1]
+    centroid, trial, second = np.empty(n), np.empty(n), np.empty(n)
+    reflected = centroid, trial
+    add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
+    column_sums, count = np.add.reduce, np.array(float(n))
+
+    def sort(values: list) -> list:
+        order = np.argsort(values, kind="stable")
+        simplex[:] = simplex[order]
+        return [values[i] for i in order]
+
+    def within(xtol: float) -> bool:
+        return np.maximum.reduce(np.absolute(simplex[1:] - simplex[0]), axis=None) <= xtol
+
+    def reflect() -> Tuple[np.ndarray, np.ndarray]:
+        # the whole ordered sum over the n best rows, not a running update:
+        # the summation order is the result
+        column_sums(body, 0, None, centroid)
+        divide(centroid, count, centroid)
+        subtract(centroid, worst, trial)
+        add(centroid, trial, trial)
+        return reflected
+
+    def along(base, toward, coef: float) -> np.ndarray:
+        subtract(toward, base, second)
+        multiply(second, coef, second)
+        return add(base, second, second)
+
+    return simplex, sort, within, reflect, along
 
 
 def minimize_with_restarts(
@@ -374,7 +426,9 @@ def minimize_with_restarts_batch(
     max_iterations: int = 2000,
 ) -> BatchMinimizeResult:
     """Batched multi-start: ``starts`` is ``(B, S, n)``; keeps each problem's
-    best run (earliest start wins ties, matching the scalar restart loop).
+    earliest run unless a later one is strictly lower — the scalar restart
+    loop's rule, so a NaN run never replaces a finite one (``np.argmin``
+    would prefer the NaN).
 
     Per-problem ``initial_step``/``xtol``/``ftol`` apply to every start of
     that problem.
@@ -396,9 +450,11 @@ def minimize_with_restarts_batch(
         ftol=expand(ftol),
         max_iterations=max_iterations,
     )
-    funs = result.fun.reshape(b, s)
-    best = np.argmin(funs, axis=1)
-    rows = np.arange(b) * s + best
+    funs, problems = result.fun.reshape(b, s), np.arange(b)
+    best = np.zeros(b, dtype=np.int64)
+    for start in range(1, s):
+        best[funs[:, start] < funs[problems, best]] = start
+    rows = problems * s + best
     return BatchMinimizeResult(
         x=result.x[rows],
         fun=result.fun[rows],

@@ -31,7 +31,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import mstcluster
@@ -45,6 +45,7 @@ from repro.coords.embedding import (
     solve_host,
 )
 from repro.coords.neldermead import (
+    _FLOAT_VARIABLES,
     minimize_with_restarts,
     minimize_with_restarts_batch,
     nelder_mead,
@@ -116,6 +117,16 @@ def generic_objective(family, rng, batch, n):
     return batched
 
 
+def batch_of_one(batched):
+    """Problem i's scalar objective: *batched* on a batch of one, the same
+    arithmetic by construction."""
+
+    def scalar(i):
+        return lambda point: float(batched(np.asarray(point)[None, :], np.array([i]))[0])
+
+    return scalar
+
+
 class TestLandmarkObjective:
     """The landmark solve evaluates only the m(m-1)/2 pairs, indexed once;
     the oracle re-indexes the full matrix per evaluation. Same terms in the
@@ -185,8 +196,9 @@ def assert_same_descent(objective, x0, **kwargs):
 class TestScalarSimplexKeepsItsOrder:
     """The scalar loop sorts once and then inserts; the oracle re-sorts the
     whole simplex every iteration. Same floats from the same operations in
-    the same order, so not only the answer but every evaluated point is
-    equal."""
+    the same order, in either vertex format (n = 1..20 straddles
+    ``_FLOAT_VARIABLES``), so not only the answer but every evaluated point
+    is equal."""
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -198,6 +210,16 @@ class TestScalarSimplexKeepsItsOrder:
         cap=st.sampled_from([0, 1, 7, 60, 400]),
         step=st.sampled_from([0.3, 1.0, 2.5]),
     )
+    # both vertex formats at their seam: floats at n = _FLOAT_VARIABLES,
+    # numpy buffers one variable above
+    @example(seed=1, n=_FLOAT_VARIABLES, family="nan_band", cap=400, step=1.0)
+    @example(seed=1, n=_FLOAT_VARIABLES + 1, family="nan_band", cap=400, step=1.0)
+    @example(seed=2, n=_FLOAT_VARIABLES, family="ties", cap=400, step=2.5)
+    @example(seed=2, n=_FLOAT_VARIABLES + 1, family="ties", cap=400, step=2.5)
+    @example(seed=3, n=_FLOAT_VARIABLES, family="quadratic", cap=0, step=0.3)
+    @example(seed=3, n=_FLOAT_VARIABLES + 1, family="quadratic", cap=0, step=0.3)
+    @example(seed=4, n=_FLOAT_VARIABLES, family="nan_half_space", cap=1, step=1.0)
+    @example(seed=4, n=_FLOAT_VARIABLES + 1, family="nan_half_space", cap=1, step=1.0)
     def test_replays_the_resorting_loop(self, seed, n, family, cap, step):
         rng = np.random.default_rng(seed)
         objective = scalar_objective(family, rng, n)
@@ -234,6 +256,7 @@ class TestScalarSimplexKeepsItsOrder:
         and a shrink re-sorts with NaNs among the values."""
 
         def banded(point):
+            point = np.asarray(point)
             if 0.5 < abs(point[0]) < 1.5:
                 return float("nan")
             return float(np.sum(point * point))
@@ -268,9 +291,12 @@ class TestScalarSimplexKeepsItsOrder:
         assert np.array_equal(result.x, [1.0, 2.0])
 
     def test_the_point_is_valid_during_the_call_only(self):
-        """The objective is handed a buffer the loop reuses: an objective
-        that keeps copies sees the trajectory, one that keeps the argument
-        itself sees the same few buffers over and over."""
+        """Above ``_FLOAT_VARIABLES`` the objective is handed a buffer the
+        loop reuses: an objective that keeps copies sees the trajectory, one
+        that keeps the argument itself sees the same few buffers over and
+        over. At or below it the point is a list of n Python floats under the
+        same contract: read it during the call; copy to keep."""
+        n = _FLOAT_VARIABLES + 1
         copies, kept = [], []
 
         def bowl(point):
@@ -278,13 +304,24 @@ class TestScalarSimplexKeepsItsOrder:
             kept.append(point)
             return float(np.sum(point * point))
 
-        nelder_mead(bowl, [3.0, -2.0, 1.0], max_iterations=50)
-        trials = slice(4, None)  # past the initial simplex's own rows
+        nelder_mead(bowl, np.linspace(-3.0, 3.0, n), max_iterations=50)
+        trials = slice(n + 1, None)  # past the initial simplex's own rows
         assert len({c.tobytes() for c in copies[trials]}) > 40
         assert len({id(k) for k in kept[trials]}) <= 3
         assert sum(
             np.array_equal(k, c) for k, c in zip(kept[trials], copies[trials])
         ) < len(copies[trials]) / 4
+
+        narrow = []
+        nelder_mead(
+            lambda p: narrow.append(p) or float(np.dot(p, p)),
+            np.linspace(-3.0, 3.0, _FLOAT_VARIABLES),
+            max_iterations=50,
+        )
+        assert all(
+            type(p) is list and len(p) == _FLOAT_VARIABLES and {type(x) for x in p} == {float}
+            for p in narrow
+        )
 
 
 class TestBatchedNelderMead:
@@ -321,14 +358,28 @@ class TestBatchedNelderMead:
             assert ref.converged == bool(result.converged[i])
 
     @settings(max_examples=15, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 8))
-    def test_restarts_bit_identical(self, seed, batch):
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        batch=st.integers(1, 8),
+        family=st.sampled_from(["gnp", "nan_region"]),
+    )
+    @example(seed=0, batch=1, family="nan_region")  # a finite run, then a NaN one
+    def test_restarts_bit_identical(self, seed, batch, family):
+        """Every problem keeps the run the scalar restart loop keeps: the
+        earliest unless a later one is strictly lower. Starts inside a NaN
+        region end as NaN runs, after or before finite ones; ``np.argmin``
+        would keep the NaN over an earlier finite run."""
         rng = np.random.default_rng(seed)
         m, dim, n_starts = 5, 2, 3
-        landmarks = rng.uniform(0.0, 50.0, (m, dim))
-        measured = rng.uniform(0.5, 80.0, (batch, m))
-        scalar, batched = gnp_objectives(landmarks, measured)
-        starts = rng.uniform(0.0, 50.0, (batch, n_starts, dim))
+        if family == "gnp":
+            landmarks = rng.uniform(0.0, 50.0, (m, dim))
+            measured = rng.uniform(0.5, 80.0, (batch, m))
+            scalar, batched = gnp_objectives(landmarks, measured)
+            starts = rng.uniform(0.0, 50.0, (batch, n_starts, dim))
+        else:
+            batched = generic_objective(family, rng, batch, dim)
+            scalar = batch_of_one(batched)
+            starts = rng.uniform(-5.0, 5.0, (batch, n_starts, dim))
 
         result = minimize_with_restarts_batch(
             batched, starts, initial_step=2.0, xtol=1e-7, max_iterations=250
@@ -341,8 +392,12 @@ class TestBatchedNelderMead:
                 xtol=1e-7,
                 max_iterations=250,
             )
-            assert np.array_equal(ref.x, result.x[i])
-            assert ref.fun == result.fun[i]
+            assert np.array_equal(ref.x, result.x[i], equal_nan=True)
+            assert np.array_equal(ref.fun, result.fun[i], equal_nan=True)
+            assert (ref.iterations, ref.converged) == (
+                result.iterations[i],
+                bool(result.converged[i]),
+            )
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -361,10 +416,7 @@ class TestBatchedNelderMead:
         that pass in either order and caps that cut descents anywhere."""
         rng = np.random.default_rng(seed)
         batched = generic_objective(family, rng, batch, n)
-
-        def scalar(i):
-            # the batch of one: same arithmetic by construction
-            return lambda point: float(batched(point[None, :], np.array([i]))[0])
+        scalar = batch_of_one(batched)
 
         x0s = rng.uniform(-5.0, 5.0, (batch, n))
         x0s[rng.uniform(size=(batch, n)) < 0.3] = 0.0
@@ -473,8 +525,9 @@ class TestLocateHostsBatch:
 
 
 class TestHostObjectiveIsNumpys:
-    """``solve_host`` evaluates its objective on Python floats; the numpy
-    form it replaced (``host_objective_reference``) is the answer to the last
+    """``solve_host`` evaluates its objective on Python floats (and, at or
+    below ``_FLOAT_VARIABLES`` dimensions, descends on them); the numpy form
+    it replaced (``host_objective_reference``) is the answer to the last
     bit. Numpy sums in pairwise order (one running sum below 8 terms, eight
     accumulators up to 128, halves above), so the landmark counts straddle
     both seams, and the axis sum runs over every dimension the float form
@@ -484,7 +537,8 @@ class TestHostObjectiveIsNumpys:
     @given(
         seed=st.integers(0, 2**32 - 1),
         m=st.integers(1, 300) | st.sampled_from([7, 8, 9, 15, 16, 17, 127, 128, 129, 136, 256]),
-        k=st.integers(1, 5),
+        # the plane, the axis loop, and both vertex formats at their seam
+        k=st.integers(1, 5) | st.sampled_from([_FLOAT_VARIABLES, _FLOAT_VARIABLES + 1]),
         exponent=st.floats(-6.0, 6.0),
     )
     def test_value_and_descent_equal_the_numpy_form(self, seed, m, k, exponent):

@@ -10,7 +10,7 @@ from repro.coords import minimize_with_restarts, nelder_mead
 
 
 def sphere(x):
-    return float(np.sum(x**2))
+    return float(np.sum(np.asarray(x) ** 2))
 
 
 def rosenbrock(x):

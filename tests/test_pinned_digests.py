@@ -1,6 +1,6 @@
-"""Pinned answers of the routing pipeline and the state protocol.
+"""Pinned answers of the routing pipeline, the state protocol and a join.
 
-Two fixtures hold what a seeded run answers, as sha256 digests, so a change
+Three fixtures hold what a seeded run answers, as sha256 digests, so a change
 meant to move only host cost shows "answers equal" with a test rather than
 with a sentence:
 
@@ -9,9 +9,13 @@ with a sentence:
   time (an infeasible request contributes its error's type and message);
 * ``protocol_digest.json``: ``ProtocolReport.to_dict()`` (sorted keys) of a
   cold ``StateDistributionProtocol(hfc, refresh_every=2).run()`` at n=500 —
-  message counts, sizes and latencies on the simulated clock.
+  message counts, sizes and latencies on the simulated clock;
+* ``join_digest.json``: the coordinates (``float.hex``) every joiner of a
+  seeded 60-event join/leave script at n=400 locates itself at, and its kept
+  descent's ``iterations`` and ``converged`` — the scalar simplex on every
+  interpreter CI runs.
 
-Both are recorded at seeds 11 and 3 (the build's, the requests' and the
+All three are recorded at seeds 11 and 3 (the build's, the requests' and the
 protocol's seed). Regenerate one only when its answers are *meant* to change
 (commands in the writers' docstrings; run them with
 ``PYTHONPATH=<parent checkout>/src:.`` to record at a parent).
@@ -20,10 +24,12 @@ protocol's seed). Regenerate one only when its answers are *meant* to change
 import hashlib
 import json
 import os
+import random
 
 import pytest
 
 from repro.core import HFCFramework
+from repro.membership.churn import DynamicOverlay
 from repro.experiments.environments import Environment
 from repro.experiments.workload import WorkloadConfig, generate_requests
 from repro.state.protocol import StateDistributionProtocol
@@ -32,8 +38,10 @@ from repro.util.errors import NoFeasiblePathError
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 ROUTE_DIGEST_FIXTURE = os.path.join(FIXTURES, "route_digest.json")
 PROTOCOL_DIGEST_FIXTURE = os.path.join(FIXTURES, "protocol_digest.json")
+JOIN_DIGEST_FIXTURE = os.path.join(FIXTURES, "join_digest.json")
 DIGEST_SEEDS = [11, 3]
 ROUTE_N, ROUTE_REQUESTS, PROTOCOL_N = 400, 300, 500
+JOIN_N, JOIN_EVENTS = 400, 60
 
 
 def _sha(payload):
@@ -82,6 +90,44 @@ def _protocol_digest(seed):
     return _sha(report.to_dict())
 
 
+class _KeepsDescents(DynamicOverlay):
+    """A churned overlay that keeps every join's descent."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.descents = []
+
+    def _solve(self, router, probes):
+        solved = super()._solve(router, probes)
+        self.descents.append(solved)
+        return solved
+
+
+def _join_digest(seed):
+    """Joins (two in three events) of unused stub routers and leaves of random
+    members, seeded; the joiners' coordinates as one digest, the descents'
+    iterations and convergence in the clear."""
+    framework = HFCFramework.build(proxy_count=JOIN_N, seed=seed)
+    dyn = _KeepsDescents(framework, restructure_tolerance=None, track_quality=False)
+    rng = random.Random(seed)
+    catalog = sorted(framework.catalog.names)
+    free = sorted(set(framework.physical.topology.stub_nodes) - set(dyn.proxies))
+    rng.shuffle(free)
+    joined = []
+    for _ in range(JOIN_EVENTS):
+        if rng.random() < 2 / 3:
+            router = free.pop()
+            dyn.join(router, frozenset(rng.sample(catalog, 4)))
+            joined.append([router, [float(c).hex() for c in dyn.space.coordinate(router)]])
+        else:
+            dyn.leave(rng.choice(dyn.proxies))
+    return {
+        "coordinates": _sha(joined),
+        "iterations": [run.iterations for run in dyn.descents],
+        "converged": [run.converged for run in dyn.descents],
+    }
+
+
 def _write(path, digests):
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(digests, handle, indent=1, sort_keys=True)
@@ -102,6 +148,13 @@ def write_protocol_digest_fixture():
     _write(PROTOCOL_DIGEST_FIXTURE, {f"seed={s}": _protocol_digest(s) for s in DIGEST_SEEDS})
 
 
+def write_join_digest_fixture():
+    """Regenerate the join fixture — only when a joiner's coordinates are
+    *meant* to change: ``python -c "import tests.test_pinned_digests as t;
+    t.write_join_digest_fixture()"``."""
+    _write(JOIN_DIGEST_FIXTURE, {f"seed={s}": _join_digest(s) for s in DIGEST_SEEDS})
+
+
 def _recorded(path, seed):
     with open(path, encoding="utf-8") as handle:
         return json.load(handle)[f"seed={seed}"]
@@ -117,3 +170,9 @@ class TestProtocolDigest:
     @pytest.mark.parametrize("seed", DIGEST_SEEDS)
     def test_protocol_report_matches_the_recorded_digest(self, seed):
         assert _protocol_digest(seed) == _recorded(PROTOCOL_DIGEST_FIXTURE, seed)
+
+
+class TestJoinDigest:
+    @pytest.mark.parametrize("seed", DIGEST_SEEDS)
+    def test_joiners_locate_where_recorded(self, seed):
+        assert _join_digest(seed) == _recorded(JOIN_DIGEST_FIXTURE, seed)

@@ -57,3 +57,17 @@ def test_example_list_matches_examples_dir():
         f"README lists missing examples {set(listed) - actual}, "
         f"omits {actual - set(listed)}"
     )
+
+
+def test_changes_entries_stay_short():
+    """Every numbered CHANGES.md entry from the 31st on, the first written
+    under the cap, is at most 1,500 characters: the detail belongs in
+    DESIGN.md and the history file."""
+    text = (ROOT / "CHANGES.md").read_text()
+    entries = [
+        (int(match.group(1)), len(match.group(0)))
+        for match in re.finditer(r"^- PR (\d+):.*$", text, flags=re.MULTILINE)
+    ]
+    assert entries, "CHANGES.md has no numbered entry"
+    long = [(number, size) for number, size in entries if number >= 31 and size > 1500]
+    assert not long, f"CHANGES.md entries over 1,500 characters (number, length): {long}"
