@@ -17,6 +17,9 @@ peak RSS is that build's own. Per size, one table row:
 * ``converged`` / ``capped`` — whether the kept landmark descent met its
   tolerances, and how many of the solve's two starts ran into the iteration
   cap instead (each of those costs the full cap);
+* ``iterations`` / ``problem_iterations`` / ``capped_hosts`` — the hosts'
+  kept descents in ``locate``: the longest, their sum, and how many the
+  iteration cap cut off;
 * ``mst_rounds`` / ``mst_pairs`` — the Borůvka rounds of the clustering's
   Euclidean MST and the squared distances it evaluated (all n² pairs would
   be n(n-1)/2);
@@ -56,6 +59,9 @@ COLUMNS = (
     ("locate", "construct.embedding.locate"),
     ("converged", "converged"),
     ("capped", "capped_starts"),
+    ("iterations", "locate_iterations"),
+    ("problem_iterations", "problem_iterations"),
+    ("capped_hosts", "capped_hosts"),
     ("services", "construct.services"),
     ("clustering", "construct.clustering"),
     ("mst_rounds", "mst_rounds"),
@@ -85,6 +91,10 @@ def build_once(n: int) -> Dict[str, Any]:
         if span.name == "construct.embedding.landmarks":
             row["converged"] = span.attributes["converged"]
             row["capped_starts"] = span.attributes["capped_starts"]
+        if span.name == "construct.embedding.locate":
+            row["locate_iterations"] = span.attributes["iterations"]
+            row["problem_iterations"] = span.attributes["problem_iterations"]
+            row["capped_hosts"] = span.attributes["capped"]
         if span.name == "construct.clustering":
             row["mst_rounds"] = span.attributes["mst_rounds"]
             row["mst_pairs"] = span.attributes["mst_pairs"]

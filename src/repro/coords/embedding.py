@@ -25,6 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.coords.neldermead import (
+    BatchMinimizeResult,
     MinimizeResult,
     Objective,
     minimize_with_restarts,
@@ -116,20 +117,25 @@ def _landmark_runs(
     pair_diff[pairs, second] = -1.0
     diff = np.empty((first.size, dim))
     est = np.empty(first.size)
+    # ~7,600 calls a build, each a few µs of arithmetic: the ufuncs are bound
+    # once, `out` goes positionally, and einsum is its C entry, which numpy's
+    # own `einsum` calls unchanged when `optimize` is off
+    dot, sqrt_, subtract, divide, multiply = np.dot, np.sqrt, np.subtract, np.divide, np.multiply
+    total, c_einsum = np.add.reduce, np.einsum.__wrapped__.__globals__["c_einsum"]
 
     def objective(flat: Sequence[float]) -> float:
         try:
             points = flat.reshape(m, dim)  # type: ignore[attr-defined]
         except AttributeError:  # a float list: a problem of a few variables
             points = np.reshape(flat, (m, dim))
-        np.dot(pair_diff, points, out=diff)
+        dot(pair_diff, points, diff)
         # einsum's own summation order over k, as in `_relative_error`'s input
-        np.einsum("pk,pk->p", diff, diff, out=est)
-        np.sqrt(est, out=est)
-        np.subtract(est, meas, out=est)
-        np.divide(est, safe, out=est)
-        np.multiply(est, est, out=est)
-        return float(np.add.reduce(est))
+        c_einsum("pk,pk->p", diff, diff, out=est)
+        sqrt_(est, est)
+        subtract(est, meas, est)
+        divide(est, safe, est)
+        multiply(est, est, est)
+        return float(total(est))
 
     scale = float(np.max(measured)) or 1.0
     jitter = initial + rng.gauss(0.0, 1.0) * 0.0  # deterministic base start
@@ -178,11 +184,12 @@ def _check_measurements(landmarks: np.ndarray, measured: np.ndarray, rank: int) 
         )
 
 
-def _numpy_sum(terms: List[float]) -> float:
-    """``np.add.reduce`` of *terms* (each >= 0 or NaN), bit for bit: numpy's
-    pairwise order is one running sum below 8 terms, eight interleaved
-    accumulators and then the tail up to 128, and halves cut at a multiple
-    of 8 above. Explicit ``+`` only: Python 3.12's ``sum()`` compensates."""
+def _numpy_sum(terms: list):
+    """``np.add.reduce`` of *terms* (each >= 0 or NaN; floats, or arrays
+    summed elementwise), bit for bit: numpy's pairwise order is one running
+    sum below 8 terms, eight interleaved accumulators and then the tail up to
+    128, and halves cut at a multiple of 8 above. Explicit ``+`` only:
+    Python 3.12's ``sum()`` compensates."""
     n = len(terms)
     if n > 128:
         half = n // 2 - n // 2 % 8
@@ -203,12 +210,19 @@ def _host_objective(landmarks: np.ndarray, measured: np.ndarray) -> Objective:
     Python floats (numpy's dispatch would cost more than ten terms' arithmetic):
     each float is numpy's, in its operations and both sums' order."""
     rows = [(c, m, m if m > 0 else 1.0) for c, m in zip(landmarks.tolist(), measured.tolist())]
-    if landmarks.shape[1] != 2:
+    k = landmarks.shape[1]
+    if k != 2:
 
         def objective(point: Sequence[float]) -> float:
             terms: List[float] = []
             for coords, meas, s in rows:
-                e = (sqrt(_numpy_sum([(c - q) * (c - q) for c, q in zip(coords, point)])) - meas) / s
+                if k < 8:  # numpy's axis sum is one running sum below 8 terms
+                    total = 0.0
+                    for c, q in zip(coords, point):
+                        total += (c - q) * (c - q)
+                else:
+                    total = _numpy_sum([(c - q) * (c - q) for c, q in zip(coords, point)])
+                e = (sqrt(total) - meas) / s
                 terms.append(e * e)
             return _numpy_sum(terms)
 
@@ -289,31 +303,43 @@ def locate_hosts(
     ``(H, k)`` coordinates are bit-identical to calling it per host (the
     equivalence suite asserts this).
     """
+    return solve_hosts(landmark_coords, measured_matrix, max_iterations=max_iterations).x
+
+
+def solve_hosts(
+    landmark_coords: np.ndarray,
+    measured_matrix: np.ndarray,
+    *,
+    max_iterations: int = 800,
+) -> BatchMinimizeResult:
+    """:func:`locate_hosts` with each host's kept descent: the coordinates
+    are ``.x``, beside ``fun``, ``iterations`` and ``converged``."""
     landmarks = np.asarray(landmark_coords, dtype=float)
     measured = np.asarray(measured_matrix, dtype=float)
     _check_measurements(landmarks, measured, 2)
-    hosts = measured.shape[0]
-    if hosts == 0:
-        return np.zeros((0, landmarks.shape[1]), dtype=float)
-    safe = np.where(measured > 0, measured, 1.0)
-    by_axis = np.ascontiguousarray(landmarks.T)[:, None, :]
+    # landmark-major: row l of every (m, M) block is landmark l against the
+    # call's M points, so the per-host data is gathered along axis 1
+    measured_t = np.ascontiguousarray(measured.T)
+    safe_t = np.where(measured_t > 0, measured_t, 1.0)
+    by_axis = np.ascontiguousarray(landmarks.T)[:, :, None]
 
     def objective(points: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        # Squared distances accumulated axis by axis into one (M, m) block —
-        # the terms and order of `np.sum(diff**2, axis=2)` over an (M, m, k)
-        # cube (numpy sums a short trailing axis sequentially) without the
-        # cube — then the relative error in place.
-        est = by_axis[0] - points[:, :1]
+        # Squared distances accumulated axis by axis — the terms and order of
+        # `np.sum(diff**2, axis=-1)` (numpy sums a short axis sequentially)
+        # without the cube — then the relative error in place, and the sum
+        # over landmarks in `np.add.reduce`'s pairwise order over the rows.
+        coords = points.T
+        est = by_axis[0] - coords[0]
         est *= est
         for a in range(1, by_axis.shape[0]):
-            term = by_axis[a] - points[:, a : a + 1]
+            term = by_axis[a] - coords[a]
             term *= term
             est += term
         np.sqrt(est, out=est)
-        est -= measured.take(idx, axis=0)
-        est /= safe.take(idx, axis=0)
+        est -= measured_t.take(idx, axis=1)
+        est /= safe_t.take(idx, axis=1)
         est *= est
-        return np.sum(est, axis=1)
+        return _numpy_sum(list(est))
 
     weights = 1.0 / np.maximum(measured, 1e-9)
     centroid = (landmarks[None, :, :] * weights[:, :, None]).sum(
@@ -323,14 +349,13 @@ def locate_hosts(
     scale = np.max(measured, axis=1)
     scale = np.where(scale == 0.0, 1.0, scale)
     starts = np.stack([centroid, nearest], axis=1)
-    result = minimize_with_restarts_batch(
+    return minimize_with_restarts_batch(
         objective,
         starts,
         initial_step=scale * 0.1,
         max_iterations=max_iterations,
         xtol=scale * 1e-7,
     )
-    return result.x
 
 
 @dataclass
@@ -459,8 +484,15 @@ def build_coordinate_space(
     ):
         to_landmarks = physical.measure_many(ordinary, landmarks, probes=probes)
         measurement_count += probes * m * len(ordinary)
-    with telemetry.tracer.span("construct.embedding.locate", hosts=len(ordinary)):
-        located = dict(zip(ordinary, locate_hosts(landmark_coords, to_landmarks)))
+    with telemetry.tracer.span("construct.embedding.locate", hosts=len(ordinary)) as span:
+        solved = solve_hosts(landmark_coords, to_landmarks)
+        located = dict(zip(ordinary, solved.x))
+        # the kept descents: the longest, their sum, how many the cap cut off
+        span.attributes.update(
+            iterations=int(solved.iterations.max(initial=0)),
+            problem_iterations=int(solved.iterations.sum()),
+            capped=int(solved.converged.size - np.count_nonzero(solved.converged)),
+        )
 
     # Assemble in *hosts* order so the space's node order (and anything
     # iterating it) is independent of which hosts double as landmarks.

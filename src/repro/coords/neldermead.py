@@ -333,7 +333,7 @@ def nelder_mead_batch(
     iterations = np.zeros(b, dtype=np.int64)
     converged = np.zeros(b, dtype=bool)
 
-    alpha, gamma, rho, sigma = 1.0, 2.0, 0.5, 0.5
+    gamma, rho, sigma = 2.0, 0.5, 0.5
     it = 0
     while it < max_iterations and act.size:
         sim, val = _sort_vertices(sim, val)
@@ -364,37 +364,29 @@ def nelder_mead_batch(
         centroid = np.add.reduce(sim[:-1], axis=0)
         centroid /= n
         worst = sim[-1]
-        reflected = centroid + alpha * (centroid - worst)
+        reflected = centroid + (centroid - worst)  # reflection 1: no multiply
         # `reflected` / `f_reflected` become each problem's new worst vertex:
         # the expansion or the contraction replaces them where it wins
         # (written in place, so the values must not alias the objective's).
         f_reflected = np.array(objective(reflected, act), dtype=float)
         accept = (val[0] <= f_reflected) & (f_reflected < val[-2])
-        expand = f_reflected < val[0]
-        contract = ~(accept | expand)
-
-        if expand.any():
-            cols = np.flatnonzero(expand)
-            base = centroid.take(cols, axis=0)
-            expanded = base + gamma * (reflected.take(cols, axis=0) - base)
-            f_expanded = objective(expanded, act[cols])
-            better = f_expanded < f_reflected[cols]
-            win = cols[better]
-            reflected[win] = expanded[better]
-            f_reflected[win] = f_expanded[better]
 
         shrink = None
-        if contract.any():
-            cols = np.flatnonzero(contract)
+        # every other problem expands or contracts: disjoint rows, one call
+        cols = np.flatnonzero(~accept)
+        if cols.size:
+            grow = f_reflected[cols] < val[0, cols]
             base = centroid.take(cols, axis=0)
-            contracted = base + rho * (worst.take(cols, axis=0) - base)
-            f_contracted = objective(contracted, act[cols])
-            ok = f_contracted < val[-1, cols]
+            toward = np.where(grow[:, None], reflected.take(cols, axis=0), worst.take(cols, axis=0))
+            trial = base + np.where(grow, gamma, rho)[:, None] * (toward - base)
+            f_trial = objective(trial, act[cols])
+            ok = f_trial < np.where(grow, f_reflected[cols], val[-1, cols])
             win = cols[ok]
-            reflected[win] = contracted[ok]
-            f_reflected[win] = f_contracted[ok]
-            if not ok.all():
-                shrink = cols[~ok]
+            reflected[win] = trial[ok]
+            f_reflected[win] = f_trial[ok]
+            lost = ~(ok | grow)
+            if lost.any():
+                shrink = cols[lost]
                 best = sim[0, shrink]
                 shrunk = best + sigma * (sim[1:, shrink] - best)
 

@@ -43,6 +43,7 @@ from repro.coords.embedding import (
     locate_host,
     locate_hosts,
     solve_host,
+    solve_hosts,
 )
 from repro.coords.neldermead import (
     _FLOAT_VARIABLES,
@@ -442,6 +443,31 @@ class TestBatchedNelderMead:
             assert ref.iterations == result.iterations[i]
             assert ref.converged == bool(result.converged[i])
 
+    def test_a_step_calls_the_objective_twice_plus_its_shrinks(self):
+        """After the initial evaluations a step makes one call for its
+        reflections, at most one for its expansions and contractions together
+        (they belong to disjoint problems), and one more when some problem
+        shrinks. A shrink's call is the only one that names a problem more
+        than once (its n re-evaluated vertices), which tells the calls apart."""
+        rng = np.random.default_rng(5)
+        batch, n = 60, 3
+        objective = generic_objective("nan_region", rng, batch, n)
+        repeats = []
+
+        def counting(points, idx):
+            repeats.append(np.unique(idx).size < idx.size)
+            return objective(points, idx)
+
+        result = nelder_mead_batch(
+            counting, rng.uniform(-5.0, 5.0, (batch, n)), max_iterations=200
+        )
+        steps = int(result.iterations.max())
+        initial, *calls = repeats
+        shrinks = sum(calls)
+        assert initial and steps > 50
+        assert 0 < shrinks <= steps
+        assert steps <= len(calls) - shrinks <= 2 * steps
+
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
             nelder_mead_batch(lambda p, i: np.zeros(len(p)), np.zeros((3,)))
@@ -512,6 +538,32 @@ class TestLocateHostsBatch:
         for i in range(hosts):
             ref = locate_host(landmarks, measured[i], max_iterations=cap)
             assert np.array_equal(ref, batch[i]), i
+
+    @pytest.mark.parametrize("m", [7, 8, 9, 16, 17, 129])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_landmark_counts_at_the_row_trees_seams(self, m, dim):
+        """The sum over landmarks is numpy's pairwise tree over the rows of an
+        ``(m, M)`` block: one running sum below 8 rows, eight accumulators
+        and a tail up to 128, two halves above. Each seam against the
+        per-host solve, whose objective sums a host's m terms in that order:
+        the kept value too, where a sum in another order shows first."""
+        rng = np.random.default_rng(1000 * m + dim)
+        hosts = 12
+        landmarks = rng.uniform(0.0, 100.0, (m, dim))
+        positions = rng.uniform(0.0, 100.0, (hosts, dim))
+        true = np.sqrt(
+            ((landmarks[None, :, :] - positions[:, None, :]) ** 2).sum(axis=2)
+        )
+        measured = true * rng.uniform(1.0, 1.15, (hosts, m))
+
+        batch = solve_hosts(landmarks, measured)
+        assert np.array_equal(batch.x, locate_hosts(landmarks, measured))
+        for i in range(hosts):
+            ref = solve_host(landmarks, measured[i])
+            assert np.array_equal(ref.x, batch.x[i]), i
+            assert (ref.fun, ref.iterations, ref.converged) == (
+                batch.fun[i], batch.iterations[i], batch.converged[i]
+            ), i
 
     def test_empty_batch(self):
         out = locate_hosts(np.zeros((4, 2)), np.zeros((0, 4)))
@@ -940,6 +992,25 @@ class TestFrameworkModes:
         )
         assert solve_attributes(telemetry) == {
             "dimension": 3, "iterations": 2154, "converged": True, "capped_starts": 1,
+        }
+
+    def test_locate_reports_the_hosts_descents(self):
+        """The ``construct.embedding.locate`` span carries the hosts' kept
+        descents: the longest, their sum and how many the 800 cap cut off.
+        Seeded, so the counts repeat exactly."""
+        from repro.core import HFCFramework
+        from repro.telemetry import Telemetry
+
+        telemetry = Telemetry()
+        HFCFramework.build(proxy_count=150, seed=11, telemetry=telemetry)
+        (span,) = (
+            span
+            for root in telemetry.tracer.roots
+            for span in root.walk()
+            if span.name == "construct.embedding.locate"
+        )
+        assert span.attributes == {
+            "hosts": 142, "iterations": 108, "problem_iterations": 8427, "capped": 0,
         }
 
 
