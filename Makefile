@@ -61,7 +61,8 @@ e2e-selftest:
 # end-to-end benchmark (scripts/profile_e2e.py). Three tables: the top 30
 # functions by own time over the whole run, the measured rounds' stage split
 # by layer, and the cyclic collector's collections and seconds per generation
-# (which cProfile cannot see). `make profile W=route_2k`.
+# (which cProfile cannot see); for route_2k also a single route's stage means
+# and its numpy and Python calls. `make profile W=route_2k`.
 W ?= engine_16k
 profile:
 	$(PYTHON) scripts/profile_e2e.py --workload $(W)
@@ -87,7 +88,7 @@ ab:
 	$(PYTHON) scripts/ab_e2e.py $(REF) --pairs $(PAIRS) --seed $(SEED) $(if $(filter command% environment%,$(origin W)),$(foreach w,$(W),--workload $(w))) $(if $(RECORD),--record $(RECORD))
 
 # Mirror the full CI workflow locally: tier-1 tests, e2e self-test, the
-# profiling and build-scale scripts at smoke size, one A/B pair of three
+# profiling and build-scale scripts at smoke size, one A/B pair of four
 # workloads against HEAD, lint, fault matrix, the simulated numbers and their
 # exact gate.
 ci:
@@ -99,7 +100,7 @@ ci:
 	$(PYTHON) scripts/profile_e2e.py --workload lifecycle_120 --scale smoke
 	$(PYTHON) scripts/profile_e2e.py --workload construct_2k --scale smoke
 	$(MAKE) scale N=300
-	$(MAKE) ab REF=HEAD W="route_2k churn_2k construct_2k" PAIRS=1 RECORD=benchmarks/out/ab_smoke.jsonl
+	$(MAKE) ab REF=HEAD W="route_2k churn_2k construct_2k lifecycle_120" PAIRS=1 RECORD=benchmarks/out/ab_smoke.jsonl
 	$(MAKE) lint
 	$(MAKE) fault-matrix
 	$(MAKE) numbers

@@ -20,6 +20,11 @@ Prints, after the run's own summary:
   timer, and on a row of their own the explicit ``gc.collect()`` calls (the
   harness makes one before every round).
 
+For ``route_2k`` a last row gives what one routed call costs before its
+first request: a single route's stage means from the router's own spans,
+over 125 singles of the workload's request set, and the numpy and Python
+calls it makes (:func:`count_calls`), averaged over 25 of them.
+
 The dump lands in ``benchmarks/out/<workload>.pstats`` (git-ignored).
 ``--scale smoke`` is for CI: it proves the script runs, its numbers mean nothing.
 """
@@ -35,7 +40,7 @@ import runpy
 import sys
 from pathlib import Path
 from time import perf_counter
-from typing import Any, Callable, Dict, List
+from typing import Any, Callable, Dict, List, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -88,6 +93,66 @@ class CollectionTimer:
         return "\n".join(lines)
 
 
+def count_calls(fn: Callable[[], Any]) -> Tuple[Any, int, int]:
+    """``fn()``'s result, the numpy calls made from ``repro`` frames and the
+    calls of ``repro`` functions (generator resumes included), under a profile
+    hook. A numpy call is a numpy C function or array/ufunc method, or a
+    numpy Python function (its ``*_dispatcher`` not counted apart); an
+    operator, a subscript and a direct ufunc application make no event, so
+    they are not counted."""
+    numpy = python = 0
+
+    def ours(frame: Any) -> bool:
+        return "repro" in Path(frame.f_code.co_filename).parts
+
+    def hook(frame: Any, event: str, arg: Any) -> None:
+        nonlocal numpy, python
+        if event == "c_call":
+            owner = getattr(arg, "__module__", None) or type(getattr(arg, "__self__", None)).__module__
+            numpy += owner.startswith("numpy") and ours(frame)
+        elif event == "call":
+            if ours(frame):
+                python += 1
+            elif "numpy" in Path(frame.f_code.co_filename).parts and not frame.f_code.co_name.endswith("_dispatcher"):
+                numpy += frame.f_back is not None and ours(frame.f_back)
+
+    sys.setprofile(hook)
+    try:
+        result = fn()
+    finally:
+        sys.setprofile(None)
+    return result, numpy, python
+
+
+def single_route_row(scale: str) -> str:
+    """One ``route_2k`` single route: stage means from its spans, calls per route."""
+    sys.path.insert(0, str(ROOT / "src"))
+    sys.path.insert(0, str(ROOT))
+    from benchmarks.e2e.workloads import Route
+
+    from repro.telemetry import Telemetry
+
+    ctx = Route().setup(Route.params[scale], seed=11)
+    router, requests = ctx["router"], ctx["requests"]
+    router.route_many_detailed(requests)  # the query tables and provider index
+    router.telemetry = telemetry = Telemetry(span_capacity=len(requests))
+    for request in requests[:125]:
+        router.route(request)
+    spans: Dict[str, List[float]] = {}
+    for root in telemetry.tracer.find_roots("route"):
+        for span in (root, *root.children):
+            spans.setdefault(span.name, []).append(span.duration * 1e6)
+    mean = {name: sum(values) / len(values) for name, values in spans.items()}
+    calls = [count_calls(lambda: router.route(request))[1:] for request in requests[:25]]
+    numpy, python = (sum(column) / len(calls) for column in zip(*calls))
+    stages = " + ".join(f"{name[6:]} {mean[name]:.0f}" for name in mean if name != "route")
+    n, singles = len(router.hfc.overlay.proxies), len(spans["route"])
+    return (
+        f"   route {mean['route']:.0f} µs, of which {stages} (span means over {singles} singles, n={n})\n"
+        f"   {numpy:.1f} numpy calls and {python:.1f} Python calls per route"
+    )
+
+
 def main(argv: List[str] | None = None) -> int:
     manifest = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -126,6 +191,9 @@ def main(argv: List[str] | None = None) -> int:
     stats.sort_stats("cumtime").print_stats(layers, 30)
     print("== the cyclic collector over the whole run (under the profiler)")
     print(collections.report(wall))
+    if args.workload == "route_2k":
+        print("== one routed call before its first request (untraced, outside the profiler)")
+        print(single_route_row(args.scale))
     return 0
 
 

@@ -18,10 +18,10 @@ resolution crosses. This module hosts the structures one pipeline call
 * :func:`child_specs` — the conquer candidates of a call's children, from
   each touched cluster's provider index; :func:`rebind_derived` carries all of
   the above and :func:`offering_index` to the next view, patched from its changes.
-* :func:`relax` — the one service-DAG kernel (:func:`ragged_chunks`,
-  :func:`segment_argmin`): the CSP stage, the conquer (:func:`solve_specs`)
-  and the flat router differ only in their candidates and their
-  :class:`Costs` gather (:class:`ProxyCosts` for the latter two).
+* :func:`relax` — the one service-DAG kernel (:func:`ragged_chunks`, then a
+  first-occurrence segment argmin per depth): the CSP stage, the conquer
+  (:func:`solve_specs`) and the flat router differ only in their candidates
+  and their :class:`Costs` gather (:class:`ProxyCosts` for the latter two).
 * :class:`BatchRouteResult` — aligned per-request outcomes of a batch.
 
 Only intra-cluster border pairs enter the ``d_border`` table: the
@@ -37,7 +37,7 @@ from __future__ import annotations
 from array import array
 from bisect import insort
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate, chain, compress, groupby, repeat
 from operator import itemgetter, not_
 from typing import (
@@ -80,6 +80,12 @@ BATCH_SIZE_BUCKETS: Tuple[float, ...] = (
 #: a few triple-length arrays alive; at n=2000 doubling this to 32k raised the
 #: peak RSS of ``route_2k`` by 4% (2% here, 0.5% at 8k) for 7% more requests/s
 _CHUNK_TRIPLES = 16384
+
+#: the kernel's index type, as a dtype object: ``np.array`` / ``np.fromiter``
+#: convert a scalar type on every call
+_INDEX = np.dtype(np.int64)
+#: a running sum; the ufunc's own method skips ``ndarray.cumsum``'s dispatch
+_cumsum = np.add.accumulate
 
 
 class Shape(NamedTuple):
@@ -165,11 +171,14 @@ def ragged_chunks(
     real triples. A row lists its slots' candidate groups in topological
     order, group *g* being the ``widths[g] >= 1`` flat candidates after the
     groups before it; ``shapes[r]`` links a branching row's slots (None: a chain)."""
-    group = np.array(widths, dtype=np.int64)
-    slots = np.fromiter(chain.from_iterable(rows), dtype=np.int64)
-    start, width = (group.cumsum() - group).take(slots), group.take(slots)
-    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-    ends, bounds = lengths.cumsum(), [0, len(rows)]
+    # the ufuncs and plain indexing, not ndarray methods: at one short row a
+    # call's dispatch costs as much as its math
+    group = np.array(widths, _INDEX)
+    slots = np.fromiter(chain.from_iterable(rows), _INDEX)
+    width = group[slots]
+    start = _cumsum(group)[slots] - width
+    lengths = np.fromiter(map(len, rows), _INDEX, len(rows))
+    ends, bounds = _cumsum(lengths), [0, len(rows)]
     links = _links(lengths, ends, shapes) if shapes is not None and any(shapes) else None
     edges = len(width) if links is None else len(links[1])
     if len(rows) > 1 and max(edges, len(width)) * max(widths) ** 2 > _CHUNK_TRIPLES:  # else surely one chunk
@@ -179,18 +188,21 @@ def ragged_chunks(
             pairs[ends[:-1]] = 0  # a row's first slot has no predecessor
         else:
             e_slot, e_pred = links[1:3]
-            pairs = np.bincount(e_slot, width.take(e_slot) * width.take(e_pred), len(width)).astype(np.int64)
-        through = pairs.cumsum().take(ends - 1) // _CHUNK_TRIPLES
-        bounds[1:1] = (np.diff(through).nonzero()[0] + 1).tolist()
+            pairs = np.bincount(e_slot, width[e_slot] * width[e_pred], len(width)).astype(np.int64)
+        through = _cumsum(pairs)[ends - 1] // _CHUNK_TRIPLES
+        bounds[1:1] = ((through[1:] != through[:-1]).nonzero()[0] + 1).tolist()
+    if len(bounds) == 2:  # one chunk: the call's own columns
+        yield 0, len(rows), _ragged(start, width, lengths, ends, links)
+        return
     for r0, r1 in zip(bounds, bounds[1:]):
-        s0, s1 = int(ends[r0]) - len(rows[r0]), int(ends[r1 - 1])
+        s0, s1 = ends.item(r0) - len(rows[r0]), ends.item(r1 - 1)
         part = None
         if links is not None:
             depth, e_slot, e_pred, k_slot, k_ptr = links
             e0, e1 = e_slot.searchsorted([s0, s1]).tolist()
-            k0, k1 = int(k_ptr[r0]), int(k_ptr[r1])
+            k0, k1 = k_ptr.item(r0), k_ptr.item(r1)
             part = depth[s0:s1], e_slot[e0:e1] - s0, e_pred[e0:e1] - s0, k_slot[k0:k1] - s0, k_ptr[r0 : r1 + 1] - k0
-        yield r0, r1, _ragged(start[s0:s1], width[s0:s1], lengths[r0:r1], part)
+        yield r0, r1, _ragged(start[s0:s1], width[s0:s1], lengths[r0:r1], ends[r0:r1] - s0, part)
 
 
 def _links(
@@ -217,78 +229,74 @@ def _links(
 
 
 def _ragged(
-    start: np.ndarray, width: np.ndarray, lengths: np.ndarray, links: Optional[Tuple[np.ndarray, ...]]
+    start: np.ndarray, width: np.ndarray, lengths: np.ndarray, ends: np.ndarray, links: Optional[Tuple[np.ndarray, ...]]
 ) -> Ragged:
-    # ndarray methods: at one short row ``np.*``'s dispatch costs as much as the math
-    rows, slots, ends = len(lengths), len(width), lengths.cumsum()
+    rows, slots = len(lengths), len(width)
     in_row = np.arange(slots) - (ends - lengths).repeat(lengths)
     depth = in_row if links is None else links[0]  # a chain slot's depth is its position
     order = depth.argsort(kind="stable")
     rank = order.argsort()
-    w = width.take(order)
-    lane_end = w.cumsum()
+    w = width[order]
+    lane_end = _cumsum(w)
     lane_start = lane_end - w
     per_depth = np.bincount(depth)
-    sources = int(per_depth[0])
-    heads, lane_count = int(lane_end[sources - 1]), int(lane_end[-1])
+    sources = per_depth.item(0)
+    heads, lane_count = lane_end.item(sources - 1), lane_end.item(-1)
     w_on = w[sources:]
     fan: Optional[np.ndarray] = None  # predecessor slots per later slot; None: one each
     if links is None:  # a chain slot follows the one before it, its last slot is the sink
-        e_from, sink = rank.take(order[rows:] - 1), rank.take(ends - 1)
+        e_from, sink = rank[order[rows:] - 1], rank[ends - 1]
         head_rows = np.arange(rows).repeat(w[:rows])
     else:
         _, e_slot, e_pred, k_slot, k_ptr = links
-        e_rank = rank.take(e_slot)
-        e_from, sink = rank.take(e_pred).take(e_rank.argsort(kind="stable")), rank.take(k_slot)
+        e_rank = rank[e_slot]
+        e_from, sink = rank[e_pred][e_rank.argsort(kind="stable")], rank[k_slot]
         if len(e_from) > len(w_on):
             fan = np.bincount(e_rank - sources, minlength=len(w_on))
-        head_rows = np.arange(rows).repeat(lengths).take(order[:sources]).repeat(w[:sources])
+        head_rows = np.arange(rows).repeat(lengths)[order[:sources]].repeat(w[:sources])
     # a later lane's segment: one piece per predecessor slot, in their order
     if fan is None:
-        piece_len, piece_from = w.take(e_from).repeat(w_on), lane_start.take(e_from).repeat(w_on)
+        lane_from = e_from.repeat(w_on)
+        piece_len, piece_from = w[lane_from], lane_start[lane_from]
         seg_len = piece_len
     else:
         reps = fan * w_on
-        first = (reps.cumsum() - reps).repeat(reps)
-        edge = (fan.cumsum() - fan).repeat(reps) + (np.arange(len(first)) - first) % fan.repeat(reps)
-        piece_len, piece_from = w.take(e_from).take(edge), lane_start.take(e_from).take(edge)
+        first = (_cumsum(reps) - reps).repeat(reps)
+        edge = (_cumsum(fan) - fan).repeat(reps) + (np.arange(len(first)) - first) % fan.repeat(reps)
+        piece_len, piece_from = w[e_from][edge], lane_start[e_from][edge]
         fan_lane = fan.repeat(w_on)
-        seg_len = np.add.reduceat(piece_len, fan_lane.cumsum() - fan_lane)
-    piece_end = piece_len.cumsum()
-    seg_end = piece_end if fan is None else seg_len.cumsum()
+        seg_len = np.add.reduceat(piece_len, _cumsum(fan_lane) - fan_lane)
+    piece_end = _cumsum(piece_len)
+    seg_end = piece_end if fan is None else _cumsum(seg_len)
     seg_start = seg_end - seg_len
-    lanes = lane_end.take(per_depth.cumsum() - 1).tolist()
-    triples = [0, *seg_end.take(np.array(lanes[1:], dtype=np.int64) - (heads + 1)).tolist()]
+    # per depth its lanes' end, past the heads its first triple, and each
+    # segment's start from there
+    bound = lane_end[_cumsum(per_depth) - 1]
+    depth_from = seg_start[bound[:-1] - heads]
+    rel = seg_start - depth_from.repeat(bound[1:] - bound[:-1])
+    lanes, triples = bound.tolist(), [*depth_from.tolist(), piece_end.item(-1) if len(piece_end) else 0]
     positions = [
-        (slice(la, lb), slice(ta, tb), seg_start[la - heads : lb - heads] - ta, seg_len[la - heads : lb - heads])
+        (slice(la, lb), slice(ta, tb), rel[la - heads : lb - heads], seg_len[la - heads : lb - heads])
         for la, lb, ta, tb in zip(lanes, lanes[1:], triples, triples[1:])
     ]
     if len(sink) == rows:  # one sink slot per row
-        tail = lane_start.take(sink)[:, None] + np.arange(w.take(sink).max())
-        beyond = tail >= lane_end.take(sink)[:, None]
-        tail = np.minimum(tail, lane_count - 1)
+        sink_w = w[sink]
+        span = np.arange(max(sink_w.tolist()))
+        beyond = span >= sink_w[:, None]
+        tail = np.minimum(lane_start[sink][:, None] + span, lane_count - 1)
     else:
-        sink_w = w.take(sink)
+        sink_w = w[sink]
         per_row = np.add.reduceat(sink_w, k_ptr[:-1])
         beyond = np.arange(per_row.max()) >= per_row[:, None]
         tail = np.zeros(beyond.shape, dtype=np.int64)
-        sink_from = lane_start.take(sink) - (sink_w.cumsum() - sink_w)
-        tail[~beyond] = np.arange(int(sink_w.sum())) + sink_from.repeat(sink_w)
+        sink_from = lane_start[sink] - (_cumsum(sink_w) - sink_w)
+        tail[~beyond] = np.arange(sink_w.sum()) + sink_from.repeat(sink_w)
+    piece_start = seg_start if fan is None else piece_end - piece_len
     return Ragged(
-        np.arange(lane_count) + (start.take(order) - lane_start).repeat(w), head_rows, heads,
-        np.arange(triples[-1]) + (piece_from - (piece_end - piece_len)).repeat(piece_len), seg_len, positions,
-        tail, beyond, None if links is None else in_row.take(order).repeat(w),
+        np.arange(lane_count) + (start[order] - lane_start).repeat(w), head_rows, heads,
+        np.arange(triples[-1]) + (piece_from - piece_start).repeat(piece_len), seg_len, positions,
+        tail, beyond, None if links is None else in_row[order].repeat(w),
     )
-
-
-def segment_argmin(
-    values: np.ndarray, starts: np.ndarray, lengths: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per segment ``values[starts[i]:][:lengths[i]]`` (non-empty, no NaN): its
-    minimum and its first index holding it — ``argmin``'s tie-break."""
-    mins = np.minimum.reduceat(values, starts)
-    (hits,) = (values == mins.repeat(lengths)).nonzero()
-    return mins, hits.take(hits.searchsorted(starts))
 
 
 class Costs(Protocol):
@@ -321,11 +329,17 @@ def relax(
     for r0, r1, lay in ragged_chunks(widths, rows, shapes) if rows else ():
         labels = np.empty(len(lay.items))
         labels[: lay.heads] = costs.start(r0, r1, lay)
-        parent = np.full(len(labels), -1)
+        parent = np.empty(len(labels), _INDEX)
+        parent[: lay.heads] = -1  # every later lane is set at its depth
         for lanes, at, starts, lengths in lay.positions:
             pred = lay.pred[at]
-            labels[lanes], first = segment_argmin(costs.step(labels, pred, at), starts, lengths)
-            parent[lanes] = pred.take(first)
+            values = costs.step(labels, pred, at)
+            # per segment its minimum, straight into its lanes' labels, and the
+            # first triple holding it: ``argmin``'s tie-break (no NaN reaches here)
+            mins = np.minimum.reduceat(values, starts, out=labels[lanes])
+            (hits,) = (values == mins.repeat(lengths)).nonzero()
+            first = hits[hits.searchsorted(starts)]
+            parent[lanes] = pred[first]
             costs.keep(lanes, at, first)
         totals = costs.sink(labels)
         winner = (np.arange(r1 - r0), totals.argmin(axis=1))
@@ -344,17 +358,21 @@ class ProxyCosts(Costs):
     def __init__(
         self, provider: Any, proxies: Sequence[ProxyId], sources: Sequence[ProxyId], destinations: Sequence[ProxyId]
     ) -> None:
-        points, self.pairs = provider.points, provider.pairs
-        self.at, self.src, self.dst = points(proxies), points(sources), points(destinations)
+        self.pairs = provider.pairs
+        # one ``points`` call for all three, cut apart
+        points, n, m = provider.points([*proxies, *sources, *destinations]), len(proxies), len(sources)
+        self.at, self.src, self.dst = points[:n], points[n : n + m], points[n + m :]
 
     def start(self, r0: int, r1: int, lay: Ragged) -> np.ndarray:
+        # points may be rows (coordinates): a subscript gathers rows of two
+        # 5-12x slower than ``take`` along axis 0
         self.lay, self.rows = lay, slice(r0, r1)
         xy = self.xy = self.at.take(lay.items, axis=0)
         self.hop = self.pairs(xy.take(lay.pred, axis=0), xy[lay.heads :].repeat(lay.seg_len, axis=0))
-        return self.pairs(self.src[self.rows].take(lay.head_rows, axis=0), xy[: lay.heads])
+        return self.pairs(self.src[r0:r1].take(lay.head_rows, axis=0), xy[: lay.heads])
 
     def step(self, labels: np.ndarray, pred: np.ndarray, at: slice) -> np.ndarray:
-        via = labels.take(pred)
+        via = labels[pred]
         via += self.hop[at]
         return via
 
@@ -363,7 +381,7 @@ class ProxyCosts(Costs):
 
     def sink(self, labels: np.ndarray) -> np.ndarray:
         tail = self.lay.tail
-        totals = labels.take(tail) + self.pairs(self.xy.take(tail, axis=0), self.dst[self.rows][:, None])
+        totals = labels[tail] + self.pairs(self.xy.take(tail, axis=0), self.dst[self.rows][:, None])
         totals[self.lay.beyond] = np.inf
         return totals
 
@@ -591,12 +609,24 @@ ChildCandidates = Tuple[Tuple[ProxyId, ...], ...]
 
 class ClusterEntry(NamedTuple):
     """Per cluster, cached on the topology: members in overlay order, their placement
-    sets, each service's providers (in member order) and their keys, the SCT_C aggregate."""
+    sets, each service's providers (in member order) and their keys, the SCT_C aggregate,
+    and the members' placement read as one tuple (:func:`_reader`)."""
 
     members: List[ProxyId]
     placed: List[FrozenSet[str]]
     providers: Dict[str, Tuple[ProxyId, ...]]
     aggregate: FrozenSet[str]
+    read: Callable[[Any], Tuple[FrozenSet[str], ...]]
+
+
+def _reader(members: List[ProxyId]) -> Callable[[Any], Tuple[FrozenSet[str], ...]]:
+    """*members*' entries of a placement as one tuple: an ``itemgetter`` reads two
+    or more in one C call, where a ``map`` pays an iterator step per member."""
+    return itemgetter(*members) if len(members) > 1 else partial(_read_each, members)
+
+
+def _read_each(members: List[ProxyId], placement: Any) -> Tuple[FrozenSet[str], ...]:
+    return tuple(map(placement.__getitem__, members))
 
 
 def cluster_entry(hfc: Any, cluster: ClusterId) -> ClusterEntry:
@@ -605,7 +635,7 @@ def cluster_entry(hfc: Any, cluster: ClusterId) -> ClusterEntry:
     to) the set it was built from; a read finding one rewritten starts afresh."""
     cached, placement = vars(hfc).setdefault("_providers_cache", {}), hfc.overlay.placement
     entry = cached.get(cluster)
-    if entry is None or list(map(placement.__getitem__, entry.members)) != entry.placed:
+    if entry is None or list(entry.read(placement)) != entry.placed:
         members = entry.members if entry else sorted(hfc.members(cluster), key=hfc.overlay.index_of)
         placed = list(map(placement.__getitem__, members))
         lists: Dict[str, List[ProxyId]] = {}
@@ -613,7 +643,8 @@ def cluster_entry(hfc: Any, cluster: ClusterId) -> ClusterEntry:
             for service in offered:
                 lists.setdefault(service, []).append(proxy)
         providers = {service: tuple(proxies) for service, proxies in lists.items()}
-        entry = cached[cluster] = ClusterEntry(members, placed, providers, frozenset(providers))
+        read = entry.read if entry else _reader(members)
+        entry = cached[cluster] = ClusterEntry(members, placed, providers, frozenset(providers), read)
     return entry
 
 
@@ -663,7 +694,7 @@ def _move_members(cached: Dict[ClusterId, ClusterEntry], placement: Any, moves: 
         entry = cached.get(cluster)
         if entry is None:
             continue
-        members, placed, providers, aggregate = entry
+        members, placed, providers, aggregate, _ = entry
         for kind, proxy, _ in moved:
             if kind == "join":
                 members.append(proxy)
@@ -678,7 +709,8 @@ def _move_members(cached: Dict[ClusterId, ClusterEntry], placement: Any, moves: 
                     if not providers[service]:
                         del providers[service]
         if providers.keys() != aggregate:
-            cached[cluster] = entry._replace(aggregate=frozenset(providers))
+            aggregate = frozenset(providers)
+        cached[cluster] = entry._replace(aggregate=aggregate, read=_reader(members))
 
 
 def rebind_derived(
@@ -751,6 +783,8 @@ def solve_specs(
     least = 1 if isinstance(provider, CoordinateProvider) else 0
     wide = compress(range(len(widths)), map(int.__gt__, widths, repeat(least)))
     chains = sorted({owner[at] for at in wide} - refused)
+    if not chains:  # every child decided or refused
+        return picks, refused
     code: Dict[Tuple[ProxyId, ...], int] = {}
     rows = [[code.setdefault(slot, len(code)) for slot in candidates[start[i] : start[i + 1]]] for i in chains]
     proxies = list(chain.from_iterable(code))

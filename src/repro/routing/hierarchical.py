@@ -66,6 +66,7 @@ import numpy as np
 from repro.overlay.hfc import HFCTopology
 from repro.overlay.network import ProxyId
 from repro.routing.batch import (
+    _INDEX,
     BATCH_SIZE_BUCKETS,
     BatchRouteResult,
     Costs,
@@ -590,41 +591,41 @@ class HierarchicalRouter:
         destinations: Sequence[ProxyId],
     ) -> np.ndarray:
         """``label + tail`` of every sink label ``(rows, lanes)``, row *b*
-        ending at ``destinations[b]`` in cluster ``cds[b]`` (entries shifted by
-        one, 0 for none), in the association ``(ext + internal) + dist``. The
-        exact distances to a destination are a row over *its own cluster's*
-        borders only (all a destination proxy can know), from the same
-        ``space.distance`` calls, made once per destination and *tables*
+        ending at ``destinations[b]`` in cluster ``cds[b]`` (*entry*: the
+        ``d_entry`` row each label entered its cluster by, 0 for none), in the
+        association ``(ext + internal) + dist``. The exact distances to a
+        destination are a row over *its own cluster's* borders only (all a
+        destination proxy can know), from the same ``space.distance`` calls,
+        made once per destination and *tables*
         (:attr:`~repro.routing.batch.QueryTables.to_destination`).
         """
-        ext, exits_of, _, d_entry = tables.flat
+        ext, exits_of, entries_of, d_entry = tables.flat
         k, stride = tables.cluster_count, len(tables.border_list) + 1
-        cd = np.array(cds, dtype=np.int64)[:, None]
+        if self.method != "backtrack" or not tables.border_list:
+            return labels + ext[clusters * k + np.array(cds, _INDEX)[:, None]]
+        ptr, rows = tables.border_ptr.tolist(), tables.to_destination
+        distance = self._view.space.distance
+        # one 0.0 (no border) and, per distinct destination, the distances
+        # from its cluster's borders, asked once per tables object;
+        # ``base[pd] + shifted code`` finds one
+        to_pd, base = array("d", [0.0]), {}
+        for pd, c in zip(destinations, cds):
+            if pd not in base:
+                base[pd] = len(to_pd) - 1 - ptr[c]
+                row = rows.get(pd)
+                if row is None:
+                    borders = tables.border_list[ptr[c] : ptr[c + 1]]
+                    row = rows[pd] = array("d", map(distance, borders, repeat(pd)))
+                to_pd += row
+        cd, at = np.array([cds, list(map(base.__getitem__, destinations))], _INDEX)[:, :, None]
         out = clusters * k + cd
-        tail = ext.take(out)
-        if self.method == "backtrack" and tables.border_list:
-            ptr = tables.border_ptr.tolist()
-            distance = self._view.space.distance
-            # one 0.0 (no border) and, per distinct destination, the distances
-            # from its cluster's borders, asked once per tables object;
-            # ``base[pd] + shifted code`` finds one
-            to_pd, base, rows = array("d", [0.0]), {}, tables.to_destination
-            for pd, c in zip(destinations, cds):
-                if pd not in base:
-                    base[pd] = len(to_pd) - 1 - ptr[c]
-                    row = rows.get(pd)
-                    if row is None:
-                        borders = tables.border_list[ptr[c] : ptr[c + 1]]
-                        row = rows[pd] = array("d", map(distance, borders, repeat(pd)))
-                    to_pd += row
-            home = clusters == cd
-            internal = d_entry.take(entry * stride + exits_of.take(out))
-            # the border of cd the path reaches pd from; 0: none, no charge
-            via = np.where(home, entry, exits_of.take(cd * k + clusters))
-            at = np.array([base[pd] for pd in destinations], dtype=np.int64)[:, None] + via
-            dist = np.frombuffer(to_pd).take(np.where(via > 0, at, 0))
-            tail = np.where(home, dist, (tail + internal) + dist)
-        return labels + tail
+        home = clusters == cd
+        internal = d_entry[entry + exits_of[out]]
+        # the border of cd the path reaches pd from, shifted by one (0: none,
+        # no charge): the entry at home, else cd's border facing it
+        via = np.where(home, entry, entries_of[out]) // stride
+        dist = np.frombuffer(to_pd)[np.where(via > 0, at + via, 0)]
+        return labels + np.where(home, dist, (ext[out] + internal) + dist)
 
     # -- step 3: divide ---------------------------------------------------------
 
@@ -735,46 +736,47 @@ class _ClusterCosts(Costs):
     ) -> None:
         self.router, self.cds, self.destinations = router, cds, destinations
         self.tables = tables = query_tables(router._view)
-        self.stride = len(tables.border_list) + 1
-        self.internal = router.method == "backtrack" and self.stride > 1
-        self.clusters = np.fromiter(chain.from_iterable(offering.values()), dtype=np.int64)
-        self.sources = np.array(sources, dtype=np.int64)
+        # k as an array: a numpy operand skips a Python int's conversion
+        self.k, stride = np.array(tables.cluster_count), len(tables.border_list) + 1
+        self.internal = router.method == "backtrack" and stride > 1
+        self.clusters = np.fromiter(chain.from_iterable(offering.values()), _INDEX)
+        # each row's ``ext`` row: its source cluster times k
+        self.sources = np.array(sources, _INDEX) * self.k
 
     def start(self, r0: int, r1: int, lay: Ragged) -> np.ndarray:
-        ext, exits_of, entries_of, _ = self.tables.flat
-        k = self.tables.cluster_count
+        ext, exits_of, entries_of, self.d_entry = self.tables.flat
         self.lay, self.rows = lay, slice(r0, r1)
-        lane_cluster = self.lane_cluster = self.clusters.take(lay.items)
-        head = self.sources[self.rows].take(lay.head_rows) * k + lane_cluster[: lay.heads]
-        self.entry = np.zeros(len(lane_cluster), dtype=np.int64)
-        self.entry[: lay.heads] = entries_of.take(head)
+        lane_cluster = self.lane_cluster = self.clusters[lay.items]
+        head = self.sources[r0:r1][lay.head_rows] + lane_cluster[: lay.heads]
+        self.entry = np.zeros(len(lane_cluster), _INDEX)
+        self.entry[: lay.heads] = entries_of[head]
         # few triple-length arrays stay alive: int32 border codes
-        kp = lane_cluster.take(lay.pred)
-        kp *= k
+        kp = lane_cluster[lay.pred]
+        kp *= self.k
         kp += lane_cluster[lay.heads :].repeat(lay.seg_len)
-        self.hop = ext.take(kp)
+        self.hop = ext[kp]
         if self.internal:
-            self.exits, self.entries = exits_of.take(kp), entries_of.take(kp)
-            self.same = self.entries == 0
-        return ext.take(head)
+            self.exits, self.entries = exits_of[kp], entries_of[kp]
+        return ext[head]
 
     def step(self, labels: np.ndarray, pred: np.ndarray, at: slice) -> np.ndarray:
-        costs = labels.take(pred)
+        costs = labels[pred]
         costs += self.hop[at]
         if self.internal:  # entry border of each label to its exit border
-            self.held = self.entry.take(pred)
-            costs += self.tables.flat[3].take(self.held + self.exits[at])
+            self.held = self.entry[pred]
+            costs += self.d_entry[self.held + self.exits[at]]
         return costs
 
     def keep(self, lanes: slice, at: slice, first: np.ndarray) -> None:
-        if self.internal:  # a candidate in its predecessor's cluster keeps its entry
-            self.entry[lanes] = np.where(self.same[at], self.held, self.entries[at]).take(first)
+        if self.internal:  # a candidate in its predecessor's cluster (no entry) keeps its entry
+            entries = self.entries[at]
+            self.entry[lanes] = np.where(entries, entries, self.held)[first]
 
     def sink(self, labels: np.ndarray) -> np.ndarray:
         tail = self.lay.tail
-        block = labels.take(tail)
+        block = labels[tail]
         block[self.lay.beyond] = np.inf
         return self.router._sink(
-            self.tables, block, self.entry.take(tail) // self.stride, self.lane_cluster.take(tail),
+            self.tables, block, self.entry[tail], self.lane_cluster[tail],
             self.cds[self.rows], self.destinations[self.rows],
         )

@@ -25,6 +25,10 @@ from repro.coords.space import CoordinateSpace
 from repro.overlay.network import OverlayNetwork, ProxyId
 from repro.util.errors import RoutingError
 
+#: einsum's C entry, which ``np.einsum`` calls unchanged when ``optimize`` is
+#: off, and the bound ufunc: a routed call measures a few short arrays
+_c_einsum, _sqrt = np.einsum.__wrapped__.__globals__["c_einsum"], np.sqrt
+
 
 class DistanceProvider(ABC):
     """Distance oracle between overlay proxies."""
@@ -59,7 +63,7 @@ class CoordinateProvider(DistanceProvider):
 
     def pairs(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         diff = us - vs
-        return np.sqrt(np.einsum("...k,...k->...", diff, diff))
+        return _sqrt(_c_einsum("...k,...k->...", diff, diff))
 
 
 class MatrixProvider(DistanceProvider):

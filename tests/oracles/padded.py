@@ -189,9 +189,9 @@ class PaddedCspRouter(HierarchicalRouter):
                 labels[:n] = np.where(vmask[:n, t], costs[at[:n], win, lane], np.inf)
                 parents.append(win)
 
-            # the production sink reads entry codes shifted by one (0 = none)
+            # the production sink reads entries as d_entry rows (0 = none)
             totals = self._sink(
-                tables, labels, entry + 1, cand[at[:, 0], last], cds, destinations
+                tables, labels, (entry + 1) * (len(tables.border_list) + 1), cand[at[:, 0], last], cds, destinations
             )
             winner = np.argmin(totals, axis=1)
             bounds = totals[at[:, 0], winner].tolist()

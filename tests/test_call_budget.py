@@ -1,0 +1,58 @@
+"""A routed call's fixed cost, counted rather than timed.
+
+One single route and one 15-request batch on a seeded n=150 overlay make at
+most the numpy calls they make today, counted from ``repro`` frames by
+``scripts/profile_e2e.py::count_calls`` (numpy C functions, array and ufunc
+methods and numpy Python functions; an operator, a subscript or a direct
+ufunc application makes no profile event). A change that adds work before a
+call's first request fails here on any host, however fast.
+
+Before the kernel was cut down (the layout, relaxation and gathers of
+``routing/batch.py`` and ``routing/hierarchical.py`` as they stood with
+``tests/oracles/ragged.py``'s layout) the same counter read 184 numpy
+calls (and 162 Python calls) for the single route, 299 (486) for the batch;
+now 117 (144) and 175 (455). Nearly all of the numpy drop is ``take``
+turned into a subscript (74 calls to 5 in the single route), which the hook
+does not see; the gain in time is cheaper calls more than fewer.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from repro.core import HFCFramework
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("profile_e2e", ROOT / "scripts" / "profile_e2e.py")
+profile_e2e = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(profile_e2e)
+
+#: numpy calls per call today: raise only with a reason, lower freely
+BUDGET = {"single": 117, "batch": 175}
+
+
+@pytest.fixture(scope="module")
+def warm():
+    """The router with its query tables, provider index and destination rows
+    built, and the 15 seeded requests it has routed once."""
+    framework = HFCFramework.build(proxy_count=150, seed=11)
+    router = framework.hierarchical_router()
+    requests = [framework.random_request(seed=seed) for seed in range(15)]
+    router.route_many_detailed(requests)
+    return router, requests
+
+
+def test_a_single_route_stays_within_its_numpy_calls(warm):
+    router, requests = warm
+    path, numpy, python = profile_e2e.count_calls(lambda: router.route(requests[0]))
+    assert path == router.route(requests[0])
+    assert python > 0
+    assert numpy <= BUDGET["single"]
+
+
+def test_a_batch_of_15_stays_within_its_numpy_calls(warm):
+    router, requests = warm
+    result, numpy, _ = profile_e2e.count_calls(lambda: router.route_many_detailed(requests))
+    assert result.infeasible_count == 0
+    assert numpy <= BUDGET["batch"]
