@@ -566,7 +566,7 @@ def run_mesh_family_ablation(
     )
     regular = build_mesh(fw.overlay, seed=spawn(rng, "mesh"))
     gabriel = build_gabriel_mesh(fw.overlay)
-    hfc_graph_edges = fw.hfc.overlay_graph("coords").edge_count
+    hfc_graph_edges = fw.hfc.link_count()
     rows = [
         MeshFamilyRow(
             topology="regular mesh (paper)",

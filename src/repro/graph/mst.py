@@ -1,119 +1,20 @@
-"""Minimum spanning trees: Kruskal (with union-find) and Prim.
+"""The Euclidean minimum spanning tree: a numpy Borůvka over a kd-tree.
 
 Zahn's clustering (Section 3.2 of the paper) removes "inconsistent" edges
 from the MST of the proxy coordinate cloud. The cloud's distance graph is
-complete, so we also provide :func:`euclidean_mst`, a numpy Borůvka over a
-kd-tree of the points: a point's tree neighbours are its geometric
-neighbours, so the search never scores all n² pairs.
+complete, so :func:`euclidean_mst` never builds it: a point's tree
+neighbours are its geometric neighbours, so the search never scores all n²
+pairs. Kruskal and Prim over a ``Graph`` are its test oracles
+(``tests/oracles/construction.py``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from repro.graph.graph import Graph
 from repro.util.errors import GraphError
-
-Node = Hashable
-
-
-class UnionFind:
-    """Disjoint-set forest with path compression and union by rank."""
-
-    def __init__(self, items: Sequence[Node] = ()) -> None:
-        self._parent: Dict[Node, Node] = {}
-        self._rank: Dict[Node, int] = {}
-        for item in items:
-            self.add(item)
-
-    def add(self, item: Node) -> None:
-        """Register *item* as its own singleton set (no-op if known)."""
-        if item not in self._parent:
-            self._parent[item] = item
-            self._rank[item] = 0
-
-    def find(self, item: Node) -> Node:
-        """Representative of *item*'s set (with path compression)."""
-        if item not in self._parent:
-            raise GraphError(f"{item!r} not in union-find")
-        root = item
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[item] != root:
-            self._parent[item], item = root, self._parent[item]
-        return root
-
-    def union(self, a: Node, b: Node) -> bool:
-        """Merge the sets of *a* and *b*; returns False if already merged."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self._rank[ra] < self._rank[rb]:
-            ra, rb = rb, ra
-        self._parent[rb] = ra
-        if self._rank[ra] == self._rank[rb]:
-            self._rank[ra] += 1
-        return True
-
-    def connected(self, a: Node, b: Node) -> bool:
-        """True if *a* and *b* are in the same set."""
-        return self.find(a) == self.find(b)
-
-    def groups(self) -> List[List[Node]]:
-        """All sets as lists (deterministic order by first insertion)."""
-        by_root: Dict[Node, List[Node]] = {}
-        for item in self._parent:
-            by_root.setdefault(self.find(item), []).append(item)
-        return list(by_root.values())
-
-
-def kruskal_mst(graph: Graph) -> Graph:
-    """Minimum spanning forest of *graph* via Kruskal's algorithm.
-
-    Works on disconnected graphs (returns a spanning forest). Ties are broken
-    deterministically by edge insertion order.
-    """
-    forest = Graph()
-    forest.add_nodes(graph.nodes())
-    uf = UnionFind(graph.nodes())
-    edges = sorted(graph.edges(), key=lambda e: e[2])
-    for u, v, w in edges:
-        if uf.union(u, v):
-            forest.add_edge(u, v, w)
-    return forest
-
-
-def prim_mst(graph: Graph) -> Graph:
-    """Minimum spanning tree via Prim; raises if *graph* is disconnected."""
-    import heapq
-
-    nodes = graph.nodes()
-    if not nodes:
-        return Graph()
-    tree = Graph()
-    tree.add_node(nodes[0])
-    visited = {nodes[0]}
-    heap: List[Tuple[float, int, Node, Node]] = []
-    counter = 0
-    for v, w in graph.neighbors(nodes[0]).items():
-        heapq.heappush(heap, (w, counter, nodes[0], v))
-        counter += 1
-    while heap and len(visited) < len(nodes):
-        w, _, u, v = heapq.heappop(heap)
-        if v in visited:
-            continue
-        visited.add(v)
-        tree.add_edge(u, v, w)
-        for nxt, nw in graph.neighbors(v).items():
-            if nxt not in visited:
-                heapq.heappush(heap, (nw, counter, v, nxt))
-                counter += 1
-    if len(visited) < len(nodes):
-        raise GraphError("prim_mst requires a connected graph")
-    return tree
-
 
 #: points per kd-tree leaf: the tree is as deep as it takes to get every
 #: leaf down to this many

@@ -10,10 +10,10 @@ questions the overlay layer asks:
   the paper's noise treatment available (take the minimum of several
   probes, Section 3.1).
 
-Single-source delays are float rows over the router ids, computed by one
-numpy relaxation kernel over the topology's edge columns and cached per
-source, because the experiments ask for delays from the same proxies
-thousands of times.
+Single-source delays are float rows over the router ids, computed by the
+relaxation kernel (:class:`repro.graph.shortest_paths.ArcIndex`) over the
+topology's edge columns and cached per source, because the experiments ask
+for delays from the same proxies thousands of times.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
 import numpy as np
 
 from repro.graph.graph import Graph
-from repro.graph.shortest_paths import dijkstra, reconstruct_path
+from repro.graph.shortest_paths import ArcIndex, walk
 from repro.netsim.topology import PhysicalTopology
 from repro.telemetry import Telemetry, get_telemetry
 from repro.util.errors import TopologyError
@@ -38,8 +38,7 @@ class DelayRow(Mapping[int, float]):
     ``array[v]`` is the delay to router ``v``, ``inf`` where ``v`` cannot be
     reached; the kernels read :attr:`array` directly, and ``item`` is its
     scalar read, bound once because :meth:`PhysicalNetwork.delay` does one per
-    simulated message. As a mapping it holds the reachable routers only, like
-    the ``dist`` dict of :func:`repro.graph.shortest_paths.dijkstra`.
+    simulated message. As a mapping it holds the reachable routers only.
     """
 
     __slots__ = ("array", "item")
@@ -92,24 +91,10 @@ class PhysicalNetwork:
         self._rng = ensure_rng(seed)
         self._registry = (telemetry if telemetry is not None else get_telemetry()).registry
         self._rows: Dict[int, DelayRow] = {}
-        self._parent_cache: Dict[int, Dict[int, int]] = {}
-        # The relaxation kernel's index: every link as two arcs (arc j < m runs
-        # edge_u[j] -> edge_v[j], arc m + j the other way), sorted by destination
-        # so one ``reduceat`` takes each router's best offer. The sort key is the
-        # narrowest dtype that holds a router id: numpy radix-sorts 16-bit keys.
-        narrow = np.min_scalar_type(max(topology.node_count - 1, 0))
-        dst = np.concatenate(
-            [topology.edge_v, topology.edge_u], dtype=narrow, casting="unsafe"
+        self._parents: Dict[int, np.ndarray] = {}
+        self._arcs = ArcIndex(
+            topology.node_count, topology.edge_u, topology.edge_v, topology.edge_w
         )
-        order = np.argsort(dst, kind="stable")
-        dst = dst[order]
-        starts = np.empty(len(dst), dtype=bool)
-        starts[:1] = True
-        np.not_equal(dst[1:], dst[:-1], out=starts[1:])
-        self._arc_heads = np.flatnonzero(starts)
-        self._arc_dst = dst[self._arc_heads].astype(np.intp)
-        self._arc_src = np.concatenate([topology.edge_u, topology.edge_v]).take(order)
-        self._arc_w = topology.edge_w.take(order, mode="wrap")
 
     @property
     def graph(self) -> Graph:
@@ -127,29 +112,10 @@ class PhysicalNetwork:
             return row
 
     def _relax(self, source: int) -> np.ndarray:
-        """Shortest-path delays from *source* as a float row, ``inf`` = unreachable.
-
-        Synchronous relaxation: every round each router takes the minimum of its
-        delay and ``delay[neighbour] + link`` over its arcs, until nothing moves
-        (longest shortest path's hops + 1 rounds). Float addition is monotone, so
-        the fixpoint is Dijkstra's left-to-right path sums bit for bit (DESIGN §7).
-        """
+        """Shortest-path delays from *source* as a float row, ``inf`` = unreachable."""
         if source not in self.topology.node_kind:
             raise TopologyError(f"unknown router {source!r}")
-        dist = np.full(self.topology.node_count, _INF)
-        dist[source] = 0.0
-        src, w, heads, dst = self._arc_src, self._arc_w, self._arc_heads, self._arc_dst
-        offers = np.empty(len(src))
-        rounds = 0
-        while len(src):
-            rounds += 1
-            np.take(dist, src, out=offers)
-            offers += w
-            held = dist[dst]
-            best = np.minimum(held, np.minimum.reduceat(offers, heads))
-            if np.array_equal(best, held):
-                break
-            dist[dst] = best
+        dist, rounds = self._arcs.distances(source)
         self._registry.counter("physical.rows").inc()
         self._registry.histogram("physical.relax_rounds").observe(rounds)
         return dist
@@ -158,12 +124,11 @@ class PhysicalNetwork:
         """The router sequence of the shortest-delay path from *u* to *v*."""
         if u == v:
             return [u]
-        parents = self._parent_cache.get(u)
+        self.delay(u, v)  # unknown and unreachable routers raise here
+        parents = self._parents.get(u)
         if parents is None:
-            parents = self._parent_cache[u] = dijkstra(self.graph, u)[1]
-        if v not in parents:
-            raise TopologyError(f"router {v!r} unreachable from {u!r}")
-        return reconstruct_path(parents, u, v)
+            parents = self._parents[u] = self._arcs.parents(self.delays_from(u).array, u)
+        return walk(parents, u, v)
 
     def delay(self, u: int, v: int) -> float:
         """True end-to-end delay between routers *u* and *v* (ms)."""

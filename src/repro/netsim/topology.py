@@ -128,8 +128,8 @@ class PhysicalTopology:
     @cached_property
     def graph(self) -> Graph:
         """The links as a weighted :class:`Graph`, derived on first use: a view
-        for the object API (neighbours, ``has_edge``, ``PhysicalNetwork.route``'s
-        parent pointers). The columns stay the truth; nothing writes through it."""
+        for the object API (neighbours, ``has_edge``, the shortest-path
+        oracle). The columns stay the truth; nothing writes through it."""
         graph = Graph()
         graph.add_nodes(range(self.node_count))
         for u, v, w in zip(self.edge_u.tolist(), self.edge_v.tolist(), self.edge_w.tolist()):

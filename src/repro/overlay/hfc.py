@@ -22,14 +22,14 @@ ground truth therefore exercises the same imprecision the real system would.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.cluster.mstcluster import Clustering
 from repro.coords.space import CoordinateSpace, cross_distances
-from repro.graph.graph import Graph
-from repro.graph.shortest_paths import dijkstra, reconstruct_path
+from repro.graph.shortest_paths import ArcIndex, chain_sums, walk
 from repro.overlay.network import OverlayNetwork, ProxyId
 from repro.util.errors import TopologyError
 
@@ -50,6 +50,7 @@ class HFCTopology:
     _matrices: Optional[Tuple[np.ndarray, np.ndarray]] = field(
         default=None, init=False, repr=False
     )
+    _tables: Optional["BorderTables"] = field(default=None, init=False, repr=False)
 
     # -- basic accessors -----------------------------------------------------
 
@@ -108,53 +109,42 @@ class HFCTopology:
 
     # -- derived structures -------------------------------------------------------
 
-    def overlay_graph(self, weight: str = "coords") -> Graph:
-        """The explicit HFC overlay graph.
-
-        ``weight="coords"`` uses coordinate estimates (what routing sees);
-        ``weight="true"`` uses ground-truth delays (what evaluation sees).
-        Intra-cluster: complete; inter-cluster: border links only.
-        """
-        if weight not in ("coords", "true"):
-            raise TopologyError(f"weight must be 'coords' or 'true', got {weight!r}")
-        measure = (
-            self.space.distance if weight == "coords" else self.overlay.true_delay
-        )
-        graph = Graph()
-        graph.add_nodes(self.overlay.proxies)
-        for members in self.clustering.clusters:
-            for a_idx, u in enumerate(members):
-                for v in members[a_idx + 1 :]:
-                    graph.add_edge(u, v, measure(u, v))
-        for (i, j), u in self.borders.items():
-            if i < j:
-                v = self.borders[(j, i)]
-                if u != v and not graph.has_edge(u, v):
-                    graph.add_edge(u, v, measure(u, v))
-        return graph
+    def link_count(self) -> int:
+        """Links of the HFC overlay graph: every member pair inside a cluster,
+        and one external link per cluster pair (its two borders lie in
+        different clusters, so no two pairs share one)."""
+        internal = sum(len(m) * (len(m) - 1) // 2 for m in self.clustering.clusters)
+        return internal + len(self.borders) // 2
 
     def expand_hop(self, u: ProxyId, v: ProxyId) -> List[ProxyId]:
         """The relay sequence an HFC full-state router uses from *u* to *v*.
 
-        Same-cluster pairs are direct; cross-cluster pairs go through border
-        proxies along the coordinate-shortest route in the HFC overlay graph.
+        Same-cluster pairs are direct. A cross-cluster pair leaves through
+        the exit border and enters through the entry border that
+        :meth:`routing_matrices` costs it with, and runs between them along
+        the border graph's shortest route.
         """
         if u == v:
             return [u]
-        if self.clustering.same_cluster(u, v):
+        ci, cj = self.cluster_of(u), self.cluster_of(v)
+        if ci == cj:
             return [u, v]
-        graph = self._cached_overlay_graph()
-        dist, parent = dijkstra(graph, u, targets=[v])
-        if v not in dist:
-            raise TopologyError(f"{v!r} unreachable from {u!r} in HFC overlay")
-        return reconstruct_path(parent, u, v)
-
-    def _cached_overlay_graph(self) -> Graph:
-        cached = getattr(self, "_overlay_graph_cache", None)
-        if cached is None:
-            cached = self.overlay_graph("coords")
-            self._overlay_graph_cache = cached
-        return cached
+        tables = self._border_tables()
+        own, theirs = tables.own[ci], tables.own[cj]
+        exits, entries, _ = _cross_routes(
+            tables.links[ci][tables.row[u]][None, :],
+            tables.route[np.ix_(own, theirs)],
+            tables.links[cj][tables.row[v]][None, :],
+        )
+        last = int(entries[0, 0])
+        first = int(own[exits[0, last]])
+        hops = walk(tables.parent[first], first, int(theirs[last]))
+        relays = [tables.proxies[b] for b in hops]
+        if relays[0] != u:
+            relays.insert(0, u)
+        if relays[-1] != v:
+            relays.append(v)
+        return relays
 
     def routing_matrices(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(route, true)`` distance matrices in overlay proxy-index order.
@@ -170,6 +160,13 @@ class HFCTopology:
             self._matrices = self._compute_matrices()
         return self._matrices
 
+    def _border_tables(self) -> "BorderTables":
+        """The border graph's shortest routes and each cluster's links to its
+        borders (cached): what both :meth:`expand_hop` and the matrices read."""
+        if self._tables is None:
+            self._tables = BorderTables.build(self)
+        return self._tables
+
     def _compute_matrices(self) -> Tuple[np.ndarray, np.ndarray]:
         overlay = self.overlay
         proxies = overlay.proxies
@@ -177,7 +174,6 @@ class HFCTopology:
         route = np.zeros((n, n), dtype=float)
         true = np.zeros((n, n), dtype=float)
 
-        coords_all = self.space.array(proxies)
         true_all = overlay.true_delay_matrix()
         index = {p: i for i, p in enumerate(proxies)}
 
@@ -187,11 +183,8 @@ class HFCTopology:
         ]
 
         # Intra-cluster: direct links.
-        for idxs in member_idx:
-            pts = coords_all[idxs]
-            diff = pts[:, None, :] - pts[None, :, :]
-            d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-            route[np.ix_(idxs, idxs)] = d
+        for members, idxs in zip(self.clustering.clusters, member_idx):
+            route[np.ix_(idxs, idxs)] = self.space.distance_matrix(members)
             true[np.ix_(idxs, idxs)] = true_all[np.ix_(idxs, idxs)]
 
         if self.cluster_count <= 1:
@@ -199,104 +192,106 @@ class HFCTopology:
             np.fill_diagonal(true, 0.0)
             return route, true
 
-        # Border graph: all border proxies; intra-cluster border-border links
-        # plus external links; weights are coordinate estimates, with a
-        # companion true-delay along each chosen border route.
-        border_list = self.all_border_nodes()
-        b_index = {b: i for i, b in enumerate(border_list)}
-        border_graph = Graph()
-        border_graph.add_nodes(border_list)
-        border_cluster = {b: self.cluster_of(b) for b in border_list}
-        for a_pos, b1 in enumerate(border_list):
-            for b2 in border_list[a_pos + 1 :]:
-                if border_cluster[b1] == border_cluster[b2]:
-                    border_graph.add_edge(b1, b2, self.space.distance(b1, b2))
-        for (i, j), u in self.borders.items():
-            if i < j:
-                v = self.borders[(j, i)]
-                if u != v and not border_graph.has_edge(u, v):
-                    border_graph.add_edge(u, v, self.space.distance(u, v))
-
-        nb = len(border_list)
-        db_route = np.full((nb, nb), np.inf)
-        db_true = np.full((nb, nb), np.inf)
-        for b1 in border_list:
-            dist, parent = dijkstra(border_graph, b1)
-            i1 = b_index[b1]
-            db_route[i1, i1] = 0.0
-            db_true[i1, i1] = 0.0
-            for b2, d in dist.items():
-                if b2 == b1:
-                    continue
-                hops = reconstruct_path(parent, b1, b2)
-                t = sum(
-                    true_all[index[a], index[b]] for a, b in zip(hops, hops[1:])
-                )
-                db_route[i1, b_index[b2]] = d
-                db_true[i1, b_index[b2]] = t
-
-        # Per-cluster member->border direct links.
-        borders_of = [
-            np.array([b_index[b] for b in self.border_nodes(cid)], dtype=int)
-            for cid in range(self.cluster_count)
+        # The true delay of every border route, summed hop by hop from its
+        # start, and of every member's direct links to its own borders.
+        tables = self._border_tables()
+        border_idx = np.array([index[b] for b in tables.proxies], dtype=int)
+        hops = true_all[np.ix_(border_idx, border_idx)]
+        db_true = chain_sums(
+            tables.parent, hops[np.maximum(tables.parent, 0), np.arange(len(border_idx))]
+        )
+        links_true = [
+            true_all[np.ix_(idxs, border_idx[own])]
+            for idxs, own in zip(member_idx, tables.own)
         ]
-        border_proxy_idx = np.array([index[b] for b in border_list], dtype=int)
 
-        # P[c]: members(c) x all-borders — cheapest route from each member out
-        # through any own border to every border node in the system.
-        p_route: List[np.ndarray] = []
-        p_true: List[np.ndarray] = []
-        for cid in range(self.cluster_count):
-            idxs = member_idx[cid]
-            own = borders_of[cid]
-            pts = coords_all[idxs]
-            own_pts = coords_all[border_proxy_idx[own]]
-            a_route = np.sqrt(
-                np.einsum(
-                    "ijk,ijk->ij",
-                    pts[:, None, :] - own_pts[None, :, :],
-                    pts[:, None, :] - own_pts[None, :, :],
-                )
-            )
-            a_true = true_all[np.ix_(idxs, border_proxy_idx[own])]
-            # min-plus over own borders: (m x own) + (own x nb)
-            stack = a_route[:, :, None] + db_route[own][None, :, :]
-            choice = np.argmin(stack, axis=1)
-            pr = np.take_along_axis(stack, choice[:, None, :], axis=1)[:, 0, :]
-            stack_t = a_true[:, :, None] + db_true[own][None, :, :]
-            pt = np.take_along_axis(stack_t, choice[:, None, :], axis=1)[:, 0, :]
-            p_route.append(pr)
-            p_true.append(pt)
-
-        # Cross-cluster distances: enter cluster j through one of its borders.
+        # Cross-cluster: out through an own border, along the border graph,
+        # in through one of the destination cluster's borders.
         for ci in range(self.cluster_count):
             for cj in range(self.cluster_count):
                 if ci == cj:
                     continue
-                idx_i = member_idx[ci]
-                idx_j = member_idx[cj]
-                bj = borders_of[cj]
-                pts_j = coords_all[idx_j]
-                bj_pts = coords_all[border_proxy_idx[bj]]
-                a_route = np.sqrt(
-                    np.einsum(
-                        "ijk,ijk->ij",
-                        pts_j[:, None, :] - bj_pts[None, :, :],
-                        pts_j[:, None, :] - bj_pts[None, :, :],
-                    )
+                own, theirs = tables.own[ci], tables.own[cj]
+                exits, entries, r = _cross_routes(
+                    tables.links[ci], tables.route[np.ix_(own, theirs)], tables.links[cj]
                 )
-                a_true = true_all[np.ix_(idx_j, border_proxy_idx[bj])]
-                stack = p_route[ci][:, bj][:, None, :] + a_route[None, :, :]
-                choice = np.argmin(stack, axis=2)
-                r = np.take_along_axis(stack, choice[:, :, None], axis=2)[:, :, 0]
-                stack_t = p_true[ci][:, bj][:, None, :] + a_true[None, :, :]
-                t = np.take_along_axis(stack_t, choice[:, :, None], axis=2)[:, :, 0]
-                route[np.ix_(idx_i, idx_j)] = r
-                true[np.ix_(idx_i, idx_j)] = t
+                to_entry = np.take_along_axis(links_true[ci], exits, axis=1) + db_true[
+                    own[exits], theirs[None, :]
+                ]
+                t = np.take_along_axis(to_entry, entries, axis=1) + links_true[cj][
+                    np.arange(len(member_idx[cj]))[None, :], entries
+                ]
+                route[np.ix_(member_idx[ci], member_idx[cj])] = r
+                true[np.ix_(member_idx[ci], member_idx[cj])] = t
 
         np.fill_diagonal(route, 0.0)
         np.fill_diagonal(true, 0.0)
         return route, true
+
+
+@dataclass(frozen=True)
+class BorderTables:
+    """Shortest routes over the border graph: every border proxy, linked to
+    its cluster's other borders and over the external links, at coordinate
+    lengths. ``proxies[b]`` is border ``b`` (sorted), ``own[c]`` cluster
+    ``c``'s borders; ``route[s, b]`` is the length of the route from ``s`` to
+    ``b`` and ``parent[s, b]`` ``b``'s predecessor on it (-1 at ``s``).
+    ``links[c][r, x]`` is the length from the ``r``-th member of cluster
+    ``c`` (``row`` maps a proxy to its ``r``) to ``own[c][x]``."""
+
+    proxies: List[ProxyId]
+    own: List[np.ndarray]
+    route: np.ndarray
+    parent: np.ndarray
+    links: List[np.ndarray]
+    row: Dict[ProxyId, int]
+
+    @classmethod
+    def build(cls, hfc: HFCTopology) -> "BorderTables":
+        space = hfc.space
+        proxies = hfc.all_border_nodes()
+        position = {b: i for i, b in enumerate(proxies)}
+        own = [
+            np.array([position[b] for b in hfc.border_nodes(cid)], dtype=int)
+            for cid in range(hfc.cluster_count)
+        ]
+        pairs = [pair for positions in own for pair in combinations(positions.tolist(), 2)]
+        pairs += [
+            (position[b], position[hfc.borders[(j, i)]])
+            for (i, j), b in hfc.borders.items()
+            if i < j
+        ]
+        u, v = zip(*pairs)
+        arcs = ArcIndex(
+            len(proxies), u, v, [space.distance(proxies[a], proxies[b]) for a, b in pairs]
+        )
+        rows = [arcs.distances(s)[0] for s in range(len(proxies))]
+        parent = np.array([arcs.parents(row, s) for s, row in enumerate(rows)])
+        links = []
+        for cid, positions in enumerate(own):
+            pts = space.array(hfc.members(cid))
+            diff = pts[:, None, :] - space.array([proxies[b] for b in positions])[None, :, :]
+            links.append(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)))
+        row = {p: r for members in hfc.clustering.clusters for r, p in enumerate(members)}
+        return cls(proxies, own, np.array(rows), parent, links, row)
+
+
+def _cross_routes(
+    exit_links: np.ndarray, border_route: np.ndarray, entry_links: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rule both the matrices and the relay expansion pick borders by.
+
+    *exit_links* ``(a, x)``: sources to their cluster's ``x`` borders;
+    *border_route* ``(x, y)``: those to the destination cluster's ``y``
+    borders; *entry_links* ``(b, y)``: destinations to those. Returns
+    ``exits[i, e]``, the exit from source ``i`` towards entry ``e``,
+    ``entries[i, j]``, the entry from ``i`` to destination ``j`` (each the
+    first of equally short ones), and the route lengths ``(a, b)``.
+    """
+    stack = exit_links[:, :, None] + border_route[None, :, :]
+    exits = stack.argmin(axis=1)
+    stack = stack.min(axis=1)[:, None, :] + entry_links[None, :, :]
+    return exits, stack.argmin(axis=2), stack.min(axis=2)
 
 
 def closest_cross_pair(

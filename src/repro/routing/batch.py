@@ -12,7 +12,7 @@ resolution crosses. This module hosts the structures one pipeline call
   ``space.distance``), so the vectorized relaxation consumes bit-identical
   floats and can promise bit-identical cluster-level paths. The tables are
   cached on the topology object itself (the convention ``_matrices`` and
-  the overlay-graph cache already follow): dynamic membership materialises
+  the border tables already follow): dynamic membership materialises
   a fresh topology after every churn event, so the cache can never go
   stale.
 * :func:`child_specs` — the conquer candidates of a call's children, from

@@ -15,12 +15,12 @@ HFC overlay graph.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import Any, List
 
 import numpy as np
 
 from repro.graph.graph import Graph
-from repro.graph.shortest_paths import dijkstra, reconstruct_path
+from repro.graph.shortest_paths import ArcIndex, walk
 from repro.overlay.hfc import HFCTopology
 from repro.overlay.network import OverlayNetwork, ProxyId
 from repro.routing.flat import FlatRouter
@@ -31,9 +31,9 @@ from repro.util.errors import RoutingError
 class MeshRouter(FlatRouter):
     """Optimal service routing over an overlay mesh.
 
-    Precomputes all-pairs mesh shortest paths (distances + parent tables) at
-    construction, then answers requests through the generic flat solver with
-    relay expansion along mesh routes.
+    Precomputes mesh shortest paths from every proxy (distances + parent
+    rows, one kernel run each) at construction, then answers requests
+    through the generic flat solver with relay expansion along mesh routes.
     """
 
     def __init__(self, overlay: OverlayNetwork, mesh: Graph, **kwargs: Any) -> None:
@@ -41,17 +41,19 @@ class MeshRouter(FlatRouter):
             if proxy not in mesh:
                 raise RoutingError(f"proxy {proxy!r} missing from mesh")
         self.mesh = mesh
-        index = {p: i for i, p in enumerate(overlay.proxies)}
-        n = len(overlay.proxies)
-        matrix = np.full((n, n), np.inf)
-        self._parents: Dict[ProxyId, Dict[ProxyId, ProxyId]] = {}
-        for proxy in overlay.proxies:
-            dist, parent = dijkstra(mesh, proxy)
-            self._parents[proxy] = parent
-            i = index[proxy]
-            for other, d in dist.items():
-                if other in index:
-                    matrix[i, index[other]] = d
+        self._nodes = mesh.nodes()
+        self._position = {node: i for i, node in enumerate(self._nodes)}
+        links = [(self._position[a], self._position[b], w) for a, b, w in mesh.edges()]
+        u, v, w = (list(column) for column in zip(*links)) if links else ([], [], [])
+        arcs = ArcIndex(len(self._nodes), u, v, w)
+        self._index = index = {p: i for i, p in enumerate(overlay.proxies)}
+        columns = [self._position[p] for p in overlay.proxies]
+        matrix = np.empty((len(columns), len(columns)))
+        self._parents = np.empty((len(columns), len(self._nodes)), dtype=np.intp)
+        for i, source in enumerate(columns):
+            dist, _ = arcs.distances(source)
+            matrix[i] = dist[columns]
+            self._parents[i] = arcs.parents(dist, source)
         if not np.isfinite(matrix).all():
             raise RoutingError("mesh is disconnected; cannot build mesh router")
         kwargs.setdefault("name", "mesh")
@@ -66,7 +68,8 @@ class MeshRouter(FlatRouter):
         """The mesh relay chain from *u* to *v* (endpoints included)."""
         if u == v:
             return [u]
-        return reconstruct_path(self._parents[u], u, v)
+        chain = walk(self._parents[self._index[u]], self._position[u], self._position[v])
+        return [self._nodes[i] for i in chain]
 
     def mesh_distance(self, u: ProxyId, v: ProxyId) -> float:
         """Shortest mesh distance between two proxies."""

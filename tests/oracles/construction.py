@@ -6,10 +6,11 @@ time, one ``closest_pair`` scan per cluster pair — and the pre-columnar
 substrate under it: the generators wiring a ``Graph`` one ``add_edge`` at a
 time, greedy k-center over dict Dijkstra rows."""
 
+import heapq
 import math
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Hashable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -27,11 +28,13 @@ from repro.coords.embedding import (
 from repro.coords.neldermead import MinimizeResult, minimize_with_restarts
 from repro.coords.space import CoordinateSpace, cross_distances
 from repro.graph.graph import Graph
-from repro.graph.mst import MstEdges, UnionFind
-from repro.graph.shortest_paths import dijkstra
+from repro.graph.mst import MstEdges
 from repro.netsim.topology import TransitStubConfig
 from repro.util.errors import EmbeddingError, GraphError, TopologyError
 from repro.util.rng import ensure_rng
+from tests.oracles.shortest_paths import dijkstra
+
+Node = Hashable
 
 
 class LoggedGraph(Graph):
@@ -527,3 +530,98 @@ def construct_reference(
     timings["borders"] = time.perf_counter() - start
     timings["total"] = sum(timings.values())
     return ReferenceConstruction(space, report, clustering, borders, timings)
+
+
+class UnionFind:
+    """Disjoint-set forest with path compression and union by rank."""
+
+    def __init__(self, items: Sequence[Node] = ()) -> None:
+        self._parent: Dict[Node, Node] = {}
+        self._rank: Dict[Node, int] = {}
+        for item in items:
+            self.add(item)
+
+    def add(self, item: Node) -> None:
+        """Register *item* as its own singleton set (no-op if known)."""
+        if item not in self._parent:
+            self._parent[item] = item
+            self._rank[item] = 0
+
+    def find(self, item: Node) -> Node:
+        """Representative of *item*'s set (with path compression)."""
+        if item not in self._parent:
+            raise GraphError(f"{item!r} not in union-find")
+        root = item
+        while self._parent[root] != root:
+            root = self._parent[root]
+        while self._parent[item] != root:
+            self._parent[item], item = root, self._parent[item]
+        return root
+
+    def union(self, a: Node, b: Node) -> bool:
+        """Merge the sets of *a* and *b*; returns False if already merged."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        if self._rank[ra] < self._rank[rb]:
+            ra, rb = rb, ra
+        self._parent[rb] = ra
+        if self._rank[ra] == self._rank[rb]:
+            self._rank[ra] += 1
+        return True
+
+    def connected(self, a: Node, b: Node) -> bool:
+        """True if *a* and *b* are in the same set."""
+        return self.find(a) == self.find(b)
+
+    def groups(self) -> List[List[Node]]:
+        """All sets as lists (deterministic order by first insertion)."""
+        by_root: Dict[Node, List[Node]] = {}
+        for item in self._parent:
+            by_root.setdefault(self.find(item), []).append(item)
+        return list(by_root.values())
+
+
+def kruskal_mst(graph: Graph) -> Graph:
+    """Minimum spanning forest of *graph* via Kruskal's algorithm.
+
+    Works on disconnected graphs (returns a spanning forest). Ties are broken
+    deterministically by edge insertion order.
+    """
+    forest = Graph()
+    forest.add_nodes(graph.nodes())
+    uf = UnionFind(graph.nodes())
+    edges = sorted(graph.edges(), key=lambda e: e[2])
+    for u, v, w in edges:
+        if uf.union(u, v):
+            forest.add_edge(u, v, w)
+    return forest
+
+
+def prim_mst(graph: Graph) -> Graph:
+    """Minimum spanning tree of a ``Graph`` via a heap Prim, the twin
+    ``kruskal_mst`` is checked against; raises if *graph* is disconnected."""
+    nodes = graph.nodes()
+    if not nodes:
+        return Graph()
+    tree = Graph()
+    tree.add_node(nodes[0])
+    visited = {nodes[0]}
+    heap: List[Tuple[float, int, Node, Node]] = []
+    counter = 0
+    for v, w in graph.neighbors(nodes[0]).items():
+        heapq.heappush(heap, (w, counter, nodes[0], v))
+        counter += 1
+    while heap and len(visited) < len(nodes):
+        w, _, u, v = heapq.heappop(heap)
+        if v in visited:
+            continue
+        visited.add(v)
+        tree.add_edge(u, v, w)
+        for nxt, nw in graph.neighbors(v).items():
+            if nxt not in visited:
+                heapq.heappush(heap, (nw, counter, v, nxt))
+                counter += 1
+    if len(visited) < len(nodes):
+        raise GraphError("prim_mst requires a connected graph")
+    return tree

@@ -1,4 +1,4 @@
-"""Tests for union-find and the three MST implementations."""
+"""Tests for the Euclidean MST and its oracles: union-find, Kruskal and Prim."""
 
 import math
 import warnings
@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph import Graph, UnionFind, euclidean_mst, kruskal_mst, prim_mst
+from repro.graph import Graph, euclidean_mst
 from repro.graph.components import is_connected
 from repro.util.errors import GraphError
+from tests.oracles.construction import UnionFind, kruskal_mst, prim_mst
 
 
 class TestUnionFind:

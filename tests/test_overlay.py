@@ -7,6 +7,7 @@ from repro.graph import is_connected
 from repro.overlay import OverlayNetwork, build_mesh, mesh_statistics
 from repro.services import generic_catalog, install_services
 from repro.util.errors import ServiceModelError, TopologyError
+from tests.oracles.shortest_paths import dijkstra, overlay_graph, reconstruct_path
 
 
 @pytest.fixture(scope="module")
@@ -153,7 +154,7 @@ class TestHFCTopology:
 
     def test_overlay_graph_two_hop_property(self, framework):
         """In HFC any two proxies are connected; intra-cluster pairs directly."""
-        graph = framework.hfc.overlay_graph("coords")
+        graph = overlay_graph(framework.hfc, "coords")
         assert is_connected(graph)
         clustering = framework.clustering
         for members in clustering.clusters[:3]:
@@ -162,13 +163,13 @@ class TestHFCTopology:
                     assert graph.has_edge(u, v)
 
     def test_overlay_graph_true_weights(self, framework):
-        graph = framework.hfc.overlay_graph("true")
+        graph = overlay_graph(framework.hfc, "true")
         u, v, w = next(graph.edges())
         assert w == pytest.approx(framework.overlay.true_delay(u, v))
 
     def test_overlay_graph_bad_weight(self, framework):
         with pytest.raises(TopologyError):
-            framework.hfc.overlay_graph("estimated")
+            overlay_graph(framework.hfc, "estimated")
 
     def test_border_load_counts(self, framework):
         hfc = framework.hfc
@@ -217,6 +218,22 @@ class TestHFCTopology:
     def test_expand_hop_self(self, framework):
         proxy = framework.overlay.proxies[0]
         assert framework.hfc.expand_hop(proxy, proxy) == [proxy]
+
+    def test_expand_hop_equals_dijkstra_on_overlay_graph(self, framework):
+        """The border-table walk returns the oracle's relays for every
+        cross-cluster pair."""
+        hfc = framework.hfc
+        graph = overlay_graph(hfc, "coords")
+        proxies = framework.overlay.proxies
+        for u in proxies:
+            _, parent = dijkstra(graph, u)
+            for v in proxies:
+                if hfc.cluster_of(u) != hfc.cluster_of(v):
+                    assert hfc.expand_hop(u, v) == reconstruct_path(parent, u, v)
+
+    def test_link_count_equals_overlay_graph_edges(self, framework, tiny_framework):
+        for fw in (framework, tiny_framework):
+            assert fw.hfc.link_count() == overlay_graph(fw.hfc, "coords").edge_count
 
 
 class TestGabrielMesh:
@@ -279,10 +296,8 @@ class TestRoutingMatricesCorrectness:
         over the explicit coordinate-weighted HFC overlay graph."""
         import random
 
-        from repro.graph.shortest_paths import dijkstra
-
         route, _ = framework.hfc.routing_matrices()
-        graph = framework.hfc.overlay_graph("coords")
+        graph = overlay_graph(framework.hfc, "coords")
         overlay = framework.overlay
         rng = random.Random(17)
         sources = rng.sample(overlay.proxies, 6)

@@ -1,4 +1,4 @@
-"""Tests for Dijkstra & friends, cross-validated against networkx."""
+"""Tests for the heap Dijkstra oracle & friends, cross-validated against networkx."""
 
 
 import networkx as nx
@@ -6,15 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph import (
-    Graph,
+from repro.graph import Graph
+from repro.util.errors import GraphError
+from tests.oracles.shortest_paths import (
     all_pairs_distances,
     dijkstra,
     eccentricity,
     shortest_path,
     single_source_distances,
 )
-from repro.util.errors import GraphError
 
 
 def line_graph(n):
