@@ -22,8 +22,9 @@ Prints, after the run's own summary:
 
 For ``route_2k`` a last row gives what one routed call costs before its
 first request: a single route's stage means from the router's own spans,
-over 125 singles of the workload's request set, and the numpy and Python
-calls it makes (:func:`count_calls`), averaged over 25 of them.
+over 125 singles of the workload's request set, the numpy and Python
+calls it makes (:func:`count_calls`), averaged over 25 of them, and how many
+of the CSP's and the conquer's kernel chunks were relaxed row by row.
 
 The dump lands in ``benchmarks/out/<workload>.pstats`` (git-ignored).
 ``--scale smoke`` is for CI: it proves the script runs, its numbers mean nothing.
@@ -139,9 +140,14 @@ def single_route_row(scale: str) -> str:
     for request in requests[:125]:
         router.route(request)
     spans: Dict[str, List[float]] = {}
+    # per kernel stage: its chunks, and those relaxed row by row
+    chunks: Dict[str, List[int]] = {"route.csp": [0, 0], "route.conquer": [0, 0]}
     for root in telemetry.tracer.find_roots("route"):
         for span in (root, *root.children):
             spans.setdefault(span.name, []).append(span.duration * 1e6)
+            if span.name in chunks:
+                chunks[span.name][0] += span.attributes["chunks"]
+                chunks[span.name][1] += span.attributes["row_chunks"]
     mean = {name: sum(values) / len(values) for name, values in spans.items()}
     calls = [count_calls(lambda: router.route(request))[1:] for request in requests[:25]]
     numpy, python = (sum(column) / len(calls) for column in zip(*calls))
@@ -149,7 +155,9 @@ def single_route_row(scale: str) -> str:
     n, singles = len(router.hfc.overlay.proxies), len(spans["route"])
     return (
         f"   route {mean['route']:.0f} µs, of which {stages} (span means over {singles} singles, n={n})\n"
-        f"   {numpy:.1f} numpy calls and {python:.1f} Python calls per route"
+        f"   {numpy:.1f} numpy calls and {python:.1f} Python calls per route\n"
+        f"   kernel chunks relaxed row by row: "
+        + ", ".join(f"{name[6:]} {rows} of {total}" for name, (total, rows) in chunks.items())
     )
 
 

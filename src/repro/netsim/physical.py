@@ -18,11 +18,10 @@ for delays from the same proxies thousands of times.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.graph.graph import Graph
 from repro.graph.shortest_paths import ArcIndex, walk
 from repro.netsim.topology import PhysicalTopology
 from repro.telemetry import Telemetry, get_telemetry
@@ -32,13 +31,13 @@ from repro.util.rng import RngLike, ensure_rng, uniform_draws
 _INF = float("inf")
 
 
-class DelayRow(Mapping[int, float]):
-    """One source's shortest-path delays, as a mapping over a float row.
+class DelayRow:
+    """One source's shortest-path delays as a float row.
 
     ``array[v]`` is the delay to router ``v``, ``inf`` where ``v`` cannot be
     reached; the kernels read :attr:`array` directly, and ``item`` is its
     scalar read, bound once because :meth:`PhysicalNetwork.delay` does one per
-    simulated message. As a mapping it holds the reachable routers only.
+    simulated message.
     """
 
     __slots__ = ("array", "item")
@@ -46,21 +45,6 @@ class DelayRow(Mapping[int, float]):
     def __init__(self, array: np.ndarray) -> None:
         self.array = array
         self.item = array.item
-
-    def __getitem__(self, router: int) -> float:
-        try:
-            delay = self.item(router)
-        except (IndexError, TypeError):
-            raise KeyError(router) from None
-        if delay == _INF or router < 0:
-            raise KeyError(router)
-        return delay
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(np.flatnonzero(self.array != _INF).tolist())
-
-    def __len__(self) -> int:
-        return int(np.count_nonzero(self.array != _INF))
 
 
 class PhysicalNetwork:
@@ -95,11 +79,6 @@ class PhysicalNetwork:
         self._arcs = ArcIndex(
             topology.node_count, topology.edge_u, topology.edge_v, topology.edge_w
         )
-
-    @property
-    def graph(self) -> Graph:
-        """The topology's derived :class:`Graph` view."""
-        return self.topology.graph
 
     # -- true delays -------------------------------------------------------
 

@@ -25,12 +25,10 @@ import math
 import random
 from array import array
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.graph.graph import Graph
 from repro.util.errors import GraphError, TopologyError
 from repro.util.rng import RngLike, ensure_rng, uniform_draws
 
@@ -73,8 +71,7 @@ class PhysicalTopology:
 
     Routers are the ints ``0 .. node_count - 1``. Link ``i`` joins
     ``edge_u[i]`` and ``edge_v[i]`` with delay ``edge_w[i]`` ms; the columns
-    keep generation order, which is what a snapshot stores and what fixes the
-    adjacency order of the :attr:`graph` view.
+    keep generation order, which is what a snapshot stores.
 
     Attributes:
         edge_u, edge_v: link endpoints, ``int64``.
@@ -124,17 +121,6 @@ class PhysicalTopology:
     def node_count(self) -> int:
         """Number of routers."""
         return len(self.node_kind)
-
-    @cached_property
-    def graph(self) -> Graph:
-        """The links as a weighted :class:`Graph`, derived on first use: a view
-        for the object API (neighbours, ``has_edge``, the shortest-path
-        oracle). The columns stay the truth; nothing writes through it."""
-        graph = Graph()
-        graph.add_nodes(range(self.node_count))
-        for u, v, w in zip(self.edge_u.tolist(), self.edge_v.tolist(), self.edge_w.tolist()):
-            graph.add_edge(u, v, w)
-        return graph
 
     @property
     def stub_nodes(self) -> List[int]:

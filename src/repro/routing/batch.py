@@ -18,10 +18,9 @@ resolution crosses. This module hosts the structures one pipeline call
 * :func:`child_specs` — the conquer candidates of a call's children, from
   each touched cluster's provider index; :func:`rebind_derived` carries all of
   the above and :func:`offering_index` to the next view, patched from its changes.
-* :func:`relax` — the one service-DAG kernel (:func:`ragged_chunks`, then a
-  first-occurrence segment argmin per depth): the CSP stage, the conquer
-  (:func:`solve_specs`) and the flat router differ only in their candidates
-  and their :class:`Costs` gather (:class:`ProxyCosts` for the latter two).
+* :class:`ClusterCosts` — the CSP stage's gather for the one service-DAG
+  kernel (:func:`~repro.routing.kernel.relax`), and :func:`solve_specs`, the
+  conquer's call of it under :class:`~repro.routing.kernel.ProxyCosts`.
 * :class:`BatchRouteResult` — aligned per-request outcomes of a batch.
 
 Only intra-cluster border pairs enter the ``d_border`` table: the
@@ -39,17 +38,15 @@ from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import accumulate, chain, compress, groupby, repeat
-from operator import itemgetter, not_
+from operator import add, itemgetter, not_
 from typing import (
     Any,
     Callable,
     Dict,
     FrozenSet,
-    Iterator,
     List,
     NamedTuple,
     Optional,
-    Protocol,
     Sequence,
     Set,
     Tuple,
@@ -59,9 +56,9 @@ import numpy as np
 
 from repro.overlay.hfc import HFCTopology
 from repro.overlay.network import ProxyId
+from repro.routing.kernel import _INDEX, Costs, ProxyCosts, Ragged, Shape, first_mins, relax
 from repro.routing.path import ServicePath
 from repro.routing.providers import CoordinateProvider
-from repro.services.graph import ServiceGraph, SlotId
 from repro.telemetry import NULL_TELEMETRY
 from repro.telemetry.tracing import Tracer
 from repro.util.errors import NoFeasiblePathError
@@ -72,318 +69,6 @@ ClusterId = int
 BATCH_SIZE_BUCKETS: Tuple[float, ...] = (
     1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0,
 )
-
-
-# -- the one kernel: a ragged min-plus relaxation over service-DAG rows ----------
-
-#: real (row, predecessor lane, lane) triples per kernel chunk. A chunk keeps
-#: a few triple-length arrays alive; at n=2000 doubling this to 32k raised the
-#: peak RSS of ``route_2k`` by 4% (2% here, 0.5% at 8k) for 7% more requests/s
-_CHUNK_TRIPLES = 16384
-
-#: the kernel's index type, as a dtype object: ``np.array`` / ``np.fromiter``
-#: convert a scalar type on every call
-_INDEX = np.dtype(np.int64)
-#: a running sum; the ufunc's own method skips ``ndarray.cumsum``'s dispatch
-_cumsum = np.add.accumulate
-
-
-class Shape(NamedTuple):
-    """A branching row's slots (the kept ones, in topological order): per slot
-    its predecessors' positions in ``sg.predecessors`` order and its depth
-    (0: a source), then the sink slots' positions in ``sink_slots()`` order. A
-    chain needs none: a slot follows the one before it, the last is the sink."""
-
-    preds: Tuple[Tuple[int, ...], ...]
-    depth: Tuple[int, ...]
-    sinks: Tuple[int, ...]
-
-
-def graph_row(
-    sg: ServiceGraph, order: Sequence[SlotId], widths: Sequence[int]
-) -> Optional[Tuple[Optional[List[int]], Optional[Shape]]]:
-    """Which of *sg*'s slots (positions in *order*, its topological order,
-    ``widths`` candidates each) a kernel row keeps, and its :class:`Shape`;
-    None when no sink can be reached. A chain keeps every slot (``(None,
-    None)``) or none; a branching graph drops each slot without candidates
-    and each one its surviving predecessors cannot reach — a dropped lane
-    would only carry ``inf``, which never wins a finite segment nor a sink."""
-    if sg.is_linear:
-        return (None, None) if all(widths) else None
-    kept: Dict[SlotId, int] = {}
-    preds: List[Tuple[int, ...]] = []
-    depth: List[int] = []
-    for slot, width in zip(order, widths):
-        before = sg.predecessors(slot)
-        alive = tuple(kept[p] for p in before if p in kept)
-        if width and (alive or not before):
-            kept[slot] = len(preds)
-            preds.append(alive)
-            depth.append(1 + max(map(depth.__getitem__, alive), default=-1))
-    sinks = tuple(kept[s] for s in sg.sink_slots() if s in kept)
-    if not sinks:
-        return None
-    at = {slot: i for i, slot in enumerate(order)}
-    return [at[slot] for slot in kept], Shape(tuple(preds), tuple(depth), sinks)
-
-
-class Ragged(NamedTuple):
-    """One chunk of rows. A slot's *lanes* are its candidates, numbered
-    depth-major (a chain slot's depth is its position); ``items[lane]``
-    indexes the flat candidates, the first ``heads`` are the source slots'
-    (rows ``head_rows``). Past them a lane is one *segment* of ``seg_len``
-    triples ``(its row, predecessor lane, it)`` (``pred``): its predecessor
-    slots' lanes, joined in ``sg.predecessors`` order. ``positions`` slices
-    lanes, triples and segments per depth; ``tail`` blocks each row's sink
-    lanes in ``sink_slots()`` order, ``beyond`` the padding; ``position``
-    is each lane's slot in its row (None when every row is a chain, whose
-    path visits every slot in order)."""
-
-    items: np.ndarray
-    head_rows: np.ndarray
-    heads: int
-    pred: np.ndarray
-    seg_len: np.ndarray
-    positions: List[Tuple[slice, slice, np.ndarray, np.ndarray]]
-    tail: np.ndarray
-    beyond: np.ndarray
-    position: Optional[np.ndarray]
-
-    def walk(self, parent: np.ndarray, final: np.ndarray, values: np.ndarray) -> List[List[Any]]:
-        """Per row, ``values`` of the lanes it picked from its lane *final*
-        back along ``parent`` to a source (-1), first first."""
-        parent, values = parent.tolist(), values.tolist()
-        rows: List[List[Any]] = []
-        for lane in final.tolist():
-            row: List[Any] = []
-            while lane >= 0:
-                row.append(values[lane])
-                lane = parent[lane]
-            row.reverse()
-            rows.append(row)
-        return rows
-
-
-def ragged_chunks(
-    widths: Sequence[int], rows: Sequence[Sequence[int]], shapes: Optional[Sequence[Optional[Shape]]] = None
-) -> Iterator[Tuple[int, int, Ragged]]:
-    """Rows ``r0:r1`` and their layout per chunk of about ``_CHUNK_TRIPLES``
-    real triples. A row lists its slots' candidate groups in topological
-    order, group *g* being the ``widths[g] >= 1`` flat candidates after the
-    groups before it; ``shapes[r]`` links a branching row's slots (None: a chain)."""
-    # the ufuncs and plain indexing, not ndarray methods: at one short row a
-    # call's dispatch costs as much as its math
-    group = np.array(widths, _INDEX)
-    slots = np.fromiter(chain.from_iterable(rows), _INDEX)
-    width = group[slots]
-    start = _cumsum(group)[slots] - width
-    lengths = np.fromiter(map(len, rows), _INDEX, len(rows))
-    ends, bounds = _cumsum(lengths), [0, len(rows)]
-    links = _links(lengths, ends, shapes) if shapes is not None and any(shapes) else None
-    edges = len(width) if links is None else len(links[1])
-    if len(rows) > 1 and max(edges, len(width)) * max(widths) ** 2 > _CHUNK_TRIPLES:  # else surely one chunk
-        if links is None:  # a chain slot follows the one before it
-            pairs = np.zeros(len(width), dtype=np.int64)
-            np.multiply(width[1:], width[:-1], out=pairs[1:])
-            pairs[ends[:-1]] = 0  # a row's first slot has no predecessor
-        else:
-            e_slot, e_pred = links[1:3]
-            pairs = np.bincount(e_slot, width[e_slot] * width[e_pred], len(width)).astype(np.int64)
-        through = _cumsum(pairs)[ends - 1] // _CHUNK_TRIPLES
-        bounds[1:1] = ((through[1:] != through[:-1]).nonzero()[0] + 1).tolist()
-    if len(bounds) == 2:  # one chunk: the call's own columns
-        yield 0, len(rows), _ragged(start, width, lengths, ends, links)
-        return
-    for r0, r1 in zip(bounds, bounds[1:]):
-        s0, s1 = ends.item(r0) - len(rows[r0]), ends.item(r1 - 1)
-        part = None
-        if links is not None:
-            depth, e_slot, e_pred, k_slot, k_ptr = links
-            e0, e1 = e_slot.searchsorted([s0, s1]).tolist()
-            k0, k1 = k_ptr.item(r0), k_ptr.item(r1)
-            part = depth[s0:s1], e_slot[e0:e1] - s0, e_pred[e0:e1] - s0, k_slot[k0:k1] - s0, k_ptr[r0 : r1 + 1] - k0
-        yield r0, r1, _ragged(start[s0:s1], width[s0:s1], lengths[r0:r1], ends[r0:r1] - s0, part)
-
-
-def _links(
-    lengths: np.ndarray, ends: np.ndarray, shapes: Sequence[Optional[Shape]]
-) -> Tuple[np.ndarray, ...]:
-    """Over all slots side by side: each one's depth, the edges ``(slot,
-    predecessor)`` by slot and then predecessor order, the sink slots row by
-    row and where each row's sinks begin."""
-    depths: List[int] = []
-    e_slots: List[int] = []
-    e_preds: List[int] = []
-    k_slots: List[int] = []
-    k_ptr = [0]
-    for base, n, shape in zip((ends - lengths).tolist(), lengths.tolist(), shapes):
-        if shape is None:
-            shape = Shape(((),) + tuple((at,) for at in range(n - 1)), tuple(range(n)), (n - 1,))
-        depths += shape.depth
-        for at, preds in enumerate(shape.preds, base):
-            e_slots += [at] * len(preds)
-            e_preds += [base + p for p in preds]
-        k_slots += [base + s for s in shape.sinks]
-        k_ptr.append(len(k_slots))
-    return tuple(np.array(column, dtype=np.int64) for column in (depths, e_slots, e_preds, k_slots, k_ptr))
-
-
-def _ragged(
-    start: np.ndarray, width: np.ndarray, lengths: np.ndarray, ends: np.ndarray, links: Optional[Tuple[np.ndarray, ...]]
-) -> Ragged:
-    rows, slots = len(lengths), len(width)
-    in_row = np.arange(slots) - (ends - lengths).repeat(lengths)
-    depth = in_row if links is None else links[0]  # a chain slot's depth is its position
-    order = depth.argsort(kind="stable")
-    rank = order.argsort()
-    w = width[order]
-    lane_end = _cumsum(w)
-    lane_start = lane_end - w
-    per_depth = np.bincount(depth)
-    sources = per_depth.item(0)
-    heads, lane_count = lane_end.item(sources - 1), lane_end.item(-1)
-    w_on = w[sources:]
-    fan: Optional[np.ndarray] = None  # predecessor slots per later slot; None: one each
-    if links is None:  # a chain slot follows the one before it, its last slot is the sink
-        e_from, sink = rank[order[rows:] - 1], rank[ends - 1]
-        head_rows = np.arange(rows).repeat(w[:rows])
-    else:
-        _, e_slot, e_pred, k_slot, k_ptr = links
-        e_rank = rank[e_slot]
-        e_from, sink = rank[e_pred][e_rank.argsort(kind="stable")], rank[k_slot]
-        if len(e_from) > len(w_on):
-            fan = np.bincount(e_rank - sources, minlength=len(w_on))
-        head_rows = np.arange(rows).repeat(lengths)[order[:sources]].repeat(w[:sources])
-    # a later lane's segment: one piece per predecessor slot, in their order
-    if fan is None:
-        lane_from = e_from.repeat(w_on)
-        piece_len, piece_from = w[lane_from], lane_start[lane_from]
-        seg_len = piece_len
-    else:
-        reps = fan * w_on
-        first = (_cumsum(reps) - reps).repeat(reps)
-        edge = (_cumsum(fan) - fan).repeat(reps) + (np.arange(len(first)) - first) % fan.repeat(reps)
-        piece_len, piece_from = w[e_from][edge], lane_start[e_from][edge]
-        fan_lane = fan.repeat(w_on)
-        seg_len = np.add.reduceat(piece_len, _cumsum(fan_lane) - fan_lane)
-    piece_end = _cumsum(piece_len)
-    seg_end = piece_end if fan is None else _cumsum(seg_len)
-    seg_start = seg_end - seg_len
-    # per depth its lanes' end, past the heads its first triple, and each
-    # segment's start from there
-    bound = lane_end[_cumsum(per_depth) - 1]
-    depth_from = seg_start[bound[:-1] - heads]
-    rel = seg_start - depth_from.repeat(bound[1:] - bound[:-1])
-    lanes, triples = bound.tolist(), [*depth_from.tolist(), piece_end.item(-1) if len(piece_end) else 0]
-    positions = [
-        (slice(la, lb), slice(ta, tb), rel[la - heads : lb - heads], seg_len[la - heads : lb - heads])
-        for la, lb, ta, tb in zip(lanes, lanes[1:], triples, triples[1:])
-    ]
-    if len(sink) == rows:  # one sink slot per row
-        sink_w = w[sink]
-        span = np.arange(max(sink_w.tolist()))
-        beyond = span >= sink_w[:, None]
-        tail = np.minimum(lane_start[sink][:, None] + span, lane_count - 1)
-    else:
-        sink_w = w[sink]
-        per_row = np.add.reduceat(sink_w, k_ptr[:-1])
-        beyond = np.arange(per_row.max()) >= per_row[:, None]
-        tail = np.zeros(beyond.shape, dtype=np.int64)
-        sink_from = lane_start[sink] - (_cumsum(sink_w) - sink_w)
-        tail[~beyond] = np.arange(sink_w.sum()) + sink_from.repeat(sink_w)
-    piece_start = seg_start if fan is None else piece_end - piece_len
-    return Ragged(
-        np.arange(lane_count) + (start[order] - lane_start).repeat(w), head_rows, heads,
-        np.arange(triples[-1]) + (piece_from - piece_start).repeat(piece_len), seg_len, positions,
-        tail, beyond, None if links is None else in_row[order].repeat(w),
-    )
-
-
-class Costs(Protocol):
-    """What one stage's relaxation reads over rows ``r0:r1`` laid out as
-    *lay*: the head lanes' start labels; the costs of triples *at*
-    (predecessor lanes *pred*) given the labels so far; what *lanes* carry
-    from the triples they took (*first*: offsets into *at*); the ``(rows,
-    tail)`` sink totals, ``inf`` on the padding."""
-
-    def start(self, r0: int, r1: int, lay: Ragged) -> np.ndarray: ...
-    def step(self, labels: np.ndarray, pred: np.ndarray, at: slice) -> np.ndarray: ...
-    def keep(self, lanes: slice, at: slice, first: np.ndarray) -> None: ...
-    def sink(self, labels: np.ndarray) -> np.ndarray: ...
-
-
-def relax(
-    widths: Sequence[int],
-    rows: Sequence[Sequence[int]],
-    costs: Costs,
-    shapes: Optional[Sequence[Optional[Shape]]] = None,
-    tracer: Tracer = NULL_TELEMETRY.tracer,
-) -> Iterator[Tuple[int, int, Ragged, np.ndarray, np.ndarray, List[float]]]:
-    """The one service-DAG relaxation: per chunk of :func:`ragged_chunks`,
-    one min-plus pass per depth over its real triples under *costs*, then
-    the sink. Yields rows ``r0:r1``, their layout, every lane's parent lane
-    (-1: a source), each row's winning sink lane and its total (``inf``: no
-    path); first-occurrence ties, as ``argmin``. Consume it whole: *tracer*
-    hears the triples relaxed and the chunks at the end."""
-    relaxed = chunks = 0
-    for r0, r1, lay in ragged_chunks(widths, rows, shapes) if rows else ():
-        labels = np.empty(len(lay.items))
-        labels[: lay.heads] = costs.start(r0, r1, lay)
-        parent = np.empty(len(labels), _INDEX)
-        parent[: lay.heads] = -1  # every later lane is set at its depth
-        for lanes, at, starts, lengths in lay.positions:
-            pred = lay.pred[at]
-            values = costs.step(labels, pred, at)
-            # per segment its minimum, straight into its lanes' labels, and the
-            # first triple holding it: ``argmin``'s tie-break (no NaN reaches here)
-            mins = np.minimum.reduceat(values, starts, out=labels[lanes])
-            (hits,) = (values == mins.repeat(lengths)).nonzero()
-            first = hits[hits.searchsorted(starts)]
-            parent[lanes] = pred[first]
-            costs.keep(lanes, at, first)
-        totals = costs.sink(labels)
-        winner = (np.arange(r1 - r0), totals.argmin(axis=1))
-        yield r0, r1, lay, parent, lay.tail[winner], totals[winner].tolist()
-        relaxed += len(lay.pred)
-        chunks += 1
-    tracer.add(relaxed=relaxed, chunks=chunks)
-
-
-class ProxyCosts(Costs):
-    """The conquer's and the flat router's gather: *provider* distances
-    (``points`` / ``pairs``) from row *r*'s ``sources[r]`` to its first
-    proxies, between consecutive proxies, and on to ``destinations[r]``.
-    *proxies* are the flat candidates."""
-
-    def __init__(
-        self, provider: Any, proxies: Sequence[ProxyId], sources: Sequence[ProxyId], destinations: Sequence[ProxyId]
-    ) -> None:
-        self.pairs = provider.pairs
-        # one ``points`` call for all three, cut apart
-        points, n, m = provider.points([*proxies, *sources, *destinations]), len(proxies), len(sources)
-        self.at, self.src, self.dst = points[:n], points[n : n + m], points[n + m :]
-
-    def start(self, r0: int, r1: int, lay: Ragged) -> np.ndarray:
-        # points may be rows (coordinates): a subscript gathers rows of two
-        # 5-12x slower than ``take`` along axis 0
-        self.lay, self.rows = lay, slice(r0, r1)
-        xy = self.xy = self.at.take(lay.items, axis=0)
-        self.hop = self.pairs(xy.take(lay.pred, axis=0), xy[lay.heads :].repeat(lay.seg_len, axis=0))
-        return self.pairs(self.src[r0:r1].take(lay.head_rows, axis=0), xy[: lay.heads])
-
-    def step(self, labels: np.ndarray, pred: np.ndarray, at: slice) -> np.ndarray:
-        via = labels[pred]
-        via += self.hop[at]
-        return via
-
-    def keep(self, lanes: slice, at: slice, first: np.ndarray) -> None:
-        pass
-
-    def sink(self, labels: np.ndarray) -> np.ndarray:
-        tail = self.lay.tail
-        totals = labels[tail] + self.pairs(self.xy.take(tail, axis=0), self.dst[self.rows][:, None])
-        totals[self.lay.beyond] = np.inf
-        return totals
 
 
 # -- per-batch outcome ---------------------------------------------------------
@@ -458,10 +143,25 @@ class QueryTables:
         return self.ext.ravel(), exits.ravel().astype(np.int32), entries, self.d_entry.ravel()
 
     @cached_property
+    def lists(self) -> Tuple[Any, ...]:
+        """The tables a row-by-row relaxation reads one value at a time, an entry
+        held as its shifted border code (0: none): ``ext`` by row; per cluster
+        pair ``(i, j)`` the shifted code of *j*'s border facing *i* and, as *i*'s
+        ``n``-th border (0: none), *i*'s border facing *j*; per shifted border
+        code, its ``d_border`` row over its own cluster's borders in that
+        numbering; and ``border_ptr``."""
+        codes, ptr = self.border_row + 1, self.border_ptr.tolist()
+        local = np.where(codes > 0, codes - self.border_ptr[:-1, None], 0)
+        rows = [[0.0] * (max(np.diff(ptr).tolist(), default=0) + 1)]
+        for lo, hi in zip(ptr, ptr[1:]):
+            rows += ([0.0, *row] for row in self.d_border[lo:hi, lo:hi].tolist())
+        return self.ext.tolist(), codes.T.tolist(), local.tolist(), rows, ptr
+
+    @cached_property
     def to_destination(self) -> Dict[ProxyId, array[float]]:
         """Per destination proxy, the distances from its cluster's borders in
-        code order, filled on first use by the router's sink: a row lives as
-        long as these tables, which a rebind replaces."""
+        code order, filled on first use by :func:`destination_row`: a row lives
+        as long as these tables, which a rebind replaces."""
         return {}
 
 
@@ -598,6 +298,166 @@ def patch_query_tables(tables: QueryTables, hfc: Any, changes: Any) -> QueryTabl
     for u, v in zip(a[ask].tolist(), b[ask].tolist()):
         d_entry[u, v] = d_entry[v, u] = distance(border_list[u - 1], border_list[v - 1])
     return QueryTables(tables.cluster_count, ext, code.take(proxies), border_list, d_entry[1:, 1:], ptr, d_entry)
+
+
+# -- the CSP stage's gather ------------------------------------------------------
+
+
+def destination_row(
+    tables: QueryTables, distance: Callable[[ProxyId, ProxyId], float], pd: ProxyId, cd: ClusterId
+) -> array[float]:
+    """The distances to *pd* from its cluster *cd*'s borders in code order (all a
+    destination proxy can know), from ``distance`` calls made once per *tables*
+    (:attr:`QueryTables.to_destination`)."""
+    row = tables.to_destination.get(pd)
+    if row is None:
+        borders = tables.border_list[tables.border_ptr.item(cd) : tables.border_ptr.item(cd + 1)]
+        row = tables.to_destination[pd] = array("d", map(distance, borders, repeat(pd)))
+    return row
+
+
+def csp_sink(
+    tables: QueryTables,
+    backtrack: bool,
+    distance: Callable[[ProxyId, ProxyId], float],
+    labels: np.ndarray,
+    entry: np.ndarray,
+    clusters: np.ndarray,
+    cds: Sequence[ClusterId],
+    destinations: Sequence[ProxyId],
+) -> np.ndarray:
+    """``label + tail`` of every sink label ``(rows, lanes)``, row *b* ending at
+    ``destinations[b]`` in cluster ``cds[b]`` (*entry*: the ``d_entry`` row each
+    label entered its cluster by, 0 for none), in the association ``(ext +
+    internal) + dist``, the distance from the border the path reaches the
+    destination by (:func:`destination_row`); only ``ext`` without *backtrack*."""
+    ext, exits_of, entries_of, d_entry = tables.flat
+    k, stride = tables.cluster_count, len(tables.border_list) + 1
+    if not backtrack or not tables.border_list:
+        return labels + ext[clusters * k + np.array(cds, _INDEX)[:, None]]
+    ptr = tables.border_ptr.tolist()
+    # one 0.0 (no border) and each distinct destination's row; ``base[pd] +
+    # shifted code`` finds one
+    to_pd, base, rows = array("d", [0.0]), {}, tables.to_destination
+    for pd, c in zip(destinations, cds):
+        if pd not in base:
+            base[pd] = len(to_pd) - 1 - ptr[c]
+            to_pd += rows.get(pd) or destination_row(tables, distance, pd, c)
+    cd, at = np.array([cds, list(map(base.__getitem__, destinations))], _INDEX)[:, :, None]
+    out = clusters * k + cd
+    home = clusters == cd
+    internal = d_entry[entry + exits_of[out]]
+    # the border of cd the path reaches pd from, shifted by one (0: none,
+    # no charge): the entry at home, else cd's border facing it
+    via = np.where(home, entry, entries_of[out]) // stride
+    dist = np.frombuffer(to_pd)[np.where(via > 0, at + via, 0)]
+    return labels + np.where(home, dist, (ext[out] + internal) + dist)
+
+
+class ClusterCosts(Costs):
+    """The CSP stage's gather over *tables*: a source slot starts at ``ext(cs,
+    cluster)`` entered through the border facing *cs*; a step adds ``ext``
+    and, under *backtrack*, the internal segment from the border the label
+    entered by to the exit border (a candidate in its predecessor's cluster
+    adds ``ext``'s zero diagonal and ``d_entry``'s zero column, and keeps the
+    entry); the sink is :func:`csp_sink`. Laid out, an entry is carried as
+    the offset of its ``d_entry`` row; row by row, as a label's state, its
+    shifted border code (:attr:`QueryTables.lists`). *groups* are the
+    clusters of each candidate group, *view* the surface whose
+    ``space.distance`` measures a destination."""
+
+    def __init__(
+        self, tables: QueryTables, backtrack: bool, view: Any, groups: List[List[ClusterId]],
+        sources: List[ClusterId], cds: List[ClusterId], destinations: List[ProxyId],
+    ) -> None:
+        self.tables, self.backtrack, self.view, self.groups = tables, backtrack, view, groups
+        self.source_clusters, self.cds, self.destinations = sources, cds, destinations
+        self.internal = backtrack and len(tables.border_list) > 0
+
+    @cached_property
+    def laid(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """k as an array (a numpy operand skips a Python int's conversion), the
+        flat candidates' clusters, and each row's ``ext`` row: its source cluster times k."""
+        k = np.array(self.tables.cluster_count)
+        return k, np.fromiter(chain.from_iterable(self.groups), _INDEX), np.array(self.source_clusters, _INDEX) * k
+
+    def start(self, r0: int, r1: int, lay: Ragged) -> np.ndarray:
+        ext, exits_of, entries_of, self.d_entry = self.tables.flat
+        self.lay, self.rows = lay, slice(r0, r1)
+        k, clusters, sources = self.laid
+        lane_cluster = self.lane_cluster = clusters[lay.items]
+        head = sources[r0:r1][lay.head_rows] + lane_cluster[: lay.heads]
+        self.entry = np.zeros(len(lane_cluster), _INDEX)
+        self.entry[: lay.heads] = entries_of[head]
+        # few triple-length arrays stay alive: int32 border codes
+        kp = lane_cluster[lay.pred]
+        kp *= k
+        kp += lane_cluster[lay.heads :].repeat(lay.seg_len)
+        self.hop = ext[kp]
+        if self.internal:
+            self.exits, self.entries = exits_of[kp], entries_of[kp]
+        return ext[head]
+
+    def step(self, labels: np.ndarray, pred: np.ndarray, at: slice) -> np.ndarray:
+        costs = labels[pred]
+        costs += self.hop[at]
+        if self.internal:  # entry border of each label to its exit border
+            self.held = self.entry[pred]
+            costs += self.d_entry[self.held + self.exits[at]]
+        return costs
+
+    def keep(self, lanes: slice, at: slice, first: np.ndarray) -> None:
+        if self.internal:  # a candidate in its predecessor's cluster (no entry) keeps its entry
+            entries = self.entries[at]
+            self.entry[lanes] = np.where(entries, entries, self.held)[first]
+
+    def sink(self, labels: np.ndarray) -> np.ndarray:
+        tail = self.lay.tail
+        block = labels[tail]
+        block[self.lay.beyond] = np.inf
+        return csp_sink(
+            self.tables, self.backtrack, self.view.space.distance, block, self.entry[tail],
+            self.lane_cluster[tail], self.cds[self.rows], self.destinations[self.rows],
+        )
+
+    def open(self, first: List[int], rows: Sequence[Sequence[int]], shapes: Sequence[Optional[Shape]]) -> None:
+        self.ext_rows, self.entry_codes, self.exit_codes, self.d_local, self.ptr = self.tables.lists
+
+    def head(self, row: int, group: int) -> Tuple[List[float], Any]:
+        cs, clusters = self.source_clusters[row], self.groups[group]
+        return list(map(self.ext_rows[cs].__getitem__, clusters)), list(map(self.entry_codes[cs].__getitem__, clusters))
+
+    def edge(self, labels: List[float], states: Any, gp: int, gs: int) -> Tuple[List[float], List[int], Any]:
+        earlier, later = self.groups[gp], self.groups[gs]
+        get = itemgetter(*later) if len(later) > 1 else lambda row: (row[later[0]],)
+        # earlier candidate by earlier candidate, over the later ones: ``(label
+        # + ext) + internal``, then turned later candidate by later candidate
+        ext = map(get, map(self.ext_rows.__getitem__, earlier))
+        if not self.internal:
+            values = [tuple(map(add, repeat(label), hops)) for label, hops in zip(labels, ext)]
+            return (*first_mins(list(zip(*values))), None)
+        exits, d_local = map(get, map(self.exit_codes.__getitem__, earlier)), self.d_local
+        values = [
+            tuple(map(add, map(add, repeat(label), hops), map(d_local[entry].__getitem__, out)))
+            for label, entry, hops, out in zip(labels, states, ext, exits)
+        ]
+        mins, args = first_mins(list(zip(*values)))
+        # a candidate in its predecessor's cluster (no entry) keeps the predecessor's
+        entries = self.entry_codes
+        return mins, args, [entries[earlier[i]][cj] or states[i] for cj, i in zip(later, args)]
+
+    def tail(self, row: int, group: int, labels: List[float], states: Any) -> List[float]:
+        clusters, cd = self.groups[group], self.cds[row]
+        hops = [self.ext_rows[ci][cd] for ci in clusters]
+        if not self.internal:
+            return list(map(add, labels, hops))
+        to_pd = destination_row(self.tables, self.view.space.distance, self.destinations[row], cd)
+        base, d_local, totals = self.ptr[cd] + 1, self.d_local, []
+        for ci, label, entry, hop in zip(clusters, labels, states, hops):
+            via = entry if ci == cd else self.entry_codes[ci][cd]
+            dist = to_pd[via - base] if via else 0.0
+            totals.append(label + dist if ci == cd else label + ((hop + d_local[entry][self.exit_codes[ci][cd]]) + dist))
+        return totals
 
 
 # -- batched conquer -----------------------------------------------------------
@@ -791,10 +651,9 @@ def solve_specs(
     costs = ProxyCosts(
         provider, proxies, [children[i].source_proxy for i in chains], [children[i].destination_proxy for i in chains]
     )
-    for r0, r1, lay, parent, final, bounds in relax(list(map(len, code)), rows, costs, tracer=tracer):
-        for i, bound, items in zip(chains[r0:r1], bounds, lay.walk(parent, final, lay.items)):
-            if bound < np.inf:
-                picks[start[i] : start[i + 1]] = [proxies[at] for at in items]
-            else:
-                refused.add(i)
+    for (items, _, bound), i in zip(relax(list(map(len, code)), rows, costs, tracer=tracer), chains):
+        if bound < np.inf:
+            picks[start[i] : start[i + 1]] = [proxies[at] for at in items]
+        else:
+            refused.add(i)
     return picks, refused

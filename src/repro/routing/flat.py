@@ -14,13 +14,13 @@ proxy's services and a distance between every proxy pair (through a
 
 from __future__ import annotations
 
-from itertools import repeat
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.overlay.network import OverlayNetwork, ProxyId
-from repro.routing.batch import BATCH_SIZE_BUCKETS, BatchRouteResult, ProxyCosts, graph_row, relax
+from repro.routing.batch import BATCH_SIZE_BUCKETS, BatchRouteResult
+from repro.routing.kernel import ProxyCosts, graph_row, relax
 from repro.routing.path import Hop, ServicePath, merge_consecutive_hops
 from repro.routing.providers import (
     CoordinateProvider,
@@ -105,8 +105,8 @@ class FlatRouter:
     def _solve(self, requests: List[ServiceRequest]) -> BatchRouteResult:
         """The one-cluster case of the service-DAG kernel: every request a
         row over its slots' providers (the overlay is scanned once per
-        distinct service of the call), one :func:`~repro.routing.batch.relax`
-        over :class:`~repro.routing.batch.ProxyCosts`. A request whose
+        distinct service of the call), one :func:`~repro.routing.kernel.relax`
+        over :class:`~repro.routing.kernel.ProxyCosts`. A request whose
         endpoint is not an overlay member, or whose graph no provider
         configuration maps onto, gets its error alone."""
         overlay = self.overlay
@@ -143,18 +143,13 @@ class FlatRouter:
             [requests[at].source_proxy for at, _ in jobs], [requests[at].destination_proxy for at, _ in jobs],
         )
         paths: List[Optional[ServicePath]] = [None] * len(requests)
-        for r0, r1, lay, parent, final, bounds in relax(list(map(len, offering)), rows, costs, shapes):
-            placed: Iterable[Optional[List[int]]] = (
-                repeat(None) if lay.position is None else lay.walk(parent, final, lay.position)
-            )
-            picked = zip(placed, lay.walk(parent, final, lay.items), bounds)
-            for (at, slots), (positions, items, bound) in zip(jobs[r0:r1], picked):
-                if bound < np.inf:
-                    filled = slots if positions is None else [slots[p] for p in positions]
-                    assignment = list(zip(filled, map(proxies.__getitem__, items)))
-                    paths[at] = materialise_assignment(requests[at], assignment, self.expander)
-                else:
-                    errors[at] = NoFeasiblePathError(_NO_CONFIGURATION)
+        for (items, positions, bound), (at, slots) in zip(relax(list(map(len, offering)), rows, costs, shapes), jobs):
+            if bound < np.inf:
+                filled = slots if positions is None else [slots[p] for p in positions]
+                assignment = list(zip(filled, map(proxies.__getitem__, items)))
+                paths[at] = materialise_assignment(requests[at], assignment, self.expander)
+            else:
+                errors[at] = NoFeasiblePathError(_NO_CONFIGURATION)
         return BatchRouteResult(paths=paths, errors=errors)
 
 

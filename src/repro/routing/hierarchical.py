@@ -34,14 +34,13 @@ Two variants of step 2 are provided (`method=`):
 * ``"external"``: unmodified DAG-shortest-paths on external link lengths
   only — the naive baseline the paper's example argues against.
 
-Steps 2 and 4 are both :func:`~repro.routing.batch.relax`, the one
+Steps 2 and 4 are both :func:`~repro.routing.kernel.relax`, the one
 service-DAG kernel, under two cost gathers.
 """
 
 from __future__ import annotations
 
 import time
-from array import array
 from functools import cached_property, partial
 from itertools import chain, compress, repeat
 from operator import attrgetter, itemgetter
@@ -66,22 +65,18 @@ import numpy as np
 from repro.overlay.hfc import HFCTopology
 from repro.overlay.network import ProxyId
 from repro.routing.batch import (
-    _INDEX,
     BATCH_SIZE_BUCKETS,
     BatchRouteResult,
-    Costs,
-    QueryTables,
-    Ragged,
+    ClusterCosts,
     child_infeasible_error,
     child_specs,
-    graph_row,
     offering_index,
     placement_capabilities,
     query_tables,
     rebind_derived,
-    relax,
     solve_specs,
 )
+from repro.routing.kernel import graph_row, relax
 from repro.routing.path import Hop, ServicePath, merge_consecutive_hops
 from repro.routing.providers import CoordinateProvider, DistanceProvider
 from repro.services.catalog import ServiceName
@@ -210,8 +205,6 @@ class HierarchicalRouter:
     #: :attr:`cluster_capabilities`), the next map step finds another object
     #: there and builds the index again, unless a ``rebind`` patched it
     _offering_index: Tuple[Any, Dict[ServiceName, List[ClusterId]]] = (None, {})
-    #: the metric handles :meth:`_resolve` bumps, bound once per telemetry scope
-    _metrics: Tuple[Any, ...] = (None,)
 
     def __init__(
         self,
@@ -390,8 +383,9 @@ class HierarchicalRouter:
         with _collector_paused(), tracer.span(
             "route", router="hierarchical", method=self.method, requests=count
         ):
-            # the chain kernels add the triples they relaxed and their chunks
-            with tracer.span("route.csp", relaxed=0, chunks=0):
+            # the kernel adds the triples it relaxed, its chunks and those it
+            # relaxed row by row
+            with tracer.span("route.csp", relaxed=0, chunks=0, row_chunks=0):
                 csps: List[Any] = self._csp_stage(requests)
             # every request's children side by side; how many each has (0: no CSP)
             children: List[ChildRequest] = []
@@ -403,7 +397,7 @@ class HierarchicalRouter:
                     if not isinstance(csp, NoFeasiblePathError):
                         children += dissect(request, csp)
                     counts.append(len(children) - before)
-            with tracer.span("route.conquer", children=len(children), relaxed=0, chunks=0):
+            with tracer.span("route.conquer", children=len(children), relaxed=0, chunks=0, row_chunks=0):
                 answers: List[Any] = self._conquer(children)
             del children
             with tracer.span("route.compose"):
@@ -420,17 +414,7 @@ class HierarchicalRouter:
                         infeasible += 1
 
         registry = self.telemetry.registry
-        batches = registry.counter("routing.batch.batches", router="hierarchical")
-        if self._metrics[0] is not batches:  # a new telemetry scope, or its registry cleared
-            histogram = partial(registry.histogram, router="hierarchical")
-            self._metrics = (
-                batches,
-                registry.counter("routing.batch.requests", router="hierarchical"),
-                histogram("routing.batch.size", buckets=BATCH_SIZE_BUCKETS),
-                histogram("routing.batch.request_seconds", buckets=WALL_SPAN_BUCKETS),
-                {},  # per outcome, registered on its first hit
-            )
-        _, requested, sizes, seconds, outcomes = self._metrics
+        batches, requested, sizes, seconds, outcomes = registry.bind("routing.hierarchical", _bind_metrics)
         batches.inc()
         requested.inc(count)
         sizes.observe(count)
@@ -541,10 +525,10 @@ class HierarchicalRouter:
         """The seam where the CSP stage calls its solver: per job, its
         cluster-level path over the clusters *offering* lists per service.
 
-        Here one :func:`~repro.routing.batch.relax` over
-        :class:`_ClusterCosts`: a row per request, its candidates every
-        offering cluster of each slot's service, a branching graph's rows
-        through :func:`~repro.routing.batch.graph_row`.
+        Here one :func:`~repro.routing.kernel.relax` over
+        :class:`~repro.routing.batch.ClusterCosts`: a row per request, its
+        candidates every offering cluster of each slot's service, a branching
+        graph's rows through :func:`~repro.routing.kernel.graph_row`.
         """
         code = {service: at for at, service in enumerate(offering)}
         widths = list(map(len, offering.values()))
@@ -569,63 +553,17 @@ class HierarchicalRouter:
                 pds.append(pd)
         if not rows:
             return results
-        costs = _ClusterCosts(self, offering, css, cds, pds)
-        for r0, r1, lay, parent, final, bounds in relax(widths, rows, costs, shapes, self.telemetry.tracer):
-            chosen = lay.walk(parent, final, costs.lane_cluster)
-            placed: Iterable[Optional[List[int]]] = (
-                repeat(None) if lay.position is None else lay.walk(parent, final, lay.position)
-            )
-            for (at, slots, cs, cd), bound, picked, positions in zip(live[r0:r1], bounds, chosen, placed):
-                if bound < np.inf:
-                    filled = slots if positions is None else list(map(slots.__getitem__, positions))
-                    results[at] = _csp((tuple(zip(filled, picked)), cs, cd, bound))
+        groups = list(offering.values())
+        view, clusters = self._view, list(chain.from_iterable(groups))
+        costs = ClusterCosts(query_tables(view), self.method == "backtrack", view, groups, css, cds, pds)
+        # the kernel first: its tracer hears the call once it is exhausted
+        for (items, positions, bound), (at, slots, cs, cd) in zip(
+            relax(widths, rows, costs, shapes, self.telemetry.tracer), live
+        ):
+            if bound < np.inf:
+                filled = slots if positions is None else list(map(slots.__getitem__, positions))
+                results[at] = _csp((tuple(zip(filled, map(clusters.__getitem__, items))), cs, cd, bound))
         return results
-
-    def _sink(
-        self,
-        tables: QueryTables,
-        labels: np.ndarray,
-        entry: np.ndarray,
-        clusters: np.ndarray,
-        cds: Sequence[ClusterId],
-        destinations: Sequence[ProxyId],
-    ) -> np.ndarray:
-        """``label + tail`` of every sink label ``(rows, lanes)``, row *b*
-        ending at ``destinations[b]`` in cluster ``cds[b]`` (*entry*: the
-        ``d_entry`` row each label entered its cluster by, 0 for none), in the
-        association ``(ext + internal) + dist``. The exact distances to a
-        destination are a row over *its own cluster's* borders only (all a
-        destination proxy can know), from the same ``space.distance`` calls,
-        made once per destination and *tables*
-        (:attr:`~repro.routing.batch.QueryTables.to_destination`).
-        """
-        ext, exits_of, entries_of, d_entry = tables.flat
-        k, stride = tables.cluster_count, len(tables.border_list) + 1
-        if self.method != "backtrack" or not tables.border_list:
-            return labels + ext[clusters * k + np.array(cds, _INDEX)[:, None]]
-        ptr, rows = tables.border_ptr.tolist(), tables.to_destination
-        distance = self._view.space.distance
-        # one 0.0 (no border) and, per distinct destination, the distances
-        # from its cluster's borders, asked once per tables object;
-        # ``base[pd] + shifted code`` finds one
-        to_pd, base = array("d", [0.0]), {}
-        for pd, c in zip(destinations, cds):
-            if pd not in base:
-                base[pd] = len(to_pd) - 1 - ptr[c]
-                row = rows.get(pd)
-                if row is None:
-                    borders = tables.border_list[ptr[c] : ptr[c + 1]]
-                    row = rows[pd] = array("d", map(distance, borders, repeat(pd)))
-                to_pd += row
-        cd, at = np.array([cds, list(map(base.__getitem__, destinations))], _INDEX)[:, :, None]
-        out = clusters * k + cd
-        home = clusters == cd
-        internal = d_entry[entry + exits_of[out]]
-        # the border of cd the path reaches pd from, shifted by one (0: none,
-        # no charge): the entry at home, else cd's border facing it
-        via = np.where(home, entry, entries_of[out]) // stride
-        dist = np.frombuffer(to_pd)[np.where(via > 0, at + via, 0)]
-        return labels + np.where(home, dist, (ext[out] + internal) + dist)
 
     # -- step 3: divide ---------------------------------------------------------
 
@@ -720,63 +658,13 @@ class HierarchicalRouter:
         return ServicePath(hops=tuple(hops))
 
 
-class _ClusterCosts(Costs):
-    """The CSP stage's gather over :func:`~repro.routing.batch.query_tables`:
-    a source slot starts at ``ext(cs, cluster)`` entered through the border
-    facing *cs*; a step adds ``ext`` and, under back-tracking, the internal
-    segment from the border the label entered by to the exit border (a
-    candidate in its predecessor's cluster adds ``ext``'s zero diagonal and
-    ``d_entry``'s zero column, and keeps the entry); the sink is
-    :meth:`HierarchicalRouter._sink`. An entry is carried as the offset of
-    its ``d_entry`` row; label-free gathers are made once per chunk."""
-
-    def __init__(
-        self, router: HierarchicalRouter, offering: Dict[ServiceName, List[ClusterId]],
-        sources: List[ClusterId], cds: List[ClusterId], destinations: List[ProxyId],
-    ) -> None:
-        self.router, self.cds, self.destinations = router, cds, destinations
-        self.tables = tables = query_tables(router._view)
-        # k as an array: a numpy operand skips a Python int's conversion
-        self.k, stride = np.array(tables.cluster_count), len(tables.border_list) + 1
-        self.internal = router.method == "backtrack" and stride > 1
-        self.clusters = np.fromiter(chain.from_iterable(offering.values()), _INDEX)
-        # each row's ``ext`` row: its source cluster times k
-        self.sources = np.array(sources, _INDEX) * self.k
-
-    def start(self, r0: int, r1: int, lay: Ragged) -> np.ndarray:
-        ext, exits_of, entries_of, self.d_entry = self.tables.flat
-        self.lay, self.rows = lay, slice(r0, r1)
-        lane_cluster = self.lane_cluster = self.clusters[lay.items]
-        head = self.sources[r0:r1][lay.head_rows] + lane_cluster[: lay.heads]
-        self.entry = np.zeros(len(lane_cluster), _INDEX)
-        self.entry[: lay.heads] = entries_of[head]
-        # few triple-length arrays stay alive: int32 border codes
-        kp = lane_cluster[lay.pred]
-        kp *= self.k
-        kp += lane_cluster[lay.heads :].repeat(lay.seg_len)
-        self.hop = ext[kp]
-        if self.internal:
-            self.exits, self.entries = exits_of[kp], entries_of[kp]
-        return ext[head]
-
-    def step(self, labels: np.ndarray, pred: np.ndarray, at: slice) -> np.ndarray:
-        costs = labels[pred]
-        costs += self.hop[at]
-        if self.internal:  # entry border of each label to its exit border
-            self.held = self.entry[pred]
-            costs += self.d_entry[self.held + self.exits[at]]
-        return costs
-
-    def keep(self, lanes: slice, at: slice, first: np.ndarray) -> None:
-        if self.internal:  # a candidate in its predecessor's cluster (no entry) keeps its entry
-            entries = self.entries[at]
-            self.entry[lanes] = np.where(entries, entries, self.held)[first]
-
-    def sink(self, labels: np.ndarray) -> np.ndarray:
-        tail = self.lay.tail
-        block = labels[tail]
-        block[self.lay.beyond] = np.inf
-        return self.router._sink(
-            self.tables, block, self.entry[tail], self.lane_cluster[tail],
-            self.cds[self.rows], self.destinations[self.rows],
-        )
+def _bind_metrics(registry: Any) -> Tuple[Any, ...]:
+    """The handles :meth:`HierarchicalRouter._resolve` bumps, bound once per registry."""
+    histogram = partial(registry.histogram, router="hierarchical")
+    return (
+        registry.counter("routing.batch.batches", router="hierarchical"),
+        registry.counter("routing.batch.requests", router="hierarchical"),
+        histogram("routing.batch.size", buckets=BATCH_SIZE_BUCKETS),
+        histogram("routing.batch.request_seconds", buckets=WALL_SPAN_BUCKETS),
+        {},  # per outcome, registered on its first hit
+    )

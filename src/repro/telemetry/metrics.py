@@ -24,7 +24,7 @@ exact while ``--telemetry-out`` sees the whole process.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.util.errors import TelemetryError
 
@@ -204,8 +204,18 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._metrics: Dict[MetricKey, Any] = {}
+        #: what :meth:`bind` made, dropped with the metrics
+        self._bound: Dict[str, Any] = {}
 
     # -- handle factories ------------------------------------------------------
+
+    def bind(self, key: str, make: Callable[["MetricsRegistry"], Any]) -> Any:
+        """``make(self)`` — a caller's handles, looked up once — kept under *key*
+        until :meth:`clear`, so a hot caller pays one dict lookup per call."""
+        bound = self._bound.get(key)
+        if bound is None:
+            bound = self._bound[key] = make(self)
+        return bound
 
     def counter(self, name: str, **labels: Any) -> Counter:
         """Get-or-create the counter *name* with *labels*."""
@@ -302,6 +312,7 @@ class MetricsRegistry:
     def clear(self) -> None:
         """Drop every metric (tests, and drivers between independent runs)."""
         self._metrics.clear()
+        self._bound.clear()
 
     def snapshot(self) -> Dict[str, Any]:
         """JSON-ready dump of every metric, grouped by kind."""

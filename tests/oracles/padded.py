@@ -21,6 +21,7 @@ from repro.routing.batch import (
     ChildCandidates,
     child_infeasible_error,
     child_specs,
+    csp_sink,
     query_tables,
 )
 from repro.routing.hierarchical import (
@@ -190,8 +191,9 @@ class PaddedCspRouter(HierarchicalRouter):
                 parents.append(win)
 
             # the production sink reads entries as d_entry rows (0 = none)
-            totals = self._sink(
-                tables, labels, (entry + 1) * (len(tables.border_list) + 1), cand[at[:, 0], last], cds, destinations
+            totals = csp_sink(
+                tables, self.method == "backtrack", view.space.distance,
+                labels, (entry + 1) * (len(tables.border_list) + 1), cand[at[:, 0], last], cds, destinations,
             )
             winner = np.argmin(totals, axis=1)
             bounds = totals[at[:, 0], winner].tolist()

@@ -1,11 +1,12 @@
 """The ragged layout and relaxation as they stood before the kernel was cut
 down to fewer numpy calls per chunk: :func:`ragged_chunks` (with
 :func:`_links` and :func:`_ragged`), :func:`segment_argmin` and
-:func:`relax`, kept as a field-level oracle for ``routing/batch.py``. The
+:func:`relax`, kept as a field-level oracle for ``routing/kernel.py``. The
 production kernel must lay every chunk out exactly as these do, field for
-field and bit for bit, and yield the same parents, sink lanes and totals.
+field and bit for bit, and answer per row what these parents, sink lanes
+and totals walk to.
 
-The chunk budget is read from ``repro.routing.batch._CHUNK_TRIPLES`` at call
+The chunk budget is read from ``repro.routing.kernel._CHUNK_TRIPLES`` at call
 time, so a test that patches it there chunks both kernels alike.
 """
 
@@ -16,8 +17,8 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.routing import batch
-from repro.routing.batch import Costs, Ragged, Shape
+from repro.routing import kernel
+from repro.routing.kernel import Costs, Ragged, Shape
 
 
 def ragged_chunks(
@@ -34,7 +35,7 @@ def ragged_chunks(
     ends, bounds = lengths.cumsum(), [0, len(rows)]
     links = _links(lengths, ends, shapes) if shapes is not None and any(shapes) else None
     edges = len(width) if links is None else len(links[1])
-    if len(rows) > 1 and max(edges, len(width)) * max(widths) ** 2 > batch._CHUNK_TRIPLES:  # else surely one chunk
+    if len(rows) > 1 and max(edges, len(width)) * max(widths) ** 2 > kernel._CHUNK_TRIPLES:  # else surely one chunk
         if links is None:  # a chain slot follows the one before it
             pairs = np.zeros(len(width), dtype=np.int64)
             np.multiply(width[1:], width[:-1], out=pairs[1:])
@@ -42,7 +43,7 @@ def ragged_chunks(
         else:
             e_slot, e_pred = links[1:3]
             pairs = np.bincount(e_slot, width.take(e_slot) * width.take(e_pred), len(width)).astype(np.int64)
-        through = pairs.cumsum().take(ends - 1) // batch._CHUNK_TRIPLES
+        through = pairs.cumsum().take(ends - 1) // kernel._CHUNK_TRIPLES
         bounds[1:1] = (np.diff(through).nonzero()[0] + 1).tolist()
     for r0, r1 in zip(bounds, bounds[1:]):
         s0, s1 = int(ends[r0]) - len(rows[r0]), int(ends[r1 - 1])

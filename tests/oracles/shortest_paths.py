@@ -6,18 +6,38 @@ the HFC border routes and the HFC relay expansion; the kernel answers all of
 them now, and the tests hold its rows and parents to this. A lazy-deletion
 heap keeps the implementation short while staying O((V+E) log V).
 :func:`overlay_graph` builds the explicit HFC overlay graph the relay
-expansion is held to.
+expansion is held to, :func:`physical_graph` the physical links as a
+:class:`Graph` and :func:`reachable` a delay row as a mapping.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple
 
 from repro.graph.graph import Graph
 from repro.util.errors import GraphError, TopologyError
 
 Node = Hashable
+
+
+def physical_graph(physical: Any) -> Graph:
+    """The links of a :class:`~repro.netsim.topology.PhysicalTopology` (or of a
+    :class:`~repro.netsim.physical.PhysicalNetwork`'s topology) as a weighted
+    :class:`Graph`: routers ``0 .. n - 1`` in order, links in column order,
+    which fixes the adjacency order."""
+    topology = getattr(physical, "topology", physical)
+    graph = Graph()
+    graph.add_nodes(range(topology.node_count))
+    for u, v, w in zip(topology.edge_u.tolist(), topology.edge_v.tolist(), topology.edge_w.tolist()):
+        graph.add_edge(u, v, w)
+    return graph
+
+
+def reachable(row: Any) -> Dict[int, float]:
+    """A :class:`~repro.netsim.physical.DelayRow` as ``{router: delay}`` over
+    the routers it reaches."""
+    return {v: delay for v, delay in enumerate(row.array.tolist()) if delay != float("inf")}
 
 
 def dijkstra(

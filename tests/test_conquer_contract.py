@@ -36,6 +36,7 @@ from tests.test_query_batch import (
     _assert_same_resolution,
     _ReferenceRecursive,
 )
+from tests.oracles.shortest_paths import physical_graph
 
 
 def _recursive_pair(hfc, caps):
@@ -58,7 +59,7 @@ ROTATION = {
 def _seeded_overlay(seed=20):
     """40 proxies in 6 clusters over the shared substrate, seeded."""
     rng = random.Random(seed)
-    proxies = _PHYSICAL.graph.nodes()[:40]
+    proxies = physical_graph(_PHYSICAL).nodes()[:40]
     space = CoordinateSpace({p: (rng.uniform(-100, 100), rng.uniform(-100, 100)) for p in proxies})
     catalog = [f"s{i}" for i in range(8)]
     placement = {p: frozenset(rng.sample(catalog, rng.randint(1, 3))) for p in proxies}

@@ -69,6 +69,7 @@ from tests.oracles.construction import (
     select_borders_closest_reference,
     solve_host_reference,
 )
+from tests.oracles.shortest_paths import physical_graph
 
 
 def gnp_objectives(landmarks, measured):
@@ -810,7 +811,7 @@ class TestMeasureManyEquivalence:
         topo = transit_stub(120, seed=5)
         net_a = PhysicalNetwork(topo, noise=noise, seed=9)
         net_b = PhysicalNetwork(topo, noise=noise, seed=9)
-        nodes = topo.graph.nodes()
+        nodes = physical_graph(topo).nodes()
         sources, targets = nodes[:15], nodes[20:25]
         loop = np.array(
             [[net_a.measure(s, t, probes=3) for t in targets] for s in sources]

@@ -17,6 +17,7 @@ from repro.coords import (
     locate_hosts,
 )
 from repro.util.errors import EmbeddingError
+from tests.oracles.shortest_paths import physical_graph
 
 
 def pairwise(points):
@@ -214,7 +215,7 @@ class TestBuildCoordinateSpace:
 
     def test_explicit_landmarks_respected(self, small_physical):
         hosts = small_physical.pick_overlay_nodes(15, seed=3)
-        landmarks = small_physical.graph.nodes()[:6]
+        landmarks = physical_graph(small_physical).nodes()[:6]
         _, report = build_coordinate_space(
             small_physical, hosts, landmarks=landmarks, seed=4
         )

@@ -18,6 +18,7 @@ from repro.experiments import (
 )
 from repro.services import generic_catalog
 from repro.util.errors import ReproError
+from tests.oracles.shortest_paths import physical_graph
 
 TINY = EnvironmentSpec(
     physical_nodes=150, landmarks=10, proxies=40, clients=10
@@ -65,7 +66,7 @@ class TestEnvironment:
 
     def test_sizes_match_spec(self, env):
         assert env.framework.overlay.size == TINY.proxies
-        assert env.framework.physical.graph.node_count == TINY.physical_nodes
+        assert physical_graph(env.framework.physical).node_count == TINY.physical_nodes
         assert len(env.clients) == TINY.clients
 
     def test_client_proxies_are_nearest(self, env):

@@ -20,6 +20,7 @@ from repro.services import ServiceRequest, linear_graph
 from repro.util.errors import NoFeasiblePathError, RoutingError
 
 import numpy as np
+from tests.oracles.shortest_paths import physical_graph
 
 
 def sample_requests(framework, count, seed=0):
@@ -119,7 +120,7 @@ def test_stranger_endpoint_fails_only_its_request(tiny_framework, make):
     router words it; the rest of the batch still routes."""
     router = make(tiny_framework)
     overlay = tiny_framework.overlay
-    stranger = next(n for n in overlay.physical.graph.nodes() if n not in set(overlay.proxies))
+    stranger = next(n for n in physical_graph(overlay.physical).nodes() if n not in set(overlay.proxies))
     ok = sample_requests(tiny_framework, 2, seed=16)
     sg = ok[0].service_graph
     batch = [ok[0], ServiceRequest(stranger, sg, overlay.proxies[0]), ok[1]]

@@ -32,6 +32,7 @@ from repro.routing import (
 from repro.services import ServiceRequest, linear_graph
 from repro.util.errors import NoFeasiblePathError
 from tests.oracles.csp import router_for
+from tests.oracles.shortest_paths import physical_graph
 
 #: one shared physical substrate; synthetic overlays draw proxies from it
 _PHYSICAL = PhysicalNetwork(waxman(40, seed=1234), noise=0.0, seed=99)
@@ -42,7 +43,7 @@ def synthetic_overlay(draw):
     """A small overlay with arbitrary coordinates/placement/clustering."""
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(min_value=4, max_value=16))
-    proxies = _PHYSICAL.graph.nodes()[:n]
+    proxies = physical_graph(_PHYSICAL).nodes()[:n]
 
     coords = {
         p: (

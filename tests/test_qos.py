@@ -15,6 +15,7 @@ from repro.util.errors import NoFeasiblePathError, RoutingError
 from repro.util.rng import ensure_rng
 
 import numpy as np
+from tests.oracles.shortest_paths import physical_graph
 
 
 @pytest.fixture(scope="module")
@@ -24,7 +25,7 @@ def model(framework):
 
 class TestBandwidthModel:
     def test_every_physical_link_has_capacity(self, framework, model):
-        for u, v, _ in framework.physical.graph.edges():
+        for u, v, _ in physical_graph(framework.physical).edges():
             assert model.link_capacity(u, v) > 0
 
     def test_capacities_drawn_in_graph_edge_order(self, framework, model):
@@ -33,21 +34,22 @@ class TestBandwidthModel:
         seed keeps giving every link the same capacity."""
         rng = ensure_rng(4)
         kinds = framework.physical.topology.node_kind
-        for u, v, _ in framework.physical.graph.edges():
+        for u, v, _ in physical_graph(framework.physical).edges():
             core = kinds[u] == "transit" and kinds[v] == "transit"
             expected = rng.uniform(*((155.0, 1000.0) if core else (10.0, 100.0)))
             assert model.link_capacity(u, v) == expected
 
     def test_capacity_symmetric_lookup(self, framework, model):
-        u, v, _ = next(framework.physical.graph.edges())
+        u, v, _ = next(physical_graph(framework.physical).edges())
         assert model.link_capacity(u, v) == model.link_capacity(v, u)
 
     def test_missing_link_raises(self, framework, model):
-        nodes = framework.physical.graph.nodes()
+        graph = physical_graph(framework.physical)
+        nodes = graph.nodes()
         non_adjacent = None
         for a in nodes:
             for b in nodes:
-                if a != b and not framework.physical.graph.has_edge(a, b):
+                if a != b and not graph.has_edge(a, b):
                     non_adjacent = (a, b)
                     break
             if non_adjacent:
@@ -58,7 +60,7 @@ class TestBandwidthModel:
     def test_transit_links_fatter_on_average(self, framework, model):
         kinds = framework.physical.topology.node_kind
         transit, stub = [], []
-        for u, v, _ in framework.physical.graph.edges():
+        for u, v, _ in physical_graph(framework.physical).edges():
             cap = model.link_capacity(u, v)
             if kinds[u] == "transit" and kinds[v] == "transit":
                 transit.append(cap)

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro.cluster.mstcluster import Clustering
 from repro.coords.space import CoordinateSpace
+from repro.core import HFCFramework
 from repro.experiments import resolve_requests
 from repro.hierarchy import RecursiveRouter, build_levels
 from repro.netsim.physical import PhysicalNetwork
@@ -32,6 +33,7 @@ from repro.routing import (
     BatchRouteResult,
     CentroidAggregationRouter,
     HierarchicalRouter,
+    kernel,
 )
 from repro.routing.cache import CachedHierarchicalRouter
 from repro.services import ServiceRequest, linear_graph
@@ -40,6 +42,7 @@ from repro.telemetry import Telemetry
 from repro.util.errors import NoFeasiblePathError
 from tests.oracles.csp import ReferenceCspRouter, router_for
 from tests.oracles.padded import PaddedCspRouter
+from tests.oracles.shortest_paths import physical_graph
 
 #: one shared physical substrate; synthetic overlays draw proxies from it
 _PHYSICAL = PhysicalNetwork(waxman(40, seed=1234), noise=0.0, seed=99)
@@ -57,7 +60,7 @@ def batch_case(draw):
     """
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(min_value=4, max_value=14))
-    proxies = _PHYSICAL.graph.nodes()[:n]
+    proxies = physical_graph(_PHYSICAL).nodes()[:n]
 
     coords = {
         p: (
@@ -344,7 +347,7 @@ def test_staircase_matches_scalar_oracle(make, case, seed):
     want = oracle._resolve(requests)
     order = list(range(len(requests)))
     rng.shuffle(order)
-    with mock.patch.object(batch_module, "_CHUNK_TRIPLES", 48):
+    with mock.patch.multiple(kernel, _CHUNK_TRIPLES=48, _ROW_TRIPLES=0):
         got = router._resolve(requests)
         permuted = router._resolve([requests[i] for i in order])
     assert len(got) == len(permuted) == len(requests)
@@ -365,7 +368,7 @@ def lattice_case(draw):
     through it enters and leaves by the same border. Most other proxies
     offer one service, so one-candidate slots are common."""
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    proxies = _PHYSICAL.graph.nodes()[: draw(st.integers(6, 16))]
+    proxies = physical_graph(_PHYSICAL).nodes()[: draw(st.integers(6, 16))]
     space = CoordinateSpace(
         {p: (float(rng.randrange(4)), float(rng.randrange(4))) for p in proxies}
     )
@@ -412,13 +415,15 @@ def _lattice_batch(hfc, rng):
 
 @pytest.mark.parametrize("method", ["backtrack", "external"])
 @settings(max_examples=20, deadline=None)
-@given(lattice_case(), st.integers(0, 2**32 - 1), st.sampled_from([1, 5, 40, 32768]))
-def test_ragged_matches_padded_and_scalar(method, hfc, seed, budget):
+@given(lattice_case(), st.integers(0, 2**32 - 1), st.sampled_from([(1, 0), (5, 0), (40, 0), (32768, 0), (32768, float("inf"))]))
+def test_ragged_matches_padded_and_scalar(method, hfc, seed, kernel_budgets):
     """Property: the ragged kernel, the padded one it replaced and the
     scalar pipeline resolve a batch identically — ties, one-candidate slots,
     length-1 chains, all-inf rows, entry-equals-exit borders and branching
-    rows with dead branches included — however small the chunk budget. The
-    padded kernel has chains only, so branching rows skip it."""
+    rows with dead branches included — however small the chunk budget, and
+    so does the row-by-row way (a row budget of ``inf``). The padded kernel
+    has chains only, so branching rows skip it."""
+    budget, row_budget = kernel_budgets
     requests = _lattice_batch(hfc, random.Random(seed))
     caps = HierarchicalRouter(hfc).cluster_capabilities
     caps[0] = caps[0] | {"ghost"}
@@ -426,7 +431,7 @@ def test_ragged_matches_padded_and_scalar(method, hfc, seed, budget):
     ragged = HierarchicalRouter(hfc, method=method, cluster_capabilities=caps, telemetry=telemetry)
     padded = PaddedCspRouter(hfc, method=method, cluster_capabilities=caps)
     want = ReferenceCspRouter(hfc, method=method, cluster_capabilities=caps)._resolve(requests)
-    with mock.patch.object(batch_module, "_CHUNK_TRIPLES", budget):
+    with mock.patch.multiple(kernel, _CHUNK_TRIPLES=budget, _ROW_TRIPLES=row_budget):
         got = ragged._resolve(requests)
     for outcome, expected in zip(got, want):
         _assert_same_resolution(outcome, expected)
@@ -437,6 +442,7 @@ def test_ragged_matches_padded_and_scalar(method, hfc, seed, budget):
     csp = root.children[0]
     if budget == 1 and csp.attributes["relaxed"] > 1:
         assert csp.attributes["chunks"] > 1
+    assert csp.attributes["row_chunks"] == (csp.attributes["chunks"] if row_budget else 0)
 
 
 def test_kernel_spans_count_real_triples(framework):
@@ -446,7 +452,7 @@ def test_kernel_spans_count_real_triples(framework):
     requests = [r for r in _workload(framework, count=60) if r.service_graph.is_linear]
     telemetry = Telemetry()
     router = HierarchicalRouter(hfc, telemetry=telemetry)
-    with mock.patch.object(batch_module, "_CHUNK_TRIPLES", 64):
+    with mock.patch.multiple(kernel, _CHUNK_TRIPLES=64, _ROW_TRIPLES=0):
         results = router._resolve(requests)
 
     def triples(widths):
@@ -473,9 +479,34 @@ def test_kernel_spans_count_real_triples(framework):
     assert conquer.attributes["relaxed"] == conquered
     assert csp.attributes["chunks"] > 1
     assert conquer.attributes["chunks"] >= 1
+    assert csp.attributes["row_chunks"] == conquer.attributes["row_chunks"] == 0
 
 
 # -- framework wiring ----------------------------------------------------------
+
+
+def test_every_single_route_is_its_slot_in_a_ragged_batch():
+    """On a seeded n=150 overlay every request routed alone — its CSP and its
+    conquer relaxed row by row — takes the CSP and path it takes in one batch
+    laid out ragged, through the hierarchical and the flat router."""
+    framework = HFCFramework.build(proxy_count=150, seed=11)
+    requests = [framework.random_request(seed=seed) for seed in range(60)]
+    telemetry = Telemetry(span_capacity=len(requests) + 1)
+    router = framework.hierarchical_router(telemetry=telemetry)
+    flat = framework.flat_router()
+    with mock.patch.object(kernel, "_ROW_TRIPLES", 0):
+        batch = router._resolve(requests)
+        flat_batch = flat.route_many_detailed(requests)
+    (ragged,) = telemetry.tracer.find_roots("route")
+    assert ragged.children[0].attributes["row_chunks"] == ragged.children[2].attributes["row_chunks"] == 0
+    telemetry.clear()
+    for request, batched, flat_path in zip(requests, batch, flat_batch.paths):
+        alone = router.route_detailed(request)
+        assert (alone.csp, alone.path) == (batched.csp, batched.path)
+        assert flat.route(request) == flat_path
+    for root in telemetry.tracer.find_roots("route"):
+        for stage in (root.children[0], root.children[2]):
+            assert stage.attributes["row_chunks"] == stage.attributes["chunks"] <= 1
 
 
 def _workload(framework, count=25, infeasible=False):
@@ -630,3 +661,21 @@ def test_route_many_telemetry_counters(framework):
     ).value == len(requests) + 2
     sizes = registry.get("routing.batch.size", router="hierarchical")
     assert (sizes.count, sizes.min, sizes.max) == (3, 1, len(requests))
+
+
+def test_a_registry_cleared_between_calls_still_counts(framework):
+    """The handles a call bumps are bound once per registry: a cleared one
+    (or another router on it) gets them again, registered afresh."""
+    telemetry = Telemetry()
+    requests = _workload(framework, count=3)
+    router = HierarchicalRouter(framework.hfc, telemetry=telemetry)
+    router.route_many(requests)
+    telemetry.registry.clear()
+    router.route(requests[0])
+    HierarchicalRouter(framework.hfc, telemetry=telemetry).route(requests[1])
+    registry = telemetry.registry
+    assert registry.counter("routing.batch.batches", router="hierarchical").value == 2
+    assert registry.counter("routing.batch.requests", router="hierarchical").value == 2
+    assert registry.counter("routing.requests", router="hierarchical", outcome="ok").value == 2
+    assert registry.get("routing.batch.size", router="hierarchical").count == 2
+    assert registry.get("routing.batch.request_seconds", router="hierarchical").count == 2

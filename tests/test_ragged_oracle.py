@@ -1,29 +1,39 @@
-"""The ragged kernel against the layout and relaxation it was cut down from.
+"""The kernel's two ways against each other and against the layout and
+relaxation the ragged way was cut down from.
 
 ``tests/oracles/ragged.py`` keeps ``ragged_chunks`` / ``_ragged`` /
 ``segment_argmin`` / ``relax`` as they stood before the kernel made fewer
-numpy calls per chunk. Every :class:`~repro.routing.batch.Ragged` field of
-every chunk, and every yield of :func:`~repro.routing.batch.relax`, must be
-the oracle's bit for bit: value, dtype and shape. The calls are random chain
-and branching rows (1-60 rows, candidate groups of width 0-13, dead branches
-that :func:`~repro.routing.batch.graph_row` drops), laid out at the default
-chunk budget and with ``_CHUNK_TRIPLES`` patched down to 40, 5 and 1, so the
-chunk seams and one-row chunks are covered too.
+numpy calls per chunk. Every :class:`~repro.routing.kernel.Ragged` field of
+every chunk must be the oracle's bit for bit (value, dtype and shape), and
+every row :func:`~repro.routing.kernel.relax` answers — its picks, their
+positions and its bound — what the oracle's parents, sink lanes and totals
+walk to. The calls are random chain and branching rows (1-60 rows, candidate
+groups of width 0-13, dead branches that
+:func:`~repro.routing.kernel.graph_row` drops), laid out at the default chunk
+budget and with ``_CHUNK_TRIPLES`` patched down to 40, 5 and 1, so the chunk
+seams and one-row chunks are covered too. The row-by-row way (``_ROW_TRIPLES``
+patched to ``inf``) must answer what the ragged way (patched to 0) answers,
+under a matrix of integer distances and under coordinates in two and three
+dimensions.
 """
 
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.routing import batch as batch_module
-from repro.routing.batch import ProxyCosts, Ragged, graph_row, ragged_chunks, relax
-from repro.routing.providers import MatrixProvider
+from repro.coords.space import CoordinateSpace
+from repro.routing import kernel
+from repro.routing.kernel import ProxyCosts, Ragged, graph_row, ragged_chunks, relax
+from repro.routing.providers import CoordinateProvider, MatrixProvider
 from repro.services.graph import ServiceGraph
+from repro.telemetry import Telemetry
 from tests.oracles import ragged as oracle
 
-BUDGETS = (1, 5, 40, batch_module._CHUNK_TRIPLES)
+BUDGETS = (1, 5, 40, kernel._CHUNK_TRIPLES)
+RAGGED, ROWS = 0, float("inf")
 
 
 @st.composite
@@ -81,7 +91,7 @@ def _same(got, want, where):
 def test_every_ragged_field_is_the_oracles(call):
     widths, rows, shapes = call
     for budget in BUDGETS:
-        with mock.patch.object(batch_module, "_CHUNK_TRIPLES", budget):
+        with mock.patch.object(kernel, "_CHUNK_TRIPLES", budget):
             got = list(ragged_chunks(widths, rows, shapes))
             want = list(oracle.ragged_chunks(widths, rows, shapes))
         assert [chunk[:2] for chunk in got] == [chunk[:2] for chunk in want], budget
@@ -90,7 +100,7 @@ def test_every_ragged_field_is_the_oracles(call):
                 _same(getattr(lay, field), getattr(expected, field), f"budget {budget} rows {r0}: {field}")
 
 
-def _costs(widths, rows, seed):
+def _matrix(widths, rows, seed):
     """A :class:`ProxyCosts` over integer distances (ties everywhere, some
     ``inf``), its candidates, sources and destinations drawn from *seed*."""
     rng = np.random.default_rng(seed)
@@ -103,21 +113,81 @@ def _costs(widths, rows, seed):
     return lambda: ProxyCosts(provider, proxies, *ends)
 
 
+def _coordinates(dimension):
+    """:func:`_matrix` in a coordinate space of *dimension*: float
+    coordinates, a few points shared (ties) and every distance the provider's
+    ``pairs``, whose einsum need not sum left to right."""
+
+    def make(widths, rows, seed):
+        rng = np.random.default_rng(seed)
+        n = 12
+        points = rng.normal(0.0, 50.0, (n, dimension))
+        points[rng.integers(0, n, 3)] = points[0]
+        provider = CoordinateProvider(CoordinateSpace({p: points[p].tolist() for p in range(n)}))
+        proxies = rng.integers(0, n, sum(widths)).tolist()
+        ends = rng.integers(0, n, (2, len(rows))).tolist()
+        return lambda: ProxyCosts(provider, proxies, *ends)
+
+    return make
+
+
+def _walked(widths, rows, costs, shapes):
+    """The oracle's yields as :func:`relax` answers: per row its picks, their
+    positions (None for a chain) and its bound."""
+    picked = []
+    for r0, r1, lay, parent, final, totals in oracle.relax(widths, rows, costs, shapes):
+        placed = [None] * (r1 - r0)
+        if lay.position is not None:
+            walked = lay.walk(parent, final, lay.position)
+            placed = [None if shapes[r] is None else walked[r - r0] for r in range(r0, r1)]
+        picked += zip(lay.walk(parent, final, lay.items), placed, totals)
+    return picked
+
+
 @settings(max_examples=60, deadline=None)
 @given(kernel_call(), st.integers(0, 2**32 - 1))
 def test_every_relax_yield_is_the_oracles(call, seed):
     widths, rows, shapes = call
-    costs = _costs(widths, rows, seed)
+    costs = _matrix(widths, rows, seed)
     for budget in BUDGETS:
-        with mock.patch.object(batch_module, "_CHUNK_TRIPLES", budget):
+        with mock.patch.multiple(kernel, _CHUNK_TRIPLES=budget, _ROW_TRIPLES=RAGGED):
             got = list(relax(widths, rows, costs(), shapes))
-            want = list(oracle.relax(widths, rows, costs(), shapes))
-        assert len(got) == len(want), budget
-        for ours, theirs in zip(got, want):
-            r0, r1, lay, parent, final, totals = ours
-            assert (r0, r1) == theirs[:2], budget
-            for field in Ragged._fields:
-                _same(getattr(lay, field), getattr(theirs[2], field), f"budget {budget}: {field}")
-            _same(parent, theirs[3], f"budget {budget}: parent")
-            _same(final, theirs[4], f"budget {budget}: final")
-            _same(totals, theirs[5], f"budget {budget}: totals")
+            want = _walked(widths, rows, costs(), shapes)
+        _same(got, want, f"budget {budget}")
+
+
+@pytest.mark.parametrize("make", [_matrix, _coordinates(2), _coordinates(3)], ids=["matrix", "k=2", "k=3"])
+@settings(max_examples=60, deadline=None)
+@given(call=kernel_call(), seed=st.integers(0, 2**32 - 1))
+def test_row_by_row_answers_what_the_ragged_way_answers(make, call, seed):
+    """Every pick, position and bound, bit for bit, infeasible rows included."""
+    widths, rows, shapes = call
+    costs = make(widths, rows, seed)
+    answers = {}
+    for way in (RAGGED, ROWS):
+        telemetry = Telemetry()
+        with mock.patch.object(kernel, "_ROW_TRIPLES", way), telemetry.tracer.span("call"):
+            answers[way] = list(relax(widths, rows, costs(), shapes, telemetry.tracer))
+        (span,) = telemetry.tracer.find_roots("call")
+        assert span.attributes["row_chunks"] == (way == ROWS)
+    _same(answers[ROWS], answers[RAGGED], "row by row")
+
+
+@pytest.mark.parametrize("below", [1, 0, -1])
+def test_the_way_switches_at_the_row_budget(below):
+    """A call whose real triples, plus :data:`~repro.routing.kernel._ROW_WEIGHT`
+    a row, come one under :data:`~repro.routing.kernel._ROW_TRIPLES` is
+    relaxed row by row; one at it or a triple over, laid out ragged. Either
+    way the rows answer alike."""
+    triples = kernel._ROW_TRIPLES - 2 * kernel._ROW_WEIGHT - below
+    # a chain of 2 x 2 candidates (80 triples), and one of 1 x 1 for the rest
+    widths, rows = [2, 2, 1], [[0, 1] * 10 + [0], [2] * (triples - 80 + 1)]
+    costs = _coordinates(2)(widths, rows, 7)
+    telemetry = Telemetry()
+    with telemetry.tracer.span("call"):
+        got = list(relax(widths, rows, costs(), None, telemetry.tracer))
+    (span,) = telemetry.tracer.find_roots("call")
+    assert span.attributes["relaxed"] == triples
+    assert span.attributes["row_chunks"] == (below > 0)
+    with mock.patch.object(kernel, "_ROW_TRIPLES", RAGGED if below > 0 else ROWS):
+        assert list(relax(widths, rows, costs(), None)) == got

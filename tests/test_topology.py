@@ -5,14 +5,15 @@ import pytest
 from repro.graph import is_connected
 from repro.netsim import TransitStubConfig, transit_stub, waxman
 from repro.util.errors import TopologyError
+from tests.oracles.shortest_paths import physical_graph
 
 
 class TestTransitStub:
     def test_node_count_matches_request(self, small_topology):
-        assert small_topology.graph.node_count == 200
+        assert physical_graph(small_topology).node_count == 200
 
     def test_connected(self, small_topology):
-        assert is_connected(small_topology.graph)
+        assert is_connected(physical_graph(small_topology))
 
     def test_transit_count_from_config(self, small_topology):
         cfg = TransitStubConfig()
@@ -23,7 +24,7 @@ class TestTransitStub:
         assert len(small_topology.stub_nodes) > len(small_topology.transit_nodes) * 5
 
     def test_every_node_has_position_and_kind(self, small_topology):
-        for node in small_topology.graph.nodes():
+        for node in physical_graph(small_topology).nodes():
             assert node in small_topology.positions
             assert small_topology.node_kind[node] in ("transit", "stub")
 
@@ -32,18 +33,18 @@ class TestTransitStub:
             assert small_topology.stub_domain[node] >= 0
 
     def test_positive_link_delays(self, small_topology):
-        for _, _, w in small_topology.graph.edges():
+        for _, _, w in physical_graph(small_topology).edges():
             assert w > 0
 
     def test_deterministic_for_seed(self):
         a = transit_stub(200, seed=5)
         b = transit_stub(200, seed=5)
-        assert sorted(a.graph.edges()) == sorted(b.graph.edges())
+        assert sorted(physical_graph(a).edges()) == sorted(physical_graph(b).edges())
 
     def test_different_seeds_differ(self):
         a = transit_stub(200, seed=5)
         b = transit_stub(200, seed=6)
-        assert sorted(a.graph.edges()) != sorted(b.graph.edges())
+        assert sorted(physical_graph(a).edges()) != sorted(physical_graph(b).edges())
 
     def test_too_small_budget_raises(self):
         with pytest.raises(TopologyError):
@@ -52,8 +53,8 @@ class TestTransitStub:
     @pytest.mark.parametrize("size", [150, 300, 600])
     def test_various_sizes_connected(self, size):
         topo = transit_stub(size, seed=size)
-        assert topo.graph.node_count == size
-        assert is_connected(topo.graph)
+        assert physical_graph(topo).node_count == size
+        assert is_connected(physical_graph(topo))
 
     def test_stub_domains_are_local(self, small_topology):
         """Stub domains should be geographically tight relative to the plane."""
@@ -81,8 +82,8 @@ class TestTransitStub:
 class TestWaxman:
     def test_connected_and_sized(self):
         topo = waxman(50, seed=3)
-        assert topo.graph.node_count == 50
-        assert is_connected(topo.graph)
+        assert physical_graph(topo).node_count == 50
+        assert is_connected(physical_graph(topo))
 
     def test_all_nodes_are_stubs(self):
         topo = waxman(10, seed=3)
@@ -90,7 +91,7 @@ class TestWaxman:
 
     def test_single_node(self):
         topo = waxman(1, seed=3)
-        assert topo.graph.node_count == 1
+        assert physical_graph(topo).node_count == 1
 
     def test_zero_nodes_rejected(self):
         with pytest.raises(TopologyError):
@@ -99,4 +100,4 @@ class TestWaxman:
     def test_higher_alpha_means_denser(self):
         sparse = waxman(60, alpha=0.1, seed=4)
         dense = waxman(60, alpha=0.95, seed=4)
-        assert dense.graph.edge_count > sparse.graph.edge_count
+        assert physical_graph(dense).edge_count > physical_graph(sparse).edge_count
