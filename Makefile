@@ -62,7 +62,8 @@ e2e-selftest:
 # functions by own time over the whole run, the measured rounds' stage split
 # by layer, and the cyclic collector's collections and seconds per generation
 # (which cProfile cannot see); for route_2k also a single route's stage means
-# and its numpy and Python calls. `make profile W=route_2k`.
+# and its numpy and Python calls, and the warm batch's ms per 1,000 requests
+# by stage, timed around each stage. `make profile W=route_2k`.
 W ?= engine_16k
 profile:
 	$(PYTHON) scripts/profile_e2e.py --workload $(W)

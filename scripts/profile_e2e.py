@@ -20,11 +20,16 @@ Prints, after the run's own summary:
   timer, and on a row of their own the explicit ``gc.collect()`` calls (the
   harness makes one before every round).
 
-For ``route_2k`` a last row gives what one routed call costs before its
+For ``route_2k`` two last rows. What one routed call costs before its
 first request: a single route's stage means from the router's own spans,
 over 125 singles of the workload's request set, the numpy and Python
 calls it makes (:func:`count_calls`), averaged over 25 of them, and how many
-of the CSP's and the conquer's kernel chunks were relaxed row by row.
+of the CSP's and the conquer's kernel chunks were relaxed row by row. And
+the warm 1,000-request batch in ms per 1,000 requests by stage — CSP kernel,
+CSP rest, dissect, conquer kernel, conquer rest, compose, rest of the call —
+from ``perf_counter`` around each stage, not the profiler
+(:func:`batch_stage_row`): numpy operators and subscripts make no profile
+event, so a profile cannot say which stage they slowed.
 
 The dump lands in ``benchmarks/out/<workload>.pstats`` (git-ignored).
 ``--scale smoke`` is for CI: it proves the script runs, its numbers mean nothing.
@@ -38,6 +43,7 @@ import gc
 import json
 import pstats
 import runpy
+import statistics
 import sys
 from pathlib import Path
 from time import perf_counter
@@ -125,17 +131,23 @@ def count_calls(fn: Callable[[], Any]) -> Tuple[Any, int, int]:
     return result, numpy, python
 
 
-def single_route_row(scale: str) -> str:
-    """One ``route_2k`` single route: stage means from its spans, calls per route."""
+def route_fixture(scale: str) -> Dict[str, Any]:
+    """``route_2k``'s overlay, router and requests, routed once (the query
+    tables, provider index and destination rows built)."""
     sys.path.insert(0, str(ROOT / "src"))
     sys.path.insert(0, str(ROOT))
     from benchmarks.e2e.workloads import Route
 
+    ctx = Route().setup(Route.params[scale], seed=11)
+    ctx["router"].route_many_detailed(ctx["requests"])
+    return ctx
+
+
+def single_route_row(ctx: Dict[str, Any]) -> str:
+    """One ``route_2k`` single route: stage means from its spans, calls per route."""
     from repro.telemetry import Telemetry
 
-    ctx = Route().setup(Route.params[scale], seed=11)
     router, requests = ctx["router"], ctx["requests"]
-    router.route_many_detailed(requests)  # the query tables and provider index
     router.telemetry = telemetry = Telemetry(span_capacity=len(requests))
     for request in requests[:125]:
         router.route(request)
@@ -158,6 +170,74 @@ def single_route_row(scale: str) -> str:
         f"   {numpy:.1f} numpy calls and {python:.1f} Python calls per route\n"
         f"   kernel chunks relaxed row by row: "
         + ", ".join(f"{name[6:]} {rows} of {total}" for name, (total, rows) in chunks.items())
+    )
+
+
+def _timed_kernel(relax: Callable[..., Any], seconds: List[float]) -> Callable[..., Any]:
+    """*relax*, the time spent inside each of its resumptions added to ``seconds[0]``."""
+
+    def timed(*args: Any, **kwargs: Any) -> Any:
+        rows = relax(*args, **kwargs)
+        while True:
+            t0 = perf_counter()
+            try:
+                row = next(rows)
+            except StopIteration:
+                seconds[0] += perf_counter() - t0
+                return
+            seconds[0] += perf_counter() - t0
+            yield row
+
+    return timed
+
+
+def batch_stage_row(ctx: Dict[str, Any], batches: int = 10) -> str:
+    """``route_2k``'s warm batch in ms per 1,000 requests by stage, the median
+    over *batches* at reference host speed (the benchmark's ``HostSpeed``):
+    each stage from the router's own span around it, the kernel inside the
+    CSP stage and the conquer from ``perf_counter`` around each resumption of
+    its ``relax``, the rest of the call from ``perf_counter`` around
+    ``route_many_detailed``. Numpy operators and subscripts make no profile
+    event, so only a clock around a stage sees them."""
+    import repro.routing.batch as batch
+    import repro.routing.hierarchical as hierarchical
+    from benchmarks.e2e.workloads import HostSpeed
+
+    from repro.telemetry import Telemetry
+
+    router, requests, host = ctx["router"], ctx["requests"], HostSpeed()
+    kernels = {"csp": [0.0], "conquer": [0.0]}
+    patched = [(hierarchical, kernels["csp"]), (batch, kernels["conquer"])]
+    originals = [module.relax for module, _ in patched]
+    for module, seconds in patched:
+        module.relax = _timed_kernel(module.relax, seconds)  # type: ignore[attr-defined]
+    rows: List[Dict[str, float]] = []
+    try:
+        for _ in range(batches):
+            router.telemetry = telemetry = Telemetry(span_capacity=1)
+            kernels["csp"][0] = kernels["conquer"][0] = 0.0
+            _, wall, slowdown = host.timed(lambda: router.route_many_detailed(requests))
+            (root,) = telemetry.tracer.find_roots("route")
+            spans = {span.name[6:]: span.duration for span in root.children}
+            stages = {
+                "csp kernel": kernels["csp"][0],
+                "csp rest": spans["csp"] - kernels["csp"][0],
+                "dissect": spans["dissect"],
+                "conquer kernel": kernels["conquer"][0],
+                "conquer rest": spans["conquer"] - kernels["conquer"][0],
+                "compose": spans["compose"],
+                "rest of the call": wall - sum(spans.values()),
+            }
+            # seconds of one batch -> ms per 1,000 requests at reference speed
+            rows.append({name: value * 1e6 / len(requests) / slowdown for name, value in stages.items()})
+    finally:
+        for (module, _), original in zip(patched, originals):
+            module.relax = original  # type: ignore[attr-defined]
+    median = {name: statistics.median(row[name] for row in rows) for name in rows[0]}
+    return (
+        f"   {sum(median.values()):.1f} ms per 1,000 requests, the sum of each stage's median over "
+        f"{batches} warm batches of {len(requests)} at reference host speed: "
+        + ", ".join(f"{name} {value:.1f}" for name, value in median.items())
     )
 
 
@@ -201,7 +281,10 @@ def main(argv: List[str] | None = None) -> int:
     print(collections.report(wall))
     if args.workload == "route_2k":
         print("== one routed call before its first request (untraced, outside the profiler)")
-        print(single_route_row(args.scale))
+        ctx = route_fixture(args.scale)
+        print(single_route_row(ctx))
+        print("== the warm batch by stage (untraced, outside the profiler, perf_counter around each stage)")
+        print(batch_stage_row(ctx))
     return 0
 
 

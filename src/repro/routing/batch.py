@@ -34,23 +34,12 @@ raising on any other distance query.
 from __future__ import annotations
 
 from array import array
-from bisect import insort
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import accumulate, chain, compress, groupby, repeat
-from operator import add, itemgetter, not_
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    FrozenSet,
-    List,
-    NamedTuple,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from operator import add, itemgetter
+from typing import Any, Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -158,10 +147,19 @@ class QueryTables:
         return self.ext.tolist(), codes.T.tolist(), local.tolist(), rows, ptr
 
     @cached_property
+    def facing(self) -> List[List[Optional[ProxyId]]]:
+        """``border_row`` as proxies, row by row: ``facing[i][j]`` is *i*'s border
+        facing *j* (None on the diagonal), two list reads where a divide step
+        crosses from one cluster to the next."""
+        proxy = (self.border_list + [None]).__getitem__
+        return [list(map(proxy, row)) for row in self.border_row.tolist()]
+
+    @cached_property
     def to_destination(self) -> Dict[ProxyId, array[float]]:
         """Per destination proxy, the distances from its cluster's borders in
         code order, filled on first use by :func:`destination_row`: a row lives
-        as long as these tables, which a rebind replaces."""
+        as long as these tables, and a rebind patching them carries it over while
+        it holds (:func:`patch_query_tables`)."""
         return {}
 
 
@@ -261,7 +259,9 @@ def patch_query_tables(tables: QueryTables, hfc: Any, changes: Any) -> QueryTabl
     """What :func:`build_query_tables` returns on *hfc*, bit for bit, from *tables* of
     the view before *changes*: on the ``k x k`` border-proxy matrix (-1 on the diagonal)
     only a pair or cluster whose border moved (re-elected, or back at new coordinates)
-    and a ``d_entry`` pair beside a border new to its cluster are asked again."""
+    and a ``d_entry`` pair beside a border new to its cluster are asked again. The
+    destination rows (:attr:`QueryTables.to_destination`) of proxies that did not
+    leave, in clusters none of whose borders moved, are carried over as they are."""
     distance, moves = hfc.space.distance, changes.moves
     held = np.array(tables.border_list + [-1]).take(tables.border_row)
     proxies = held.copy()
@@ -274,7 +274,8 @@ def patch_query_tables(tables: QueryTables, hfc: Any, changes: Any) -> QueryTabl
     ext[i, j] = ext[j, i] = list(map(distance, proxies[i, j].tolist(), proxies[j, i].tolist()))
     ptr = tables.border_ptr.tolist()
     lists = [tables.border_list[lo:hi] for lo, hi in zip(ptr, ptr[1:])]
-    for c in moved.any(axis=1).nonzero()[0].tolist():
+    stale = moved.any(axis=1).nonzero()[0].tolist()
+    for c in stale:
         lists[c] = [p for p in dict.fromkeys(proxies[c].tolist()) if p >= 0]
     border_list = list(chain.from_iterable(lists))
     ptr = np.cumsum([0] + list(map(len, lists)), dtype=np.int64)
@@ -297,7 +298,13 @@ def patch_query_tables(tables: QueryTables, hfc: Any, changes: Any) -> QueryTabl
     ask = (a < b) & (at.take(a) * at.take(b) == 0)
     for u, v in zip(a[ask].tolist(), b[ask].tolist()):
         d_entry[u, v] = d_entry[v, u] = distance(border_list[u - 1], border_list[v - 1])
-    return QueryTables(tables.cluster_count, ext, code.take(proxies), border_list, d_entry[1:, 1:], ptr, d_entry)
+    patched = QueryTables(tables.cluster_count, ext, code.take(proxies), border_list, d_entry[1:, 1:], ptr, d_entry)
+    # a destination's row holds while it stays put and its cluster keeps its borders
+    gone, stale = {p for kind, p, _ in moves if kind == "leave"}, set(stale)
+    patched.to_destination.update(
+        (pd, row) for pd, row in tables.to_destination.items() if pd not in gone and hfc.cluster_of(pd) not in stale
+    )
+    return patched
 
 
 # -- the CSP stage's gather ------------------------------------------------------
@@ -368,7 +375,7 @@ class ClusterCosts(Costs):
 
     def __init__(
         self, tables: QueryTables, backtrack: bool, view: Any, groups: List[List[ClusterId]],
-        sources: List[ClusterId], cds: List[ClusterId], destinations: List[ProxyId],
+        sources: Sequence[ClusterId], cds: Sequence[ClusterId], destinations: Sequence[ProxyId],
     ) -> None:
         self.tables, self.backtrack, self.view, self.groups = tables, backtrack, view, groups
         self.source_clusters, self.cds, self.destinations = sources, cds, destinations
@@ -408,8 +415,8 @@ class ClusterCosts(Costs):
 
     def keep(self, lanes: slice, at: slice, first: np.ndarray) -> None:
         if self.internal:  # a candidate in its predecessor's cluster (no entry) keeps its entry
-            entries = self.entries[at]
-            self.entry[lanes] = np.where(entries, entries, self.held)[first]
+            entries = self.entries[at][first]
+            self.entry[lanes] = np.where(entries, entries, self.held[first])
 
     def sink(self, labels: np.ndarray) -> np.ndarray:
         tail = self.lay.tail
@@ -469,11 +476,11 @@ ChildCandidates = Tuple[Tuple[ProxyId, ...], ...]
 
 class ClusterEntry(NamedTuple):
     """Per cluster, cached on the topology: members in overlay order, their placement
-    sets, each service's providers (in member order) and their keys, the SCT_C aggregate,
-    and the members' placement read as one tuple (:func:`_reader`)."""
+    sets as one tuple (what :func:`_reader` reads), each service's providers (in member
+    order) and their keys, the SCT_C aggregate, and the reader."""
 
     members: List[ProxyId]
-    placed: List[FrozenSet[str]]
+    placed: Tuple[FrozenSet[str], ...]
     providers: Dict[str, Tuple[ProxyId, ...]]
     aggregate: FrozenSet[str]
     read: Callable[[Any], Tuple[FrozenSet[str], ...]]
@@ -491,19 +498,23 @@ def _read_each(members: List[ProxyId], placement: Any) -> Tuple[FrozenSet[str], 
 
 def cluster_entry(hfc: Any, cluster: ClusterId) -> ClusterEntry:
     """*cluster*'s entry on *hfc*, its one builder. Placement is read live: an
-    entry holds while each member's placement is (identity first, else equal
-    to) the set it was built from; a read finding one rewritten starts afresh."""
+    entry holds while its members' placement reads as the tuple it was built
+    from (identity first, else equal, set by set); a read finding one rewritten
+    starts afresh."""
     cached, placement = vars(hfc).setdefault("_providers_cache", {}), hfc.overlay.placement
     entry = cached.get(cluster)
-    if entry is None or list(entry.read(placement)) != entry.placed:
-        members = entry.members if entry else sorted(hfc.members(cluster), key=hfc.overlay.index_of)
-        placed = list(map(placement.__getitem__, members))
+    if entry is None:
+        members = sorted(hfc.members(cluster), key=hfc.overlay.index_of)
+        read = _reader(members)
+    else:
+        members, read = entry.members, entry.read
+    placed = read(placement)
+    if entry is None or placed != entry.placed:
         lists: Dict[str, List[ProxyId]] = {}
         for proxy, offered in zip(members, placed):
             for service in offered:
                 lists.setdefault(service, []).append(proxy)
         providers = {service: tuple(proxies) for service, proxies in lists.items()}
-        read = entry.read if entry else _reader(members)
         entry = cached[cluster] = ClusterEntry(members, placed, providers, frozenset(providers), read)
     return entry
 
@@ -520,8 +531,7 @@ def child_specs(hfc: Any, children: Sequence[Any]) -> List[Tuple[ProxyId, ...]]:
     concatenated), from each touched cluster's :func:`cluster_entry`."""
     clusters, services = list(map(itemgetter(0), children)), list(map(itemgetter(2), children))
     providers = {cluster: cluster_entry(hfc, cluster).providers for cluster in set(compress(clusters, services))}
-    per_slot = chain.from_iterable(map(repeat, clusters, map(len, services)))
-    return [providers[cluster].get(service, ()) for cluster, service in zip(per_slot, chain.from_iterable(services))]
+    return [providers[cluster].get(service, ()) for cluster, named in zip(clusters, services) for service in named]
 
 
 def offering_index(capabilities: Dict[ClusterId, FrozenSet[str]], k: int, base: Any = None) -> Dict[str, List[ClusterId]]:
@@ -554,7 +564,7 @@ def _move_members(cached: Dict[ClusterId, ClusterEntry], placement: Any, moves: 
         entry = cached.get(cluster)
         if entry is None:
             continue
-        members, placed, providers, aggregate, _ = entry
+        members, placed, providers, aggregate = entry.members, list(entry.placed), entry.providers, entry.aggregate
         for kind, proxy, _ in moved:
             if kind == "join":
                 members.append(proxy)
@@ -570,7 +580,7 @@ def _move_members(cached: Dict[ClusterId, ClusterEntry], placement: Any, moves: 
                         del providers[service]
         if providers.keys() != aggregate:
             aggregate = frozenset(providers)
-        cached[cluster] = entry._replace(aggregate=aggregate, read=_reader(members))
+        cached[cluster] = entry._replace(placed=tuple(placed), aggregate=aggregate, read=_reader(members))
 
 
 def rebind_derived(
@@ -633,27 +643,30 @@ def solve_specs(
     requirement) may refuse even that child, so there every child with a
     slot is solved.
     """
+    # child i's slots are ``ends[i] - sizes[i]:ends[i]``; ``bisect_right(ends, at)`` owns slot *at*
     sizes = list(map(len, map(itemgetter(1), children)))
-    start = list(accumulate(sizes, initial=0))  # child i's slots: start[i]:start[i + 1]
-    owner = list(chain.from_iterable(map(repeat, range(len(children)), sizes)))
+    ends = list(accumulate(sizes))
     widths = list(map(len, candidates))
     # a slot's first candidate: the pick of every child with nothing to decide
     picks: List[Optional[ProxyId]] = [slot[0] if slot else None for slot in candidates]
-    refused = {owner[at] for at in compress(range(len(widths)), map(not_, widths))}
+    refused = {bisect_right(ends, at) for at, width in enumerate(widths) if not width}
     least = 1 if isinstance(provider, CoordinateProvider) else 0
-    wide = compress(range(len(widths)), map(int.__gt__, widths, repeat(least)))
-    chains = sorted({owner[at] for at in wide} - refused)
+    chains = sorted({bisect_right(ends, at) for at, width in enumerate(widths) if width > least} - refused)
     if not chains:  # every child decided or refused
         return picks, refused
-    code: Dict[Tuple[ProxyId, ...], int] = {}
-    rows = [[code.setdefault(slot, len(code)) for slot in candidates[start[i] : start[i + 1]]] for i in chains]
-    proxies = list(chain.from_iterable(code))
+    lo, hi = [ends[i] - sizes[i] for i in chains], [ends[i] for i in chains]
+    # a candidate group per slot of the chains, side by side: a chain's row is its run of groups
+    groups = [slot for a, b in zip(lo, hi) for slot in candidates[a:b]]
+    bounds = list(accumulate((sizes[i] for i in chains), initial=0))
+    proxies = list(chain.from_iterable(groups))
+    solved = [children[i] for i in chains]
     costs = ProxyCosts(
-        provider, proxies, [children[i].source_proxy for i in chains], [children[i].destination_proxy for i in chains]
+        provider, proxies, [child.source_proxy for child in solved], [child.destination_proxy for child in solved]
     )
-    for (items, _, bound), i in zip(relax(list(map(len, code)), rows, costs, tracer=tracer), chains):
+    rows = list(map(range, bounds, bounds[1:]))
+    for (items, _, bound), i, a, b in zip(relax(list(map(len, groups)), rows, costs, tracer=tracer), chains, lo, hi):
         if bound < np.inf:
-            picks[start[i] : start[i + 1]] = [proxies[at] for at in items]
+            picks[a:b] = map(proxies.__getitem__, items)
         else:
             refused.add(i)
     return picks, refused

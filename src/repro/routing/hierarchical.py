@@ -42,22 +42,10 @@ from __future__ import annotations
 
 import time
 from functools import cached_property, partial
-from itertools import chain, compress, repeat
+from itertools import chain, compress, groupby, repeat
 from operator import attrgetter, itemgetter
 from typing import (
-    Any,
-    Callable,
-    Dict,
-    FrozenSet,
-    Hashable,
-    Iterable,
-    List,
-    NamedTuple,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-    cast,
+    Any, Callable, Dict, FrozenSet, Hashable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union, cast,
 )
 
 import numpy as np
@@ -65,16 +53,8 @@ import numpy as np
 from repro.overlay.hfc import HFCTopology
 from repro.overlay.network import ProxyId
 from repro.routing.batch import (
-    BATCH_SIZE_BUCKETS,
-    BatchRouteResult,
-    ClusterCosts,
-    child_infeasible_error,
-    child_specs,
-    offering_index,
-    placement_capabilities,
-    query_tables,
-    rebind_derived,
-    solve_specs,
+    BATCH_SIZE_BUCKETS, BatchRouteResult, ClusterCosts, child_infeasible_error, child_specs, offering_index,
+    placement_capabilities, query_tables, rebind_derived, solve_specs,
 )
 from repro.routing.kernel import graph_row, relax
 from repro.routing.path import Hop, ServicePath, merge_consecutive_hops
@@ -102,11 +82,7 @@ class ClusterServicePath(NamedTuple):
 
     def cluster_sequence(self) -> List[ClusterId]:
         """Clusters in path order with consecutive duplicates collapsed."""
-        seq: List[ClusterId] = []
-        for _, cluster in self.assignment:
-            if not seq or seq[-1] != cluster:
-                seq.append(cluster)
-        return seq
+        return [cluster for cluster, _ in groupby(map(itemgetter(1), self.assignment))]
 
 
 class ChildRequest(NamedTuple):
@@ -135,11 +111,10 @@ _CspOutcome = Union[ClusterServicePath, NoFeasiblePathError]
 #: destination proxy
 _CspJob = Tuple[ServiceGraph, List[SlotId], List[ServiceName], ClusterId, ClusterId, ProxyId]
 
-#: a NamedTuple from the tuple of its fields, in C (the generated ``__new__``
-#: is a Python call, and a routed batch builds tens of thousands)
-_child = cast(Callable[[Tuple[Any, ...]], ChildRequest], partial(tuple.__new__, ChildRequest))
-_csp = cast(Callable[[Tuple[Any, ...]], ClusterServicePath], partial(tuple.__new__, ClusterServicePath))
-_hop = cast(Callable[[Tuple[Any, ...]], Hop], partial(tuple.__new__, Hop))
+#: a NamedTuple from its class and the tuple of its fields, in C (the
+#: generated ``__new__`` is a Python call, and a routed batch builds tens of
+#: thousands)
+_new = cast(Callable[[Any, Tuple[Any, ...]], Any], tuple.__new__)
 
 
 class HierarchicalResult:
@@ -205,6 +180,9 @@ class HierarchicalRouter:
     #: :attr:`cluster_capabilities`), the next map step finds another object
     #: there and builds the index again, unless a ``rebind`` patched it
     _offering_index: Tuple[Any, Dict[ServiceName, List[ClusterId]]] = (None, {})
+    #: the divide step's border lookup (:attr:`~repro.routing.batch.QueryTables.facing`)
+    #: and the topology object it was read from, read again whenever another is bound
+    _facing: Tuple[Any, List[List[Any]]] = (None, [])
 
     def __init__(
         self,
@@ -253,6 +231,7 @@ class HierarchicalRouter:
         """
         self.hfc = hfc
         self._provider: DistanceProvider = CoordinateProvider(hfc.space)
+        self._facing = HierarchicalRouter._facing  # holds no view this router left
 
     @property
     def _view(self) -> Any:
@@ -348,16 +327,12 @@ class HierarchicalRouter:
 
     def route_many_detailed(self, requests: Sequence[ServiceRequest]) -> BatchRouteResult:
         """Resolve a batch, capturing per-request outcomes."""
-        paths: List[Optional[ServicePath]] = []
-        errors: List[Optional[NoFeasiblePathError]] = []
-        for result in self._resolve(list(requests)):
-            if isinstance(result, NoFeasiblePathError):
-                paths.append(None)
-                errors.append(result)
-            else:
-                paths.append(result.path)
-                errors.append(None)
-        return BatchRouteResult(paths=paths, errors=errors)
+        results = self._resolve(list(requests))
+        failed = [isinstance(result, NoFeasiblePathError) for result in results]
+        return BatchRouteResult(
+            paths=[None if bad else result.path for result, bad in zip(results, failed)],
+            errors=[result if bad else None for result, bad in zip(results, failed)],
+        )
 
     # -- the pipeline -------------------------------------------------------------
 
@@ -402,10 +377,13 @@ class HierarchicalRouter:
             del children
             with tracer.span("route.compose"):
                 compose, end = self.compose, 0
+                # a request's answers are scanned for a refusal only in a call with one
+                refusing = any(map(isinstance, answers, repeat(NoFeasiblePathError)))
+                none: Iterator[Any] = iter(())
                 for request, csp, n in zip(requests, csps, counts):
                     mine = answers[end : end + n]
                     end += n
-                    refused = compress(mine, map(isinstance, mine, repeat(NoFeasiblePathError)))
+                    refused = compress(mine, map(isinstance, mine, repeat(NoFeasiblePathError))) if refusing else none
                     failure = next(refused, None) if n else csp
                     if failure is None:
                         results.append(HierarchicalResult(compose(request, mine), csp, request, self))
@@ -429,28 +407,25 @@ class HierarchicalRouter:
 
     # -- steps 1+2: map, cluster-level shortest paths ------------------------------
 
-    def _offer(self, services: Iterable[ServiceName], offering: Dict[ServiceName, List[ClusterId]]) -> Dict[ServiceName, List[ClusterId]]:
-        """*offering* with the clusters of each of *services* per SCT_C (the
-        *map* step), read off an index built again whenever another view
-        object is bound."""
+    def _index(self) -> Dict[ServiceName, List[ClusterId]]:
+        """The map step's index of SCT_C (a service no cluster offers left
+        out), built again whenever another view object is bound."""
         capabilities = self.cluster_capabilities
         indexed, index = self._offering_index
         if indexed is not capabilities:
             index = offering_index(capabilities, self._view.cluster_count)
             self._offering_index = capabilities, index
-        for service in services:
-            if service not in offering:
-                offering[service] = index.get(service) or []
-        return offering
+        return index
 
     def cluster_candidates(
-        self,
-        sg: ServiceGraph,
-        offering: Optional[Dict[ServiceName, List[ClusterId]]] = None,
+        self, sg: ServiceGraph, offering: Optional[Dict[ServiceName, List[ClusterId]]] = None
     ) -> Dict[SlotId, List[ClusterId]]:
-        """Clusters able to fill each slot, per SCT_C; *offering* collects the
-        per-service cluster lists of one pipeline call's requests."""
-        offering = self._offer(sg.services.values(), {} if offering is None else offering)
+        """Clusters able to fill each slot, per SCT_C (the *map* step);
+        *offering* collects the per-service cluster lists of several graphs."""
+        index, offering = self._index(), {} if offering is None else offering
+        for service in sg.services.values():
+            if service not in offering:
+                offering[service] = index.get(service) or []
         return {slot: offering[service] for slot, service in sg.services.items()}
 
     def cluster_level_path(self, request: ServiceRequest) -> ClusterServicePath:
@@ -472,11 +447,15 @@ class HierarchicalRouter:
         answered here.
         """
         self.refresh_capabilities()
-        cluster_of = self._view.cluster_of
+        cluster_of, index = self._view.cluster_of, self._index()
+        # a router keeping no CSPs (its hooks left as they are here) is not asked
+        keeping = type(self)._csp_cache_get is not HierarchicalRouter._csp_cache_get
         memo: Dict[Hashable, _CspOutcome] = {}
         jobs: Dict[Hashable, _CspJob] = {}
-        offering: Dict[ServiceName, List[ClusterId]] = {}
         keys: List[Hashable] = []
+        # a signature is a tuple of tuples, hashed anew on every lookup: the
+        # memo hashes it once per request, as its number in this call
+        signatures: Dict[Hashable, int] = {}
         for request in requests:
             sg, pd = request.service_graph, request.destination_proxy
             cs = None
@@ -490,34 +469,34 @@ class HierarchicalRouter:
                 keys.append(("not a member", len(keys)))
                 memo[keys[-1]] = NoFeasiblePathError(f"{role} proxy {proxy!r} is not an overlay member")
                 continue
-            key = (sg.signature, cs, pd)
+            key = (signatures.setdefault(sg.signature, len(signatures)), cs, pd)
             keys.append(key)
             if key in memo or key in jobs:
                 continue
-            cached = self._csp_cache_get(key)
-            if cached is not None:
-                memo[key] = cached
-                continue
+            if keeping:
+                cached = self._csp_cache_get((sg.signature, cs, pd))
+                if cached is not None:
+                    memo[key] = cached
+                    continue
             order = sg.topological_order()
             named = list(map(sg.services.__getitem__, order))
-            offered = self._offer(named, offering)
-            if sg.is_linear and not all(map(offered.__getitem__, named)):
+            if sg.is_linear and not all(map(index.get, named)):
                 # a branching SG may route around an empty slot; a chain cannot
-                missing = [sg.service_of(s) for s in sg.slots() if not offered[sg.service_of(s)]]
+                missing = [sg.service_of(s) for s in sg.slots() if not index.get(sg.service_of(s))]
                 memo[key] = NoFeasiblePathError(f"services unavailable in every cluster: {missing}")
                 continue
             jobs[key] = (sg, order, named, cs, cd, pd)
+        named = dict.fromkeys(chain.from_iterable(map(itemgetter(2), jobs.values())))
+        offering = {service: index.get(service) or [] for service in named}
         for key, outcome in zip(jobs, self._solve_csps(list(jobs.values()), offering)):
             memo[key] = outcome
-            if not isinstance(outcome, NoFeasiblePathError):
-                self._csp_cache_put(key, outcome)
+            if keeping and not isinstance(outcome, NoFeasiblePathError):
+                sg, _, _, cs, _, pd = jobs[key]
+                self._csp_cache_put((sg.signature, cs, pd), outcome)
         # every slot gets its own error instance: raising one object from
         # two places would chain their tracebacks
-        outcomes = (memo[key] for key in keys)
-        return [
-            type(o)(*o.args) if isinstance(o, NoFeasiblePathError) else o
-            for o in outcomes
-        ]
+        outcomes = map(memo.__getitem__, keys)
+        return [type(o)(*o.args) if isinstance(o, NoFeasiblePathError) else o for o in outcomes]
 
     def _solve_csps(
         self, jobs: Sequence[_CspJob], offering: Dict[ServiceName, List[ClusterId]]
@@ -535,34 +514,33 @@ class HierarchicalRouter:
         results: List[_CspOutcome] = [NoFeasiblePathError(_NO_CONFIGURATION)] * len(jobs)
         rows: List[List[int]] = []
         shapes: List[Any] = []
-        live: List[Tuple[int, List[SlotId], ClusterId, ClusterId]] = []
-        css: List[ClusterId] = []
-        cds: List[ClusterId] = []
-        pds: List[ProxyId] = []
-        for at, (sg, order, named, cs, cd, pd) in enumerate(jobs):
+        live: List[int] = []
+        filled: List[Sequence[SlotId]] = []  # per row its slots, the kept ones of a branching graph
+        for at, (sg, order, named, _, _, _) in enumerate(jobs):
             groups = list(map(code.__getitem__, named))
             # the stage answered every chain with an unoffered service
             row = (None, None) if sg.is_linear else graph_row(sg, order, list(map(widths.__getitem__, groups)))
             if row is not None:
                 kept, shape = row
                 rows.append(groups if kept is None else list(map(groups.__getitem__, kept)))
-                live.append((at, order if kept is None else list(map(order.__getitem__, kept)), cs, cd))
+                filled.append(order if kept is None else list(map(order.__getitem__, kept)))
                 shapes.append(shape)
-                css.append(cs)
-                cds.append(cd)
-                pds.append(pd)
+                live.append(at)
         if not rows:
             return results
+        _, _, _, css, cds, pds = zip(*map(jobs.__getitem__, live))
         groups = list(offering.values())
         view, clusters = self._view, list(chain.from_iterable(groups))
         costs = ClusterCosts(query_tables(view), self.method == "backtrack", view, groups, css, cds, pds)
         # the kernel first: its tracer hears the call once it is exhausted
-        for (items, positions, bound), (at, slots, cs, cd) in zip(
-            relax(widths, rows, costs, shapes, self.telemetry.tracer), live
+        for (items, positions, bound), at, slots, cs, cd in zip(
+            relax(widths, rows, costs, shapes, self.telemetry.tracer), live, filled, css, cds
         ):
             if bound < np.inf:
-                filled = slots if positions is None else list(map(slots.__getitem__, positions))
-                results[at] = _csp((tuple(zip(filled, map(clusters.__getitem__, items))), cs, cd, bound))
+                if positions is not None:
+                    slots = list(map(slots.__getitem__, positions))
+                assignment = tuple(zip(slots, map(clusters.__getitem__, items)))
+                results[at] = _new(ClusterServicePath, (assignment, cs, cd, bound))
         return results
 
     # -- step 3: divide ---------------------------------------------------------
@@ -571,18 +549,25 @@ class HierarchicalRouter:
         """Split the request along the CSP into per-cluster child requests: the
         maximal runs of consecutive slots in one cluster, and an empty run in
         the source's or destination's cluster where the CSP leaves an end."""
-        border, services = self.hfc.border, request.service_graph.services
-        slots = tuple(map(itemgetter(0), csp.assignment))
+        hfc, services = self.hfc, request.service_graph.services
+        held, facing = self._facing
+        if held is not hfc:
+            facing = query_tables(hfc).facing
+            self._facing = hfc, facing
+        assignment = csp.assignment
+        slots = tuple(map(itemgetter(0), assignment))
         named = tuple(map(services.__getitem__, slots))
         # a child runs from the border it is entered through to the border
         # facing the next one; the request's own endpoints close the two ends
         children: List[ChildRequest] = []
         here, start, source = csp.source_cluster, 0, request.source_proxy
-        for at, (_, cluster) in enumerate((*csp.assignment, (None, csp.destination_cluster))):
+        out = facing[here]
+        for at, (_, cluster) in enumerate((*assignment, (None, csp.destination_cluster))):
             if cluster != here:
-                children.append(_child((here, slots[start:at], named[start:at], source, border(here, cluster))))
-                here, start, source = cluster, at, border(cluster, here)
-        children.append(_child((here, slots[start:], named[start:], source, request.destination_proxy)))
+                children.append(_new(ChildRequest, (here, slots[start:at], named[start:at], source, out[cluster])))
+                out = facing[cluster]
+                here, start, source = cluster, at, out[here]
+        children.append(_new(ChildRequest, (here, slots[start:], named[start:], source, request.destination_proxy)))
         return children
 
     # -- step 4: conquer -----------------------------------------------------------
@@ -604,27 +589,27 @@ class HierarchicalRouter:
         picks, refused = solve_specs(
             children, child_specs(self.hfc, children), self._provider, tracer=self.telemetry.tracer
         )
+        if not children:
+            return []
+        _, slots, services, sources, destinations = zip(*children)
         # every service hop of the call in one pass; one relay hop per proxy
-        offered = chain.from_iterable(map(itemgetter(2), children))
-        filled = chain.from_iterable(map(itemgetter(1), children))
-        served = list(map(_hop, zip(picks, offered, filled)))
-        ends = list({*map(itemgetter(3), children), *map(itemgetter(4), children)})
-        relay = dict(zip(ends, map(_hop, zip(ends, repeat(None), repeat(None)))))
+        served = list(map(_new, repeat(Hop), zip(picks, chain.from_iterable(services), chain.from_iterable(slots))))
+        relay = {proxy: _new(Hop, (proxy, None, None)) for proxy in {*sources, *destinations}}
         answers: List[Any] = []
         end = 0
-        for at, (_, slots, _, source, destination) in enumerate(children):
-            start, end = end, end + len(slots)
-            if not slots:
+        for size, source, destination in zip(map(len, slots), sources, destinations):
+            start, end = end, end + size
+            if not size:
                 answers.append((relay[source],) if source == destination else (relay[source], relay[destination]))
-            elif at in refused:
-                answers.append(child_infeasible_error(children[at]))
-            else:
-                hops = served[start:end]
-                if hops[0].proxy != source:
-                    hops.insert(0, relay[source])
-                if hops[-1].proxy != destination:
-                    hops.append(relay[destination])
-                answers.append(tuple(hops))
+                continue
+            hops = served[start:end]
+            if picks[start] != source:
+                hops.insert(0, relay[source])
+            if picks[end - 1] != destination:
+                hops.append(relay[destination])
+            answers.append(tuple(hops))
+        for at in refused:
+            answers[at] = child_infeasible_error(children[at])
         return answers
 
     def solve_child(self, request: ServiceRequest, child: ChildRequest) -> ServicePath:

@@ -119,17 +119,18 @@ class Ragged(NamedTuple):
 
     def walk(self, parent: np.ndarray, final: np.ndarray, values: np.ndarray) -> List[List[Any]]:
         """Per row, ``values`` of the lanes it picked from its lane *final*
-        back along ``parent`` to a source (-1), first first."""
-        parent, values = parent.tolist(), values.tolist()
-        rows: List[List[Any]] = []
-        for lane in final.tolist():
-            row: List[Any] = []
-            while lane >= 0:
-                row.append(values[lane])
-                lane = parent[lane]
-            row.reverse()
-            rows.append(row)
-        return rows
+        back along ``parent`` to a source (-1), first first. All rows step
+        back together, a depth at a time: a parent lane lies a depth up, so it
+        is numbered lower, and ``minimum`` keeps a row that reached -1 there.
+        One step more than there are depths ends every row on -1, and only the
+        picked values become Python objects."""
+        steps = [final]
+        for _ in range(len(self.positions) + 1):
+            steps.append(np.minimum(parent[steps[-1]], steps[-1]))
+        lanes = np.array(steps)
+        picked = values[lanes]
+        picked[lanes < 0] = -1
+        return [row[: row.index(-1)][::-1] for row in picked.T.tolist()]
 
 
 def ragged_chunks(

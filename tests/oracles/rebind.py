@@ -1,14 +1,15 @@
 """The cold derivation a rebind's carried state is held to.
 
 :func:`repro.routing.batch.rebind_derived` patches the provider entries, SCT_C,
-map index and query tables a router derived from its previous view;
+map index and query tables (their destination rows too) a router derived from
+its previous view;
 :func:`assert_carried_state_is_cold` derives each afresh on the current view —
 SCT_C member by member, the map index by its own loop, the tables through the
 one cold builder — and requires equality (the tables bit for bit).
 ``tests/test_rebind.py`` and the soak's carried-state invariant use it.
 """
 
-from repro.routing.batch import build_query_tables
+from repro.routing.batch import build_query_tables, destination_row
 from repro.services import aggregate_capability
 
 
@@ -28,7 +29,7 @@ def assert_carried_state_is_cold(router, view=True):
     """Everything *router* holds — and, with *view*, finds cached on its
     view — equals a cold derivation on that view: SCT_C, the map index (when
     it is the index of that SCT_C), every provider entry and the query
-    tables, bit for bit."""
+    tables and every destination row they hold, bit for bit."""
     hfc = router.hfc
     placement = hfc.overlay.placement
     capabilities = cold_capabilities(hfc)
@@ -45,7 +46,7 @@ def assert_carried_state_is_cold(router, view=True):
     for cid, entry in getattr(hfc, "_providers_cache", {}).items():
         members = sorted(hfc.members(cid), key=hfc.overlay.index_of)
         assert entry.members == members
-        assert entry.placed == [placement[p] for p in members]
+        assert entry.placed == tuple(placement[p] for p in members)
         assert entry.aggregate == capabilities[cid]
         assert entry.providers == {
             service: tuple(p for p in members if service in placement[p])
@@ -57,3 +58,6 @@ def assert_carried_state_is_cold(router, view=True):
         assert tables.border_list == cold.border_list
         for name in ("ext", "border_row", "border_ptr", "d_entry"):
             assert same_bits(getattr(tables, name), getattr(cold, name)), name
+        for pd, row in tables.to_destination.items():
+            fresh = destination_row(cold, hfc.space.distance, pd, hfc.cluster_of(pd))
+            assert row.tobytes() == fresh.tobytes(), pd

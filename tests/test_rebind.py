@@ -10,6 +10,7 @@ pin which cases fall back to the full derivation and say so in the
 ``routing.rebind`` event, and check that no predecessor view stays alive.
 """
 
+import copy
 import gc
 import random
 import weakref
@@ -143,3 +144,58 @@ def test_no_predecessor_view_is_kept_alive(framework300):
     router.rebind(dyn.hfc)
     gc.collect()
     assert first() is None
+
+
+def test_destination_rows_ride_a_patch_bit_for_bit(framework300):
+    """Blocks of joins, leaves and border re-elections between rebinds: the
+    destination rows a patch carries over equal rows built fresh on the new
+    view, bit for bit (the oracle), a row survives where its proxy stayed and
+    its cluster kept its borders, and goes where either moved."""
+    telemetry = Telemetry()
+    dyn = DynamicOverlay(framework300, restructure_tolerance=None, track_quality=False)
+    router = HierarchicalRouter(dyn.hfc, telemetry=telemetry)
+    rng = random.Random(13)
+    carried = dropped = 0
+    for _ in range(8):
+        route_some(router, dyn, rng, count=30)
+        before = dict(dyn.hfc._query_tables_cache.to_destination)
+        churn(dyn, rng, 8)
+        router.rebind(dyn.hfc)
+        assert rebinds(telemetry)[-1]["mode"] == "patched"
+        rows = dyn.hfc._query_tables_cache.to_destination
+        assert_carried_state_is_cold(router)
+        assert all(rows[pd] is before[pd] for pd in rows)
+        carried += len(rows)
+        dropped += len(before) - len(rows)
+    assert sum(event["pairs_patched"] for event in rebinds(telemetry)) > 0
+    assert carried and dropped, "no row carried or none dropped: the test is vacuous"
+
+
+def test_a_warm_router_sees_a_placement_restored_in_place(framework300):
+    """Placement rewritten in place — ``clear()`` then ``update()`` with other
+    sets, as a harness restores it between passes — is read live: a warm
+    router then answers as a fresh one does, and again after the restore."""
+    hfc = framework300.hfc
+    placement = hfc.overlay.placement
+    original = dict(placement)
+    requests = [framework300.random_request(seed=seed) for seed in range(40)]
+    router = HierarchicalRouter(hfc)
+    want = router.route_many_detailed(requests).paths
+    # every cluster's first member offers another set than before
+    changed = dict(original)
+    for cid in range(hfc.cluster_count):
+        proxy = min(hfc.members(cid), key=hfc.overlay.index_of)
+        changed[proxy] = frozenset(sorted(original[proxy])[1:]) | {f"moved-{cid}"}
+    try:
+        placement.clear()
+        placement.update(changed)
+        got = router.route_many_detailed(requests)
+        cold = copy.copy(hfc)  # the same view without the provider entries cached on it
+        del cold._providers_cache
+        fresh = HierarchicalRouter(cold, cluster_capabilities=router.cluster_capabilities)
+        assert got.paths == fresh.route_many_detailed(requests).paths
+        assert got.paths != want
+    finally:
+        placement.clear()
+        placement.update(original)
+    assert router.route_many_detailed(requests).paths == want
