@@ -72,10 +72,12 @@ profile:
 # HFCFramework.build(seed=11) per size, each in a fresh subprocess, printing
 # build_s, the construct.* span split, shortest-path rows and relaxation
 # rounds, peak RSS and the construction digest — the table ROADMAP item 4
-# reads. `make scale N="2000 6000 10000"`.
+# reads. `make scale N="2000 6000 10000"`. LIFECYCLE=1 adds, per size, the
+# protocol to convergence, a traffic burst and an audited crash/restart on
+# one simulator, in a second table (ROADMAP item 1's gate).
 N ?= 2000 6000 10000
 scale:
-	$(PYTHON) scripts/build_scale.py $(N)
+	$(PYTHON) scripts/build_scale.py $(if $(LIFECYCLE),--lifecycle) $(N)
 
 # Alternating A/B of the end-to-end benchmark against a reference commit (or
 # a directory holding a checkout): medians, quartiles, pairs won and the

@@ -31,6 +31,13 @@ from ``perf_counter`` around each stage, not the profiler
 (:func:`batch_stage_row`): numpy operators and subscripts make no profile
 event, so a profile cannot say which stage they slowed.
 
+For ``churn_2k`` a last row: a join by stage, from a second untraced run
+of the workload outside the profiler (:func:`join_row`) — the mean µs of
+measure, locate, nearest cluster and patch over the run's joins, the locate
+figures from each join's own change record (``locate_ms``,
+``locate_iterations``), and the locate's iterations and objective
+evaluations per start, from a replay of the recorded measurements.
+
 The dump lands in ``benchmarks/out/<workload>.pstats`` (git-ignored).
 ``--scale smoke`` is for CI: it proves the script runs, its numbers mean nothing.
 """
@@ -241,6 +248,105 @@ def batch_stage_row(ctx: Dict[str, Any], batches: int = 10) -> str:
     )
 
 
+def join_row(scale: str, seconds: float) -> str:
+    """``churn_2k``'s joins by stage over one untraced run of the workload:
+    ``perf_counter`` around a join, its landmark measurement and its nearest
+    cluster (instance attributes of the run's overlay, so no module is
+    touched); the locate less its measurement and the kept descent's
+    iterations from the join's ``membership.join`` record; the patch is the
+    rest of the join. The recorded measurements are then solved again with
+    every start's descent counted."""
+    sys.path.insert(0, str(ROOT / "src"))
+    sys.path.insert(0, str(ROOT))
+    import repro.coords.neldermead as neldermead
+    from benchmarks.e2e.workloads import Churn, HostSpeed
+
+    from repro.coords.embedding import solve_host
+    from repro.telemetry import Telemetry
+
+    workload = Churn()
+    ctx = workload.setup(Churn.params[scale], seed=11)
+    overlay = ctx["overlay"]
+    overlay.telemetry = telemetry = Telemetry()
+    physical = overlay.framework.physical
+    joins: List[float] = []
+    timed: Dict[str, List[float]] = {"measure": [], "nearest cluster": []}
+    measured: List[Any] = []
+
+    def clocked(name: str, fn: Callable[..., Any]) -> Callable[..., Any]:
+        def run(*args: Any, **kwargs: Any) -> Any:
+            t0 = perf_counter()
+            out = fn(*args, **kwargs)
+            timed[name].append(perf_counter() - t0)
+            if name == "measure":
+                measured.append(out[0])
+            return out
+
+        return run
+
+    join = overlay.join
+
+    def timed_join(*args: Any, **kwargs: Any) -> Any:
+        t0 = perf_counter()
+        try:
+            return join(*args, **kwargs)
+        finally:
+            joins.append(perf_counter() - t0)
+
+    overlay.join = timed_join
+    physical.measure_many = clocked("measure", physical.measure_many)
+    overlay._nearest_cluster = clocked("nearest cluster", overlay._nearest_cluster)
+    try:
+        workload.measure(ctx, seconds, HostSpeed())
+    finally:
+        for owner, name in ((overlay, "join"), (physical, "measure_many"), (overlay, "_nearest_cluster")):
+            del owner.__dict__[name]
+    records = telemetry.events.of_kind("membership.join")
+    assert len(records) == len(joins) == len(timed["measure"]) == len(timed["nearest cluster"])
+    count = len(joins)
+    locate_ms = [record["locate_ms"] for record in records]
+    stages = {
+        "measure": sum(timed["measure"]) * 1e6,
+        "locate": sum(locate_ms) * 1e3 - sum(timed["measure"]) * 1e6,
+        "nearest cluster": sum(timed["nearest cluster"]) * 1e6,
+        "patch": (sum(joins) - sum(timed["nearest cluster"])) * 1e6 - sum(locate_ms) * 1e3,
+    }
+
+    descents: List[Tuple[int, int]] = []  # a solve's two starts, in turn
+    nelder_mead = neldermead.nelder_mead
+
+    def counted(objective: Callable[..., float], x0: Any, **kwargs: Any) -> Any:
+        calls = 0
+
+        def counting(point: Any) -> float:
+            nonlocal calls
+            calls += 1
+            return objective(point)
+
+        result = nelder_mead(counting, x0, **kwargs)
+        descents.append((result.iterations, calls))
+        return result
+
+    landmarks = overlay.framework.embedding_report.landmark_coordinates
+    neldermead.nelder_mead = counted  # type: ignore[assignment]
+    try:
+        kept = [solve_host(landmarks, row).iterations for row in measured]
+    finally:
+        neldermead.nelder_mead = nelder_mead  # type: ignore[assignment]
+    assert kept == [record["locate_iterations"] for record in records]
+    per_start = [
+        [sum(column) / count for column in zip(*descents[start::2])] for start in (0, 1)
+    ]
+    return (
+        f"   join {sum(joins) * 1e6 / count:.0f} µs, of which "
+        + ", ".join(f"{name} {total / count:.0f}" for name, total in stages.items())
+        + f" (means over {count} joins, n={Churn.params[scale]['n']})\n"
+        f"   locate: {sum(kept) / count:.1f} iterations in the kept descent (the change record); "
+        f"per start (centroid, nearest landmark) {per_start[0][0]:.1f} / {per_start[1][0]:.1f} "
+        f"iterations, {per_start[0][1]:.1f} / {per_start[1][1]:.1f} objective evaluations"
+    )
+
+
 def main(argv: List[str] | None = None) -> int:
     manifest = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -285,6 +391,9 @@ def main(argv: List[str] | None = None) -> int:
         print(single_route_row(ctx))
         print("== the warm batch by stage (untraced, outside the profiler, perf_counter around each stage)")
         print(batch_stage_row(ctx))
+    if args.workload == "churn_2k":
+        print("== a join by stage (untraced, outside the profiler, perf_counter around each stage)")
+        print(join_row(args.scale, args.seconds))
     return 0
 
 

@@ -214,6 +214,8 @@ def _host_objective(landmarks: np.ndarray, measured: np.ndarray) -> Objective:
     if k != 2:
 
         def objective(point: Sequence[float]) -> float:
+            # the simplex's reused buffer, read as Python floats once
+            point = point.tolist() if isinstance(point, np.ndarray) else point
             terms: List[float] = []
             for coords, meas, s in rows:
                 if k < 8:  # numpy's axis sum is one running sum below 8 terms

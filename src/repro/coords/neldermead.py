@@ -6,10 +6,10 @@ downhill simplex. This module implements the standard algorithm with the
 usual coefficients (reflection 1, expansion 2, contraction 1/2, shrink 1/2)
 and adaptive termination on both simplex spread and function-value spread.
 
-The scalar loop is one control flow over two vertex formats, picked by the
-number of variables: up to :data:`_FLOAT_VARIABLES` (a join's locate) lists of
-Python floats, above it (the landmark solve) rows of one numpy buffer — the
-same IEEE operations in the same order, so the format never moves a float.
+The scalar loop runs in one of two vertex formats: at n = 2 (the paper's
+plane, every join's locate) six local floats, otherwise (the landmark solve)
+the rows of one numpy buffer — the same IEEE operations in the same order, so
+the format never moves a float.
 
 It is validated against ``scipy.optimize.minimize(method="Nelder-Mead")`` in
 the test suite but has no runtime dependency beyond numpy.
@@ -17,22 +17,16 @@ the test suite but has no runtime dependency beyond numpy.
 
 from __future__ import annotations
 
-import operator
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import reduce
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
 Objective = Callable[[Sequence[float]], float]
 """Scalar objective: a point of n floats -> its value. The point is a list of
-Python floats up to :data:`_FLOAT_VARIABLES` variables and a buffer the solver
-reuses above; either way it is valid during the call only — copy to keep."""
-
-_FLOAT_VARIABLES = 8
-"""The widest problem whose vertices are Python floats: the measured
-break-even of the two formats' iterations (DESIGN §7)."""
+two Python floats at n = 2 and a buffer the solver reuses otherwise; either
+way it is valid during the call only — copy to keep."""
 
 
 @dataclass
@@ -84,23 +78,104 @@ def nelder_mead(
     for i in range(n):
         step = initial_step if x0[i] == 0 else initial_step * max(abs(x0[i]), 1.0) * 0.1
         simplex[i + 1, i] += step if step != 0 else initial_step
-    vertices = _float_vertices if n <= _FLOAT_VARIABLES else _array_vertices
-    rows, sort, within, reflect, along = vertices(simplex)
+    if n == 2:
+        return _plane(objective, simplex.tolist(), xtol, ftol, max_iterations)
+    return _buffers(objective, simplex, xtol, ftol, max_iterations)
+
+
+def _plane(objective: Objective, rows: list, xtol: float, ftol: float, max_iterations: int) -> MinimizeResult:
+    """:func:`_buffers` at n = 2 on six local floats (best ``a``, second
+    ``b``, worst ``w``) and their three values: each buffer operation written
+    out per coordinate, each insertion the compare chain ``bisect_right``
+    makes, so a tie goes behind the older vertex and a NaN stays last."""
+    values = [float(objective(row)) for row in rows]
+    order = np.argsort(values, kind="stable").tolist()
+    (a0, a1, fa), (b0, b1, fb), (w0, w1, fw) = [(*rows[i], values[i]) for i in order]
+    iterations = 0
+    converged = False
+    while iterations < max_iterations:
+        if abs(fw - fa) <= ftol and (
+            abs(b0 - a0) <= xtol and abs(b1 - a1) <= xtol
+            and abs(w0 - a0) <= xtol and abs(w1 - a1) <= xtol
+        ):
+            converged = True
+            break
+        c0, c1 = (a0 + b0) / 2.0, (a1 + b1) / 2.0
+        r0, r1 = c0 + (c0 - w0), c1 + (c1 - w1)
+        fr = float(objective([r0, r1]))
+        if fa <= fr < fb:  # behind the best, a tie included
+            w0, w1, fw, b0, b1, fb = b0, b1, fb, r0, r1, fr
+        elif fr < fa:  # the new best either way
+            e0, e1 = c0 + 2.0 * (r0 - c0), c1 + 2.0 * (r1 - c1)
+            fe = float(objective([e0, e1]))
+            if fe < fr:
+                r0, r1, fr = e0, e1, fe
+            w0, w1, fw, b0, b1, fb, a0, a1, fa = b0, b1, fb, a0, a1, fa, r0, r1, fr
+        else:
+            k0, k1 = c0 + 0.5 * (w0 - c0), c1 + 0.5 * (w1 - c1)
+            fk = float(objective([k0, k1]))
+            if not fk < fw:  # the shrink, NaN worst included: re-sort NaN-last
+                b0, b1 = a0 + 0.5 * (b0 - a0), a1 + 0.5 * (b1 - a1)
+                fb = float(objective([b0, b1]))
+                w0, w1 = a0 + 0.5 * (w0 - a0), a1 + 0.5 * (w1 - a1)
+                fw = float(objective([w0, w1]))
+                ranked = [(a0, a1, fa), (b0, b1, fb), (w0, w1, fw)]
+                order = np.argsort([fa, fb, fw], kind="stable").tolist()
+                (a0, a1, fa), (b0, b1, fb), (w0, w1, fw) = [ranked[i] for i in order]
+            elif not fk < fb:  # bisect_right over (fa, fb): `< fb`, then `< fa`
+                w0, w1, fw = k0, k1, fk
+            elif not fk < fa:
+                w0, w1, fw, b0, b1, fb = b0, b1, fb, k0, k1, fk
+            else:
+                w0, w1, fw, b0, b1, fb, a0, a1, fa = b0, b1, fb, a0, a1, fa, k0, k1, fk
+        iterations += 1
+    return MinimizeResult(np.array([a0, a1]), fa, iterations, converged)
+
+
+def _buffers(
+    objective: Objective, simplex: np.ndarray, xtol: float, ftol: float, max_iterations: int
+) -> MinimizeResult:
+    """The simplex as the rows of one ``(n + 1, n)`` buffer; every trial
+    point is written into one of two preallocated buffers."""
+    n = simplex.shape[1]
+    body, worst = simplex[:-1], simplex[-1]
+    centroid, trial, second = np.empty(n), np.empty(n), np.empty(n)
+    add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
+    column_sums, count = np.add.reduce, np.array(float(n))
+
+    def sort(values: list) -> list:
+        order = np.argsort(values, kind="stable")
+        simplex[:] = simplex[order]
+        return [values[i] for i in order]
+
+    def along(base, toward, coef: float) -> np.ndarray:
+        subtract(toward, base, second)
+        multiply(second, coef, second)
+        return add(base, second, second)
+
     # Sorted here and after a shrink, and kept sorted in between: a step
     # moves one vertex, so it costs one insertion, not a sort and two gathers.
     # The values are Python floats: no numpy scalar in a comparison.
-    values = sort([float(objective(v)) for v in rows])
+    values = sort([float(objective(v)) for v in simplex])
 
     gamma, rho, sigma = 2.0, 0.5, 0.5  # reflection is 1: no multiply
     iterations = 0
     converged = False
     while iterations < max_iterations:
         # the f-spread first (two floats); the x-spread only when it passed
-        if abs(values[-1] - values[0]) <= ftol and within(xtol):
+        if (
+            abs(values[-1] - values[0]) <= ftol
+            and np.maximum.reduce(np.absolute(simplex[1:] - simplex[0]), axis=None) <= xtol
+        ):
             converged = True
             break
 
-        centroid, vertex = reflect()
+        # the whole ordered sum over the n best rows, not a running update:
+        # the summation order is the result
+        column_sums(body, 0, None, centroid)
+        divide(centroid, count, centroid)
+        subtract(centroid, worst, trial)
+        vertex = add(centroid, trial, trial)
         value = float(objective(vertex))
         # `slot` is where a stable sort puts a new last element: after every
         # value <= it. A value that won a `<` is not NaN and neither is what
@@ -115,86 +190,23 @@ def nelder_mead(
                 vertex, value = expanded, f_expanded
             slot = 0  # below the best either way; NaNs may sit further down
         else:
-            vertex = along(centroid, rows[-1], rho)
+            vertex = along(centroid, worst, rho)
             value = float(objective(vertex))
             slot = bisect_right(values, value, 0, n) if value < values[-1] else None
         if slot is None:
-            best = rows[0]
+            best = simplex[0]
             for i in range(1, n + 1):
-                rows[i] = along(best, rows[i], sigma)
-                values[i] = float(objective(rows[i]))
+                simplex[i] = along(best, simplex[i], sigma)
+                values[i] = float(objective(simplex[i]))
             values = sort(values)
         else:
-            rows[slot + 1 :] = rows[slot:-1]  # overlapping: both formats copy the source first
-            rows[slot] = vertex
+            simplex[slot + 1 :] = simplex[slot:-1]  # overlapping: numpy copies the source first
+            simplex[slot] = vertex
             del values[-1]
             values.insert(slot, value)
         iterations += 1
 
-    return MinimizeResult(np.array(rows[0]), values[0], iterations, converged)
-
-
-def _float_vertices(simplex: np.ndarray):
-    """The simplex as n + 1 lists of Python floats, each step a new list:
-    the array format's elementwise operations, one float at a time."""
-    rows = simplex.tolist()
-    n = simplex.shape[1]
-
-    def sort(values: list) -> list:
-        order = np.argsort(values, kind="stable").tolist()
-        rows[:] = [rows[i] for i in order]
-        return [values[i] for i in order]
-
-    def within(xtol: float) -> bool:
-        # a NaN fails `<=` here as it fails the max np.maximum.reduce takes
-        best = rows[0]
-        return all(abs(x - b) <= xtol for row in rows[1:] for x, b in zip(row, best))
-
-    def reflect() -> Tuple[list, list]:
-        # each column of the n best rows added in sorted order by explicit
-        # `+` (numpy's axis-0 reduce; `sum()` compensates on Python 3.12)
-        centroid = [reduce(operator.add, column) / n for column in zip(*rows[:-1])]
-        return centroid, [c + (c - w) for c, w in zip(centroid, rows[-1])]
-
-    def along(base, toward, coef: float) -> list:
-        return [b + coef * (t - b) for b, t in zip(base, toward)]
-
-    return rows, sort, within, reflect, along
-
-
-def _array_vertices(simplex: np.ndarray):
-    """The simplex as the rows of one ``(n + 1, n)`` buffer; every trial
-    point is written into one of two preallocated buffers."""
-    n = simplex.shape[1]
-    body, worst = simplex[:-1], simplex[-1]
-    centroid, trial, second = np.empty(n), np.empty(n), np.empty(n)
-    reflected = centroid, trial
-    add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
-    column_sums, count = np.add.reduce, np.array(float(n))
-
-    def sort(values: list) -> list:
-        order = np.argsort(values, kind="stable")
-        simplex[:] = simplex[order]
-        return [values[i] for i in order]
-
-    def within(xtol: float) -> bool:
-        return np.maximum.reduce(np.absolute(simplex[1:] - simplex[0]), axis=None) <= xtol
-
-    def reflect() -> Tuple[np.ndarray, np.ndarray]:
-        # the whole ordered sum over the n best rows, not a running update:
-        # the summation order is the result
-        column_sums(body, 0, None, centroid)
-        divide(centroid, count, centroid)
-        subtract(centroid, worst, trial)
-        add(centroid, trial, trial)
-        return reflected
-
-    def along(base, toward, coef: float) -> np.ndarray:
-        subtract(toward, base, second)
-        multiply(second, coef, second)
-        return add(base, second, second)
-
-    return simplex, sort, within, reflect, along
+    return MinimizeResult(simplex[0].copy(), values[0], iterations, converged)
 
 
 def minimize_with_restarts(

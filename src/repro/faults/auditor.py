@@ -345,6 +345,7 @@ def _audited_protocol(
     k_periods: int,
     protocol_seed: RngLike,
     resolve: Optional[AddressResolver] = None,
+    protocol: Optional[StateDistributionProtocol] = None,
     **protocol_args: Any,
 ) -> ConvergenceAuditor:
     """The protocol, its restart wiring, the installed injector and the
@@ -362,13 +363,15 @@ def _audited_protocol(
     — the snapshot-backed recovery path, where learned tables survive and
     only the emitter incarnation advances. *resolve* maps auxiliary
     addresses to proxies (see :meth:`FaultInjector.install`); the other
-    keywords go to the protocol.
+    keywords go to the protocol, unless a running *protocol* is given (its
+    simulator past convergence, say: the plan's times are absolute).
     """
-    protocol = StateDistributionProtocol(
-        framework.hfc,
-        seed=protocol_seed if protocol_seed is not None else plan.seed,
-        **protocol_args,
-    )
+    if protocol is None:
+        protocol = StateDistributionProtocol(
+            framework.hfc,
+            seed=protocol_seed if protocol_seed is not None else plan.seed,
+            **protocol_args,
+        )
 
     snapshots: Dict[Any, Dict[str, Any]] = {}
 

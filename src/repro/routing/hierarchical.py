@@ -327,24 +327,25 @@ class HierarchicalRouter:
 
     def route_many_detailed(self, requests: Sequence[ServiceRequest]) -> BatchRouteResult:
         """Resolve a batch, capturing per-request outcomes."""
-        results = self._resolve(list(requests))
+        results = self._resolve(list(requests), detailed=False)
         failed = [isinstance(result, NoFeasiblePathError) for result in results]
         return BatchRouteResult(
-            paths=[None if bad else result.path for result, bad in zip(results, failed)],
+            paths=[None if bad else result for result, bad in zip(results, failed)],
             errors=[result if bad else None for result, bad in zip(results, failed)],
         )
 
     # -- the pipeline -------------------------------------------------------------
 
     def _resolve(
-        self, requests: List[ServiceRequest]
-    ) -> List[Union[HierarchicalResult, NoFeasiblePathError]]:
+        self, requests: List[ServiceRequest], detailed: bool = True
+    ) -> List[Union[HierarchicalResult, ServicePath, NoFeasiblePathError]]:
         """Section 5 for a list of requests: one span tree, four stages.
 
         A single request is the list of one. Each stage runs once per call
         over every request still alive; an infeasible request carries its
         error through the remaining stages instead of aborting the call, so
-        every slot ends as a :class:`HierarchicalResult` or the
+        every slot ends as a :class:`HierarchicalResult` (its bare path when
+        not *detailed*: no CSP outlives the call) or the
         :class:`NoFeasiblePathError` of its first failing stage. Past the
         conquer only the answers' hops stay alive; a result derives the rest.
         """
@@ -386,7 +387,8 @@ class HierarchicalRouter:
                     refused = compress(mine, map(isinstance, mine, repeat(NoFeasiblePathError))) if refusing else none
                     failure = next(refused, None) if n else csp
                     if failure is None:
-                        results.append(HierarchicalResult(compose(request, mine), csp, request, self))
+                        path = compose(request, mine)
+                        results.append(HierarchicalResult(path, csp, request, self) if detailed else path)
                     else:
                         results.append(failure)
                         infeasible += 1

@@ -91,9 +91,9 @@ class ReferenceCspRouter(HierarchicalRouter):
     """Per-request routing through scalar loops at every stage."""
 
     def _resolve(
-        self, requests: List[ServiceRequest]
-    ) -> List[Union[HierarchicalResult, NoFeasiblePathError]]:
-        results: List[Union[HierarchicalResult, NoFeasiblePathError]] = []
+        self, requests: List[ServiceRequest], detailed: bool = True
+    ) -> List[Union[HierarchicalResult, ServicePath, NoFeasiblePathError]]:
+        results: List[Union[HierarchicalResult, ServicePath, NoFeasiblePathError]] = []
         for request in requests:
             try:
                 csp = self.cluster_level_path(request)
@@ -102,6 +102,9 @@ class ReferenceCspRouter(HierarchicalRouter):
                 path = self.compose(request, child_paths)
             except NoFeasiblePathError as err:
                 results.append(err)
+                continue
+            if not detailed:
+                results.append(path)
                 continue
             result = HierarchicalResult(path, csp, request, self)
             # what this pipeline built, not what a result would derive

@@ -19,14 +19,24 @@ the single route makes 5 numpy calls (and 201 Python calls); the batch,
 still laid out ragged, 175 (467). With the batch's per-request glue cut
 (a ragged walk steps every row back at once, the conquer builds its rows and
 hops in fewer passes) the batch makes 173 numpy and 355 Python calls, and
-its Python calls are held too, so that glue cannot creep back.
+its Python calls are held too, so that glue cannot creep back. Since a
+batch keeps only its paths (no per-request result holding its CSP), 340.
+
+A join's locate is held the same way: one seeded join's ``solve_host`` on
+the same overlay, in Python calls of ``repro`` functions (nearly all of them
+the objective and its pairwise sum, two per evaluation). On the two-variable
+simplex kernel it makes 488 (the float-list loop before it, 1,205); a
+per-iteration helper, list builder or closure in the descent adds one call
+per iteration or more.
 """
 
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from repro.coords.embedding import solve_host
 from repro.core import HFCFramework
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -36,16 +46,32 @@ _spec.loader.exec_module(profile_e2e)
 
 #: numpy calls per call today: raise only with a reason, lower freely
 BUDGET = {"single": 5, "batch": 173}
-#: Python calls of ``repro`` functions per batch today (comprehensions count)
-PYTHON_BUDGET = {"batch": 355}
+#: Python calls of ``repro`` functions per batch and per join's locate today
+#: (comprehensions count)
+PYTHON_BUDGET = {"batch": 340, "locate": 488}
 
 
 @pytest.fixture(scope="module")
-def warm():
+def framework():
+    return HFCFramework.build(proxy_count=150, seed=11)
+
+
+@pytest.fixture(scope="module")
+def join(framework):
+    """The landmark coordinates and one seeded joiner's measured delays to
+    them: the first stub router outside the overlay, measured before any
+    other draw on the substrate's noise."""
+    report = framework.embedding_report
+    router = min(set(framework.physical.topology.stub_nodes) - set(framework.overlay.proxies))
+    measured = framework.physical.measure_many([router], report.landmark_ids, probes=3)[0]
+    return np.asarray(report.landmark_coordinates), measured
+
+
+@pytest.fixture(scope="module")
+def warm(framework, join):
     """The router with its query tables (both ways' views of them), provider
     index and destination rows built, and the 15 seeded requests it has
     routed once in a batch and the first alone."""
-    framework = HFCFramework.build(proxy_count=150, seed=11)
     router = framework.hierarchical_router()
     requests = [framework.random_request(seed=seed) for seed in range(15)]
     router.route_many_detailed(requests)
@@ -73,3 +99,10 @@ def test_a_batch_of_15_stays_within_its_python_calls(warm):
     result, _, python = profile_e2e.count_calls(lambda: router.route_many_detailed(requests))
     assert result.infeasible_count == 0
     assert python <= PYTHON_BUDGET["batch"]
+
+
+def test_a_joins_locate_stays_within_its_python_calls(join):
+    landmarks, measured = join
+    solved, _, python = profile_e2e.count_calls(lambda: solve_host(landmarks, measured))
+    assert np.array_equal(solved.x, solve_host(landmarks, measured).x)
+    assert python <= PYTHON_BUDGET["locate"]

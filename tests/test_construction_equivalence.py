@@ -46,7 +46,6 @@ from repro.coords.embedding import (
     solve_hosts,
 )
 from repro.coords.neldermead import (
-    _FLOAT_VARIABLES,
     minimize_with_restarts,
     minimize_with_restarts_batch,
     nelder_mead,
@@ -198,8 +197,8 @@ def assert_same_descent(objective, x0, **kwargs):
 class TestScalarSimplexKeepsItsOrder:
     """The scalar loop sorts once and then inserts; the oracle re-sorts the
     whole simplex every iteration. Same floats from the same operations in
-    the same order, in either vertex format (n = 1..20 straddles
-    ``_FLOAT_VARIABLES``), so not only the answer but every evaluated point
+    the same order, in either vertex format (n = 1..20: the plane kernel at
+    n = 2, buffers at every other n), so not only the answer but every evaluated point
     is equal."""
 
     @settings(max_examples=120, deadline=None)
@@ -212,16 +211,23 @@ class TestScalarSimplexKeepsItsOrder:
         cap=st.sampled_from([0, 1, 7, 60, 400]),
         step=st.sampled_from([0.3, 1.0, 2.5]),
     )
-    # both vertex formats at their seam: floats at n = _FLOAT_VARIABLES,
-    # numpy buffers one variable above
-    @example(seed=1, n=_FLOAT_VARIABLES, family="nan_band", cap=400, step=1.0)
-    @example(seed=1, n=_FLOAT_VARIABLES + 1, family="nan_band", cap=400, step=1.0)
-    @example(seed=2, n=_FLOAT_VARIABLES, family="ties", cap=400, step=2.5)
-    @example(seed=2, n=_FLOAT_VARIABLES + 1, family="ties", cap=400, step=2.5)
-    @example(seed=3, n=_FLOAT_VARIABLES, family="quadratic", cap=0, step=0.3)
-    @example(seed=3, n=_FLOAT_VARIABLES + 1, family="quadratic", cap=0, step=0.3)
-    @example(seed=4, n=_FLOAT_VARIABLES, family="nan_half_space", cap=1, step=1.0)
-    @example(seed=4, n=_FLOAT_VARIABLES + 1, family="nan_half_space", cap=1, step=1.0)
+    # both vertex formats, every family: the plane kernel at n = 2, numpy
+    # buffers on either side of it
+    @example(seed=1, n=1, family="nan_band", cap=400, step=1.0)
+    @example(seed=1, n=2, family="nan_band", cap=400, step=1.0)
+    @example(seed=1, n=3, family="nan_band", cap=400, step=1.0)
+    @example(seed=2, n=1, family="ties", cap=400, step=2.5)
+    @example(seed=2, n=2, family="ties", cap=400, step=2.5)
+    @example(seed=2, n=3, family="ties", cap=400, step=2.5)
+    @example(seed=3, n=1, family="quadratic", cap=0, step=0.3)
+    @example(seed=3, n=2, family="quadratic", cap=0, step=0.3)
+    @example(seed=3, n=3, family="quadratic", cap=0, step=0.3)
+    @example(seed=4, n=1, family="nan_half_space", cap=1, step=1.0)
+    @example(seed=4, n=2, family="nan_half_space", cap=1, step=1.0)
+    @example(seed=4, n=3, family="nan_half_space", cap=1, step=1.0)
+    @example(seed=5, n=1, family="l1_quartic", cap=60, step=1.0)
+    @example(seed=5, n=2, family="l1_quartic", cap=60, step=1.0)
+    @example(seed=5, n=3, family="l1_quartic", cap=60, step=1.0)
     def test_replays_the_resorting_loop(self, seed, n, family, cap, step):
         rng = np.random.default_rng(seed)
         objective = scalar_objective(family, rng, n)
@@ -236,26 +242,31 @@ class TestScalarSimplexKeepsItsOrder:
             max_iterations=cap,
         )
 
-    def test_a_new_value_tying_an_old_one_goes_after_it(self):
+    @pytest.mark.parametrize(
+        "start, step", [([-2.1, 3.1], 0.5), ([3.3, -2.6, 1.9], 0.7)], ids=["plane", "buffers"]
+    )
+    def test_a_new_value_tying_an_old_one_goes_after_it(self, start, step):
         """Plateaus of equal values: the stable sort keeps the older vertex
-        first, so an insertion lands after every value equal to it (a
-        ``bisect_left`` diverges from the oracle on this descent)."""
+        first, so an insertion lands after every value equal to it. On the
+        plane this descent fails a ``bisect_left`` in the contraction's
+        insert, an expansion kept on ``<=``, and a reflection tying the best
+        inserted before it; on buffers, a ``bisect_left``."""
         seen = []
 
         def plateaus(point):
             seen.append(float(np.floor(np.abs(point).sum())))
             return seen[-1]
 
-        assert_same_descent(
-            plateaus, [3.3, -2.6, 1.9], initial_step=0.7, max_iterations=40
-        )
+        assert_same_descent(plateaus, start, initial_step=step, max_iterations=40)
         assert len(set(seen)) < len(seen) / 3  # ties are the common case
 
-    def test_nan_vertices_stay_last_while_a_new_best_goes_first(self):
-        """The start sits in a NaN band, so three of the four vertices are
-        NaN; expansions then put a new best at row 0 with NaNs further down
-        (a plain bisect over them diverges from the oracle on this descent),
-        and a shrink re-sorts with NaNs among the values."""
+    @pytest.mark.parametrize("start", [[1.4, 1.0], [1.4, 1.0, 1.0]], ids=["plane", "buffers"])
+    def test_nan_vertices_stay_last_while_a_new_best_goes_first(self, start):
+        """The start sits in a NaN band, so all but one of the n + 1 vertices
+        are NaN; expansions then put a new best at row 0 with NaNs further
+        down (on buffers a plain bisect over them diverges from the oracle on
+        this descent), and a shrink re-sorts with NaNs among the values (on
+        the plane a kernel that skips that re-sort diverges)."""
 
         def banded(point):
             point = np.asarray(point)
@@ -263,16 +274,17 @@ class TestScalarSimplexKeepsItsOrder:
                 return float("nan")
             return float(np.sum(point * point))
 
+        n = len(start)
         result, points = assert_same_descent(
-            banded, [1.4, 1.0, 1.0], initial_step=1.0, max_iterations=25
+            banded, start, initial_step=1.0, max_iterations=25
         )
-        assert sum(np.isnan(banded(p)) for p in points[:4]) == 3
+        assert sum(np.isnan(banded(p)) for p in points[: n + 1]) == n
         assert np.isfinite(result.fun)
 
     def test_a_shrink_step(self):
         """A bumpy bowl where a contraction fails: the loop shrinks,
-        re-evaluates n vertices in row order and re-sorts (a loop that skips
-        the re-sort diverges from the oracle on this descent)."""
+        re-evaluates n vertices in row order and re-sorts (the plane kernel
+        that skips the re-sort diverges from the oracle on this descent)."""
 
         def bumpy(point):
             d = point - np.array([1.0, 0.0])
@@ -293,12 +305,12 @@ class TestScalarSimplexKeepsItsOrder:
         assert np.array_equal(result.x, [1.0, 2.0])
 
     def test_the_point_is_valid_during_the_call_only(self):
-        """Above ``_FLOAT_VARIABLES`` the objective is handed a buffer the
-        loop reuses: an objective that keeps copies sees the trajectory, one
-        that keeps the argument itself sees the same few buffers over and
-        over. At or below it the point is a list of n Python floats under the
-        same contract: read it during the call; copy to keep."""
-        n = _FLOAT_VARIABLES + 1
+        """Off the plane the objective is handed a buffer the loop reuses: an
+        objective that keeps copies sees the trajectory, one that keeps the
+        argument itself sees the same few buffers over and over. At n = 2 the
+        point is a list of two Python floats under the same contract: read
+        it during the call; copy to keep."""
+        n = 3
         copies, kept = [], []
 
         def bowl(point):
@@ -317,11 +329,11 @@ class TestScalarSimplexKeepsItsOrder:
         narrow = []
         nelder_mead(
             lambda p: narrow.append(p) or float(np.dot(p, p)),
-            np.linspace(-3.0, 3.0, _FLOAT_VARIABLES),
+            np.linspace(-3.0, 3.0, 2),
             max_iterations=50,
         )
         assert all(
-            type(p) is list and len(p) == _FLOAT_VARIABLES and {type(x) for x in p} == {float}
+            type(p) is list and len(p) == 2 and {type(x) for x in p} == {float}
             for p in narrow
         )
 
@@ -578,8 +590,8 @@ class TestLocateHostsBatch:
 
 
 class TestHostObjectiveIsNumpys:
-    """``solve_host`` evaluates its objective on Python floats (and, at or
-    below ``_FLOAT_VARIABLES`` dimensions, descends on them); the numpy form
+    """``solve_host`` evaluates its objective on Python floats (and, in the
+    plane, descends on them); the numpy form
     it replaced (``host_objective_reference``) is the answer to the last
     bit. Numpy sums in pairwise order (one running sum below 8 terms, eight
     accumulators up to 128, halves above), so the landmark counts straddle
@@ -590,8 +602,8 @@ class TestHostObjectiveIsNumpys:
     @given(
         seed=st.integers(0, 2**32 - 1),
         m=st.integers(1, 300) | st.sampled_from([7, 8, 9, 15, 16, 17, 127, 128, 129, 136, 256]),
-        # the plane, the axis loop, and both vertex formats at their seam
-        k=st.integers(1, 5) | st.sampled_from([_FLOAT_VARIABLES, _FLOAT_VARIABLES + 1]),
+        # the plane kernel, the axis loop on buffers, and the axis sum's seam
+        k=st.integers(1, 5) | st.sampled_from([8, 9]),
         exponent=st.floats(-6.0, 6.0),
     )
     def test_value_and_descent_equal_the_numpy_form(self, seed, m, k, exponent):
