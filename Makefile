@@ -91,7 +91,8 @@ ab:
 	$(PYTHON) scripts/ab_e2e.py $(REF) --pairs $(PAIRS) --seed $(SEED) $(if $(filter command% environment%,$(origin W)),$(foreach w,$(W),--workload $(w))) $(if $(RECORD),--record $(RECORD))
 
 # Mirror the full CI workflow locally: tier-1 tests, e2e self-test, the
-# profiling and build-scale scripts at smoke size, one A/B pair of four
+# profiling script at smoke size, the build-scale script at n=300 with its
+# lifecycle table, one A/B pair of four
 # workloads against HEAD, lint, fault matrix, the simulated numbers and their
 # exact gate.
 ci:
@@ -102,7 +103,7 @@ ci:
 	$(PYTHON) scripts/profile_e2e.py --workload route_2k --scale smoke
 	$(PYTHON) scripts/profile_e2e.py --workload lifecycle_120 --scale smoke
 	$(PYTHON) scripts/profile_e2e.py --workload construct_2k --scale smoke
-	$(MAKE) scale N=300
+	$(MAKE) scale N=300 LIFECYCLE=1
 	$(MAKE) ab REF=HEAD W="route_2k churn_2k construct_2k lifecycle_120" PAIRS=1 RECORD=benchmarks/out/ab_smoke.jsonl
 	$(MAKE) lint
 	$(MAKE) fault-matrix

@@ -31,12 +31,15 @@ from ``perf_counter`` around each stage, not the profiler
 (:func:`batch_stage_row`): numpy operators and subscripts make no profile
 event, so a profile cannot say which stage they slowed.
 
-For ``churn_2k`` a last row: a join by stage, from a second untraced run
+For ``churn_2k`` two last rows: a join by stage, from a second untraced run
 of the workload outside the profiler (:func:`join_row`) — the mean µs of
 measure, locate, nearest cluster and patch over the run's joins, the locate
 figures from each join's own change record (``locate_ms``,
 ``locate_iterations``), and the locate's iterations and objective
-evaluations per start, from a replay of the recorded measurements.
+evaluations per start, from a replay of the recorded measurements. And a
+read by stage (:func:`read_row`): the view, the rebind by part, the query
+tables' row caches, the first route of the block's requests and the same
+requests routed again, medians over write blocks of the workload's script.
 
 The dump lands in ``benchmarks/out/<workload>.pstats`` (git-ignored).
 ``--scale smoke`` is for CI: it proves the script runs, its numbers mean nothing.
@@ -347,6 +350,95 @@ def join_row(scale: str, seconds: float) -> str:
     )
 
 
+def read_row(scale: str, blocks: int = 40) -> str:
+    """``churn_2k``'s read by stage: the workload's write blocks and request draws
+    from its set-up at seed 11, and per block ``perf_counter`` around the view
+    (``overlay.hfc``), the rebind and inside it its parts — the provider entries,
+    the query tables, the map index and the live-placement check, the functions
+    of the rebind's own module — the tables' row caches a first route builds
+    (``lists``, ``facing``, ``flat``), the first route and the same requests
+    routed again; medians over the blocks after the first five, each at
+    reference host speed (the benchmark's ``HostSpeed``, sampled per block).
+    The write side of a read is its view, rebind and caches."""
+    sys.path.insert(0, str(ROOT / "src"))
+    sys.path.insert(0, str(ROOT))
+    import repro.routing.hierarchical as hierarchical
+    from benchmarks.e2e.workloads import Churn, HostSpeed
+
+    from repro.routing.batch import query_tables
+
+    params = Churn.params[scale]
+    ctx = Churn().setup(params, seed=11)
+    overlay, router, rng, free = ctx["overlay"], ctx["router"], ctx["rng"], ctx["free"]
+    catalog, hosted, supply, host = ctx["catalog"], ctx["hosted"], ctx["supply"], HostSpeed()
+    module = sys.modules[hierarchical.rebind_derived.__module__]
+    parts = {"entries": "_move_members", "tables": "patch_query_tables", "map index": "offering_index",
+             "live-placement check": "placement_capabilities"}
+    spent = dict.fromkeys(parts, 0.0)
+    originals = {name: getattr(module, name) for name in parts.values()}
+
+    def clocked(part: str, fn: Callable[..., Any]) -> Callable[..., Any]:
+        def run(*args: Any, **kwargs: Any) -> Any:
+            t0 = perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                spent[part] += perf_counter() - t0
+
+        return run
+
+    rows: List[Dict[str, float]] = []
+    for part, name in parts.items():
+        setattr(module, name, clocked(part, originals[name]))
+    try:
+        for _ in range(blocks):
+            for _ in range(params["block"]):  # the workload's write block
+                if (rng.random() < 0.5 and free) or overlay.size <= 3:
+                    joiner = free.pop()
+                    services = frozenset(rng.sample(catalog, rng.randint(4, min(10, len(catalog)))))
+                    overlay.join(joiner, services)
+                    hosted[joiner] = services
+                    supply.update(services)
+                else:
+                    proxy = rng.choice(overlay.proxies)
+                    overlay.leave(proxy)
+                    supply.subtract(hosted.pop(proxy))
+                    free.insert(0, proxy)
+            requests = Churn._requests(ctx, params["requests"])
+            slowdown = host.sample()
+            spent.update(dict.fromkeys(parts, 0.0))
+            gc.collect()
+            t0 = perf_counter()
+            hfc = overlay.hfc
+            t1 = perf_counter()
+            router.rebind(hfc)
+            t2 = perf_counter()
+            tables = query_tables(hfc)
+            tables.lists, tables.facing, tables.flat
+            t3 = perf_counter()
+            router.route_many_detailed(requests)
+            t4 = perf_counter()
+            router.route_many_detailed(requests)
+            t5 = perf_counter()
+            stages = {"view": t1 - t0, "rebind": t2 - t1, **spent, "table caches": t3 - t2,
+                      "first route": t4 - t3, "routed again": t5 - t4}
+            rows.append({name: value * 1e3 / slowdown for name, value in stages.items()})
+    finally:
+        for name, original in originals.items():
+            setattr(module, name, original)
+    median = {name: statistics.median(row[name] for row in rows[5:]) for name in rows[0]}
+    write = median["view"] + median["rebind"] + median["table caches"]
+    inside = ", ".join(f"{part} {median[part]:.2f}" for part in parts)
+    return (
+        f"   read {write + median['first route']:.2f} ms = view {median['view']:.2f} + rebind "
+        f"{median['rebind']:.2f} ({inside}) + table caches {median['table caches']:.2f} + first route "
+        f"{median['first route']:.2f}; the same requests again {median['routed again']:.2f}\n"
+        f"   write side (view + rebind + table caches) {write:.2f} ms (medians over {len(rows) - 5} "
+        f"blocks of {params['block']} moves and {params['requests']} requests, n={params['n']}, "
+        f"reference host speed)"
+    )
+
+
 def main(argv: List[str] | None = None) -> int:
     manifest = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -394,6 +486,8 @@ def main(argv: List[str] | None = None) -> int:
     if args.workload == "churn_2k":
         print("== a join by stage (untraced, outside the profiler, perf_counter around each stage)")
         print(join_row(args.scale, args.seconds))
+        print("== a read by stage (untraced, outside the profiler, perf_counter around each stage)")
+        print(read_row(args.scale, 40 if args.scale == "full" else 8))
     return 0
 
 

@@ -10,7 +10,7 @@ through this object.
 from __future__ import annotations
 
 import math
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Collection, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -110,6 +110,44 @@ class CoordinateSpace:
         space._stacked = arr
         space._row = {node: i for i, node in enumerate(nodes)}
         return space
+
+    def patched(
+        self, gone: Collection[NodeId], nodes: Sequence[NodeId], block: np.ndarray
+    ) -> "CoordinateSpace":
+        """This space less *gone*, with *nodes* appended at the rows of *block*.
+
+        What :meth:`from_stacked` builds over the survivors in their order and
+        then *nodes*, bit for bit, for a Python step per moved node: the
+        survivors' tuples and rows are taken over by C-level copies and the row
+        map is renumbered in C. This space is left as it is, so a view handed
+        out before a membership change never changes.
+        """
+        row = self._index()
+        keep = np.ones(len(row), dtype=bool)
+        try:
+            keep[[row[node] for node in gone]] = False
+        except KeyError as exc:
+            raise EmbeddingError(f"node {exc.args[0]!r} has no coordinates") from None
+        block = np.asarray(block, dtype=float).reshape(len(nodes), self._dim)
+        coords = self._coords.copy()
+        for node in gone:
+            del coords[node]
+        kept = len(coords)
+        coords.update(zip(nodes, map(tuple, block.tolist())))
+        if len(coords) != kept + len(nodes):
+            raise EmbeddingError("duplicate node ids in patched coordinates")
+        if not coords:
+            raise EmbeddingError("coordinate space must contain at least one node")
+        space = CoordinateSpace.__new__(CoordinateSpace)
+        space._dim, space._coords = self._dim, coords
+        space._stacked = np.concatenate([self._stacked[keep], block])  # type: ignore[index]
+        space._row = dict(zip(coords, range(len(coords))))
+        return space
+
+    @property
+    def row_map(self) -> Dict[NodeId, int]:
+        """node -> row of :attr:`stacked`: the space's own dict, never to be written."""
+        return self._index()
 
     @property
     def dimension(self) -> int:

@@ -26,7 +26,11 @@ the ones a joiner is at least as close to as the current pair
 reconstruction is reserved for :meth:`DynamicOverlay.restructure`. The
 derived ``space`` / ``clustering`` / ``overlay`` / ``hfc`` objects are
 materialised lazily on first access after a change, so a burst of churn
-events does not pay O(n) per event for views nobody reads.
+events does not pay O(n) per event for views nobody reads, and each
+materialisation costs the moves since the last: the space is the last one
+handed out less the proxies that left since, plus the ones that joined since
+(:meth:`~repro.coords.space.CoordinateSpace.patched`), and the other views
+take over its tables or copy the live ones in C.
 ``tests/test_incremental_equivalence.py`` proves the patched topology equals
 a rebuilt one (``tests/oracles/churn.py``) after every event.
 
@@ -42,8 +46,9 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass, field
+from itertools import islice
 from time import perf_counter
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.cluster.mstcluster import Clustering, ClusteringConfig, cluster_nodes
 from repro.cluster.quality import separation_ratio
@@ -123,6 +128,7 @@ class DynamicOverlay:
             fw.overlay.placement
         )
         self._cluster_config: ClusteringConfig = fw.config.clustering
+        self._space_view: Optional[CoordinateSpace] = None
         self.version = OverlayVersion()
         self.notifier = ChangeNotifier()
         self._changes = MembershipChanges()
@@ -133,7 +139,6 @@ class DynamicOverlay:
         self._hier_base_centroids: Optional[np.ndarray] = None
         self._adopt_labels(dict(fw.clustering.labels))
         self._refresh_borders()
-        self._invalidate_views()
 
     # -- views ---------------------------------------------------------------
 
@@ -156,35 +161,39 @@ class DynamicOverlay:
 
     @property
     def space(self) -> CoordinateSpace:
-        """The current coordinate space (materialised lazily)."""
+        """The current coordinate space (materialised lazily): the last one handed
+        out less the proxies that left since, plus those that joined since — the
+        tail of the membership order — or, with none handed out, built afresh."""
         if self._space_view is None:
-            proxies = list(self._labels)
-            rows = [self._coord_row[p] for p in proxies]
-            self._space_view = CoordinateSpace.from_stacked(
-                proxies, self._coord_arr[rows]
-            )
+            base = self._space_base
+            if base is None:
+                proxies = list(self._labels)
+                self._space_view = CoordinateSpace.from_stacked(proxies, self._block(proxies))
+            else:
+                gone = [p for p in self._left if p in base]
+                tail = len(self._labels) - len(base) + len(gone)
+                joined = list(islice(reversed(self._labels), tail))[::-1]
+                self._space_view = base.patched(gone, joined, self._block(joined))
+                self._space_base = None  # freed with the views that hold it, not by an event
         return self._space_view
 
     @property
     def clustering(self) -> Clustering:
-        """The current clustering (materialised lazily)."""
+        """The current clustering (materialised lazily); an event replaces, never
+        edits, the member list of the cluster it touches, so views share the rest."""
         if self._clustering_view is None:
             self._clustering_view = Clustering(
-                clusters=[list(c) for c in self._clusters],
-                labels=dict(self._labels),
+                clusters=list(self._clusters), labels=dict(self._labels)
             )
         return self._clustering_view
 
     @property
     def overlay(self) -> OverlayNetwork:
-        """The current overlay network (materialised lazily)."""
+        """The current overlay network (materialised lazily), over :attr:`space`:
+        the live placement follows the membership order, so a C-level copy of it."""
         if self._overlay_view is None:
-            proxies = list(self._labels)
-            self._overlay_view = OverlayNetwork(
-                physical=self.framework.physical,
-                proxies=proxies,
-                placement={p: self._placement[p] for p in proxies},
-                space=self.space,
+            self._overlay_view = OverlayNetwork.over_space(
+                self.framework.physical, self.space, dict(self._placement)
             )
         return self._overlay_view
 
@@ -212,13 +221,12 @@ class DynamicOverlay:
         """
         from repro.state.columnar import ColumnarOverlayState
 
-        proxies = list(self._labels)
         return ColumnarOverlayState.from_parts(
-            proxies=proxies,
+            proxies=list(self._labels),
             space=self.space,
             clustering=self.clustering,
             borders=self._borders,
-            placement={p: self._placement[p] for p in proxies},
+            placement=dict(self._placement),
             version=self.version,
             levels=(
                 list(self.hierarchy().levels)
@@ -261,36 +269,16 @@ class DynamicOverlay:
             from repro.hierarchy.levels import HierarchyLevels
             from repro.state.columnar import HierarchyLevel
 
-            row_proxies = list(self._labels)
-            row_of = {p: r for r, p in enumerate(row_proxies)}
+            row_of, count_below = self.space.row_map, len(self._clusters)
             out: List = []
-            count_below = len(self._clusters)
             for spec in self._hier_levels:
                 groups = spec["groups"]
-                count = len(groups)
-                parent = np.full(count_below, -1, dtype=np.int64)
-                ptr = np.zeros(count + 1, dtype=np.int64)
-                members: List[int] = []
-                for gid, units in enumerate(groups):
-                    for u in units:
-                        parent[u] = gid
-                    members.extend(units)
-                    ptr[gid + 1] = len(members)
-                border = np.full((count, count), -1, dtype=np.int64)
-                for (i, j), proxy in spec["borders"].items():
-                    border[i, j] = row_of[proxy]
-                out.append(
-                    HierarchyLevel(
-                        parent=parent,
-                        ptr=ptr,
-                        members=np.array(members, dtype=np.int64),
-                        border_matrix=border,
-                        centroids=spec["centroids"].copy(),
-                    )
-                )
-                count_below = count
+                out.append(HierarchyLevel.from_groups(
+                    groups, spec["borders"], spec["centroids"], count_below, row_of
+                ))
+                count_below = len(groups)
             self._hierarchy_view = HierarchyLevels(
-                hfc=self.hfc, levels=out, row_proxies=row_proxies
+                hfc=self.hfc, levels=out, row_proxies=self.space.nodes()
             )
             self._hierarchy_view.validate()
         return self._hierarchy_view
@@ -326,7 +314,6 @@ class DynamicOverlay:
             return
         from repro.hierarchy.levels import build_levels
 
-        self._invalidate_views()  # the base state just changed wholesale
         self._adopt_hierarchy(build_levels(self.hfc, 2 + len(self._hier_levels)))
 
     def _hier_patch_from(
@@ -597,7 +584,8 @@ class DynamicOverlay:
         return self._coord_arr[[self._coord_row[p] for p in members]]
 
     def _adopt_labels(self, labels: Dict[ProxyId, int]) -> None:
-        """Install *labels*, compacting cluster ids to 0..k-1 (sorted order)."""
+        """Install *labels*, compacting cluster ids to 0..k-1 (sorted order); the
+        placement follows their order, and the next views are built afresh."""
         proxies = list(labels)
         ids = sorted({labels[p] for p in proxies})
         remap = {old: new for new, old in enumerate(ids)}
@@ -606,6 +594,8 @@ class DynamicOverlay:
             labels[p] = remap[labels[p]]
             clusters[labels[p]].append(p)
         self._labels = labels
+        self._placement = {p: self._placement[p] for p in labels}
+        self._invalidate_views(cold=True)
         self._clusters = [sorted(c) for c in clusters]
         self._blocks = [self._block(c) for c in self._clusters]
 
@@ -679,8 +669,13 @@ class DynamicOverlay:
             **detail,
         )
 
-    def _invalidate_views(self) -> None:
-        self._space_view: Optional[CoordinateSpace] = None
+    def _invalidate_views(self, cold: bool = False) -> None:
+        """Drop the views; the next space derives from the one handed out last
+        (the leavers since go to ``_left``), or, *cold*, is built afresh."""
+        if cold or self._space_view is not None:
+            self._space_base = None if cold else self._space_view
+            self._left: Set[ProxyId] = set()
+        self._space_view = None
         self._clustering_view: Optional[Clustering] = None
         self._overlay_view: Optional[OverlayNetwork] = None
         self._hfc_view: Optional[HFCTopology] = None
@@ -706,6 +701,8 @@ class DynamicOverlay:
         if dropped is not None:
             self._changes.dropped.append(dropped)
         self._invalidate_views()
+        if kind == "leave":
+            self._left.add(proxy)
         self.version = (
             self.version.bump_epoch() if epoch else self.version.bump()
         )

@@ -51,6 +51,26 @@ class OverlayNetwork:
             raise ServiceModelError(f"proxies without service placement: {missing[:5]}")
         self._index = {p: i for i, p in enumerate(self.proxies)}
 
+    @classmethod
+    def over_space(
+        cls,
+        physical: PhysicalNetwork,
+        space: CoordinateSpace,
+        placement: Placement,
+    ) -> "OverlayNetwork":
+        """The overlay of *space*'s nodes in its order, with *placement* (taken, not
+        copied) and the space's own row map as its index: what the constructor builds
+        for ``proxies=space.nodes()``, without a Python step per proxy."""
+        if len(placement) != len(space):
+            raise ServiceModelError(
+                f"placement covers {len(placement)} proxies, the space {len(space)}"
+            )
+        overlay = cls.__new__(cls)
+        overlay.physical, overlay.proxies = physical, space.nodes()
+        overlay.placement, overlay.space = placement, space
+        overlay._index = space.row_map
+        return overlay
+
     @property
     def size(self) -> int:
         """Number of proxies."""

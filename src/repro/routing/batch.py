@@ -16,8 +16,9 @@ resolution crosses. This module hosts the structures one pipeline call
   a fresh topology after every churn event, so the cache can never go
   stale.
 * :func:`child_specs` — the conquer candidates of a call's children, from
-  each touched cluster's provider index; :func:`rebind_derived` carries all of
-  the above and :func:`offering_index` to the next view, patched from its changes.
+  each touched cluster's provider index, and :func:`offering_index`, the map
+  step's; :mod:`repro.routing.rebind` carries all of them to the next view,
+  patched from its changes.
 * :class:`ClusterCosts` — the CSP stage's gather for the one service-DAG
   kernel (:func:`~repro.routing.kernel.relax`), and :func:`solve_specs`, the
   conquer's call of it under :class:`~repro.routing.kernel.ProxyCosts`.
@@ -37,7 +38,7 @@ from array import array
 from bisect import bisect_right, insort
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import accumulate, chain, compress, groupby, repeat
+from itertools import accumulate, chain, compress, repeat
 from operator import add, itemgetter
 from typing import Any, Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
 
@@ -141,10 +142,23 @@ class QueryTables:
         numbering; and ``border_ptr``."""
         codes, ptr = self.border_row + 1, self.border_ptr.tolist()
         local = np.where(codes > 0, codes - self.border_ptr[:-1, None], 0)
-        rows = [[0.0] * (max(np.diff(ptr).tolist(), default=0) + 1)]
-        for lo, hi in zip(ptr, ptr[1:]):
-            rows += ([0.0, *row] for row in self.d_border[lo:hi, lo:hi].tolist())
+        rows = [[0.0] * (max(np.diff(ptr).tolist(), default=0) + 1), *chain.from_iterable(self.local_rows)]
         return self.ext.tolist(), codes.T.tolist(), local.tolist(), rows, ptr
+
+    @cached_property
+    def local_rows(self) -> List[List[List[float]]]:
+        """Per cluster, its borders' ``d_border`` rows over its own borders, each
+        behind a 0.0 (the rows :attr:`lists` numbers by shifted border code)."""
+        return [self._local_rows(c) for c in range(self.cluster_count)]
+
+    def _local_rows(self, cluster: ClusterId) -> List[List[float]]:
+        lo, hi = self.border_ptr[cluster : cluster + 2].tolist()
+        return [[0.0, *row] for row in self.d_border[lo:hi, lo:hi].tolist()]
+
+    @cached_property
+    def border_proxies(self) -> np.ndarray:
+        """``border_row`` as proxy ids (-1 on the diagonal), what a rebind patches."""
+        return np.array(self.border_list + [-1]).take(self.border_row)
 
     @cached_property
     def facing(self) -> List[List[Optional[ProxyId]]]:
@@ -253,58 +267,6 @@ def query_tables(hfc: Any) -> QueryTables:
         )
     hfc._query_tables_cache = tables
     return tables
-
-
-def patch_query_tables(tables: QueryTables, hfc: Any, changes: Any) -> QueryTables:
-    """What :func:`build_query_tables` returns on *hfc*, bit for bit, from *tables* of
-    the view before *changes*: on the ``k x k`` border-proxy matrix (-1 on the diagonal)
-    only a pair or cluster whose border moved (re-elected, or back at new coordinates)
-    and a ``d_entry`` pair beside a border new to its cluster are asked again. The
-    destination rows (:attr:`QueryTables.to_destination`) of proxies that did not
-    leave, in clusters none of whose borders moved, are carried over as they are."""
-    distance, moves = hfc.space.distance, changes.moves
-    held = np.array(tables.border_list + [-1]).take(tables.border_row)
-    proxies = held.copy()
-    for i, j in changes.reelected:
-        proxies[i, j], proxies[j, i] = hfc.borders[i, j], hfc.borders[j, i]
-    back = {p for kind, p, _ in moves if kind == "leave"} & {p for kind, p, _ in moves if kind == "join"}
-    moved = (proxies != held) | np.isin(proxies, list(back))
-    ext = tables.ext.copy()
-    i, j = np.triu(moved | moved.T, 1).nonzero()
-    ext[i, j] = ext[j, i] = list(map(distance, proxies[i, j].tolist(), proxies[j, i].tolist()))
-    ptr = tables.border_ptr.tolist()
-    lists = [tables.border_list[lo:hi] for lo, hi in zip(ptr, ptr[1:])]
-    stale = moved.any(axis=1).nonzero()[0].tolist()
-    for c in stale:
-        lists[c] = [p for p in dict.fromkeys(proxies[c].tolist()) if p >= 0]
-    border_list = list(chain.from_iterable(lists))
-    ptr = np.cumsum([0] + list(map(len, lists)), dtype=np.int64)
-    # codes by proxy id, new and old shifted by one; -1 reads the last slot
-    code = np.full(max([*border_list, *tables.border_list, *back], default=0) + 2, -1)
-    was = np.zeros_like(code)
-    was[tables.border_list] = np.arange(1, len(tables.border_list) + 1)
-    was[list(back)] = 0
-    code[border_list] = np.arange(len(border_list))
-    # every in-cluster pair (a border keeps its cluster) read at its old codes,
-    # and asked again where one side is new to the cluster (old code 0)
-    at = np.concatenate([[0], was.take(border_list)])
-    size = np.diff(ptr)
-    reps = size.repeat(size)
-    a = np.arange(1, len(at)).repeat(reps)
-    b = (ptr[:-1] + 1).repeat(size).repeat(reps)
-    b += np.arange(len(a)) - (reps.cumsum() - reps).repeat(reps)
-    d_entry = np.zeros((len(at), len(at)))
-    d_entry[a, b] = tables.d_entry[at.take(a), at.take(b)]
-    ask = (a < b) & (at.take(a) * at.take(b) == 0)
-    for u, v in zip(a[ask].tolist(), b[ask].tolist()):
-        d_entry[u, v] = d_entry[v, u] = distance(border_list[u - 1], border_list[v - 1])
-    patched = QueryTables(tables.cluster_count, ext, code.take(proxies), border_list, d_entry[1:, 1:], ptr, d_entry)
-    # a destination's row holds while it stays put and its cluster keeps its borders
-    gone, stale = {p for kind, p, _ in moves if kind == "leave"}, set(stale)
-    patched.to_destination.update(
-        (pd, row) for pd, row in tables.to_destination.items() if pd not in gone and hfc.cluster_of(pd) not in stale
-    )
-    return patched
 
 
 # -- the CSP stage's gather ------------------------------------------------------
@@ -555,64 +517,6 @@ def offering_index(capabilities: Dict[ClusterId, FrozenSet[str]], k: int, base: 
             if not ids:
                 del index[service]
     return index
-
-
-def _move_members(cached: Dict[ClusterId, ClusterEntry], placement: Any, moves: Any) -> None:
-    """Apply *moves* in order to the entries the new view took over (a joiner appended
-    to its services' providers, as overlay order puts it last); a new aggregate if they changed."""
-    for cluster, moved in groupby(sorted(moves, key=itemgetter(2)), itemgetter(2)):
-        entry = cached.get(cluster)
-        if entry is None:
-            continue
-        members, placed, providers, aggregate = entry.members, list(entry.placed), entry.providers, entry.aggregate
-        for kind, proxy, _ in moved:
-            if kind == "join":
-                members.append(proxy)
-                placed.append(placement.get(proxy, frozenset()))
-                for service in placed[-1]:
-                    providers[service] = providers.get(service, ()) + (proxy,)
-            else:
-                at = members.index(proxy)
-                del members[at]
-                for service in placed.pop(at):
-                    providers[service] = tuple(p for p in providers[service] if p != proxy)
-                    if not providers[service]:
-                        del providers[service]
-        if providers.keys() != aggregate:
-            aggregate = frozenset(providers)
-        cached[cluster] = entry._replace(placed=tuple(placed), aggregate=aggregate, read=_reader(members))
-
-
-def rebind_derived(
-    old: Any, new: Any, capabilities: Dict[ClusterId, FrozenSet[str]], offering: Tuple[Any, Any]
-) -> Tuple[Dict[ClusterId, FrozenSet[str]], Tuple[Any, Any], Dict[str, Any]]:
-    """A feed-less router's SCT_C, map index ``(capabilities, index)`` and ``routing.rebind``
-    event fields on view *new*: patched from *old*'s when *new*'s ``membership_changes``
-    follow from *old* (or *new* is *old*), else derived afresh, and the mode says why."""
-    changes, held = getattr(new, "membership_changes", None), getattr(old, "membership_changes", None)
-    mode = "patched"
-    if new is not old:
-        related = changes is not None and held is not None and changes.base is held.token
-        if changes is not None and changes.restructured:
-            mode = "restructured"
-        elif not related or changes.dropped:
-            mode = "renumbered" if related else "first bind"
-    event: Dict[str, Any] = dict(mode=mode, members_moved=0, pairs_patched=0)
-    if mode == "patched" and new is not old:  # the new view takes over what the old one derived
-        cached, tables = vars(old).pop("_providers_cache", None), vars(old).pop("_query_tables_cache", None)
-        if cached is not None and "_providers_cache" not in vars(new):
-            new._providers_cache = cached
-            _move_members(cached, new.overlay.placement, changes.moves)
-            event["members_moved"] = len(changes.moves)
-        if tables is not None and "_query_tables_cache" not in vars(new):
-            new._query_tables_cache = patch_query_tables(tables, new, changes)
-            event["pairs_patched"] = len(changes.reelected)
-    after = placement_capabilities(new)
-    flips = {c: after[c] ^ capabilities.get(c, frozenset()) for c in after if after[c] is not capabilities.get(c)}
-    event.update(clusters_reaggregated=len(flips), services_flipped=sum(map(len, flips.values())))
-    if mode != "patched" or offering[0] is not capabilities:
-        return after, (None, {}), event
-    return after, (after, offering_index(after, new.cluster_count, (offering[1], flips))), event
 
 
 def child_infeasible_error(child: Any) -> NoFeasiblePathError:

@@ -69,6 +69,29 @@ class FlatRouter:
         self.provider = provider
         self.expander = expander
         self.name = name
+        #: the proxies, their placement sets and service -> providers the
+        #: index was built from (:meth:`_providers`)
+        self._indexed: Tuple[List[ProxyId], Tuple[Any, ...], Dict[str, List[ProxyId]]] = ([], (), {})
+
+    def _providers(self) -> Callable[[str], Sequence[ProxyId]]:
+        """A service's providers in overlay order, what ``providers_of`` scans for,
+        from an index built once and again when the overlay's proxies or a read of
+        its live placement differ from what it was built from (identity first,
+        else equal, set by set): a crash's restart rewrites placement in place. A
+        surface without a placement answers ``providers_of`` itself."""
+        overlay, (proxies, placed, index) = self.overlay, self._indexed
+        if not hasattr(overlay, "placement"):
+            return overlay.providers_of
+        if overlay.proxies != proxies:
+            proxies = list(overlay.proxies)
+        now = tuple(map(overlay.placement.__getitem__, proxies))
+        if now != placed or proxies is not self._indexed[0]:
+            index = {}
+            for proxy, offered in zip(proxies, now):
+                for service in offered:
+                    index.setdefault(service, []).append(proxy)
+            self._indexed = proxies, now, index
+        return lambda service: index.get(service, ())
 
     def route(self, request: ServiceRequest) -> ServicePath:
         """Compute an optimal service path for *request*.
@@ -104,14 +127,13 @@ class FlatRouter:
 
     def _solve(self, requests: List[ServiceRequest]) -> BatchRouteResult:
         """The one-cluster case of the service-DAG kernel: every request a
-        row over its slots' providers (the overlay is scanned once per
-        distinct service of the call), one :func:`~repro.routing.kernel.relax`
+        row over its slots' providers (:meth:`_providers`), one :func:`~repro.routing.kernel.relax`
         over :class:`~repro.routing.kernel.ProxyCosts`. A request whose
         endpoint is not an overlay member, or whose graph no provider
         configuration maps onto, gets its error alone."""
-        overlay = self.overlay
+        overlay, providers_of = self.overlay, self._providers()
         code: Dict[str, int] = {}  # service -> its providers' group
-        offering: List[List[ProxyId]] = []
+        offering: List[Sequence[ProxyId]] = []
         errors: List[Optional[NoFeasiblePathError]] = [None] * len(requests)
         rows: List[List[int]] = []
         shapes: List[Any] = []
@@ -127,7 +149,7 @@ class FlatRouter:
                 service = sg.services[slot]
                 if service not in code:
                     code[service] = len(offering)
-                    offering.append(overlay.providers_of(service))
+                    offering.append(providers_of(service))
                 groups.append(code[service])
             row = graph_row(sg, order, [len(offering[g]) for g in groups])
             if row is None:

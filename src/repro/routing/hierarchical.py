@@ -54,11 +54,12 @@ from repro.overlay.hfc import HFCTopology
 from repro.overlay.network import ProxyId
 from repro.routing.batch import (
     BATCH_SIZE_BUCKETS, BatchRouteResult, ClusterCosts, child_infeasible_error, child_specs, offering_index,
-    placement_capabilities, query_tables, rebind_derived, solve_specs,
+    placement_capabilities, query_tables, solve_specs,
 )
 from repro.routing.kernel import graph_row, relax
 from repro.routing.path import Hop, ServicePath, merge_consecutive_hops
 from repro.routing.providers import CoordinateProvider, DistanceProvider
+from repro.routing.rebind import rebind_derived
 from repro.services.catalog import ServiceName
 from repro.services.graph import ServiceGraph, SlotId
 from repro.services.request import ServiceRequest
@@ -274,7 +275,7 @@ class HierarchicalRouter:
         instead of constructing a new one per failure; after a membership
         change rebuilt the topology they rebind. Feed-less routers get the
         ground-truth capability view of the new placement, patched from
-        the old one (:func:`~repro.routing.batch.rebind_derived`); feed-bound
+        the old one (:func:`~repro.routing.rebind.rebind_derived`); feed-bound
         ones are forced to resynchronise on the next refresh. Either way
         :meth:`_capabilities_changed` fires, because topology-derived
         caches (CSP keys embed cluster ids, which a rebuild renumbers) are

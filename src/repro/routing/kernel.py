@@ -19,7 +19,7 @@ occurrence (``argmin``'s rule), so they pick the same candidates bit for bit.
 
 from __future__ import annotations
 
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, compress, count, repeat
 from operator import add, mul
 from typing import Any, Dict, Iterable, Iterator, List, NamedTuple, Optional, Protocol, Sequence, Tuple
 
@@ -122,15 +122,21 @@ class Ragged(NamedTuple):
         back along ``parent`` to a source (-1), first first. All rows step
         back together, a depth at a time: a parent lane lies a depth up, so it
         is numbered lower, and ``minimum`` keeps a row that reached -1 there.
-        One step more than there are depths ends every row on -1, and only the
-        picked values become Python objects."""
+        One step more than there are depths ends every row on -1. Only the
+        picked values become Python objects: row by row, source first, each
+        path behind one -1 in a single list, so a row as shallow as most
+        conquer rows costs one slice, not the chunk's deepest walk."""
         steps = [final]
         for _ in range(len(self.positions) + 1):
             steps.append(np.minimum(parent[steps[-1]], steps[-1]))
-        lanes = np.array(steps)
+        lanes = np.array(steps[::-1]).T
         picked = values[lanes]
-        picked[lanes < 0] = -1
-        return [row[: row.index(-1)][::-1] for row in picked.T.tolist()]
+        kept = lanes >= 0
+        picked[~kept] = -1
+        kept[:, 0] = True  # the step past the deepest: -1 on every row
+        flat = picked[kept].tolist()
+        cuts = list(compress(count(), map((-1).__eq__, flat)))
+        return [flat[a + 1 : b] for a, b in zip(cuts, [*cuts[1:], len(flat)])]
 
 
 def ragged_chunks(

@@ -109,6 +109,37 @@ class HierarchyLevel:
     border_matrix: np.ndarray  # (count, count) int64 proxy rows, -1 diagonal
     centroids: np.ndarray      # (count, dim) float64
 
+    @classmethod
+    def from_groups(
+        cls,
+        groups: Sequence[Sequence[int]],
+        borders: Mapping[Tuple[int, int], Any],
+        centroids: np.ndarray,
+        count_below: int,
+        row_of: Mapping[Any, int],
+    ) -> "HierarchyLevel":
+        """The level grouping *count_below* units as *groups*, with the border
+        proxy of each ordered group pair in *borders* coded by *row_of* and a
+        copy of *centroids*."""
+        count = len(groups)
+        parent = np.full(count_below, -1, dtype=np.int64)
+        ptr = np.zeros(count + 1, dtype=np.int64)
+        members: List[int] = []
+        for gid, units in enumerate(groups):
+            parent[list(units)] = gid
+            members.extend(units)
+            ptr[gid + 1] = len(members)
+        border = np.full((count, count), -1, dtype=np.int64)
+        for (i, j), proxy in borders.items():
+            border[i, j] = row_of[proxy]
+        return cls(
+            parent=parent,
+            ptr=ptr,
+            members=np.array(members, dtype=np.int64),
+            border_matrix=border,
+            centroids=centroids.copy(),
+        )
+
     @property
     def count(self) -> int:
         """Number of groups at this level."""

@@ -1,6 +1,6 @@
 """The cold derivation a rebind's carried state is held to.
 
-:func:`repro.routing.batch.rebind_derived` patches the provider entries, SCT_C,
+:func:`repro.routing.rebind.rebind_derived` patches the provider entries, SCT_C,
 map index and query tables (their destination rows too) a router derived from
 its previous view;
 :func:`assert_carried_state_is_cold` derives each afresh on the current view —
@@ -29,7 +29,7 @@ def assert_carried_state_is_cold(router, view=True):
     """Everything *router* holds — and, with *view*, finds cached on its
     view — equals a cold derivation on that view: SCT_C, the map index (when
     it is the index of that SCT_C), every provider entry and the query
-    tables and every destination row they hold, bit for bit."""
+    tables and every destination row and row cache they hold, bit for bit."""
     hfc = router.hfc
     placement = hfc.overlay.placement
     capabilities = cold_capabilities(hfc)
@@ -58,6 +58,13 @@ def assert_carried_state_is_cold(router, view=True):
         assert tables.border_list == cold.border_list
         for name in ("ext", "border_row", "border_ptr", "d_entry"):
             assert same_bits(getattr(tables, name), getattr(cold, name)), name
+        # the row caches a patch carried (or a route built) equal the cold ones
+        built = vars(tables)
+        if "border_proxies" in built:
+            assert same_bits(tables.border_proxies, cold.border_proxies)
+        for name in ("facing", "local_rows", "lists"):
+            if name in built:
+                assert built[name] == getattr(cold, name), name
         for pd, row in tables.to_destination.items():
             fresh = destination_row(cold, hfc.space.distance, pd, hfc.cluster_of(pd))
             assert row.tobytes() == fresh.tobytes(), pd

@@ -28,7 +28,16 @@ the objective and its pairwise sum, two per evaluation). On the two-variable
 simplex kernel it makes 488 (the float-list loop before it, 1,205); a
 per-iteration helper, list builder or closure in the descent adds one call
 per iteration or more.
+
+A churn read is held too: after one seeded 50-move block on the same
+overlay (a router warmed by 40 routed requests), the views and the rebind
+that patches the router's derived state from their change record. Deriving
+each view afresh and filtering the carried destination rows cluster by
+cluster made 520 Python calls; patched from the last views and the record,
+206. A Python call per proxy or per carried row adds its count or more.
 """
+
+import random
 
 import importlib.util
 from pathlib import Path
@@ -38,6 +47,8 @@ import pytest
 
 from repro.coords.embedding import solve_host
 from repro.core import HFCFramework
+from repro.membership import DynamicOverlay
+from repro.routing import HierarchicalRouter
 
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("profile_e2e", ROOT / "scripts" / "profile_e2e.py")
@@ -48,7 +59,7 @@ _spec.loader.exec_module(profile_e2e)
 BUDGET = {"single": 5, "batch": 173}
 #: Python calls of ``repro`` functions per batch and per join's locate today
 #: (comprehensions count)
-PYTHON_BUDGET = {"batch": 340, "locate": 488}
+PYTHON_BUDGET = {"batch": 340, "locate": 488, "read": 206}
 
 
 @pytest.fixture(scope="module")
@@ -106,3 +117,22 @@ def test_a_joins_locate_stays_within_its_python_calls(join):
     solved, _, python = profile_e2e.count_calls(lambda: solve_host(landmarks, measured))
     assert np.array_equal(solved.x, solve_host(landmarks, measured).x)
     assert python <= PYTHON_BUDGET["locate"]
+
+
+def test_a_churn_read_stays_within_its_python_calls(framework):
+    dyn = DynamicOverlay(framework, restructure_tolerance=None, track_quality=False)
+    router = HierarchicalRouter(dyn.hfc)
+    router.route_many_detailed([framework.random_request(seed=seed) for seed in range(40)])
+    rng, names = random.Random(11), list(framework.catalog.names)
+    free = [s for s in framework.physical.topology.stub_nodes if s not in dyn]
+    rng.shuffle(free)
+    for _ in range(50):
+        if rng.random() < 0.5 and free:
+            dyn.join(free.pop(), frozenset(rng.sample(names, 5)))
+        else:
+            proxy = rng.choice(dyn.proxies)
+            dyn.leave(proxy)
+            free.insert(0, proxy)
+    _, _, python = profile_e2e.count_calls(lambda: router.rebind(dyn.hfc))
+    assert router.hfc is dyn.hfc and router.cluster_capabilities
+    assert python <= PYTHON_BUDGET["read"]

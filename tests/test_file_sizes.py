@@ -9,7 +9,7 @@ LIMIT = 700
 
 #: the files over LIMIT lines, each at its ceiling
 CEILINGS = {
-    "membership/churn.py": 786,
+    "membership/churn.py": 783,
 }
 
 

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.overlay import build_mesh
+from repro.overlay import OverlayNetwork, build_mesh
 from repro.routing import (
     CoordinateProvider,
     MatrixProvider,
@@ -44,6 +44,30 @@ class TestProviders:
         assert provider.pair(u, v) == pytest.approx(
             tiny_framework.overlay.true_delay(u, v)
         )
+
+    def test_the_provider_index_follows_a_rewritten_placement(self, tiny_framework):
+        """The flat router's service -> providers index answers what
+        ``providers_of`` scans for, also after a placement set is rewritten
+        in place (a crash's restart) or a proxy is gone from the overlay."""
+        fw = tiny_framework
+        overlay = OverlayNetwork(
+            physical=fw.physical, proxies=list(fw.overlay.proxies),
+            placement=dict(fw.overlay.placement), space=fw.space,
+        )
+        router = coordinate_router(overlay)
+        services = sorted(set().union(*overlay.placement.values()))
+
+        def agrees():
+            providers = router._providers()
+            return all(list(providers(s)) == overlay.providers_of(s) for s in services + ["none"])
+
+        assert agrees()
+        first, second = overlay.proxies[:2]
+        overlay.placement[first] = frozenset(services[:1])
+        overlay.placement[second] = overlay.placement[second] | {services[-1]}
+        assert agrees()
+        overlay.proxies.remove(second)
+        assert agrees()
 
     def test_matrix_provider_validation(self):
         with pytest.raises(RoutingError):

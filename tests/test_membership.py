@@ -10,6 +10,7 @@ from repro.services import ServiceRequest, linear_graph
 from repro.util.errors import EmbeddingError, MembershipError
 from tests.oracles.churn import RebuildingOverlay
 from tests.oracles.csp import ReferenceCspRouter
+from tests.oracles.views import assert_views_are_cold, freeze
 
 
 @pytest.fixture
@@ -20,6 +21,73 @@ def dyn(framework):
 def free_stub(framework, dyn):
     used = set(dyn.proxies)
     return next(s for s in framework.physical.topology.stub_nodes if s not in used)
+
+
+def churn_block(dyn, rng, events):
+    """*events* seeded joins (of free stub routers) and leaves."""
+    names = list(dyn.framework.catalog.names)
+    stubs = dyn.framework.physical.topology.stub_nodes
+    for _ in range(events):
+        free = [s for s in stubs if s not in dyn]
+        if free and rng.random() < 0.5:
+            dyn.join(rng.choice(free), frozenset(rng.sample(names, 3)))
+        else:
+            dyn.leave(rng.choice(dyn.proxies))
+
+
+class TestViewsFollowTheMoves:
+    """A view is the last one handed out plus the moves since: it equals a
+    cold materialisation of the live state, and one handed out never changes."""
+
+    @pytest.mark.parametrize("track_quality", [False, True])
+    def test_seeded_blocks_match_a_cold_materialisation(self, framework, track_quality):
+        # with quality tracked, every event reads the space (and clustering)
+        # mid-block, so a block's views derive from views of the same block
+        dyn = DynamicOverlay(framework, restructure_tolerance=None, track_quality=track_quality)
+        rng = random.Random(11)
+        assert_views_are_cold(dyn)
+        for _ in range(6):
+            before = dyn.hfc
+            frozen = freeze(before)
+            churn_block(dyn, rng, 10)
+            assert_views_are_cold(dyn)
+            assert freeze(before) == frozen
+
+    def test_a_rejoiner_moves_to_the_tail_at_its_new_point(self, framework):
+        dyn = DynamicOverlay(framework, restructure_tolerance=None, track_quality=False)
+        before = dyn.hfc
+        frozen = freeze(before)
+        proxy, stub = dyn.proxies[3], free_stub(framework, dyn)
+        point = tuple(x + 1.0 for x in dyn.space.coordinate(proxy))
+        services = dyn.overlay.placement[proxy]
+        dyn.leave(proxy)
+        dyn.join(stub, frozenset({"s0"}))  # joins and leaves inside the block
+        dyn.join(proxy, services, coords=point)
+        dyn.leave(stub)
+        later = next(s for s in framework.physical.topology.stub_nodes if s not in dyn and s != stub)
+        dyn.join(later, frozenset({"s1"}))
+        assert_views_are_cold(dyn)
+        assert dyn.space.nodes()[-2:] == [proxy, later] and dyn.space.coordinate(proxy) == point
+        assert stub not in dyn.space and stub not in dyn.overlay.placement
+        assert freeze(before) == frozen
+        # the next block patches this view: its moves, not the last block's again
+        dyn.join(stub, frozenset({"s2"}))
+        assert_views_are_cold(dyn)
+
+    def test_a_view_read_mid_block_and_a_restructure(self, framework):
+        dyn = DynamicOverlay(framework, restructure_tolerance=None, track_quality=False)
+        rng = random.Random(5)
+        dyn.hfc
+        churn_block(dyn, rng, 4)
+        middle = dyn.space  # the next views derive from this one
+        frozen = list(middle._coords.items()), middle.stacked.tobytes()
+        churn_block(dyn, rng, 4)
+        assert_views_are_cold(dyn)
+        assert (list(middle._coords.items()), middle.stacked.tobytes()) == frozen
+        dyn.restructure()  # relabels wholesale: a cold build
+        assert_views_are_cold(dyn)
+        churn_block(dyn, rng, 6)
+        assert_views_are_cold(dyn)
 
 
 class TestJoin:

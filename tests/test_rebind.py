@@ -4,7 +4,7 @@
 its view — the per-cluster provider entries and aggregates, the map step's
 index, the query tables — to the next view, patched from the
 ``membership_changes`` record ``DynamicOverlay`` hands that view
-(:func:`repro.routing.batch.rebind_derived`). These tests hold the carried
+(:func:`repro.routing.rebind.rebind_derived`). These tests hold the carried
 structures to a cold derivation on the same view (the tables bit for bit),
 pin which cases fall back to the full derivation and say so in the
 ``routing.rebind`` event, and check that no predecessor view stays alive.
@@ -24,6 +24,7 @@ from repro.routing import HierarchicalRouter
 from repro.services import ServiceRequest, linear_graph
 from repro.telemetry import Telemetry
 from tests.oracles.rebind import assert_carried_state_is_cold
+from tests.oracles.views import assert_views_are_cold
 
 
 def churn(dyn, rng, events):
@@ -69,6 +70,7 @@ def test_patched_blocks_equal_a_cold_derivation(framework300):
         churn(dyn, rng, 8)
         moves = len(dyn._changes.moves)
         router.rebind(dyn.hfc)
+        assert_views_are_cold(dyn)
         assert_carried_state_is_cold(router)
         route_some(router, dyn, rng)
         assert_carried_state_is_cold(router)

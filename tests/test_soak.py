@@ -52,6 +52,7 @@ from tests.oracles.construction import select_borders_closest_reference
 from tests.oracles.csp import ReferenceCspRouter
 from tests.oracles.rebind import assert_carried_state_is_cold, cold_capabilities
 from tests.oracles.servicedag import provider_block, solve_vectorised
+from tests.oracles.views import assert_views_are_cold
 
 #: hierarchy depth the machine attaches and keeps patched
 DEPTH = 3
@@ -285,6 +286,7 @@ class OverlaySoak(RuleBasedStateMachine):
 
     @invariant()
     def carried_state_matches_a_cold_derivation(self):
+        assert_views_are_cold(self.dyn)
         views = set()
         for router in self.routers.values():
             assert_carried_state_is_cold(router, view=id(router.hfc) not in views)
