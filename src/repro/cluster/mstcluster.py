@@ -77,7 +77,9 @@ class Clustering:
     """A partition of overlay nodes into proximity clusters.
 
     Attributes:
-        clusters: node lists, one per cluster, index = cluster id.
+        clusters: node lists, one per cluster, index = cluster id. A
+            :class:`~repro.membership.DynamicOverlay` view shares them with
+            its live state and with later views: read them, never edit them.
         labels: node -> cluster id.
         removed_edges: the inconsistent MST edges that were cut,
             as ``(u, v, length, ratio)``.
@@ -106,7 +108,8 @@ class Clustering:
             raise ClusteringError(f"node {node!r} not in clustering") from None
 
     def members(self, cluster_id: int) -> List[NodeId]:
-        """Nodes in cluster *cluster_id*."""
+        """Nodes in cluster *cluster_id*: the clustering's own list, to be read,
+        never edited (a churn view shares it, see :attr:`clusters`)."""
         if not 0 <= cluster_id < len(self.clusters):
             raise ClusteringError(f"no cluster {cluster_id}")
         return self.clusters[cluster_id]

@@ -64,7 +64,8 @@ class HFCTopology:
         return self.clustering.cluster_of(proxy)
 
     def members(self, cluster_id: int) -> List[ProxyId]:
-        """Proxies in cluster *cluster_id*."""
+        """Proxies in cluster *cluster_id*: the clustering's own list, to be read,
+        never edited (:meth:`Clustering.members`)."""
         return self.clustering.members(cluster_id)
 
     def border(self, from_cluster: int, to_cluster: int) -> ProxyId:

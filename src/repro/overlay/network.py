@@ -59,8 +59,9 @@ class OverlayNetwork:
         placement: Placement,
     ) -> "OverlayNetwork":
         """The overlay of *space*'s nodes in its order, with *placement* (taken, not
-        copied) and the space's own row map as its index: what the constructor builds
-        for ``proxies=space.nodes()``, without a Python step per proxy."""
+        copied) and the space's own row map as its index (neither is edited after):
+        what the constructor builds for ``proxies=space.nodes()``, without a Python
+        step per proxy."""
         if len(placement) != len(space):
             raise ServiceModelError(
                 f"placement covers {len(placement)} proxies, the space {len(space)}"

@@ -77,11 +77,8 @@ class FlatRouter:
         """A service's providers in overlay order, what ``providers_of`` scans for,
         from an index built once and again when the overlay's proxies or a read of
         its live placement differ from what it was built from (identity first,
-        else equal, set by set): a crash's restart rewrites placement in place. A
-        surface without a placement answers ``providers_of`` itself."""
+        else equal, set by set): a crash's restart rewrites placement in place."""
         overlay, (proxies, placed, index) = self.overlay, self._indexed
-        if not hasattr(overlay, "placement"):
-            return overlay.providers_of
         if overlay.proxies != proxies:
             proxies = list(overlay.proxies)
         now = tuple(map(overlay.placement.__getitem__, proxies))

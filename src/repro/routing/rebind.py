@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from itertools import chain, compress, groupby, repeat
 from operator import itemgetter
-from typing import Any, Dict, FrozenSet, Tuple
+from typing import Any, Dict, FrozenSet, Set, Tuple
 
 import numpy as np
 
@@ -95,29 +95,22 @@ def patch_query_tables(tables: QueryTables, hfc: Any, changes: Any) -> QueryTabl
     return patched
 
 
-def _move_members(cached: Dict[ClusterId, ClusterEntry], placement: Any, moves: Any) -> Dict[ClusterId, Any]:
+def _move_members(cached: Dict[ClusterId, ClusterEntry], placement: Any, moves: Any) -> None:
     """Apply *moves* in order to the entries the new view took over (a joiner appended
     to its services' providers, as overlay order puts it last; a leaver cut out of the
-    members and of each of its services' providers by slicing), a new aggregate only if
-    a service gained its first provider or lost its last. Returns, per cluster whose
-    aggregate that replaced, the aggregate before, the one after and those services."""
-    replaced: Dict[ClusterId, Any] = {}
+    members and of each of its services' providers by slicing); a new aggregate if
+    their provider keys changed."""
     for cluster, moved in groupby(sorted(moves, key=itemgetter(2)), itemgetter(2)):
         entry = cached.get(cluster)
         if entry is None:
             continue
-        members, placed, providers, keys = entry.members, list(entry.placed), entry.providers, set()
+        members, placed, providers, aggregate = entry.members, list(entry.placed), entry.providers, entry.aggregate
         for kind, proxy, _ in moved:
             if kind == "join":
                 members.append(proxy)
                 placed.append(placement.get(proxy, frozenset()))
                 for service in placed[-1]:
-                    held = providers.get(service)
-                    if held is None:
-                        providers[service] = (proxy,)
-                        keys.add(service)
-                    else:
-                        providers[service] = held + (proxy,)
+                    providers[service] = providers.get(service, ()) + (proxy,)
                 continue
             at = members.index(proxy)
             del members[at]
@@ -125,16 +118,12 @@ def _move_members(cached: Dict[ClusterId, ClusterEntry], placement: Any, moves: 
                 held = providers[service]
                 if len(held) == 1:
                     del providers[service]
-                    keys.add(service)
                 else:
                     at = held.index(proxy)
                     providers[service] = held[:at] + held[at + 1 :]
-        aggregate = entry.aggregate
-        if keys and providers.keys() != aggregate:
+        if providers.keys() != aggregate:
             aggregate = frozenset(providers)
-            replaced[cluster] = entry.aggregate, aggregate, keys
         cached[cluster] = ClusterEntry(members, tuple(placed), providers, aggregate, _reader(members))
-    return replaced
 
 
 def rebind_derived(
@@ -152,24 +141,22 @@ def rebind_derived(
         elif not related or changes.dropped:
             mode = "renumbered" if related else "first bind"
     event: Dict[str, Any] = dict(mode=mode, members_moved=0, pairs_patched=0)
-    replaced: Dict[ClusterId, Any] = {}
     if mode == "patched" and new is not old:  # the new view takes over what the old one derived
         cached, tables = vars(old).pop("_providers_cache", None), vars(old).pop("_query_tables_cache", None)
         if cached is not None and "_providers_cache" not in vars(new):
             new._providers_cache = cached
-            replaced = _move_members(cached, new.overlay.placement, changes.moves)
+            _move_members(cached, new.overlay.placement, changes.moves)
             event["members_moved"] = len(changes.moves)
         if tables is not None and "_query_tables_cache" not in vars(new):
             new._query_tables_cache = patch_query_tables(tables, new, changes)
             event["pairs_patched"] = len(changes.reelected)
     after = placement_capabilities(new)
-    flips: Dict[ClusterId, Any] = {}
+    flips: Dict[ClusterId, Set[str]] = {}
     for c, now in after.items():
         was = capabilities.get(c)
-        if now is not was:  # a patched aggregate flipped only services the moves touched
-            before, made, touched = replaced.get(c, (None, None, ()))
-            patched = made is now and before is was
-            flips[c] = {s for s in touched if (s in now) != (s in was)} if patched else now ^ (was or frozenset())
+        if now is not was:  # two differences, not ``^``, which copies the aggregate's whole table
+            was = was or frozenset()
+            flips[c] = (now - was) | (was - now)
     event.update(clusters_reaggregated=len(flips), services_flipped=sum(map(len, flips.values())))
     if mode != "patched" or offering[0] is not capabilities:
         return after, (None, {}), event

@@ -49,15 +49,18 @@ class _PairProvider(DistanceProvider):
 
 
 class _Overlay:
-    """What a flat router reads of an overlay: every slot's service has its
-    own candidates; the endpoints are members."""
+    """What a flat router reads of an overlay: the proxies in order and each one's
+    placement (a slot's candidates offer its service, in candidate order); the
+    endpoints are members."""
 
     def __init__(self, sg, candidates, members):
-        self._providers = {sg.service_of(slot): list(candidates.get(slot, ())) for slot in sg.slots()}
+        offers = {}
+        for slot in sg.slots():
+            for proxy in candidates.get(slot, ()):
+                offers.setdefault(proxy, set()).add(sg.service_of(slot))
+        self.proxies = list(dict.fromkeys([*members, *offers]))
+        self.placement = {proxy: frozenset(offers.get(proxy, ())) for proxy in self.proxies}
         self._members = set(members)
-
-    def providers_of(self, service):
-        return self._providers[service]
 
     def index_of(self, proxy):
         if proxy not in self._members:
